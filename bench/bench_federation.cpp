@@ -26,7 +26,7 @@
 // named in missing_shards, and the values must equal the survivors' sum.
 //
 // --quick trims iteration counts for the CI smoke job; --json PATH writes a
-// BENCH_federation.json blob.
+// BENCH_federation.json blob (Release builds only).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -43,6 +43,8 @@
 #include "serve/snapshot.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+
+#include "bench_json.hpp"
 
 using namespace vmp;
 
@@ -188,6 +190,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
       json_path = argv[++i];
   }
+  if (!bench::json_allowed(json_path)) return 2;
 
   const std::size_t iters = quick ? 60 : 400;
   const std::vector<std::size_t> shard_counts =
@@ -333,7 +336,7 @@ int main(int argc, char** argv) {
                  "  \"context\": {\n"
                  "    \"date\": \"%s\",\n"
                  "    \"benchmark\": \"bench_federation\",\n"
-                 "    \"build_type\": \"Release\",\n"
+                 "    \"build_type\": \"%s\",\n"
                  "    \"config\": {\n"
                  "      \"epochs_per_shard\": %d,\n"
                  "      \"query\": \"%s\",\n"
@@ -343,7 +346,8 @@ int main(int argc, char** argv) {
                  "    }\n"
                  "  },\n"
                  "  \"fanout\": [\n",
-                 date, kEpochs, request.canonical().c_str(), iters,
+                 date, bench::kBuildType, kEpochs, request.canonical().c_str(),
+                 iters,
                  static_cast<long long>(stall.count()));
     for (std::size_t i = 0; i < fanout_rows.size(); ++i)
       std::fprintf(out,

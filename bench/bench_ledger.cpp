@@ -20,7 +20,7 @@
 // latency — plus cold latency staying in single-digit milliseconds.
 //
 // --quick trims sizes for the CI smoke job; --json PATH writes a
-// BENCH_ledger.json blob.
+// BENCH_ledger.json blob (Release builds only).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -37,6 +37,8 @@
 #include "serve/snapshot.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+
+#include "bench_json.hpp"
 
 using namespace vmp;
 
@@ -191,6 +193,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
       json_path = argv[++i];
   }
+  if (!bench::json_allowed(json_path)) return 2;
 
   const std::size_t append_records = quick ? 4000 : 40000;
   const std::size_t history = quick ? 4096 : 16384;
@@ -298,7 +301,7 @@ int main(int argc, char** argv) {
           "  \"context\": {\n"
           "    \"date\": \"%s\",\n"
           "    \"benchmark\": \"bench_ledger\",\n"
-          "    \"build_type\": \"Release\",\n"
+          "    \"build_type\": \"%s\",\n"
           "    \"config\": {\n"
           "      \"vms_per_record\": %zu,\n"
           "      \"append_records\": %zu,\n"
@@ -315,7 +318,8 @@ int main(int argc, char** argv) {
           "    \"compactor_racing_mb_per_s\": %.1f\n"
           "  },\n"
           "  \"recovery_ms\": [\n",
-          date, kHosts * kVmsPerHost, append_records, history, query_iters,
+          date, bench::kBuildType, kHosts * kVmsPerHost, append_records,
+          history, query_iters,
           wal_only.records_per_s, wal_only.mb_per_s, racing.records_per_s,
           racing.mb_per_s);
       for (int i = 0; i < 3; ++i)

@@ -27,7 +27,8 @@
 // reduces duplicate evaluations (cache_misses counter).
 //
 // --quick trims sizes for the CI smoke job; --pipelined runs section 2 only;
-// --json PATH writes the pipelined results as a BENCH_serve.json blob.
+// --json PATH writes the pipelined results as a BENCH_serve.json blob
+// (Release builds only).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -48,6 +49,8 @@
 #include "serve/transport.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+
+#include "bench_json.hpp"
 
 using namespace vmp;
 
@@ -377,7 +380,7 @@ int run_pipelined(bool quick, const char* json_path) {
                  "  \"context\": {\n"
                  "    \"date\": \"%s\",\n"
                  "    \"benchmark\": \"bench_serve_throughput --pipelined\",\n"
-                 "    \"build_type\": \"Release\",\n"
+                 "    \"build_type\": \"%s\",\n"
                  "    \"config\": {\n"
                  "      \"requests\": %zu,\n"
                  "      \"groups\": %zu,\n"
@@ -390,7 +393,8 @@ int run_pipelined(bool quick, const char* json_path) {
                  "    }\n"
                  "  },\n"
                  "  \"results\": [\n",
-                 date, items.size(), groups, dup, cheap_per_group, in_flight,
+                 date, bench::kBuildType, items.size(), groups, dup,
+                 cheap_per_group, in_flight,
                  static_cast<long long>(kCostStall.count()));
     for (int m = 0; m < kModes; ++m) {
       const PipelineResult& r = results[m];
@@ -503,6 +507,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
       json_path = argv[++i];
   }
+  if (!bench::json_allowed(json_path)) return 2;
   int status = 0;
   if (!pipelined_only) status = run_throughput(quick);
   if (status == 0) status = run_pipelined(quick, json_path);

@@ -10,11 +10,6 @@ namespace vmp::core {
 
 namespace {
 
-/// Known-miss memo entries are cheap; bound the map anyway so a pathological
-/// state stream cannot grow it without limit (clearing only costs re-probing
-/// the table once per live state).
-constexpr std::size_t kTableMemoLimit = std::size_t{1} << 20;
-
 std::vector<common::StateVector> states_of(std::span<const VmSample> vms) {
   std::vector<common::StateVector> states;
   states.reserve(vms.size());
@@ -31,10 +26,6 @@ void require_input(std::span<const VmSample> vms, double adjusted_power_w) {
     throw std::invalid_argument("PowerEstimator: too many VMs");
   if (adjusted_power_w < 0.0)
     throw std::invalid_argument("PowerEstimator: adjusted power must be >= 0");
-}
-
-void append_raw(std::string& out, const void* data, std::size_t bytes) {
-  out.append(static_cast<const char*>(data), bytes);
 }
 
 }  // namespace
@@ -105,44 +96,14 @@ VhcComboMask ShapleyVhcEstimator::prepare_tick(std::span<const VmSample> vms) {
 
 double ShapleyVhcEstimator::worth_from(
     VhcComboMask combo, std::span<const common::StateVector> aggregated) {
-  CompEntry ignored;
-  return worth_recorded(combo, aggregated, ignored);
-}
-
-double ShapleyVhcEstimator::worth_recorded(
-    VhcComboMask combo, std::span<const common::StateVector> aggregated,
-    CompEntry& entry) {
   ++worth_queries_;
-  entry.status = kCompMiss;
   if (table_.has_value()) {
-    // Fig. 8's lookup-first path, memoized across ticks: the table's answer
-    // is a pure function of (combo, quantized aggregate), so identical
-    // quantized states skip the sample scan entirely.
-    memo_key_.clear();
-    append_raw(memo_key_, &combo, sizeof(combo));
-    const double resolution = table_->resolution();
-    for (const auto& state : aggregated) {
-      const common::StateVector q = state.quantized(resolution);
-      const auto values = q.values();
-      append_raw(memo_key_, values.data(), values.size_bytes());
-    }
-    auto it = table_memo_.find(std::string_view{memo_key_});
-    if (it == table_memo_.end()) {
-      if (table_memo_.size() >= kTableMemoLimit) table_memo_.clear();
-      TableOutcome outcome;
-      if (const auto hit = table_->lookup(combo, aggregated)) {
-        outcome.hit = true;
-        outcome.value = *hit;
-      }
-      it = table_memo_.emplace(memo_key_, outcome).first;
-    }
-    if (it->second.hit) {
+    // Fig. 8's lookup-first path: a directly-measured state beats the
+    // regression; a miss falls through on the exact (unquantized) states.
+    if (const auto hit = table_->lookup(combo, aggregated)) {
       ++table_hits_;
-      entry.status = kCompHit;
-      entry.value = it->second.value;
-      return it->second.value;
+      return *hit;
     }
-    // Known miss: fall through to the approximation on the exact states.
   }
   return combo_weights_.predict(combo, aggregated);
 }
@@ -218,30 +179,6 @@ std::vector<double> ShapleyVhcEstimator::estimate_collapsed(
     gstate_[g] = states_[rep];
   }
 
-  // Per-composition memo validity: the table outcome of every composition
-  // is fixed by (group sizes, VHCs, idle bits, exact representative
-  // states), so a matching signature lets this tick replay last tick's
-  // outcomes by index instead of re-probing the quantized-key map.
-  const bool use_memo = table_.has_value();
-  bool memo_valid = false;
-  if (use_memo) {
-    comp_sig_scratch_.clear();
-    append_raw(comp_sig_scratch_, &r, sizeof(r));
-    for (std::size_t g = 0; g < r; ++g) {
-      append_raw(comp_sig_scratch_, &gsize_[g], sizeof(gsize_[g]));
-      append_raw(comp_sig_scratch_, &gvhc_[g], sizeof(gvhc_[g]));
-      append_raw(comp_sig_scratch_, &gbit_[g], sizeof(gbit_[g]));
-      const auto values = gstate_[g].values();
-      append_raw(comp_sig_scratch_, values.data(), values.size_bytes());
-    }
-    memo_valid =
-        comp_memo_.size() == comps && comp_sig_scratch_ == comp_sig_;
-    if (!memo_valid) {
-      comp_sig_.swap(comp_sig_scratch_);
-      comp_memo_.assign(comps, CompEntry{});
-    }
-  }
-
   // One worth evaluation per composition — Π (g_size + 1) instead of 2^n.
   worth_.resize(comps);
   agg_.resize(num_vhcs);
@@ -251,14 +188,6 @@ std::vector<double> ShapleyVhcEstimator::estimate_collapsed(
       // The full composition is the grand coalition: anchored to the
       // measurement, never queried (exactly like the mask path).
       worth_[idx] = adjusted_power_w;
-    } else if (memo_valid && comp_memo_[idx].status == kCompHit) {
-      // Replayed table hit: same counters as a fresh probe, but no
-      // aggregate build and no key construction at all.
-      ++worth_queries_;
-      ++table_hits_;
-      worth_[idx] = comp_memo_[idx].value;
-    } else if (memo_valid && comp_memo_[idx].status == kCompZero) {
-      worth_[idx] = 0.0;  // every included group was idle.
     } else {
       VhcComboMask combo = 0;
       std::fill(agg_.begin(), agg_.end(), common::StateVector::zero());
@@ -267,19 +196,8 @@ std::vector<double> ShapleyVhcEstimator::estimate_collapsed(
         combo |= gbit_[g];
         agg_[gvhc_[g]] += gstate_[g] * static_cast<double>(comp_k_[g]);
       }
-      if (combo == 0) {
-        worth_[idx] = 0.0;
-        if (use_memo) comp_memo_[idx].status = kCompZero;
-      } else if (memo_valid) {
-        // Remembered miss: skip the probe, straight to the approximation
-        // (identical states, so the probe could only miss again).
-        ++worth_queries_;
-        worth_[idx] = combo_weights_.predict(combo, agg_);
-      } else if (use_memo) {
-        worth_[idx] = worth_recorded(combo, agg_, comp_memo_[idx]);
-      } else {
-        worth_[idx] = worth_from(combo, agg_);
-      }
+      // combo == 0: every included group was idle.
+      worth_[idx] = combo == 0 ? 0.0 : worth_from(combo, agg_);
     }
     for (std::size_t g = 0; g < r; ++g) {
       if (++comp_k_[g] <= gsize_[g]) break;
@@ -431,8 +349,9 @@ std::vector<double> ShapleyVhcEstimator::estimate_sweep(
       worth_[mask] = sum;
     }
   } else {
-    // Lookup-first path: serial (the memo map is not thread-safe), but the
-    // aggregate scratch and memoized probes keep it allocation-free.
+    // Lookup-first path: serial, because worth_from bumps the hit counters
+    // and every mask builds its aggregate in the shared agg_ scratch. The
+    // scratch and the table's stack-keyed probe keep it allocation-free.
     agg_.resize(num_vhcs);
     for (std::size_t mask = 1; mask < n_masks; ++mask) {
       if (anchor_ && mask == n_masks - 1) {

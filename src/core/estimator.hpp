@@ -21,9 +21,7 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/state_vector.hpp"
@@ -174,50 +172,13 @@ class ShapleyVhcEstimator final : public PowerEstimator {
   }
 
  private:
-  /// Memoized outcome of one quantized table probe. Only the *table lookup*
-  /// is memoized — a known miss still re-evaluates the approximation on the
-  /// exact (unquantized) states, so quantization never leaks into the
-  /// regression path.
-  struct TableOutcome {
-    bool hit = false;
-    double value = 0.0;
-  };
-  struct MemoKeyHash {
-    using is_transparent = void;
-    [[nodiscard]] std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-    [[nodiscard]] std::size_t operator()(const std::string& s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  /// Per-composition memo for the collapsed table path. A composition's
-  /// table outcome is a pure function of the group structure and the exact
-  /// representative states, so while those match the previous tick
-  /// (comp_sig_) the outcome is replayed by composition index: a remembered
-  /// hit skips the aggregate build and the quantized-key probe entirely, a
-  /// remembered miss skips the probe and goes straight to the approximation
-  /// on the exact states. Keyed on *exact* state bytes — never quantized —
-  /// so replay is bit-identical to re-probing, not merely bucket-identical.
-  enum : std::uint8_t { kCompZero = 0, kCompHit = 1, kCompMiss = 2 };
-  struct CompEntry {
-    std::uint8_t status = kCompZero;
-    double value = 0.0;  ///< table worth when status == kCompHit.
-  };
-
   /// Refreshes the cached partition / per-player metadata for this tick.
   /// Returns the combo of all non-idle players.
   VhcComboMask prepare_tick(std::span<const VmSample> vms);
-  /// Worth of a non-empty combo with the given aggregated states: memoized
-  /// table lookup first (Fig. 8), then the batched approximation.
+  /// Worth of a non-empty combo with the given aggregated states: table
+  /// lookup first (Fig. 8), then the batched approximation.
   [[nodiscard]] double worth_from(VhcComboMask combo,
                                   std::span<const common::StateVector> aggregated);
-  /// worth_from that additionally reports the table probe's outcome, so the
-  /// collapsed kernel can memoize it per composition.
-  [[nodiscard]] double worth_recorded(
-      VhcComboMask combo, std::span<const common::StateVector> aggregated,
-      CompEntry& entry);
   [[nodiscard]] std::vector<double> estimate_collapsed(double adjusted_power_w);
   [[nodiscard]] std::vector<double> estimate_sweep(double adjusted_power_w,
                                                    VhcComboMask full_combo);
@@ -265,11 +226,6 @@ class ShapleyVhcEstimator final : public PowerEstimator {
   std::vector<double> binom_;               // flattened Pascal triangle.
   std::size_t binom_n_ = 0;
   std::vector<double> phi_group_;
-  std::string memo_key_;
-  std::unordered_map<std::string, TableOutcome, MemoKeyHash, std::equal_to<>>
-      table_memo_;
-  std::vector<CompEntry> comp_memo_;       // indexed by composition.
-  std::string comp_sig_, comp_sig_scratch_;
   util::ThreadPool* pool_ = nullptr;
   std::size_t pool_min_players_ = 14;
   SampledKernelConfig sampled_config_;

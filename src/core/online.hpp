@@ -3,8 +3,8 @@
 // Every deployment repeats the same per-second choreography: advance the
 // machine, read the meter, deduct the idle floor, snapshot VM telemetry,
 // estimate per-VM shares, account energy. MeteringLoop wires those stages
-// over any PowerEstimator so applications (and the examples/ binaries)
-// consume one call per sampling period.
+// over any PowerEstimator so applications (`vmpower meter` and `vmpower
+// bill`) consume one call per sampling period.
 #pragma once
 
 #include <functional>

@@ -1,9 +1,44 @@
 #include "core/vsc_table.hpp"
 
 #include <array>
+#include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 namespace vmp::core {
+
+namespace {
+
+/// Room for the longest cell key: validate_query() holds every state span
+/// to num_vhcs_ <= kMaxVhcs entries before a key is built.
+using KeyBuffer =
+    std::array<char, sizeof(VhcComboMask) + VhcUniverse::kMaxVhcs *
+                                                common::kNumComponents *
+                                                sizeof(double)>;
+
+/// Writes the cell key of (combo, vhc_states) into `buffer` and returns the
+/// written prefix.
+std::string_view cell_key(VhcComboMask combo,
+                          std::span<const common::StateVector> vhc_states,
+                          double resolution, KeyBuffer& buffer) noexcept {
+  char* out = buffer.data();
+  std::memcpy(out, &combo, sizeof combo);
+  out += sizeof combo;
+  // Two quantized coordinates in different buckets differ by at least one
+  // resolution step, so equal bucket indices are exactly the states that
+  // StateVector::quantized() maps to the same value.
+  for (const common::StateVector& state : vhc_states) {
+    for (const double v : state.values()) {
+      double bucket = std::round(v / resolution);
+      if (bucket == 0.0) bucket = 0.0;  // -0.0 and +0.0 are one bucket.
+      std::memcpy(out, &bucket, sizeof bucket);
+      out += sizeof bucket;
+    }
+  }
+  return {buffer.data(), static_cast<std::size_t>(out - buffer.data())};
+}
+
+}  // namespace
 
 VscTable::VscTable(std::size_t num_vhcs, double resolution)
     : num_vhcs_(num_vhcs), resolution_(resolution) {
@@ -34,6 +69,12 @@ void VscTable::record(VhcComboMask combo,
     sample.vhc_states.push_back(state.quantized(resolution_));
   sample.power_w = power_w;
   samples_[combo].push_back(std::move(sample));
+
+  KeyBuffer buffer{};
+  Cell& cell =
+      cells_[std::string(cell_key(combo, vhc_states, resolution_, buffer))];
+  cell.power_sum += power_w;
+  ++cell.count;
   ++total_;
 }
 
@@ -46,33 +87,11 @@ const std::vector<VscSample>& VscTable::samples(VhcComboMask combo) const {
 std::optional<double> VscTable::lookup(
     VhcComboMask combo, std::span<const common::StateVector> vhc_states) const {
   validate_query(combo, vhc_states);
-  const auto it = samples_.find(combo);
-  if (it == samples_.end()) return std::nullopt;
-
-  // lookup() runs once per coalition worth in the metering hot path: keep
-  // the quantized query on the stack (num_vhcs_ <= kMaxVhcs by construction).
-  std::array<common::StateVector, VhcUniverse::kMaxVhcs> query;
-  for (std::size_t j = 0; j < num_vhcs_; ++j)
-    query[j] = vhc_states[j].quantized(resolution_);
-
-  double sum = 0.0;
-  std::size_t hits = 0;
-  const double tol = resolution_ / 2.0;
-  for (const VscSample& sample : it->second) {
-    bool match = true;
-    for (std::size_t j = 0; j < num_vhcs_; ++j) {
-      if (sample.vhc_states[j].max_abs_diff(query[j]) > tol) {
-        match = false;
-        break;
-      }
-    }
-    if (match) {
-      sum += sample.power_w;
-      ++hits;
-    }
-  }
-  if (hits == 0) return std::nullopt;
-  return sum / static_cast<double>(hits);
+  KeyBuffer buffer{};
+  const auto it =
+      cells_.find(cell_key(combo, vhc_states, resolution_, buffer));
+  if (it == cells_.end()) return std::nullopt;
+  return it->second.power_sum / static_cast<double>(it->second.count);
 }
 
 std::vector<VhcComboMask> VscTable::combos() const {

@@ -7,8 +7,12 @@
 // approximation for unobserved states.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <optional>
 #include <span>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -43,9 +47,12 @@ class VscTable {
   /// All samples recorded for a combo (empty vector if none).
   [[nodiscard]] const std::vector<VscSample>& samples(VhcComboMask combo) const;
 
-  /// Mean measured power over samples whose quantized state matches the
-  /// query's exactly; nullopt when the state was never observed (the case
-  /// the linear approximation exists for).
+  /// Mean measured power, summed in record order, over the samples whose
+  /// quantized state matches the query's exactly (same round(v / resolution)
+  /// in every coordinate of every VHC); nullopt when the state was never
+  /// observed (the case the linear approximation exists for). One hash
+  /// probe on the metering hot path: no allocation, no scan of the samples.
+  /// States are expected finite.
   [[nodiscard]] std::optional<double> lookup(
       VhcComboMask combo, std::span<const common::StateVector> vhc_states) const;
 
@@ -54,9 +61,25 @@ class VscTable {
   [[nodiscard]] std::vector<VhcComboMask> combos() const;
 
  private:
+  /// The samples of one (combo, quantized state) cell, accumulated in
+  /// record order.
+  struct Cell {
+    double power_sum = 0.0;
+    std::size_t count = 0;
+  };
+  /// Hashes a cell key: the combo's bytes, then round(v / resolution) of
+  /// every coordinate of every VHC state.
+  struct KeyHash {
+    using is_transparent = void;
+    [[nodiscard]] std::size_t operator()(std::string_view key) const noexcept {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+
   std::size_t num_vhcs_;
   double resolution_;
   std::unordered_map<VhcComboMask, std::vector<VscSample>> samples_;
+  std::unordered_map<std::string, Cell, KeyHash, std::equal_to<>> cells_;
   std::size_t total_ = 0;
 
   void validate_query(VhcComboMask combo,

@@ -17,8 +17,8 @@ HostAgent::HostAgent(std::uint32_t host_id, const sim::MachineSpec& spec,
                      HostAgentOptions options)
     : host_id_(host_id), options_(options), machine_(spec, seed),
       // The full Fig. 8 online path: lookup-first against the offline
-      // v(S, C) table, approximation for unobserved states. The estimator's
-      // cross-tick memo makes the per-tick lookups cheap.
+      // v(S, C) table, approximation for unobserved states. Each lookup is
+      // one hash probe into the table's quantized-cell index.
       estimator_(dataset.universe, dataset.approximation, dataset.table) {
   // Per-host draw decorrelation for the sampled tier: hosts share one fleet
   // seed knob but must not share coalition samples. No thread pool is given

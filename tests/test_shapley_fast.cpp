@@ -400,7 +400,7 @@ TEST(ShapleyVhcEstimatorFast, TableLookupPathMatchesReference) {
   const VhcUniverse universe({0, 1});
   ShapleyVhcEstimator fast_estimator(universe, pipeline.approx, pipeline.table);
   // States on exact quantization multiples, so both paths land in the same
-  // table cells; repeated estimates exercise the cross-tick memo.
+  // table cells; repeated estimates probe the same cells again.
   std::vector<VmSample> vms = {{0, 0, StateVector::cpu_only(0.25)},
                                {1, 0, StateVector::cpu_only(0.75)},
                                {2, 1, StateVector::cpu_only(0.5)},
@@ -416,12 +416,12 @@ TEST(ShapleyVhcEstimatorFast, TableLookupPathMatchesReference) {
   EXPECT_GT(fast_estimator.table_hit_rate(), 0.0);
 }
 
-TEST(ShapleyVhcEstimatorFast, CompositionMemoReplaysTablePathExactly) {
+TEST(ShapleyVhcEstimatorFast, RepeatedTicksReplayTablePathExactly) {
   util::Rng rng(27);
   const auto pipeline = full_pipeline(2, rng);
   // Plant one guaranteed table cell — the composition holding exactly one
-  // 0.25-cpu VM of type 0 — so the memo provably carries hits, not only
-  // remembered misses.
+  // 0.25-cpu VM of type 0 — so the repeated tick provably replays hits, not
+  // only misses.
   VscTable table = pipeline.table;
   table.record(0b01, {{StateVector::cpu_only(0.25), StateVector::zero()}},
                6.5);
@@ -444,12 +444,12 @@ TEST(ShapleyVhcEstimatorFast, CompositionMemoReplaysTablePathExactly) {
   const double rate_fresh = estimator.table_hit_rate();
   EXPECT_GT(rate_fresh, 0.0);
 
-  // Identical states next tick: the per-composition memo replays last
-  // tick's table outcomes by index. Replay must be bit-identical to
-  // re-probing — values and counters alike.
+  // Identical states next tick: every composition probes the same table
+  // cells again, and the tick must be bit-identical to the first — values
+  // and counters alike.
   const auto replay = estimator.estimate(vms, 33.0);
   for (std::size_t i = 0; i < vms.size(); ++i)
-    EXPECT_EQ(fresh[i], replay[i]) << "memo replay diverged, vm " << i;
+    EXPECT_EQ(fresh[i], replay[i]) << "repeated tick diverged, vm " << i;
   EXPECT_EQ(estimator.worth_queries(), 2 * queries_fresh);
   EXPECT_DOUBLE_EQ(estimator.table_hit_rate(), rate_fresh);
 
@@ -459,14 +459,55 @@ TEST(ShapleyVhcEstimatorFast, CompositionMemoReplaysTablePathExactly) {
   for (std::size_t i = 0; i < vms.size(); ++i)
     EXPECT_NEAR(replay[i], reference[i], 1e-12) << "vm " << i;
 
-  // A moved state invalidates the memo; the rebuilt tick still matches.
+  // A moved state probes different cells; the tick still matches.
   vms[2].state = StateVector::cpu_only(1.25);
   const auto moved = estimator.estimate(vms, 41.0);
   const auto moved_reference =
       reference_estimate(universe, pipeline.approx, &table, true, vms, 41.0);
   for (std::size_t i = 0; i < vms.size(); ++i)
     EXPECT_NEAR(moved[i], moved_reference[i], 1e-12)
-        << "after invalidation, vm " << i;
+        << "after the state moved, vm " << i;
+}
+
+TEST(ShapleyVhcEstimatorFast, SweepTablePathMatchesReference) {
+  util::Rng rng(28);
+  const auto pipeline = full_pipeline(2, rng);
+  const VhcUniverse universe({0, 1});
+  // Six players with pairwise-distinct (type, state): no symmetry to
+  // collapse, so the sweep kernel probes the table for every non-empty
+  // coalition it does not anchor. Dyadic states on quantization multiples
+  // keep the kernel's and the reference's aggregates exact, so 1e-12
+  // measures accumulation order only.
+  const std::vector<VmSample> vms = {{0, 0, StateVector::cpu_only(0.25)},
+                                     {1, 0, StateVector::cpu_only(0.5)},
+                                     {2, 0, StateVector::cpu_only(0.75)},
+                                     {3, 1, StateVector::cpu_only(0.25)},
+                                     {4, 1, StateVector::cpu_only(0.5)},
+                                     {5, 1, StateVector::cpu_only(1.0)}};
+  // Planted cells that some coalitions reach: {2} and {0, 1} aggregate to
+  // type-0 cpu 0.75, {4, 5} to type-1 cpu 1.5, and {0, 3} to (0.25, 0.25).
+  VscTable table = pipeline.table;
+  table.record(0b01, {{StateVector::cpu_only(0.75), StateVector::zero()}},
+               7.25);
+  table.record(0b10, {{StateVector::zero(), StateVector::cpu_only(1.5)}},
+               12.5);
+  table.record(0b11,
+               {{StateVector::cpu_only(0.25), StateVector::cpu_only(0.25)}},
+               5.75);
+
+  for (const bool anchor : {true, false}) {
+    ShapleyVhcEstimator estimator(universe, pipeline.approx, table, anchor);
+    for (const double adjusted : {38.0, 38.0, 44.5}) {
+      const auto fast = estimator.estimate(vms, adjusted);
+      EXPECT_EQ(estimator.last_kernel(), "sweep");
+      const auto reference = reference_estimate(
+          universe, pipeline.approx, &table, anchor, vms, adjusted);
+      for (std::size_t i = 0; i < vms.size(); ++i)
+        EXPECT_NEAR(fast[i], reference[i], 1e-12)
+            << "anchor=" << anchor << " adjusted=" << adjusted << " vm " << i;
+    }
+    EXPECT_GT(estimator.table_hit_rate(), 0.0) << "anchor=" << anchor;
+  }
 }
 
 TEST(ShapleyVhcEstimatorFast, IdleVmsAndCacheReuseAcrossTicks) {

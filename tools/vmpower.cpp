@@ -77,6 +77,7 @@
 #include "core/accountant.hpp"
 #include "core/collector.hpp"
 #include "core/estimator.hpp"
+#include "core/online.hpp"
 #include "core/serialization.hpp"
 #include "core/pricing.hpp"
 #include "fleet/engine.hpp"
@@ -334,22 +335,15 @@ int cmd_meter(const util::CliArgs& args, bool billing) {
   else if (policy_name != "none")
     throw std::invalid_argument("unknown --idle-policy '" + policy_name + "'");
   core::EnergyAccountant accountant(policy);
+  core::MeteringLoop loop(machine, estimator, 1.0, &accountant);
 
   const double duration = args.get_double("duration", 60.0);
   for (double t = 1.0; t <= duration; t += 1.0) {
-    const auto frame = machine.step(1.0);
-    const double adjusted =
-        std::max(0.0, frame.active_power_w - machine.idle_power_w());
-    std::vector<core::VmSample> samples;
-    for (const auto& obs : machine.hypervisor().observations())
-      samples.push_back({obs.id, obs.type_id, obs.state});
-    const auto phi = estimator.estimate(samples, adjusted);
-    accountant.add_sample(samples, phi, machine.idle_power_w(), 1.0);
-
+    const core::MeteringSample sample = loop.step();
     if (!billing) {
-      std::printf("t=%6.0f adj=%7.2fW ", t, adjusted);
-      for (std::size_t i = 0; i < phi.size(); ++i)
-        std::printf(" vm%u=%6.2fW", samples[i].vm_id, phi[i]);
+      std::printf("t=%6.0f adj=%7.2fW ", t, sample.adjusted_power_w);
+      for (std::size_t i = 0; i < sample.phi.size(); ++i)
+        std::printf(" vm%u=%6.2fW", sample.vms[i].vm_id, sample.phi[i]);
       if (estimator.last_kernel() == "sampled") {
         const auto& stats = estimator.last_sampled();
         std::printf("  [sampled ci=%.3fW evals=%zu stop=%s]",
@@ -359,8 +353,8 @@ int cmd_meter(const util::CliArgs& args, bool billing) {
       std::printf("\n");
     }
     if (csv) {
-      std::vector<double> row = {t, adjusted};
-      row.insert(row.end(), phi.begin(), phi.end());
+      std::vector<double> row = {t, sample.adjusted_power_w};
+      row.insert(row.end(), sample.phi.begin(), sample.phi.end());
       csv->write_row(row);
     }
   }
