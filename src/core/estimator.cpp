@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
@@ -24,8 +25,9 @@ void require_input(std::span<const VmSample> vms, double adjusted_power_w) {
   // their own kMaxPlayers bound at dispatch.
   if (vms.size() > kMaxSampledPlayers)
     throw std::invalid_argument("PowerEstimator: too many VMs");
-  if (adjusted_power_w < 0.0)
-    throw std::invalid_argument("PowerEstimator: adjusted power must be >= 0");
+  if (!std::isfinite(adjusted_power_w) || adjusted_power_w < 0.0)
+    throw std::invalid_argument(
+        "PowerEstimator: adjusted power must be finite and >= 0");
 }
 
 }  // namespace
@@ -117,12 +119,6 @@ std::vector<double> ShapleyVhcEstimator::estimate(std::span<const VmSample> vms,
   // the constructors) keeps the cache coherent even if the estimator object
   // was moved since the last call.
   combo_weights_.bind(&approx_);
-  if (!combo_weights_.usable()) {
-    last_kernel_ = "legacy";
-    VMP_TRACE_SPAN("core.shapley_kernel", "core");
-    return estimate_legacy(vms, adjusted_power_w);
-  }
-
   const VhcComboMask full_combo = prepare_tick(vms);
   detect_symmetry_into(player_key_, states_, groups_);
 
@@ -157,31 +153,26 @@ std::vector<double> ShapleyVhcEstimator::estimate(std::span<const VmSample> vms,
 
 std::vector<double> ShapleyVhcEstimator::estimate_collapsed(
     double adjusted_power_w) {
-  const std::size_t n = groups_.player_count();
   const std::size_t r = groups_.group_count();
-  const std::size_t num_vhcs = universe_.size();
 
-  // Per-group metadata and mixed-radix strides over compositions
-  // k = (k_0 .. k_{r-1}), k_g <= g_size.
+  // Per-group metadata for the mixed-radix walk over compositions
+  // k = (k_0 .. k_{r-1}), k_g <= g_size, group 0 fastest.
   gsize_.resize(r);
-  gstride_.resize(r);
   gvhc_.resize(r);
   gbit_.resize(r);
   gstate_.resize(r);
-  std::size_t comps = 1;
   for (std::size_t g = 0; g < r; ++g) {
     const Player rep = groups_.members[g].front();
     gsize_[g] = groups_.members[g].size();
-    gstride_[g] = comps;
-    comps *= gsize_[g] + 1;
     gvhc_[g] = player_vhc_[rep];
     gbit_[g] = player_bit_[rep];
     gstate_[g] = states_[rep];
   }
 
   // One worth evaluation per composition — Π (g_size + 1) instead of 2^n.
+  const std::size_t comps = groups_.composition_count();
   worth_.resize(comps);
-  agg_.resize(num_vhcs);
+  agg_.resize(universe_.size());
   comp_k_.assign(r, 0);
   for (std::size_t idx = 0; idx < comps; ++idx) {
     if (anchor_ && idx == comps - 1) {
@@ -204,77 +195,38 @@ std::vector<double> ShapleyVhcEstimator::estimate_collapsed(
       comp_k_[g] = 0;
     }
   }
-
-  if (binom_n_ != n) {
-    binom_.assign((n + 1) * (n + 1), 0.0);
-    for (std::size_t i = 0; i <= n; ++i) {
-      binom_[i * (n + 1)] = 1.0;
-      for (std::size_t j = 1; j <= i; ++j)
-        binom_[i * (n + 1) + j] = binom_[(i - 1) * (n + 1) + j - 1] +
-                                  (j < i ? binom_[(i - 1) * (n + 1) + j] : 0.0);
-    }
-    binom_n_ = n;
-  }
-  const auto binom = [&](std::size_t a, std::size_t b) {
-    return binom_[a * (n + 1) + b];
-  };
-
-  // Φ_{i in group j} = Σ_k C(g_j−1, k_j) Π_{t≠j} C(g_t, k_t) w(|k|)
-  //                        [V(k+e_j) − V(k)],
-  // with the coefficient factored as [Π_t C(g_t, k_t)] (g_j − k_j) / g_j.
-  phi_group_.assign(r, 0.0);
-  comp_k_.assign(r, 0);
-  for (std::size_t idx = 0; idx < comps; ++idx) {
-    std::size_t s = 0;
-    double prod = 1.0;
-    for (std::size_t g = 0; g < r; ++g) {
-      s += comp_k_[g];
-      prod *= binom(gsize_[g], comp_k_[g]);
-    }
-    if (s < n) {
-      const double w = weights_[s];
-      const double base = worth_[idx];
-      for (std::size_t j = 0; j < r; ++j) {
-        if (comp_k_[j] == gsize_[j]) continue;
-        const double coeff = prod *
-                             static_cast<double>(gsize_[j] - comp_k_[j]) /
-                             static_cast<double>(gsize_[j]);
-        phi_group_[j] += coeff * w * (worth_[idx + gstride_[j]] - base);
-      }
-    }
-    for (std::size_t g = 0; g < r; ++g) {
-      if (++comp_k_[g] <= gsize_[g]) break;
-      comp_k_[g] = 0;
-    }
-  }
-
-  std::vector<double> phi(n, 0.0);
-  for (std::size_t j = 0; j < r; ++j)
-    for (const Player p : groups_.members[j]) phi[p] = phi_group_[j];
-  return phi;
+  return collapsed_shapley_sum(groups_, {worth_.data(), comps}, weights_);
 }
 
 void ShapleyVhcEstimator::build_contribution_table(VhcComboMask full_combo) {
   const std::size_t n = states_.size();
-  const std::size_t combo_count = std::size_t{1} << universe_.size();
-  p_.assign(n * combo_count, 0.0);
-  for (VhcComboMask c = full_combo;; c = (c - 1) & full_combo) {
-    if (c != 0) {
-      const auto w = combo_weights_.effective_weights(c);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (player_bit_[i] == 0 || (player_bit_[i] & c) == 0) continue;
-        p_[i * combo_count + c] = states_[i].dot(w.subspan(
-            player_vhc_[i] * common::kNumComponents, common::kNumComponents));
-      }
+  // Columns cover only the sub-combos of this tick's busy VHCs, renumbered
+  // densely: a busy VHC's column bit is its rank among full_combo's bits.
+  // P stays 2^popcount(full_combo) wide however large the universe is.
+  p_cols_ = std::size_t{1} << std::popcount(full_combo);
+  player_col_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const int rank = std::popcount(full_combo & (player_bit_[i] - 1));
+    player_col_[i] = player_bit_[i] == 0 ? 0u : std::uint32_t{1} << rank;
+  }
+  p_.assign(n * p_cols_, 0.0);
+  // (combo - full_combo) & full_combo steps through full_combo's sub-combos
+  // in ascending order, which is column order.
+  VhcComboMask combo = 0;
+  for (std::size_t col = 1; col < p_cols_; ++col) {
+    combo = (combo - full_combo) & full_combo;
+    const auto w = combo_weights_.effective_weights(combo);
+    for (std::size_t i = 0; i < n; ++i) {
+      if ((player_col_[i] & col) == 0) continue;
+      p_[i * p_cols_ + col] = states_[i].dot(w.subspan(
+          player_vhc_[i] * common::kNumComponents, common::kNumComponents));
     }
-    if (c == 0) break;
   }
 }
 
 std::vector<double> ShapleyVhcEstimator::estimate_sampled(
     double adjusted_power_w, VhcComboMask full_combo) {
   const std::size_t n = states_.size();
-  const std::size_t combo_count = std::size_t{1} << universe_.size();
 
   // Same batched worth backend as the table-less sweep: build P once
   // (serial), then every worth query is a read-only gather — safe for the
@@ -283,14 +235,13 @@ std::vector<double> ShapleyVhcEstimator::estimate_sampled(
   // the measurement anchor still pins Σφ.
   build_contribution_table(full_combo);
   const SampledWorthFn worth = [&](std::uint64_t members) {
-    VhcComboMask combo = 0;
+    std::size_t col = 0;
     for (std::uint64_t m = members; m != 0; m &= m - 1)
-      combo |= player_bit_[static_cast<std::size_t>(std::countr_zero(m))];
-    if (combo == 0) return 0.0;  // all members idle.
+      col |= player_col_[static_cast<std::size_t>(std::countr_zero(m))];
+    if (col == 0) return 0.0;  // all members idle.
     double sum = 0.0;
     for (std::uint64_t m = members; m != 0; m &= m - 1)
-      sum += p_[static_cast<std::size_t>(std::countr_zero(m)) * combo_count +
-                combo];
+      sum += p_[static_cast<std::size_t>(std::countr_zero(m)) * p_cols_ + col];
     return sum;
   };
   const std::uint64_t grand_mask =
@@ -303,7 +254,6 @@ std::vector<double> ShapleyVhcEstimator::estimate_sampled(
   // still replays byte-identically at any thread count.
   options.seed += 0x632be59bd9b4e019ULL * static_cast<std::uint64_t>(
                                               ++estimate_calls_);
-  sampler_.set_thread_pool(n >= pool_min_players_ ? pool_ : nullptr);
   SampledShapleyResult result = sampler_.run(n, worth, grand, options);
 
   worth_queries_ += result.worth_evaluations;
@@ -325,9 +275,8 @@ std::vector<double> ShapleyVhcEstimator::estimate_sweep(
 
   if (!table_.has_value()) {
     // Batched arithmetic path: every coalition worth is Σ_{i in S} P[i][c]
-    // where c is the coalition's combo and P[i][c] = c_i · w_c[vhc_i] — one
-    // contiguous multiply-add pass, no dispatch, no allocation.
-    const std::size_t combo_count = std::size_t{1} << num_vhcs;
+    // where c is the coalition's combo column and P[i][c] = c_i · w_c[vhc_i]
+    // — one contiguous multiply-add pass, no dispatch, no allocation.
     build_contribution_table(full_combo);
 
     for (std::size_t mask = 1; mask < n_masks; ++mask) {
@@ -335,17 +284,17 @@ std::vector<double> ShapleyVhcEstimator::estimate_sweep(
         worth_[mask] = adjusted_power_w;
         continue;
       }
-      VhcComboMask combo = 0;
+      std::size_t col = 0;
       for (std::size_t m = mask; m != 0; m &= m - 1)
-        combo |= player_bit_[std::countr_zero(m)];
-      if (combo == 0) {  // all members idle
+        col |= player_col_[std::countr_zero(m)];
+      if (col == 0) {  // all members idle
         worth_[mask] = 0.0;
         continue;
       }
       ++worth_queries_;
       double sum = 0.0;
       for (std::size_t m = mask; m != 0; m &= m - 1)
-        sum += p_[std::countr_zero(m) * combo_count + combo];
+        sum += p_[std::countr_zero(m) * p_cols_ + col];
       worth_[mask] = sum;
     }
   } else {
@@ -371,51 +320,8 @@ std::vector<double> ShapleyVhcEstimator::estimate_sweep(
   }
 
   std::vector<double> phi(n, 0.0);
-  const std::span<const double> worth{worth_.data(), n_masks};
-  if (pool_ != nullptr && !table_.has_value() && n >= pool_min_players_)
-    accumulate_shapley_phi_parallel(n, worth, weights_, phi, *pool_);
-  else
-    accumulate_shapley_phi(n, worth, weights_, phi);
+  accumulate_shapley_phi(n, {worth_.data(), n_masks}, weights_, phi);
   return phi;
-}
-
-std::vector<double> ShapleyVhcEstimator::estimate_legacy(
-    std::span<const VmSample> vms, double adjusted_power_w) {
-  std::vector<common::VmTypeId> types;
-  types.reserve(vms.size());
-  for (const VmSample& vm : vms) types.push_back(vm.type);
-  const VhcPartition partition(universe_, std::move(types));
-
-  const auto states = states_of(vms);
-  const Coalition grand = Coalition::grand(vms.size());
-
-  const StateWorthFn worth = [&](Coalition s,
-                                 std::span<const common::StateVector> c) {
-    if (s.is_empty()) return 0.0;
-    if (anchor_ && s == grand) return adjusted_power_w;
-    // Idle members add no power (paper Remark 1), so they must not steer the
-    // VHC-combination choice either: v({busy, idle}) has to equal v({busy})
-    // exactly, or the Dummy axiom breaks through weight differences between
-    // combinations.
-    Coalition active = s;
-    for (Player i : s.members())
-      if (c[i] == common::StateVector::zero()) active = active.without(i);
-    if (active.is_empty()) return 0.0;
-    const auto aggregated = partition.aggregate(active, c);
-    const VhcComboMask combo = partition.combo_of(active);
-    ++worth_queries_;
-    if (table_.has_value()) {
-      // Fig. 8's lookup-first path: a directly-measured state beats the
-      // regression.
-      if (const auto hit = table_->lookup(combo, aggregated)) {
-        ++table_hits_;
-        return *hit;
-      }
-    }
-    return approx_.predict(combo, aggregated);
-  };
-
-  return nondet_shapley_values(states, worth);
 }
 
 OracleShapleyEstimator::OracleShapleyEstimator(const sim::CoalitionProbe& probe,

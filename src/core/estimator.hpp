@@ -121,18 +121,17 @@ class ShapleyVhcEstimator final : public PowerEstimator {
   }
 
   /// Which kernel the last estimate() call dispatched to: "collapsed",
-  /// "sweep", "sampled", "legacy", or "none" before the first call. Feeds
-  /// the fleet's fast-path selection counters.
+  /// "sweep", "sampled", or "none" before the first call. Feeds the fleet's
+  /// fast-path selection counters.
   [[nodiscard]] std::string_view last_kernel() const noexcept {
     return last_kernel_;
   }
 
-  /// Kernel-selection policy and sampling knobs. The sampled tier runs on
-  /// the dense combo-weight cache only (<= ComboWeightCache::kMaxDenseVhcs
-  /// VHCs) and bypasses the VscTable — it is approximation-only, with the
-  /// measurement anchor still pinning Σφ. Consecutive estimate() calls mix a
-  /// call counter into the configured seed so ticks do not share draws;
-  /// the sequence is still reproducible for a fixed (config, call order).
+  /// Kernel-selection policy and sampling knobs. The sampled tier bypasses
+  /// the VscTable — it is approximation-only, with the measurement anchor
+  /// still pinning Σφ. Consecutive estimate() calls mix a call counter into
+  /// the configured seed so ticks do not share draws; the sequence is still
+  /// reproducible for a fixed (config, call order).
   void set_sampled_kernel(const SampledKernelConfig& config) noexcept {
     sampled_config_ = config;
   }
@@ -144,18 +143,6 @@ class ShapleyVhcEstimator final : public PowerEstimator {
   /// pre-normalization efficiency gap, evaluation counts, stop reason).
   [[nodiscard]] const SampledTickStats& last_sampled() const noexcept {
     return last_sampled_;
-  }
-
-  /// Opts the pure-arithmetic (table-less) mask sweep into thread-parallel
-  /// accumulation on `pool` for games with at least `min_players`
-  /// distinguishable players. The chunked reduction is deterministic, so the
-  /// result is byte-identical for any pool size — but the call must not come
-  /// from a task already running on `pool` (see util::ThreadPool). Pass
-  /// nullptr to go back to serial.
-  void set_thread_pool(util::ThreadPool* pool,
-                       std::size_t min_players = 14) noexcept {
-    pool_ = pool;
-    pool_min_players_ = min_players;
   }
 
   [[nodiscard]] std::vector<double> estimate(std::span<const VmSample> vms,
@@ -186,14 +173,11 @@ class ShapleyVhcEstimator final : public PowerEstimator {
   /// per-player contribution table as the table-less sweep.
   [[nodiscard]] std::vector<double> estimate_sampled(double adjusted_power_w,
                                                      VhcComboMask full_combo);
-  /// Fills p_ with P[i][combo] = state_i · w_combo[vhc_i] for every
-  /// sub-combo of full_combo — the shared worth backend of the batched
-  /// sweep and the sampled tier.
+  /// Fills p_ with P[i][col] = state_i · w_combo[vhc_i] for every
+  /// sub-combo of full_combo (columns numbered over full_combo's bits, see
+  /// player_col_) — the shared worth backend of the batched sweep and the
+  /// sampled tier.
   void build_contribution_table(VhcComboMask full_combo);
-  /// Pre-kernel closure path, kept for universes too large for the dense
-  /// combo-weight cache.
-  [[nodiscard]] std::vector<double> estimate_legacy(
-      std::span<const VmSample> vms, double adjusted_power_w);
 
   VhcUniverse universe_;
   VhcLinearApprox approx_;
@@ -205,7 +189,7 @@ class ShapleyVhcEstimator final : public PowerEstimator {
 
   // Cross-tick caches and reusable scratch. estimate() mutates these, so a
   // single estimator must not be shared across threads (each fleet host
-  // agent owns its own); the opt-in parallel sweep only reads them.
+  // agent owns its own).
   ComboWeightCache combo_weights_;
   std::optional<VhcPartition> partition_;
   std::vector<common::VmTypeId> cached_types_;
@@ -218,16 +202,13 @@ class ShapleyVhcEstimator final : public PowerEstimator {
   std::vector<double> weights_;             // per-size Shapley weights.
   std::size_t weights_n_ = 0;
   std::vector<double> worth_;               // per-mask / per-composition.
-  std::vector<double> p_;                   // player x combo contributions.
+  std::vector<double> p_;                   // player x column contributions.
+  std::size_t p_cols_ = 0;                  // 2^popcount(full_combo).
+  std::vector<std::uint32_t> player_col_;   // column bit of vhc, 0 when idle.
   std::vector<common::StateVector> agg_;    // aggregate scratch.
-  std::vector<std::size_t> gsize_, gstride_, gvhc_, comp_k_;
+  std::vector<std::size_t> gsize_, gvhc_, comp_k_;
   std::vector<std::uint32_t> gbit_;
   std::vector<common::StateVector> gstate_;
-  std::vector<double> binom_;               // flattened Pascal triangle.
-  std::size_t binom_n_ = 0;
-  std::vector<double> phi_group_;
-  util::ThreadPool* pool_ = nullptr;
-  std::size_t pool_min_players_ = 14;
   SampledKernelConfig sampled_config_;
   SampledTickStats last_sampled_;
   SampledShapley sampler_;

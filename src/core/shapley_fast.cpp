@@ -18,16 +18,6 @@ constexpr std::size_t kNoGroup = static_cast<std::size_t>(-1);
 /// with --threads.
 constexpr std::size_t kParallelChunks = 64;
 
-/// Pascal's triangle up to row n (exact in double for n <= kMaxPlayers).
-std::vector<std::vector<double>> binomial_table(std::size_t n) {
-  std::vector<std::vector<double>> c(n + 1);
-  for (std::size_t i = 0; i <= n; ++i) {
-    c[i].assign(i + 1, 1.0);
-    for (std::size_t j = 1; j < i; ++j) c[i][j] = c[i - 1][j - 1] + c[i - 1][j];
-  }
-  return c;
-}
-
 /// Runs fn(chunk, begin, end) over a fixed even partition of [0, n_masks)
 /// and blocks until every chunk finished. Waits on its own completion
 /// counter rather than ThreadPool::wait_idle so concurrent users of the pool
@@ -63,6 +53,29 @@ void run_mask_chunks(
   std::unique_lock<std::mutex> lock(mu);
   done_cv.wait(lock, [&] { return done == chunk_count; });
   if (first_error) std::rethrow_exception(first_error);
+}
+
+/// Chunk-parallel accumulate_shapley_phi over a fully materialized worth
+/// table; phi must be zeroed by the caller. Deterministic for any pool size
+/// (fixed chunking + chunk-ordered reduction).
+void accumulate_shapley_phi_parallel(std::size_t n,
+                                     std::span<const double> worth,
+                                     std::span<const double> weights,
+                                     std::span<double> phi,
+                                     util::ThreadPool& pool) {
+  const std::size_t n_masks = std::size_t{1} << n;
+  const std::size_t chunk_count = std::min(kParallelChunks, n_masks);
+  std::vector<std::vector<double>> partial(chunk_count);
+  run_mask_chunks(pool, n_masks, chunk_count,
+                  [&](std::size_t c, std::size_t begin, std::size_t end) {
+                    partial[c].assign(n, 0.0);
+                    accumulate_shapley_phi_range(n, worth, weights, partial[c],
+                                                 begin, end);
+                  });
+  // Chunk-ordered reduction: the summation order depends only on the fixed
+  // chunking, never on which worker ran which chunk.
+  for (std::size_t c = 0; c < chunk_count; ++c)
+    for (std::size_t i = 0; i < n; ++i) phi[i] += partial[c][i];
 }
 
 }  // namespace
@@ -130,53 +143,76 @@ std::vector<double> shapley_values_grouped(const SymmetryGroups& groups,
     throw std::invalid_argument(
         "shapley_values_grouped: groups do not partition the players");
 
-  // Per-group sizes, prefix masks (representative coalition for k members of
-  // group g = its first k players) and mixed-radix strides.
-  std::vector<std::size_t> size(r);
+  // Per-group prefix masks: the representative coalition for k members of
+  // group g is its first k players.
   std::vector<std::vector<Coalition::Mask>> prefix(r);
-  std::vector<std::size_t> stride(r);
-  std::size_t comps = 1;
   for (std::size_t g = 0; g < r; ++g) {
-    size[g] = groups.members[g].size();
-    prefix[g].assign(size[g] + 1, 0);
-    for (std::size_t k = 0; k < size[g]; ++k)
-      prefix[g][k + 1] =
-          prefix[g][k] | (Coalition::Mask{1} << groups.members[g][k]);
-    stride[g] = comps;
-    comps *= size[g] + 1;
+    const auto& members = groups.members[g];
+    prefix[g].assign(members.size() + 1, 0);
+    for (std::size_t k = 0; k < members.size(); ++k)
+      prefix[g][k + 1] = prefix[g][k] | (Coalition::Mask{1} << members[k]);
   }
 
   // Evaluate one representative coalition per composition.
-  std::vector<double> worth(comps);
+  std::vector<double> worth(groups.composition_count());
   std::vector<std::size_t> k(r, 0);
-  for (std::size_t idx = 0; idx < comps; ++idx) {
+  for (double& value : worth) {
     Coalition::Mask mask = 0;
     for (std::size_t g = 0; g < r; ++g) mask |= prefix[g][k[g]];
-    worth[idx] = v(Coalition{mask});
+    value = v(Coalition{mask});
     for (std::size_t g = 0; g < r; ++g) {
-      if (++k[g] <= size[g]) break;
+      if (++k[g] < prefix[g].size()) break;
       k[g] = 0;
     }
   }
 
   std::vector<double> weight;
   fill_shapley_weights(n, weight);
-  const auto binom = binomial_table(n);
+  return collapsed_shapley_sum(groups, worth, weight);
+}
+
+std::vector<double> collapsed_shapley_sum(const SymmetryGroups& groups,
+                                          std::span<const double> worth,
+                                          std::span<const double> weights) {
+  const std::size_t n = groups.player_count();
+  const std::size_t r = groups.group_count();
+  if (worth.size() != groups.composition_count() || weights.size() != n)
+    throw std::invalid_argument(
+        "collapsed_shapley_sum: worth/weights size mismatch");
+
+  // Group sizes, mixed-radix strides, and Pascal's triangle up to the
+  // largest group (row i holds C(i, 0..i)).
+  std::vector<std::size_t> size(r), stride(r);
+  std::size_t largest = 0, comps = 1;
+  for (std::size_t g = 0; g < r; ++g) {
+    size[g] = groups.members[g].size();
+    stride[g] = comps;
+    comps *= size[g] + 1;
+    largest = std::max(largest, size[g]);
+  }
+  const std::size_t width = largest + 1;
+  std::vector<double> binom(width * width, 0.0);
+  for (std::size_t i = 0; i < width; ++i) {
+    binom[i * width] = 1.0;
+    for (std::size_t j = 1; j <= i; ++j)
+      binom[i * width + j] =
+          binom[(i - 1) * width + j - 1] + binom[(i - 1) * width + j];
+  }
 
   // Φ_{i in group j} = Σ_k C(g_j−1, k_j) Π_{t≠j} C(g_t, k_t) w(|k|)
   //                        [V(k+e_j) − V(k)]
   // with the coefficient factored as [Π_t C(g_t, k_t)] · (g_j − k_j) / g_j.
   std::vector<double> phi_group(r, 0.0);
-  std::fill(k.begin(), k.end(), 0);
+  std::vector<std::size_t> k(r, 0);
   for (std::size_t idx = 0; idx < comps; ++idx) {
     std::size_t s = 0;
     double prod = 1.0;
     for (std::size_t g = 0; g < r; ++g) {
       s += k[g];
-      prod *= binom[size[g]][k[g]];
+      prod *= binom[size[g] * width + k[g]];
     }
     if (s < n) {
-      const double w = weight[s];
+      const double w = weights[s];
       const double base = worth[idx];
       for (std::size_t j = 0; j < r; ++j) {
         if (k[j] == size[j]) continue;
@@ -195,26 +231,6 @@ std::vector<double> shapley_values_grouped(const SymmetryGroups& groups,
   for (std::size_t j = 0; j < r; ++j)
     for (const Player p : groups.members[j]) phi[p] = phi_group[j];
   return phi;
-}
-
-void accumulate_shapley_phi_parallel(std::size_t n,
-                                     std::span<const double> worth,
-                                     std::span<const double> weights,
-                                     std::span<double> phi,
-                                     util::ThreadPool& pool) {
-  const std::size_t n_masks = std::size_t{1} << n;
-  const std::size_t chunk_count = std::min(kParallelChunks, n_masks);
-  std::vector<std::vector<double>> partial(chunk_count);
-  run_mask_chunks(pool, n_masks, chunk_count,
-                  [&](std::size_t c, std::size_t begin, std::size_t end) {
-                    partial[c].assign(n, 0.0);
-                    accumulate_shapley_phi_range(n, worth, weights, partial[c],
-                                                 begin, end);
-                  });
-  // Chunk-ordered reduction: the summation order depends only on the fixed
-  // chunking, never on which worker ran which chunk.
-  for (std::size_t c = 0; c < chunk_count; ++c)
-    for (std::size_t i = 0; i < n; ++i) phi[i] += partial[c][i];
 }
 
 std::vector<double> shapley_values_parallel(std::size_t n, const WorthFn& v,
@@ -244,57 +260,58 @@ std::vector<double> shapley_values_parallel(std::size_t n, const WorthFn& v,
 void ComboWeightCache::bind(const VhcLinearApprox* approx) {
   if (approx == approx_) return;
   approx_ = approx;
+  slot_.clear();
   weights_.clear();
-  status_.clear();
   stride_ = 0;
-  if (approx_ == nullptr || approx_->num_vhcs() > kMaxDenseVhcs) return;
+  if (approx_ == nullptr) return;
   stride_ = approx_->num_vhcs() * common::kNumComponents;
-  const std::size_t combos = std::size_t{1} << approx_->num_vhcs();
-  weights_.assign(combos * stride_, 0.0);
-  status_.assign(combos, 0);
-  status_[0] = 1;  // The empty combo predicts 0: all-zero weights.
+  slot_.assign(std::size_t{1} << approx_->num_vhcs(), kUnresolved);
+  // The empty combo predicts 0: vector 0 is all zeros.
+  weights_.assign(stride_, 0.0);
+  slot_[0] = 1;
 }
 
 std::span<const double> ComboWeightCache::effective_weights(VhcComboMask combo) {
-  if (!usable())
-    throw std::logic_error(
-        "ComboWeightCache: unbound or universe exceeds kMaxDenseVhcs");
-  if (combo >= status_.size())
+  if (approx_ == nullptr)
+    throw std::logic_error("ComboWeightCache: no approximation bound");
+  if (combo >= slot_.size())
     throw std::out_of_range("ComboWeightCache: combo out of range");
-  double* slot = weights_.data() + std::size_t{combo} * stride_;
-  if (status_[combo] == 1) return {slot, stride_};
-  if (status_[combo] == 2)
+  std::uint32_t& slot = slot_[combo];
+  if (slot == kUncoverable)
     throw std::out_of_range(
         "VhcLinearApprox::predict: no covering decomposition for combo");
+  if (slot != kUnresolved)
+    return {weights_.data() + (slot - 1) * stride_, stride_};
 
-  const std::size_t num_vhcs = approx_->num_vhcs();
+  const std::size_t offset = weights_.size();
+  weights_.resize(offset + stride_, 0.0);
+  double* out = weights_.data() + offset;
   if (approx_->has_combo(combo)) {
     const auto fitted = approx_->weights(combo);
-    std::copy(fitted.begin(), fitted.end(), slot);
-    status_[combo] = 1;
-    return {slot, stride_};
-  }
-
-  // predict() is linear in the aggregated states, so probing it with unit
-  // basis vectors recovers — element by element — exactly the summed
-  // disjoint-cover weights its fallback would apply to any state.
-  std::vector<common::StateVector> basis(num_vhcs);
-  try {
-    for (std::size_t j = 0; j < num_vhcs; ++j) {
-      if (((combo >> j) & 1u) == 0) continue;  // absent VHCs carry no weight.
-      for (std::size_t c = 0; c < common::kNumComponents; ++c) {
-        basis[j][static_cast<common::Component>(c)] = 1.0;
-        slot[j * common::kNumComponents + c] = approx_->predict(combo, basis);
-        basis[j][static_cast<common::Component>(c)] = 0.0;
+    std::copy(fitted.begin(), fitted.end(), out);
+  } else {
+    // predict() is linear in the aggregated states, so probing it with unit
+    // basis vectors recovers — element by element — exactly the summed
+    // disjoint-cover weights its fallback would apply to any state.
+    const std::size_t num_vhcs = approx_->num_vhcs();
+    std::vector<common::StateVector> basis(num_vhcs);
+    try {
+      for (std::size_t j = 0; j < num_vhcs; ++j) {
+        if (((combo >> j) & 1u) == 0) continue;  // absent VHCs carry no weight.
+        for (std::size_t c = 0; c < common::kNumComponents; ++c) {
+          basis[j][static_cast<common::Component>(c)] = 1.0;
+          out[j * common::kNumComponents + c] = approx_->predict(combo, basis);
+          basis[j][static_cast<common::Component>(c)] = 0.0;
+        }
       }
+    } catch (const std::out_of_range&) {
+      weights_.resize(offset);
+      slot = kUncoverable;
+      throw;
     }
-  } catch (const std::out_of_range&) {
-    std::fill(slot, slot + stride_, 0.0);
-    status_[combo] = 2;
-    throw;
   }
-  status_[combo] = 1;
-  return {slot, stride_};
+  slot = static_cast<std::uint32_t>(offset / stride_) + 1;
+  return {out, stride_};
 }
 
 double ComboWeightCache::predict(VhcComboMask combo,

@@ -14,7 +14,8 @@
 //                             · w(|k|) · [V(k + e_j) − V(k)]
 //
 //    where V(k) is the worth of any coalition with composition k and w is
-//    the per-size Shapley weight.
+//    the per-size Shapley weight. collapsed_shapley_sum is that sum, shared
+//    by the generic solver and the estimator's collapsed kernel.
 //
 // 2. A batched worth evaluator for the VHC linear approximation
 //    (ComboWeightCache): every coalition worth of a VhcLinearApprox is a dot
@@ -28,7 +29,8 @@
 // 3. A thread-parallel mask sweep for large distinguishable games,
 //    partitioning the mask range into fixed chunks over util::ThreadPool
 //    with a chunk-ordered deterministic reduction: the result is
-//    byte-identical for any pool size.
+//    byte-identical for any pool size. A library solver only: the
+//    estimator runs inside the fleet's own pool tasks and never calls it.
 #pragma once
 
 #include <cstdint>
@@ -94,6 +96,17 @@ void detect_symmetry_into(std::span<const std::size_t> keys,
 [[nodiscard]] std::vector<double> shapley_values_grouped(
     const SymmetryGroups& groups, const WorthFn& v);
 
+/// The collapsed sum behind shapley_values_grouped, over worths already
+/// evaluated: worth[idx] is V(k) for the composition k whose mixed-radix
+/// index (group 0 fastest, radix g_j + 1) is idx, so worth holds
+/// groups.composition_count() entries; weights holds shapley_weight(n, s)
+/// for s < n. Returns Φ for every player, each group's value broadcast to
+/// its members. No kMaxPlayers bound — the cost is compositions × groups.
+/// Throws std::invalid_argument when either span has the wrong size.
+[[nodiscard]] std::vector<double> collapsed_shapley_sum(
+    const SymmetryGroups& groups, std::span<const double> worth,
+    std::span<const double> weights);
+
 /// Exact Shapley values via a thread-parallel mask sweep: worth evaluation
 /// and marginal accumulation are partitioned into fixed chunks (independent
 /// of the pool size) and reduced in chunk order, so the result is
@@ -103,15 +116,6 @@ void detect_symmetry_into(std::span<const std::size_t> keys,
 [[nodiscard]] std::vector<double> shapley_values_parallel(
     std::size_t n, const WorthFn& v, util::ThreadPool& pool);
 
-/// Chunk-parallel variant of accumulate_shapley_phi over a fully
-/// materialized worth table. phi must be zeroed by the caller. Deterministic
-/// for any pool size (fixed chunking + chunk-ordered reduction).
-void accumulate_shapley_phi_parallel(std::size_t n,
-                                     std::span<const double> worth,
-                                     std::span<const double> weights,
-                                     std::span<double> phi,
-                                     util::ThreadPool& pool);
-
 /// Cross-tick cache of per-combo *effective* power-mapping vectors for one
 /// VhcLinearApprox: the fitted weights for fitted combos, and the summed
 /// disjoint-cover weights for unfitted-but-coverable combos (extracted by
@@ -120,13 +124,13 @@ void accumulate_shapley_phi_parallel(std::size_t n,
 /// are valid for the lifetime of the bound approximation, which is
 /// immutable once fitted — this is what lets the estimator answer every
 /// approximation worth as one dot product, tick after tick.
+///
+/// Storage is one 32-bit slot per combo (256 KiB at VhcUniverse::kMaxVhcs)
+/// plus one vector per combo actually resolved, appended on first use — a
+/// host touches only the sub-combos of its few types, so a wide universe
+/// costs no more than those.
 class ComboWeightCache {
  public:
-  /// Dense per-combo storage is 2^num_vhcs vectors; beyond this VHC count
-  /// callers should keep the unbatched path (realistic universes have
-  /// r <= 5 types).
-  static constexpr std::size_t kMaxDenseVhcs = 12;
-
   ComboWeightCache() = default;
 
   /// Binds (or re-binds) the approximation. Rebinding to a different object
@@ -134,15 +138,12 @@ class ComboWeightCache {
   /// paths may call this unconditionally.
   void bind(const VhcLinearApprox* approx);
 
-  /// True when the bound universe fits the dense layout.
-  [[nodiscard]] bool usable() const noexcept {
-    return approx_ != nullptr && approx_->num_vhcs() <= kMaxDenseVhcs;
-  }
-
   /// The effective weight vector for `combo` (num_vhcs * kNumComponents
-  /// doubles, VHC-major). Throws std::out_of_range when the combo has no
-  /// fitted cover (mirroring predict()), std::logic_error when unbound or
-  /// over the dense limit. combo 0 yields an all-zero vector.
+  /// doubles, VHC-major), valid until the next effective_weights() or
+  /// predict() call, which may append to the store. Throws
+  /// std::out_of_range when the combo has no fitted cover (mirroring
+  /// predict()) or lies outside the universe, std::logic_error when
+  /// unbound. combo 0 yields an all-zero vector.
   [[nodiscard]] std::span<const double> effective_weights(VhcComboMask combo);
 
   /// predict() through the cache: dot(states, effective_weights(combo)).
@@ -150,10 +151,15 @@ class ComboWeightCache {
                                std::span<const common::StateVector> states);
 
  private:
+  static constexpr std::uint32_t kUnresolved = 0;
+  static constexpr std::uint32_t kUncoverable = UINT32_MAX;
+
   const VhcLinearApprox* approx_ = nullptr;
   std::size_t stride_ = 0;              ///< num_vhcs * kNumComponents.
-  std::vector<double> weights_;         ///< combo-major dense table.
-  std::vector<std::uint8_t> status_;    ///< 0 unknown, 1 cached, 2 uncoverable.
+  /// Per combo: kUnresolved, kUncoverable, or 1 + its vector's index in
+  /// weights_.
+  std::vector<std::uint32_t> slot_;
+  std::vector<double> weights_;  ///< resolved vectors, in first-use order.
 };
 
 }  // namespace vmp::core

@@ -46,8 +46,9 @@ VhcPartition::VhcPartition(const VhcUniverse& universe,
                            std::vector<common::VmTypeId> vm_types)
     : num_vhcs_(universe.size()) {
   // The sampled kernel meters up to kMaxSampledPlayers VMs; only the
-  // Coalition-typed lookups below (combo_of, aggregate — legacy/exact paths)
-  // stay bounded by kMaxPlayers.
+  // Coalition-typed lookups below (combo_of, aggregate: Eq. 8 per coalition,
+  // the reference the estimator's kernels are tested against) stay bounded
+  // by kMaxPlayers.
   if (vm_types.size() > kMaxSampledPlayers)
     throw std::invalid_argument("VhcPartition: too many VMs");
   groups_.reserve(vm_types.size());

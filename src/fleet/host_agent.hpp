@@ -49,7 +49,7 @@ struct HostTickResult {
   /// table); exported as a per-host gauge.
   double table_hit_rate = 0.0;
   /// Estimator kernel the tick dispatched to ("collapsed"/"sweep"/
-  /// "sampled"/"legacy", always a literal; empty when no estimate ran).
+  /// "sampled", always a literal; empty when no estimate ran).
   /// Feeds the fleet's fast-path selection counters.
   std::string_view kernel;
   // Sampled-tier diagnostics, populated only when kernel == "sampled"

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -78,6 +79,13 @@ TEST(ShapleyVhcEstimator, InputValidation) {
   ShapleyVhcEstimator estimator(VhcUniverse({0}), exact_linear_approx(10.0));
   EXPECT_THROW(estimator.estimate({}, 10.0), std::invalid_argument);
   EXPECT_THROW(estimator.estimate(two_identical_vms(1.0, 1.0), -1.0),
+               std::invalid_argument);
+  // Non-finite measured power would be billed as NaN/inf shares.
+  EXPECT_THROW(estimator.estimate(two_identical_vms(1.0, 1.0),
+                                  std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(estimator.estimate(two_identical_vms(1.0, 1.0),
+                                  std::numeric_limits<double>::infinity()),
                std::invalid_argument);
   // Unknown type id.
   const std::vector<VmSample> unknown = {{0, 42, StateVector::cpu_only(1.0)}};

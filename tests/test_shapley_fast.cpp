@@ -237,7 +237,6 @@ TEST(ComboWeightCache, MatchesPredictForFittedAndCoveredCombos) {
   const VhcLinearApprox approx = partial_three_vhc_approx(rng);
   ComboWeightCache cache;
   cache.bind(&approx);
-  ASSERT_TRUE(cache.usable());
 
   for (int s = 0; s < 20; ++s) {
     std::vector<StateVector> states(3);
@@ -259,19 +258,29 @@ TEST(ComboWeightCache, MatchesPredictForFittedAndCoveredCombos) {
 }
 
 TEST(ComboWeightCache, UncoverableComboThrowsLikePredict) {
-  // Only combo {0} fitted: {1} has no cover.
-  VscTable table(2, 0.01);
-  util::Rng rng(5);
-  for (int s = 0; s < 100; ++s) {
-    const double cpu = rng.uniform(0.0, 2.0);
-    table.record(0b01, {{StateVector::cpu_only(cpu), StateVector::zero()}},
-                 4.0 * cpu);
+  // Only combo {0} fitted: {1} has no cover, in a small universe and in one
+  // wider than 12 VHCs alike.
+  for (const std::size_t num_vhcs : {2u, 14u}) {
+    VscTable table(num_vhcs, 0.01);
+    util::Rng rng(5);
+    std::vector<StateVector> states(num_vhcs);
+    for (int s = 0; s < 100; ++s) {
+      const double cpu = rng.uniform(0.0, 2.0);
+      states[0] = StateVector::cpu_only(cpu);
+      table.record(0b01, states, 4.0 * cpu);
+    }
+    const VhcLinearApprox approx = VhcLinearApprox::fit(table);
+    ComboWeightCache cache;
+    cache.bind(&approx);
+    EXPECT_THROW((void)cache.effective_weights(0b10), std::out_of_range)
+        << num_vhcs << " VHCs";
+    EXPECT_THROW((void)cache.effective_weights(0b10), std::out_of_range)
+        << num_vhcs << " VHCs, memoized";
+    // A resolution after the failed one still gets its own, correct vector.
+    states[0] = StateVector::cpu_only(1.5);
+    EXPECT_DOUBLE_EQ(cache.predict(0b01, states), approx.predict(0b01, states))
+        << num_vhcs << " VHCs";
   }
-  const VhcLinearApprox approx = VhcLinearApprox::fit(table);
-  ComboWeightCache cache;
-  cache.bind(&approx);
-  EXPECT_THROW((void)cache.effective_weights(0b10), std::out_of_range);
-  EXPECT_THROW((void)cache.effective_weights(0b10), std::out_of_range);  // memoized.
   ComboWeightCache unbound;
   EXPECT_THROW((void)unbound.effective_weights(1), std::logic_error);
 }
@@ -551,26 +560,85 @@ TEST(ShapleyVhcEstimatorFast, SingleVmEdge) {
   EXPECT_NEAR(phi[0], 12.5, 1e-12);  // anchored grand == the whole power.
 }
 
-TEST(ShapleyVhcEstimatorFast, ParallelSweepMatchesSerialExactly) {
-  util::Rng rng(26);
-  const auto pipeline = full_pipeline(2, rng);
-  const VhcUniverse universe({0, 1});
-  const auto vms = mixed_fleet(rng, 14, 2, /*duplicate_states=*/false);
-
-  ShapleyVhcEstimator serial(universe, pipeline.approx);
-  const auto serial_phi = serial.estimate(vms, 80.0);
-
-  std::vector<std::vector<double>> runs;
-  for (const std::size_t threads : {2u, 5u}) {
-    util::ThreadPool pool(threads);
-    ShapleyVhcEstimator parallel(universe, pipeline.approx);
-    parallel.set_thread_pool(&pool, /*min_players=*/2);
-    runs.push_back(parallel.estimate(vms, 80.0));
+TEST(ShapleyVhcEstimatorFast, UniverseWiderThanTwelveVhcsMatchesReference) {
+  // A 14-VHC approximation fitted on every singleton combo plus the pair
+  // {4, 7} only, so most multi-VHC worths take predict()'s disjoint-cover
+  // fallback.
+  constexpr std::size_t r = 14;
+  const VhcComboMask pair = (VhcComboMask{1} << 4) | (VhcComboMask{1} << 7);
+  std::vector<VhcComboMask> fitted = {pair};
+  for (std::size_t j = 0; j < r; ++j) fitted.push_back(VhcComboMask{1} << j);
+  util::Rng rng(29);
+  VscTable table(r, 0.01);
+  for (const VhcComboMask combo : fitted) {
+    for (int s = 0; s < 60; ++s) {
+      std::vector<StateVector> states(r);
+      double power = 0.0;
+      for (std::size_t j = 0; j < r; ++j) {
+        if (((combo >> j) & 1u) == 0) continue;
+        const double cpu = rng.uniform(0.0, 2.0);
+        states[j] = StateVector::cpu_only(cpu);
+        power += (2.0 + static_cast<double>(j)) * cpu;
+      }
+      // The pair contends: it draws less than its members would alone.
+      table.record(combo, states, combo == pair ? 0.8 * power : power);
+    }
   }
-  for (std::size_t i = 0; i < vms.size(); ++i) {
-    EXPECT_EQ(runs[0][i], runs[1][i]) << "pool size changed phi, vm " << i;
-    EXPECT_NEAR(runs[0][i], serial_phi[i], 1e-9) << "vm " << i;
+  const VhcLinearApprox approx = VhcLinearApprox::fit(table);
+  // Planted cells some coalitions reach: {vm0} alone, and vm1 with vm2.
+  std::vector<StateVector> cell(r);
+  cell[1] = StateVector::cpu_only(0.25);
+  table.record(VhcComboMask{1} << 1, cell, 1.75);
+  cell[1] = StateVector::zero();
+  cell[4] = StateVector::cpu_only(0.5);
+  cell[7] = StateVector::cpu_only(0.75);
+  table.record(pair, cell, 9.5);
+
+  std::vector<common::VmTypeId> types(r);
+  std::iota(types.begin(), types.end(), common::VmTypeId{0});
+  const VhcUniverse universe(types);
+
+  // Six VMs over five types, one idle, on non-adjacent VHCs. Dyadic states
+  // keep both sides' aggregates exact.
+  std::vector<VmSample> vms = {{0, 1, StateVector::cpu_only(0.25)},
+                               {1, 4, StateVector::cpu_only(0.5)},
+                               {2, 7, StateVector::cpu_only(0.75)},
+                               {3, 10, StateVector::cpu_only(1.0)},
+                               {4, 13, StateVector::zero()},
+                               {5, 4, StateVector::cpu_only(1.25)}};
+  for (const bool repeated : {false, true}) {
+    // A repeated (type, state) pair makes vm5 symmetric to vm1.
+    vms[5].state = StateVector::cpu_only(repeated ? 0.5 : 1.25);
+    for (const bool with_table : {false, true}) {
+      ShapleyVhcEstimator estimator =
+          with_table ? ShapleyVhcEstimator(universe, approx, table)
+                     : ShapleyVhcEstimator(universe, approx);
+      const auto fast = estimator.estimate(vms, 30.0);
+      EXPECT_EQ(estimator.last_kernel(), repeated ? "collapsed" : "sweep");
+      const auto reference = reference_estimate(
+          universe, approx, with_table ? &table : nullptr, true, vms, 30.0);
+      for (std::size_t i = 0; i < vms.size(); ++i)
+        EXPECT_NEAR(fast[i], reference[i], 1e-9)
+            << "repeated=" << repeated << " table=" << with_table << " vm "
+            << i;
+      if (with_table) {
+        EXPECT_GT(estimator.table_hit_rate(), 0.0) << "repeated=" << repeated;
+      }
+    }
   }
+
+  // The sampled tier solves three players exactly in its warm-up.
+  const std::vector<VmSample> three(vms.begin(), vms.begin() + 3);
+  ShapleyVhcEstimator sampled(universe, approx);
+  SampledKernelConfig force_sampled;
+  force_sampled.kernel = SampledKernelConfig::Kernel::kSampled;
+  sampled.set_sampled_kernel(force_sampled);
+  const auto phi = sampled.estimate(three, 12.0);
+  EXPECT_EQ(sampled.last_kernel(), "sampled");
+  const auto reference =
+      reference_estimate(universe, approx, nullptr, true, three, 12.0);
+  for (std::size_t i = 0; i < three.size(); ++i)
+    EXPECT_NEAR(phi[i], reference[i], 1e-9) << "sampled, vm " << i;
 }
 
 }  // namespace

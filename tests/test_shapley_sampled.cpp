@@ -333,23 +333,20 @@ TEST(ShapleyVhcEstimator, SampledTicksReplayExactlyAndNeverShareDraws) {
   config.kernel = SampledKernelConfig::Kernel::kSampled;
   config.sampling.max_samples = 2000;
 
-  // Same config, same call order: serial and pooled estimators agree
-  // byte-for-byte (the fold is thread-count independent).
+  // Same config, same call order: two estimators agree byte-for-byte.
   ShapleyVhcEstimator serial(VhcUniverse({0}), exact_linear_approx(10.0));
   serial.set_sampled_kernel(config);
-  ShapleyVhcEstimator pooled(VhcUniverse({0}), exact_linear_approx(10.0));
-  pooled.set_sampled_kernel(config);
-  util::ThreadPool pool(3);
-  pooled.set_thread_pool(&pool, /*min_players=*/4);
+  ShapleyVhcEstimator replay(VhcUniverse({0}), exact_linear_approx(10.0));
+  replay.set_sampled_kernel(config);
 
   const auto first = serial.estimate(vms, measured);
-  EXPECT_EQ(first, pooled.estimate(vms, measured));
+  EXPECT_EQ(first, replay.estimate(vms, measured));
 
   // The next tick mixes the call counter into the seed: identical input,
   // different draws, so the estimate moves (while staying reproducible).
   const auto second = serial.estimate(vms, measured);
   EXPECT_NE(first, second);
-  EXPECT_EQ(second, pooled.estimate(vms, measured));
+  EXPECT_EQ(second, replay.estimate(vms, measured));
 }
 
 TEST(ShapleyVhcEstimator, ForcedKernelsRespectTheirOwnLimits) {

@@ -237,12 +237,19 @@ core::SampledKernelConfig kernel_for(const util::CliArgs& args) {
         "unknown --kernel '" + kernel +
         "' (expected auto, collapsed, sweep, or sampled)");
   config.sampling.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-  config.sampling.max_samples =
-      static_cast<std::size_t>(args.get_long("samples", 60'000));
-  config.sampling.target_halfwidth_w = args.get_double("halfwidth", 0.0);
+  // A negative value would wrap to an endless budget (--samples) or silently
+  // disable its stop rule (--halfwidth, --budget-ms).
+  const long samples = args.get_long("samples", 60'000);
+  const double halfwidth = args.get_double("halfwidth", 0.0);
   const long budget_ms = args.get_long("budget-ms", 0);
+  if (samples < 0) throw std::invalid_argument("--samples must be >= 0");
+  if (!(halfwidth >= 0.0))
+    throw std::invalid_argument("--halfwidth must be >= 0");
+  if (budget_ms < 0) throw std::invalid_argument("--budget-ms must be >= 0");
+  config.sampling.max_samples = static_cast<std::size_t>(samples);
+  config.sampling.target_halfwidth_w = halfwidth;
   config.sampling.budget_ns =
-      budget_ms > 0 ? static_cast<std::uint64_t>(budget_ms) * 1'000'000ULL : 0;
+      static_cast<std::uint64_t>(budget_ms) * 1'000'000ULL;
   return config;
 }
 
