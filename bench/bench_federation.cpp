@@ -2,18 +2,14 @@
 // shard count, the hedged-request win under an injected slow shard, and the
 // graceful-degradation path with a killed shard.
 //
-// Section 1 — fan-out latency vs shard count, pooled vs unpooled: N
-// in-process fleet shards (store + engine + server on loopback) answer the
-// same window query through one FederationFrontend, once over the legacy
-// connection-per-attempt thread-per-query fan-out (pooled=false) and once
-// over the ConnectionPool + persistent dispatch pool. Every row of both
-// arms cross-checks the acceptance criterion: the federated response must
-// be *byte-identical* to a single fleet that metered every shard's VMs
-// itself. The synthetic energies are integer joule counts that are whole
-// multiples of 3.6e6 (exact kWh) and the TOU rate is 0.125 $/kWh — a power
-// of two — so the Additivity roll-up is exact in IEEE doubles and the
-// comparison is equality, not tolerance. Acceptance additionally requires
-// the pooled p50 to beat the unpooled p50 at the widest fan-out.
+// Section 1 — fan-out latency vs shard count: N in-process fleet shards
+// (store + engine + server on loopback) answer the same window query
+// through one FederationFrontend. Every row cross-checks the acceptance
+// criterion: the federated response must be *byte-identical* to a single
+// fleet that metered every shard's VMs itself. The synthetic energies are
+// integer joule counts that are whole multiples of 3.6e6 (exact kWh) and the
+// TOU rate is 0.125 $/kWh — a power of two — so the Additivity roll-up is
+// exact in IEEE doubles and the comparison is equality, not tolerance.
 //
 // Section 2 — hedging: a three-shard federation where one shard's primary
 // server stalls every request (ServerOptions::worker_delay) while its
@@ -199,55 +195,37 @@ int main(int argc, char** argv) {
   const serve::Request request = window_query();
   bool pass = true;
 
-  // --- Section 1: fan-out latency vs shard count, pooled vs unpooled ------
-  util::print_banner("federated fan-out latency: pooled vs unpooled");
-  util::TablePrinter fanout_table({"shards", "unpooled p50", "pooled p50",
-                                   "speedup", "pooled p99",
-                                   "byte-identical"});
+  // --- Section 1: fan-out latency vs shard count ---------------------------
+  util::print_banner("federated fan-out latency vs shard count");
+  util::TablePrinter fanout_table(
+      {"shards", "p50 (ms)", "p99 (ms)", "byte-identical"});
   struct FanoutRow {
     std::size_t shards = 0;
-    double unpooled_p50_ms = 0.0;
-    double unpooled_p99_ms = 0.0;
-    double pooled_p50_ms = 0.0;
-    double pooled_p99_ms = 0.0;
+    double p50_ms = 0.0;
+    double p99_ms = 0.0;
     bool identical = false;
   };
   std::vector<FanoutRow> fanout_rows;
   for (const std::size_t count : shard_counts) {
     auto shards = spin_shards(count);
-    const std::string reference = merged_reference(count, request);
     federate::FrontendOptions options;
     options.retries = 0;
-    options.pooled = false;
-    federate::FederationFrontend unpooled(map_of(shards), options);
-    const FanoutLatency legacy = time_fanout(unpooled, request, iters);
-    options.pooled = true;
-    federate::FederationFrontend pooled_frontend(map_of(shards), options);
-    const FanoutLatency pooled = time_fanout(pooled_frontend, request, iters);
+    federate::FederationFrontend frontend(map_of(shards), options);
+    const FanoutLatency latency = time_fanout(frontend, request, iters);
     const bool identical =
-        legacy.encoded == reference && pooled.encoded == reference;
+        latency.encoded == merged_reference(count, request);
     pass = pass && identical;
-    fanout_rows.push_back({count, legacy.p50_ms, legacy.p99_ms, pooled.p50_ms,
-                           pooled.p99_ms, identical});
-    fanout_table.add_row(
-        {std::to_string(count), format_double(legacy.p50_ms, "%.3f"),
-         format_double(pooled.p50_ms, "%.3f"),
-         format_double(legacy.p50_ms / pooled.p50_ms, "%.2fx"),
-         format_double(pooled.p99_ms, "%.3f"), identical ? "yes" : "NO"});
+    fanout_rows.push_back({count, latency.p50_ms, latency.p99_ms, identical});
+    fanout_table.add_row({std::to_string(count),
+                          format_double(latency.p50_ms, "%.3f"),
+                          format_double(latency.p99_ms, "%.3f"),
+                          identical ? "yes" : "NO"});
     for (auto& shard : shards) shard->stop();
   }
   fanout_table.print();
-  // The perf claim under test: reused connections + a persistent dispatch
-  // pool must beat dial-and-spawn per query at the widest fan-out.
-  const FanoutRow& widest = fanout_rows.back();
-  const bool pooled_faster = widest.pooled_p50_ms < widest.unpooled_p50_ms;
-  pass = pass && pooled_faster;
   std::printf(
-      "every row of both arms compared byte-for-byte against a single\n"
-      "merged fleet (Additivity: the roll-up is exact, not close).\n"
-      "pooled p50 beats unpooled at %zu shards: %s (%.3f vs %.3f ms)\n",
-      widest.shards, pooled_faster ? "yes" : "NO", widest.pooled_p50_ms,
-      widest.unpooled_p50_ms);
+      "every row compared byte-for-byte against a single merged fleet\n"
+      "(Additivity: the roll-up is exact, not close).\n");
 
   // --- Section 2: hedged requests vs an injected slow shard ---------------
   util::print_banner("hedging win under a slow shard");
@@ -351,14 +329,10 @@ int main(int argc, char** argv) {
                  static_cast<long long>(stall.count()));
     for (std::size_t i = 0; i < fanout_rows.size(); ++i)
       std::fprintf(out,
-                   "    {\"shards\": %zu, \"unpooled_p50_ms\": %.3f, "
-                   "\"unpooled_p99_ms\": %.3f, \"pooled_p50_ms\": %.3f, "
-                   "\"pooled_p99_ms\": %.3f, \"speedup_p50\": %.2f, "
-                   "\"byte_identical\": %s}%s\n",
-                   fanout_rows[i].shards, fanout_rows[i].unpooled_p50_ms,
-                   fanout_rows[i].unpooled_p99_ms, fanout_rows[i].pooled_p50_ms,
-                   fanout_rows[i].pooled_p99_ms,
-                   fanout_rows[i].unpooled_p50_ms / fanout_rows[i].pooled_p50_ms,
+                   "    {\"shards\": %zu, \"p50_ms\": %.3f, "
+                   "\"p99_ms\": %.3f, \"byte_identical\": %s}%s\n",
+                   fanout_rows[i].shards, fanout_rows[i].p50_ms,
+                   fanout_rows[i].p99_ms,
                    fanout_rows[i].identical ? "true" : "false",
                    i + 1 < fanout_rows.size() ? "," : "");
     std::fprintf(
@@ -376,10 +350,9 @@ int main(int argc, char** argv) {
         "  },\n"
         "  \"acceptance\": {\n"
         "    \"criterion\": \"federated responses byte-identical to a merged "
-        "single fleet at every shard count in both pooled and unpooled arms; "
-        "pooled p50 beats unpooled at the widest fan-out; hedged p50 beats "
-        "the injected stall; a killed shard degrades to a flagged partial "
-        "naming the missing fleet\",\n"
+        "single fleet at every shard count; hedged p50 beats the injected "
+        "stall; a killed shard degrades to a flagged partial naming the "
+        "missing fleet\",\n"
         "    \"pass\": %s\n"
         "  }\n"
         "}\n",

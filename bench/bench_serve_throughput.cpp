@@ -18,10 +18,7 @@
 //   ordered     out_of_order=false, coalesce=false — every response held to
 //               arrival order (head-of-line blocking on the slow windows);
 //   ooo         out-of-order completion, no coalescing;
-//   ooo+coal    out-of-order plus in-flight coalescing of the duplicates;
-//   ooo nodelay=off   ooo with TCP_NODELAY disabled on both ends — the
-//               before/after for the Nagle change (loopback typically shows
-//               a small cheap-class delta; no hard assertion).
+//   ooo+coal    out-of-order plus in-flight coalescing of the duplicates.
 // Acceptance: cheap-query p99 under ooo is >= 2x lower than ordered, every
 // response is byte-identical across modes per request id, and coalescing
 // reduces duplicate evaluations (cache_misses counter).
@@ -223,8 +220,7 @@ struct PipelineResult {
 PipelineResult drive_pipelined(const serve::SnapshotStore& store,
                                bool out_of_order, bool coalesce,
                                const std::vector<PipelineItem>& items,
-                               std::size_t in_flight_window,
-                               bool nodelay = true) {
+                               std::size_t in_flight_window) {
   using Clock = std::chrono::steady_clock;
   fleet::Metrics metrics;
   serve::QueryEngineOptions engine_options;
@@ -238,9 +234,8 @@ PipelineResult drive_pipelined(const serve::SnapshotStore& store,
   server_options.token_burst = 1e6;
   server_options.out_of_order = out_of_order;
   server_options.cost_query_delay = kCostStall;
-  server_options.tcp_nodelay = nodelay;
   serve::Server server(engine, metrics, server_options);
-  serve::Client client(server.port(), nodelay);
+  serve::Client client(server.port());
 
   PipelineResult result;
   std::vector<Clock::time_point> sent(items.size());
@@ -298,18 +293,16 @@ int run_pipelined(bool quick, const char* json_path) {
 
   const struct {
     const char* name;
-    bool out_of_order, coalesce, nodelay;
-  } modes[] = {{"ordered", false, false, true},
-               {"ooo", true, false, true},
-               {"ooo+coal", true, true, true},
-               {"ooo nodelay=off", true, false, false}};
-  constexpr int kModes = 4;
+    bool out_of_order, coalesce;
+  } modes[] = {{"ordered", false, false},
+               {"ooo", true, false},
+               {"ooo+coal", true, true}};
+  constexpr int kModes = 3;
 
   PipelineResult results[kModes];
   for (int m = 0; m < kModes; ++m)
-    results[m] =
-        drive_pipelined(store, modes[m].out_of_order, modes[m].coalesce,
-                        items, in_flight, modes[m].nodelay);
+    results[m] = drive_pipelined(store, modes[m].out_of_order,
+                                 modes[m].coalesce, items, in_flight);
 
   // Byte identity per request id across every mode.
   bool identical = true;
@@ -352,14 +345,10 @@ int run_pipelined(bool quick, const char* json_path) {
   const bool pass = speedup >= 2.0 && dedup && identical;
   std::printf(
       "\ncheap p99: ordered %.3f ms vs out-of-order %.3f ms -> %.1fx "
-      "(acceptance >= 2x)\nTCP_NODELAY: cheap p50 %.3f ms on vs %.3f ms off "
-      "(measured, not asserted —\nloopback hides most of Nagle's cost)\n"
-      "coalescing: %llu -> %llu evaluations (%llu "
+      "(acceptance >= 2x)\ncoalescing: %llu -> %llu evaluations (%llu "
       "attached in flight)\nbyte-identical responses per id across modes: "
       "%s\nACCEPTANCE: %s\n",
       ordered_p99, ooo_p99, speedup,
-      util::percentile(results[1].cheap_ms, 50.0),
-      util::percentile(results[3].cheap_ms, 50.0),
       static_cast<unsigned long long>(results[1].evaluations),
       static_cast<unsigned long long>(results[2].evaluations),
       static_cast<unsigned long long>(results[2].coalesced),

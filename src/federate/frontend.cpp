@@ -40,6 +40,8 @@ void FrontendOptions::validate() const {
   if (deadline.count() < 0 || backoff.count() < 0 || hedge_delay.count() < 0)
     throw std::invalid_argument(
         "federation: negative deadline/backoff/hedge delay");
+  if (retries > 32)
+    throw std::invalid_argument("federation: retries must be <= 32");
 }
 
 FederationFrontend::FederationFrontend(ShardMap map, FrontendOptions options)
@@ -49,18 +51,15 @@ FederationFrontend::FederationFrontend(ShardMap map, FrontendOptions options)
   options_.validate();
   if (map_.empty())
     throw std::invalid_argument("federation: empty shard map");
-  if (options_.pooled) {
-    PoolOptions pool_options;
-    pool_options.max_idle_per_endpoint = options_.max_idle_per_endpoint;
-    pool_options.metrics = options_.metrics;
-    pool_ = std::make_unique<ConnectionPool>(pool_options);
-    // Sized for a couple of concurrent fan-outs by default; hedge legs run
-    // on their own threads, so a worker is one shard leg.
-    std::size_t workers = options_.workers;
-    if (workers == 0)
-      workers = std::clamp<std::size_t>(map_.size() * 2, 1, 64);
-    dispatch_ = std::make_unique<util::ThreadPool>(workers);
-  }
+  PoolOptions pool_options;
+  pool_options.max_idle_per_endpoint = options_.max_idle_per_endpoint;
+  pool_options.metrics = options_.metrics;
+  pool_ = std::make_unique<ConnectionPool>(pool_options);
+  // Sized for a couple of concurrent fan-outs by default; hedge legs run on
+  // their own threads, so a worker is one shard leg.
+  std::size_t workers = options_.workers;
+  if (workers == 0) workers = std::clamp<std::size_t>(map_.size() * 2, 1, 64);
+  dispatch_ = std::make_unique<util::ThreadPool>(workers);
   if (fleet::Metrics* m = options_.metrics) {
     fanouts_ = &m->counter("vmpower_fed_fanouts_total",
                            "Federated queries fanned out to the shards");
@@ -116,18 +115,6 @@ serve::Response FederationFrontend::send_on(serve::Client& client,
 
 std::optional<serve::Response> FederationFrontend::attempt(
     std::uint16_t port, const serve::Request& request) {
-  if (!pool_) {
-    // Legacy unpooled transport: one fresh connection per attempt.
-    try {
-      serve::Client client(port);
-      client.set_timeout(options_.deadline);
-      return send_on(client, request);
-    } catch (const serve::TimeoutError&) {
-      return std::nullopt;
-    } catch (const std::runtime_error&) {
-      return std::nullopt;
-    }
-  }
   ConnectionPool::Lease lease;
   try {
     lease = pool_->checkout(port, options_.deadline);
@@ -317,9 +304,9 @@ serve::Response FederationFrontend::execute(const serve::Request& request) {
   const auto start = std::chrono::steady_clock::now();
   if (fanouts_) fanouts_->inc();
   // Capture the ambient trace before the fan-out: thread-local context does
-  // not cross std::thread, so every leg re-seeds it and its fed.shard span
-  // becomes a child of the caller's serve.execute span. Disarmed tracing
-  // costs exactly this one relaxed load.
+  // not follow a task onto a dispatch worker, so every leg re-seeds it and
+  // its fed.shard span becomes a child of the caller's serve.execute span.
+  // Disarmed tracing costs exactly this one relaxed load.
   const std::uint64_t trace_id = obs::Tracer::global().enabled()
                                      ? obs::TraceContext::current_trace()
                                      : 0;
@@ -336,10 +323,10 @@ serve::Response FederationFrontend::execute(const serve::Request& request) {
   }
 
   std::vector<ShardResult> results(targets.size());
-  if (dispatch_ && targets.size() == 1) {
+  if (targets.size() == 1) {
     // Single shard: no parallelism to win; skip the dispatch round trip.
     results[0] = query_shard(*targets[0], request);
-  } else if (dispatch_) {
+  } else {
     // Persistent dispatcher: shard legs run as pool tasks with a per-query
     // countdown instead of wait_idle — execute() is thread-safe, so legs of
     // concurrent queries interleave on the same workers, and no leg ever
@@ -366,17 +353,6 @@ serve::Response FederationFrontend::execute(const serve::Request& request) {
       });
     std::unique_lock lock(join->mutex);
     join->cv.wait(lock, [&] { return join->remaining == 0; });
-  } else {
-    // Legacy fan-out: one thread per shard per query.
-    std::vector<std::thread> threads;
-    threads.reserve(targets.size());
-    for (std::size_t i = 0; i < targets.size(); ++i)
-      threads.emplace_back([this, &request, &results, i, shard = targets[i],
-                            trace_id, parent_span] {
-        VMP_TRACE_CONTEXT_PARENTED(trace_id, parent_span);
-        results[i] = query_shard(*shard, request);
-      });
-    for (std::thread& thread : threads) thread.join();
   }
   reap_strays(false);
 

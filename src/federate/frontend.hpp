@@ -15,9 +15,11 @@
 // can lose is *availability*, never correctness.
 //
 // Fan-out mechanics per query:
-//   * every mapped shard admitted by the health tracker is queried on its
-//     own thread over a fresh connection, under a per-shard deadline
-//     (serve::Client::set_timeout);
+//   * every shard admitted by the health tracker is queried as a task on a
+//     persistent dispatch pool, over a ConnectionPool lease, under a
+//     per-shard deadline (serve::Client::set_timeout);
+//   * a reused lease that fails at once (the shard restarted while it
+//     idled) is redialed once before the attempt counts as failed;
 //   * a failed attempt (timeout / transport error) is retried up to
 //     `retries` times with doubling backoff;
 //   * optionally, a hedged second request races a replica endpoint after
@@ -71,7 +73,8 @@ struct FrontendOptions {
   /// — one hung shard then stalls every fan-out).
   std::chrono::milliseconds deadline{250};
   /// Additional attempts after the first failure, each against the primary
-  /// endpoint over a fresh connection.
+  /// endpoint over a connection leased from the pool. At most 32, the
+  /// largest count whose doubled backoff is defined.
   std::uint32_t retries = 1;
   /// Backoff before retry k (0-based) is `backoff << k`.
   std::chrono::milliseconds backoff{10};
@@ -83,17 +86,9 @@ struct FrontendOptions {
   SkewPolicy skew_policy = SkewPolicy::kAccept;
   /// Largest tolerated (max - min) shard epoch spread under kReject.
   std::uint64_t max_epoch_skew = 1;
-  /// Pooled transport (the default): shard connections are reused across
-  /// queries through a ConnectionPool and the fan-out runs on a persistent
-  /// dispatch pool instead of a thread per shard per query. False restores
-  /// the legacy connection-per-attempt, thread-per-query fan-out — the
-  /// unpooled baseline arm for benchmarks. Roll-ups are byte-identical
-  /// either way.
-  bool pooled = true;
-  /// Dispatch pool size when pooled; 0 sizes it to shards x 2, clamped to
-  /// [1, 64]. Ignored when pooled is false.
+  /// Dispatch pool size; 0 sizes it to shards x 2, clamped to [1, 64].
   std::size_t workers = 0;
-  /// Idle connections kept per shard endpoint when pooled.
+  /// Idle connections kept per shard endpoint.
   std::size_t max_idle_per_endpoint = 2;
   HealthOptions health{};
   /// vmpower_fed_* instrumentation; optional.
@@ -102,7 +97,7 @@ struct FrontendOptions {
   obs::InvariantMonitor* monitor = nullptr;
 
   /// Throws std::invalid_argument on a negative deadline/backoff/hedge
-  /// delay.
+  /// delay or more than 32 retries.
   void validate() const;
 };
 
@@ -123,11 +118,11 @@ class FederationFrontend : public serve::QueryHandler {
 
   [[nodiscard]] const ShardMap& map() const noexcept { return map_; }
   [[nodiscard]] ShardHealthTracker& health() noexcept { return health_; }
-  /// The connection pool behind pooled fan-outs; null when pooled is off.
+  /// The connection pool every shard leg leases from; never null.
   [[nodiscard]] ConnectionPool* pool() noexcept { return pool_.get(); }
-  /// Dispatch workers backing pooled fan-outs; 0 when pooled is off.
+  /// Dispatch workers running the shard legs; at least 1.
   [[nodiscard]] std::size_t dispatch_workers() const noexcept {
-    return dispatch_ ? dispatch_->thread_count() : 0;
+    return dispatch_->thread_count();
   }
 
  private:
@@ -141,10 +136,10 @@ class FederationFrontend : public serve::QueryHandler {
   };
 
   /// One attempt against one endpoint; nullopt on timeout/transport error.
-  /// Pooled mode checks a connection out of pool_ and reconnects once when
-  /// a reused connection turns out stale (peer restarted while it idled)
-  /// before giving up — so a single shard restart costs one reconnect, not
-  /// one health-tracker failure. Unpooled mode dials a fresh connection.
+  /// Checks a connection out of pool_ and reconnects once when a reused
+  /// connection turns out stale (peer restarted while it idled) before
+  /// giving up — so a single shard restart costs one reconnect, not one
+  /// health-tracker failure.
   [[nodiscard]] std::optional<serve::Response> attempt(
       std::uint16_t port, const serve::Request& request);
   /// Sends `request` over an established connection; throws on

@@ -1,10 +1,10 @@
 // Per-endpoint cache of live serve::Client connections.
 //
-// The federation frontend used to open a fresh TCP connection per shard per
-// attempt; at 8 shards that makes connection setup — not Shapley math — the
-// dominant cost of a fan-out. The pool keeps a bounded number of idle
-// connections per endpoint (loopback-only, so an endpoint is just a port)
-// and hands them out as Leases:
+// Dialing a fresh TCP connection per shard per attempt would make connection
+// setup — not Shapley math — the dominant cost of an 8-shard fan-out, so the
+// federation frontend leases its shard connections from here. The pool
+// keeps a bounded number of idle connections per endpoint (loopback-only,
+// so an endpoint is just a port) and hands them out as Leases:
 //
 //   * checkout() reuses an idle connection (hit) or dials a new one (miss);
 //     concurrent checkouts always receive distinct connections, which is

@@ -32,7 +32,7 @@ void read_or_throw(int fd, char* out, std::size_t want) {
 
 }  // namespace
 
-Client::Client(std::uint16_t port, bool tcp_nodelay) {
+Client::Client(std::uint16_t port) {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0)
     throw std::runtime_error("serve client: socket() failed: " +
@@ -49,11 +49,10 @@ Client::Client(std::uint16_t port, bool tcp_nodelay) {
     throw std::runtime_error("serve client: cannot connect to 127.0.0.1:" +
                              std::to_string(port) + ": " + what);
   }
-  if (tcp_nodelay) {
-    // Best-effort: a failed setsockopt costs latency, not correctness.
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  }
+  // Single small query frames gain nothing from Nagle's coalescing.
+  // Best-effort: a failed setsockopt costs latency, not correctness.
+  const int one = 1;
+  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
 Client::~Client() { close(); }

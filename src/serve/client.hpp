@@ -32,11 +32,9 @@ class TimeoutError : public std::runtime_error {
 
 class Client {
  public:
-  /// Connects to 127.0.0.1:port; throws std::runtime_error on failure.
-  /// `tcp_nodelay` (the default) disables Nagle's algorithm — queries are
-  /// single small frames, so coalescing them behind a delayed ACK only
-  /// costs latency; pass false to measure against the kernel default.
-  explicit Client(std::uint16_t port, bool tcp_nodelay = true);
+  /// Connects to 127.0.0.1:port with Nagle's algorithm disabled; throws
+  /// std::runtime_error on failure.
+  explicit Client(std::uint16_t port);
   ~Client();
 
   Client(const Client&) = delete;

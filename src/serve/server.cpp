@@ -158,11 +158,10 @@ void Server::accept_loop() {
       break;  // listening socket gone; nothing sensible left to accept.
     }
     accepted.inc();
-    if (options_.tcp_nodelay) {
-      // Best-effort: a failed setsockopt costs latency, not correctness.
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    }
+    // Small latency-bound responses gain nothing from Nagle's coalescing.
+    // Best-effort: a failed setsockopt costs latency, not correctness.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     auto conn = std::make_shared<Conn>(fd, options_);
     std::lock_guard lock(conns_mutex_);
     conns_.emplace_back(conn,

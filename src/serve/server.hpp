@@ -52,11 +52,6 @@ struct ServerOptions {
   /// connection — while id-less requests always keep arrival order. False
   /// forces arrival order for every response (the explicit ordered mode).
   bool out_of_order = true;
-  /// Disable Nagle's algorithm on accepted connections (the default):
-  /// responses are small and latency-bound, so coalescing them behind a
-  /// delayed ACK only adds round trips. False restores the kernel default
-  /// for before/after measurement.
-  bool tcp_nodelay = true;
   /// Test hook: stalls each worker per request so overload tests can fill
   /// the queue deterministically. Zero in production.
   std::chrono::milliseconds worker_delay{0};

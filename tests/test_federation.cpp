@@ -264,9 +264,11 @@ TEST(Federation, RollupIsByteIdenticalToTheMergedFleet) {
       make_request(QueryKind::kTenantPower, 0, 0, 2),
       make_request(QueryKind::kVmPower, 2, 1, 0),  // lives on shard 2 only.
       make_request(QueryKind::kVmEnergy, 3, 2, 0, 1.0, 4.0),
+      make_request(QueryKind::kVmEnergy, 2, 1, 0, 1.0, 4.0),
       make_request(QueryKind::kTenantEnergy, 0, 0, 1, 1.0, 3.0),
       make_request(QueryKind::kTenantEnergy, 0, 0, 2, 2.0, 4.0),
       make_request(QueryKind::kTenantCost, 0, 0, 1, 1.0, 4.0),
+      make_request(QueryKind::kTenantCost, 0, 0, 2, 1.0, 4.0),
       make_request(QueryKind::kStats, 0, 0, 0),
   };
   for (const Request& request : requests) {
@@ -822,33 +824,33 @@ TEST(Federation, TimedOutPooledConnectionIsDiscardedNotReused) {
   shard.stop();
 }
 
-TEST(Federation, PooledAndUnpooledRollupsAreByteIdentical) {
-  Federation fed(/*ticks=*/4);  // pooled by default.
-  std::vector<FleetShard> mapped;
-  for (const auto& shard : fed.shards)
-    mapped.push_back(FleetShard{shard->fleet(), {shard->port()}});
-  FrontendOptions legacy;
-  legacy.pooled = false;
-  FederationFrontend unpooled(ShardMap(std::move(mapped)), legacy);
-  EXPECT_EQ(unpooled.pool(), nullptr);
-  EXPECT_EQ(unpooled.dispatch_workers(), 0u);
-
-  const std::vector<Request> requests = {
-      make_request(QueryKind::kFleetPower, 0, 0, 0),
-      make_request(QueryKind::kVmEnergy, 2, 1, 0, 1.0, 4.0),
-      make_request(QueryKind::kTenantPower, 0, 0, 2),
-      make_request(QueryKind::kTenantEnergy, 0, 0, 1, 1.0, 3.0),
-      make_request(QueryKind::kTenantCost, 0, 0, 2, 1.0, 4.0),
-      make_request(QueryKind::kVmPower, 2, 1, 0),
-  };
-  for (const Request& request : requests) {
-    const Response pooled = fed.frontend->execute(request);
-    const Response direct = unpooled.execute(request);
-    ASSERT_TRUE(pooled.ok) << pooled.message;
-    EXPECT_EQ(serve::encode_response(pooled), serve::encode_response(direct));
-    EXPECT_EQ(serve::format_response_text(pooled),
-              serve::format_response_text(direct));
+TEST(Federation, RetriesAreBoundedWhereTheBackoffShiftIsDefined) {
+  // Retry k sleeps backoff * (1u << (k - 1)): past 32 retries the shift
+  // leaves the 32-bit range, so validation stops there.
+  auto shard = pool_shard();
+  const std::uint16_t port = shard->port();
+  shard->stop();
+  const ShardMap map({FleetShard{1, {port}}});
+  for (const std::uint32_t retries : {33u, 0xFFFFFFFFu}) {
+    FrontendOptions options;
+    options.retries = retries;
+    EXPECT_THROW(options.validate(), std::invalid_argument) << retries;
+    EXPECT_THROW((void)FederationFrontend(map, options), std::invalid_argument)
+        << retries;
   }
+
+  // The largest admitted count runs every attempt against the dead shard.
+  fleet::Metrics metrics;
+  FrontendOptions options;
+  options.retries = 32;
+  options.backoff = std::chrono::milliseconds(0);
+  options.metrics = &metrics;
+  FederationFrontend frontend(map, options);
+  const Response down =
+      frontend.execute(make_request(QueryKind::kFleetPower, 0, 0, 0));
+  ASSERT_FALSE(down.ok);
+  EXPECT_EQ(down.code, ErrorCode::kUnavailable);
+  EXPECT_EQ(metrics.counter("vmpower_fed_retries_total", "").value(), 32u);
 }
 
 TEST(Federation, HedgedLegsUseThePoolWithoutSharingAConnection) {

@@ -65,6 +65,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -157,7 +158,7 @@ commands:
   federate (--shards "F=PORT[,PORT];..." | --spin N) [--port P] [--workers W]
           [--deadline-ms D] [--retries R] [--backoff-ms B]
           [--hedge] [--hedge-delay-ms H] [--skew accept|reject] [--max-skew N]
-          [--fed-pool 0|1] [--fed-workers N] [--fed-pool-idle N]
+          [--fed-workers N] [--fed-pool-idle N]
           [--query "verb args"] [--linger S] [--metrics FILE]
           [--trace] [--trace-out FILE]
           [--slow-ms D] [--slo-ms D] [--slo-target Q]
@@ -172,8 +173,6 @@ commands:
           --hedge          race a replica when the primary is slow
           --skew reject    error (code 12) when shard epochs spread more
                            than --max-skew instead of rolling up at the min
-          --fed-pool 0     disable connection pooling + the persistent
-                           dispatcher (legacy thread-per-shard fan-out)
           --fed-workers N  dispatch pool size (default 0 = shards x 2)
           --fed-pool-idle N  idle connections kept per shard endpoint
                            (default 2)
@@ -221,6 +220,19 @@ std::vector<common::VmConfig> fleet_for(const util::CliArgs& args) {
   return fleet;
 }
 
+/// Integer flag `key` as the unsigned type T. A value T cannot hold would
+/// wrap or truncate in the cast, so it is rejected instead.
+template <typename T>
+T unsigned_flag(const util::CliArgs& args, const std::string& key,
+                long fallback) {
+  const long value = args.get_long(key, fallback);
+  if (value < 0) throw std::invalid_argument("--" + key + " must be >= 0");
+  if (static_cast<unsigned long>(value) > std::numeric_limits<T>::max())
+    throw std::invalid_argument("--" + key + " must be <= " +
+                                std::to_string(std::numeric_limits<T>::max()));
+  return static_cast<T>(value);
+}
+
 /// Parses the Shapley kernel knobs shared by meter/bill/fleet/serve:
 /// --kernel auto|collapsed|sweep|sampled plus the sampled tier's anytime
 /// stop rules (--samples, --halfwidth, --budget-ms). --seed doubles as the
@@ -239,17 +251,14 @@ core::SampledKernelConfig kernel_for(const util::CliArgs& args) {
   config.sampling.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
   // A negative value would wrap to an endless budget (--samples) or silently
   // disable its stop rule (--halfwidth, --budget-ms).
-  const long samples = args.get_long("samples", 60'000);
+  const auto samples = unsigned_flag<std::size_t>(args, "samples", 60'000);
   const double halfwidth = args.get_double("halfwidth", 0.0);
-  const long budget_ms = args.get_long("budget-ms", 0);
-  if (samples < 0) throw std::invalid_argument("--samples must be >= 0");
+  const auto budget_ms = unsigned_flag<std::uint64_t>(args, "budget-ms", 0);
   if (!(halfwidth >= 0.0))
     throw std::invalid_argument("--halfwidth must be >= 0");
-  if (budget_ms < 0) throw std::invalid_argument("--budget-ms must be >= 0");
-  config.sampling.max_samples = static_cast<std::size_t>(samples);
+  config.sampling.max_samples = samples;
   config.sampling.target_halfwidth_w = halfwidth;
-  config.sampling.budget_ns =
-      static_cast<std::uint64_t>(budget_ms) * 1'000'000ULL;
+  config.sampling.budget_ns = budget_ms * 1'000'000ULL;
   return config;
 }
 
@@ -690,28 +699,42 @@ int cmd_query(const util::CliArgs& args) {
 }
 
 int cmd_federate(const util::CliArgs& args) {
+  // Every flag read here or in kernel_for/machine_for/fleet_for/arm_tracer.
+  const auto unknown = args.unknown_keys(
+      {"shards", "spin", "port", "workers", "deadline-ms", "retries",
+       "backoff-ms", "hedge", "hedge-delay-ms", "skew", "max-skew",
+       "fed-workers", "fed-pool-idle", "query", "linger", "metrics", "trace",
+       "trace-out", "slow-ms", "slo-ms", "slo-target", "fleet", "hosts",
+       "threads", "tenants", "duration", "seed", "collect-duration",
+       "machine", "kernel", "samples", "halfwidth", "budget-ms"});
+  if (!unknown.empty())
+    throw std::invalid_argument("federate: unknown flag --" + unknown[0]);
+
   federate::FrontendOptions fed_options;
   fed_options.deadline =
       std::chrono::milliseconds(args.get_long("deadline-ms", 250));
-  fed_options.retries =
-      static_cast<std::uint32_t>(args.get_long("retries", 1));
+  fed_options.retries = unsigned_flag<std::uint32_t>(args, "retries", 1);
   fed_options.backoff =
       std::chrono::milliseconds(args.get_long("backoff-ms", 10));
   fed_options.hedge = args.has("hedge");
   fed_options.hedge_delay =
       std::chrono::milliseconds(args.get_long("hedge-delay-ms", 50));
   fed_options.max_epoch_skew =
-      static_cast<std::uint64_t>(args.get_long("max-skew", 1));
+      unsigned_flag<std::uint64_t>(args, "max-skew", 1);
   const std::string skew = args.get("skew", "accept");
   if (skew == "reject")
     fed_options.skew_policy = federate::SkewPolicy::kReject;
   else if (skew != "accept")
     throw std::invalid_argument("federate: --skew must be accept or reject");
-  fed_options.pooled = args.get_long("fed-pool", 1) != 0;
-  fed_options.workers =
-      static_cast<std::size_t>(args.get_long("fed-workers", 0));
+  fed_options.workers = unsigned_flag<std::size_t>(args, "fed-workers", 0);
   fed_options.max_idle_per_endpoint =
-      static_cast<std::size_t>(args.get_long("fed-pool-idle", 2));
+      unsigned_flag<std::size_t>(args, "fed-pool-idle", 2);
+  fed_options.validate();
+
+  serve::ServerOptions server_options;
+  server_options.port = unsigned_flag<std::uint16_t>(args, "port", 7080);
+  server_options.workers = unsigned_flag<std::size_t>(args, "workers", 2);
+  server_options.validate();
 
   fleet::Metrics metrics;
   obs::InvariantMonitor monitor(metrics);
@@ -725,7 +748,7 @@ int cmd_federate(const util::CliArgs& args) {
   if (args.has("shards")) {
     map = federate::ShardMap::parse(args.require("shards"));
   } else {
-    const auto count = static_cast<std::size_t>(args.get_long("spin", 3));
+    const auto count = unsigned_flag<std::size_t>(args, "spin", 3);
     if (count == 0)
       throw std::invalid_argument("federate: --spin needs at least 1 shard");
     fleet::FleetOptions options;
@@ -735,13 +758,17 @@ int cmd_federate(const util::CliArgs& args) {
       const auto catalogue = common::paper_vm_catalogue();
       options.fleet_per_host = {catalogue[0], catalogue[1]};
     }
-    options.hosts = static_cast<std::size_t>(args.get_long("hosts", 2));
-    options.threads = static_cast<std::size_t>(args.get_long("threads", 2));
-    options.tenants = static_cast<std::size_t>(args.get_long("tenants", 2));
+    options.hosts = unsigned_flag<std::size_t>(args, "hosts", 2);
+    options.threads = unsigned_flag<std::size_t>(args, "threads", 2);
+    options.tenants = unsigned_flag<std::size_t>(args, "tenants", 2);
     options.spec = machine_for(args);
     options.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
     options.kernel = kernel_for(args);
     options.validate();
+    const double duration = args.get_double("duration", 60.0);
+    if (!(duration >= 0.0))
+      throw std::invalid_argument("--duration must be >= 0");
+    const auto ticks = static_cast<std::uint64_t>(duration);
 
     core::CollectionOptions collect;
     collect.duration_s = args.get_double("collect-duration", 30.0);
@@ -751,8 +778,6 @@ int cmd_federate(const util::CliArgs& args) {
     const auto dataset = core::collect_offline_dataset(
         options.spec, options.fleet_per_host, collect);
 
-    const auto ticks =
-        static_cast<std::uint64_t>(args.get_double("duration", 60.0));
     std::vector<federate::FleetShard> shards;
     for (std::size_t i = 0; i < count; ++i) {
       federate::InProcessShardOptions shard_options;
@@ -801,13 +826,7 @@ int cmd_federate(const util::CliArgs& args) {
                 serve::format_response_text(frontend.execute(*request))
                     .c_str());
   } else {
-    serve::ServerOptions server_options;
-    server_options.port =
-        static_cast<std::uint16_t>(args.get_long("port", 7080));
-    server_options.workers =
-        static_cast<std::size_t>(args.get_long("workers", 2));
     server_options.profiler = &profiler;
-    server_options.validate();
     serve::Server server(frontend, metrics, server_options);
     const double linger = args.get_double("linger", 60.0);
     std::printf("federating %zu shards on 127.0.0.1:%u for %.0f s...\n",
