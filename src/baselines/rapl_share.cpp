@@ -1,5 +1,6 @@
 #include "baselines/rapl_share.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace vmp::base {
@@ -18,9 +19,9 @@ std::vector<double> RaplShareEstimator::estimate(
     std::span<const core::VmSample> vms, double adjusted_power_w) {
   if (vms.empty())
     throw std::invalid_argument("RaplShareEstimator: need at least one VM");
-  if (adjusted_power_w < 0.0)
+  if (!std::isfinite(adjusted_power_w) || adjusted_power_w < 0.0)
     throw std::invalid_argument(
-        "RaplShareEstimator: adjusted power must be >= 0");
+        "RaplShareEstimator: adjusted power must be finite and >= 0");
 
   std::vector<double> cpu_seconds;
   cpu_seconds.reserve(vms.size());

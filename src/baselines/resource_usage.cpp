@@ -1,5 +1,6 @@
 #include "baselines/resource_usage.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace vmp::base {
@@ -14,9 +15,9 @@ std::vector<double> ResourceUsageEstimator::estimate(
     std::span<const core::VmSample> vms, double adjusted_power_w) {
   if (vms.empty())
     throw std::invalid_argument("ResourceUsageEstimator: need at least one VM");
-  if (adjusted_power_w < 0.0)
+  if (!std::isfinite(adjusted_power_w) || adjusted_power_w < 0.0)
     throw std::invalid_argument(
-        "ResourceUsageEstimator: adjusted power must be >= 0");
+        "ResourceUsageEstimator: adjusted power must be finite and >= 0");
 
   std::vector<double> usage;
   usage.reserve(vms.size());

@@ -1,6 +1,5 @@
 #include "fleet/engine.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <stdexcept>
@@ -43,10 +42,7 @@ void FleetOptions::validate() const {
 FleetEngine::FleetEngine(FleetOptions options,
                          const core::OfflineDataset& dataset)
     : options_((options.validate(), std::move(options))),
-      injector_(options_.faults, options_.seed),
-      queue_(options_.queue_capacity == 0 ? options_.hosts
-                                          : options_.queue_capacity,
-             options_.backpressure),
+      injector_(options_.faults, options_.seed), results_(options_.hosts),
       pool_(options_.threads), monitor_(metrics_, options_.invariants) {
   HostAgentOptions agent_options;
   agent_options.period_s = options_.period_s;
@@ -70,12 +66,6 @@ FleetEngine::FleetEngine(FleetOptions options,
       tenants_.bind(static_cast<core::HostId>(h), ids[v],
                     static_cast<core::TenantId>(v % options_.tenants + 1));
   }
-}
-
-FleetEngine::~FleetEngine() { queue_.close(); }
-
-std::uint64_t FleetEngine::samples_dropped() const noexcept {
-  return dropped_base_ + queue_.dropped();
 }
 
 void FleetEngine::aggregate(const HostTickResult& result) {
@@ -165,9 +155,6 @@ void FleetEngine::run(std::uint64_t ticks) {
   Counter& samples_total =
       metrics_.counter("vmpower_fleet_samples_processed_total",
                        "Host tick results aggregated into the ledgers");
-  Counter& drops_total =
-      metrics_.counter("vmpower_fleet_sample_drops_total",
-                       "Host tick results shed by the bounded queue");
   Counter& retries_total = metrics_.counter(
       "vmpower_fleet_meter_retries_total", "Meter read retry attempts");
   Counter& degraded_total =
@@ -176,9 +163,6 @@ void FleetEngine::run(std::uint64_t ticks) {
   Counter& stale_total =
       metrics_.counter("vmpower_fleet_stale_ticks_total",
                        "Host ticks estimated from previous-tick telemetry");
-  Gauge& depth_watermark =
-      metrics_.gauge("vmpower_fleet_queue_high_watermark",
-                     "Deepest the sample queue has ever run");
   // Register the sampled-tier tick counter up front so scrapes expose the
   // family (at zero) even while every host still answers exactly; the
   // labeled counters and invariant gauges appear with the first sampled
@@ -186,55 +170,33 @@ void FleetEngine::run(std::uint64_t ticks) {
   metrics_.counter("vmpower_shapley_sampled_ticks_total",
                    "Host ticks answered by the sampled Shapley tier");
 
-  std::vector<HostTickResult> results;
-  results.reserve(options_.hosts);
   for (std::uint64_t k = 0; k < ticks; ++k) {
     const std::uint64_t now = tick_++;
     // Trace id of everything this tick does, on the engine thread and in the
     // worker tasks alike (tick+1: trace id 0 means "unset").
     VMP_TRACE_CONTEXT(now + 1);
     VMP_TRACE_SPAN("fleet.tick", "fleet");
-    const std::uint64_t drops_before = queue_.dropped();
     const std::uint64_t retries_before = retries_;
     const std::uint64_t degraded_before = degraded_;
     const std::uint64_t stale_before = stale_;
 
-    for (const auto& agent : agents_) {
-      HostAgent* raw = agent.get();
-      pool_.submit([this, raw, now] {
+    for (std::size_t h = 0; h < agents_.size(); ++h) {
+      pool_.submit([this, h, now] {
         // Adopt the tick's trace id on the worker thread so the collect /
         // estimate spans group under the same trace as the engine's.
         VMP_TRACE_CONTEXT(now + 1);
-        queue_.push(raw->sample(now, injector_));
+        results_[h] = agents_[h]->sample(now, injector_);
       });
     }
-
-    results.clear();
-    if (options_.backpressure == BackpressurePolicy::kBlock) {
-      // Every sample arrives; popping while workers run is what bounds the
-      // queue without deadlock.
-      for (std::size_t h = 0; h < options_.hosts; ++h) {
-        auto result = queue_.pop();
-        if (!result) break;  // closed mid-run (shutdown).
-        results.push_back(std::move(*result));
-      }
-    } else {
-      // Drop-oldest pushes never block, so the tick barrier is the pool.
-      pool_.wait_idle();
-      while (auto result = queue_.try_pop())
-        results.push_back(std::move(*result));
-    }
+    // The tick barrier: once the pool is idle every host wrote its slot.
+    pool_.wait_idle();
 
     // Deterministic roll-up: aggregation order is host order, regardless of
     // completion order — this is what makes thread count invisible in the
     // ledgers.
-    std::sort(results.begin(), results.end(),
-              [](const HostTickResult& a, const HostTickResult& b) {
-                return a.host < b.host;
-              });
     {
       VMP_TRACE_SPAN("fleet.aggregate", "fleet");
-      for (const HostTickResult& result : results) aggregate(result);
+      for (const HostTickResult& result : results_) aggregate(result);
     }
 
     // Efficiency invariant, fleet-wide per tick: what the hosts billed (Σφ)
@@ -243,27 +205,21 @@ void FleetEngine::run(std::uint64_t ticks) {
     // measurement); meter faults open a genuine gap because billing carried
     // the last good estimate while the machine kept drawing.
     double residual_w = 0.0;
-    for (const HostTickResult& result : results) {
+    for (const HostTickResult& result : results_) {
       double phi_sum = 0.0;
       for (const double p : result.phi) phi_sum += p;
       residual_w += std::abs(phi_sum - result.measured_adjusted_w);
     }
     last_residual_w_ = residual_w;
     monitor_.observe_efficiency(now, residual_w);
-    monitor_.observe_queue(
-        "fleet_samples", now, queue_.high_watermark(), queue_.capacity(),
-        samples_dropped(),
-        options_.backpressure == BackpressurePolicy::kDropOldest);
 
-    if (observer_) observer_(*this, now, results);
+    if (observer_) observer_(*this, now, results_);
 
     ticks_total.inc();
-    samples_total.inc(results.size());
-    drops_total.inc(queue_.dropped() - drops_before);
+    samples_total.inc(results_.size());
     retries_total.inc(retries_ - retries_before);
     degraded_total.inc(degraded_ - degraded_before);
     stale_total.inc(stale_ - stale_before);
-    depth_watermark.set(static_cast<double>(queue_.high_watermark()));
   }
 }
 

@@ -4,12 +4,11 @@
 // The Shapley value's Additivity axiom (paper Sec. IV-C) makes the per-host
 // disaggregation games independent, so a fleet of N hosts is embarrassingly
 // parallel: each tick the engine fans one HostAgent task per host onto its
-// ThreadPool, workers publish HostTickResults through the bounded MPSC
-// queue, and the engine aggregates the tick on its own thread *in host-id
-// order* — which is why the tenant ledgers are byte-identical to a serial
-// run at any thread count (under the kBlock backpressure policy; kDropOldest
-// trades that guarantee for liveness and surfaces every shed sample in the
-// drop counter).
+// ThreadPool, each task writes its HostTickResult into that host's result
+// slot, and the tick is one barrier — the engine waits for the pool to go
+// idle, then aggregates the slots on its own thread *in host-id order*. That
+// is why the tenant ledgers are byte-identical to a serial run at any thread
+// count, and why no host-tick is ever dropped.
 //
 // Fault tolerance (see fleet/faults.hpp and fleet/host_agent.hpp): degraded
 // host-ticks are billed at the host's last good estimate and flagged in the
@@ -32,7 +31,6 @@
 #include "fleet/faults.hpp"
 #include "fleet/host_agent.hpp"
 #include "fleet/metrics.hpp"
-#include "fleet/queue.hpp"
 #include "util/thread_pool.hpp"
 #include "obs/invariants.hpp"
 #include "sim/machine_spec.hpp"
@@ -51,9 +49,6 @@ struct FleetOptions {
   std::uint64_t seed = 1;
   core::IdleAttribution idle_policy = core::IdleAttribution::kNone;
 
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  std::size_t queue_capacity = 0;  ///< 0 => one slot per host.
-
   FaultSpec faults;
   std::uint32_t max_retries = 3;
   std::chrono::microseconds retry_backoff_base{100};
@@ -64,7 +59,7 @@ struct FleetOptions {
   core::SampledKernelConfig kernel;
 
   /// Warn thresholds for the runtime invariant monitors (efficiency
-  /// residual, table hit rate, queue occupancy).
+  /// residual, table hit rate).
   obs::InvariantOptions invariants;
 
   /// Throws std::invalid_argument on zero hosts/threads/tenants, an empty
@@ -78,7 +73,6 @@ class FleetEngine {
   /// (host h is seeded with seed + h, so hosts are distinct but the whole
   /// fleet is reproducible from one seed).
   FleetEngine(FleetOptions options, const core::OfflineDataset& dataset);
-  ~FleetEngine();
 
   FleetEngine(const FleetEngine&) = delete;
   FleetEngine& operator=(const FleetEngine&) = delete;
@@ -87,7 +81,7 @@ class FleetEngine {
   void run(std::uint64_t ticks);
 
   /// Called on the engine thread at the end of every tick, after the ledgers
-  /// were updated, with the tick's results sorted by host id. The ledgers
+  /// were updated, with one result per host in host-id order. The ledgers
   /// are safe to read from inside the callback (same thread); this is how
   /// serve::SnapshotStore publishes immutable query snapshots without ever
   /// blocking the metering loop on readers.
@@ -118,9 +112,9 @@ class FleetEngine {
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
 
   /// The runtime invariant monitors feeding metrics() (efficiency residual,
-  /// table hit rate, queue occupancy — see obs/invariants.hpp). The mutable
-  /// overload lets co-located components (the serve snapshot store) feed
-  /// their own invariant samples into the same monitor.
+  /// table hit rate — see obs/invariants.hpp). The mutable overload lets
+  /// co-located components (the serve snapshot store) feed their own
+  /// invariant samples into the same monitor.
   [[nodiscard]] obs::InvariantMonitor& invariants() noexcept {
     return monitor_;
   }
@@ -132,11 +126,16 @@ class FleetEngine {
     return last_residual_w_;
   }
 
-  /// Aggregated fault/backpressure tallies (also exported via metrics()).
+  /// Aggregated fault tallies (also exported via metrics()).
   [[nodiscard]] std::uint64_t samples_processed() const noexcept {
     return processed_;
   }
-  [[nodiscard]] std::uint64_t samples_dropped() const noexcept;
+  /// The drop count carried in by a restored checkpoint's drops= field. The
+  /// tick barrier itself never drops a host-tick, so this only changes on
+  /// restore_checkpoint.
+  [[nodiscard]] std::uint64_t samples_dropped() const noexcept {
+    return dropped_base_;
+  }
   [[nodiscard]] std::uint64_t degraded_ticks() const noexcept {
     return degraded_;
   }
@@ -163,7 +162,10 @@ class FleetEngine {
   std::vector<std::unique_ptr<HostAgent>> agents_;
   std::vector<std::unique_ptr<core::EnergyAccountant>> host_ledgers_;
   core::MultiHostAccountant tenants_;
-  BoundedQueue<HostTickResult> queue_;
+  /// One result slot per host, written by that host's task and read by the
+  /// engine after the tick barrier. Declared before pool_, so the pool
+  /// drains before the slots are destroyed.
+  std::vector<HostTickResult> results_;
   util::ThreadPool pool_;
   Metrics metrics_;
   obs::InvariantMonitor monitor_;  ///< must follow metrics_ (init order).

@@ -24,7 +24,8 @@
 
 namespace vmp::fleet {
 
-/// What one host produced for one tick; queued to the aggregation thread.
+/// What one host produced for one tick; written into the host's result slot
+/// and read by the engine after the tick barrier.
 struct HostTickResult {
   std::uint32_t host = 0;
   std::uint64_t tick = 0;

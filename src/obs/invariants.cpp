@@ -23,7 +23,7 @@ InvariantMonitor::InvariantMonitor(MetricsRegistry& registry,
 std::uint64_t InvariantMonitor::breaches() const noexcept {
   std::uint64_t total = 0;
   for (const char* invariant :
-       {"efficiency", "table_hit_rate", "queue", "ring", "serve_exactly_once",
+       {"efficiency", "table_hit_rate", "ring", "serve_exactly_once",
         "ledger_tail", "ledger_replay", "federation", "sampled_ci"})
     total += registry_
                  .counter(labeled("vmpower_invariant_breaches_total",
@@ -83,39 +83,6 @@ void InvariantMonitor::observe_table_hit_rate(std::uint64_t epoch,
     breach(kTableHitRate, "table_hit_rate", epoch,
            "host=" + std::to_string(host) + " rate=" + format_watts(rate) +
                " threshold=" + format_watts(options_.table_hit_rate_warn));
-}
-
-void InvariantMonitor::observe_queue(const char* queue, std::uint64_t epoch,
-                                     std::uint64_t watermark,
-                                     std::uint64_t capacity,
-                                     std::uint64_t shed_total, bool lossy) {
-  registry_
-      .gauge(labeled("vmpower_queue_high_watermark", {{"queue", queue}}),
-             "Deepest the bounded queue has ever run")
-      .set(static_cast<double>(watermark));
-  registry_
-      .gauge(labeled("vmpower_queue_capacity", {{"queue", queue}}),
-             "Configured capacity of the bounded queue")
-      .set(static_cast<double>(capacity));
-  const std::uint64_t newly_shed = shed_total - shed_seen_[queue];
-  shed_seen_[queue] = shed_total;
-  registry_
-      .counter(labeled("vmpower_queue_shed_observed_total",
-                       {{"queue", queue}}),
-               "Samples/requests shed from the bounded queue, as seen by "
-               "the invariant monitor")
-      .inc(newly_shed);
-
-  const bool deep =
-      lossy && capacity > 0 &&
-      static_cast<double>(watermark) >=
-          options_.queue_occupancy_warn * static_cast<double>(capacity);
-  if (newly_shed > 0 || deep)
-    breach(kQueue, "queue", epoch,
-           std::string("queue=") + queue +
-               " watermark=" + std::to_string(watermark) +
-               " capacity=" + std::to_string(capacity) +
-               " newly_shed=" + std::to_string(newly_shed));
 }
 
 void InvariantMonitor::observe_serve_accounting(std::uint64_t epoch,

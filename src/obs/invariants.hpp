@@ -5,15 +5,14 @@
 // Fig. 11) and approximation accuracy tracked through the VHC table hit
 // rate (Fig. 10) — degrade silently in production: a fault-injected meter
 // bills from carried estimates, a cold table forces every worth query
-// through the regression, a saturated queue sheds samples. Each monitor
-// turns one such property into a gauge/counter with a configurable warn
-// threshold; a breach emits a structured key=value log event stamped with
-// the tick epoch so dashboards and logs correlate on the same axis, and is
-// counted in vmpower_invariant_breaches_total{invariant="..."}.
+// through the regression. Each monitor turns one such property into a
+// gauge/counter with a configurable warn threshold; a breach emits a
+// structured key=value log event stamped with the tick epoch so dashboards
+// and logs correlate on the same axis, and is counted in
+// vmpower_invariant_breaches_total{invariant="..."}.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -28,9 +27,6 @@ struct InvariantOptions {
   /// Warn when a host's cumulative VHC table hit rate drops below this
   /// fraction; negative disables (hit rate 0 is legitimate without a table).
   double table_hit_rate_warn = -1.0;
-  /// Warn when a bounded queue's high watermark reaches this fraction of
-  /// its capacity.
-  double queue_occupancy_warn = 0.9;
   /// Minimum epochs between two warn logs of the same invariant, so a
   /// persistent breach cannot flood the sink (the breach counter still
   /// counts every occurrence).
@@ -52,15 +48,6 @@ class InvariantMonitor {
   /// One host's cumulative table hit rate after a tick.
   void observe_table_hit_rate(std::uint64_t epoch, std::uint32_t host,
                               double rate);
-
-  /// A bounded queue's state: `queue` labels the series ("fleet_samples",
-  /// "serve_requests"), watermark is the deepest occupancy seen, shed the
-  /// cumulative drop count. `lossy` marks a queue whose overflow drops work
-  /// (drop-oldest / shedding); only those warn on deep occupancy — a full
-  /// blocking queue is flow control, not impending loss.
-  void observe_queue(const char* queue, std::uint64_t epoch,
-                     std::uint64_t watermark, std::uint64_t capacity,
-                     std::uint64_t shed_total, bool lossy = true);
 
   /// Snapshot-ring state from the store's publish path.
   void observe_ring(std::uint64_t epoch, std::uint64_t occupancy,
@@ -119,7 +106,6 @@ class InvariantMonitor {
   enum Which : std::size_t {
     kEfficiency = 0,
     kTableHitRate,
-    kQueue,
     kRing,
     kServeAccounting,
     kLedgerTail,
@@ -142,7 +128,6 @@ class InvariantMonitor {
     std::uint64_t last_epoch = 0;
   };
   Throttle throttle_[kWhichCount];
-  std::map<std::string, std::uint64_t> shed_seen_;  ///< per-queue baseline.
 };
 
 }  // namespace vmp::obs

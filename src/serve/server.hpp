@@ -34,8 +34,8 @@
 #include <vector>
 
 #include "fleet/metrics.hpp"
-#include "fleet/queue.hpp"
 #include "serve/query.hpp"
+#include "serve/queue.hpp"
 #include "serve/token_bucket.hpp"
 #include "serve/transport.hpp"
 
@@ -191,7 +191,7 @@ class Server {
   ServerOptions options_;
   Dispatcher dispatcher_;
   fleet::Metrics& metrics_;
-  fleet::BoundedQueue<Task> queue_;
+  BoundedQueue<Task> queue_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};

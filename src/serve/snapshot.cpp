@@ -159,8 +159,8 @@ void SnapshotStore::publish_tick(
   snapshot.time_s = static_cast<double>(tick + 1) * period_s;
   snapshot.period_s = period_s;
 
-  // Start from the previous snapshot's VM universe so hosts whose sample was
-  // shed this tick keep their last instant power instead of vanishing.
+  // Start from the previous snapshot's VM universe so a VM with no φ this
+  // tick keeps its last instant power instead of vanishing.
   if (const auto previous = latest()) snapshot.vms = previous->vms;
 
   const auto upsert = [&snapshot](std::uint32_t host,

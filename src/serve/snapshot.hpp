@@ -113,8 +113,8 @@ class SnapshotStore {
   }
 
   /// Builds a snapshot from the engine's ledgers and this tick's results and
-  /// publishes it. Hosts absent from `results` (shed under drop-oldest
-  /// backpressure) carry their previous instant power; energies always come
+  /// publishes it. A VM with no φ this tick (its host degraded before any
+  /// good estimate) carries its previous instant power; energies always come
   /// from the ledgers, which are authoritative.
   void publish_tick(const fleet::FleetEngine& engine, std::uint64_t tick,
                     const std::vector<fleet::HostTickResult>& results);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -148,6 +149,12 @@ TEST(ResourceUsageEstimator, Validation) {
   ResourceUsageEstimator estimator(paper_models());
   const std::vector<VmSample> vms = {{0, 0, StateVector::cpu_only(1.0)}};
   EXPECT_THROW(estimator.estimate(vms, -1.0), std::invalid_argument);
+  EXPECT_THROW(
+      estimator.estimate(vms, std::numeric_limits<double>::quiet_NaN()),
+      std::invalid_argument);
+  EXPECT_THROW(
+      estimator.estimate(vms, std::numeric_limits<double>::infinity()),
+      std::invalid_argument);
   EXPECT_THROW(estimator.estimate({}, 1.0), std::invalid_argument);
 }
 

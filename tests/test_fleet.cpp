@@ -6,64 +6,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "common/vm_config.hpp"
 #include "core/collector.hpp"
 #include "fleet/faults.hpp"
-#include "fleet/queue.hpp"
 #include "util/thread_pool.hpp"
 
 namespace vmp::fleet {
 namespace {
-
-// --- BoundedQueue -----------------------------------------------------------
-
-TEST(BoundedQueue, FifoAndValidation) {
-  BoundedQueue<int> queue(4);
-  EXPECT_THROW(BoundedQueue<int>(0), std::invalid_argument);
-  EXPECT_TRUE(queue.push(1));
-  EXPECT_TRUE(queue.push(2));
-  EXPECT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue.pop(), 1);
-  EXPECT_EQ(queue.pop(), 2);
-  EXPECT_EQ(queue.try_pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, DropOldestEvictsFrontAndCounts) {
-  BoundedQueue<int> queue(2, BackpressurePolicy::kDropOldest);
-  EXPECT_TRUE(queue.push(1));
-  EXPECT_TRUE(queue.push(2));
-  EXPECT_FALSE(queue.push(3));  // evicts 1.
-  EXPECT_EQ(queue.dropped(), 1u);
-  EXPECT_EQ(queue.high_watermark(), 2u);
-  EXPECT_EQ(queue.pop(), 2);
-  EXPECT_EQ(queue.pop(), 3);
-}
-
-TEST(BoundedQueue, BlockPolicyBlocksProducerUntilConsumed) {
-  BoundedQueue<int> queue(1, BackpressurePolicy::kBlock);
-  ASSERT_TRUE(queue.push(1));
-  std::atomic<bool> second_pushed{false};
-  std::thread producer([&] {
-    queue.push(2);  // full: must wait for the pop below.
-    second_pushed = true;
-  });
-  EXPECT_EQ(queue.pop(), 1);
-  EXPECT_EQ(queue.pop(), 2);
-  producer.join();
-  EXPECT_TRUE(second_pushed);
-  EXPECT_EQ(queue.dropped(), 0u);
-}
-
-TEST(BoundedQueue, CloseWakesEveryone) {
-  BoundedQueue<int> queue(1);
-  std::thread consumer([&] { EXPECT_EQ(queue.pop(), std::nullopt); });
-  queue.close();
-  consumer.join();
-  EXPECT_FALSE(queue.push(7));  // discarded after close.
-}
 
 // --- ThreadPool -------------------------------------------------------------
 
@@ -159,9 +110,21 @@ class FleetEngineTest : public ::testing::Test {
 };
 
 TEST_F(FleetEngineTest, LedgersAreByteIdenticalAcrossThreadCounts) {
+  // The tick observer contract: one result per host, in host-id order, all
+  // stamped with the tick being closed.
+  const auto check_tick = [](const FleetEngine&, std::uint64_t tick,
+                             const std::vector<HostTickResult>& results) {
+    ASSERT_EQ(results.size(), kHosts);
+    for (std::size_t h = 0; h < kHosts; ++h) {
+      EXPECT_EQ(results[h].host, h) << "tick " << tick;
+      EXPECT_EQ(results[h].tick, tick) << "host " << h;
+    }
+  };
   FleetEngine serial(options_for(1), dataset_);
+  serial.set_tick_observer(check_tick);
   serial.run(15);
   FleetEngine threaded(options_for(3), dataset_);
+  threaded.set_tick_observer(check_tick);
   threaded.run(15);
 
   const auto a = ledger_fingerprint(serial);
@@ -170,6 +133,10 @@ TEST_F(FleetEngineTest, LedgersAreByteIdenticalAcrossThreadCounts) {
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_EQ(a[i], b[i]) << "fingerprint slot " << i;  // exact, not NEAR.
   EXPECT_GT(serial.tenant_ledger().total_energy_j(), 0.0);
+  for (const FleetEngine* engine : {&serial, &threaded}) {
+    EXPECT_EQ(engine->samples_processed(), kHosts * 15);
+    EXPECT_EQ(engine->samples_dropped(), 0u);
+  }
 }
 
 TEST_F(FleetEngineTest, DeterminismHoldsWithFaultInjectionEnabled) {
@@ -207,22 +174,6 @@ TEST_F(FleetEngineTest, DegradedHostsCarryLastGoodEstimateNeverZero) {
             std::string::npos);
   EXPECT_NE(dump.find("vmpower_fleet_meter_retries_total"),
             std::string::npos);
-}
-
-TEST_F(FleetEngineTest, DropOldestBackpressureAccountsEveryShedSample) {
-  FleetOptions options = options_for(3);
-  options.backpressure = BackpressurePolicy::kDropOldest;
-  options.queue_capacity = 1;  // 4 hosts racing into one slot: must shed.
-  FleetEngine engine(options, dataset_);
-  engine.run(12);
-
-  EXPECT_GT(engine.samples_dropped(), 0u);
-  // Conservation: every produced sample is either aggregated or counted as
-  // dropped — none vanish.
-  EXPECT_EQ(engine.samples_processed() + engine.samples_dropped(),
-            kHosts * 12u);
-  const std::string dump = engine.metrics().to_prometheus();
-  EXPECT_NE(dump.find("vmpower_fleet_sample_drops_total"), std::string::npos);
 }
 
 TEST_F(FleetEngineTest, CheckpointRestoreResumesExactTrajectory) {

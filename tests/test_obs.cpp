@@ -197,28 +197,6 @@ TEST(InvariantMonitor, TableHitRateWarnsOnlyWhenThresholdEnabled) {
             std::string::npos);
 }
 
-TEST(InvariantMonitor, BlockingQueueFullIsFlowControlNotABreach) {
-  MetricsRegistry registry;
-  InvariantMonitor monitor(registry, {});
-  // A blocking queue at capacity: expected behaviour, no warn.
-  monitor.observe_queue("fleet_samples", 1, 8, 8, 0, /*lossy=*/false);
-  EXPECT_EQ(monitor.breaches(), 0u);
-  // The same occupancy on a lossy queue is impending data loss.
-  monitor.observe_queue("shedding", 1, 8, 8, 0, /*lossy=*/true);
-  EXPECT_EQ(monitor.breaches(), 1u);
-  // Sheds breach regardless of the policy.
-  monitor.observe_queue("fleet_samples", 2, 2, 8, 5, /*lossy=*/false);
-  EXPECT_EQ(monitor.breaches(), 2u);
-
-  const std::string dump = registry.to_prometheus();
-  EXPECT_NE(dump.find("vmpower_queue_high_watermark{queue=\"fleet_samples\"}"),
-            std::string::npos);
-  EXPECT_NE(
-      dump.find(
-          "vmpower_queue_shed_observed_total{queue=\"fleet_samples\"} 5\n"),
-      std::string::npos);
-}
-
 TEST(InvariantMonitor, ServeAccountingBreachesOnSurplusAndIdleDeficit) {
   MetricsRegistry registry;
   InvariantMonitor monitor(registry, {});

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -64,6 +65,10 @@ TEST(RaplShare, Validation) {
   EXPECT_THROW(est.estimate({}, 1.0), std::invalid_argument);
   const std::vector<VmSample> vms = {sample(0, 1, 0.5)};
   EXPECT_THROW(est.estimate(vms, -1.0), std::invalid_argument);
+  EXPECT_THROW(est.estimate(vms, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(est.estimate(vms, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
   const std::vector<VmSample> unknown = {
       {0, 999, StateVector::cpu_only(0.5)}};
   EXPECT_THROW(est.estimate(unknown, 1.0), std::out_of_range);

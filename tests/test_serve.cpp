@@ -12,6 +12,7 @@
 #include "common/vm_config.hpp"
 #include "core/collector.hpp"
 #include "serve/query.hpp"
+#include "serve/queue.hpp"
 #include "serve/token_bucket.hpp"
 
 namespace vmp::serve {
@@ -186,6 +187,28 @@ TEST(TokenBucket, CapsAtBurstAndToleratesBackwardsClock) {
 TEST(TokenBucket, RejectsBadParameters) {
   EXPECT_THROW(TokenBucket(1.0, 0.0), std::invalid_argument);
   EXPECT_THROW(TokenBucket(-1.0, 1.0), std::invalid_argument);
+}
+
+// --- BoundedQueue -----------------------------------------------------------
+
+TEST(BoundedQueue, FifoAndValidation) {
+  BoundedQueue<int> queue(2);
+  EXPECT_THROW(BoundedQueue<int>(0), std::invalid_argument);
+  EXPECT_TRUE(queue.try_push(1));
+  EXPECT_TRUE(queue.try_push(2));
+  // A full queue refuses the push and evicts nothing.
+  EXPECT_FALSE(queue.try_push(3));
+  EXPECT_EQ(queue.high_watermark(), 2u);
+  EXPECT_EQ(queue.pop(), 1);
+  EXPECT_EQ(queue.pop(), 2);
+}
+
+TEST(BoundedQueue, CloseWakesEveryone) {
+  BoundedQueue<int> queue(1);
+  std::thread consumer([&] { EXPECT_EQ(queue.pop(), std::nullopt); });
+  queue.close();
+  consumer.join();
+  EXPECT_FALSE(queue.try_push(7));  // refused after close.
 }
 
 // --- QueryEngine ------------------------------------------------------------

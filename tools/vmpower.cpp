@@ -113,7 +113,6 @@ commands:
   fleet   --fleet VM1,... [--hosts N] [--threads T] [--duration S] [--tenants K]
           [--seed N] [--tariff $/kWh] [--collect-duration S]
           [--inject-faults meter:P,dropout:P,stale:P] [--max-retries N]
-          [--backpressure block|drop-oldest] [--queue-capacity N]
           [--kernel K] [--samples N] [--halfwidth W] [--budget-ms D]
           [--checkpoint FILE] [--metrics FILE] [--trace] [--trace-out FILE]
           --kernel K       Shapley kernel: auto (default; exact collapsed/
@@ -231,6 +230,15 @@ T unsigned_flag(const util::CliArgs& args, const std::string& key,
     throw std::invalid_argument("--" + key + " must be <= " +
                                 std::to_string(std::numeric_limits<T>::max()));
   return static_cast<T>(value);
+}
+
+/// --duration as a tick count. The double-to-integer cast is undefined for a
+/// negative, NaN, infinite or >= 2^64 value, so those are rejected instead.
+std::uint64_t ticks_flag(const util::CliArgs& args, double fallback) {
+  const double duration = args.get_double("duration", fallback);
+  if (!(duration >= 0.0 && duration < 0x1p64))
+    throw std::invalid_argument("--duration must be >= 0 and < 2^64");
+  return static_cast<std::uint64_t>(duration);
 }
 
 /// Parses the Shapley kernel knobs shared by meter/bill/fleet/serve:
@@ -393,27 +401,28 @@ int cmd_meter(const util::CliArgs& args, bool billing) {
 }
 
 int cmd_fleet(const util::CliArgs& args) {
+  // Every flag read here or in kernel_for/machine_for/fleet_for/arm_tracer.
+  const auto unknown = args.unknown_keys(
+      {"fleet", "hosts", "threads", "tenants", "machine", "seed",
+       "max-retries", "inject-faults", "kernel", "samples", "halfwidth",
+       "budget-ms", "collect-duration", "duration", "checkpoint", "tariff",
+       "metrics", "trace", "trace-out"});
+  if (!unknown.empty())
+    throw std::invalid_argument("fleet: unknown flag --" + unknown[0]);
+
   fleet::FleetOptions options;
   options.fleet_per_host = fleet_for(args);
-  options.hosts = static_cast<std::size_t>(args.get_long("hosts", 4));
-  options.threads = static_cast<std::size_t>(args.get_long("threads", 2));
-  options.tenants = static_cast<std::size_t>(args.get_long("tenants", 3));
+  options.hosts = unsigned_flag<std::size_t>(args, "hosts", 4);
+  options.threads = unsigned_flag<std::size_t>(args, "threads", 2);
+  options.tenants = unsigned_flag<std::size_t>(args, "tenants", 3);
   options.spec = machine_for(args);
   options.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-  options.max_retries =
-      static_cast<std::uint32_t>(args.get_long("max-retries", 3));
-  options.queue_capacity =
-      static_cast<std::size_t>(args.get_long("queue-capacity", 0));
+  options.max_retries = unsigned_flag<std::uint32_t>(args, "max-retries", 3);
   options.kernel = kernel_for(args);
   if (args.has("inject-faults"))
     options.faults = fleet::parse_fault_spec(args.require("inject-faults"));
-  const std::string backpressure = args.get("backpressure", "block");
-  if (backpressure == "drop-oldest")
-    options.backpressure = fleet::BackpressurePolicy::kDropOldest;
-  else if (backpressure != "block")
-    throw std::invalid_argument("unknown --backpressure '" + backpressure +
-                                "' (expected block or drop-oldest)");
   options.validate();  // fail on bad knobs before the offline campaign runs
+  const std::uint64_t ticks = ticks_flag(args, 60.0);
 
   // The offline campaign is shared across hosts (identical machine type, so
   // the artifacts are per type — exactly as in examples/cluster_billing).
@@ -436,13 +445,10 @@ int cmd_fleet(const util::CliArgs& args) {
   }
 
   const bool dump = arm_tracer(args);
-  const auto ticks =
-      static_cast<std::uint64_t>(args.get_double("duration", 60.0));
   std::printf("online: metering %zu hosts x %zu VMs on %zu threads for %llu "
-              "ticks (%s backpressure)\n",
+              "ticks\n",
               options.hosts, options.fleet_per_host.size(), options.threads,
-              static_cast<unsigned long long>(ticks),
-              to_string(options.backpressure));
+              static_cast<unsigned long long>(ticks));
   engine.run(ticks);
 
   const double tariff = args.get_double("tariff", 0.10);
@@ -531,6 +537,7 @@ int cmd_serve(const util::CliArgs& args) {
   const double slow_ms = args.get_double("slow-ms", 50.0);
   const double slo_ms = args.get_double("slo-ms", slow_ms);
   const double slo_target = args.get_double("slo-target", 0.99);
+  const std::uint64_t ticks = ticks_flag(args, 300.0);
 
   core::CollectionOptions collect;
   collect.duration_s = args.get_double("collect-duration", 120.0);
@@ -609,8 +616,6 @@ int cmd_serve(const util::CliArgs& args) {
   // Register the exactly-once accounting series up front so scrapes taken
   // while the server is live already carry them; re-observed at drain below.
   engine.invariants().observe_serve_accounting(0, 0, 0, 0);
-  const auto ticks =
-      static_cast<std::uint64_t>(args.get_double("duration", 300.0));
   std::printf("serving on 127.0.0.1:%u while metering %zu hosts for %llu "
               "ticks...\n",
               server.port(), options.hosts,
@@ -765,10 +770,7 @@ int cmd_federate(const util::CliArgs& args) {
     options.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
     options.kernel = kernel_for(args);
     options.validate();
-    const double duration = args.get_double("duration", 60.0);
-    if (!(duration >= 0.0))
-      throw std::invalid_argument("--duration must be >= 0");
-    const auto ticks = static_cast<std::uint64_t>(duration);
+    const std::uint64_t ticks = ticks_flag(args, 60.0);
 
     core::CollectionOptions collect;
     collect.duration_s = args.get_double("collect-duration", 30.0);
@@ -869,6 +871,7 @@ int cmd_trace(const util::CliArgs& args) {
   options.spec = machine_for(args);
   options.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
   options.validate();
+  const std::uint64_t ticks = ticks_flag(args, 16.0);
 
   core::CollectionOptions collect;
   collect.duration_s = args.get_double("collect-duration", 30.0);
@@ -884,8 +887,6 @@ int cmd_trace(const util::CliArgs& args) {
   serve::QueryEngine queries(store, query_options);
   serve::Dispatcher dispatcher(queries, &engine.metrics());
 
-  const auto ticks =
-      static_cast<std::uint64_t>(args.get_double("duration", 16.0));
   engine.run(ticks);
 
   // Exercise the serve path in-process so one dump spans all three layers
