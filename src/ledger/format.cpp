@@ -129,6 +129,15 @@ std::optional<TickRecord> decode_record(std::string_view body) {
   return record;
 }
 
+std::optional<RecordPrefix> decode_prefix(std::string_view body) {
+  ByteReader reader{body};
+  RecordPrefix prefix;
+  if (!reader.get_u64(prefix.epoch) || !reader.get_u64(prefix.tick) ||
+      !reader.get_f64(prefix.time_s))
+    return std::nullopt;
+  return prefix;
+}
+
 void append_frame(std::string& out, const TickRecord& record) {
   const std::string body = encode_record(record);
   put_u32(out, static_cast<std::uint32_t>(body.size()));

@@ -89,6 +89,20 @@ struct ByteReader {
 /// nullopt on truncated or malformed bodies (counts mismatching the length).
 [[nodiscard]] std::optional<TickRecord> decode_record(std::string_view body);
 
+/// The fields encode_record writes first, which place a record in the log
+/// without decoding the rest of its body.
+struct RecordPrefix {
+  std::uint64_t epoch = 0;
+  std::uint64_t tick = 0;
+  double time_s = 0.0;
+};
+inline constexpr std::size_t kRecordPrefixBytes = 24;
+
+/// Decodes the first kRecordPrefixBytes of a record body; nullopt when
+/// `body` is shorter. Checks no CRC: the bytes are only as good as the
+/// caller's reason to trust them.
+[[nodiscard]] std::optional<RecordPrefix> decode_prefix(std::string_view body);
+
 /// --- framing ---------------------------------------------------------------
 
 /// Appends one CRC-framed record to `out`.

@@ -1,6 +1,10 @@
 #include "ledger/ledger.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <stdexcept>
@@ -97,28 +101,99 @@ std::optional<ColdFooter> decode_footer(std::string_view data) {
   return footer;
 }
 
-/// Reads one frame from an open stream at `offset`; the frames region ends
-/// at `end`. Returns nullopt at the region end or on damage.
-std::optional<TickRecord> read_frame_stream(std::ifstream& in,
-                                            std::uint64_t& offset,
-                                            std::uint64_t end) {
-  if (offset + kFrameHeaderBytes > end) return std::nullopt;
-  char header[kFrameHeaderBytes];
-  in.seekg(static_cast<std::streamoff>(offset));
-  in.read(header, kFrameHeaderBytes);
-  if (!in) return std::nullopt;
-  ByteReader reader{std::string_view(header, kFrameHeaderBytes)};
-  std::uint32_t length = 0, crc = 0;
-  (void)reader.get_u32(length);
-  (void)reader.get_u32(crc);
-  if (length > kMaxRecordBytes || offset + kFrameHeaderBytes + length > end)
-    return std::nullopt;
-  std::string body(length, '\0');
-  in.read(body.data(), static_cast<std::streamsize>(length));
-  if (!in || crc32(body) != crc) return std::nullopt;
-  auto record = decode_record(body);
-  if (record) offset += kFrameHeaderBytes + length;
-  return record;
+/// A frame's header and record prefix, read without the rest of its body.
+struct FrameHead {
+  std::uint32_t length = 0;  ///< body bytes.
+  std::uint32_t crc = 0;
+  RecordPrefix prefix;
+};
+
+/// One segment file opened for positioned reads of its frames region, which
+/// ends at `frames_end`. Every read is a pread at an explicit offset, so no
+/// two reads share a file position. A file that fails to open reads as
+/// damaged from its first frame.
+class FrameReader {
+ public:
+  FrameReader(const std::filesystem::path& path, std::uint64_t frames_end)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)),
+        frames_end_(frames_end) {}
+  ~FrameReader() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  FrameReader(const FrameReader&) = delete;
+  FrameReader& operator=(const FrameReader&) = delete;
+
+  /// Header and prefix of the frame at `offset`; nullopt when the read
+  /// falls short or the header cannot be right: a length above
+  /// kMaxRecordBytes, a body shorter than the prefix, or a frame running
+  /// past frames_end.
+  [[nodiscard]] std::optional<FrameHead> head(std::uint64_t offset) const {
+    char bytes[kFrameHeaderBytes + kRecordPrefixBytes];
+    if (offset > frames_end_ || frames_end_ - offset < sizeof bytes ||
+        !read(offset, bytes, sizeof bytes))
+      return std::nullopt;
+    ByteReader header{std::string_view(bytes, kFrameHeaderBytes)};
+    FrameHead head;
+    (void)header.get_u32(head.length);
+    (void)header.get_u32(head.crc);
+    if (head.length > kMaxRecordBytes || head.length < kRecordPrefixBytes ||
+        head.length > frames_end_ - offset - kFrameHeaderBytes)
+      return std::nullopt;
+    head.prefix = *decode_prefix(
+        std::string_view(bytes + kFrameHeaderBytes, kRecordPrefixBytes));
+    return head;
+  }
+
+  /// Body of the frame at `offset`; nullopt when the read falls short or
+  /// the body fails the CRC in `head`.
+  [[nodiscard]] std::optional<std::string> body(std::uint64_t offset,
+                                                const FrameHead& head) const {
+    std::string body(head.length, '\0');
+    if (!read(offset + kFrameHeaderBytes, body.data(), body.size()) ||
+        crc32(body) != head.crc)
+      return std::nullopt;
+    return body;
+  }
+
+  /// Reads, CRC-checks and decodes the frame at `offset`, with read_frame's
+  /// statuses: on kOk `offset` moves past the frame.
+  FrameStatus next(std::uint64_t& offset, TickRecord& record) const {
+    if (offset == frames_end_) return FrameStatus::kEndOfLog;
+    const auto head = this->head(offset);
+    if (!head) return FrameStatus::kTorn;
+    const auto body = this->body(offset, *head);
+    auto decoded = body ? decode_record(*body) : std::nullopt;
+    if (!decoded) return FrameStatus::kTorn;
+    record = std::move(*decoded);
+    offset += kFrameHeaderBytes + head->length;
+    return FrameStatus::kOk;
+  }
+
+ private:
+  bool read(std::uint64_t offset, char* out, std::size_t size) const {
+    while (size > 0) {
+      const ssize_t got = ::pread(fd_, out, size, static_cast<off_t>(offset));
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) return false;
+      out += got;
+      offset += static_cast<std::uint64_t>(got);
+      size -= static_cast<std::size_t>(got);
+    }
+    return true;
+  }
+
+  int fd_ = -1;
+  std::uint64_t frames_end_ = 0;
+};
+
+/// WARN-logs and throws the DamagedRecord for the frame at `offset`.
+[[noreturn]] void throw_damaged(const std::filesystem::path& path,
+                                std::uint64_t offset, const char* what) {
+  const std::string message = "ledger: " + path.filename().string() +
+                              " at offset " + std::to_string(offset) + ": " +
+                              what;
+  VMP_LOG_WARN("%s", message.c_str());
+  throw DamagedRecord(message);
 }
 
 }  // namespace
@@ -569,28 +644,36 @@ const Ledger::Segment* Ledger::segment_for_epoch_locked(
   return nullptr;
 }
 
-std::optional<TickRecord> Ledger::read_at(const Segment& segment,
-                                          std::uint64_t offset) const {
-  std::ifstream in(segment.path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::uint64_t cursor = offset;
-  return read_frame_stream(in, cursor, segment.frames_end);
-}
-
 std::optional<TickRecord> Ledger::scan_from(const Segment& segment,
                                             const IndexEntry& start,
                                             bool by_epoch, double t_s,
                                             std::uint64_t epoch) const {
-  std::ifstream in(segment.path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::uint64_t cursor = start.offset;
-  std::optional<TickRecord> best;
-  while (auto record = read_frame_stream(in, cursor, segment.frames_end)) {
-    if (by_epoch ? record->epoch > epoch : record->time_s > t_s) break;
-    best = std::move(record);
-    if (by_epoch && best->epoch == epoch) break;
+  const FrameReader file(segment.path, segment.frames_end);
+  // Walk headers and prefixes only. `found` is the newest frame at or before
+  // the target; `stop` is the frame whose prefix ended the walk.
+  std::optional<std::pair<std::uint64_t, FrameHead>> found, stop;
+  for (std::uint64_t cursor = start.offset; cursor != segment.frames_end;) {
+    const auto head = file.head(cursor);
+    if (!head)
+      throw_damaged(segment.path, cursor, "unreadable or impossible header");
+    if (by_epoch ? head->prefix.epoch > epoch : head->prefix.time_s > t_s) {
+      stop.emplace(cursor, *head);
+      break;
+    }
+    found.emplace(cursor, *head);
+    if (by_epoch && head->prefix.epoch == epoch) break;
+    cursor += kFrameHeaderBytes + head->length;
   }
-  return best;
+  // Those two prefixes decided the answer, so both frames must pass their
+  // CRC; the frames walked over in between cannot change it.
+  if (stop && !file.body(stop->first, stop->second))
+    throw_damaged(segment.path, stop->first, "CRC mismatch");
+  if (!found) return std::nullopt;
+  const auto body = file.body(found->first, found->second);
+  if (!body) throw_damaged(segment.path, found->first, "CRC mismatch");
+  auto record = decode_record(*body);
+  if (!record) throw_damaged(segment.path, found->first, "undecodable body");
+  return record;
 }
 
 std::optional<TickRecord> Ledger::at_or_before(double t_s) const {
@@ -631,13 +714,12 @@ std::vector<TickRecord> Ledger::range(std::uint64_t first,
         [](std::uint64_t e, const IndexEntry& entry) {
           return e < entry.epoch;
         });
-    std::ifstream in(segment.path, std::ios::binary);
-    if (!in) continue;
+    const FrameReader file(segment.path, segment.frames_end);
     std::uint64_t cursor = std::prev(it)->offset;
-    while (auto record =
-               read_frame_stream(in, cursor, segment.frames_end)) {
-      if (record->epoch > last) break;
-      if (record->epoch >= first) records.push_back(std::move(*record));
+    TickRecord record;
+    while (file.next(cursor, record) == FrameStatus::kOk) {
+      if (record.epoch > last) break;
+      if (record.epoch >= first) records.push_back(std::move(record));
     }
   }
   return records;
@@ -663,26 +745,26 @@ void Ledger::truncate_after(std::uint64_t epoch) {
   if (tail.kind == Kind::kCold) {
     // Rewrite the straddling cold segment as a WAL holding only the kept
     // prefix; compaction will rebuild its index later.
-    std::ifstream in(tail.path, std::ios::binary);
+    const FrameReader cold(tail.path, tail.frames_end);
     std::string out(kWalMagic);
     Segment replacement;
     replacement.kind = Kind::kSealed;
     std::uint64_t cursor = kColdMagic.size();
-    while (auto record = read_frame_stream(in, cursor, tail.frames_end)) {
-      if (record->epoch > epoch) break;
+    TickRecord record;
+    while (cold.next(cursor, record) == FrameStatus::kOk) {
+      if (record.epoch > epoch) break;
       const std::uint64_t out_offset = out.size();
       // Re-frame from the decoded record: offsets shift, bytes do not.
-      append_frame(out, *record);
+      append_frame(out, record);
       if (replacement.records == 0) {
-        replacement.first_epoch = record->epoch;
-        replacement.first_time_s = record->time_s;
+        replacement.first_epoch = record.epoch;
+        replacement.first_time_s = record.time_s;
       }
-      replacement.index.push_back({record->epoch, record->time_s, out_offset});
-      replacement.last_epoch = record->epoch;
-      replacement.last_time_s = record->time_s;
+      replacement.index.push_back({record.epoch, record.time_s, out_offset});
+      replacement.last_epoch = record.epoch;
+      replacement.last_time_s = record.time_s;
       ++replacement.records;
     }
-    in.close();
     const std::filesystem::path old_path = tail.path;
     replacement.path =
         options_.dir / segment_file_name("wal", replacement.first_epoch);

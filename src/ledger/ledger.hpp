@@ -11,8 +11,10 @@
 //   cold-<first>-<last>.seg  a compacted sealed segment: the same frames,
 //                            followed by a sparse (epoch, time, offset)
 //                            index and a CRC'd footer, so a window seek is
-//                            one binary search plus at most `index_stride`
-//                            sequential frame reads.
+//                            one binary search, a walk over at most
+//                            `index_stride` frame headers (the 8-byte
+//                            header and 24-byte record prefix of each), and
+//                            one full read of the frame it returns.
 //
 // Rotation seals the active segment once it reaches segment_max_records or
 // segment_max_bytes; sealed segments are compacted on a background thread
@@ -26,6 +28,13 @@
 // most that one record, and the loss is WARN-logged and counted, never
 // silent. Cold segments load by footer; a cold file with a bad footer falls
 // back to a full scan and is re-queued for compaction.
+//
+// Point reads (at_or_before, at_epoch) CRC-check only the two frames whose
+// prefixes decide the answer: the one returned and the one that ended the
+// walk. Either failing its CRC, or a header that cannot be right, throws
+// DamagedRecord instead of answering with a neighbouring record. Damage a
+// walk does not catch cannot change its answer; verify_dir (`vmpower ledger
+// verify`) is the full scan that finds it.
 //
 // Epochs are strictly ascending across the whole ledger and 1:1 with
 // snapshot publish epochs, which is what lets checkpoint restore replay the
@@ -44,6 +53,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,8 +68,8 @@ struct LedgerOptions {
   /// Rotation thresholds for the active segment (whichever trips first).
   std::uint64_t segment_max_records = 4096;
   std::uint64_t segment_max_bytes = 8ull << 20;
-  /// Cold segments index every Nth record; a seek costs one binary search
-  /// plus at most N sequential frame reads.
+  /// Cold segments index every Nth record; a seek costs one binary search,
+  /// at most N header-and-prefix reads, and the full read of one frame.
   std::uint64_t index_stride = 64;
   /// Compact sealed segments into indexed cold segments at all.
   bool auto_compact = true;
@@ -118,6 +128,14 @@ struct VerifyReport {
 };
 [[nodiscard]] VerifyReport verify_dir(const std::filesystem::path& dir);
 
+/// A point read met a frame that decides its answer but fails its CRC, or a
+/// frame header that cannot be right. what() names the segment file and the
+/// frame's offset.
+class DamagedRecord : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 class Ledger {
  public:
   /// Opens (creating if needed) the ledger directory and runs recovery.
@@ -136,9 +154,11 @@ class Ledger {
 
   /// Newest record with time_s <= t_s; nullopt when t_s predates the oldest
   /// record (or the ledger is empty) — same step semantics as the ring.
+  /// Throws DamagedRecord when a frame deciding the answer is damaged.
   [[nodiscard]] std::optional<TickRecord> at_or_before(double t_s) const;
 
   /// The record published at exactly `epoch`, if the ledger holds it.
+  /// Throws DamagedRecord when a frame deciding the answer is damaged.
   [[nodiscard]] std::optional<TickRecord> at_epoch(std::uint64_t epoch) const;
 
   /// All records with epoch in [first, last], ascending. Clamped to the
@@ -201,11 +221,8 @@ class Ledger {
   bool compact_one();
   void compactor_loop();
 
-  /// Reads the record at `offset` of `segment`'s file; nullopt on damage.
-  [[nodiscard]] std::optional<TickRecord> read_at(
-      const Segment& segment, std::uint64_t offset) const;
-  /// Scans forward from the sparse index entry to the newest record with
-  /// time_s <= t_s (or epoch <= epoch when `by_epoch`).
+  /// Walks frame headers forward from the index entry to the newest record
+  /// with time_s <= t_s (or epoch <= epoch when `by_epoch`) and decodes it.
   [[nodiscard]] std::optional<TickRecord> scan_from(
       const Segment& segment, const IndexEntry& start, bool by_epoch,
       double t_s, std::uint64_t epoch) const;

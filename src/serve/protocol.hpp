@@ -100,7 +100,10 @@ enum class ErrorCode : std::uint16_t {
   kFrameTooLarge = 9,   ///< declared frame length exceeds kMaxFrameBytes.
   kOutOfHistory = 10,   ///< window start predates even the durable ledger's
                         ///< oldest record.
-  kUnavailable = 11,    ///< no federation shard could answer at all.
+  kUnavailable = 11,    ///< the answer exists but cannot be read: no
+                        ///< federation shard could answer at all, or a
+                        ///< ledger frame deciding it is damaged (message
+                        ///< names the segment file and offset).
   kEpochSkew = 12,      ///< shard epochs disagree beyond the skew budget
                         ///< (detail carries the observed skew).
 };

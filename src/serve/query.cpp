@@ -81,8 +81,12 @@ Response QueryEngine::execute(const Request& request) {
       if (const ledger::Ledger* log = store_.ledger()) {
         const ledger::Stats stats = log->stats();
         if (stats.records > 0) {
-          if (const auto tail = log->at_epoch(stats.tail_epoch))
-            latest = std::make_shared<const Snapshot>(to_snapshot(*tail));
+          try {
+            if (const auto tail = log->at_epoch(stats.tail_epoch))
+              latest = std::make_shared<const Snapshot>(to_snapshot(*tail));
+          } catch (const ledger::DamagedRecord& damage) {
+            return Response::error(ErrorCode::kUnavailable, damage.what());
+          }
         }
       }
     }
@@ -223,8 +227,13 @@ std::shared_ptr<const Snapshot> QueryEngine::resolve_at_or_before(
   const auto first = store_.oldest();
   if (first && first->epoch == 1) return genesis_baseline();
   if (const ledger::Ledger* log = store_.ledger()) {
-    if (const auto record = log->at_or_before(t_s))
-      return std::make_shared<const Snapshot>(to_snapshot(*record));
+    try {
+      if (const auto record = log->at_or_before(t_s))
+        return std::make_shared<const Snapshot>(to_snapshot(*record));
+    } catch (const ledger::DamagedRecord& damage) {
+      error = Response::error(ErrorCode::kUnavailable, damage.what());
+      return nullptr;
+    }
     const ledger::Stats stats = log->stats();
     if (stats.records > 0) {
       // The ledger reaches back to accounting's start: before it is genesis.

@@ -152,7 +152,8 @@ class QueryEngine : public QueryHandler {
   /// then the store's durable ledger, then the genesis zero baseline when
   /// `t_s` predates accounting entirely. Returns nullptr with `error` filled
   /// (kOutOfRetention / kOutOfHistory, detail = oldest reachable epoch) when
-  /// the history is genuinely gone.
+  /// the history is genuinely gone, or kUnavailable when the ledger frame
+  /// holding it is damaged.
   [[nodiscard]] std::shared_ptr<const Snapshot> resolve_at_or_before(
       double t_s, Response& error) const;
 

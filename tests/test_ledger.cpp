@@ -12,14 +12,20 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "serve/protocol.hpp"
 #include "serve/query.hpp"
 #include "serve/snapshot.hpp"
+#include "util/logging.hpp"
 
 namespace vmp::ledger {
 namespace {
@@ -88,6 +94,33 @@ LedgerOptions small_segments(const fs::path& dir,
   options.index_stride = 4;
   options.background_compaction = false;  // deterministic tests.
   return options;
+}
+
+std::string read_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const fs::path& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The encoded body of an answer ("" for none): equal strings mean
+/// bit-identical records.
+std::string encoded(const std::optional<TickRecord>& record) {
+  return record ? encode_record(*record) : std::string();
+}
+
+fs::path only_file(const fs::path& dir, std::string_view prefix) {
+  fs::path found;
+  for (const auto& entry : fs::directory_iterator(dir))
+    if (entry.path().filename().string().starts_with(prefix)) {
+      EXPECT_TRUE(found.empty()) << "two files start with " << prefix;
+      found = entry.path();
+    }
+  EXPECT_FALSE(found.empty()) << "no file starts with " << prefix;
+  return found;
 }
 
 // --- format -----------------------------------------------------------------
@@ -191,6 +224,35 @@ TEST(Ledger, AppendRotatesCompactsAndAnswersQueries) {
   EXPECT_TRUE(log.range(40, 50).empty());
 
   EXPECT_TRUE(verify_dir(scratch.path).clean());
+}
+
+TEST(Ledger, PointReadsEqualAFullDecode) {
+  ScratchDir scratch;
+  // 10-record segments indexed every 4th record plus the last: walks of 0-3
+  // frames, the segment's last frame, and a WAL tail with a dense index.
+  Ledger log(small_segments(scratch.path, 10));
+  for (std::uint64_t epoch = 1; epoch <= 43; ++epoch)
+    log.append(record_at(epoch));
+  ASSERT_EQ(log.stats().cold_segments, 4u);
+  const std::vector<TickRecord> all = log.range(1, 43);
+  ASSERT_EQ(all.size(), 43u);
+
+  for (const TickRecord& record : all)
+    EXPECT_EQ(encoded(log.at_epoch(record.epoch)), encode_record(record))
+        << "at_epoch(" << record.epoch << ")";
+  // Every record time, halfway to the next, before the first, after the last.
+  std::vector<double> times = {0.5, all.back().time_s + 1e3};
+  for (const TickRecord& record : all) {
+    times.push_back(record.time_s);
+    times.push_back(record.time_s + 0.5);
+  }
+  for (const double t : times) {
+    std::optional<TickRecord> expected;
+    for (const TickRecord& record : all)
+      if (record.time_s <= t) expected = record;
+    EXPECT_EQ(encoded(log.at_or_before(t)), encoded(expected))
+        << "at_or_before(" << t << ")";
+  }
 }
 
 TEST(Ledger, AppendEnforcesEpochMonotonicity) {
@@ -321,6 +383,80 @@ TEST(Ledger, DamagedColdFooterFallsBackToRescanAndRecompacts) {
   EXPECT_TRUE(verify_dir(scratch.path).clean());
 }
 
+TEST(Ledger, EverySingleByteFlipIsAnsweredRightOrReported) {
+  ScratchDir scratch;
+  // Opened without compaction, so a reopen never rewrites a damaged file.
+  LedgerOptions options = small_segments(scratch.path);
+  options.auto_compact = false;
+  {
+    Ledger log(small_segments(scratch.path));
+    for (std::uint64_t epoch = 1; epoch <= 20; ++epoch)
+      log.append(record_at(epoch));
+    ASSERT_EQ(log.stats().cold_segments, 2u);  // 1-8, 9-16; WAL 17-20.
+  }
+  const fs::path cold = only_file(scratch.path, "cold-00000000000000000009-");
+  const std::string pristine = read_bytes(cold);
+  // Everything before the 48-byte footer: magic, frames and sparse index.
+  const std::size_t damageable = pristine.size() - 48;
+
+  struct Query {
+    bool by_epoch;
+    double t_s;
+    std::uint64_t epoch;
+  };
+  std::vector<Query> queries;
+  for (double t = 0.0; t <= 21.0; t += 0.5) queries.push_back({false, t, 0});
+  for (std::uint64_t epoch = 1; epoch <= 20; ++epoch)
+    queries.push_back({true, 0.0, epoch});
+  const auto ask = [](const Ledger& log, const Query& query) {
+    return encoded(query.by_epoch ? log.at_epoch(query.epoch)
+                                  : log.at_or_before(query.t_s));
+  };
+  std::vector<std::string> truth;
+  {
+    const Ledger log(options);
+    for (const Query& query : queries) truth.push_back(ask(log, query));
+  }
+
+  // Count the WARN lines a damaged read logs instead of printing them.
+  std::size_t warned = 0;
+  const std::string damage_line = cold.filename().string() + " at offset ";
+  util::set_log_sink([&](util::LogLevel level, std::string_view line) {
+    if (level == util::LogLevel::kWarn &&
+        line.find(damage_line) != std::string_view::npos)
+      ++warned;
+  });
+  std::size_t answers = 0, reported = 0, wrong = 0;
+  for (std::size_t at = 0; at < damageable; ++at) {
+    std::string damaged = pristine;
+    damaged[at] = static_cast<char>(damaged[at] ^ 0x5a);
+    write_bytes(cold, damaged);
+    const Ledger log(options);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      ++answers;
+      try {
+        if (ask(log, queries[q]) != truth[q] && ++wrong <= 5)
+          ADD_FAILURE() << "byte " << at << " flipped: wrong answer to "
+                        << (queries[q].by_epoch ? "at_epoch(" : "at_or_before(")
+                        << (queries[q].by_epoch
+                                ? static_cast<double>(queries[q].epoch)
+                                : queries[q].t_s)
+                        << ")";
+      } catch (const DamagedRecord& damage) {
+        ++reported;
+        EXPECT_NE(std::string(damage.what()).find(cold.filename().string()),
+                  std::string::npos);
+      }
+    }
+  }
+  util::set_log_sink({});
+  write_bytes(cold, pristine);
+  EXPECT_EQ(wrong, 0u) << "of " << answers << " answers";
+  EXPECT_GT(reported, 0u);
+  EXPECT_EQ(warned, reported);
+  EXPECT_TRUE(verify_dir(scratch.path).clean());
+}
+
 TEST(Ledger, VerifyDirCountsEpochGaps) {
   ScratchDir scratch;
   {
@@ -387,6 +523,48 @@ TEST(Ledger, TruncateAfterResizesTheActiveWalInPlace) {
   log.append(record_at(8));  // the same file keeps accepting appends.
   EXPECT_EQ(log.stats().tail_epoch, 8u);
   EXPECT_EQ(log.stats().segments, 1u);
+  EXPECT_TRUE(verify_dir(scratch.path).clean());
+}
+
+// --- concurrency -------------------------------------------------------------
+
+TEST(Ledger, PointReadsDuringBackgroundCompactionAreByteIdentical) {
+  ScratchDir scratch;
+  LedgerOptions options = small_segments(scratch.path);
+  options.background_compaction = true;  // reads race the segment swaps.
+  Ledger log(options);
+  constexpr std::uint64_t kRecords = 400;
+  std::atomic<std::uint64_t> appended{0};
+  std::atomic<bool> done{false};
+
+  const auto reader = [&](std::uint64_t seed, std::uint64_t& reads) {
+    for (std::uint64_t i = seed; !done.load(); i += 7) {
+      const std::uint64_t tail = appended.load();
+      if (tail == 0) continue;
+      const std::uint64_t epoch = 1 + i % tail;
+      const std::string expected = encode_record(record_at(epoch));
+      EXPECT_EQ(encoded(log.at_epoch(epoch)), expected) << epoch;
+      EXPECT_EQ(encoded(log.at_or_before(static_cast<double>(epoch) + 0.5)),
+                expected)
+          << epoch;
+      ++reads;
+    }
+  };
+  std::uint64_t reads[2] = {0, 0};
+  std::thread first(reader, 0, std::ref(reads[0]));
+  std::thread second(reader, 3, std::ref(reads[1]));
+  for (std::uint64_t epoch = 1; epoch <= kRecords; ++epoch) {
+    log.append(record_at(epoch));
+    appended.store(epoch);
+  }
+  log.wait_for_compaction();
+  done.store(true);
+  first.join();
+  second.join();
+
+  EXPECT_GT(reads[0], 0u);
+  EXPECT_GT(reads[1], 0u);
+  EXPECT_EQ(log.stats().compacted_records, kRecords);
   EXPECT_TRUE(verify_dir(scratch.path).clean());
 }
 
@@ -653,6 +831,51 @@ TEST(LedgerServe, EmptyRingWithNonEmptyLedgerServesFromTheTail) {
       empty_engine.execute(window_request(QueryKind::kStats, 0, 0));
   ASSERT_FALSE(none.ok);
   EXPECT_EQ(none.code, ErrorCode::kNoSnapshot);
+}
+
+TEST(LedgerServe, DamagedBoundFrameIsAnErrorNotAnotherRecord) {
+  Scratch scratch;
+  auto log = std::make_unique<Ledger>(inline_options(scratch.path));
+  SnapshotStore store(4);  // ring holds 33..36: epoch 1 is cold.
+  store.set_ledger(log.get());
+  for (int t = 1; t <= 36; ++t) store.publish(synthetic_at(t));
+  QueryEngine engine(store);
+
+  // Bit rot inside epoch 1's body, past its prefix: the walk still lands
+  // on the frame, and its CRC must refuse it. Reading it as missing would
+  // answer from the genesis baseline (the ledger starts at epoch 1).
+  const fs::path cold =
+      ledger::only_file(scratch.path, "cold-00000000000000000001-");
+  {
+    std::fstream file(cold, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(8 + ledger::kFrameHeaderBytes + 40);  // magic, header, body.
+    file.write("\x7f", 1);
+  }
+  const Response window =
+      engine.execute(window_request(QueryKind::kTenantEnergy, 1.5, 35.0));
+  ASSERT_FALSE(window.ok) << window.values.at(0);
+  EXPECT_EQ(window.code, ErrorCode::kUnavailable);
+  EXPECT_NE(window.message.find(cold.filename().string() + " at offset 8"),
+            std::string::npos)
+      << window.message;
+
+  // An empty ring answering from the ledger tail reports the same way.
+  const fs::path wal = scratch.path / "wal-00000000000000000033.log";
+  ASSERT_TRUE(fs::exists(wal));
+  {
+    std::fstream file(wal, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(static_cast<std::streamoff>(fs::file_size(wal) - 1));
+    file.write("\x7f", 1);
+  }
+  SnapshotStore empty_ring(4);
+  empty_ring.set_ledger(log.get());
+  QueryEngine tail_engine(empty_ring);
+  const Response stats =
+      tail_engine.execute(window_request(QueryKind::kStats, 0, 0));
+  ASSERT_FALSE(stats.ok);
+  EXPECT_EQ(stats.code, ErrorCode::kUnavailable);
+  EXPECT_NE(stats.message.find(wal.filename().string()), std::string::npos)
+      << stats.message;
 }
 
 TEST(LedgerServe, LedgerReachingEpochOneExtendsTheGenesisBaseline) {

@@ -968,6 +968,15 @@ int cmd_ledger(const util::CliArgs& args) {
     throw std::invalid_argument(
         "ledger: missing verb (inspect, verify, or compact)");
   const std::string& verb = positionals[1];
+  if (verb != "inspect" && verb != "verify" && verb != "compact")
+    throw std::invalid_argument("ledger: unknown verb '" + verb +
+                                "' (expected inspect, verify, or compact)");
+  // Only compact builds a sparse index, so only it reads --index-stride.
+  const auto unknown = args.unknown_keys(
+      verb == "compact" ? std::vector<std::string>{"dir", "index-stride"}
+                        : std::vector<std::string>{"dir"});
+  if (!unknown.empty())
+    throw std::invalid_argument("ledger: unknown flag --" + unknown[0]);
   const std::filesystem::path dir = args.require("dir");
 
   if (verb == "verify") {
@@ -986,7 +995,7 @@ int cmd_ledger(const util::CliArgs& args) {
   ledger::LedgerOptions options;
   options.dir = dir;
   options.index_stride =
-      static_cast<std::uint64_t>(args.get_long("index-stride", 64));
+      unsigned_flag<std::uint64_t>(args, "index-stride", 64);
   options.auto_compact = false;  // inspect/compact decide explicitly below.
   options.background_compaction = false;
   ledger::Ledger log(options);
@@ -997,9 +1006,6 @@ int cmd_ledger(const util::CliArgs& args) {
                 compacted);
     return 0;
   }
-  if (verb != "inspect")
-    throw std::invalid_argument("ledger: unknown verb '" + verb +
-                                "' (expected inspect, verify, or compact)");
 
   const ledger::Stats stats = log.stats();
   const ledger::RecoveryReport recovered = log.recovery();
