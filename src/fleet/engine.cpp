@@ -36,6 +36,10 @@ void FleetOptions::validate() const {
     throw std::invalid_argument("FleetOptions: fleet_per_host is empty");
   if (!(period_s > 0.0))
     throw std::invalid_argument("FleetOptions: period must be > 0");
+  // Retry k sleeps retry_backoff_base * (1u << k) for k < max_retries; the
+  // shift is undefined from 32 on.
+  if (max_retries > 32)
+    throw std::invalid_argument("FleetOptions: max_retries must be <= 32");
   faults.validate();
 }
 

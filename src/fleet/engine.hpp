@@ -63,7 +63,7 @@ struct FleetOptions {
   obs::InvariantOptions invariants;
 
   /// Throws std::invalid_argument on zero hosts/threads/tenants, an empty
-  /// fleet, or a non-positive period.
+  /// fleet, a non-positive period, or max_retries above 32.
   void validate() const;
 };
 

@@ -98,6 +98,19 @@ std::optional<ColdFooter> decode_footer(std::string_view data) {
     return std::nullopt;
   if (crc32(data.substr(footer.index_offset, index_bytes)) != index_crc)
     return std::nullopt;
+  // The epochs and record count lie outside the index CRC. Compaction always
+  // indexes the first and last record, so they must match those entries, and
+  // the records must cover every entry.
+  if (footer.entry_count == 0 || footer.record_count < footer.entry_count)
+    return std::nullopt;
+  ByteReader first{data.substr(footer.index_offset, 8)};
+  ByteReader last{
+      data.substr(footer.index_offset + index_bytes - kIndexEntryBytes, 8)};
+  std::uint64_t first_epoch = 0;
+  std::uint64_t last_epoch = 0;
+  if (!first.get_u64(first_epoch) || !last.get_u64(last_epoch) ||
+      first_epoch != footer.first_epoch || last_epoch != footer.last_epoch)
+    return std::nullopt;
   return footer;
 }
 

@@ -1,6 +1,6 @@
 #include "util/cli.hpp"
 
-#include <algorithm>
+#include <charconv>
 #include <stdexcept>
 
 namespace vmp::util {
@@ -21,74 +21,115 @@ void CliArgs::parse(const std::vector<std::string>& tokens) {
       if (key.empty()) throw std::invalid_argument("CliArgs: bare '--'");
       const bool next_is_value =
           i + 1 < tokens.size() && tokens[i + 1].rfind("--", 0) != 0;
-      if (next_is_value) {
-        options_[key] = tokens[++i];
-      } else {
-        options_[key] = "";  // flag
-      }
+      // A flag (no value) keeps an empty value.
+      const std::string value = next_is_value ? tokens[++i] : "";
+      if (!options_.try_emplace(key, Option{value}).second)
+        throw std::invalid_argument("--" + key + " is given more than once");
     } else {
       positionals_.push_back(token);
     }
   }
+  positional_read_.assign(positionals_.size(), false);
 }
 
-std::string CliArgs::command() const {
-  return positionals_.empty() ? std::string{} : positionals_.front();
+std::string CliArgs::command() const { return positional(0); }
+
+std::string CliArgs::positional(std::size_t index) const {
+  if (index >= positionals_.size()) return {};
+  positional_read_[index] = true;
+  return positionals_[index];
+}
+
+const std::vector<std::string>& CliArgs::positionals() const {
+  positional_read_.assign(positionals_.size(), true);
+  return positionals_;
+}
+
+const CliArgs::Option* CliArgs::find(const std::string& key) const noexcept {
+  const auto it = options_.find(key);
+  if (it == options_.end()) return nullptr;
+  it->second.read = true;
+  return &it->second;
 }
 
 bool CliArgs::has(const std::string& key) const noexcept {
-  return options_.contains(key);
+  return find(key) != nullptr;
 }
 
 std::string CliArgs::get(const std::string& key,
                          const std::string& fallback) const {
-  const auto it = options_.find(key);
-  return it != options_.end() ? it->second : fallback;
+  const Option* option = find(key);
+  return option ? option->value : fallback;
+}
+
+bool CliArgs::get_flag(const std::string& key) const {
+  const Option* option = find(key);
+  if (option && !option->value.empty())
+    throw std::invalid_argument("--" + key + " takes no value, got '" +
+                                option->value + "'");
+  return option != nullptr;
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
+  const Option* option = find(key);
+  if (!option) return fallback;
   try {
     std::size_t consumed = 0;
-    const double value = std::stod(it->second, &consumed);
-    if (consumed != it->second.size()) throw std::invalid_argument("trailing");
+    const double value = std::stod(option->value, &consumed);
+    if (consumed != option->value.size())
+      throw std::invalid_argument("trailing");
     return value;
   } catch (const std::exception&) {
     throw std::invalid_argument("CliArgs: --" + key +
-                                " expects a number, got '" + it->second + "'");
-  }
-}
-
-long CliArgs::get_long(const std::string& key, long fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  try {
-    std::size_t consumed = 0;
-    const long value = std::stol(it->second, &consumed);
-    if (consumed != it->second.size()) throw std::invalid_argument("trailing");
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("CliArgs: --" + key +
-                                " expects an integer, got '" + it->second +
+                                " expects a number, got '" + option->value +
                                 "'");
   }
 }
 
-std::string CliArgs::require(const std::string& key) const {
-  const auto it = options_.find(key);
-  if (it == options_.end() || it->second.empty())
-    throw std::invalid_argument("CliArgs: missing required option --" + key);
-  return it->second;
+std::uint64_t CliArgs::parse_unsigned(const std::string& key,
+                                      const std::string& text,
+                                      std::uint64_t max) {
+  // Parse the digits after a leading '-' too, so a negative integer is
+  // reported as one rather than as malformed.
+  const bool negative = text.size() > 1 && text.front() == '-';
+  const char* const end = text.data() + text.size();
+  std::uint64_t value = 0;
+  const auto [stop, error] =
+      std::from_chars(text.data() + (negative ? 1 : 0), end, value);
+  if (error == std::errc::invalid_argument || stop != end)
+    throw std::invalid_argument("CliArgs: --" + key +
+                                " expects an integer, got '" + text + "'");
+  if (negative) throw std::invalid_argument("--" + key + " must be >= 0");
+  if (error == std::errc::result_out_of_range || value > max)
+    throw std::invalid_argument("--" + key + " must be <= " +
+                                std::to_string(max));
+  return value;
 }
 
-std::vector<std::string> CliArgs::unknown_keys(
-    const std::vector<std::string>& known) const {
-  std::vector<std::string> out;
-  for (const auto& [key, _] : options_)
-    if (std::find(known.begin(), known.end(), key) == known.end())
-      out.push_back(key);
-  return out;
+std::uint64_t CliArgs::get_ticks(const std::string& key,
+                                 double fallback) const {
+  const double value = get_double(key, fallback);
+  if (!(value >= 0.0 && value < 0x1p64))
+    throw std::invalid_argument("--" + key + " must be >= 0 and < 2^64");
+  return static_cast<std::uint64_t>(value);
+}
+
+std::string CliArgs::require(const std::string& key) const {
+  const Option* option = find(key);
+  if (!option || option->value.empty())
+    throw std::invalid_argument("CliArgs: missing required option --" + key);
+  return option->value;
+}
+
+void CliArgs::reject_unread() const {
+  const std::string name = positionals_.empty() ? "" : positionals_[0];
+  for (const auto& [key, option] : options_)
+    if (!option.read)
+      throw std::invalid_argument(name + ": unknown flag --" + key);
+  for (std::size_t i = 0; i < positionals_.size(); ++i)
+    if (!positional_read_[i])
+      throw std::invalid_argument(name + ": unexpected argument '" +
+                                  positionals_[i] + "'");
 }
 
 std::vector<std::string> split_csv(const std::string& text) {

@@ -229,5 +229,27 @@ TEST_F(FleetEngineTest, OptionsValidation) {
   EXPECT_THROW(FleetEngine(options, dataset_), std::invalid_argument);
 }
 
+TEST_F(FleetEngineTest, RetriesAreBoundedWhereTheBackoffShiftIsDefined) {
+  // Retry k sleeps retry_backoff_base * (1u << k): from 33 retries on the
+  // shift leaves the 32-bit range, so validation stops there.
+  FleetOptions options = options_for(1);
+  for (const std::uint32_t retries : {33u, 0xFFFFFFFFu}) {
+    options.max_retries = retries;
+    EXPECT_THROW(options.validate(), std::invalid_argument) << retries;
+    EXPECT_THROW(FleetEngine(options, dataset_), std::invalid_argument)
+        << retries;
+  }
+
+  // The largest admitted budget runs every attempt on a meter that always
+  // fails, then carries the host's estimate.
+  options.max_retries = 32;
+  options.faults.meter_failure = 1.0;
+  EXPECT_NO_THROW(options.validate());
+  FleetEngine engine(options, dataset_);
+  engine.run(1);
+  EXPECT_EQ(engine.retries(), 32u * kHosts);
+  EXPECT_EQ(engine.degraded_ticks(), kHosts);
+}
+
 }  // namespace
 }  // namespace vmp::fleet

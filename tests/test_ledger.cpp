@@ -395,9 +395,8 @@ TEST(Ledger, EverySingleByteFlipIsAnsweredRightOrReported) {
     ASSERT_EQ(log.stats().cold_segments, 2u);  // 1-8, 9-16; WAL 17-20.
   }
   const fs::path cold = only_file(scratch.path, "cold-00000000000000000009-");
+  // Every byte of the file: magic, frames, sparse index and footer.
   const std::string pristine = read_bytes(cold);
-  // Everything before the 48-byte footer: magic, frames and sparse index.
-  const std::size_t damageable = pristine.size() - 48;
 
   struct Query {
     bool by_epoch;
@@ -427,7 +426,7 @@ TEST(Ledger, EverySingleByteFlipIsAnsweredRightOrReported) {
       ++warned;
   });
   std::size_t answers = 0, reported = 0, wrong = 0;
-  for (std::size_t at = 0; at < damageable; ++at) {
+  for (std::size_t at = 0; at < pristine.size(); ++at) {
     std::string damaged = pristine;
     damaged[at] = static_cast<char>(damaged[at] ^ 0x5a);
     write_bytes(cold, damaged);

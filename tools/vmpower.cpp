@@ -65,8 +65,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -102,16 +102,19 @@ using namespace vmp;
 namespace {
 
 constexpr const char* kUsage = R"(usage: vmpower <command> [options]
+A flag the command (or its chosen mode) does not read is an error: e.g.
+--segment-records without --ledger, or the --spin shard shape under --shards.
 commands:
   collect --fleet VM1,VM2,...  --out FILE [--duration S] [--seed N] [--machine xeon|pentium]
   train   --table FILE --out FILE [--ridge L]
   meter   --fleet VM1,... --approx FILE [--duration S] [--seed N] [--csv FILE]
-          [--kernel K] [--samples N] [--halfwidth W] [--budget-ms D]
-  bill    --fleet VM1,... --approx FILE [--duration S] [--tariff $/kWh] [--idle-policy none|equal|proportional]
-          [--kernel K] [--samples N] [--halfwidth W] [--budget-ms D]
+          [--machine M] [--kernel K] [--samples N] [--halfwidth W] [--budget-ms D]
+  bill    --fleet VM1,... --approx FILE [--duration S] [--seed N] [--csv FILE]
+          [--tariff $/kWh] [--idle-policy none|equal|proportional]
+          [--machine M] [--kernel K] [--samples N] [--halfwidth W] [--budget-ms D]
   info    --approx FILE
   fleet   --fleet VM1,... [--hosts N] [--threads T] [--duration S] [--tenants K]
-          [--seed N] [--tariff $/kWh] [--collect-duration S]
+          [--seed N] [--tariff $/kWh] [--collect-duration S] [--machine M]
           [--inject-faults meter:P,dropout:P,stale:P] [--max-retries N]
           [--kernel K] [--samples N] [--halfwidth W] [--budget-ms D]
           [--checkpoint FILE] [--metrics FILE] [--trace] [--trace-out FILE]
@@ -130,7 +133,7 @@ commands:
           [--cache N] [--cache-shards K] [--coalesce 0|1] [--ordered]
           [--kernel K] [--samples N] [--halfwidth W] [--budget-ms D]
           [--offpeak-rate $/kWh] [--peak-rate $/kWh] [--peak-hours H0-H1]
-          [--seconds-per-hour S] [--seed N] [--collect-duration S]
+          [--seconds-per-hour S] [--seed N] [--collect-duration S] [--machine M]
           [--ledger DIR] [--segment-records N] [--checkpoint FILE]
           [--metrics FILE] [--trace] [--trace-out FILE]
           [--slow-ms D] [--slo-ms D] [--slo-target Q]
@@ -161,8 +164,9 @@ commands:
           [--query "verb args"] [--linger S] [--metrics FILE]
           [--trace] [--trace-out FILE]
           [--slow-ms D] [--slo-ms D] [--slo-target Q]
-          [--fleet VM1,... --hosts N --tenants K --duration TICKS --seed N
-           --collect-duration S]   (shard shape under --spin)
+          [--fleet VM1,... --hosts N --threads T --tenants K --duration TICKS
+           --seed N --collect-duration S --machine M --kernel K --samples N
+           --halfwidth W --budget-ms D]   (shard shape, read only under --spin)
           --shards         fleet-id=endpoint map of running `vmpower serve`
                            shards; extra comma-separated ports per fleet are
                            replicas eligible for hedged requests
@@ -176,9 +180,9 @@ commands:
           --fed-pool-idle N  idle connections kept per shard endpoint
                            (default 2)
           --query "..."    answer one query through the frontend and exit;
-                           otherwise serve on --port for --linger seconds
+                           without it, serve on --port for --linger seconds
   trace   [--fleet VM1,...] [--hosts N] [--duration TICKS] [--out FILE]
-          [--seed N] [--collect-duration S]
+          [--seed N] [--collect-duration S] [--machine M]
   scrape  --port P [--what metrics|trace|health] [--out FILE]
   slo     --port P [--full]   SLO compliance and burn rates from a running
                               server's HEALTH scrape; --full adds the
@@ -198,8 +202,11 @@ sim::MachineSpec machine_for(const util::CliArgs& args) {
                               "' (expected xeon or pentium)");
 }
 
-std::vector<common::VmConfig> fleet_for(const util::CliArgs& args) {
-  const auto names = util::split_csv(args.require("fleet"));
+/// --fleet as VM configs; required unless `fallback` names a default fleet.
+std::vector<common::VmConfig> fleet_for(const util::CliArgs& args,
+                                        const std::string& fallback = "") {
+  const auto names = util::split_csv(
+      fallback.empty() ? args.require("fleet") : args.get("fleet", fallback));
   const auto catalogue = common::paper_vm_catalogue();
   std::vector<common::VmConfig> fleet;
   for (const std::string& name : names) {
@@ -219,26 +226,9 @@ std::vector<common::VmConfig> fleet_for(const util::CliArgs& args) {
   return fleet;
 }
 
-/// Integer flag `key` as the unsigned type T. A value T cannot hold would
-/// wrap or truncate in the cast, so it is rejected instead.
-template <typename T>
-T unsigned_flag(const util::CliArgs& args, const std::string& key,
-                long fallback) {
-  const long value = args.get_long(key, fallback);
-  if (value < 0) throw std::invalid_argument("--" + key + " must be >= 0");
-  if (static_cast<unsigned long>(value) > std::numeric_limits<T>::max())
-    throw std::invalid_argument("--" + key + " must be <= " +
-                                std::to_string(std::numeric_limits<T>::max()));
-  return static_cast<T>(value);
-}
-
-/// --duration as a tick count. The double-to-integer cast is undefined for a
-/// negative, NaN, infinite or >= 2^64 value, so those are rejected instead.
-std::uint64_t ticks_flag(const util::CliArgs& args, double fallback) {
-  const double duration = args.get_double("duration", fallback);
-  if (!(duration >= 0.0 && duration < 0x1p64))
-    throw std::invalid_argument("--duration must be >= 0 and < 2^64");
-  return static_cast<std::uint64_t>(duration);
+/// Path option `key`: empty when absent, an error when given without a path.
+std::string path_for(const util::CliArgs& args, const std::string& key) {
+  return args.has(key) ? args.require(key) : std::string{};
 }
 
 /// Parses the Shapley kernel knobs shared by meter/bill/fleet/serve:
@@ -256,12 +246,12 @@ core::SampledKernelConfig kernel_for(const util::CliArgs& args) {
     throw std::invalid_argument(
         "unknown --kernel '" + kernel +
         "' (expected auto, collapsed, sweep, or sampled)");
-  config.sampling.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
+  config.sampling.seed = args.get_unsigned<std::uint64_t>("seed", 1);
   // A negative value would wrap to an endless budget (--samples) or silently
   // disable its stop rule (--halfwidth, --budget-ms).
-  const auto samples = unsigned_flag<std::size_t>(args, "samples", 60'000);
+  const auto samples = args.get_unsigned<std::size_t>("samples", 60'000);
   const double halfwidth = args.get_double("halfwidth", 0.0);
-  const auto budget_ms = unsigned_flag<std::uint64_t>(args, "budget-ms", 0);
+  const auto budget_ms = args.get_unsigned<std::uint64_t>("budget-ms", 0);
   if (!(halfwidth >= 0.0))
     throw std::invalid_argument("--halfwidth must be >= 0");
   config.sampling.max_samples = samples;
@@ -270,22 +260,46 @@ core::SampledKernelConfig kernel_for(const util::CliArgs& args) {
   return config;
 }
 
-/// Arms the global tracer when --trace or --trace-out is given; returns
-/// whether a dump was requested.
-bool arm_tracer(const util::CliArgs& args) {
-  const bool armed = args.has("trace") || args.has("trace-out");
-  if (armed) obs::Tracer::global().set_enabled(true);
-  return args.has("trace-out");
+/// The fleet shape that fleet, serve and federate --spin read: --fleet,
+/// --hosts, --threads, --tenants, --machine, --seed and the kernel knobs.
+/// `hosts` and `tenants` are the defaults; see fleet_for for `default_fleet`.
+fleet::FleetOptions fleet_options_for(const util::CliArgs& args,
+                                      std::size_t hosts, std::size_t tenants,
+                                      const std::string& default_fleet = "") {
+  fleet::FleetOptions options;
+  options.fleet_per_host = fleet_for(args, default_fleet);
+  options.hosts = args.get_unsigned<std::size_t>("hosts", hosts);
+  options.threads = args.get_unsigned<std::size_t>("threads", 2);
+  options.tenants = args.get_unsigned<std::size_t>("tenants", tenants);
+  options.spec = machine_for(args);
+  options.seed = args.get_unsigned<std::uint64_t>("seed", 1);
+  options.kernel = kernel_for(args);
+  return options;
 }
 
-void dump_trace(const util::CliArgs& args) {
-  const std::string path = args.require("trace-out");
+/// --trace arms the global tracer (once training is done, so the offline
+/// campaign stays out of the ring); --trace-out also arms it and names the
+/// file the ring is dumped to at exit.
+struct TraceRequest {
+  bool armed = false;
+  std::string out;
+};
+
+TraceRequest trace_request_for(const util::CliArgs& args) {
+  TraceRequest trace;
+  trace.out = path_for(args, "trace-out");
+  trace.armed = args.get_flag("trace") || !trace.out.empty();
+  return trace;
+}
+
+void dump_trace(const TraceRequest& trace) {
+  if (trace.out.empty()) return;
   const obs::Tracer& tracer = obs::Tracer::global();
-  tracer.write_chrome_jsonl(path);
+  tracer.write_chrome_jsonl(trace.out);
   std::printf("trace: %zu spans (%llu overwritten) written to %s\n",
               tracer.size(),
               static_cast<unsigned long long>(tracer.dropped()),
-              path.c_str());
+              trace.out.c_str());
 }
 
 /// Boots the fleet under a SPEC-like mix and returns (machine, vm ids).
@@ -309,10 +323,12 @@ int cmd_collect(const util::CliArgs& args) {
   const auto fleet = fleet_for(args);
   core::CollectionOptions options;
   options.duration_s = args.get_double("duration", 300.0);
-  options.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-  const auto dataset =
-      core::collect_offline_dataset(machine_for(args), fleet, options);
+  options.seed = args.get_unsigned<std::uint64_t>("seed", 1);
+  const sim::MachineSpec spec = machine_for(args);
   const std::string out = args.require("out");
+  args.reject_unread();
+
+  const auto dataset = core::collect_offline_dataset(spec, fleet, options);
   core::save_table(dataset.table, out);
   std::printf("collected %zu samples over %zu VHC combinations -> %s\n",
               dataset.table.total_samples(), dataset.table.combos().size(),
@@ -321,10 +337,13 @@ int cmd_collect(const util::CliArgs& args) {
 }
 
 int cmd_train(const util::CliArgs& args) {
-  const core::VscTable table = core::load_table(args.require("table"));
-  const auto approx =
-      core::VhcLinearApprox::fit(table, args.get_double("ridge", 1e-6));
+  const std::string table_path = args.require("table");
+  const double ridge = args.get_double("ridge", 1e-6);
   const std::string out = args.require("out");
+  args.reject_unread();
+
+  const core::VscTable table = core::load_table(table_path);
+  const auto approx = core::VhcLinearApprox::fit(table, ridge);
   core::save_approximation(approx, out);
   std::printf("fitted %zu combinations from %zu samples -> %s\n",
               approx.fitted_combos().size(), table.total_samples(),
@@ -334,34 +353,45 @@ int cmd_train(const util::CliArgs& args) {
 
 int cmd_meter(const util::CliArgs& args, bool billing) {
   const auto fleet = fleet_for(args);
-  const auto approx = core::load_approximation(args.require("approx"));
+  const std::string approx_path = args.require("approx");
+  const core::SampledKernelConfig kernel = kernel_for(args);
+  const sim::MachineSpec spec = machine_for(args);
+  const auto seed = args.get_unsigned<std::uint64_t>("seed", 1);
+  const std::string csv_path = path_for(args, "csv");
+  const double duration = args.get_double("duration", 60.0);
+  // Only the bill reads the idle policy and the tariff.
+  core::IdleAttribution policy = core::IdleAttribution::kNone;
+  double tariff = 0.0;
+  if (billing) {
+    const auto policy_name = args.get("idle-policy", "none");
+    if (policy_name == "equal") policy = core::IdleAttribution::kEqualShare;
+    else if (policy_name == "proportional")
+      policy = core::IdleAttribution::kProportional;
+    else if (policy_name != "none")
+      throw std::invalid_argument("unknown --idle-policy '" + policy_name +
+                                  "'");
+    tariff = args.get_double("tariff", 0.10);
+  }
+  args.reject_unread();
+
+  const auto approx = core::load_approximation(approx_path);
   const core::VhcUniverse universe = core::VhcUniverse::from_fleet(fleet);
   core::ShapleyVhcEstimator estimator(universe, approx);
-  estimator.set_sampled_kernel(kernel_for(args));
+  estimator.set_sampled_kernel(kernel);
 
-  sim::PhysicalMachine machine(
-      machine_for(args), static_cast<std::uint64_t>(args.get_long("seed", 1)));
-  const auto ids = boot_fleet(
-      machine, fleet, static_cast<std::uint64_t>(args.get_long("seed", 1)));
+  sim::PhysicalMachine machine(spec, seed);
+  const auto ids = boot_fleet(machine, fleet, seed);
 
   std::unique_ptr<util::CsvWriter> csv;
-  if (args.has("csv")) {
+  if (!csv_path.empty()) {
     std::vector<std::string> columns = {"t", "measured_adjusted"};
     for (const auto id : ids) columns.push_back("vm" + std::to_string(id));
-    csv = std::make_unique<util::CsvWriter>(args.require("csv"), columns);
+    csv = std::make_unique<util::CsvWriter>(csv_path, columns);
   }
 
-  const auto policy_name = args.get("idle-policy", "none");
-  core::IdleAttribution policy = core::IdleAttribution::kNone;
-  if (policy_name == "equal") policy = core::IdleAttribution::kEqualShare;
-  else if (policy_name == "proportional")
-    policy = core::IdleAttribution::kProportional;
-  else if (policy_name != "none")
-    throw std::invalid_argument("unknown --idle-policy '" + policy_name + "'");
   core::EnergyAccountant accountant(policy);
   core::MeteringLoop loop(machine, estimator, 1.0, &accountant);
 
-  const double duration = args.get_double("duration", 60.0);
   for (double t = 1.0; t <= duration; t += 1.0) {
     const core::MeteringSample sample = loop.step();
     if (!billing) {
@@ -384,7 +414,6 @@ int cmd_meter(const util::CliArgs& args, bool billing) {
   }
 
   if (billing) {
-    const double tariff = args.get_double("tariff", 0.10);
     util::TablePrinter table({"VM", "type", "energy (kWh)", "cost (USD)"});
     for (std::size_t i = 0; i < ids.size(); ++i) {
       table.add_row({"vm" + std::to_string(ids[i]), fleet[i].type_name,
@@ -401,34 +430,23 @@ int cmd_meter(const util::CliArgs& args, bool billing) {
 }
 
 int cmd_fleet(const util::CliArgs& args) {
-  // Every flag read here or in kernel_for/machine_for/fleet_for/arm_tracer.
-  const auto unknown = args.unknown_keys(
-      {"fleet", "hosts", "threads", "tenants", "machine", "seed",
-       "max-retries", "inject-faults", "kernel", "samples", "halfwidth",
-       "budget-ms", "collect-duration", "duration", "checkpoint", "tariff",
-       "metrics", "trace", "trace-out"});
-  if (!unknown.empty())
-    throw std::invalid_argument("fleet: unknown flag --" + unknown[0]);
-
-  fleet::FleetOptions options;
-  options.fleet_per_host = fleet_for(args);
-  options.hosts = unsigned_flag<std::size_t>(args, "hosts", 4);
-  options.threads = unsigned_flag<std::size_t>(args, "threads", 2);
-  options.tenants = unsigned_flag<std::size_t>(args, "tenants", 3);
-  options.spec = machine_for(args);
-  options.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-  options.max_retries = unsigned_flag<std::uint32_t>(args, "max-retries", 3);
-  options.kernel = kernel_for(args);
+  fleet::FleetOptions options = fleet_options_for(args, 4, 3);
+  options.max_retries = args.get_unsigned<std::uint32_t>("max-retries", 3);
   if (args.has("inject-faults"))
     options.faults = fleet::parse_fault_spec(args.require("inject-faults"));
   options.validate();  // fail on bad knobs before the offline campaign runs
-  const std::uint64_t ticks = ticks_flag(args, 60.0);
-
-  // The offline campaign is shared across hosts (identical machine type, so
-  // the artifacts are per type — exactly as in examples/cluster_billing).
+  const std::uint64_t ticks = args.get_ticks("duration", 60.0);
   core::CollectionOptions collect;
   collect.duration_s = args.get_double("collect-duration", 120.0);
   collect.seed = options.seed;
+  const std::string checkpoint = args.get("checkpoint");
+  const double tariff = args.get_double("tariff", 0.10);
+  const std::string metrics_path = path_for(args, "metrics");
+  const TraceRequest trace = trace_request_for(args);
+  args.reject_unread();
+
+  // The offline campaign is shared across hosts (identical machine type, so
+  // the artifacts are per type — exactly as in examples/cluster_billing).
   std::printf("offline: training the shared host profile (%.0f s)...\n",
               collect.duration_s);
   const auto dataset =
@@ -436,7 +454,6 @@ int cmd_fleet(const util::CliArgs& args) {
                                     collect);
 
   fleet::FleetEngine engine(options, dataset);
-  const std::string checkpoint = args.get("checkpoint");
   if (!checkpoint.empty() && std::filesystem::exists(checkpoint)) {
     engine.restore_checkpoint(checkpoint);
     std::printf("resumed from checkpoint %s at tick %llu\n",
@@ -444,14 +461,13 @@ int cmd_fleet(const util::CliArgs& args) {
                 static_cast<unsigned long long>(engine.tick()));
   }
 
-  const bool dump = arm_tracer(args);
+  if (trace.armed) obs::Tracer::global().set_enabled(true);
   std::printf("online: metering %zu hosts x %zu VMs on %zu threads for %llu "
               "ticks\n",
               options.hosts, options.fleet_per_host.size(), options.threads,
               static_cast<unsigned long long>(ticks));
   engine.run(ticks);
 
-  const double tariff = args.get_double("tariff", 0.10);
   const auto& ledger = engine.tenant_ledger();
   util::TablePrinter table({"tenant", "VMs", "energy (kWh)", "cost (USD)"});
   for (const core::TenantId tenant : ledger.tenants()) {
@@ -479,12 +495,11 @@ int cmd_fleet(const util::CliArgs& args) {
     engine.save_checkpoint(checkpoint);
     std::printf("checkpoint written to %s\n", checkpoint.c_str());
   }
-  if (args.has("metrics")) {
-    const std::string metrics_path = args.require("metrics");
+  if (!metrics_path.empty()) {
     engine.metrics().write_prometheus(metrics_path);
     std::printf("metrics written to %s\n", metrics_path.c_str());
   }
-  if (dump) dump_trace(args);
+  dump_trace(trace);
   return 0;
 }
 
@@ -505,59 +520,57 @@ core::TouRateSchedule tou_for(const util::CliArgs& args) {
 }
 
 int cmd_serve(const util::CliArgs& args) {
-  fleet::FleetOptions options;
-  options.fleet_per_host = fleet_for(args);
-  options.hosts = static_cast<std::size_t>(args.get_long("hosts", 4));
-  options.threads = static_cast<std::size_t>(args.get_long("threads", 2));
-  options.tenants = static_cast<std::size_t>(args.get_long("tenants", 3));
-  options.spec = machine_for(args);
-  options.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-  options.kernel = kernel_for(args);
+  const fleet::FleetOptions options = fleet_options_for(args, 4, 3);
   options.validate();
 
   serve::QueryEngineOptions query_options;
   query_options.tou = tou_for(args);
-  query_options.cache_capacity =
-      static_cast<std::size_t>(args.get_long("cache", 1024));
+  query_options.cache_capacity = args.get_unsigned<std::size_t>("cache", 1024);
   query_options.cache_shards =
-      static_cast<std::size_t>(args.get_long("cache-shards", 8));
-  query_options.coalesce = args.get_long("coalesce", 1) != 0;
+      args.get_unsigned<std::size_t>("cache-shards", 8);
+  query_options.coalesce = args.get_unsigned<bool>("coalesce", true);  // 0|1
 
   serve::ServerOptions server_options;
-  server_options.port =
-      static_cast<std::uint16_t>(args.get_long("port", 7077));
-  server_options.workers =
-      static_cast<std::size_t>(args.get_long("workers", 2));
+  server_options.port = args.get_unsigned<std::uint16_t>("port", 7077);
+  server_options.workers = args.get_unsigned<std::size_t>("workers", 2);
   server_options.queue_capacity =
-      static_cast<std::size_t>(args.get_long("request-queue", 64));
+      args.get_unsigned<std::size_t>("request-queue", 64);
   server_options.tokens_per_s = args.get_double("tokens-per-s", 10000.0);
   server_options.token_burst = args.get_double("burst", 1000.0);
-  server_options.out_of_order = !args.has("ordered");
+  server_options.out_of_order = !args.get_flag("ordered");
   server_options.validate();
   const double slow_ms = args.get_double("slow-ms", 50.0);
   const double slo_ms = args.get_double("slo-ms", slow_ms);
   const double slo_target = args.get_double("slo-target", 0.99);
-  const std::uint64_t ticks = ticks_flag(args, 300.0);
-
+  const std::uint64_t ticks = args.get_ticks("duration", 300.0);
   core::CollectionOptions collect;
   collect.duration_s = args.get_double("collect-duration", 120.0);
   collect.seed = options.seed;
+  const auto retention = args.get_unsigned<std::size_t>("retention", 4096);
+  const bool durable = args.has("ledger");
+  ledger::LedgerOptions ledger_options;
+  if (durable) {
+    ledger_options.dir = args.require("ledger");
+    ledger_options.segment_max_records =
+        args.get_unsigned<std::uint64_t>("segment-records", 4096);
+  }
+  const std::string checkpoint = args.get("checkpoint");
+  const double linger = args.get_double("linger", 0.0);
+  const std::string metrics_path = path_for(args, "metrics");
+  const TraceRequest trace = trace_request_for(args);
+  args.reject_unread();
+
   std::printf("offline: training the shared host profile (%.0f s)...\n",
               collect.duration_s);
   const auto dataset = core::collect_offline_dataset(
       options.spec, options.fleet_per_host, collect);
 
   fleet::FleetEngine engine(options, dataset);
-  serve::SnapshotStore store(
-      static_cast<std::size_t>(args.get_long("retention", 4096)));
+  serve::SnapshotStore store(retention);
   store.attach(engine);
 
   std::unique_ptr<ledger::Ledger> log;
-  if (args.has("ledger")) {
-    ledger::LedgerOptions ledger_options;
-    ledger_options.dir = args.require("ledger");
-    ledger_options.segment_max_records =
-        static_cast<std::uint64_t>(args.get_long("segment-records", 4096));
+  if (durable) {
     ledger_options.metrics = &engine.metrics();
     log = std::make_unique<ledger::Ledger>(ledger_options);
     const ledger::RecoveryReport recovered = log->recovery();
@@ -571,7 +584,6 @@ int cmd_serve(const util::CliArgs& args) {
     store.set_ledger(log.get());
   }
 
-  const std::string checkpoint = args.get("checkpoint");
   if (!checkpoint.empty() && std::filesystem::exists(checkpoint)) {
     engine.restore_checkpoint(checkpoint);
     std::printf("resumed from checkpoint %s at tick %llu\n",
@@ -612,7 +624,7 @@ int cmd_serve(const util::CliArgs& args) {
 
   serve::Server server(queries, engine.metrics(), server_options);
 
-  const bool dump = arm_tracer(args);
+  if (trace.armed) obs::Tracer::global().set_enabled(true);
   // Register the exactly-once accounting series up front so scrapes taken
   // while the server is live already carry them; re-observed at drain below.
   engine.invariants().observe_serve_accounting(0, 0, 0, 0);
@@ -622,7 +634,6 @@ int cmd_serve(const util::CliArgs& args) {
               static_cast<unsigned long long>(ticks));
   engine.run(ticks);
 
-  const double linger = args.get_double("linger", 0.0);
   if (linger > 0.0) {
     std::printf("metering done; serving for %.0f more seconds\n", linger);
     std::this_thread::sleep_for(std::chrono::duration<double>(linger));
@@ -649,20 +660,24 @@ int cmd_serve(const util::CliArgs& args) {
     engine.save_checkpoint(checkpoint);
     std::printf("checkpoint written to %s\n", checkpoint.c_str());
   }
-  if (args.has("metrics")) {
-    const std::string metrics_path = args.require("metrics");
+  if (!metrics_path.empty()) {
     profiler.publish();  // fold the latest sketch quantiles into the gauges.
     engine.metrics().write_prometheus(metrics_path);
     std::printf("metrics written to %s\n", metrics_path.c_str());
   }
   server.stop();
-  if (dump) dump_trace(args);
+  dump_trace(trace);
   return 0;
 }
 
 int cmd_query(const util::CliArgs& args) {
-  const auto port =
-      static_cast<std::uint16_t>(std::stoul(args.require("port")));
+  const auto port = args.require_unsigned<std::uint16_t>("port");
+  const std::string proto = args.get("proto", "binary");
+  if (proto != "binary" && proto != "text")
+    throw std::invalid_argument("query: --proto must be binary or text");
+  const bool with_id = args.has("id");
+  const auto request_id = args.get_unsigned<std::uint64_t>("id", 0);
+  const auto timeout_ms = args.get_unsigned<std::uint32_t>("timeout-ms", 0);
   const auto& positionals = args.positionals();
   std::string line;
   for (std::size_t i = 1; i < positionals.size(); ++i) {
@@ -671,14 +686,8 @@ int cmd_query(const util::CliArgs& args) {
   }
   if (line.empty())
     throw std::invalid_argument("query: missing query (try: stats)");
+  args.reject_unread();
 
-  const std::string proto = args.get("proto", "binary");
-  if (proto != "binary" && proto != "text")
-    throw std::invalid_argument("query: --proto must be binary or text");
-  const bool with_id = args.has("id");
-  const auto request_id =
-      with_id ? static_cast<std::uint64_t>(args.get_long("id", 0)) : 0;
-  const long timeout_ms = args.get_long("timeout-ms", 0);
   serve::Client client(port);
   if (timeout_ms > 0)
     client.set_timeout(std::chrono::milliseconds(timeout_ms));
@@ -696,7 +705,7 @@ int cmd_query(const util::CliArgs& args) {
                   : client.query(*request));
     }
   } catch (const serve::TimeoutError&) {
-    std::fprintf(stderr, "query: no response within %ld ms\n", timeout_ms);
+    std::fprintf(stderr, "query: no response within %u ms\n", timeout_ms);
     return 3;
   }
   std::printf("%s\n", response.c_str());
@@ -704,41 +713,29 @@ int cmd_query(const util::CliArgs& args) {
 }
 
 int cmd_federate(const util::CliArgs& args) {
-  // Every flag read here or in kernel_for/machine_for/fleet_for/arm_tracer.
-  const auto unknown = args.unknown_keys(
-      {"shards", "spin", "port", "workers", "deadline-ms", "retries",
-       "backoff-ms", "hedge", "hedge-delay-ms", "skew", "max-skew",
-       "fed-workers", "fed-pool-idle", "query", "linger", "metrics", "trace",
-       "trace-out", "slow-ms", "slo-ms", "slo-target", "fleet", "hosts",
-       "threads", "tenants", "duration", "seed", "collect-duration",
-       "machine", "kernel", "samples", "halfwidth", "budget-ms"});
-  if (!unknown.empty())
-    throw std::invalid_argument("federate: unknown flag --" + unknown[0]);
-
   federate::FrontendOptions fed_options;
-  fed_options.deadline =
-      std::chrono::milliseconds(args.get_long("deadline-ms", 250));
-  fed_options.retries = unsigned_flag<std::uint32_t>(args, "retries", 1);
-  fed_options.backoff =
-      std::chrono::milliseconds(args.get_long("backoff-ms", 10));
-  fed_options.hedge = args.has("hedge");
-  fed_options.hedge_delay =
-      std::chrono::milliseconds(args.get_long("hedge-delay-ms", 50));
-  fed_options.max_epoch_skew =
-      unsigned_flag<std::uint64_t>(args, "max-skew", 1);
+  fed_options.deadline = std::chrono::milliseconds(
+      args.get_unsigned<std::uint32_t>("deadline-ms", 250));
+  fed_options.retries = args.get_unsigned<std::uint32_t>("retries", 1);
+  fed_options.backoff = std::chrono::milliseconds(
+      args.get_unsigned<std::uint32_t>("backoff-ms", 10));
+  fed_options.hedge = args.get_flag("hedge");
+  fed_options.hedge_delay = std::chrono::milliseconds(
+      args.get_unsigned<std::uint32_t>("hedge-delay-ms", 50));
+  fed_options.max_epoch_skew = args.get_unsigned<std::uint64_t>("max-skew", 1);
   const std::string skew = args.get("skew", "accept");
   if (skew == "reject")
     fed_options.skew_policy = federate::SkewPolicy::kReject;
   else if (skew != "accept")
     throw std::invalid_argument("federate: --skew must be accept or reject");
-  fed_options.workers = unsigned_flag<std::size_t>(args, "fed-workers", 0);
+  fed_options.workers = args.get_unsigned<std::size_t>("fed-workers", 0);
   fed_options.max_idle_per_endpoint =
-      unsigned_flag<std::size_t>(args, "fed-pool-idle", 2);
+      args.get_unsigned<std::size_t>("fed-pool-idle", 2);
   fed_options.validate();
 
   serve::ServerOptions server_options;
-  server_options.port = unsigned_flag<std::uint16_t>(args, "port", 7080);
-  server_options.workers = unsigned_flag<std::size_t>(args, "workers", 2);
+  server_options.port = args.get_unsigned<std::uint16_t>("port", 7080);
+  server_options.workers = args.get_unsigned<std::size_t>("workers", 2);
   server_options.validate();
 
   fleet::Metrics metrics;
@@ -747,41 +744,56 @@ int cmd_federate(const util::CliArgs& args) {
   fed_options.monitor = &monitor;
 
   // The shard tier: either a map of externally running `vmpower serve`
-  // shards, or --spin N in-process fleets metered right here.
-  std::vector<std::unique_ptr<federate::InProcessShard>> spun;
+  // shards, or --spin N in-process fleets metered right here. Only the
+  // chosen tier's flags are read.
   federate::ShardMap map;
+  std::size_t spin = 0;
+  fleet::FleetOptions options;
+  std::uint64_t ticks = 0;
+  core::CollectionOptions collect;
   if (args.has("shards")) {
     map = federate::ShardMap::parse(args.require("shards"));
   } else {
-    const auto count = unsigned_flag<std::size_t>(args, "spin", 3);
-    if (count == 0)
+    spin = args.get_unsigned<std::size_t>("spin", 3);
+    if (spin == 0)
       throw std::invalid_argument("federate: --spin needs at least 1 shard");
-    fleet::FleetOptions options;
-    if (args.has("fleet")) {
-      options.fleet_per_host = fleet_for(args);
-    } else {
-      const auto catalogue = common::paper_vm_catalogue();
-      options.fleet_per_host = {catalogue[0], catalogue[1]};
-    }
-    options.hosts = unsigned_flag<std::size_t>(args, "hosts", 2);
-    options.threads = unsigned_flag<std::size_t>(args, "threads", 2);
-    options.tenants = unsigned_flag<std::size_t>(args, "tenants", 2);
-    options.spec = machine_for(args);
-    options.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-    options.kernel = kernel_for(args);
+    options = fleet_options_for(args, 2, 2, "VM1,VM2");
     options.validate();
-    const std::uint64_t ticks = ticks_flag(args, 60.0);
-
-    core::CollectionOptions collect;
+    ticks = args.get_ticks("duration", 60.0);
     collect.duration_s = args.get_double("collect-duration", 30.0);
     collect.seed = options.seed;
+  }
+
+  const double slow_ms = args.get_double("slow-ms", 150.0);
+  obs::SloOptions slo_options;
+  slo_options.latency_threshold_s =
+      args.get_double("slo-ms", slow_ms) / 1000.0;
+  slo_options.latency_objective = args.get_double("slo-target", 0.99);
+  // One query and exit, or serve for --linger seconds.
+  std::optional<serve::Request> request;
+  double linger = 0.0;
+  if (args.has("query")) {
+    const std::string query = args.require("query");
+    request = serve::parse_request_text(query);
+    if (!request)
+      throw std::invalid_argument("federate: unparseable query '" + query +
+                                  "'");
+  } else {
+    linger = args.get_double("linger", 60.0);
+  }
+  const std::string metrics_path = path_for(args, "metrics");
+  const TraceRequest trace = trace_request_for(args);
+  args.reject_unread();
+
+  std::vector<std::unique_ptr<federate::InProcessShard>> spun;
+  if (spin > 0) {
     std::printf("offline: training the shared host profile (%.0f s)...\n",
                 collect.duration_s);
     const auto dataset = core::collect_offline_dataset(
         options.spec, options.fleet_per_host, collect);
 
     std::vector<federate::FleetShard> shards;
-    for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t i = 0; i < spin; ++i) {
       federate::InProcessShardOptions shard_options;
       shard_options.fleet = static_cast<std::uint32_t>(i + 1);
       auto shard =
@@ -801,16 +813,11 @@ int cmd_federate(const util::CliArgs& args) {
   }
 
   federate::FederationFrontend frontend(std::move(map), fed_options);
-  const bool dump = arm_tracer(args);
+  if (trace.armed) obs::Tracer::global().set_enabled(true);
 
   // Federated per-query profiling: every stage of a federated query — the
   // whole scatter-gather inside "execute" — lands in the same HEALTH /
   // vmpower_serve_stage_* machinery a single fleet exports.
-  const double slow_ms = args.get_double("slow-ms", 150.0);
-  obs::SloOptions slo_options;
-  slo_options.latency_threshold_s =
-      args.get_double("slo-ms", slow_ms) / 1000.0;
-  slo_options.latency_objective = args.get_double("slo-target", 0.99);
   slo_options.metrics = &metrics;
   obs::SloTracker slo(slo_options);
   serve::ServeProfilerOptions profiler_options;
@@ -819,36 +826,45 @@ int cmd_federate(const util::CliArgs& args) {
   profiler_options.slo = &slo;
   serve::ServeProfiler profiler(profiler_options);
 
-  if (args.has("query")) {
-    const auto request = serve::parse_request_text(args.require("query"));
-    if (!request)
-      throw std::invalid_argument("federate: unparseable query '" +
-                                  args.require("query") + "'");
+  if (request) {
     std::printf("%s\n",
                 serve::format_response_text(frontend.execute(*request))
                     .c_str());
   } else {
     server_options.profiler = &profiler;
     serve::Server server(frontend, metrics, server_options);
-    const double linger = args.get_double("linger", 60.0);
     std::printf("federating %zu shards on 127.0.0.1:%u for %.0f s...\n",
                 frontend.map().size(), server.port(), linger);
     std::this_thread::sleep_for(std::chrono::duration<double>(linger));
     server.stop();
   }
 
-  if (args.has("metrics")) {
-    const std::string metrics_path = args.require("metrics");
+  if (!metrics_path.empty()) {
     profiler.publish();
     metrics.write_prometheus(metrics_path);
     std::printf("metrics written to %s\n", metrics_path.c_str());
   }
-  if (dump) dump_trace(args);
+  dump_trace(trace);
   for (auto& shard : spun) shard->stop();
   return 0;
 }
 
 int cmd_trace(const util::CliArgs& args) {
+  fleet::FleetOptions options;
+  options.fleet_per_host = fleet_for(args, "VM1,VM2");
+  options.hosts = args.get_unsigned<std::size_t>("hosts", 2);
+  options.threads = 2;
+  options.tenants = 2;
+  options.spec = machine_for(args);
+  options.seed = args.get_unsigned<std::uint64_t>("seed", 1);
+  options.validate();
+  const std::uint64_t ticks = args.get_ticks("duration", 16.0);
+  core::CollectionOptions collect;
+  collect.duration_s = args.get_double("collect-duration", 30.0);
+  collect.seed = options.seed;
+  const std::string out = path_for(args, "out");
+  args.reject_unread();
+
 #if !VMPOWER_TRACING_COMPILED
   std::fprintf(stderr,
                "vmpower trace: built with -DVMPOWER_TRACING=OFF; the span "
@@ -858,24 +874,6 @@ int cmd_trace(const util::CliArgs& args) {
   tracer.set_enabled(true);
   tracer.clear();
 
-  fleet::FleetOptions options;
-  if (args.has("fleet")) {
-    options.fleet_per_host = fleet_for(args);
-  } else {
-    const auto catalogue = common::paper_vm_catalogue();
-    options.fleet_per_host = {catalogue[0], catalogue[1]};
-  }
-  options.hosts = static_cast<std::size_t>(args.get_long("hosts", 2));
-  options.threads = 2;
-  options.tenants = 2;
-  options.spec = machine_for(args);
-  options.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-  options.validate();
-  const std::uint64_t ticks = ticks_flag(args, 16.0);
-
-  core::CollectionOptions collect;
-  collect.duration_s = args.get_double("collect-duration", 30.0);
-  collect.seed = options.seed;
   const auto dataset = core::collect_offline_dataset(
       options.spec, options.fleet_per_host, collect);
 
@@ -896,8 +894,7 @@ int cmd_trace(const util::CliArgs& args) {
   (void)dispatcher.handle_text("#1002 fleet-power");
   (void)dispatcher.handle_text("tenant-power 1");
 
-  if (args.has("out")) {
-    const std::string out = args.require("out");
+  if (!out.empty()) {
     tracer.write_chrome_jsonl(out);
     std::printf("trace: %zu spans over %llu ticks written to %s\n",
                 tracer.size(), static_cast<unsigned long long>(ticks),
@@ -909,8 +906,7 @@ int cmd_trace(const util::CliArgs& args) {
 }
 
 int cmd_scrape(const util::CliArgs& args) {
-  const auto port =
-      static_cast<std::uint16_t>(std::stoul(args.require("port")));
+  const auto port = args.require_unsigned<std::uint16_t>("port");
   const std::string what = args.get("what", "metrics");
   std::string command;
   if (what == "metrics") command = "METRICS";
@@ -919,10 +915,12 @@ int cmd_scrape(const util::CliArgs& args) {
   else
     throw std::invalid_argument(
         "scrape: --what must be metrics, trace, or health");
+  const std::string out = path_for(args, "out");
+  args.reject_unread();
+
   serve::Client client(port);
   const std::string payload = client.scrape(command);
-  if (args.has("out")) {
-    const std::string out = args.require("out");
+  if (!out.empty()) {
     std::ofstream file(out, std::ios::binary | std::ios::trunc);
     if (!file || !(file << payload).flush())
       throw std::runtime_error("scrape: cannot write " + out);
@@ -935,8 +933,10 @@ int cmd_scrape(const util::CliArgs& args) {
 }
 
 int cmd_slo(const util::CliArgs& args) {
-  const auto port =
-      static_cast<std::uint16_t>(std::stoul(args.require("port")));
+  const auto port = args.require_unsigned<std::uint16_t>("port");
+  const bool full = args.get_flag("full");
+  args.reject_unread();
+
   serve::Client client(port);
   const std::string payload = client.scrape("HEALTH");
   if (payload.rfind("health profiler=off", 0) == 0) {
@@ -946,7 +946,7 @@ int cmd_slo(const util::CliArgs& args) {
   }
   // Default view: the health header and the SLO cells. --full adds the
   // per-stage quantiles and the slow-query log (the whole HEALTH payload).
-  if (args.has("full")) {
+  if (full) {
     std::fputs(payload.c_str(), stdout);
     return 0;
   }
@@ -963,21 +963,23 @@ int cmd_slo(const util::CliArgs& args) {
 }
 
 int cmd_ledger(const util::CliArgs& args) {
-  const auto& positionals = args.positionals();
-  if (positionals.size() < 2)
+  const std::string verb = args.positional(1);
+  if (verb.empty())
     throw std::invalid_argument(
         "ledger: missing verb (inspect, verify, or compact)");
-  const std::string& verb = positionals[1];
   if (verb != "inspect" && verb != "verify" && verb != "compact")
     throw std::invalid_argument("ledger: unknown verb '" + verb +
                                 "' (expected inspect, verify, or compact)");
-  // Only compact builds a sparse index, so only it reads --index-stride.
-  const auto unknown = args.unknown_keys(
-      verb == "compact" ? std::vector<std::string>{"dir", "index-stride"}
-                        : std::vector<std::string>{"dir"});
-  if (!unknown.empty())
-    throw std::invalid_argument("ledger: unknown flag --" + unknown[0]);
   const std::filesystem::path dir = args.require("dir");
+  ledger::LedgerOptions options;
+  options.dir = dir;
+  // Only compact builds a sparse index, so only it reads --index-stride.
+  if (verb == "compact")
+    options.index_stride =
+        args.get_unsigned<std::uint64_t>("index-stride", 64);
+  options.auto_compact = false;  // inspect/compact decide explicitly below.
+  options.background_compaction = false;
+  args.reject_unread();
 
   if (verb == "verify") {
     const ledger::VerifyReport report = ledger::verify_dir(dir);
@@ -992,12 +994,6 @@ int cmd_ledger(const util::CliArgs& args) {
     return report.clean() ? 0 : 1;
   }
 
-  ledger::LedgerOptions options;
-  options.dir = dir;
-  options.index_stride =
-      unsigned_flag<std::uint64_t>(args, "index-stride", 64);
-  options.auto_compact = false;  // inspect/compact decide explicitly below.
-  options.background_compaction = false;
   ledger::Ledger log(options);
 
   if (verb == "compact") {
@@ -1033,7 +1029,10 @@ int cmd_ledger(const util::CliArgs& args) {
 }
 
 int cmd_info(const util::CliArgs& args) {
-  const auto approx = core::load_approximation(args.require("approx"));
+  const std::string approx_path = args.require("approx");
+  args.reject_unread();
+
+  const auto approx = core::load_approximation(approx_path);
   std::printf("VHC linear approximation: %zu VHCs, %zu fitted combinations\n",
               approx.num_vhcs(), approx.fitted_combos().size());
   for (const auto& model : approx.export_models()) {
