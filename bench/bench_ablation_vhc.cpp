@@ -6,8 +6,8 @@
 //   B. state-normalization resolution — the paper fixes 0.01; sweep it;
 //   C. grand-coalition anchoring — the estimator option that makes
 //      Efficiency exact vs trusting the approximation's own v(N, C');
-//   D. Monte-Carlo permutation budget vs exact Shapley on oracle worths —
-//      the escape hatch beyond the paper's n <= 16 regime;
+//   D. the sampled tier's evaluation budget vs exact Shapley on oracle
+//      worths — the escape hatch beyond the paper's n <= 16 regime;
 //   E. per-combination weights (the paper's VHC model, 2^r campaigns) vs a
 //      single shared weight set (linear-in-types cost; the Sec. VIII
 //      "arbitrary VM types" extension);
@@ -20,9 +20,9 @@
 #include "core/banzhaf.hpp"
 #include "core/collector.hpp"
 #include "core/estimator.hpp"
-#include "core/monte_carlo.hpp"
 #include "core/shared_weights.hpp"
 #include "core/shapley.hpp"
+#include "core/shapley_sampled.hpp"
 #include "sim/coalition_probe.hpp"
 #include "sim/physical_machine.hpp"
 #include "sim/runner.hpp"
@@ -155,55 +155,60 @@ void ablation_anchor() {
               "gap equals the\nv(N,C') approximation error (a few percent).\n");
 }
 
-void ablation_monte_carlo() {
+void ablation_sampled() {
   util::print_banner(
-      "Ablation D: Monte-Carlo permutation budget vs exact Shapley");
+      "Ablation D: sampled-tier evaluation budget vs exact Shapley");
   // The 5-VM evaluation fleet at near-full load: the machine sits beyond the
   // turbo knee, so coalition worths carry higher-order (non-pairwise)
-  // interactions and Monte-Carlo genuinely has to converge. (Below the knee
-  // the power game is singleton + pairwise terms only, and the antithetic
-  // permutation pairing is *exact*: a permutation and its reverse average
-  // each pair term to exactly half — see the last column.)
+  // interactions and the sampler genuinely has to converge. The solver is
+  // core::SampledShapley, the tier the estimator runs past its exact
+  // kernels; the grand worth is anchored, as the estimator anchors it to
+  // the measurement.
   const sim::MachineSpec spec = sim::xeon_prototype();
   const std::vector<common::VmConfig> fleet = {kCatalogue[0], kCatalogue[0],
                                                kCatalogue[1], kCatalogue[2],
                                                kCatalogue[3]};
+  const std::size_t n = fleet.size();
   const sim::CoalitionProbe probe(spec, fleet);
   const std::vector<common::StateVector> states(
-      fleet.size(), common::StateVector::cpu_only(0.95));
-  const core::WorthFn v = [&](core::Coalition s) {
-    return probe.worth(s.mask(), states);
+      n, common::StateVector::cpu_only(0.95));
+  const core::SampledWorthFn worth = [&](std::uint64_t members) {
+    return probe.worth(static_cast<sim::CoalitionMask>(members), states);
   };
-  const auto exact = core::shapley_values(fleet.size(), v);
+  const auto exact = core::shapley_values(
+      n, [&](core::Coalition s) { return worth(s.mask()); });
+  const double grand = worth((std::uint64_t{1} << n) - 1);
 
-  util::TablePrinter table({"permutations", "worth evals", "max |err| (W)",
-                            "max rel err", "antithetic max |err|"});
-  for (std::size_t budget : {4u, 16u, 64u, 256u, 1024u}) {
-    const auto plain = core::monte_carlo_shapley(
-        fleet.size(), v,
-        {.permutations = budget, .seed = 5, .antithetic = false});
-    const auto paired = core::monte_carlo_shapley(
-        fleet.size(), v, {.permutations = budget, .seed = 5});
-    double max_abs = 0.0, max_rel = 0.0, max_abs_paired = 0.0;
-    for (std::size_t i = 0; i < exact.size(); ++i) {
-      max_abs = std::max(max_abs, std::abs(plain.values[i] - exact[i]));
-      max_rel = std::max(max_rel,
-                         util::relative_error(plain.values[i], exact[i]));
-      max_abs_paired =
-          std::max(max_abs_paired, std::abs(paired.values[i] - exact[i]));
+  util::TablePrinter table({"max samples", "worth evals", "max |err| (W)",
+                            "max rel err", "max CI half-width (W)",
+                            "all inside CI"});
+  for (std::size_t budget : {64u, 256u, 1024u, 4096u}) {
+    core::SampledShapleyOptions options;
+    options.seed = 5;
+    options.max_samples = budget;
+    const auto result = core::sampled_shapley_values(n, worth, grand, options);
+    // The efficiency shift moves every VM by at most sum_halfwidth / n, the
+    // same slack the tests allow on top of each VM's own half-width.
+    const double shift_slack = result.sum_halfwidth_w / static_cast<double>(n);
+    double max_abs = 0.0, max_rel = 0.0;
+    bool inside = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double err = std::abs(result.phi[i] - exact[i]);
+      max_abs = std::max(max_abs, err);
+      max_rel = std::max(max_rel, util::relative_error(result.phi[i], exact[i]));
+      inside = inside && err <= result.halfwidth_w[i] + shift_slack;
     }
     table.add_row({std::to_string(budget),
-                   std::to_string(plain.worth_evaluations),
+                   std::to_string(result.worth_evaluations),
                    util::TablePrinter::num(max_abs, 3),
                    util::TablePrinter::pct(max_rel, 2),
-                   util::TablePrinter::num(max_abs_paired, 4)});
+                   util::TablePrinter::num(result.max_halfwidth_w, 3),
+                   inside ? "yes" : "NO"});
   }
   table.print();
-  std::printf("expected: error shrinks ~1/sqrt(budget); memoization caps "
-              "worth evaluations\nat 2^n, so dense sampling converges to the "
-              "exact computation\'s cost.\nAntithetic pairing removes the "
-              "pairwise-interaction variance entirely, which\ndominates for "
-              "this power game.\n");
+  std::printf("expected: error and half-width shrink ~1/sqrt(budget), and "
+              "every VM's error\nstays inside its 3-sigma interval (plus the "
+              "efficiency-shift slack).\n");
 }
 
 }  // namespace
@@ -275,6 +280,7 @@ void ablation_banzhaf() {
   const double grand = v(core::Coalition::grand(fleet.size()));
   const auto shapley = core::shapley_values(fleet.size(), v);
   const auto banzhaf = core::normalized_banzhaf_values(fleet.size(), v, grand);
+  const auto raw_banzhaf = core::banzhaf_values(fleet.size(), v);
 
   util::TablePrinter table({"VM", "type", "Shapley (W)",
                             "norm. Banzhaf (W)", "difference"});
@@ -290,16 +296,14 @@ void ablation_banzhaf() {
               "is ad hoc (it has no axiomatic\njustification), which is why "
               "the paper's Efficiency axiom singles out Shapley.\n",
               grand,
-              std::accumulate(
-                  core::banzhaf_values(fleet.size(), v).begin(),
-                  core::banzhaf_values(fleet.size(), v).end(), 0.0));
+              std::accumulate(raw_banzhaf.begin(), raw_banzhaf.end(), 0.0));
 }
 
 int main() {
   ablation_budget();
   ablation_resolution();
   ablation_anchor();
-  ablation_monte_carlo();
+  ablation_sampled();
   ablation_shared_weights();
   ablation_banzhaf();
   return 0;

@@ -3,9 +3,11 @@
 // Exact Shapley needs 2^n worth evaluations; the paper argues n <= 16 on
 // real hosts, so the overhead is "very low" (2^16 = 65536 operations). These
 // benchmarks quantify that claim on this implementation and measure the two
-// escape hatches for larger games: Monte-Carlo permutation sampling and the
-// VHC estimator whose cost is 2^n table lookups but whose *measurement* cost
-// is only 2^r.
+// escape hatches for larger games: the stratified sampled tier and the VHC
+// estimator whose cost is 2^n table lookups but whose *measurement* cost is
+// only 2^r. The JSON context records vmpower's own build type as
+// "build_type"; google-benchmark's "library_build_type" describes the
+// installed benchmark library, not this code.
 // Beyond the registered microbenchmarks, `--sampled-curves [--quick]
 // [--out FILE]` runs the exact-vs-sampled accuracy/latency sweep (n = 8..64
 // on an all-distinct worst-case game) and emits a {"sampled_curves": [...]}
@@ -22,17 +24,16 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "common/state_vector.hpp"
 #include "core/estimator.hpp"
 #include "core/linear_approx.hpp"
-#include "core/monte_carlo.hpp"
 #include "core/shapley.hpp"
 #include "core/shapley_fast.hpp"
 #include "core/shapley_sampled.hpp"
 #include "core/vhc.hpp"
 #include "core/vsc_table.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -71,25 +72,11 @@ void BM_ExactShapley(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactShapley)->DenseRange(2, 16, 2)->Complexity(benchmark::oN);
 
-void BM_MonteCarloShapley(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto permutations = static_cast<std::size_t>(state.range(1));
-  const auto table = make_game_table(n, 42);
-  const WorthFn v = [&](Coalition s) { return table[s.mask()]; };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        vmp::core::monte_carlo_shapley(n, v, {.permutations = permutations}));
-  }
-}
-BENCHMARK(BM_MonteCarloShapley)
-    ->ArgsProduct({{8, 16, 24}, {100, 400}});
-
 // --- fast kernels ------------------------------------------------------------
 //
-// The three accelerations from the metering hot path: symmetry-collapsed
-// enumeration (compositions instead of masks when VMs duplicate), the
-// thread-parallel mask sweep with deterministic reduction, and the
-// estimator-level tick that stacks both on the batched worth evaluator.
+// The accelerations from the metering hot path: symmetry-collapsed
+// enumeration (compositions instead of masks when VMs duplicate), and the
+// estimator-level tick that stacks it on the batched worth evaluator.
 
 vmp::core::SymmetryGroups make_groups(std::size_t n, std::size_t n_groups) {
   vmp::core::SymmetryGroups groups;
@@ -128,20 +115,6 @@ void BM_CollapsedShapley(benchmark::State& state) {
 BENCHMARK(BM_CollapsedShapley)
     ->ArgsProduct({{8, 12, 16}, {2, 4}})
     ->ArgNames({"n", "types"});
-
-void BM_ParallelShapley(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  const auto table = make_game_table(n, 42);
-  const WorthFn v = [&](Coalition s) { return table[s.mask()]; };
-  vmp::util::ThreadPool pool(threads);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(vmp::core::shapley_values_parallel(n, v, pool));
-  }
-}
-BENCHMARK(BM_ParallelShapley)
-    ->ArgsProduct({{16, 20}, {2, 4}})
-    ->ArgNames({"n", "threads"});
 
 void BM_EstimatorTick(benchmark::State& state) {
   // One full ShapleyVhcEstimator::estimate() call — the per-tick cost every
@@ -462,6 +435,7 @@ int main(int argc, char** argv) {
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("build_type", vmp::bench::kBuildType);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

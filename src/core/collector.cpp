@@ -24,6 +24,12 @@ void CollectionOptions::validate() const {
         "CollectionOptions: common_mode_prob must be in [0, 1]");
   if (!(dwell_s > 0.0))
     throw std::invalid_argument("CollectionOptions: dwell must be > 0");
+  // The campaign casts both step counts to size_t; that cast is undefined
+  // for an infinite or >= 2^64 value.
+  if (!(duration_s / dwell_s < 0x1p64 && duration_s / period_s < 0x1p64))
+    throw std::invalid_argument(
+        "CollectionOptions: duration must be finite and below 2^64 dwell "
+        "epochs and sample periods");
   if (high_band_prob < 0.0 || high_band_prob > 1.0)
     throw std::invalid_argument(
         "CollectionOptions: high_band_prob must be in [0, 1]");

@@ -47,7 +47,9 @@ struct CollectionOptions {
   double high_band_prob = 0.55;
   double high_band_lo = 0.7;
 
-  /// Throws std::invalid_argument on non-positive durations/periods.
+  /// Throws std::invalid_argument on non-positive durations/periods, and on
+  /// a duration that is infinite or spans 2^64 or more dwell epochs or
+  /// sample periods.
   void validate() const;
 };
 

@@ -228,11 +228,10 @@ std::vector<double> ShapleyVhcEstimator::estimate_sampled(
     double adjusted_power_w, VhcComboMask full_combo) {
   const std::size_t n = states_.size();
 
-  // Same batched worth backend as the table-less sweep: build P once
-  // (serial), then every worth query is a read-only gather — safe for the
-  // kernel's parallel batches. The VscTable is bypassed on this tier (its
-  // probes would serialize the batch); the tier is approximation-only and
-  // the measurement anchor still pins Σφ.
+  // Same batched worth backend as the table-less sweep: build P once, then
+  // every worth query is a read-only gather. The VscTable is bypassed on
+  // this tier: it is approximation-only, and the measurement anchor still
+  // pins Σφ.
   build_contribution_table(full_combo);
   const SampledWorthFn worth = [&](std::uint64_t members) {
     std::size_t col = 0;
@@ -251,7 +250,7 @@ std::vector<double> ShapleyVhcEstimator::estimate_sampled(
   SampledShapleyOptions options = sampled_config_.sampling;
   // Decorrelate consecutive ticks: mix a per-estimator call counter into the
   // seed so ticks do not reuse draws, while a fixed (config, call order)
-  // still replays byte-identically at any thread count.
+  // still replays byte-identically.
   options.seed += 0x632be59bd9b4e019ULL * static_cast<std::uint64_t>(
                                               ++estimate_calls_);
   SampledShapleyResult result = sampler_.run(n, worth, grand, options);

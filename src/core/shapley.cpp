@@ -26,12 +26,11 @@ void fill_shapley_weights(std::size_t n, std::vector<double>& weights) {
   for (std::size_t s = 0; s < n; ++s) weights[s] = shapley_weight(n, s);
 }
 
-void accumulate_shapley_phi_range(std::size_t n, std::span<const double> worth,
-                                  std::span<const double> weights,
-                                  std::span<double> phi,
-                                  std::size_t mask_begin,
-                                  std::size_t mask_end) {
-  for (std::size_t mask = mask_begin; mask < mask_end; ++mask) {
+void accumulate_shapley_phi(std::size_t n, std::span<const double> worth,
+                            std::span<const double> weights,
+                            std::span<double> phi) {
+  const std::size_t n_masks = std::size_t{1} << n;
+  for (std::size_t mask = 0; mask < n_masks; ++mask) {
     const auto s_size =
         static_cast<std::size_t>(std::popcount(static_cast<std::uint32_t>(mask)));
     if (s_size == n) continue;  // grand coalition: no player is missing.
@@ -42,12 +41,6 @@ void accumulate_shapley_phi_range(std::size_t n, std::span<const double> worth,
       phi[i] += w * (worth[mask | (std::size_t{1} << i)] - base);
     }
   }
-}
-
-void accumulate_shapley_phi(std::size_t n, std::span<const double> worth,
-                            std::span<const double> weights,
-                            std::span<double> phi) {
-  accumulate_shapley_phi_range(n, worth, weights, phi, 0, std::size_t{1} << n);
 }
 
 std::vector<double> shapley_values(std::size_t n, const WorthFn& v) {

@@ -38,19 +38,12 @@ void fill_shapley_weights(std::size_t n, std::vector<double>& weights);
 /// The shared accumulation kernel: given every coalition's worth (2^n
 /// entries, indexed by mask) and the per-size weight table (n entries), adds
 /// each player's weighted marginals into `phi` (size n, caller-zeroed).
-/// Iterates masks ascending, players ascending — the serial solver, the
-/// batched estimator path, and every chunk of the parallel sweep use this
-/// exact order, which is what keeps their outputs bit-identical.
+/// Iterates masks ascending, players ascending — the serial solver and the
+/// estimator's sweep kernel both use this exact order, which is what keeps
+/// their outputs bit-identical.
 void accumulate_shapley_phi(std::size_t n, std::span<const double> worth,
                             std::span<const double> weights,
                             std::span<double> phi);
-
-/// Same accumulation restricted to masks in [mask_begin, mask_end) — the
-/// parallel sweep partitions the mask range into fixed chunks with this.
-void accumulate_shapley_phi_range(std::size_t n, std::span<const double> worth,
-                                  std::span<const double> weights,
-                                  std::span<double> phi,
-                                  std::size_t mask_begin, std::size_t mask_end);
 
 /// State-dependent worth function v(S, C): the coalition's power when its
 /// members hold the given per-player states (entries for non-members must be

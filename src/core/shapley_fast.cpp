@@ -1,82 +1,13 @@
 #include "core/shapley_fast.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <exception>
-#include <functional>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
 
 namespace vmp::core {
 namespace {
 
 constexpr std::size_t kNoGroup = static_cast<std::size_t>(-1);
-
-/// Fixed chunk count for the parallel sweep. Independent of the pool size so
-/// the chunk boundaries — and therefore the reduction order — never change
-/// with --threads.
-constexpr std::size_t kParallelChunks = 64;
-
-/// Runs fn(chunk, begin, end) over a fixed even partition of [0, n_masks)
-/// and blocks until every chunk finished. Waits on its own completion
-/// counter rather than ThreadPool::wait_idle so concurrent users of the pool
-/// cannot extend the wait (and the nesting caveat stays the pool's only
-/// restriction). The first exception thrown by a chunk is rethrown here.
-void run_mask_chunks(
-    util::ThreadPool& pool, std::size_t n_masks, std::size_t chunk_count,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  std::mutex mu;
-  std::condition_variable done_cv;
-  std::size_t done = 0;
-  std::exception_ptr first_error;
-
-  for (std::size_t c = 0; c < chunk_count; ++c) {
-    const std::size_t begin = c * n_masks / chunk_count;
-    const std::size_t end = (c + 1) * n_masks / chunk_count;
-    pool.submit([&, c, begin, end] {
-      try {
-        fn(c, begin, end);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      // Notify while holding the lock: the waiter owns the condvar's stack
-      // frame and may destroy it the moment it observes done == chunk_count,
-      // so the signal must complete before the mutex is released.
-      const std::lock_guard<std::mutex> lock(mu);
-      ++done;
-      done_cv.notify_one();
-    });
-  }
-
-  std::unique_lock<std::mutex> lock(mu);
-  done_cv.wait(lock, [&] { return done == chunk_count; });
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-/// Chunk-parallel accumulate_shapley_phi over a fully materialized worth
-/// table; phi must be zeroed by the caller. Deterministic for any pool size
-/// (fixed chunking + chunk-ordered reduction).
-void accumulate_shapley_phi_parallel(std::size_t n,
-                                     std::span<const double> worth,
-                                     std::span<const double> weights,
-                                     std::span<double> phi,
-                                     util::ThreadPool& pool) {
-  const std::size_t n_masks = std::size_t{1} << n;
-  const std::size_t chunk_count = std::min(kParallelChunks, n_masks);
-  std::vector<std::vector<double>> partial(chunk_count);
-  run_mask_chunks(pool, n_masks, chunk_count,
-                  [&](std::size_t c, std::size_t begin, std::size_t end) {
-                    partial[c].assign(n, 0.0);
-                    accumulate_shapley_phi_range(n, worth, weights, partial[c],
-                                                 begin, end);
-                  });
-  // Chunk-ordered reduction: the summation order depends only on the fixed
-  // chunking, never on which worker ran which chunk.
-  for (std::size_t c = 0; c < chunk_count; ++c)
-    for (std::size_t i = 0; i < n; ++i) phi[i] += partial[c][i];
-}
 
 }  // namespace
 
@@ -230,30 +161,6 @@ std::vector<double> collapsed_shapley_sum(const SymmetryGroups& groups,
   std::vector<double> phi(n, 0.0);
   for (std::size_t j = 0; j < r; ++j)
     for (const Player p : groups.members[j]) phi[p] = phi_group[j];
-  return phi;
-}
-
-std::vector<double> shapley_values_parallel(std::size_t n, const WorthFn& v,
-                                            util::ThreadPool& pool) {
-  if (n == 0)
-    throw std::invalid_argument("shapley_values_parallel: n must be >= 1");
-  if (n > kMaxPlayers)
-    throw std::invalid_argument("shapley_values_parallel: n exceeds kMaxPlayers");
-
-  const std::size_t n_masks = std::size_t{1} << n;
-  const std::size_t chunk_count = std::min(kParallelChunks, n_masks);
-
-  std::vector<double> worth(n_masks);
-  run_mask_chunks(pool, n_masks, chunk_count,
-                  [&](std::size_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t mask = begin; mask < end; ++mask)
-                      worth[mask] = v(Coalition{static_cast<Coalition::Mask>(mask)});
-                  });
-
-  std::vector<double> weight;
-  fill_shapley_weights(n, weight);
-  std::vector<double> phi(n, 0.0);
-  accumulate_shapley_phi_parallel(n, worth, weight, phi, pool);
   return phi;
 }
 

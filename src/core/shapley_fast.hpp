@@ -1,6 +1,6 @@
 // Fast exact-Shapley kernels for the metering hot path.
 //
-// Three independent accelerations of core::shapley_values, all exact:
+// Two independent accelerations of core::shapley_values, both exact:
 //
 // 1. Symmetry collapse (paper Sec. V-B/V-C): datacenter VMs fall into r ≪ n
 //    homogeneous types, and same-type VMs holding identical component states
@@ -25,12 +25,6 @@
 //    resolves predict()'s disjoint-cover fallback for unfitted combos into
 //    an *effective* weight vector once, so the fallback costs nothing per
 //    tick afterwards.
-//
-// 3. A thread-parallel mask sweep for large distinguishable games,
-//    partitioning the mask range into fixed chunks over util::ThreadPool
-//    with a chunk-ordered deterministic reduction: the result is
-//    byte-identical for any pool size. A library solver only: the
-//    estimator runs inside the fleet's own pool tasks and never calls it.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +35,6 @@
 #include "core/coalition.hpp"
 #include "core/linear_approx.hpp"
 #include "core/shapley.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vmp::core {
 
@@ -106,15 +99,6 @@ void detect_symmetry_into(std::span<const std::size_t> keys,
 [[nodiscard]] std::vector<double> collapsed_shapley_sum(
     const SymmetryGroups& groups, std::span<const double> worth,
     std::span<const double> weights);
-
-/// Exact Shapley values via a thread-parallel mask sweep: worth evaluation
-/// and marginal accumulation are partitioned into fixed chunks (independent
-/// of the pool size) and reduced in chunk order, so the result is
-/// byte-identical at any thread count. v must be safe to call concurrently.
-/// Must not be called from a task running on `pool` (see util::ThreadPool).
-/// Throws std::invalid_argument on n == 0 or n > kMaxPlayers.
-[[nodiscard]] std::vector<double> shapley_values_parallel(
-    std::size_t n, const WorthFn& v, util::ThreadPool& pool);
 
 /// Cross-tick cache of per-combo *effective* power-mapping vectors for one
 /// VhcLinearApprox: the fitted weights for fitted combos, and the summed

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <exception>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -15,12 +12,17 @@ namespace vmp::core {
 
 namespace {
 
+/// CI multiplier for the reported half-widths (see the header).
+constexpr double kConfidenceZ = 3.0;
+/// Sampling rounds between stop-rule checks (one round = n−3 middle-size
+/// evaluations).
+constexpr std::size_t kBatchRounds = 16;
+
 /// Counter-based RNG: each (seed, stream) pair keys an independent splitmix64
-/// walk, so round r of a run can be generated in isolation on any thread and
-/// the draw sequence depends only on (seed, r). The stream offset constant is
-/// deliberately *not* the splitmix64 gamma — offsetting by a multiple of the
-/// gamma would make stream k start exactly where stream 0 is after k steps,
-/// overlapping the windows.
+/// walk, so the draw sequence of round r depends only on (seed, r). The
+/// stream offset constant is deliberately *not* the splitmix64 gamma —
+/// offsetting by a multiple of the gamma would make stream k start exactly
+/// where stream 0 is after k steps, overlapping the windows.
 class CounterRng {
  public:
   CounterRng(std::uint64_t seed, std::uint64_t stream) noexcept
@@ -62,17 +64,17 @@ inline void welford(std::uint64_t& cnt, double& mean, double& m2,
 }
 
 /// Draws and evaluates one independent uniform coalition of each middle size
-/// (|S| = 2..n−2) into masks/out[0..n−4]. Each size runs a fresh partial
-/// Fisher–Yates over the id array: a partial shuffle of *any* permutation
-/// with fresh randomness yields a uniform size-subset, so the per-size draws
-/// are mutually independent — which is exactly what makes the per-player
-/// stratum-variance sum the true variance of φ̂_i (nested prefixes of one
-/// permutation would be positively correlated across sizes and the CI would
-/// undercover). Runs on pool threads: touches only the round's own slots,
-/// and the RNG state derives from (seed, round) alone.
+/// (|S| = 2..n−2), sizes ascending, and hands each (mask, size, worth) to
+/// `fold`. Each size runs a fresh partial Fisher–Yates over the id array: a
+/// partial shuffle of *any* permutation with fresh randomness yields a
+/// uniform size-subset, so the per-size draws are mutually independent —
+/// which is exactly what makes the per-player stratum-variance sum the true
+/// variance of φ̂_i (nested prefixes of one permutation would be positively
+/// correlated across sizes and the CI would undercover). The RNG state
+/// derives from (seed, round) alone.
+template <typename Fold>
 void eval_round(std::size_t n, std::uint64_t seed, std::uint64_t round,
-                const SampledWorthFn& worth, std::uint64_t* masks,
-                double* out) {
+                const SampledWorthFn& worth, Fold&& fold) {
   CounterRng rng(seed, round);
   std::uint8_t ids[kMaxSampledPlayers];
   for (std::size_t i = 0; i < n; ++i) ids[i] = static_cast<std::uint8_t>(i);
@@ -83,8 +85,7 @@ void eval_round(std::size_t n, std::uint64_t seed, std::uint64_t round,
       std::swap(ids[i], ids[j]);
       mask |= 1ULL << ids[i];
     }
-    masks[size - 2] = mask;
-    out[size - 2] = worth(mask);
+    fold(mask, size, worth(mask));
   }
 }
 
@@ -198,11 +199,11 @@ SampledShapleyResult SampledShapley::run(std::size_t n,
         acc += side(plus_cnt_[at], plus_m2_[at]);
         acc += side(minus_cnt_[at], minus_m2_[at]);
       }
-      out[i] = options.confidence_z * std::sqrt(acc * inv_n2);
+      out[i] = kConfidenceZ * std::sqrt(acc * inv_n2);
     }
   };
 
-  // --- Sampling rounds (batched, anytime). ---
+  // --- Sampling rounds (anytime, stop rules checked per batch). ---
   if (per_round > 0) {
     result.stopped_by = SampledStopReason::kMaxSamples;
     for (;;) {
@@ -223,7 +224,7 @@ SampledShapleyResult SampledShapley::run(std::size_t n,
           break;
         }
       }
-      std::size_t rounds = std::max<std::size_t>(options.batch_rounds, 1);
+      std::size_t rounds = kBatchRounds;
       if (options.max_samples != 0) {
         if (result.worth_evaluations + per_round > options.max_samples) {
           result.stopped_by = SampledStopReason::kMaxSamples;
@@ -233,47 +234,11 @@ SampledShapleyResult SampledShapley::run(std::size_t n,
             rounds, (options.max_samples - result.worth_evaluations) / per_round);
       }
 
-      batch_mask_.resize(rounds * per_round);
-      batch_worth_.resize(rounds * per_round);
-      const auto run_round = [&](std::size_t r) {
-        eval_round(n, options.seed, result.rounds + r,
-                   worth, batch_mask_.data() + r * per_round,
-                   batch_worth_.data() + r * per_round);
-      };
-      if (pool_ != nullptr && rounds > 1) {
-        // Shared pool: wait on this batch's own completion counter, never
-        // wait_idle (see run_mask_chunks in shapley_fast.cpp).
-        std::mutex mu;
-        std::condition_variable done_cv;
-        std::size_t done = 0;
-        std::exception_ptr first_error;
-        for (std::size_t r = 0; r < rounds; ++r) {
-          pool_->submit([&, r] {
-            try {
-              run_round(r);
-            } catch (...) {
-              const std::lock_guard<std::mutex> lock(mu);
-              if (!first_error) first_error = std::current_exception();
-            }
-            const std::lock_guard<std::mutex> lock(mu);
-            ++done;
-            done_cv.notify_one();
-          });
-        }
-        std::unique_lock<std::mutex> lock(mu);
-        done_cv.wait(lock, [&] { return done == rounds; });
-        if (first_error) std::rethrow_exception(first_error);
-      } else {
-        for (std::size_t r = 0; r < rounds; ++r) run_round(r);
-      }
-
-      // Serial fold in round order on the calling thread: the accumulator
-      // state after this loop is independent of how the batch was scheduled.
       for (std::size_t r = 0; r < rounds; ++r) {
-        for (std::size_t size = 2; size + 2 <= n; ++size) {
-          const std::size_t at = r * per_round + size - 2;
-          fold_eval(n, batch_mask_[at], size, batch_worth_[at]);
-        }
+        eval_round(n, options.seed, result.rounds + r, worth,
+                   [&](std::uint64_t members, std::size_t size, double value) {
+                     fold_eval(n, members, size, value);
+                   });
       }
       result.rounds += rounds;
       result.worth_evaluations += rounds * per_round;
@@ -330,10 +295,8 @@ SampledShapleyResult SampledShapley::run(std::size_t n,
 SampledShapleyResult sampled_shapley_values(std::size_t n,
                                             const SampledWorthFn& worth,
                                             double grand_worth,
-                                            const SampledShapleyOptions& options,
-                                            util::ThreadPool* pool) {
+                                            const SampledShapleyOptions& options) {
   SampledShapley solver;
-  solver.set_thread_pool(pool);
   return solver.run(n, worth, grand_worth, options);
 }
 

@@ -27,25 +27,27 @@
 //    evaluations. Independence across sizes is deliberate: nested prefixes
 //    of a single permutation would correlate a player's strata and make the
 //    reported intervals undercover.
-//  * Anytime stop rule, checked once per batch of rounds: `max_samples`
+//  * Anytime stop rule, checked once per batch of 16 rounds: `max_samples`
 //    (worth-evaluation budget), `target_halfwidth_w` (every player's CI
 //    half-width at or below the target), `budget_ns` (wall clock) —
 //    whichever is hit first wins.
 //
 // Per-stratum Welford variance tracking yields a per-player confidence
-// half-width z·sqrt(Σ_ℓ var⁺/cnt⁺ + var⁻/cnt⁻)/n. For a fixed player the
-// strata really are independent — draws of different sizes are independent
-// by construction, and at one size each draw lands on exactly one of the
-// plus/minus sides — so the variance sum is the variance of φ̂_i, not an
-// approximation. The returned vector is normalized by a uniform shift so
-// Σφ̂ equals the grand worth exactly as summed; the pre-shift gap is
+// half-width z·sqrt(Σ_ℓ var⁺/cnt⁺ + var⁻/cnt⁻)/n with z = 3: the 3-sigma
+// width keeps the *joint* "every player inside its interval" event likely
+// even for large n, which is what the fleet invariant consumes. For a fixed
+// player the strata really are independent — draws of different sizes are
+// independent by construction, and at one size each draw lands on exactly
+// one of the plus/minus sides — so the variance sum is the variance of φ̂_i,
+// not an approximation. The returned vector is normalized by a uniform shift
+// so Σφ̂ equals the grand worth exactly as summed; the pre-shift gap is
 // reported so callers can check it against the CI (the invariant monitor
 // does).
 //
-// Determinism: every round's draws come from its own counter-derived
-// stream, batches evaluate rounds in parallel into pre-assigned slots, and
-// the accumulator fold happens on the calling thread in round order — the
-// result is byte-identical at any thread count for a fixed seed. (A
+// Determinism: the solver runs on the calling thread. Every round's draws
+// come from its own counter-derived stream keyed on (seed, round), and each
+// draw is folded into the accumulators as soon as it is evaluated, rounds
+// ascending and sizes ascending — a fixed seed replays byte-identically. (A
 // `budget_ns` stop is the one escape hatch: wall-clock stopping points
 // depend on machine speed, so only the sample-count and half-width rules
 // preserve cross-machine identity.)
@@ -57,18 +59,16 @@
 #include <vector>
 
 #include "core/coalition.hpp"  // kMaxSampledPlayers
-#include "util/thread_pool.hpp"
 
 namespace vmp::core {
 
 /// Worth of the coalition whose members are the set bits of `members`
-/// (player i <-> bit i). Must be safe to call concurrently — batches are
-/// evaluated on the thread pool.
+/// (player i <-> bit i).
 using SampledWorthFn = std::function<double(std::uint64_t members)>;
 
 struct SampledShapleyOptions {
   /// Base seed of the counter-based draw streams. Runs with equal
-  /// (seed, game) are byte-identical at any thread count.
+  /// (seed, game) are byte-identical.
   std::uint64_t seed = 1;
   /// Worth-evaluation budget (warm-up included). The deterministic warm-up
   /// always completes (~2n evaluations), so the effective floor is one
@@ -79,15 +79,8 @@ struct SampledShapleyOptions {
   /// (0 disables).
   double target_halfwidth_w = 0.0;
   /// Wall-clock budget for the whole run (0 disables). Checked per batch,
-  /// so the overshoot is bounded by one batch of rounds.
+  /// so the overshoot is bounded by one batch of 16 rounds.
   std::uint64_t budget_ns = 0;
-  /// CI multiplier for the reported half-widths. The 3-sigma default keeps
-  /// the *joint* "every player inside its interval" event likely even for
-  /// large n, which is what the fleet invariant consumes.
-  double confidence_z = 3.0;
-  /// Sampling rounds between stop-rule checks (one round = n−3 middle-size
-  /// evaluations); also the parallel fan-out unit.
-  std::size_t batch_rounds = 16;
 };
 
 enum class SampledStopReason : std::uint8_t {
@@ -105,7 +98,7 @@ struct SampledShapleyResult {
   /// Estimated per-player watts, uniformly shifted so the sum equals the
   /// grand worth (up to one floating-point rounding of the shift).
   std::vector<double> phi;
-  /// Per-player CI half-width (W) at the configured z.
+  /// Per-player 3-sigma CI half-width (W).
   std::vector<double> halfwidth_w;
   double max_halfwidth_w = 0.0;
   /// Conservative CI bound on Σφ̂: the sum of the per-player half-widths.
@@ -123,17 +116,11 @@ struct SampledShapleyResult {
   SampledStopReason stopped_by = SampledStopReason::kExact;
 };
 
-/// Reusable solver object: scratch and accumulator storage survive across
-/// run() calls, so a per-tick caller (the estimator) allocates only on the
-/// first tick. Not thread-safe; the parallelism is internal.
+/// Reusable solver object: accumulator storage survives across run() calls,
+/// so a per-tick caller (the estimator) allocates only on the first tick.
+/// Not thread-safe.
 class SampledShapley {
  public:
-  /// Opts batch evaluation into `pool` (nullptr = serial). The fold stays
-  /// on the calling thread in round order either way, so the pool size
-  /// never shows in the result. Must not be called from a task already
-  /// running on `pool` (see util::ThreadPool).
-  void set_thread_pool(util::ThreadPool* pool) noexcept { pool_ = pool; }
-
   /// Estimates the Shapley vector of the n-player game `worth` whose grand
   /// coalition worth is `grand_worth` (anchored by the caller — the kernel
   /// never evaluates the full mask). Throws std::invalid_argument on n == 0,
@@ -147,8 +134,6 @@ class SampledShapley {
   void fold_eval(std::size_t n, std::uint64_t members, std::size_t size,
                  double value);
 
-  util::ThreadPool* pool_ = nullptr;
-
   // Stratum accumulators, player-major by size: index i * (n + 1) + size.
   // plus = strata of coalitions containing the player, minus = not.
   std::vector<std::uint64_t> plus_cnt_, minus_cnt_;
@@ -158,16 +143,12 @@ class SampledShapley {
   // ignored — the fallback mean/variance for thin pair strata.
   std::vector<std::uint64_t> pool_cnt_;
   std::vector<double> pool_mean_, pool_m2_;
-  // Batch scratch: per-(round, size) coalition masks and worths, written by
-  // the pool tasks into disjoint slots, folded in round order.
-  std::vector<std::uint64_t> batch_mask_;
-  std::vector<double> batch_worth_;
   std::vector<double> var_;  ///< per-player variance scratch.
 };
 
 /// One-shot convenience wrapper around SampledShapley::run.
 [[nodiscard]] SampledShapleyResult sampled_shapley_values(
     std::size_t n, const SampledWorthFn& worth, double grand_worth,
-    const SampledShapleyOptions& options, util::ThreadPool* pool = nullptr);
+    const SampledShapleyOptions& options);
 
 }  // namespace vmp::core

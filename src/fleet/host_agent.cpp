@@ -21,9 +21,9 @@ HostAgent::HostAgent(std::uint32_t host_id, const sim::MachineSpec& spec,
       // one hash probe into the table's quantized-cell index.
       estimator_(dataset.universe, dataset.approximation, dataset.table) {
   // Per-host draw decorrelation for the sampled tier: hosts share one fleet
-  // seed knob but must not share coalition samples. The estimator runs
-  // serially: sample() itself is an engine pool task, and a nested wait
-  // would violate util::ThreadPool's nesting contract.
+  // seed knob but must not share coalition samples. Every core solver runs
+  // on the calling thread, so the engine's pool, one task per host, is the
+  // fleet's only parallelism.
   core::SampledKernelConfig kernel = options_.kernel;
   kernel.sampling.seed += 0x9e3779b97f4a7c15ULL * seed;
   estimator_.set_sampled_kernel(kernel);

@@ -20,6 +20,11 @@ ScenarioTrace run_scenario(PhysicalMachine& machine, double duration_s,
     throw std::invalid_argument("run_scenario: duration must be > 0");
   if (!(period_s > 0.0))
     throw std::invalid_argument("run_scenario: period must be > 0");
+  // The step count is cast to size_t, which is undefined for an infinite
+  // or >= 2^64 value.
+  if (!(duration_s / period_s < 0x1p64))
+    throw std::invalid_argument(
+        "run_scenario: duration must be finite and below 2^64 periods");
 
   const auto samples = static_cast<std::size_t>(std::round(duration_s / period_s));
   ScenarioTrace trace{util::TimeSeries(machine.now() + period_s, period_s),

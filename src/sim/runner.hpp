@@ -26,7 +26,8 @@ struct ScenarioTrace {
 
 /// Steps `machine` for duration_s in increments of period_s (default 1 Hz,
 /// the prototype's sampling rate), recording one sample per step. Throws
-/// std::invalid_argument on non-positive duration/period.
+/// std::invalid_argument on non-positive duration/period, and on a duration
+/// that is infinite or spans 2^64 or more periods.
 [[nodiscard]] ScenarioTrace run_scenario(PhysicalMachine& machine,
                                          double duration_s,
                                          double period_s = 1.0);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
 #include "common/vm_config.hpp"
@@ -27,6 +28,16 @@ TEST(Collector, OptionsValidation) {
   options = {};
   options.resolution = 0.0;
   EXPECT_THROW(options.validate(), std::invalid_argument);
+  // The campaign casts duration/dwell and duration/period to size_t, which
+  // is undefined for inf or >= 2^64.
+  for (const double duration : {HUGE_VAL, 1e30}) {
+    options = {};
+    options.duration_s = duration;
+    EXPECT_THROW(options.validate(), std::invalid_argument) << duration;
+  }
+  options = {};
+  options.duration_s = 600.0;
+  EXPECT_NO_THROW(options.validate());
   EXPECT_NO_THROW(CollectionOptions{}.validate());
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 
@@ -63,6 +64,11 @@ TEST(Runner, Validation) {
   PhysicalMachine machine(quiet_xeon(), 1);
   EXPECT_THROW(run_scenario(machine, 0.0, 1.0), std::invalid_argument);
   EXPECT_THROW(run_scenario(machine, 10.0, 0.0), std::invalid_argument);
+  // duration/period is cast to size_t, which is undefined for inf or
+  // >= 2^64.
+  EXPECT_THROW(run_scenario(machine, HUGE_VAL, 1.0), std::invalid_argument);
+  EXPECT_THROW(run_scenario(machine, 1e30, 1.0), std::invalid_argument);
+  EXPECT_EQ(run_scenario(machine, 600.0, 1.0).size(), 600u);
 }
 
 TEST(Runner, SubSecondSampling) {

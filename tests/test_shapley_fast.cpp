@@ -10,7 +10,6 @@
 #include "core/estimator.hpp"
 #include "core/vhc.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vmp::core {
 namespace {
@@ -171,41 +170,6 @@ TEST(GroupedShapley, EfficiencyOnFullySymmetricGame) {
   const auto phi = shapley_values_grouped(groups, v);
   const double expected = v(Coalition::grand(n)) / static_cast<double>(n);
   for (const double p : phi) EXPECT_NEAR(p, expected, 1e-12);
-}
-
-// --- parallel mask sweep -----------------------------------------------------
-
-TEST(ParallelShapley, ByteIdenticalAcrossPoolSizesAndNearSerial) {
-  util::Rng rng(11);
-  const std::size_t n = 10;
-  std::vector<double> worth_table(std::size_t{1} << n);
-  for (auto& w : worth_table) w = rng.uniform(0.0, 100.0);
-  worth_table[0] = 0.0;
-  const WorthFn v = [&](Coalition s) { return worth_table[s.mask()]; };
-
-  const auto serial = shapley_values(n, v);
-  std::vector<std::vector<double>> runs;
-  for (const std::size_t threads : {1u, 2u, 3u, 7u}) {
-    util::ThreadPool pool(threads);
-    runs.push_back(shapley_values_parallel(n, v, pool));
-  }
-  for (std::size_t run = 1; run < runs.size(); ++run)
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(runs[0][i], runs[run][i])  // exact, not NEAR.
-          << "pool-size run " << run << " player " << i;
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(runs[0][i], serial[i], 1e-9);
-}
-
-TEST(ParallelShapley, PropagatesWorthExceptions) {
-  util::ThreadPool pool(3);
-  const WorthFn v = [](Coalition s) -> double {
-    if (s.size() > 2) throw std::runtime_error("boom");
-    return 1.0;
-  };
-  EXPECT_THROW(shapley_values_parallel(6, v, pool), std::runtime_error);
-  EXPECT_THROW(shapley_values_parallel(0, [](Coalition) { return 0.0; }, pool),
-               std::invalid_argument);
 }
 
 // --- ComboWeightCache --------------------------------------------------------

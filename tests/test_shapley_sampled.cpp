@@ -12,7 +12,6 @@
 #include "core/estimator.hpp"
 #include "core/shapley.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vmp::core {
 namespace {
@@ -90,28 +89,61 @@ TEST(SampledShapley, EstimateFallsInsideItsOwnConfidenceInterval) {
               grand, 1e-9);
 }
 
-TEST(SampledShapley, ByteIdenticalAtAnyThreadCount) {
+TEST(SampledShapley, SameSeedRunsAreByteIdentical) {
   constexpr std::size_t n = 12;
   const auto table = random_game(n, 5);
   SampledShapleyOptions options;
   options.seed = 99;
   options.max_samples = 1500;
 
-  const auto reference =
+  const auto first =
       sampled_shapley_values(n, table_worth(table), table.back(), options);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{5}}) {
-    util::ThreadPool pool(threads);
-    const auto parallel = sampled_shapley_values(
-        n, table_worth(table), table.back(), options, &pool);
-    ASSERT_EQ(parallel.phi.size(), reference.phi.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(parallel.phi[i], reference.phi[i]) << "threads=" << threads;
-      EXPECT_EQ(parallel.halfwidth_w[i], reference.halfwidth_w[i])
-          << "threads=" << threads;
+  const auto again =
+      sampled_shapley_values(n, table_worth(table), table.back(), options);
+  EXPECT_EQ(again.phi, first.phi);  // exact, not NEAR.
+  EXPECT_EQ(again.halfwidth_w, first.halfwidth_w);
+  EXPECT_EQ(again.worth_evaluations, first.worth_evaluations);
+  EXPECT_EQ(again.rounds, first.rounds);
+
+  // The seed keys every round's draws: another seed samples other
+  // coalitions and lands elsewhere.
+  options.seed = 100;
+  const auto reseeded =
+      sampled_shapley_values(n, table_worth(table), table.back(), options);
+  EXPECT_EQ(reseeded.worth_evaluations, first.worth_evaluations);
+  EXPECT_NE(reseeded.phi, first.phi);
+}
+
+TEST(SampledShapley, HalfwidthHalvesWhenTheBudgetQuadruples) {
+  // The CI half-width is z·sd/sqrt(draws): every 4x budget step should halve
+  // it, give or take the variance estimate's own noise.
+  for (const std::size_t n : {6u, 8u, 10u}) {
+    util::Rng rng(n * 31);
+    std::vector<double> table(std::size_t{1} << n);
+    for (double& w : table) w = rng.uniform(0.0, 50.0);
+    table[0] = 0.0;
+    const auto exact =
+        shapley_values(n, [&](Coalition s) { return table[s.mask()]; });
+
+    double previous = 0.0;
+    for (const std::size_t budget : {400u, 1600u, 6400u}) {
+      SampledShapleyOptions options;
+      options.seed = 1234;
+      options.max_samples = budget;
+      const auto result =
+          sampled_shapley_values(n, table_worth(table), table.back(), options);
+      if (previous > 0.0) {
+        const double ratio = result.max_halfwidth_w / previous;
+        EXPECT_GT(ratio, 0.35) << "n=" << n << " budget=" << budget;
+        EXPECT_LT(ratio, 0.65) << "n=" << n << " budget=" << budget;
+      }
+      previous = result.max_halfwidth_w;
+      const double shift_slack = result.sum_halfwidth_w / n;
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_LE(std::abs(result.phi[i] - exact[i]),
+                  result.halfwidth_w[i] + shift_slack)
+            << "n=" << n << " budget=" << budget << " player " << i;
     }
-    EXPECT_EQ(parallel.worth_evaluations, reference.worth_evaluations);
-    EXPECT_EQ(parallel.rounds, reference.rounds);
   }
 }
 
@@ -172,8 +204,7 @@ TEST(SampledShapley, SixtyFourPlayerAdditiveGameInBoundedTime) {
   SampledShapleyOptions options;
   options.seed = 17;
   options.max_samples = 20'000;
-  util::ThreadPool pool(4);
-  const auto result = sampled_shapley_values(n, worth, grand, options, &pool);
+  const auto result = sampled_shapley_values(n, worth, grand, options);
   EXPECT_STREQ(to_string(result.stopped_by), "max_samples");
   EXPECT_LE(result.worth_evaluations, options.max_samples);
   EXPECT_NEAR(std::accumulate(result.phi.begin(), result.phi.end(), 0.0),

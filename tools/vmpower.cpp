@@ -61,6 +61,7 @@
 //
 // Fleet syntax: comma-separated Table IV type names (VM1..VM4). The machine
 // is the calibrated Xeon prototype (--machine pentium for the desktop).
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -254,6 +255,11 @@ core::SampledKernelConfig kernel_for(const util::CliArgs& args) {
   const auto budget_ms = args.get_unsigned<std::uint64_t>("budget-ms", 0);
   if (!(halfwidth >= 0.0))
     throw std::invalid_argument("--halfwidth must be >= 0");
+  // Larger values wrap in the conversion to nanoseconds.
+  constexpr std::uint64_t kMaxBudgetMs = UINT64_MAX / 1'000'000;
+  if (budget_ms > kMaxBudgetMs)
+    throw std::invalid_argument("--budget-ms must be <= " +
+                                std::to_string(kMaxBudgetMs));
   config.sampling.max_samples = samples;
   config.sampling.target_halfwidth_w = halfwidth;
   config.sampling.budget_ns = budget_ms * 1'000'000ULL;
@@ -358,7 +364,7 @@ int cmd_meter(const util::CliArgs& args, bool billing) {
   const sim::MachineSpec spec = machine_for(args);
   const auto seed = args.get_unsigned<std::uint64_t>("seed", 1);
   const std::string csv_path = path_for(args, "csv");
-  const double duration = args.get_double("duration", 60.0);
+  const std::uint64_t ticks = args.get_ticks("duration", 60.0);
   // Only the bill reads the idle policy and the tariff.
   core::IdleAttribution policy = core::IdleAttribution::kNone;
   double tariff = 0.0;
@@ -392,7 +398,8 @@ int cmd_meter(const util::CliArgs& args, bool billing) {
   core::EnergyAccountant accountant(policy);
   core::MeteringLoop loop(machine, estimator, 1.0, &accountant);
 
-  for (double t = 1.0; t <= duration; t += 1.0) {
+  for (std::uint64_t tick = 1; tick <= ticks; ++tick) {
+    const auto t = static_cast<double>(tick);
     const core::MeteringSample sample = loop.step();
     if (!billing) {
       std::printf("t=%6.0f adj=%7.2fW ", t, sample.adjusted_power_w);
@@ -423,8 +430,9 @@ int cmd_meter(const util::CliArgs& args, bool billing) {
                          accountant.bill_usd(ids[i], tariff), 6)});
     }
     table.print();
-    std::printf("idle attribution: %s; tariff $%.4f/kWh; horizon %.0f s\n",
-                to_string(accountant.policy()), tariff, duration);
+    std::printf("idle attribution: %s; tariff $%.4f/kWh; horizon %llu s\n",
+                to_string(accountant.policy()), tariff,
+                static_cast<unsigned long long>(ticks));
   }
   return 0;
 }
@@ -510,11 +518,20 @@ core::TouRateSchedule tou_for(const util::CliArgs& args) {
       args.get_double("peak-rate", tou.offpeak_usd_per_kwh);
   tou.seconds_per_hour = args.get_double("seconds-per-hour", 3600.0);
   const std::string hours = args.get("peak-hours", "17-21");
-  const auto dash = hours.find('-');
-  if (dash == std::string::npos)
-    throw std::invalid_argument("--peak-hours expects H0-H1, e.g. 17-21");
-  tou.peak_start_hour = std::stod(hours.substr(0, dash));
-  tou.peak_end_hour = std::stod(hours.substr(dash + 1));
+  // Each hour is its whole token: "17x-21" is not 17-21.
+  const auto hour = [&](std::string_view text) {
+    double value = 0.0;
+    const char* const end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc{} || stop != end)
+      throw std::invalid_argument(
+          "--peak-hours expects H0-H1, e.g. 17-21, got '" + hours + "'");
+    return value;
+  };
+  const std::string_view range = hours;
+  const auto dash = range.find('-');
+  tou.peak_start_hour = hour(range.substr(0, dash));
+  tou.peak_end_hour = hour(dash == range.npos ? "" : range.substr(dash + 1));
   tou.validate();
   return tou;
 }
