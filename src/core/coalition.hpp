@@ -18,10 +18,10 @@ using Player = std::size_t;
 
 inline constexpr std::size_t kMaxPlayers = 30;
 
-/// Player ceiling of the sampled Shapley tier (shapley_sampled.hpp), which
-/// works on std::uint64_t membership masks instead of Coalition and therefore
-/// is not bound by Coalition::Mask. Exact kernels stay capped at kMaxPlayers.
-inline constexpr std::size_t kMaxSampledPlayers = 64;
+/// VM ceiling of one metered host. The type-set kernel (shapley_fast.hpp)
+/// sums over VHC sets, not coalitions, so it is not bound by
+/// Coalition::Mask; the mask-sweep kernels stay capped at kMaxPlayers.
+inline constexpr std::size_t kMaxHostVms = 64;
 
 /// An immutable set of players, represented as a bitmask.
 class Coalition {

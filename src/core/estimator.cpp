@@ -21,9 +21,9 @@ std::vector<common::StateVector> states_of(std::span<const VmSample> vms) {
 void require_input(std::span<const VmSample> vms, double adjusted_power_w) {
   if (vms.empty())
     throw std::invalid_argument("PowerEstimator: need at least one VM");
-  // The sampled tier meters up to kMaxSampledPlayers; exact kernels enforce
-  // their own kMaxPlayers bound at dispatch.
-  if (vms.size() > kMaxSampledPlayers)
+  // The type-set kernel meters up to kMaxHostVms; the collapsed and sweep
+  // kernels enforce their own bounds at dispatch.
+  if (vms.size() > kMaxHostVms)
     throw std::invalid_argument("PowerEstimator: too many VMs");
   if (!std::isfinite(adjusted_power_w) || adjusted_power_w < 0.0)
     throw std::invalid_argument(
@@ -122,25 +122,26 @@ std::vector<double> ShapleyVhcEstimator::estimate(std::span<const VmSample> vms,
   const VhcComboMask full_combo = prepare_tick(vms);
   detect_symmetry_into(player_key_, states_, groups_);
 
-  // Kernel selection, three tiers: any repeated (type, state) pair shrinks
-  // the composition space below 2^n, so collapse wins whenever it applies;
-  // the batched sweep covers fully distinguishable fleets; and once the
-  // composition count exceeds the configured threshold (a fully
-  // heterogeneous host) exactness is traded for the bounded-time sampled
-  // tier with confidence intervals.
+  // Kernel selection: any repeated (type, state) pair shrinks the
+  // composition space below 2^n, so collapse wins whenever it applies; the
+  // batched sweep covers fully distinguishable hosts; past kMaxCompositions
+  // the type-set kernel, whose cost follows the busy VHCs, not the VMs.
   VMP_TRACE_SPAN("core.shapley_kernel", "core");
-  using Kernel = SampledKernelConfig::Kernel;
-  const Kernel forced = sampled_config_.kernel;
-  if (forced == Kernel::kSampled ||
-      (forced == Kernel::kAuto &&
-       groups_.composition_count() > sampled_config_.composition_threshold)) {
-    last_kernel_ = "sampled";
-    return estimate_sampled(adjusted_power_w, full_combo);
+  const std::size_t compositions = groups_.composition_count();
+  if (kernel_ == ShapleyKernel::kTypeSet ||
+      (kernel_ == ShapleyKernel::kAuto && compositions > kMaxCompositions)) {
+    last_kernel_ = "typeset";
+    build_contribution_table(full_combo);
+    return typeset_shapley(p_, player_col_,
+                           anchor_ ? std::optional<double>(adjusted_power_w)
+                                   : std::nullopt);
   }
-  // Collapsed enumerates compositions, not masks, so it has no kMaxPlayers
-  // bound: 64 VMs of a few types stay exact. Only the 2^n sweep does.
-  if (forced == Kernel::kCollapsed ||
-      (forced == Kernel::kAuto && groups_.group_count() < vms.size())) {
+  if (kernel_ == ShapleyKernel::kCollapsed ||
+      (kernel_ == ShapleyKernel::kAuto && groups_.group_count() < vms.size())) {
+    // One worth per composition: refuse what the 2^n sweep would refuse.
+    if (compositions > (std::size_t{1} << kMaxPlayers))
+      throw std::invalid_argument(
+          "PowerEstimator: too many compositions for the collapsed kernel");
     last_kernel_ = "collapsed";
     return estimate_collapsed(adjusted_power_w);
   }
@@ -222,46 +223,6 @@ void ShapleyVhcEstimator::build_contribution_table(VhcComboMask full_combo) {
           player_vhc_[i] * common::kNumComponents, common::kNumComponents));
     }
   }
-}
-
-std::vector<double> ShapleyVhcEstimator::estimate_sampled(
-    double adjusted_power_w, VhcComboMask full_combo) {
-  const std::size_t n = states_.size();
-
-  // Same batched worth backend as the table-less sweep: build P once, then
-  // every worth query is a read-only gather. The VscTable is bypassed on
-  // this tier: it is approximation-only, and the measurement anchor still
-  // pins Σφ.
-  build_contribution_table(full_combo);
-  const SampledWorthFn worth = [&](std::uint64_t members) {
-    std::size_t col = 0;
-    for (std::uint64_t m = members; m != 0; m &= m - 1)
-      col |= player_col_[static_cast<std::size_t>(std::countr_zero(m))];
-    if (col == 0) return 0.0;  // all members idle.
-    double sum = 0.0;
-    for (std::uint64_t m = members; m != 0; m &= m - 1)
-      sum += p_[static_cast<std::size_t>(std::countr_zero(m)) * p_cols_ + col];
-    return sum;
-  };
-  const std::uint64_t grand_mask =
-      n == 64 ? ~0ULL : ((std::uint64_t{1} << n) - 1);
-  const double grand = anchor_ ? adjusted_power_w : worth(grand_mask);
-
-  SampledShapleyOptions options = sampled_config_.sampling;
-  // Decorrelate consecutive ticks: mix a per-estimator call counter into the
-  // seed so ticks do not reuse draws, while a fixed (config, call order)
-  // still replays byte-identically.
-  options.seed += 0x632be59bd9b4e019ULL * static_cast<std::uint64_t>(
-                                              ++estimate_calls_);
-  SampledShapleyResult result = sampler_.run(n, worth, grand, options);
-
-  worth_queries_ += result.worth_evaluations;
-  last_sampled_ = SampledTickStats{
-      result.max_halfwidth_w,    result.sum_halfwidth_w,
-      result.efficiency_gap_w,   result.worth_evaluations,
-      result.rounds,             result.unseen_strata,
-      to_string(result.stopped_by)};
-  return std::move(result.phi);
 }
 
 std::vector<double> ShapleyVhcEstimator::estimate_sweep(

@@ -29,42 +29,19 @@
 #include "core/linear_approx.hpp"
 #include "core/shapley.hpp"
 #include "core/shapley_fast.hpp"
-#include "core/shapley_sampled.hpp"
 #include "core/vhc.hpp"
 #include "sim/coalition_probe.hpp"
 
 namespace vmp::core {
 
-/// Kernel-selection policy for ShapleyVhcEstimator, plus the sampling
-/// options of the approximate tier.
-struct SampledKernelConfig {
-  enum class Kernel : std::uint8_t {
-    kAuto,       ///< pick by symmetry and composition count (default).
-    kCollapsed,  ///< force the composition enumeration (exact).
-    kSweep,      ///< force the 2^n mask sweep (exact).
-    kSampled,    ///< force the stratified sampling tier (approximate).
-  };
-  Kernel kernel = Kernel::kAuto;
-  /// Auto mode falls through to the sampled tier once the exact kernels
-  /// would evaluate more than this many compositions — 2^16 keeps every
-  /// paper-sized host (n <= 16, Sec. V-B) exact while an all-distinct host
-  /// beyond that answers approximately in bounded time.
-  std::size_t composition_threshold = std::size_t{1} << 16;
-  SampledShapleyOptions sampling;
-};
-
-/// Per-tick diagnostics of the sampled tier; meaningful only when the last
-/// estimate() reported last_kernel() == "sampled".
-struct SampledTickStats {
-  double max_halfwidth_w = 0.0;
-  double sum_halfwidth_w = 0.0;
-  /// |Σφ − anchored grand| before normalization; the invariant monitor
-  /// checks it against sum_halfwidth_w.
-  double efficiency_gap_w = 0.0;
-  std::size_t worth_evaluations = 0;
-  std::size_t rounds = 0;
-  std::size_t unseen_strata = 0;
-  std::string_view stopped_by = "none";  ///< always a literal.
+/// The Shapley kernel ShapleyVhcEstimator runs. Every kernel answers the
+/// same game exactly; they differ in cost, and the type-set kernel answers
+/// from the approximation alone, bypassing the VscTable.
+enum class ShapleyKernel : std::uint8_t {
+  kAuto,       ///< pick by symmetry and composition count (default).
+  kCollapsed,  ///< force the composition enumeration.
+  kSweep,      ///< force the 2^n mask sweep.
+  kTypeSet,    ///< force the sum over busy-VHC sets (typeset_shapley).
 };
 
 /// One running VM's telemetry at the estimation instant.
@@ -115,35 +92,27 @@ class ShapleyVhcEstimator final : public PowerEstimator {
   /// Worth evaluations performed so far. With symmetric players the
   /// collapsed kernel evaluates compositions rather than masks, so this
   /// grows far slower than 2^n per tick — exposed so tests and benchmarks
-  /// can observe the collapse.
+  /// can observe the collapse. The type-set kernel evaluates no coalition
+  /// worth and adds nothing.
   [[nodiscard]] std::size_t worth_queries() const noexcept {
     return worth_queries_;
   }
 
   /// Which kernel the last estimate() call dispatched to: "collapsed",
-  /// "sweep", "sampled", or "none" before the first call. Feeds the fleet's
+  /// "sweep", "typeset", or "none" before the first call. Feeds the fleet's
   /// fast-path selection counters.
   [[nodiscard]] std::string_view last_kernel() const noexcept {
     return last_kernel_;
   }
 
-  /// Kernel-selection policy and sampling knobs. The sampled tier bypasses
-  /// the VscTable — it is approximation-only, with the measurement anchor
-  /// still pinning Σφ. Consecutive estimate() calls mix a call counter into
-  /// the configured seed so ticks do not share draws; the sequence is still
-  /// reproducible for a fixed (config, call order).
-  void set_sampled_kernel(const SampledKernelConfig& config) noexcept {
-    sampled_config_ = config;
-  }
-  [[nodiscard]] const SampledKernelConfig& sampled_kernel() const noexcept {
-    return sampled_config_;
-  }
+  /// Auto mode runs the collapsed or sweep kernel, with the Fig. 8 table,
+  /// while the tick has at most this many compositions (2^16 keeps every
+  /// paper-sized host, n <= 16 by Sec. V-B, on them), and the type-set
+  /// kernel past it.
+  static constexpr std::size_t kMaxCompositions = std::size_t{1} << 16;
 
-  /// Diagnostics of the most recent sampled-tier tick (CI half-widths,
-  /// pre-normalization efficiency gap, evaluation counts, stop reason).
-  [[nodiscard]] const SampledTickStats& last_sampled() const noexcept {
-    return last_sampled_;
-  }
+  /// Kernel-selection policy.
+  void set_kernel(ShapleyKernel kernel) noexcept { kernel_ = kernel; }
 
   [[nodiscard]] std::vector<double> estimate(std::span<const VmSample> vms,
                                              double adjusted_power_w) override;
@@ -169,14 +138,10 @@ class ShapleyVhcEstimator final : public PowerEstimator {
   [[nodiscard]] std::vector<double> estimate_collapsed(double adjusted_power_w);
   [[nodiscard]] std::vector<double> estimate_sweep(double adjusted_power_w,
                                                    VhcComboMask full_combo);
-  /// Stratified sampling tier (shapley_sampled.hpp) over the same batched
-  /// per-player contribution table as the table-less sweep.
-  [[nodiscard]] std::vector<double> estimate_sampled(double adjusted_power_w,
-                                                     VhcComboMask full_combo);
   /// Fills p_ with P[i][col] = state_i · w_combo[vhc_i] for every
   /// sub-combo of full_combo (columns numbered over full_combo's bits, see
-  /// player_col_) — the shared worth backend of the batched sweep and the
-  /// sampled tier.
+  /// player_col_) — the shared worth backend of the table-less sweep and
+  /// the type-set kernel.
   void build_contribution_table(VhcComboMask full_combo);
 
   VhcUniverse universe_;
@@ -209,10 +174,7 @@ class ShapleyVhcEstimator final : public PowerEstimator {
   std::vector<std::size_t> gsize_, gvhc_, comp_k_;
   std::vector<std::uint32_t> gbit_;
   std::vector<common::StateVector> gstate_;
-  SampledKernelConfig sampled_config_;
-  SampledTickStats last_sampled_;
-  SampledShapley sampler_;
-  std::size_t estimate_calls_ = 0;  ///< sampled-tier seed decorrelation.
+  ShapleyKernel kernel_ = ShapleyKernel::kAuto;
 };
 
 /// Exact Shapley against the simulator's coalition-worth oracle. The probe's

@@ -1,8 +1,12 @@
 #include "core/serialization.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <string>
+
+#include "core/vhc.hpp"
 
 namespace vmp::core {
 
@@ -30,16 +34,45 @@ std::ifstream open_in(const std::filesystem::path& path) {
   return in;
 }
 
-/// Parses "key=value" returning the value; throws on mismatch.
-double header_value(const std::string& token, const std::string& key) {
-  const std::string prefix = key + "=";
-  if (token.rfind(prefix, 0) != 0)
-    throw std::runtime_error("serialization: expected '" + key +
-                             "=...' in header, got '" + token + "'");
-  return std::stod(token.substr(prefix.size()));
+/// Parses the value of the header token `key=value` with std::from_chars;
+/// false unless the key matches and the whole value parses.
+template <typename T>
+bool parse_header(std::string_view token, std::string_view key, T& value) {
+  if (!token.starts_with(key) || token.size() <= key.size() ||
+      token[key.size()] != '=')
+    return false;
+  const char* end = token.data() + token.size();
+  const auto [stop, error] =
+      std::from_chars(token.data() + key.size() + 1, end, value);
+  return error == std::errc{} && stop == end;
+}
+
+[[noreturn]] void bad_header(std::string_view what, std::string_view token,
+                             std::string_view key,
+                             const std::string& expected) {
+  throw std::runtime_error(std::string(what) + ": header " +
+                           std::string(key) + " must be " + expected +
+                           ", got '" + std::string(token) + "'");
 }
 
 }  // namespace
+
+std::uint64_t header_count(std::string_view what, std::string_view token,
+                           std::string_view key, std::uint64_t max) {
+  std::uint64_t value = 0;
+  if (!parse_header(token, key, value) || value > max)
+    bad_header(what, token, key,
+               "a whole number in [0, " + std::to_string(max) + "]");
+  return value;
+}
+
+double header_finite(std::string_view what, std::string_view token,
+                     std::string_view key) {
+  double value = 0.0;
+  if (!parse_header(token, key, value) || !std::isfinite(value))
+    bad_header(what, token, key, "a finite number");
+  return value;
+}
 
 void save_table(const VscTable& table, const std::filesystem::path& path) {
   std::ofstream out = open_out(path);
@@ -62,9 +95,10 @@ VscTable load_table(const std::filesystem::path& path) {
   in >> magic_a >> magic_b >> vhcs_token >> resolution_token;
   if (magic_a + " " + magic_b != kTableMagic)
     throw std::runtime_error("load_table: bad magic in " + path.string());
-  const auto num_vhcs =
-      static_cast<std::size_t>(header_value(vhcs_token, "num_vhcs"));
-  const double resolution = header_value(resolution_token, "resolution");
+  const auto num_vhcs = static_cast<std::size_t>(header_count(
+      "load_table", vhcs_token, "num_vhcs", VhcUniverse::kMaxVhcs));
+  const double resolution =
+      header_finite("load_table", resolution_token, "resolution");
 
   VscTable table(num_vhcs, resolution);
   VhcComboMask combo = 0;
@@ -105,8 +139,8 @@ VhcLinearApprox load_approximation(const std::filesystem::path& path) {
   if (magic_a + " " + magic_b != kApproxMagic)
     throw std::runtime_error("load_approximation: bad magic in " +
                              path.string());
-  const auto num_vhcs =
-      static_cast<std::size_t>(header_value(vhcs_token, "num_vhcs"));
+  const auto num_vhcs = static_cast<std::size_t>(header_count(
+      "load_approximation", vhcs_token, "num_vhcs", VhcUniverse::kMaxVhcs));
 
   std::vector<VhcLinearApprox::ComboModelData> models;
   VhcComboMask combo = 0;
@@ -142,19 +176,26 @@ EnergyAccountant read_accountant(std::istream& in) {
   in >> magic_a >> magic_b >> policy_token >> seconds_token >> entries_token;
   if (magic_a + " " + magic_b != kAccountantMagic)
     throw std::runtime_error("read_accountant: bad magic");
-  const int policy = static_cast<int>(header_value(policy_token, "policy"));
-  if (policy < 0 || policy > static_cast<int>(IdleAttribution::kProportional))
-    throw std::runtime_error("read_accountant: unknown idle policy");
-  const double seconds = header_value(seconds_token, "seconds");
-  const auto entries =
-      static_cast<std::size_t>(header_value(entries_token, "entries"));
+  const auto policy = static_cast<IdleAttribution>(
+      header_count("read_accountant", policy_token, "policy",
+                   static_cast<std::uint64_t>(IdleAttribution::kProportional)));
+  const double seconds =
+      header_finite("read_accountant", seconds_token, "seconds");
+  const std::uint64_t entries =
+      header_count("read_accountant", entries_token, "entries");
 
-  std::vector<std::pair<std::uint32_t, double>> energies(entries);
-  for (auto& [vm_id, joules] : energies)
+  // Rows are appended as they are read, so a count the file does not back
+  // fails as truncation instead of as one huge allocation.
+  std::vector<std::pair<std::uint32_t, double>> energies;
+  for (std::uint64_t k = 0; k < entries; ++k) {
+    std::uint32_t vm_id = 0;
+    double joules = 0.0;
     if (!(in >> vm_id >> joules))
       throw std::runtime_error("read_accountant: truncated entry row");
+    energies.emplace_back(vm_id, joules);
+  }
 
-  EnergyAccountant accountant(static_cast<IdleAttribution>(policy));
+  EnergyAccountant accountant(policy);
   accountant.restore(energies, seconds);
   return accountant;
 }
@@ -177,15 +218,18 @@ void read_multi_host(std::istream& in, MultiHostAccountant& accountant) {
   in >> magic_a >> magic_b >> entries_token >> unattributed_token;
   if (magic_a + " " + magic_b != kMultiHostMagic)
     throw std::runtime_error("read_multi_host: bad magic");
-  const auto entries =
-      static_cast<std::size_t>(header_value(entries_token, "entries"));
+  const std::uint64_t entries =
+      header_count("read_multi_host", entries_token, "entries");
   const double unattributed =
-      header_value(unattributed_token, "unattributed");
+      header_finite("read_multi_host", unattributed_token, "unattributed");
 
-  std::vector<MultiHostAccountant::EnergyRecord> records(entries);
-  for (auto& record : records)
+  std::vector<MultiHostAccountant::EnergyRecord> records;
+  for (std::uint64_t k = 0; k < entries; ++k) {
+    MultiHostAccountant::EnergyRecord record;
     if (!(in >> record.tenant >> record.host >> record.joules))
       throw std::runtime_error("read_multi_host: truncated entry row");
+    records.push_back(record);
+  }
   accountant.restore(records, unattributed);
 }
 

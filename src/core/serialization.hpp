@@ -11,7 +11,8 @@
 //   <combo> <r x kNumComponents weights> <rmse> <sample_count>
 //
 // All load functions validate the header and throw std::runtime_error on
-// malformed input.
+// malformed input: a count must be a whole unsigned number and an energy,
+// duration or resolution a finite number, each with no trailing bytes.
 // Billing state uses the same conventions, as *stream* blocks so composite
 // checkpoints (the fleet engine's) can embed several accountants in one
 // file:
@@ -23,8 +24,11 @@
 //   <tenant> <host> <joules>                                  (e rows)
 #pragma once
 
+#include <cstdint>
 #include <filesystem>
 #include <iosfwd>
+#include <limits>
+#include <string_view>
 
 #include "core/accountant.hpp"
 #include "core/linear_approx.hpp"
@@ -32,6 +36,19 @@
 #include "core/vsc_table.hpp"
 
 namespace vmp::core {
+
+/// The value of the header token `key=value` as a whole number in
+/// [0, max]: digits only, no sign, no trailing bytes. Throws
+/// std::runtime_error naming `what` (the file kind), the key and the token.
+[[nodiscard]] std::uint64_t header_count(
+    std::string_view what, std::string_view token, std::string_view key,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/// The value of the header token `key=value` as a finite double with no
+/// trailing bytes; throws like header_count.
+[[nodiscard]] double header_finite(std::string_view what,
+                                   std::string_view token,
+                                   std::string_view key);
 
 /// Writes the table; throws std::runtime_error on I/O failure.
 void save_table(const VscTable& table, const std::filesystem::path& path);

@@ -1,6 +1,7 @@
 #include "core/shapley_fast.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 
@@ -9,12 +10,18 @@ namespace {
 
 constexpr std::size_t kNoGroup = static_cast<std::size_t>(-1);
 
+/// Subset Möbius transform in place: f(B) ← Σ_{C⊆B} (−1)^{|B∖C|} f(C).
+void mobius_transform(std::vector<double>& f) {
+  for (std::size_t bit = 1; bit < f.size(); bit <<= 1)
+    for (std::size_t set = 0; set < f.size(); ++set)
+      if ((set & bit) != 0) f[set] -= f[set ^ bit];
+}
+
 }  // namespace
 
 std::size_t SymmetryGroups::composition_count() const noexcept {
   // Saturate instead of wrapping: 64 all-distinct players would otherwise
-  // multiply 2^64 → 0 and defeat the "too many compositions, go sampled"
-  // kernel-selection threshold.
+  // multiply 2^64 → 0 and defeat the kernel-selection bounds.
   std::size_t count = 1;
   for (const auto& group : members) {
     const std::size_t factor = group.size() + 1;
@@ -161,6 +168,102 @@ std::vector<double> collapsed_shapley_sum(const SymmetryGroups& groups,
   std::vector<double> phi(n, 0.0);
   for (std::size_t j = 0; j < r; ++j)
     for (const Player p : groups.members[j]) phi[p] = phi_group[j];
+  return phi;
+}
+
+std::vector<double> typeset_shapley(std::span<const double> p,
+                                    std::span<const std::uint32_t> type_bit,
+                                    std::optional<double> grand_worth) {
+  const std::size_t n = type_bit.size();
+  if (n == 0) throw std::invalid_argument("typeset_shapley: n must be >= 1");
+  const std::size_t cols = p.size() / n;
+  if (cols * n != p.size() || !std::has_single_bit(cols))
+    throw std::invalid_argument("typeset_shapley: table is not n x 2^K");
+  const auto k = static_cast<std::size_t>(std::countr_zero(cols));
+
+  // c_t players sit in busy VHC t; the other n − Σ c_t are idle. B(N),
+  // the VHCs that hold a player, is `busy`.
+  std::vector<std::size_t> count(k, 0);
+  std::size_t idle = 0, busy = 0;
+  for (const std::uint32_t bit : type_bit) {
+    if (bit != 0 && (!std::has_single_bit(bit) || bit >= cols))
+      throw std::invalid_argument("typeset_shapley: bad type bit");
+    busy |= bit;
+    if (bit == 0) ++idle;
+    else ++count[static_cast<std::size_t>(std::countr_zero(bit))];
+  }
+
+  // M(C) = I + Σ_{t∈C} c_t players are idle or in a VHC of C. In a random
+  // order, every player ahead of a busy player i of VHC a is one of them with
+  // probability W(C) = 1/(n − M(C) + 1) when a ∈ C; when a ∉ C, a given one
+  // of them is ahead of i and only such players are, with probability
+  // U(C) = 1/((n − M(C) + 1)(n − M(C))). One Möbius transform of each turns
+  // "ahead of i ⊆ C" into "exactly C" for every a and t at once.
+  std::vector<double> mu_w(cols), mu_u(cols);
+  for (std::size_t set = 0; set < cols; ++set) {
+    std::size_t m = idle;
+    for (std::size_t rest = set; rest != 0; rest &= rest - 1)
+      m += count[static_cast<std::size_t>(std::countr_zero(rest))];
+    const auto outside = static_cast<double>(n - m);
+    mu_w[set] = 1.0 / (outside + 1.0);
+    mu_u[set] = m == n ? 0.0 : 1.0 / ((outside + 1.0) * outside);
+  }
+  mobius_transform(mu_w);
+  mobius_transform(mu_u);
+
+  // Q_t(B) = Σ_{j in VHC t} P[j][B], over the sets B that hold t. Supersets
+  // of a bit are enumerated as set = (set + 1) | bit.
+  std::vector<double> q(k * cols, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t bit = type_bit[j];
+    if (bit == 0) continue;
+    double* q_t = q.data() + static_cast<std::size_t>(std::countr_zero(bit)) * cols;
+    const double* row = p.data() + j * cols;
+    for (std::size_t set = bit; set < cols; set = (set + 1) | bit)
+      q_t[set] += row[set];
+  }
+
+  // What every player of VHC a gains from the players ahead of it: a VHC-t
+  // player j ahead of i, with exactly the VHCs B ahead of i (t ∈ B, a ∉ B),
+  // moves from P[j][B] to P[j][B ∪ a] when i joins.
+  std::vector<double> shared(k, 0.0);
+  for (std::size_t a = 0; a < k; ++a) {
+    const std::size_t a_bit = std::size_t{1} << a;
+    for (std::size_t t = 0; t < k; ++t) {
+      if (t == a) continue;
+      const std::size_t t_bit = std::size_t{1} << t;
+      const double* q_t = q.data() + t * cols;
+      // Each such B is t ∪ rest, rest ⊆ free: rest = (rest − free) & free.
+      const std::size_t free = (cols - 1) & ~(a_bit | t_bit);
+      double sum = 0.0;
+      std::size_t rest = 0;
+      do {
+        const std::size_t set = rest | t_bit;
+        sum += (mu_u[set] + mu_u[rest]) * (q_t[set | a_bit] - q_t[set]);
+        rest = (rest - free) & free;
+      } while (rest != 0);
+      shared[a] += sum;
+    }
+  }
+
+  // i's own contribution P[i][B ∪ a], weighted by the probability that the
+  // VHCs ahead of i, plus a, are exactly B ∪ a.
+  std::vector<double> phi(n, 0.0);
+  double linear_grand = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t bit = type_bit[i];
+    if (bit == 0) continue;
+    const double* row = p.data() + i * cols;
+    double own = 0.0;
+    for (std::size_t set = bit; set < cols; set = (set + 1) | bit)
+      own += (mu_w[set] + mu_w[set ^ bit]) * row[set];
+    phi[i] = own + shared[static_cast<std::size_t>(std::countr_zero(bit))];
+    linear_grand += row[busy];
+  }
+  if (grand_worth.has_value()) {
+    const double shift = (*grand_worth - linear_grand) / static_cast<double>(n);
+    for (double& value : phi) value += shift;
+  }
   return phi;
 }
 

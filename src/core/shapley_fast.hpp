@@ -1,6 +1,6 @@
 // Fast exact-Shapley kernels for the metering hot path.
 //
-// Two independent accelerations of core::shapley_values, both exact:
+// Three accelerations of core::shapley_values, all exact:
 //
 // 1. Symmetry collapse (paper Sec. V-B/V-C): datacenter VMs fall into r ≪ n
 //    homogeneous types, and same-type VMs holding identical component states
@@ -17,7 +17,15 @@
 //    the per-size Shapley weight. collapsed_shapley_sum is that sum, shared
 //    by the generic solver and the estimator's collapsed kernel.
 //
-// 2. A batched worth evaluator for the VHC linear approximation
+// 2. A type-set kernel for VHC games (paper Def. 2, Eq. 9-10): when a
+//    coalition's worth is Σ_{j∈S} P[j][B(S)], B(S) being the set of busy
+//    VHCs S holds, a player's marginal depends on a random order only
+//    through the VHC set ahead of it. typeset_shapley sums over those 2^K
+//    sets (K busy VHCs) instead of over coalitions, exactly, for any n and
+//    whether or not states repeat (after Lupia et al.'s structure-exploiting
+//    Shapley for allocation games).
+//
+// 3. A batched worth evaluator for the VHC linear approximation
 //    (ComboWeightCache): every coalition worth of a VhcLinearApprox is a dot
 //    product of the aggregated states with one per-combo weight vector, so
 //    materializing all 2^n worths is a cache-friendly arithmetic pass — no
@@ -28,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -99,6 +108,21 @@ void detect_symmetry_into(std::span<const std::size_t> keys,
 [[nodiscard]] std::vector<double> collapsed_shapley_sum(
     const SymmetryGroups& groups, std::span<const double> worth,
     std::span<const double> weights);
+
+/// Exact Shapley values of the n-player VHC game v(S) = Σ_{j∈S} P[j][B(S)]
+/// over K busy VHCs, where B(S) is the union of the members' `type_bit`s.
+/// `p` is the n × 2^K contribution table, row-major: p[j * 2^K + B] is
+/// P[j][B], read only for the VHC sets B that hold j's VHC. type_bit[j] is
+/// the single bit of j's VHC, or 0 for an idle player, who adds nothing to
+/// any coalition and gets 0. With `grand_worth`, v(N) is that value instead
+/// (the measurement anchor): every player, idle ones included, then gains
+/// (grand_worth − Σ_j P[j][all busy]) / n. Evaluates no coalition worth;
+/// costs O(K²·2^K + n·2^K). Throws std::invalid_argument on 0 players, a
+/// table that is not n × 2^K, or a type_bit that is not 0 or one bit below
+/// 2^K.
+[[nodiscard]] std::vector<double> typeset_shapley(
+    std::span<const double> p, std::span<const std::uint32_t> type_bit,
+    std::optional<double> grand_worth = std::nullopt);
 
 /// Cross-tick cache of per-combo *effective* power-mapping vectors for one
 /// VhcLinearApprox: the fitted weights for fitted combos, and the summed

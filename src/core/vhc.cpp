@@ -45,11 +45,10 @@ VhcUniverse VhcUniverse::from_fleet(std::span<const common::VmConfig> fleet) {
 VhcPartition::VhcPartition(const VhcUniverse& universe,
                            std::vector<common::VmTypeId> vm_types)
     : num_vhcs_(universe.size()) {
-  // The sampled kernel meters up to kMaxSampledPlayers VMs; only the
-  // Coalition-typed lookups below (combo_of, aggregate: Eq. 8 per coalition,
-  // the reference the estimator's kernels are tested against) stay bounded
-  // by kMaxPlayers.
-  if (vm_types.size() > kMaxSampledPlayers)
+  // The estimator meters up to kMaxHostVms VMs; only the Coalition-typed
+  // lookups below (combo_of, aggregate: Eq. 8 per coalition, the reference
+  // the estimator's kernels are tested against) stay bounded by kMaxPlayers.
+  if (vm_types.size() > kMaxHostVms)
     throw std::invalid_argument("VhcPartition: too many VMs");
   groups_.reserve(vm_types.size());
   for (common::VmTypeId type : vm_types)

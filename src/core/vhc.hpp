@@ -56,7 +56,7 @@ class VhcPartition {
  public:
   /// vm_types[i] is the catalogue type of player i. Throws std::out_of_range
   /// if a type is not in the universe, std::invalid_argument if there are
-  /// more than kMaxPlayers VMs.
+  /// more than kMaxHostVms VMs.
   VhcPartition(const VhcUniverse& universe,
                std::vector<common::VmTypeId> vm_types);
 

@@ -16,11 +16,7 @@ namespace {
 constexpr const char* kCheckpointMagic = "vmpower-fleet-ckpt v1";
 
 std::uint64_t header_u64(const std::string& token, const std::string& key) {
-  const std::string prefix = key + "=";
-  if (token.rfind(prefix, 0) != 0)
-    throw std::runtime_error("fleet checkpoint: expected '" + key +
-                             "=...' in header, got '" + token + "'");
-  return std::stoull(token.substr(prefix.size()));
+  return core::header_count("fleet checkpoint", token, key);
 }
 
 }  // namespace
@@ -125,32 +121,6 @@ void FleetEngine::aggregate(const HostTickResult& result) {
                      std::string(result.kernel) + "\"}",
                  "Host ticks dispatched to each Shapley kernel fast path")
         .inc();
-  if (!result.sampled_stop.empty()) {
-    metrics_
-        .counter("vmpower_shapley_sampled_ticks_total",
-                 "Host ticks answered by the sampled Shapley tier")
-        .inc();
-    metrics_
-        .counter("vmpower_shapley_sampled_stop_total{reason=\"" +
-                     std::string(result.sampled_stop) + "\"}",
-                 "Sampled-tier ticks by anytime stop rule")
-        .inc();
-    metrics_
-        .histogram("vmpower_shapley_sampled_halfwidth_w",
-                   "Per-tick max per-VM confidence half-width (W)", 0.0, 0.5,
-                   25)
-        .observe(result.sampled_max_halfwidth_w);
-    metrics_
-        .histogram("vmpower_shapley_sampled_evals",
-                   "Worth evaluations per sampled tick", 0.0, 4096.0, 25)
-        .observe(static_cast<double>(result.sampled_evals));
-    // The sampled tier's own efficiency check: the pre-normalization gap
-    // must sit inside the reported confidence bound.
-    monitor_.observe_sampled_ci(result.tick, result.host, result.sampled_gap_w,
-                                result.sampled_sum_halfwidth_w,
-                                result.sampled_max_halfwidth_w,
-                                result.sampled_evals);
-  }
 }
 
 void FleetEngine::run(std::uint64_t ticks) {
@@ -167,12 +137,6 @@ void FleetEngine::run(std::uint64_t ticks) {
   Counter& stale_total =
       metrics_.counter("vmpower_fleet_stale_ticks_total",
                        "Host ticks estimated from previous-tick telemetry");
-  // Register the sampled-tier tick counter up front so scrapes expose the
-  // family (at zero) even while every host still answers exactly; the
-  // labeled counters and invariant gauges appear with the first sampled
-  // tick.
-  metrics_.counter("vmpower_shapley_sampled_ticks_total",
-                   "Host ticks answered by the sampled Shapley tier");
 
   for (std::uint64_t k = 0; k < ticks; ++k) {
     const std::uint64_t now = tick_++;

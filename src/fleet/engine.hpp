@@ -54,9 +54,8 @@ struct FleetOptions {
   std::chrono::microseconds retry_backoff_base{100};
   std::uint64_t dropout_ticks = 3;
 
-  /// Shapley kernel selection + sampled-tier knobs, applied to every host's
-  /// estimator (each host mixes its own seed into the sampling streams).
-  core::SampledKernelConfig kernel;
+  /// Shapley kernel selection, applied to every host's estimator.
+  core::ShapleyKernel kernel = core::ShapleyKernel::kAuto;
 
   /// Warn thresholds for the runtime invariant monitors (efficiency
   /// residual, table hit rate).

@@ -20,13 +20,9 @@ HostAgent::HostAgent(std::uint32_t host_id, const sim::MachineSpec& spec,
       // v(S, C) table, approximation for unobserved states. Each lookup is
       // one hash probe into the table's quantized-cell index.
       estimator_(dataset.universe, dataset.approximation, dataset.table) {
-  // Per-host draw decorrelation for the sampled tier: hosts share one fleet
-  // seed knob but must not share coalition samples. Every core solver runs
-  // on the calling thread, so the engine's pool, one task per host, is the
-  // fleet's only parallelism.
-  core::SampledKernelConfig kernel = options_.kernel;
-  kernel.sampling.seed += 0x9e3779b97f4a7c15ULL * seed;
-  estimator_.set_sampled_kernel(kernel);
+  // Every core solver runs on the calling thread, so the engine's pool, one
+  // task per host, is the fleet's only parallelism.
+  estimator_.set_kernel(options_.kernel);
 
   const auto benchmarks = wl::spec_subset();
   vm_ids_.reserve(fleet.size());
@@ -113,14 +109,6 @@ HostTickResult HostAgent::sample(std::uint64_t tick,
                                       est_start)
                                       .count();
         result.kernel = estimator_.last_kernel();
-        if (result.kernel == "sampled") {
-          const core::SampledTickStats& stats = estimator_.last_sampled();
-          result.sampled_max_halfwidth_w = stats.max_halfwidth_w;
-          result.sampled_sum_halfwidth_w = stats.sum_halfwidth_w;
-          result.sampled_gap_w = stats.efficiency_gap_w;
-          result.sampled_evals = stats.worth_evaluations;
-          result.sampled_stop = stats.stopped_by;
-        }
       }
 
       // Stale ticks are estimates against old telemetry; only a fully fresh

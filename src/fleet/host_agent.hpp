@@ -50,18 +50,9 @@ struct HostTickResult {
   /// table); exported as a per-host gauge.
   double table_hit_rate = 0.0;
   /// Estimator kernel the tick dispatched to ("collapsed"/"sweep"/
-  /// "sampled", always a literal; empty when no estimate ran).
+  /// "typeset", always a literal; empty when no estimate ran).
   /// Feeds the fleet's fast-path selection counters.
   std::string_view kernel;
-  // Sampled-tier diagnostics, populated only when kernel == "sampled"
-  // (sampled_stop is empty otherwise): CI half-widths, the
-  // pre-normalization efficiency gap the invariant monitor checks against
-  // the CI, and the tick's worth-evaluation count.
-  double sampled_max_halfwidth_w = 0.0;
-  double sampled_sum_halfwidth_w = 0.0;
-  double sampled_gap_w = 0.0;
-  std::size_t sampled_evals = 0;
-  std::string_view sampled_stop;  ///< stop-rule literal, e.g. "max_samples".
 };
 
 struct HostAgentOptions {
@@ -71,10 +62,8 @@ struct HostAgentOptions {
   /// sleeping; the retry accounting is unaffected).
   std::chrono::microseconds retry_backoff_base{100};
   std::uint64_t dropout_ticks = 3;  ///< monitoring blackout length.
-  /// Kernel selection + sampled-tier options for the host's estimator. The
-  /// agent mixes its host seed into sampling.seed so hosts draw distinct
-  /// coalition streams from one fleet seed.
-  core::SampledKernelConfig kernel;
+  /// Kernel selection for the host's estimator.
+  core::ShapleyKernel kernel = core::ShapleyKernel::kAuto;
 };
 
 class HostAgent {

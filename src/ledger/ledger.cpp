@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -267,11 +268,21 @@ void Ledger::recover() {
       cold_files.push_back(entry.path());
   }
 
-  for (const auto& path : cold_files)
+  // A cold segment's name promises its epoch range, even when the file is
+  // too damaged to say so itself.
+  std::vector<LostRange> promised;
+  for (const auto& path : cold_files) {
+    LostRange range;
+    range.where = path.filename().string();
+    if (std::sscanf(range.where.c_str(), "cold-%" SCNu64 "-%" SCNu64 ".seg",
+                    &range.first_epoch, &range.last_epoch) == 2 &&
+        range.first_epoch <= range.last_epoch)
+      promised.push_back(range);
     if (auto segment = recover_cold(path)) {
       recovery_.records += segment->records;
       segments_.push_back(std::move(*segment));
     }
+  }
   for (const auto& path : wal_files)
     if (auto segment = recover_wal(path)) {
       recovery_.records += segment->records;
@@ -282,14 +293,43 @@ void Ledger::recover() {
             [](const Segment& a, const Segment& b) {
               return a.first_epoch < b.first_epoch;
             });
-  for (std::size_t i = 1; i < segments_.size(); ++i)
-    if (segments_[i].first_epoch != segments_[i - 1].last_epoch + 1)
-      VMP_LOG_WARN(
-          "ledger: epoch gap between %s (last %llu) and %s (first %llu)",
-          segments_[i - 1].path.filename().string().c_str(),
-          static_cast<unsigned long long>(segments_[i - 1].last_epoch),
-          segments_[i].path.filename().string().c_str(),
-          static_cast<unsigned long long>(segments_[i].first_epoch));
+
+  // Lost epochs: every gap between recovered segments, and the promised
+  // epochs before the first or after the last of them.
+  std::uint64_t next = UINT64_MAX, last = 0;
+  for (const Segment& segment : segments_) {
+    next = std::min(next, segment.first_epoch);
+    last = std::max(last, segment.last_epoch);
+  }
+  for (const LostRange& range : promised) {
+    next = std::min(next, range.first_epoch);
+    last = std::max(last, range.last_epoch);
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Segment* before = nullptr;
+  const auto lose = [&](std::uint64_t first, std::uint64_t until,
+                        const Segment* after) {
+    LostRange lost{first, until, before ? before->last_time_s : -kInf,
+                   after ? after->first_time_s : kInf, {}};
+    for (const LostRange& range : promised)
+      if (range.first_epoch <= until && first <= range.last_epoch) {
+        lost.where = range.where;
+        break;
+      }
+    if (lost.where.empty())
+      lost.where = "between " + before->path.filename().string() + " and " +
+                   after->path.filename().string();
+    VMP_LOG_WARN("ledger: epochs %llu..%llu were lost (%s)",
+                 static_cast<unsigned long long>(first),
+                 static_cast<unsigned long long>(until), lost.where.c_str());
+    lost_.push_back(std::move(lost));
+  };
+  for (const Segment& segment : segments_) {
+    if (segment.first_epoch > next) lose(next, segment.first_epoch - 1, &segment);
+    next = std::max(next, segment.last_epoch + 1);
+    before = &segment;
+  }
+  if (next <= last) lose(next, last, nullptr);
 
   // The newest WAL segment resumes as the active one (unless it is already
   // at a rotation threshold, in which case the next append starts fresh).
@@ -474,6 +514,7 @@ void Ledger::append(const TickRecord& record) {
       tail.first_epoch = record.epoch;
       tail.first_time_s = record.time_s;
     }
+    forget_lost_from_locked(record.epoch, record.time_s);
     tail.index.push_back({record.epoch, record.time_s, tail.bytes});
     tail.last_epoch = record.epoch;
     tail.last_time_s = record.time_s;
@@ -689,8 +730,33 @@ std::optional<TickRecord> Ledger::scan_from(const Segment& segment,
   return record;
 }
 
+void Ledger::forget_lost_from_locked(std::uint64_t epoch, double time_s) {
+  std::erase_if(lost_, [&](const LostRange& lost) {
+    return lost.first_epoch >= epoch;
+  });
+  for (LostRange& lost : lost_)
+    if (lost.last_epoch + 1 >= epoch) {
+      lost.last_epoch = epoch - 1;
+      lost.before_time_s = time_s;
+    }
+}
+
+void Ledger::check_lost_locked(bool by_epoch, double t_s,
+                               std::uint64_t epoch) const {
+  for (const LostRange& lost : lost_) {
+    // By time, a lost record may be the answer from the last kept record's
+    // time on (a lost record could share it) until the next kept one.
+    if (by_epoch ? lost.first_epoch <= epoch && epoch <= lost.last_epoch
+                 : lost.after_time_s <= t_s && t_s < lost.before_time_s)
+      throw DamagedRecord("ledger: epochs " + std::to_string(lost.first_epoch) +
+                          ".." + std::to_string(lost.last_epoch) +
+                          " were lost in recovery (" + lost.where + ")");
+  }
+}
+
 std::optional<TickRecord> Ledger::at_or_before(double t_s) const {
   std::lock_guard lock(mutex_);
+  check_lost_locked(/*by_epoch=*/false, t_s, 0);
   const Segment* segment = segment_for_time_locked(t_s);
   if (!segment) return std::nullopt;
   // Last index entry with time_s <= t_s (the first entry qualifies by the
@@ -703,6 +769,7 @@ std::optional<TickRecord> Ledger::at_or_before(double t_s) const {
 
 std::optional<TickRecord> Ledger::at_epoch(std::uint64_t epoch) const {
   std::lock_guard lock(mutex_);
+  check_lost_locked(/*by_epoch=*/true, 0.0, epoch);
   const Segment* segment = segment_for_epoch_locked(epoch);
   if (!segment) return std::nullopt;
   const auto it = std::upper_bound(
@@ -743,6 +810,8 @@ std::vector<TickRecord> Ledger::range(std::uint64_t first,
 void Ledger::truncate_after(std::uint64_t epoch) {
   std::lock_guard compaction_lock(compaction_mutex_);
   std::lock_guard lock(mutex_);
+
+  forget_lost_from_locked(epoch + 1, std::numeric_limits<double>::infinity());
 
   while (!segments_.empty() && segments_.back().first_epoch > epoch) {
     if (segments_.back().kind == Kind::kActive) active_.close();

@@ -230,6 +230,22 @@ class Ledger {
   [[nodiscard]] const Segment* segment_for_epoch_locked(
       std::uint64_t epoch) const;
 
+  /// Epochs recovery could not keep: between two recovered segments, or
+  /// named by a cold segment's file but missing from its rescan.
+  struct LostRange {
+    std::uint64_t first_epoch = 0;
+    std::uint64_t last_epoch = 0;
+    double after_time_s = 0.0;   ///< last kept record before them, or -inf.
+    double before_time_s = 0.0;  ///< first record after them, or +inf.
+    std::string where;  ///< the file, or pair of files, that lost them.
+  };
+  /// Throws DamagedRecord when a point read by epoch (or by time t_s) could
+  /// have answered with a lost record.
+  void check_lost_locked(bool by_epoch, double t_s, std::uint64_t epoch) const;
+  /// Epochs from `epoch` on are written afresh (append, truncate_after):
+  /// no longer lost, and the record there (at time_s) bounds the one before.
+  void forget_lost_from_locked(std::uint64_t epoch, double time_s);
+
   void register_metrics();
   void update_gauges_locked();
 
@@ -238,6 +254,7 @@ class Ledger {
 
   mutable std::mutex mutex_;
   std::vector<Segment> segments_;  ///< ascending by first_epoch.
+  std::vector<LostRange> lost_;    ///< ascending, usually empty.
   std::ofstream active_;           ///< open iff some segment is kActive.
   std::uint64_t appended_records_ = 0;
   std::uint64_t appended_bytes_ = 0;

@@ -24,7 +24,7 @@ std::uint64_t InvariantMonitor::breaches() const noexcept {
   std::uint64_t total = 0;
   for (const char* invariant :
        {"efficiency", "table_hit_rate", "ring", "serve_exactly_once",
-        "ledger_tail", "ledger_replay", "federation", "sampled_ci"})
+        "ledger_tail", "ledger_replay", "federation"})
     total += registry_
                  .counter(labeled("vmpower_invariant_breaches_total",
                                   {{"invariant", invariant}}),
@@ -155,39 +155,6 @@ void InvariantMonitor::observe_federation(std::uint64_t epoch,
                " shard_sum_total=" + format_watts(shard_sum_total) +
                " shards=" + std::to_string(shards) +
                " (federated total diverged from the shard sum)");
-}
-
-void InvariantMonitor::observe_sampled_ci(std::uint64_t epoch,
-                                          std::uint32_t host, double gap_w,
-                                          double ci_bound_w,
-                                          double max_halfwidth_w,
-                                          std::uint64_t evaluations) {
-  const std::string host_label = std::to_string(host);
-  registry_
-      .gauge(labeled("vmpower_shapley_sampled_gap_w", {{"host", host_label}}),
-             "Pre-normalization efficiency gap of the host's last sampled "
-             "tick: |sum(phi_raw) - measured adjusted power|")
-      .set(gap_w);
-  registry_
-      .gauge(labeled("vmpower_shapley_sampled_ci_w", {{"host", host_label}}),
-             "Confidence bound of the host's last sampled tick: sum of the "
-             "per-VM CI half-widths")
-      .set(ci_bound_w);
-  registry_
-      .gauge("vmpower_shapley_sampled_max_halfwidth_w",
-             "Largest per-VM confidence half-width of the latest sampled "
-             "tick, fleet-wide")
-      .set(max_halfwidth_w);
-  // evaluations == 0 means the tick never sampled (warm-up-only or exact);
-  // its CI is degenerate, so a gap there is not an error-bar violation. The
-  // 1e-9 W slack keeps warm-up-exact ticks (CI exactly 0, gap at summation
-  // rounding noise ~1e-13 W) from breaching on floating point alone.
-  if (evaluations > 0 && gap_w > ci_bound_w + 1e-9)
-    breach(kSampledCi, "sampled_ci", epoch,
-           "host=" + host_label + " gap_w=" + format_watts(gap_w) +
-               " ci_bound_w=" + format_watts(ci_bound_w) +
-               " evaluations=" + std::to_string(evaluations) +
-               " (sampled efficiency gap escaped its confidence bound)");
 }
 
 void InvariantMonitor::observe_ring(std::uint64_t epoch,

@@ -87,17 +87,6 @@ class InvariantMonitor {
   void observe_federation(std::uint64_t epoch, double federated_total,
                           double shard_sum_total, std::uint64_t shards);
 
-  /// Sampled Shapley tier self-consistency: the pre-normalization
-  /// efficiency gap |Σφ̂_raw − measured| of a sampled tick must sit inside
-  /// the tick's own reported confidence bound (the sum of per-VM CI
-  /// half-widths) — a gap outside the CI means the estimator's error bars
-  /// are lying. Exports the gap and bound as per-host gauges and the max
-  /// half-width fleet-wide; breaches as "sampled_ci". Ticks with zero
-  /// evaluations (nothing sampled) are exported but never warned.
-  void observe_sampled_ci(std::uint64_t epoch, std::uint32_t host,
-                          double gap_w, double ci_bound_w,
-                          double max_halfwidth_w, std::uint64_t evaluations);
-
   /// Total threshold breaches across all invariants (the sum of the
   /// vmpower_invariant_breaches_total series).
   [[nodiscard]] std::uint64_t breaches() const noexcept;
@@ -111,7 +100,6 @@ class InvariantMonitor {
     kLedgerTail,
     kLedgerReplay,
     kFederation,
-    kSampledCi,
     kWhichCount,
   };
 

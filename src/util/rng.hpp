@@ -1,11 +1,11 @@
 // Deterministic pseudo-random number generation.
 //
 // All stochastic parts of the simulator (meter noise, synthetic workloads)
-// draw from vmp::util::Rng, and the sampled Shapley tier from splitmix64
-// streams, so that every experiment in this repository is reproducible from
-// a single seed. The engine is xoshiro256++ seeded through SplitMix64, which
-// is the standard recipe recommended by the xoshiro authors: SplitMix64
-// decorrelates low-entropy seeds before they reach the main state.
+// draw from vmp::util::Rng, so that every experiment in this repository is
+// reproducible from a single seed. The engine is xoshiro256++ seeded through
+// SplitMix64, which is the standard recipe recommended by the xoshiro
+// authors: SplitMix64 decorrelates low-entropy seeds before they reach the
+// main state.
 #pragma once
 
 #include <array>

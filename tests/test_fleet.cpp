@@ -5,7 +5,11 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/vm_config.hpp"
@@ -212,6 +216,46 @@ TEST_F(FleetEngineTest, RestoreValidation) {
   narrow.hosts = 2;
   FleetEngine mismatched(narrow, dataset_);
   EXPECT_THROW(mismatched.restore_checkpoint(path), std::runtime_error);
+
+  // Header values parse strictly: counts are whole unsigned numbers and
+  // energies and seconds finite, with no trailing bytes. A wrapped tick=-1
+  // once fast-forwarded 2^64-1 ticks, entries=-1 died allocating, and the
+  // others resumed silently. Each error names the key and the token.
+  std::string saved;
+  {
+    std::ifstream in(path);
+    saved.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"tick", "-1"},
+           {"hosts", "1x"},
+           {"processed", "10junk"},
+           {"unattributed", "inf"},
+           {"seconds", "nan"},
+           {"entries", "-1"},
+           {"policy", "3"}}) {
+    const std::size_t at = saved.find(" " + key + "=");
+    ASSERT_NE(at, std::string::npos) << key;
+    const std::size_t begin = at + key.size() + 2;
+    const std::size_t end = saved.find_first_of(" \n", begin);
+    std::string damaged = saved;
+    damaged.replace(begin, end - begin, value);
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << damaged;
+    }
+    FleetEngine target(options_for(1), dataset_);
+    try {
+      target.restore_checkpoint(path);
+      ADD_FAILURE() << key << "=" << value << " was accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("'" + key + "=" + value + "'"),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(target.tick(), 0u) << key;
+  }
   std::filesystem::remove(path);
 }
 

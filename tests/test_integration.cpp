@@ -14,7 +14,6 @@
 #include "core/collector.hpp"
 #include "core/estimator.hpp"
 #include "core/shapley.hpp"
-#include "core/shapley_sampled.hpp"
 #include "sim/coalition_probe.hpp"
 #include "sim/physical_machine.hpp"
 #include "sim/runner.hpp"
@@ -197,31 +196,6 @@ TEST(PaperShape, PowerModelAggregateErrorIsLarge) {
     errors.add((total - adjusted) / adjusted);
   }
   EXPECT_GT(errors.mean(), 0.15);  // large, systematic over-estimation
-}
-
-TEST(PaperShape, SampledMatchesExactOnProbeWorths) {
-  const sim::MachineSpec spec = sim::xeon_prototype();
-  const auto catalogue = common::paper_vm_catalogue();
-  const std::vector<common::VmConfig> fleet = {catalogue[0], catalogue[0],
-                                               catalogue[1], catalogue[2]};
-  const sim::CoalitionProbe probe(spec, fleet);
-  const std::vector<StateVector> states(4, StateVector::cpu_only(0.8));
-  const core::SampledWorthFn worth = [&](std::uint64_t members) {
-    return probe.worth(static_cast<sim::CoalitionMask>(members), states);
-  };
-  const auto exact = core::shapley_values(
-      4, [&](core::Coalition s) { return worth(s.mask()); });
-  // At 8000 evaluations the 3-sigma half-width is ~0.23 W, inside the
-  // 0.25 W allowed here.
-  const auto sampled = core::sampled_shapley_values(
-      4, worth, worth(0b1111), {.max_samples = 8000});
-  const double shift_slack = sampled.sum_halfwidth_w / 4.0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(sampled.phi[i], exact[i], 0.25) << "vm " << i;
-    EXPECT_LE(std::abs(sampled.phi[i] - exact[i]),
-              sampled.halfwidth_w[i] + shift_slack)
-        << "vm " << i;
-  }
 }
 
 }  // namespace

@@ -385,7 +385,9 @@ TEST(Ledger, DamagedColdFooterFallsBackToRescanAndRecompacts) {
 
 TEST(Ledger, EverySingleByteFlipIsAnsweredRightOrReported) {
   ScratchDir scratch;
-  // Opened without compaction, so a reopen never rewrites a damaged file.
+  // Opened without compaction, so a reopen never rewrites a damaged cold
+  // segment; recovery still truncates a torn WAL, so every damaged file is
+  // rewritten before each reopen.
   LedgerOptions options = small_segments(scratch.path);
   options.auto_compact = false;
   {
@@ -395,8 +397,10 @@ TEST(Ledger, EverySingleByteFlipIsAnsweredRightOrReported) {
     ASSERT_EQ(log.stats().cold_segments, 2u);  // 1-8, 9-16; WAL 17-20.
   }
   const fs::path cold = only_file(scratch.path, "cold-00000000000000000009-");
-  // Every byte of the file: magic, frames, sparse index and footer.
-  const std::string pristine = read_bytes(cold);
+  const fs::path wal = only_file(scratch.path, "wal-");
+  // Every byte of each file: magic, frames, sparse index and footer.
+  const std::string cold_bytes = read_bytes(cold);
+  const std::string wal_bytes = read_bytes(wal);
 
   struct Query {
     bool by_epoch;
@@ -411,13 +415,19 @@ TEST(Ledger, EverySingleByteFlipIsAnsweredRightOrReported) {
     return encoded(query.by_epoch ? log.at_epoch(query.epoch)
                                   : log.at_or_before(query.t_s));
   };
-  std::vector<std::string> truth;
-  {
-    const Ledger log(options);
-    for (const Query& query : queries) truth.push_back(ask(log, query));
+  // truth[tail - 16]: the answers of an intact ledger of epochs 1..tail.
+  // Damage to the WAL may cost records past the cold segments (tail >= 16).
+  std::vector<std::vector<std::string>> truth;
+  for (std::uint64_t tail = 16; tail <= 20; ++tail) {
+    ScratchDir prefix;
+    Ledger log(small_segments(prefix.path));
+    for (std::uint64_t epoch = 1; epoch <= tail; ++epoch)
+      log.append(record_at(epoch));
+    truth.emplace_back();
+    for (const Query& query : queries) truth.back().push_back(ask(log, query));
   }
 
-  // Count the WARN lines a damaged read logs instead of printing them.
+  // Count the WARN lines a damaged cold read logs instead of printing them.
   std::size_t warned = 0;
   const std::string damage_line = cold.filename().string() + " at offset ";
   util::set_log_sink([&](util::LogLevel level, std::string_view line) {
@@ -425,17 +435,25 @@ TEST(Ledger, EverySingleByteFlipIsAnsweredRightOrReported) {
         line.find(damage_line) != std::string_view::npos)
       ++warned;
   });
+  // Writes `damaged` over `file` and reopens. Every answer must be the one
+  // an intact ledger of the recovered prefix gives, or a DamagedRecord
+  // naming the file; cold damage must keep every record.
   std::size_t answers = 0, reported = 0, wrong = 0;
-  for (std::size_t at = 0; at < pristine.size(); ++at) {
-    std::string damaged = pristine;
-    damaged[at] = static_cast<char>(damaged[at] ^ 0x5a);
-    write_bytes(cold, damaged);
+  const auto check = [&](const fs::path& file, const std::string& damaged,
+                         const std::string& what) {
+    write_bytes(file, damaged);
     const Ledger log(options);
+    const std::uint64_t tail = log.stats().tail_epoch;
+    if (tail > 20 || tail < (file == wal ? 16u : 20u)) {
+      ADD_FAILURE() << what << ": recovered tail " << tail;
+      return;
+    }
+    const std::vector<std::string>& expected = truth[tail - 16];
     for (std::size_t q = 0; q < queries.size(); ++q) {
       ++answers;
       try {
-        if (ask(log, queries[q]) != truth[q] && ++wrong <= 5)
-          ADD_FAILURE() << "byte " << at << " flipped: wrong answer to "
+        if (ask(log, queries[q]) != expected[q] && ++wrong <= 5)
+          ADD_FAILURE() << what << ": wrong answer to "
                         << (queries[q].by_epoch ? "at_epoch(" : "at_or_before(")
                         << (queries[q].by_epoch
                                 ? static_cast<double>(queries[q].epoch)
@@ -443,17 +461,63 @@ TEST(Ledger, EverySingleByteFlipIsAnsweredRightOrReported) {
                         << ")";
       } catch (const DamagedRecord& damage) {
         ++reported;
-        EXPECT_NE(std::string(damage.what()).find(cold.filename().string()),
+        EXPECT_NE(std::string(damage.what()).find(file.filename().string()),
                   std::string::npos);
       }
     }
+  };
+
+  for (std::size_t at = 0; at < cold_bytes.size(); ++at) {
+    std::string damaged = cold_bytes;
+    damaged[at] = static_cast<char>(damaged[at] ^ 0x5a);
+    check(cold, damaged, "cold byte " + std::to_string(at) + " flipped");
   }
-  util::set_log_sink({});
-  write_bytes(cold, pristine);
-  EXPECT_EQ(wrong, 0u) << "of " << answers << " answers";
   EXPECT_GT(reported, 0u);
   EXPECT_EQ(warned, reported);
+  for (std::size_t size = 0; size < cold_bytes.size(); ++size)
+    check(cold, cold_bytes.substr(0, size),
+          "cold truncated to " + std::to_string(size));
+  write_bytes(cold, cold_bytes);
+  for (std::size_t at = 0; at < wal_bytes.size(); ++at) {
+    std::string damaged = wal_bytes;
+    damaged[at] = static_cast<char>(damaged[at] ^ 0x5a);
+    check(wal, damaged, "WAL byte " + std::to_string(at) + " flipped");
+  }
+  for (std::size_t size = 0; size < wal_bytes.size(); ++size)
+    check(wal, wal_bytes.substr(0, size),
+          "WAL truncated to " + std::to_string(size));
+  util::set_log_sink({});
+  write_bytes(wal, wal_bytes);
+  EXPECT_EQ(wrong, 0u) << "of " << answers << " answers";
   EXPECT_TRUE(verify_dir(scratch.path).clean());
+}
+
+TEST(Ledger, LostEpochsAreReportedUntilWrittenAgain) {
+  ScratchDir scratch;
+  {
+    Ledger log(small_segments(scratch.path));
+    for (std::uint64_t epoch = 1; epoch <= 16; ++epoch)
+      log.append(record_at(epoch));
+    ASSERT_EQ(log.stats().cold_segments, 2u);  // 1-8, 9-16; no WAL.
+  }
+  // Cut the newest cold segment mid-frame: its name still says 9-16.
+  const fs::path cold = only_file(scratch.path, "cold-00000000000000000009-");
+  write_bytes(cold, read_bytes(cold).substr(0, 600));
+
+  Ledger log(small_segments(scratch.path));
+  const std::uint64_t tail = log.stats().tail_epoch;
+  ASSERT_GE(tail, 9u);
+  ASSERT_LT(tail, 16u);
+  expect_bit_identical(record_at(tail), *log.at_epoch(tail));
+  EXPECT_THROW((void)log.at_epoch(16), DamagedRecord);
+  EXPECT_THROW((void)log.at_or_before(15.5), DamagedRecord);
+  EXPECT_FALSE(log.at_epoch(17).has_value());  // never written.
+
+  // Writing the lost epochs again makes them answerable.
+  for (std::uint64_t epoch = tail + 1; epoch <= 16; ++epoch)
+    log.append(record_at(epoch));
+  expect_bit_identical(record_at(16), *log.at_epoch(16));
+  expect_bit_identical(record_at(15), *log.at_or_before(15.5));
 }
 
 TEST(Ledger, VerifyDirCountsEpochGaps) {

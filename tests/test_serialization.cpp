@@ -4,6 +4,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -108,6 +112,79 @@ TEST_F(SerializationTest, TruncatedRowRejected) {
     out << "1 0.5 0 0 0\n";  // missing the second VHC's state and power
   }
   EXPECT_THROW(load_table(path_), std::runtime_error);
+}
+
+TEST_F(SerializationTest, HeaderValuesParseStrictly) {
+  // Counts are whole unsigned numbers and resolutions, energies and seconds
+  // finite, with no trailing bytes; the error names the key and the token.
+  const auto rejects = [](const std::string& token, const auto& load) {
+    try {
+      load();
+      ADD_FAILURE() << token << " was accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("'" + token + "'"),
+                std::string::npos)
+          << error.what();
+    }
+  };
+  for (const std::string token :
+       {"num_vhcs=2x", "num_vhcs=-1", "num_vhcs=17", "num_vhcs=+2"}) {
+    {
+      std::ofstream out(path_);
+      out << "vmpower-vsc-table v1 " << token << " resolution=0.01\n";
+    }
+    rejects(token, [&] { (void)load_table(path_); });
+    {
+      std::ofstream out(path_);
+      out << "vmpower-vhc-approx v1 " << token << "\n";
+    }
+    rejects(token, [&] { (void)load_approximation(path_); });
+  }
+  for (const std::string token :
+       {"resolution=inf", "resolution=nan", "resolution=0.01junk"}) {
+    {
+      std::ofstream out(path_);
+      out << "vmpower-vsc-table v1 num_vhcs=2 " << token << "\n";
+    }
+    rejects(token, [&] { (void)load_table(path_); });
+  }
+
+  const auto read_block = [](const std::string& text) {
+    std::istringstream in(text);
+    return read_accountant(in);
+  };
+  for (const auto& [header, token] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"policy=0 seconds=nan entries=0", "seconds=nan"},
+           {"policy=0 seconds=inf entries=0", "seconds=inf"},
+           {"policy=0 seconds=1 entries=-1", "entries=-1"},
+           {"policy=0 seconds=1 entries=1e3", "entries=1e3"},
+           {"policy=-1 seconds=1 entries=0", "policy=-1"},
+           {"policy=3 seconds=1 entries=0", "policy=3"}})
+    rejects(token, [&] {
+      (void)read_block("vmpower-energy-accountant v1 " + header + "\n");
+    });
+  // A count the rows do not back is truncation, not one huge allocation.
+  EXPECT_THROW(read_block("vmpower-energy-accountant v1 policy=0 seconds=1 "
+                          "entries=1000000000000\n7 1.5\n"),
+               std::runtime_error);
+  const EnergyAccountant restored = read_block(
+      "vmpower-energy-accountant v1 policy=2 seconds=12.5 entries=1\n"
+      "7 3.25\n");
+  EXPECT_EQ(restored.policy(), IdleAttribution::kProportional);
+  EXPECT_EQ(restored.accounted_seconds(), 12.5);
+  EXPECT_EQ(restored.energy_j(7), 3.25);
+
+  for (const auto& [header, token] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"entries=-1 unattributed=0", "entries=-1"},
+           {"entries=0 unattributed=inf", "unattributed=inf"},
+           {"entries=0 unattributed=1.5x", "unattributed=1.5x"}})
+    rejects(token, [&] {
+      std::istringstream in("vmpower-multihost v1 " + header + "\n");
+      MultiHostAccountant accountant;
+      read_multi_host(in, accountant);
+    });
 }
 
 TEST_F(SerializationTest, MissingFileRejected) {

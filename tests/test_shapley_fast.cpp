@@ -591,18 +591,16 @@ TEST(ShapleyVhcEstimatorFast, UniverseWiderThanTwelveVhcsMatchesReference) {
     }
   }
 
-  // The sampled tier solves three players exactly in its warm-up.
-  const std::vector<VmSample> three(vms.begin(), vms.begin() + 3);
-  ShapleyVhcEstimator sampled(universe, approx);
-  SampledKernelConfig force_sampled;
-  force_sampled.kernel = SampledKernelConfig::Kernel::kSampled;
-  sampled.set_sampled_kernel(force_sampled);
-  const auto phi = sampled.estimate(three, 12.0);
-  EXPECT_EQ(sampled.last_kernel(), "sampled");
+  // The type-set kernel bypasses the table and sums over the five busy
+  // VHCs' sets, which sit on non-adjacent bits of the 14-VHC universe.
+  ShapleyVhcEstimator typeset(universe, approx, table);
+  typeset.set_kernel(ShapleyKernel::kTypeSet);
+  const auto phi = typeset.estimate(vms, 30.0);
+  EXPECT_EQ(typeset.last_kernel(), "typeset");
   const auto reference =
-      reference_estimate(universe, approx, nullptr, true, three, 12.0);
-  for (std::size_t i = 0; i < three.size(); ++i)
-    EXPECT_NEAR(phi[i], reference[i], 1e-9) << "sampled, vm " << i;
+      reference_estimate(universe, approx, nullptr, true, vms, 30.0);
+  for (std::size_t i = 0; i < vms.size(); ++i)
+    EXPECT_NEAR(phi[i], reference[i], 1e-9) << "typeset, vm " << i;
 }
 
 }  // namespace

@@ -109,30 +109,24 @@ commands:
   collect --fleet VM1,VM2,...  --out FILE [--duration S] [--seed N] [--machine xeon|pentium]
   train   --table FILE --out FILE [--ridge L]
   meter   --fleet VM1,... --approx FILE [--duration S] [--seed N] [--csv FILE]
-          [--machine M] [--kernel K] [--samples N] [--halfwidth W] [--budget-ms D]
+          [--machine M] [--kernel K]
   bill    --fleet VM1,... --approx FILE [--duration S] [--seed N] [--csv FILE]
           [--tariff $/kWh] [--idle-policy none|equal|proportional]
-          [--machine M] [--kernel K] [--samples N] [--halfwidth W] [--budget-ms D]
+          [--machine M] [--kernel K]
   info    --approx FILE
   fleet   --fleet VM1,... [--hosts N] [--threads T] [--duration S] [--tenants K]
           [--seed N] [--tariff $/kWh] [--collect-duration S] [--machine M]
           [--inject-faults meter:P,dropout:P,stale:P] [--max-retries N]
-          [--kernel K] [--samples N] [--halfwidth W] [--budget-ms D]
-          [--checkpoint FILE] [--metrics FILE] [--trace] [--trace-out FILE]
-          --kernel K       Shapley kernel: auto (default; exact collapsed/
-                           sweep below the composition threshold, sampled
-                           above), or force collapsed|sweep|sampled
-          --samples N      sampled tier: worth-evaluation budget per tick
-          --halfwidth W    sampled tier: stop once every VM's confidence
-                           half-width is <= W watts
-          --budget-ms D    sampled tier: wall-clock budget per tick
-                           (first stop rule hit wins; --seed keys the
-                           deterministic draw streams)
+          [--kernel K] [--checkpoint FILE] [--metrics FILE] [--trace]
+          [--trace-out FILE]
+          --kernel K       exact Shapley kernel: auto (default; collapsed or
+                           sweep up to 2^16 compositions, typeset past it),
+                           or force collapsed|sweep|typeset
   serve   --fleet VM1,... [--hosts N] [--threads T] [--duration S] [--tenants K]
           [--port P] [--workers W] [--linger S] [--retention N]
           [--request-queue N] [--tokens-per-s R] [--burst B]
           [--cache N] [--cache-shards K] [--coalesce 0|1] [--ordered]
-          [--kernel K] [--samples N] [--halfwidth W] [--budget-ms D]
+          [--kernel K]
           [--offpeak-rate $/kWh] [--peak-rate $/kWh] [--peak-hours H0-H1]
           [--seconds-per-hour S] [--seed N] [--collect-duration S] [--machine M]
           [--ledger DIR] [--segment-records N] [--checkpoint FILE]
@@ -166,8 +160,8 @@ commands:
           [--trace] [--trace-out FILE]
           [--slow-ms D] [--slo-ms D] [--slo-target Q]
           [--fleet VM1,... --hosts N --threads T --tenants K --duration TICKS
-           --seed N --collect-duration S --machine M --kernel K --samples N
-           --halfwidth W --budget-ms D]   (shard shape, read only under --spin)
+           --seed N --collect-duration S --machine M --kernel K]
+          (shard shape, read only under --spin)
           --shards         fleet-id=endpoint map of running `vmpower serve`
                            shards; extra comma-separated ports per fleet are
                            replicas eligible for hedged requests
@@ -232,42 +226,21 @@ std::string path_for(const util::CliArgs& args, const std::string& key) {
   return args.has(key) ? args.require(key) : std::string{};
 }
 
-/// Parses the Shapley kernel knobs shared by meter/bill/fleet/serve:
-/// --kernel auto|collapsed|sweep|sampled plus the sampled tier's anytime
-/// stop rules (--samples, --halfwidth, --budget-ms). --seed doubles as the
-/// sampling seed, so sampled runs are reproducible from the CLI.
-core::SampledKernelConfig kernel_for(const util::CliArgs& args) {
-  core::SampledKernelConfig config;
-  using Kernel = core::SampledKernelConfig::Kernel;
+/// Parses --kernel auto|collapsed|sweep|typeset, shared by meter/bill/fleet/
+/// serve and federate --spin.
+core::ShapleyKernel kernel_for(const util::CliArgs& args) {
   const std::string kernel = args.get("kernel", "auto");
-  if (kernel == "collapsed") config.kernel = Kernel::kCollapsed;
-  else if (kernel == "sweep") config.kernel = Kernel::kSweep;
-  else if (kernel == "sampled") config.kernel = Kernel::kSampled;
-  else if (kernel != "auto")
-    throw std::invalid_argument(
-        "unknown --kernel '" + kernel +
-        "' (expected auto, collapsed, sweep, or sampled)");
-  config.sampling.seed = args.get_unsigned<std::uint64_t>("seed", 1);
-  // A negative value would wrap to an endless budget (--samples) or silently
-  // disable its stop rule (--halfwidth, --budget-ms).
-  const auto samples = args.get_unsigned<std::size_t>("samples", 60'000);
-  const double halfwidth = args.get_double("halfwidth", 0.0);
-  const auto budget_ms = args.get_unsigned<std::uint64_t>("budget-ms", 0);
-  if (!(halfwidth >= 0.0))
-    throw std::invalid_argument("--halfwidth must be >= 0");
-  // Larger values wrap in the conversion to nanoseconds.
-  constexpr std::uint64_t kMaxBudgetMs = UINT64_MAX / 1'000'000;
-  if (budget_ms > kMaxBudgetMs)
-    throw std::invalid_argument("--budget-ms must be <= " +
-                                std::to_string(kMaxBudgetMs));
-  config.sampling.max_samples = samples;
-  config.sampling.target_halfwidth_w = halfwidth;
-  config.sampling.budget_ns = budget_ms * 1'000'000ULL;
-  return config;
+  if (kernel == "auto") return core::ShapleyKernel::kAuto;
+  if (kernel == "collapsed") return core::ShapleyKernel::kCollapsed;
+  if (kernel == "sweep") return core::ShapleyKernel::kSweep;
+  if (kernel == "typeset") return core::ShapleyKernel::kTypeSet;
+  throw std::invalid_argument(
+      "unknown --kernel '" + kernel +
+      "' (expected auto, collapsed, sweep, or typeset)");
 }
 
 /// The fleet shape that fleet, serve and federate --spin read: --fleet,
-/// --hosts, --threads, --tenants, --machine, --seed and the kernel knobs.
+/// --hosts, --threads, --tenants, --machine, --seed and --kernel.
 /// `hosts` and `tenants` are the defaults; see fleet_for for `default_fleet`.
 fleet::FleetOptions fleet_options_for(const util::CliArgs& args,
                                       std::size_t hosts, std::size_t tenants,
@@ -360,7 +333,7 @@ int cmd_train(const util::CliArgs& args) {
 int cmd_meter(const util::CliArgs& args, bool billing) {
   const auto fleet = fleet_for(args);
   const std::string approx_path = args.require("approx");
-  const core::SampledKernelConfig kernel = kernel_for(args);
+  const core::ShapleyKernel kernel = kernel_for(args);
   const sim::MachineSpec spec = machine_for(args);
   const auto seed = args.get_unsigned<std::uint64_t>("seed", 1);
   const std::string csv_path = path_for(args, "csv");
@@ -383,7 +356,7 @@ int cmd_meter(const util::CliArgs& args, bool billing) {
   const auto approx = core::load_approximation(approx_path);
   const core::VhcUniverse universe = core::VhcUniverse::from_fleet(fleet);
   core::ShapleyVhcEstimator estimator(universe, approx);
-  estimator.set_sampled_kernel(kernel);
+  estimator.set_kernel(kernel);
 
   sim::PhysicalMachine machine(spec, seed);
   const auto ids = boot_fleet(machine, fleet, seed);
@@ -405,12 +378,6 @@ int cmd_meter(const util::CliArgs& args, bool billing) {
       std::printf("t=%6.0f adj=%7.2fW ", t, sample.adjusted_power_w);
       for (std::size_t i = 0; i < sample.phi.size(); ++i)
         std::printf(" vm%u=%6.2fW", sample.vms[i].vm_id, sample.phi[i]);
-      if (estimator.last_kernel() == "sampled") {
-        const auto& stats = estimator.last_sampled();
-        std::printf("  [sampled ci=%.3fW evals=%zu stop=%s]",
-                    stats.max_halfwidth_w, stats.worth_evaluations,
-                    std::string(stats.stopped_by).c_str());
-      }
       std::printf("\n");
     }
     if (csv) {
@@ -711,8 +678,8 @@ int cmd_query(const util::CliArgs& args) {
   std::string response;
   try {
     if (proto == "text") {
-      response = client.query_text(
-          with_id ? "#" + std::to_string(request_id) + " " + line : line);
+      if (with_id) line.insert(0, "#" + std::to_string(request_id) + " ");
+      response = client.query_text(line);
     } else {
       const auto request = serve::parse_request_text(line);
       if (!request)
