@@ -102,6 +102,7 @@ double ShapleyVhcEstimator::worth_from(
   if (table_.has_value()) {
     // Fig. 8's lookup-first path: a directly-measured state beats the
     // regression; a miss falls through on the exact (unquantized) states.
+    ++table_probes_;
     if (const auto hit = table_->lookup(combo, aggregated)) {
       ++table_hits_;
       return *hit;
@@ -261,7 +262,12 @@ std::vector<double> ShapleyVhcEstimator::estimate_sweep(
     // Lookup-first path: serial, because worth_from bumps the hit counters
     // and every mask builds its aggregate in the shared agg_ scratch. The
     // scratch and the table's stack-keyed probe keep it allocation-free.
+    // A coalition's table key is its per-VHC aggregates (Eq. 8), so it can
+    // hit only if the table may hold each of them. A mask holding a VHC for
+    // which no member subset may be there gets the regression a miss would,
+    // without building a key.
     agg_.resize(num_vhcs);
+    const VhcComboMask may_hit = vhcs_that_may_hit(full_combo);
     for (std::size_t mask = 1; mask < n_masks; ++mask) {
       if (anchor_ && mask == n_masks - 1) {
         worth_[mask] = adjusted_power_w;
@@ -275,13 +281,48 @@ std::vector<double> ShapleyVhcEstimator::estimate_sweep(
         combo |= player_bit_[i];
         agg_[player_vhc_[i]] += states_[i];
       }
-      worth_[mask] = combo == 0 ? 0.0 : worth_from(combo, agg_);
+      if (combo == 0) {
+        worth_[mask] = 0.0;
+      } else if ((combo & ~may_hit) != 0) {
+        ++worth_queries_;
+        worth_[mask] = combo_weights_.predict(combo, agg_);
+      } else {
+        worth_[mask] = worth_from(combo, agg_);
+      }
     }
   }
 
   std::vector<double> phi(n, 0.0);
   accumulate_shapley_phi(n, {worth_.data(), n_masks}, weights_, phi);
   return phi;
+}
+
+VhcComboMask ShapleyVhcEstimator::vhcs_that_may_hit(VhcComboMask full_combo) {
+  const std::size_t n = states_.size();
+  VhcComboMask may_hit = 0;
+  for (VhcComboMask rest = full_combo; rest != 0; rest &= rest - 1) {
+    const auto vhc = static_cast<std::size_t>(std::countr_zero(rest));
+    const VhcComboMask bit = VhcComboMask{1} << vhc;
+    // sub_agg_ holds the aggregate of every subset of the VHC's busy members
+    // seen so far, each added from zero in ascending player order as the
+    // mask loop adds them into agg_, so both hold the same doubles and so
+    // the same buckets. A member extends every subset before it; the first
+    // subset the table may hold decides the VHC. At most 2^n entries, as
+    // the sweep's worth_ has.
+    sub_agg_.assign(1, common::StateVector::zero());
+    for (std::size_t i = 0; i < n && (may_hit & bit) == 0; ++i) {
+      if (player_bit_[i] != bit) continue;
+      const std::size_t subsets = sub_agg_.size();
+      for (std::size_t low = 0; low < subsets; ++low) {
+        sub_agg_.push_back(sub_agg_[low] + states_[i]);
+        if (table_->may_hold(vhc, sub_agg_.back())) {
+          may_hit |= bit;
+          break;
+        }
+      }
+    }
+  }
+  return may_hit;
 }
 
 OracleShapleyEstimator::OracleShapleyEstimator(const sim::CoalitionProbe& probe,

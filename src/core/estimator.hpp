@@ -98,6 +98,13 @@ class ShapleyVhcEstimator final : public PowerEstimator {
     return worth_queries_;
   }
 
+  /// Table lookups made so far: at most worth_queries(), and fewer when the
+  /// sweep rules a lookup out because some VHC of its combo cannot hit (see
+  /// estimate_sweep). Diagnostic, like worth_queries().
+  [[nodiscard]] std::size_t table_probes() const noexcept {
+    return table_probes_;
+  }
+
   /// Which kernel the last estimate() call dispatched to: "collapsed",
   /// "sweep", "typeset", or "none" before the first call. Feeds the fleet's
   /// fast-path selection counters.
@@ -138,6 +145,10 @@ class ShapleyVhcEstimator final : public PowerEstimator {
   [[nodiscard]] std::vector<double> estimate_collapsed(double adjusted_power_w);
   [[nodiscard]] std::vector<double> estimate_sweep(double adjusted_power_w,
                                                    VhcComboMask full_combo);
+  /// The VHCs of full_combo for which the table may hold the aggregate of
+  /// some non-empty subset of their busy members (VscTable::may_hold). A
+  /// coalition holding any other VHC misses the table.
+  [[nodiscard]] VhcComboMask vhcs_that_may_hit(VhcComboMask full_combo);
   /// Fills p_ with P[i][col] = state_i · w_combo[vhc_i] for every
   /// sub-combo of full_combo (columns numbered over full_combo's bits, see
   /// player_col_) — the shared worth backend of the table-less sweep and
@@ -150,6 +161,7 @@ class ShapleyVhcEstimator final : public PowerEstimator {
   bool anchor_;
   std::size_t table_hits_ = 0;
   std::size_t worth_queries_ = 0;
+  std::size_t table_probes_ = 0;
   std::string_view last_kernel_ = "none";  ///< always a literal.
 
   // Cross-tick caches and reusable scratch. estimate() mutates these, so a
@@ -171,6 +183,7 @@ class ShapleyVhcEstimator final : public PowerEstimator {
   std::size_t p_cols_ = 0;                  // 2^popcount(full_combo).
   std::vector<std::uint32_t> player_col_;   // column bit of vhc, 0 when idle.
   std::vector<common::StateVector> agg_;    // aggregate scratch.
+  std::vector<common::StateVector> sub_agg_;  // one VHC's member subsets.
   std::vector<std::size_t> gsize_, gvhc_, comp_k_;
   std::vector<std::uint32_t> gbit_;
   std::vector<common::StateVector> gstate_;

@@ -73,6 +73,9 @@ VhcLinearApprox VhcLinearApprox::from_models(
     if (data.weights.size() != num_vhcs * kNumComponents)
       throw std::invalid_argument(
           "VhcLinearApprox::from_models: weight vector size mismatch");
+    if (data.combo == 0)
+      throw std::invalid_argument(
+          "VhcLinearApprox::from_models: combo 0 holds no VHC");
     if (num_vhcs < 32 && (data.combo >> num_vhcs) != 0)
       throw std::invalid_argument(
           "VhcLinearApprox::from_models: combo addresses unknown VHCs");

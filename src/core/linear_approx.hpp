@@ -37,7 +37,8 @@ class VhcLinearApprox {
                                            double ridge_lambda = 1e-6);
 
   /// Reconstructs an approximation from exported models (deserialization).
-  /// Throws std::invalid_argument on inconsistent sizes or duplicate combos.
+  /// Throws std::invalid_argument on inconsistent sizes, combo 0, a combo
+  /// beyond the universe, or duplicate combos.
   [[nodiscard]] static VhcLinearApprox from_models(
       std::size_t num_vhcs, std::span<const ComboModelData> models);
 

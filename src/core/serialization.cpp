@@ -1,10 +1,12 @@
 #include "core/serialization.hpp"
 
+#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "core/vhc.hpp"
 
@@ -34,17 +36,25 @@ std::ifstream open_in(const std::filesystem::path& path) {
   return in;
 }
 
-/// Parses the value of the header token `key=value` with std::from_chars;
-/// false unless the key matches and the whole value parses.
+/// Parses all of `text` with std::from_chars; false unless it is one whole
+/// number, and a finite one when T is floating-point.
+template <typename T>
+bool parse_whole(std::string_view text, T& value) {
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(value);
+  return true;
+}
+
+/// Parses the value of the header token `key=value` with parse_whole; false
+/// unless the key matches and the value parses.
 template <typename T>
 bool parse_header(std::string_view token, std::string_view key, T& value) {
   if (!token.starts_with(key) || token.size() <= key.size() ||
       token[key.size()] != '=')
     return false;
-  const char* end = token.data() + token.size();
-  const auto [stop, error] =
-      std::from_chars(token.data() + key.size() + 1, end, value);
-  return error == std::errc{} && stop == end;
+  return parse_whole(token.substr(key.size() + 1), value);
 }
 
 [[noreturn]] void bad_header(std::string_view what, std::string_view token,
@@ -54,6 +64,84 @@ bool parse_header(std::string_view token, std::string_view key, T& value) {
                            std::string(key) + " must be " + expected +
                            ", got '" + std::string(token) + "'");
 }
+
+/// A file's lines as whitespace-separated tokens, read to EOF. Every
+/// complaint names the reader, the file and the 1-based line.
+class LineTokens {
+ public:
+  LineTokens(std::istream& in, std::string_view what,
+             const std::filesystem::path& path)
+      : in_(in), what_(what), path_(path.string()) {}
+
+  /// Moves to the next line holding a token; false at EOF.
+  bool next_line() {
+    while (std::getline(in_, line_)) {
+      ++line_no_;
+      pos_ = 0;
+      skip_space();
+      if (pos_ < line_.size()) return true;
+    }
+    return false;
+  }
+
+  /// The line's next token; empty when none is left.
+  std::string_view token() {
+    const std::size_t start = pos_;
+    while (pos_ < line_.size() && !is_space(line_[pos_])) ++pos_;
+    const std::string_view out(line_.data() + start, pos_ - start);
+    skip_space();
+    return out;
+  }
+
+  /// The next token, parsed by parse_whole.
+  template <typename T>
+  T number() {
+    const std::string_view text = token();
+    if (text.empty()) fail("the row ends early");
+    T value{};
+    if (!parse_whole(text, value))
+      fail(std::string(std::is_floating_point_v<T> ? "expected a finite"
+                                                   : "expected a whole") +
+           " number, got '" + std::string(text) + "'");
+    return value;
+  }
+
+  /// The next token as a row's combo: a non-empty set of the num_vhcs VHCs.
+  VhcComboMask combo(std::size_t num_vhcs) {
+    const auto combo = number<VhcComboMask>();
+    if (combo == 0 || (combo >> num_vhcs) != 0)
+      fail("combo " + std::to_string(combo) +
+           " is not a non-empty set of the " + std::to_string(num_vhcs) +
+           " VHCs");
+    return combo;
+  }
+
+  /// Throws unless every token of the line was read.
+  void end_line() {
+    if (pos_ < line_.size())
+      fail("unexpected '" + std::string(token()) + "'");
+  }
+
+ private:
+  [[noreturn]] void fail(const std::string& why) const {
+    throw std::runtime_error(what_ + ": " + path_ + " line " +
+                             std::to_string(line_no_) + ": " + why);
+  }
+
+  static bool is_space(char c) noexcept {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  }
+  void skip_space() noexcept {
+    while (pos_ < line_.size() && is_space(line_[pos_])) ++pos_;
+  }
+
+  std::istream& in_;
+  std::string what_;
+  std::string path_;
+  std::string line_;
+  std::size_t line_no_ = 0;
+  std::size_t pos_ = 0;
+};
 
 }  // namespace
 
@@ -69,7 +157,7 @@ std::uint64_t header_count(std::string_view what, std::string_view token,
 double header_finite(std::string_view what, std::string_view token,
                      std::string_view key) {
   double value = 0.0;
-  if (!parse_header(token, key, value) || !std::isfinite(value))
+  if (!parse_header(token, key, value))
     bad_header(what, token, key, "a finite number");
   return value;
 }
@@ -91,30 +179,27 @@ void save_table(const VscTable& table, const std::filesystem::path& path) {
 
 VscTable load_table(const std::filesystem::path& path) {
   std::ifstream in = open_in(path);
-  std::string magic_a, magic_b, vhcs_token, resolution_token;
-  in >> magic_a >> magic_b >> vhcs_token >> resolution_token;
-  if (magic_a + " " + magic_b != kTableMagic)
+  LineTokens lines(in, "load_table", path);
+  lines.next_line();
+  const std::string_view kind = lines.token();
+  const std::string_view version = lines.token();
+  if (std::string(kind) + " " + std::string(version) != kTableMagic)
     throw std::runtime_error("load_table: bad magic in " + path.string());
   const auto num_vhcs = static_cast<std::size_t>(header_count(
-      "load_table", vhcs_token, "num_vhcs", VhcUniverse::kMaxVhcs));
+      "load_table", lines.token(), "num_vhcs", VhcUniverse::kMaxVhcs));
   const double resolution =
-      header_finite("load_table", resolution_token, "resolution");
+      header_finite("load_table", lines.token(), "resolution");
+  lines.end_line();
 
   VscTable table(num_vhcs, resolution);
-  VhcComboMask combo = 0;
-  while (in >> combo) {
+  while (lines.next_line()) {
+    const VhcComboMask combo = lines.combo(num_vhcs);
     std::vector<common::StateVector> states(num_vhcs);
-    for (auto& state : states) {
-      for (std::size_t c = 0; c < common::kNumComponents; ++c) {
-        double v = 0.0;
-        if (!(in >> v))
-          throw std::runtime_error("load_table: truncated sample row");
-        state[static_cast<common::Component>(c)] = v;
-      }
-    }
-    double power = 0.0;
-    if (!(in >> power))
-      throw std::runtime_error("load_table: truncated sample row");
+    for (auto& state : states)
+      for (std::size_t c = 0; c < common::kNumComponents; ++c)
+        state[static_cast<common::Component>(c)] = lines.number<double>();
+    const double power = lines.number<double>();
+    lines.end_line();
     table.record(combo, states, power);
   }
   return table;
@@ -134,25 +219,26 @@ void save_approximation(const VhcLinearApprox& approx,
 
 VhcLinearApprox load_approximation(const std::filesystem::path& path) {
   std::ifstream in = open_in(path);
-  std::string magic_a, magic_b, vhcs_token;
-  in >> magic_a >> magic_b >> vhcs_token;
-  if (magic_a + " " + magic_b != kApproxMagic)
+  LineTokens lines(in, "load_approximation", path);
+  lines.next_line();
+  const std::string_view kind = lines.token();
+  const std::string_view version = lines.token();
+  if (std::string(kind) + " " + std::string(version) != kApproxMagic)
     throw std::runtime_error("load_approximation: bad magic in " +
                              path.string());
   const auto num_vhcs = static_cast<std::size_t>(header_count(
-      "load_approximation", vhcs_token, "num_vhcs", VhcUniverse::kMaxVhcs));
+      "load_approximation", lines.token(), "num_vhcs", VhcUniverse::kMaxVhcs));
+  lines.end_line();
 
   std::vector<VhcLinearApprox::ComboModelData> models;
-  VhcComboMask combo = 0;
-  while (in >> combo) {
+  while (lines.next_line()) {
     VhcLinearApprox::ComboModelData data;
-    data.combo = combo;
+    data.combo = lines.combo(num_vhcs);
     data.weights.resize(num_vhcs * common::kNumComponents);
-    for (double& w : data.weights)
-      if (!(in >> w))
-        throw std::runtime_error("load_approximation: truncated weight row");
-    if (!(in >> data.rmse >> data.sample_count))
-      throw std::runtime_error("load_approximation: truncated weight row");
+    for (double& w : data.weights) w = lines.number<double>();
+    data.rmse = lines.number<double>();
+    data.sample_count = lines.number<std::size_t>();
+    lines.end_line();
     models.push_back(std::move(data));
   }
   return VhcLinearApprox::from_models(num_vhcs, models);

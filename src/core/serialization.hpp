@@ -13,6 +13,10 @@
 // All load functions validate the header and throw std::runtime_error on
 // malformed input: a count must be a whole unsigned number and an energy,
 // duration or resolution a finite number, each with no trailing bytes.
+// The table and approximation loaders read one row per line up to EOF; a
+// row with a token that is not such a number, a combo that is 0 or names a
+// VHC past num_vhcs, or too few or too many tokens, throws naming the file
+// and its 1-based line.
 // Billing state uses the same conventions, as *stream* blocks so composite
 // checkpoints (the fleet engine's) can embed several accountants in one
 // file:

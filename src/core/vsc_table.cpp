@@ -1,6 +1,7 @@
 #include "core/vsc_table.hpp"
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -16,6 +17,23 @@ using KeyBuffer =
                                                 common::kNumComponents *
                                                 sizeof(double)>;
 
+/// Writes the bucket tuple of `state`, round(v / resolution) of every
+/// coordinate, to `out` and returns one past it. Two quantized coordinates
+/// in different buckets differ by at least one resolution step, so equal
+/// bucket indices are exactly the states that StateVector::quantized() maps
+/// to the same value. Both the cell keys and the per-VHC index are written
+/// here, so they cannot disagree on a bucket.
+char* write_buckets(const common::StateVector& state, double resolution,
+                    char* out) noexcept {
+  for (const double v : state.values()) {
+    double bucket = std::round(v / resolution);
+    if (bucket == 0.0) bucket = 0.0;  // -0.0 and +0.0 are one bucket.
+    std::memcpy(out, &bucket, sizeof bucket);
+    out += sizeof bucket;
+  }
+  return out;
+}
+
 /// Writes the cell key of (combo, vhc_states) into `buffer` and returns the
 /// written prefix.
 std::string_view cell_key(VhcComboMask combo,
@@ -24,17 +42,8 @@ std::string_view cell_key(VhcComboMask combo,
   char* out = buffer.data();
   std::memcpy(out, &combo, sizeof combo);
   out += sizeof combo;
-  // Two quantized coordinates in different buckets differ by at least one
-  // resolution step, so equal bucket indices are exactly the states that
-  // StateVector::quantized() maps to the same value.
-  for (const common::StateVector& state : vhc_states) {
-    for (const double v : state.values()) {
-      double bucket = std::round(v / resolution);
-      if (bucket == 0.0) bucket = 0.0;  // -0.0 and +0.0 are one bucket.
-      std::memcpy(out, &bucket, sizeof bucket);
-      out += sizeof bucket;
-    }
-  }
+  for (const common::StateVector& state : vhc_states)
+    out = write_buckets(state, resolution, out);
   return {buffer.data(), static_cast<std::size_t>(out - buffer.data())};
 }
 
@@ -46,6 +55,7 @@ VscTable::VscTable(std::size_t num_vhcs, double resolution)
     throw std::invalid_argument("VscTable: bad VHC count");
   if (!(resolution > 0.0))
     throw std::invalid_argument("VscTable: resolution must be > 0");
+  vhc_buckets_.resize(num_vhcs);
 }
 
 void VscTable::validate_query(
@@ -60,6 +70,8 @@ void VscTable::record(VhcComboMask combo,
                       std::span<const common::StateVector> vhc_states,
                       double power_w) {
   validate_query(combo, vhc_states);
+  if (combo == 0)
+    throw std::invalid_argument("VscTable::record: combo 0 holds no VHC");
   if (power_w < 0.0)
     throw std::invalid_argument("VscTable::record: negative power");
   VscSample sample;
@@ -75,6 +87,12 @@ void VscTable::record(VhcComboMask combo,
       cells_[std::string(cell_key(combo, vhc_states, resolution_, buffer))];
   cell.power_sum += power_w;
   ++cell.count;
+  for (VhcComboMask rest = combo; rest != 0; rest &= rest - 1) {
+    const auto vhc = static_cast<std::size_t>(std::countr_zero(rest));
+    Buckets buckets{};
+    write_buckets(vhc_states[vhc], resolution_, buckets.data());
+    vhc_buckets_[vhc].insert(buckets);
+  }
   ++total_;
 }
 
@@ -92,6 +110,15 @@ std::optional<double> VscTable::lookup(
       cells_.find(cell_key(combo, vhc_states, resolution_, buffer));
   if (it == cells_.end()) return std::nullopt;
   return it->second.power_sum / static_cast<double>(it->second.count);
+}
+
+bool VscTable::may_hold(std::size_t vhc,
+                        const common::StateVector& aggregate) const {
+  if (vhc >= num_vhcs_)
+    throw std::invalid_argument("VscTable::may_hold: VHC out of range");
+  Buckets buckets{};
+  write_buckets(aggregate, resolution_, buckets.data());
+  return vhc_buckets_[vhc].contains(buckets);
 }
 
 std::vector<VhcComboMask> VscTable::combos() const {

@@ -7,6 +7,7 @@
 // approximation for unobserved states.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <functional>
 #include <optional>
@@ -14,6 +15,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/state_vector.hpp"
@@ -39,8 +41,8 @@ class VscTable {
   [[nodiscard]] double resolution() const noexcept { return resolution_; }
 
   /// Records one measurement. States are quantized on entry. Throws
-  /// std::invalid_argument if vhc_states.size() != num_vhcs, the combo
-  /// addresses VHCs beyond the universe, or power is negative.
+  /// std::invalid_argument if vhc_states.size() != num_vhcs, the combo is 0
+  /// or addresses VHCs beyond the universe, or power is negative.
   void record(VhcComboMask combo,
               std::span<const common::StateVector> vhc_states, double power_w);
 
@@ -55,6 +57,14 @@ class VscTable {
   /// States are expected finite.
   [[nodiscard]] std::optional<double> lookup(
       VhcComboMask combo, std::span<const common::StateVector> vhc_states) const;
+
+  /// Whether some sample recorded with `vhc` in its combo held an aggregate
+  /// of that VHC in the same quantized cell as `aggregate`. So lookup(combo,
+  /// s) can hit only if may_hold(v, s[v]) for every VHC v of combo; the
+  /// converse need not hold (the index is per VHC, not per combo). Throws
+  /// std::invalid_argument when vhc >= num_vhcs.
+  [[nodiscard]] bool may_hold(std::size_t vhc,
+                              const common::StateVector& aggregate) const;
 
   [[nodiscard]] std::size_t total_samples() const noexcept { return total_; }
   /// Combos that have at least one sample.
@@ -75,11 +85,20 @@ class VscTable {
       return std::hash<std::string_view>{}(key);
     }
   };
+  /// One VHC state's part of a cell key: its bucket tuple's bytes.
+  using Buckets = std::array<char, common::kNumComponents * sizeof(double)>;
+  struct BucketsHash {
+    [[nodiscard]] std::size_t operator()(const Buckets& b) const noexcept {
+      return KeyHash{}({b.data(), b.size()});
+    }
+  };
 
   std::size_t num_vhcs_;
   double resolution_;
   std::unordered_map<VhcComboMask, std::vector<VscSample>> samples_;
   std::unordered_map<std::string, Cell, KeyHash, std::equal_to<>> cells_;
+  /// Per VHC: the bucket tuples it held in the samples of combos holding it.
+  std::vector<std::unordered_set<Buckets, BucketsHash>> vhc_buckets_;
   std::size_t total_ = 0;
 
   void validate_query(VhcComboMask combo,

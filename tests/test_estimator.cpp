@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "common/vm_config.hpp"
 #include "util/rng.hpp"
@@ -162,6 +164,197 @@ TEST(ShapleyVhcEstimator, TableVhcCountMustMatchUniverse) {
   EXPECT_THROW(ShapleyVhcEstimator(VhcUniverse({0}), exact_linear_approx(10.0),
                                    std::move(table)),
                std::invalid_argument);
+}
+
+// --- Lookups the table-backed sweep skips ------------------------------------
+
+/// Every combo of r VHCs fitted to its own weights, so the estimator's
+/// cached weights are the fitted ones and predict() adds the same products.
+VhcLinearApprox every_combo_fitted(std::size_t r, util::Rng& rng) {
+  std::vector<VhcLinearApprox::ComboModelData> models;
+  for (VhcComboMask combo = 1; combo < (VhcComboMask{1} << r); ++combo) {
+    VhcLinearApprox::ComboModelData model{
+        combo, std::vector<double>(r * common::kNumComponents, 0.0), 0.0, 50};
+    for (std::size_t j = 0; j < r; ++j)
+      if (((combo >> j) & 1u) != 0)
+        for (std::size_t c = 0; c < common::kNumComponents; ++c)
+          model.weights[j * common::kNumComponents + c] =
+              rng.uniform(1.0, 20.0);
+    models.push_back(std::move(model));
+  }
+  return VhcLinearApprox::from_models(r, models);
+}
+
+/// A CPU-only training table over r VHCs: no per-VHC aggregate that carries
+/// memory is ever in it.
+VscTable cpu_only_table(std::size_t r, util::Rng& rng) {
+  VscTable table(r, 0.01);
+  for (VhcComboMask combo = 1; combo < (VhcComboMask{1} << r); ++combo)
+    for (int s = 0; s < 40; ++s) {
+      std::vector<StateVector> states(r);
+      for (std::size_t j = 0; j < r; ++j)
+        if (((combo >> j) & 1u) != 0)
+          states[j] = StateVector::cpu_only(rng.uniform(0.0, 2.0));
+      table.record(combo, states, rng.uniform(5.0, 60.0));
+    }
+  return table;
+}
+
+StateVector spec_like_state(util::Rng& rng) {
+  StateVector state = StateVector::cpu_only(rng.uniform(0.05, 1.0));
+  state[common::Component::kMemory] = rng.uniform(0.08, 0.42);
+  state[common::Component::kDiskIo] = 0.01;
+  return state;
+}
+
+/// Busy members of a coalition added into per-VHC aggregates from zero in
+/// player order; returns the combo.
+VhcComboMask aggregate_of(const VhcUniverse& universe,
+                          std::span<const VmSample> vms, Coalition s,
+                          std::vector<StateVector>& agg) {
+  std::fill(agg.begin(), agg.end(), StateVector::zero());
+  VhcComboMask combo = 0;
+  for (const Player i : s.members()) {
+    if (vms[i].state == StateVector::zero()) continue;
+    const std::size_t vhc = universe.index_of(vms[i].type);
+    combo |= VhcComboMask{1} << vhc;
+    agg[vhc] += vms[i].state;
+  }
+  return combo;
+}
+
+TEST(ShapleyVhcEstimator, SweepEqualsLookupOrPredictReference) {
+  // Fig. 8 per mask, by brute force: the table's answer when it has the
+  // coalition's cell, else the regression's. Cells are planted at the exact
+  // aggregates of some of the tick's coalitions: of one coalition, so each
+  // VHC of its combo has a single member subset in the table, or of a tenth
+  // of those without one VHC, which then has no subset there and whose
+  // coalitions need no lookup. The sweep must return the same doubles and count the
+  // same hits, whichever lookups it spares.
+  const VhcUniverse universe({0, 1, 2});
+  std::size_t total_hits = 0;
+  std::size_t spared = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    util::Rng rng(seed);
+    const VhcLinearApprox approx = every_combo_fitted(3, rng);
+    const auto n = static_cast<std::size_t>(rng.uniform_int(3, 9));
+    std::vector<VmSample> vms;
+    for (std::size_t i = 0; i < n; ++i) {
+      vms.push_back({static_cast<std::uint32_t>(i),
+                     static_cast<common::VmTypeId>(rng.uniform_u64(3)),
+                     spec_like_state(rng)});
+      if (rng.bernoulli(0.15)) vms.back().state = StateVector::zero();
+    }
+    VscTable table = cpu_only_table(3, rng);
+    std::vector<StateVector> agg(3);
+    const bool one_coalition = seed % 2 == 0;
+    const VhcComboMask unplanted = VhcComboMask{1} << (seed / 2 % 3);
+    const std::size_t one_mask =
+        1 + rng.uniform_u64((std::uint64_t{1} << n) - 1);
+    for (std::size_t mask = 1; mask < (std::size_t{1} << n); ++mask) {
+      const VhcComboMask combo = aggregate_of(
+          universe, vms, Coalition{static_cast<Coalition::Mask>(mask)}, agg);
+      if (combo == 0) continue;
+      if (one_coalition ? mask != one_mask
+                        : (combo & unplanted) != 0 || !rng.bernoulli(0.1))
+        continue;
+      table.record(combo, agg, rng.uniform(1.0, 80.0));
+    }
+
+    for (const bool anchor : {true, false}) {
+      const double measured = rng.uniform(10.0, 90.0);
+      std::size_t hits = 0;
+      std::size_t queries = 0;
+      const WorthFn v = [&](Coalition s) {
+        if (s.is_empty()) return 0.0;
+        if (anchor && s == Coalition::grand(n)) return measured;
+        const VhcComboMask combo = aggregate_of(universe, vms, s, agg);
+        if (combo == 0) return 0.0;
+        ++queries;
+        if (const auto hit = table.lookup(combo, agg)) {
+          ++hits;
+          return *hit;
+        }
+        return approx.predict(combo, agg);
+      };
+      const auto reference = shapley_values(n, v);
+
+      ShapleyVhcEstimator estimator(universe, approx, table, anchor);
+      estimator.set_kernel(ShapleyKernel::kSweep);
+      const auto phi = estimator.estimate(vms, measured);
+      const std::string label =
+          "seed " + std::to_string(seed) + " anchor=" + std::to_string(anchor);
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(phi[i], reference[i]) << label << " vm " << i;
+      EXPECT_EQ(estimator.worth_queries(), queries) << label;
+      EXPECT_EQ(estimator.table_hit_rate(),
+                static_cast<double>(hits) / static_cast<double>(queries))
+          << label;
+      EXPECT_GE(estimator.table_probes(), hits) << label;
+      total_hits += hits;
+      spared += queries - estimator.table_probes();
+    }
+  }
+  EXPECT_GT(total_hits, 100u);
+  EXPECT_GT(spared, 1000u);
+}
+
+TEST(ShapleyVhcEstimator, TableProbesSkipCoalitionsThatCannotHit) {
+  // Memory-bearing states that no CPU-only training cell holds: the
+  // Σ_v (2^{m_v} - 1) subset checks rule out every queried coalition, and
+  // none needs a lookup. tick-mixed8's shape (4 + 2 + 2 VMs, 21 checks for
+  // 254 coalitions), one type (255 checks for 254) and a 2-VM host (2 for
+  // 2), anchored or not.
+  util::Rng rng(8);
+  const VhcUniverse universe({0, 1, 2});
+  const VscTable table = cpu_only_table(3, rng);
+  const VhcLinearApprox approx = VhcLinearApprox::fit(table);
+  using Types = std::vector<common::VmTypeId>;
+  for (const Types& types :
+       {Types{0, 0, 0, 0, 1, 1, 2, 2}, Types(8, 0), Types{0, 1}})
+    for (const bool anchor : {true, false}) {
+      ShapleyVhcEstimator estimator(universe, approx, table, anchor);
+      const std::size_t queried =
+          (std::size_t{1} << types.size()) - (anchor ? 2 : 1);
+      for (std::size_t tick = 1; tick <= 3; ++tick) {
+        std::vector<VmSample> vms;
+        for (std::size_t i = 0; i < types.size(); ++i)
+          vms.push_back(
+              {static_cast<std::uint32_t>(i), types[i], spec_like_state(rng)});
+        (void)estimator.estimate(vms, 60.0);
+        EXPECT_EQ(estimator.last_kernel(), "sweep");
+        EXPECT_EQ(estimator.worth_queries(), queried * tick);
+        EXPECT_EQ(estimator.table_probes(), 0u)
+            << types.size() << " VMs, anchor=" << anchor;
+      }
+      EXPECT_EQ(estimator.table_hit_rate(), 0.0);
+    }
+}
+
+TEST(ShapleyVhcEstimator, MemberSubsetsAddInPlayerOrder) {
+  // Three VMs of one type whose CPU sum falls in bucket 148 when added in
+  // player order, (0.337 + 0.531) + 0.607 = 1.475, and in bucket 147 when
+  // added the other way round. The one cell is the grand coalition's, so
+  // its VHC may hit only if the subset checks add in the mask loop's order.
+  const VhcUniverse universe({0});
+  std::vector<VmSample> vms;
+  for (const double cpu : {0.337, 0.531, 0.607})
+    vms.push_back({static_cast<std::uint32_t>(vms.size()), 0,
+                   StateVector::cpu_only(cpu)});
+  VscTable table(1, 0.01);
+  table.record(0b1, std::vector<StateVector>{StateVector::cpu_only(
+                        (0.337 + 0.531) + 0.607)},
+               99.0);
+  ASSERT_FALSE(
+      table.may_hold(0, StateVector::cpu_only((0.607 + 0.531) + 0.337)));
+  util::Rng rng(3);
+  ShapleyVhcEstimator estimator(universe, every_combo_fitted(1, rng), table,
+                                /*anchor=*/false);
+  (void)estimator.estimate(vms, 0.0);
+  EXPECT_EQ(estimator.last_kernel(), "sweep");
+  EXPECT_EQ(estimator.worth_queries(), 7u);
+  EXPECT_EQ(estimator.table_probes(), 7u);
+  EXPECT_EQ(estimator.table_hit_rate(), 1.0 / 7.0);
 }
 
 TEST(Estimators, NamesAreStable) {

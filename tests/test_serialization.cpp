@@ -114,6 +114,101 @@ TEST_F(SerializationTest, TruncatedRowRejected) {
   EXPECT_THROW(load_table(path_), std::runtime_error);
 }
 
+TEST_F(SerializationTest, EveryRowIsReadOrTheLoadNamesItsLine) {
+  // Both loaders once stopped at the first row that did not start with a
+  // number and returned what came before it: a junk row in the middle
+  // dropped the rows after it, one after the last row went unnoticed.
+  const auto read_lines = [&] {
+    std::ifstream in(path_);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    return lines;
+  };
+  const auto write_lines = [&](const std::vector<std::string>& lines) {
+    std::ofstream out(path_, std::ios::trunc);
+    for (const std::string& line : lines) out << line << '\n';
+  };
+  const auto rejects_line = [&](const std::vector<std::string>& lines,
+                                std::size_t line_no, const auto& load) {
+    write_lines(lines);
+    try {
+      load();
+      ADD_FAILURE() << "line " << line_no << " was accepted";
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(path_.string() + " line " +
+                          std::to_string(line_no) + ":"),
+                std::string::npos)
+          << what;
+    }
+  };
+  const VscTable table = sample_table();
+  const auto check = [&](const auto& load) {
+    const std::vector<std::string> saved = read_lines();
+    ASSERT_GT(saved.size(), 2u);
+    // Line 1 is the header; a junk row in the middle and after the last.
+    auto lines = saved;
+    lines[1] = "x" + lines[1];
+    rejects_line(lines, 2, load);
+    lines = saved;
+    lines.insert(lines.begin() + 2, "junk");
+    rejects_line(lines, 3, load);
+    lines = saved;
+    lines.push_back("junk");
+    rejects_line(lines, saved.size() + 1, load);
+    // A row one token long or short, a signed combo, a non-finite value.
+    for (const std::string& row :
+         {saved[1] + " 7", saved[1].substr(0, saved[1].rfind(' ')),
+          "-" + saved[1], saved[1].substr(0, saved[1].rfind(' ')) + " nan"}) {
+      lines = saved;
+      lines.push_back(row);
+      rejects_line(lines, saved.size() + 1, load);
+    }
+    // Blank lines are not rows.
+    lines = saved;
+    lines.insert(lines.begin() + 1, "  ");
+    lines.push_back("");
+    write_lines(lines);
+    EXPECT_NO_THROW(load());
+  };
+  save_table(table, path_);
+  check([&] { (void)load_table(path_); });
+  save_approximation(VhcLinearApprox::fit(table), path_);
+  check([&] { (void)load_approximation(path_); });
+}
+
+TEST_F(SerializationTest, RowCombosAreNonEmptySetsOfTheVhcs) {
+  // Combo 0 holds no VHC and combo 0b10 names a VHC past num_vhcs=1; both
+  // loaders once accepted the first as a sample or a model.
+  const auto rejects_line_3 = [&](const auto& load) {
+    try {
+      load();
+      ADD_FAILURE() << "line 3 was accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find(path_.string() + " line 3: combo "),
+                std::string::npos)
+          << error.what();
+    }
+  };
+  for (const char* combo : {"0", "2"}) {
+    {
+      std::ofstream out(path_);
+      out << "vmpower-vsc-table v1 num_vhcs=1 resolution=0.01\n";
+      out << "1 0.5 0 0 0 6.5\n";
+      out << combo << " 0.5 0 0 0 6.5\n";
+    }
+    rejects_line_3([&] { (void)load_table(path_); });
+    {
+      std::ofstream out(path_);
+      out << "vmpower-vhc-approx v1 num_vhcs=1\n";
+      out << "1 10 0 0 0 0.1 5\n";
+      out << combo << " 10 0 0 0 0.1 5\n";
+    }
+    rejects_line_3([&] { (void)load_approximation(path_); });
+  }
+}
+
 TEST_F(SerializationTest, HeaderValuesParseStrictly) {
   // Counts are whole unsigned numbers and resolutions, energies and seconds
   // finite, with no trailing bytes; the error names the key and the token.
@@ -204,6 +299,10 @@ TEST(FromModels, Validation) {
   // Combo beyond the universe.
   bad = ok;
   bad.combo = 0b10;
+  EXPECT_THROW(VhcLinearApprox::from_models(1, {{bad}}), std::invalid_argument);
+  // Combo 0 holds no VHC.
+  bad = ok;
+  bad.combo = 0;
   EXPECT_THROW(VhcLinearApprox::from_models(1, {{bad}}), std::invalid_argument);
   // Duplicate combos.
   EXPECT_THROW(VhcLinearApprox::from_models(1, {{ok, ok}}),

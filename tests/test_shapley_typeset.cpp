@@ -385,6 +385,56 @@ TEST(ShapleyVhcEstimator, AxiomsHoldAtEveryForcedTier) {
   }
 }
 
+TEST(ShapleyVhcEstimator, AdditivityHoldsAtEveryKernel) {
+  // Additivity on the estimator's own game. Approximations A and B fit the
+  // same combos (every singleton, so every combo is covered, and a random
+  // half of the rest), and A+B sums their weights; then v_{A+B}(S, C) =
+  // v_A(S, C) + v_B(S, C) for every coalition, covered ones included. So
+  // φ_A + φ_B = φ_{A+B} at every kernel, unanchored and without a table,
+  // where the approximation alone is the worth.
+  util::Rng rng(55);
+  for (int game = 0; game < 200; ++game) {
+    const std::size_t r = 1 + rng.uniform_u64(4);
+    const VhcUniverse universe(all_types(r));
+    std::vector<VhcLinearApprox::ComboModelData> a, b, sum;
+    for (VhcComboMask combo = 1; combo < (VhcComboMask{1} << r); ++combo) {
+      if (std::popcount(combo) > 1 && rng.bernoulli(0.5)) continue;
+      VhcLinearApprox::ComboModelData model{
+          combo, std::vector<double>(r * common::kNumComponents, 0.0), 0.0, 40};
+      a.push_back(model);
+      b.push_back(model);
+      sum.push_back(model);
+      for (std::size_t k = 0; k < model.weights.size(); ++k) {
+        if (((combo >> (k / common::kNumComponents)) & 1u) == 0) continue;
+        a.back().weights[k] = rng.uniform(0.0, 20.0);
+        b.back().weights[k] = rng.uniform(-5.0, 15.0);
+        sum.back().weights[k] = a.back().weights[k] + b.back().weights[k];
+      }
+    }
+    const auto approx_a = VhcLinearApprox::from_models(r, a);
+    const auto approx_b = VhcLinearApprox::from_models(r, b);
+    const auto approx_sum = VhcLinearApprox::from_models(r, sum);
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 10));
+    const auto vms = random_host(rng, n, r, 0.2, /*repeats=*/game % 2 == 1);
+    for (const ShapleyKernel kernel :
+         {ShapleyKernel::kAuto, ShapleyKernel::kCollapsed,
+          ShapleyKernel::kSweep, ShapleyKernel::kTypeSet}) {
+      const auto phi_of = [&](const VhcLinearApprox& approx) {
+        ShapleyVhcEstimator estimator(universe, approx, /*anchor=*/false);
+        estimator.set_kernel(kernel);
+        return estimator.estimate(vms, 50.0);
+      };
+      const auto phi_a = phi_of(approx_a);
+      const auto phi_b = phi_of(approx_b);
+      const auto phi_sum = phi_of(approx_sum);
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_NEAR(phi_a[i] + phi_b[i], phi_sum[i], 1e-9)
+            << "game " << game << " kernel " << static_cast<int>(kernel)
+            << " vm " << i;
+    }
+  }
+}
+
 TEST(ShapleyVhcEstimator, ForcedKernelsRespectTheirOwnLimits) {
   ShapleyVhcEstimator estimator(VhcUniverse({0}), exact_linear_approx(10.0));
   double total_cpu = 0.0;

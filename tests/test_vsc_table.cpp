@@ -75,12 +75,17 @@ TEST(VscTable, RecordValidation) {
   EXPECT_THROW(table.record(0b1, {}, 5.0), std::invalid_argument);
   EXPECT_THROW(table.record(0b10, one_state(0.5), 5.0), std::invalid_argument);
   EXPECT_THROW(table.record(0b1, one_state(0.5), -1.0), std::invalid_argument);
+  // Combo 0 is no coalition: it once filled a cell no query reaches.
+  EXPECT_THROW(table.record(0, one_state(0.5), 5.0), std::invalid_argument);
+  EXPECT_EQ(table.total_samples(), 0u);
 }
 
 TEST(VscTable, LookupValidation) {
   const VscTable table(1, 0.01);
   EXPECT_THROW((void)table.lookup(0b1, {}), std::invalid_argument);
   EXPECT_THROW((void)table.lookup(0b10, one_state(0.5)), std::invalid_argument);
+  EXPECT_THROW((void)table.may_hold(1, StateVector::zero()),
+               std::invalid_argument);
 }
 
 TEST(VscTable, SamplesStoreQuantizedStates) {
@@ -159,6 +164,11 @@ void expect_lookup_equals_scan(const VscTable& table,
     ASSERT_EQ(cell.has_value(), scan.has_value()) << q.states[0].to_string();
     if (!cell.has_value()) continue;
     EXPECT_EQ(*cell, *scan) << q.states[0].to_string();
+    // may_hold's contract: every VHC of a hit's combo may hold its part.
+    for (std::size_t v = 0; v < q.states.size(); ++v) {
+      if (((q.combo >> v) & 1u) == 0) continue;
+      EXPECT_TRUE(table.may_hold(v, q.states[v])) << q.states[v].to_string();
+    }
     ++hits;
   }
 }
@@ -167,6 +177,7 @@ TEST(VscTable, CellLookupEqualsSampleScan) {
   const std::filesystem::path path =
       std::filesystem::temp_directory_path() /
       ("vmp_vsc_cells_" + std::to_string(::getpid()) + ".vsc");
+  std::size_t ruled_out = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     util::Rng rng(seed);
     const std::size_t num_vhcs = 1 + (seed - 1) % 4;
@@ -188,6 +199,18 @@ TEST(VscTable, CellLookupEqualsSampleScan) {
       return buckets;
     };
 
+    // Zero coordinates are sometimes -0.0, which shares bucket 0.
+    const auto draw = [&](VhcComboMask combo, const auto& buckets) {
+      auto states = states_near(rng, combo, buckets, resolution);
+      for (StateVector& state : states)
+        for (std::size_t c = 0; c < common::kNumComponents; ++c) {
+          const auto component = static_cast<common::Component>(c);
+          if (state[component] == 0.0 && rng.bernoulli(0.5))
+            state[component] = -0.0;
+        }
+      return states;
+    };
+
     VscTable table(num_vhcs, resolution);
     std::vector<Query> queries;
     for (int cell = 0; cell < 12; ++cell) {
@@ -196,30 +219,39 @@ TEST(VscTable, CellLookupEqualsSampleScan) {
       // Several samples per cell, each at or near the shared centre.
       const int samples = 2 + static_cast<int>(rng.uniform_u64(3));
       for (int s = 0; s < samples; ++s)
-        table.record(combo, states_near(rng, combo, buckets, resolution),
-                     rng.uniform(0.0, 100.0));
+        table.record(combo, draw(combo, buckets), rng.uniform(0.0, 100.0));
       for (int q = 0; q < 8; ++q)
-        queries.push_back(
-            {combo, states_near(rng, combo, buckets, resolution)});
+        queries.push_back({combo, draw(combo, buckets)});
+      // The cell's states under another combo: every per-VHC part the
+      // combos share may be held, and the lookup still misses.
+      queries.push_back({random_combo(), draw(combo, buckets)});
     }
     // Fresh states, mostly in unrecorded cells or combos.
     for (int q = 0; q < 16; ++q) {
       const VhcComboMask combo = random_combo();
-      queries.push_back(
-          {combo, states_near(rng, combo, random_buckets(), resolution)});
+      queries.push_back({combo, draw(combo, random_buckets())});
     }
 
     std::size_t hits = 0;
     expect_lookup_equals_scan(table, queries, hits);
     EXPECT_GT(hits, 0u) << "seed " << seed;
 
-    // The cells are rebuilt from the saved (quantized) samples on load.
+    // The cells and the per-VHC index are rebuilt from the saved
+    // (quantized) samples on load.
     save_table(table, path);
     const VscTable loaded = load_table(path);
     std::size_t loaded_hits = 0;
     expect_lookup_equals_scan(loaded, queries, loaded_hits);
     EXPECT_EQ(loaded_hits, hits) << "seed " << seed;
+    for (const Query& q : queries)
+      for (std::size_t v = 0; v < num_vhcs; ++v) {
+        const bool may = table.may_hold(v, q.states[v]);
+        EXPECT_EQ(loaded.may_hold(v, q.states[v]), may) << "seed " << seed;
+        if (!may) ++ruled_out;
+      }
   }
+  // The index is no constant true: fresh states are mostly ruled out.
+  EXPECT_GT(ruled_out, 100u);
   std::filesystem::remove(path);
 }
 
