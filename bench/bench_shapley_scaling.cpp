@@ -3,11 +3,12 @@
 // Exact Shapley needs 2^n worth evaluations; the paper argues n <= 16 on
 // real hosts, so the overhead is "very low" (2^16 = 65536 operations). These
 // benchmarks quantify that claim on this implementation and measure the
-// escape hatches for larger games: symmetry collapse, and the estimator's
-// type-set kernel, whose cost grows with the 2^K sets of busy VHCs rather
-// than with the 2^n coalitions. The JSON context records vmpower's own build
-// type as "build_type"; google-benchmark's "library_build_type" describes
-// the installed benchmark library, not this code.
+// escape hatches for larger games: symmetry collapse, and the type-set
+// kernel every estimator tick runs, whose cost grows with the 2^K sets of
+// busy VHCs rather than with the 2^n coalitions. The JSON context records
+// vmpower's own build type as "build_type"; google-benchmark's
+// "library_build_type" describes the installed benchmark library, not this
+// code.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -104,10 +105,12 @@ BENCHMARK(BM_CollapsedShapley)
     ->ArgsProduct({{8, 12, 16}, {2, 4}})
     ->ArgNames({"n", "types"});
 
-/// BM_EstimatorTick's game: a fitted 4-type approximation of the additive
-/// law 9/7/5/3 W per unit cpu, and n VMs of types i % 4. sym=true repeats one
-/// state per type; otherwise every VM draws its own.
-struct FourTypeHost {
+/// BM_EstimatorTick's host: a fitted 4-type approximation of the additive
+/// law 9/7/5/3 W per unit cpu, and n VMs in pipebench tick-mixed8's
+/// proportions, half of type 0 and a quarter each of types 1 and 2 (4 + 2 +
+/// 2 at n = 8; one of type 0 and one of type 2 at n = 2). Every VM draws its
+/// own SPEC-like state.
+struct TickHost {
   static constexpr std::size_t kTypes = 4;
 
   static vmp::core::VhcLinearApprox fit(vmp::util::Rng& rng) {
@@ -129,13 +132,14 @@ struct FourTypeHost {
     return vmp::core::VhcLinearApprox::fit(table);
   }
 
-  FourTypeHost(std::size_t n, bool symmetric) : vms(n) {
+  explicit TickHost(std::size_t n) : vms(n) {
     for (std::size_t i = 0; i < n; ++i) {
       vms[i].vm_id = static_cast<std::uint32_t>(i);
-      vms[i].type = static_cast<vmp::common::VmTypeId>(i % kTypes);
-      vms[i].state = vmp::common::StateVector::cpu_only(
-          symmetric ? 0.2 + 0.15 * static_cast<double>(i % kTypes)
-                    : rng.uniform(0.05, 1.0));
+      vms[i].type = static_cast<vmp::common::VmTypeId>(
+          i < n / 2 ? 0 : i < 3 * n / 4 ? 1 : 2);
+      vms[i].state = vmp::common::StateVector::cpu_only(rng.uniform(0.05, 1.0));
+      vms[i].state[vmp::common::Component::kMemory] = rng.uniform(0.08, 0.42);
+      vms[i].state[vmp::common::Component::kDiskIo] = 0.01;
     }
   }
 
@@ -147,113 +151,15 @@ struct FourTypeHost {
 
 void BM_EstimatorTick(benchmark::State& state) {
   // One full ShapleyVhcEstimator::estimate() call — the per-tick cost every
-  // host agent pays. sym=1 duplicates states within each of the 4 VM types,
-  // so the estimator takes the collapsed path; sym=0 forces distinct states
-  // and times the batched mask sweep.
-  const FourTypeHost host(static_cast<std::size_t>(state.range(0)),
-                          state.range(1) != 0);
+  // host agent pays: the n x 2^3 contribution table, then typeset_shapley
+  // over the sets of the three busy VHCs.
+  const TickHost host(static_cast<std::size_t>(state.range(0)));
   vmp::core::ShapleyVhcEstimator estimator(host.universe, host.approx);
   for (auto _ : state) {
     benchmark::DoNotOptimize(estimator.estimate(host.vms, 50.0));
   }
 }
-BENCHMARK(BM_EstimatorTick)
-    ->ArgsProduct({{8, 12, 16}, {0, 1}})
-    ->ArgNames({"n", "sym"});
-
-void BM_EstimatorTickTypeSet(benchmark::State& state) {
-  // The same 4-type game with distinct states on the type-set kernel: the
-  // tier auto mode picks past 2^16 compositions (here n > 16), forced at
-  // n = 16 too. Its cost is the contribution table plus the 2^4 VHC sets.
-  const FourTypeHost host(static_cast<std::size_t>(state.range(0)), false);
-  vmp::core::ShapleyVhcEstimator estimator(host.universe, host.approx);
-  estimator.set_kernel(vmp::core::ShapleyKernel::kTypeSet);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(estimator.estimate(host.vms, 50.0));
-  }
-}
-BENCHMARK(BM_EstimatorTickTypeSet)->Arg(16)->Arg(32)->Arg(64);
-
-/// tick-mixed8's host, n VMs of three types (4 + 2 + 2 at n = 8, one of
-/// type 0 and one of type 2 at n = 2), or n VMs of one type, behind the
-/// Fig. 8 table. The table is dense and
-/// CPU-only, like the training campaign's: every combo recorded at 400 CPU
-/// utilizations up to each VHC's member count. With memory-bearing states
-/// (SPEC-like) no per-VHC aggregate is in it; with CPU-only ones nearly
-/// every one is.
-struct MixedHost {
-  static constexpr std::size_t kTypes = 3;
-
-  MixedHost(std::size_t n, bool cpu_only, bool one_type) : vms(n) {
-    std::size_t members[kTypes] = {};
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t type =
-          (one_type || i < n / 2) ? 0 : i < 3 * n / 4 ? 1 : 2;
-      ++members[type];
-      vms[i].vm_id = static_cast<std::uint32_t>(i);
-      vms[i].type = static_cast<vmp::common::VmTypeId>(type);
-      vms[i].state = vmp::common::StateVector::cpu_only(rng.uniform(0.05, 1.0));
-      if (!cpu_only) {
-        vms[i].state[vmp::common::Component::kMemory] = rng.uniform(0.08, 0.42);
-        vms[i].state[vmp::common::Component::kDiskIo] = 0.01;
-      }
-    }
-    const double law[kTypes] = {9.0, 7.0, 5.0};
-    for (vmp::core::VhcComboMask combo = 1; combo < (1u << kTypes); ++combo) {
-      for (int s = 0; s < 400; ++s) {
-        std::vector<vmp::common::StateVector> states(kTypes);
-        double power = 0.0;
-        for (std::size_t j = 0; j < kTypes; ++j) {
-          if (((combo >> j) & 1u) == 0) continue;
-          const double cpu =
-              rng.uniform(0.0, static_cast<double>(members[j]));
-          states[j] = vmp::common::StateVector::cpu_only(cpu);
-          power += law[j] * cpu;
-        }
-        table.record(combo, states, power);
-      }
-    }
-  }
-
-  vmp::util::Rng rng{11};  // draws the states first, then the table.
-  vmp::core::VhcUniverse universe{{0, 1, 2}};
-  std::vector<vmp::core::VmSample> vms;
-  vmp::core::VscTable table{kTypes, 0.01};
-};
-
-/// One estimate() on the table-backed sweep, the path every fleet host
-/// runs. hits:0 has no member subset the table may hold, so no coalition
-/// is looked up, at 21 subset checks for 4 + 2 + 2 VMs, 255 for 8 VMs of
-/// one type and 2 for a 2-VM host; hits:1 has one in every VHC, so every
-/// coalition is, as without the checks.
-void table_tick(benchmark::State& state, bool one_type) {
-  const MixedHost host(static_cast<std::size_t>(state.range(0)),
-                       state.range(1) != 0, one_type);
-  vmp::core::ShapleyVhcEstimator estimator(
-      host.universe, vmp::core::VhcLinearApprox::fit(host.table), host.table);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(estimator.estimate(host.vms, 50.0));
-  }
-  state.counters["probes_per_tick"] =
-      static_cast<double>(estimator.table_probes()) /
-      static_cast<double>(state.iterations());
-  state.counters["hit_rate"] = estimator.table_hit_rate();
-}
-
-void BM_EstimatorTickTable(benchmark::State& state) {
-  table_tick(state, false);
-}
-BENCHMARK(BM_EstimatorTickTable)
-    ->Args({8, 0})
-    ->Args({8, 1})
-    ->Args({2, 0})
-    ->Args({2, 1})
-    ->ArgNames({"n", "hits"});
-
-void BM_EstimatorTickTableOneType(benchmark::State& state) {
-  table_tick(state, true);
-}
-BENCHMARK(BM_EstimatorTickTableOneType)->Args({8, 0})->ArgNames({"n", "hits"});
+BENCHMARK(BM_EstimatorTick)->Arg(2)->Arg(8)->Arg(16)->Arg(64)->ArgNames({"n"});
 
 void BM_ShapleyWeights(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

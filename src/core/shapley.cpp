@@ -6,6 +6,30 @@
 
 namespace vmp::core {
 
+namespace {
+
+/// Given every coalition's worth (2^n entries, indexed by mask) and the
+/// per-size weight table (n entries), adds each player's weighted marginals
+/// into `phi` (size n, caller-zeroed), masks ascending, players ascending.
+void accumulate_shapley_phi(std::size_t n, std::span<const double> worth,
+                            std::span<const double> weights,
+                            std::span<double> phi) {
+  const std::size_t n_masks = std::size_t{1} << n;
+  for (std::size_t mask = 0; mask < n_masks; ++mask) {
+    const auto s_size =
+        static_cast<std::size_t>(std::popcount(static_cast<std::uint32_t>(mask)));
+    if (s_size == n) continue;  // grand coalition: no player is missing.
+    const double w = weights[s_size];
+    const double base = worth[mask];
+    for (Player i = 0; i < n; ++i) {
+      if ((mask >> i) & 1u) continue;
+      phi[i] += w * (worth[mask | (std::size_t{1} << i)] - base);
+    }
+  }
+}
+
+}  // namespace
+
 double shapley_weight(std::size_t n, std::size_t s) {
   if (n == 0 || s >= n)
     throw std::invalid_argument("shapley_weight: requires s < n");
@@ -24,23 +48,6 @@ void fill_shapley_weights(std::size_t n, std::vector<double>& weights) {
     throw std::invalid_argument("fill_shapley_weights: n must be >= 1");
   weights.resize(n);
   for (std::size_t s = 0; s < n; ++s) weights[s] = shapley_weight(n, s);
-}
-
-void accumulate_shapley_phi(std::size_t n, std::span<const double> worth,
-                            std::span<const double> weights,
-                            std::span<double> phi) {
-  const std::size_t n_masks = std::size_t{1} << n;
-  for (std::size_t mask = 0; mask < n_masks; ++mask) {
-    const auto s_size =
-        static_cast<std::size_t>(std::popcount(static_cast<std::uint32_t>(mask)));
-    if (s_size == n) continue;  // grand coalition: no player is missing.
-    const double w = weights[s_size];
-    const double base = worth[mask];
-    for (Player i = 0; i < n; ++i) {
-      if ((mask >> i) & 1u) continue;
-      phi[i] += w * (worth[mask | (std::size_t{1} << i)] - base);
-    }
-  }
 }
 
 std::vector<double> shapley_values(std::size_t n, const WorthFn& v) {

@@ -31,19 +31,9 @@ namespace vmp::core {
 /// of size s in an n-player game. Throws std::invalid_argument unless s < n.
 [[nodiscard]] double shapley_weight(std::size_t n, std::size_t s);
 
-/// Fills `weights` (resized to n) with shapley_weight(n, s) for s = 0..n-1.
-/// The fast kernels (core/shapley_fast.hpp) reuse one table across ticks.
+/// Fills `weights` (resized to n) with shapley_weight(n, s) for s = 0..n-1,
+/// the per-size table the exact and collapsed solvers weight marginals by.
 void fill_shapley_weights(std::size_t n, std::vector<double>& weights);
-
-/// The shared accumulation kernel: given every coalition's worth (2^n
-/// entries, indexed by mask) and the per-size weight table (n entries), adds
-/// each player's weighted marginals into `phi` (size n, caller-zeroed).
-/// Iterates masks ascending, players ascending — the serial solver and the
-/// estimator's sweep kernel both use this exact order, which is what keeps
-/// their outputs bit-identical.
-void accumulate_shapley_phi(std::size_t n, std::span<const double> worth,
-                            std::span<const double> weights,
-                            std::span<double> phi);
 
 /// State-dependent worth function v(S, C): the coalition's power when its
 /// members hold the given per-player states (entries for non-members must be

@@ -21,7 +21,7 @@ void mobius_transform(std::vector<double>& f) {
 
 std::size_t SymmetryGroups::composition_count() const noexcept {
   // Saturate instead of wrapping: 64 all-distinct players would otherwise
-  // multiply 2^64 → 0 and defeat the kernel-selection bounds.
+  // multiply 2^64 → 0 and defeat any size bound.
   std::size_t count = 1;
   for (const auto& group : members) {
     const std::size_t factor = group.size() + 1;
@@ -32,13 +32,12 @@ std::size_t SymmetryGroups::composition_count() const noexcept {
   return count;
 }
 
-void detect_symmetry_into(std::span<const std::size_t> keys,
-                          std::span<const common::StateVector> states,
-                          SymmetryGroups& out) {
+SymmetryGroups detect_symmetry(std::span<const std::size_t> keys,
+                               std::span<const common::StateVector> states) {
   if (keys.size() != states.size())
     throw std::invalid_argument("detect_symmetry: keys/states size mismatch");
   const std::size_t n = keys.size();
-  out.clear();
+  SymmetryGroups out;
   out.group_of.resize(n);
   for (Player i = 0; i < n; ++i) {
     std::size_t g = kNoGroup;
@@ -58,12 +57,6 @@ void detect_symmetry_into(std::span<const std::size_t> keys,
     out.members[g].push_back(i);
     out.group_of[i] = g;
   }
-}
-
-SymmetryGroups detect_symmetry(std::span<const std::size_t> keys,
-                               std::span<const common::StateVector> states) {
-  SymmetryGroups out;
-  detect_symmetry_into(keys, states, out);
   return out;
 }
 
@@ -173,7 +166,8 @@ std::vector<double> collapsed_shapley_sum(const SymmetryGroups& groups,
 
 std::vector<double> typeset_shapley(std::span<const double> p,
                                     std::span<const std::uint32_t> type_bit,
-                                    std::optional<double> grand_worth) {
+                                    std::optional<double> grand_worth,
+                                    TypeSetScratch& scratch) {
   const std::size_t n = type_bit.size();
   if (n == 0) throw std::invalid_argument("typeset_shapley: n must be >= 1");
   const std::size_t cols = p.size() / n;
@@ -183,7 +177,8 @@ std::vector<double> typeset_shapley(std::span<const double> p,
 
   // c_t players sit in busy VHC t; the other n − Σ c_t are idle. B(N),
   // the VHCs that hold a player, is `busy`.
-  std::vector<std::size_t> count(k, 0);
+  std::vector<std::size_t>& count = scratch.count;
+  count.assign(k, 0);
   std::size_t idle = 0, busy = 0;
   for (const std::uint32_t bit : type_bit) {
     if (bit != 0 && (!std::has_single_bit(bit) || bit >= cols))
@@ -199,7 +194,10 @@ std::vector<double> typeset_shapley(std::span<const double> p,
   // of them is ahead of i and only such players are, with probability
   // U(C) = 1/((n − M(C) + 1)(n − M(C))). One Möbius transform of each turns
   // "ahead of i ⊆ C" into "exactly C" for every a and t at once.
-  std::vector<double> mu_w(cols), mu_u(cols);
+  std::vector<double>& mu_w = scratch.mu_w;
+  std::vector<double>& mu_u = scratch.mu_u;
+  mu_w.resize(cols);
+  mu_u.resize(cols);
   for (std::size_t set = 0; set < cols; ++set) {
     std::size_t m = idle;
     for (std::size_t rest = set; rest != 0; rest &= rest - 1)
@@ -213,7 +211,8 @@ std::vector<double> typeset_shapley(std::span<const double> p,
 
   // Q_t(B) = Σ_{j in VHC t} P[j][B], over the sets B that hold t. Supersets
   // of a bit are enumerated as set = (set + 1) | bit.
-  std::vector<double> q(k * cols, 0.0);
+  std::vector<double>& q = scratch.q;
+  q.assign(k * cols, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
     const std::size_t bit = type_bit[j];
     if (bit == 0) continue;
@@ -226,7 +225,8 @@ std::vector<double> typeset_shapley(std::span<const double> p,
   // What every player of VHC a gains from the players ahead of it: a VHC-t
   // player j ahead of i, with exactly the VHCs B ahead of i (t ∈ B, a ∉ B),
   // moves from P[j][B] to P[j][B ∪ a] when i joins.
-  std::vector<double> shared(k, 0.0);
+  std::vector<double>& shared = scratch.shared;
+  shared.assign(k, 0.0);
   for (std::size_t a = 0; a < k; ++a) {
     const std::size_t a_bit = std::size_t{1} << a;
     for (std::size_t t = 0; t < k; ++t) {
@@ -322,18 +322,6 @@ std::span<const double> ComboWeightCache::effective_weights(VhcComboMask combo) 
   }
   slot = static_cast<std::uint32_t>(offset / stride_) + 1;
   return {out, stride_};
-}
-
-double ComboWeightCache::predict(VhcComboMask combo,
-                                 std::span<const common::StateVector> states) {
-  const auto w = effective_weights(combo);
-  if (states.size() * common::kNumComponents != w.size())
-    throw std::invalid_argument("ComboWeightCache::predict: bad states size");
-  double out = 0.0;
-  for (std::size_t j = 0; j < states.size(); ++j)
-    out += states[j].dot(w.subspan(j * common::kNumComponents,
-                                   common::kNumComponents));
-  return out;
 }
 
 }  // namespace vmp::core

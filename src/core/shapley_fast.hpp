@@ -1,38 +1,38 @@
-// Fast exact-Shapley kernels for the metering hot path.
+// Exact-Shapley kernels for VHC games, and the reference solver for
+// symmetric games.
 //
-// Three accelerations of core::shapley_values, all exact:
-//
-// 1. Symmetry collapse (paper Sec. V-B/V-C): datacenter VMs fall into r ≪ n
-//    homogeneous types, and same-type VMs holding identical component states
-//    are *symmetric players* — any coalition's worth depends only on how
-//    many members of each group it contains, never on which ones. The
-//    collapsed solver therefore enumerates type-count *compositions*
-//    (Π_j (g_j + 1) worth evaluations, e.g. 625 for 4 groups of 4) instead
-//    of raw masks (2^n, e.g. 65536), with zero approximation error:
-//
-//      Φ_{i ∈ group j} = Σ_k  C(g_j−1, k_j) · Π_{t≠j} C(g_t, k_t)
-//                             · w(|k|) · [V(k + e_j) − V(k)]
-//
-//    where V(k) is the worth of any coalition with composition k and w is
-//    the per-size Shapley weight. collapsed_shapley_sum is that sum, shared
-//    by the generic solver and the estimator's collapsed kernel.
-//
-// 2. A type-set kernel for VHC games (paper Def. 2, Eq. 9-10): when a
+// 1. A type-set kernel for VHC games (paper Def. 2, Eq. 9-10): when a
 //    coalition's worth is Σ_{j∈S} P[j][B(S)], B(S) being the set of busy
 //    VHCs S holds, a player's marginal depends on a random order only
 //    through the VHC set ahead of it. typeset_shapley sums over those 2^K
 //    sets (K busy VHCs) instead of over coalitions, exactly, for any n and
 //    whether or not states repeat (after Lupia et al.'s structure-exploiting
-//    Shapley for allocation games).
+//    Shapley for allocation games). ShapleyVhcEstimator runs it on every
+//    tick.
 //
-// 3. A batched worth evaluator for the VHC linear approximation
+// 2. A batched worth source for the VHC linear approximation
 //    (ComboWeightCache): every coalition worth of a VhcLinearApprox is a dot
 //    product of the aggregated states with one per-combo weight vector, so
-//    materializing all 2^n worths is a cache-friendly arithmetic pass — no
-//    std::function dispatch, no per-coalition allocation. The cache also
-//    resolves predict()'s disjoint-cover fallback for unfitted combos into
-//    an *effective* weight vector once, so the fallback costs nothing per
-//    tick afterwards.
+//    the estimator builds typeset_shapley's contribution table from cached
+//    vectors. The cache also resolves predict()'s disjoint-cover fallback
+//    for unfitted combos into an *effective* weight vector once, so the
+//    fallback costs nothing per tick afterwards.
+//
+// 3. Symmetry collapse (paper Sec. V-B/V-C): same-type VMs holding identical
+//    component states are *symmetric players*, so a coalition's worth
+//    depends only on how many members of each group it holds. The collapsed
+//    solver enumerates type-count *compositions* (Π_j (g_j + 1) worth
+//    evaluations, e.g. 625 for 4 groups of 4) instead of raw masks (2^n,
+//    e.g. 65536), with zero approximation error:
+//
+//      Φ_{i ∈ group j} = Σ_k  C(g_j−1, k_j) · Π_{t≠j} C(g_t, k_t)
+//                             · w(|k|) · [V(k + e_j) − V(k)]
+//
+//    where V(k) is the worth of any coalition with composition k and w is
+//    the per-size Shapley weight. Nothing on the metering path calls it: it
+//    stays as the reference solver for symmetric games that brute force
+//    cannot reach (tests check typeset_shapley against it on 64 VMs), and
+//    BM_CollapsedShapley times it.
 #pragma once
 
 #include <cstdint>
@@ -65,13 +65,8 @@ struct SymmetryGroups {
   /// Π_j (g_j + 1): worth evaluations the collapsed solver performs. Always
   /// <= 2^n, with equality exactly when every player is its own group.
   /// Saturates at SIZE_MAX instead of wrapping (64 distinct players), so the
-  /// value stays safe to compare against kernel-selection thresholds.
+  /// value stays safe to compare against a size bound.
   [[nodiscard]] std::size_t composition_count() const noexcept;
-
-  void clear() noexcept {
-    group_of.clear();
-    members.clear();
-  }
 };
 
 /// Groups players by (key, state) equality: two players are symmetric under
@@ -81,11 +76,6 @@ struct SymmetryGroups {
 [[nodiscard]] SymmetryGroups detect_symmetry(
     std::span<const std::size_t> keys,
     std::span<const common::StateVector> states);
-
-/// In-place variant for hot paths: fills `out`, reusing its storage.
-void detect_symmetry_into(std::span<const std::size_t> keys,
-                          std::span<const common::StateVector> states,
-                          SymmetryGroups& out);
 
 /// Exact Shapley values via symmetry-collapsed composition enumeration.
 /// Players in the same group must be interchangeable under v (the solver
@@ -109,6 +99,17 @@ void detect_symmetry_into(std::span<const std::size_t> keys,
     const SymmetryGroups& groups, std::span<const double> worth,
     std::span<const double> weights);
 
+/// typeset_shapley's working storage. The caller keeps it across calls, so
+/// its vectors grow to the largest game seen and are then reused: a
+/// warmed-up call allocates only the φ it returns, which is what keeps the
+/// metering tick free of per-call heap traffic.
+struct TypeSetScratch {
+  std::vector<std::size_t> count;  ///< players per busy VHC.
+  std::vector<double> mu_w, mu_u;  ///< Möbius-transformed order weights.
+  std::vector<double> q;           ///< per-VHC summed contributions.
+  std::vector<double> shared;      ///< per-VHC gain from players ahead.
+};
+
 /// Exact Shapley values of the n-player VHC game v(S) = Σ_{j∈S} P[j][B(S)]
 /// over K busy VHCs, where B(S) is the union of the members' `type_bit`s.
 /// `p` is the n × 2^K contribution table, row-major: p[j * 2^K + B] is
@@ -122,7 +123,15 @@ void detect_symmetry_into(std::span<const std::size_t> keys,
 /// 2^K.
 [[nodiscard]] std::vector<double> typeset_shapley(
     std::span<const double> p, std::span<const std::uint32_t> type_bit,
-    std::optional<double> grand_worth = std::nullopt);
+    std::optional<double> grand_worth, TypeSetScratch& scratch);
+
+/// The same with scratch of its own, for one-off calls.
+[[nodiscard]] inline std::vector<double> typeset_shapley(
+    std::span<const double> p, std::span<const std::uint32_t> type_bit,
+    std::optional<double> grand_worth = std::nullopt) {
+  TypeSetScratch scratch;
+  return typeset_shapley(p, type_bit, grand_worth, scratch);
+}
 
 /// Cross-tick cache of per-combo *effective* power-mapping vectors for one
 /// VhcLinearApprox: the fitted weights for fitted combos, and the summed
@@ -130,7 +139,7 @@ void detect_symmetry_into(std::span<const std::size_t> keys,
 /// probing predict() with basis states, so the decomposition is exactly the
 /// one predict() would choose). Entries are built lazily on first use and
 /// are valid for the lifetime of the bound approximation, which is
-/// immutable once fitted — this is what lets the estimator answer every
+/// immutable once fitted — this is what lets the estimator price every
 /// approximation worth as one dot product, tick after tick.
 ///
 /// Storage is one 32-bit slot per combo (256 KiB at VhcUniverse::kMaxVhcs)
@@ -147,16 +156,11 @@ class ComboWeightCache {
   void bind(const VhcLinearApprox* approx);
 
   /// The effective weight vector for `combo` (num_vhcs * kNumComponents
-  /// doubles, VHC-major), valid until the next effective_weights() or
-  /// predict() call, which may append to the store. Throws
-  /// std::out_of_range when the combo has no fitted cover (mirroring
-  /// predict()) or lies outside the universe, std::logic_error when
-  /// unbound. combo 0 yields an all-zero vector.
+  /// doubles, VHC-major), valid until the next effective_weights() call,
+  /// which may append to the store. Throws std::out_of_range when the combo
+  /// has no fitted cover (mirroring predict()) or lies outside the universe,
+  /// std::logic_error when unbound. combo 0 yields an all-zero vector.
   [[nodiscard]] std::span<const double> effective_weights(VhcComboMask combo);
-
-  /// predict() through the cache: dot(states, effective_weights(combo)).
-  [[nodiscard]] double predict(VhcComboMask combo,
-                               std::span<const common::StateVector> states);
 
  private:
   static constexpr std::uint32_t kUnresolved = 0;

@@ -49,7 +49,6 @@ FleetEngine::FleetEngine(FleetOptions options,
   agent_options.max_retries = options_.max_retries;
   agent_options.retry_backoff_base = options_.retry_backoff_base;
   agent_options.dropout_ticks = options_.dropout_ticks;
-  agent_options.kernel = options_.kernel;
 
   agents_.reserve(options_.hosts);
   host_ledgers_.reserve(options_.hosts);
@@ -101,10 +100,6 @@ void FleetEngine::aggregate(const HostTickResult& result) {
       .gauge("vmpower_fleet_host_degraded{host=\"" + host_label + "\"}",
              "1 when the host's last tick was served from a carried estimate")
       .set(result.degraded ? 1.0 : 0.0);
-  // The hit-rate gauge routes through the invariant monitor so the sample is
-  // stamped with the tick epoch it belongs to (and threshold-checked).
-  monitor_.observe_table_hit_rate(result.tick, result.host,
-                                  result.table_hit_rate);
   metrics_
       .histogram("vmpower_fleet_tick_latency_seconds",
                  "Wall time of one host metering step", 0.0, 0.05, 25)
@@ -115,12 +110,6 @@ void FleetEngine::aggregate(const HostTickResult& result) {
                    "Wall time of the Shapley estimator call alone", 0.0, 0.002,
                    25)
         .observe(result.estimate_seconds);
-  if (!result.kernel.empty())
-    metrics_
-        .counter("vmpower_fleet_kernel_selected_total{kernel=\"" +
-                     std::string(result.kernel) + "\"}",
-                 "Host ticks dispatched to each Shapley kernel fast path")
-        .inc();
 }
 
 void FleetEngine::run(std::uint64_t ticks) {

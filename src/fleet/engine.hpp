@@ -54,11 +54,7 @@ struct FleetOptions {
   std::chrono::microseconds retry_backoff_base{100};
   std::uint64_t dropout_ticks = 3;
 
-  /// Shapley kernel selection, applied to every host's estimator.
-  core::ShapleyKernel kernel = core::ShapleyKernel::kAuto;
-
-  /// Warn thresholds for the runtime invariant monitors (efficiency
-  /// residual, table hit rate).
+  /// Warn thresholds for the runtime invariant monitors.
   obs::InvariantOptions invariants;
 
   /// Throws std::invalid_argument on zero hosts/threads/tenants, an empty
@@ -110,8 +106,8 @@ class FleetEngine {
   [[nodiscard]] Metrics& metrics() noexcept { return metrics_; }
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
 
-  /// The runtime invariant monitors feeding metrics() (efficiency residual,
-  /// table hit rate — see obs/invariants.hpp). The mutable overload lets
+  /// The runtime invariant monitors feeding metrics() (efficiency residual
+  /// — see obs/invariants.hpp). The mutable overload lets
   /// co-located components (the serve snapshot store) feed their own
   /// invariant samples into the same monitor.
   [[nodiscard]] obs::InvariantMonitor& invariants() noexcept {

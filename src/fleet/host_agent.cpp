@@ -16,14 +16,9 @@ HostAgent::HostAgent(std::uint32_t host_id, const sim::MachineSpec& spec,
                      const core::OfflineDataset& dataset, std::uint64_t seed,
                      HostAgentOptions options)
     : host_id_(host_id), options_(options), machine_(spec, seed),
-      // The full Fig. 8 online path: lookup-first against the offline
-      // v(S, C) table, approximation for unobserved states. Each lookup is
-      // one hash probe into the table's quantized-cell index.
-      estimator_(dataset.universe, dataset.approximation, dataset.table) {
-  // Every core solver runs on the calling thread, so the engine's pool, one
-  // task per host, is the fleet's only parallelism.
-  estimator_.set_kernel(options_.kernel);
-
+      // Every core solver runs on the calling thread, so the engine's pool,
+      // one task per host, is the fleet's only parallelism.
+      estimator_(dataset.universe, dataset.approximation) {
   const auto benchmarks = wl::spec_subset();
   vm_ids_.reserve(fleet.size());
   for (std::size_t i = 0; i < fleet.size(); ++i) {
@@ -108,7 +103,7 @@ HostTickResult HostAgent::sample(std::uint64_t tick,
                                       std::chrono::steady_clock::now() -
                                       est_start)
                                       .count();
-        result.kernel = estimator_.last_kernel();
+        result.kernel = "typeset";
       }
 
       // Stale ticks are estimates against old telemetry; only a fully fresh
@@ -121,7 +116,6 @@ HostTickResult HostAgent::sample(std::uint64_t tick,
     }
   }
 
-  result.table_hit_rate = estimator_.table_hit_rate();
   result.step_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

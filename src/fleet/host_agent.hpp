@@ -46,12 +46,13 @@ struct HostTickResult {
   /// Wall time of the estimator call alone (0 on degraded/empty ticks);
   /// feeds the fleet's estimator-latency histogram.
   double estimate_seconds = 0.0;
-  /// Cumulative estimator table hit rate after this tick (0 without a
-  /// table); exported as a per-host gauge.
+  /// Always 0: no worth is looked up in the v(S, C) table online. Kept only
+  /// because the pipeline benchmark reads it, until the next benchmark
+  /// change deletes it (ROADMAP item 7).
   double table_hit_rate = 0.0;
-  /// Estimator kernel the tick dispatched to ("collapsed"/"sweep"/
-  /// "typeset", always a literal; empty when no estimate ran).
-  /// Feeds the fleet's fast-path selection counters.
+  /// "typeset" on every tick that ran an estimate, empty otherwise. Kept
+  /// only because the pipeline benchmark reads it, until the next benchmark
+  /// change deletes it (ROADMAP item 7).
   std::string_view kernel;
 };
 
@@ -62,15 +63,13 @@ struct HostAgentOptions {
   /// sleeping; the retry accounting is unaffected).
   std::chrono::microseconds retry_backoff_base{100};
   std::uint64_t dropout_ticks = 3;  ///< monitoring blackout length.
-  /// Kernel selection for the host's estimator.
-  core::ShapleyKernel kernel = core::ShapleyKernel::kAuto;
 };
 
 class HostAgent {
  public:
   /// Boots `fleet` on a fresh machine; VM v runs a SPEC-like workload chosen
-  /// deterministically from (seed, v). The trained dataset is copied so
-  /// agents share no state.
+  /// deterministically from (seed, v). The trained approximation is copied
+  /// so agents share no state.
   HostAgent(std::uint32_t host_id, const sim::MachineSpec& spec,
             const std::vector<common::VmConfig>& fleet,
             const core::OfflineDataset& dataset, std::uint64_t seed,

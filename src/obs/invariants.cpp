@@ -23,8 +23,8 @@ InvariantMonitor::InvariantMonitor(MetricsRegistry& registry,
 std::uint64_t InvariantMonitor::breaches() const noexcept {
   std::uint64_t total = 0;
   for (const char* invariant :
-       {"efficiency", "table_hit_rate", "ring", "serve_exactly_once",
-        "ledger_tail", "ledger_replay", "federation"})
+       {"efficiency", "ring", "serve_exactly_once", "ledger_tail",
+        "ledger_replay", "federation"})
     total += registry_
                  .counter(labeled("vmpower_invariant_breaches_total",
                                   {{"invariant", invariant}}),
@@ -67,22 +67,6 @@ void InvariantMonitor::observe_efficiency(std::uint64_t epoch,
            "residual_w=" + format_watts(residual_w) +
                " threshold_w=" +
                format_watts(options_.efficiency_residual_warn_w));
-}
-
-void InvariantMonitor::observe_table_hit_rate(std::uint64_t epoch,
-                                              std::uint32_t host,
-                                              double rate) {
-  registry_
-      .gauge(labeled("vmpower_fleet_table_hit_rate",
-                     {{"host", std::to_string(host)}}),
-             "Fraction of the host estimator's worth queries answered from "
-             "the offline v(S,C) table")
-      .set(rate);
-  if (options_.table_hit_rate_warn >= 0.0 &&
-      rate < options_.table_hit_rate_warn)
-    breach(kTableHitRate, "table_hit_rate", epoch,
-           "host=" + std::to_string(host) + " rate=" + format_watts(rate) +
-               " threshold=" + format_watts(options_.table_hit_rate_warn));
 }
 
 void InvariantMonitor::observe_serve_accounting(std::uint64_t epoch,

@@ -1,12 +1,10 @@
 // Runtime invariant monitors: the paper's accountability claims, watched
 // continuously in the serving stack instead of proven once offline.
 //
-// The headline properties — Efficiency (Σφᵢ equals measured adjusted power,
-// Fig. 11) and approximation accuracy tracked through the VHC table hit
-// rate (Fig. 10) — degrade silently in production: a fault-injected meter
-// bills from carried estimates, a cold table forces every worth query
-// through the regression. Each monitor turns one such property into a
-// gauge/counter with a configurable warn threshold; a breach emits a
+// The headline property — Efficiency (Σφᵢ equals measured adjusted power,
+// Fig. 11) — degrades silently in production: a fault-injected meter bills
+// from carried estimates. Each monitor turns one such property into a
+// gauge/counter, most with a warn threshold; a breach emits a
 // structured key=value log event stamped with the tick epoch so dashboards
 // and logs correlate on the same axis, and is counted in
 // vmpower_invariant_breaches_total{invariant="..."}.
@@ -24,9 +22,6 @@ struct InvariantOptions {
   /// exceeds this many watts. Fault-free ticks sit at floating-point noise
   /// (~1e-13 W); any real breach means power was billed that no meter saw.
   double efficiency_residual_warn_w = 1e-3;
-  /// Warn when a host's cumulative VHC table hit rate drops below this
-  /// fraction; negative disables (hit rate 0 is legitimate without a table).
-  double table_hit_rate_warn = -1.0;
   /// Minimum epochs between two warn logs of the same invariant, so a
   /// persistent breach cannot flood the sink (the breach counter still
   /// counts every occurrence).
@@ -44,10 +39,6 @@ class InvariantMonitor {
 
   /// Per-tick fleet efficiency residual (W), stamped with the tick epoch.
   void observe_efficiency(std::uint64_t epoch, double residual_w);
-
-  /// One host's cumulative table hit rate after a tick.
-  void observe_table_hit_rate(std::uint64_t epoch, std::uint32_t host,
-                              double rate);
 
   /// Snapshot-ring state from the store's publish path.
   void observe_ring(std::uint64_t epoch, std::uint64_t occupancy,
@@ -94,7 +85,6 @@ class InvariantMonitor {
  private:
   enum Which : std::size_t {
     kEfficiency = 0,
-    kTableHitRate,
     kRing,
     kServeAccounting,
     kLedgerTail,

@@ -178,25 +178,6 @@ TEST(InvariantMonitor, WarnLogsAreRateLimitedButBreachesAllCount) {
   EXPECT_NE(lines[2].find("epoch=17 "), std::string::npos);
 }
 
-TEST(InvariantMonitor, TableHitRateWarnsOnlyWhenThresholdEnabled) {
-  MetricsRegistry registry;
-  InvariantMonitor lenient(registry, {});
-  lenient.observe_table_hit_rate(3, 0, 0.0);  // disabled by default.
-  EXPECT_EQ(lenient.breaches(), 0u);
-
-  InvariantOptions options;
-  options.table_hit_rate_warn = 0.5;
-  MetricsRegistry strict_registry;
-  InvariantMonitor strict(strict_registry, options);
-  strict.observe_table_hit_rate(3, 1, 0.9);
-  EXPECT_EQ(strict.breaches(), 0u);
-  strict.observe_table_hit_rate(4, 1, 0.2);
-  EXPECT_EQ(strict.breaches(), 1u);
-  const std::string dump = strict_registry.to_prometheus();
-  EXPECT_NE(dump.find("vmpower_fleet_table_hit_rate{host=\"1\"} 0.2\n"),
-            std::string::npos);
-}
-
 TEST(InvariantMonitor, ServeAccountingBreachesOnSurplusAndIdleDeficit) {
   MetricsRegistry registry;
   InvariantMonitor monitor(registry, {});
@@ -298,16 +279,6 @@ TEST_F(ResidualTest, MeterFaultsProduceNonzeroResidualAndBreach) {
   EXPECT_NE(
       dump.find("vmpower_invariant_breaches_total{invariant=\"efficiency\"}"),
       std::string::npos);
-}
-
-TEST_F(ResidualTest, KernelSelectionCountersExportPerKernel) {
-  fleet::FleetEngine engine(options_for(), dataset_);
-  engine.run(10);
-  const std::string dump = engine.metrics().to_prometheus();
-  // Every host tick dispatched to exactly one kernel; the demo fleet's two
-  // identical idle-heavy VMs exercise the fast paths.
-  EXPECT_NE(dump.find("vmpower_fleet_kernel_selected_total{kernel="),
-            std::string::npos);
 }
 
 }  // namespace

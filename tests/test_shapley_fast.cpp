@@ -174,6 +174,17 @@ TEST(GroupedShapley, EfficiencyOnFullySymmetricGame) {
 
 // --- ComboWeightCache --------------------------------------------------------
 
+/// predict() through the cache: dot(states, effective_weights(combo)).
+double cached_predict(ComboWeightCache& cache, VhcComboMask combo,
+                      const std::vector<StateVector>& states) {
+  const auto w = cache.effective_weights(combo);
+  double out = 0.0;
+  for (std::size_t j = 0; j < states.size(); ++j)
+    out += states[j].dot(
+        w.subspan(j * common::kNumComponents, common::kNumComponents));
+  return out;
+}
+
 /// Trains a 3-VHC approximation on an exact linear law, leaving the grand
 /// combo {0,1,2} unfitted so predict() must use its disjoint-cover fallback.
 VhcLinearApprox partial_three_vhc_approx(util::Rng& rng) {
@@ -214,8 +225,8 @@ TEST(ComboWeightCache, MatchesPredictForFittedAndCoveredCombos) {
       for (std::size_t j = 0; j < 3; ++j)
         if ((combo >> j) & 1u) masked[j] = states[j];
       // 0b111 is unfitted: both sides must agree on the cover fallback too.
-      EXPECT_NEAR(cache.predict(combo, masked), approx.predict(combo, masked),
-                  1e-9)
+      EXPECT_NEAR(cached_predict(cache, combo, masked),
+                  approx.predict(combo, masked), 1e-9)
           << "combo " << combo;
     }
   }
@@ -242,23 +253,19 @@ TEST(ComboWeightCache, UncoverableComboThrowsLikePredict) {
         << num_vhcs << " VHCs, memoized";
     // A resolution after the failed one still gets its own, correct vector.
     states[0] = StateVector::cpu_only(1.5);
-    EXPECT_DOUBLE_EQ(cache.predict(0b01, states), approx.predict(0b01, states))
+    EXPECT_DOUBLE_EQ(cached_predict(cache, 0b01, states),
+                     approx.predict(0b01, states))
         << num_vhcs << " VHCs";
   }
   ComboWeightCache unbound;
   EXPECT_THROW((void)unbound.effective_weights(1), std::logic_error);
 }
 
-// --- ShapleyVhcEstimator kernel equivalence ---------------------------------
+// --- ShapleyVhcEstimator against brute force --------------------------------
 
-/// Trains an approximation with every combo of an r-VHC universe fitted on a
-/// random linear law, plus the table itself for lookup-first tests.
-struct TrainedPipeline {
-  VscTable table;
-  VhcLinearApprox approx;
-};
-
-TrainedPipeline full_pipeline(std::size_t r, util::Rng& rng) {
+/// An approximation with every combo of an r-VHC universe fitted on a random
+/// linear law.
+VhcLinearApprox linear_law_approx(std::size_t r, util::Rng& rng) {
   VscTable table(r, 0.01);
   std::vector<double> w(r);
   for (auto& x : w) x = rng.uniform(2.0, 12.0);
@@ -275,15 +282,14 @@ TrainedPipeline full_pipeline(std::size_t r, util::Rng& rng) {
       table.record(combo, states, power);
     }
   }
-  VhcLinearApprox approx = VhcLinearApprox::fit(table);
-  return {std::move(table), std::move(approx)};
+  return VhcLinearApprox::fit(table);
 }
 
-/// The pre-kernel estimator semantics, restated with public APIs: anchored
-/// grand, idle filtering, table-lookup-first, approximation fallback.
+/// The estimator's semantics restated with public APIs and brute force:
+/// anchored grand, idle filtering, the approximation's worth.
 std::vector<double> reference_estimate(const VhcUniverse& universe,
                                        const VhcLinearApprox& approx,
-                                       const VscTable* table, bool anchor,
+                                       bool anchor,
                                        std::span<const VmSample> vms,
                                        double adjusted_power_w) {
   std::vector<common::VmTypeId> types;
@@ -301,11 +307,8 @@ std::vector<double> reference_estimate(const VhcUniverse& universe,
         for (Player i : s.members())
           if (c[i] == StateVector::zero()) active = active.without(i);
         if (active.is_empty()) return 0.0;
-        const auto aggregated = partition.aggregate(active, c);
-        const VhcComboMask combo = partition.combo_of(active);
-        if (table != nullptr)
-          if (const auto hit = table->lookup(combo, aggregated)) return *hit;
-        return approx.predict(combo, aggregated);
+        return approx.predict(partition.combo_of(active),
+                              partition.aggregate(active, c));
       });
 }
 
@@ -328,166 +331,46 @@ std::vector<VmSample> mixed_fleet(util::Rng& rng, std::size_t n,
 }
 
 TEST(ShapleyVhcEstimatorFast, CollapsedPathMatchesReference) {
+  // Repeated (type, state) pairs: 6 symmetry groups of sizes {2,2,2,1,1,1}.
   util::Rng rng(21);
-  const auto pipeline = full_pipeline(3, rng);
+  const auto approx = linear_law_approx(3, rng);
   const VhcUniverse universe({0, 1, 2});
   for (const bool anchor : {true, false}) {
-    ShapleyVhcEstimator estimator(universe, pipeline.approx, anchor);
+    ShapleyVhcEstimator estimator(universe, approx, anchor);
     for (int round = 0; round < 3; ++round) {
       const auto vms = mixed_fleet(rng, 9, 3, /*duplicate_states=*/true);
       const double adjusted = 40.0 + 5.0 * round;
       const auto fast = estimator.estimate(vms, adjusted);
-      const auto reference = reference_estimate(
-          universe, pipeline.approx, nullptr, anchor, vms, adjusted);
+      const auto reference =
+          reference_estimate(universe, approx, anchor, vms, adjusted);
       for (std::size_t i = 0; i < vms.size(); ++i)
         EXPECT_NEAR(fast[i], reference[i], 1e-9)
             << "anchor=" << anchor << " round=" << round << " vm " << i;
     }
-    // mixed_fleet(9, 3, duplicate_states) yields 6 symmetry groups of sizes
-    // {2,2,2,1,1,1}: 3^3 * 2^3 = 216 compositions per round instead of
-    // 2^9 = 512 masks. Three rounds stay within 3 * 216 worth queries.
-    EXPECT_LE(estimator.worth_queries(), 3u * 216u);
-    EXPECT_LT(estimator.worth_queries(), 3u * 512u);
   }
 }
 
 TEST(ShapleyVhcEstimatorFast, SweepPathMatchesReferenceForDistinctStates) {
   util::Rng rng(22);
-  const auto pipeline = full_pipeline(3, rng);
+  const auto approx = linear_law_approx(3, rng);
   const VhcUniverse universe({0, 1, 2});
   for (const bool anchor : {true, false}) {
-    ShapleyVhcEstimator estimator(universe, pipeline.approx, anchor);
+    ShapleyVhcEstimator estimator(universe, approx, anchor);
     const auto vms = mixed_fleet(rng, 8, 3, /*duplicate_states=*/false);
     const double adjusted = 55.0;
     const auto fast = estimator.estimate(vms, adjusted);
-    const auto reference = reference_estimate(universe, pipeline.approx,
-                                              nullptr, anchor, vms, adjusted);
+    const auto reference =
+        reference_estimate(universe, approx, anchor, vms, adjusted);
     for (std::size_t i = 0; i < vms.size(); ++i)
       EXPECT_NEAR(fast[i], reference[i], 1e-9) << "anchor=" << anchor;
   }
 }
 
-TEST(ShapleyVhcEstimatorFast, TableLookupPathMatchesReference) {
-  util::Rng rng(23);
-  const auto pipeline = full_pipeline(2, rng);
-  const VhcUniverse universe({0, 1});
-  ShapleyVhcEstimator fast_estimator(universe, pipeline.approx, pipeline.table);
-  // States on exact quantization multiples, so both paths land in the same
-  // table cells; repeated estimates probe the same cells again.
-  std::vector<VmSample> vms = {{0, 0, StateVector::cpu_only(0.25)},
-                               {1, 0, StateVector::cpu_only(0.75)},
-                               {2, 1, StateVector::cpu_only(0.5)},
-                               {3, 1, StateVector::cpu_only(0.5)}};
-  for (int round = 0; round < 3; ++round) {
-    const double adjusted = 30.0 + round;
-    const auto fast = fast_estimator.estimate(vms, adjusted);
-    const auto reference = reference_estimate(
-        universe, pipeline.approx, &pipeline.table, true, vms, adjusted);
-    for (std::size_t i = 0; i < vms.size(); ++i)
-      EXPECT_NEAR(fast[i], reference[i], 1e-9) << "round " << round;
-  }
-  EXPECT_GT(fast_estimator.table_hit_rate(), 0.0);
-}
-
-TEST(ShapleyVhcEstimatorFast, RepeatedTicksReplayTablePathExactly) {
-  util::Rng rng(27);
-  const auto pipeline = full_pipeline(2, rng);
-  // Plant one guaranteed table cell — the composition holding exactly one
-  // 0.25-cpu VM of type 0 — so the repeated tick provably replays hits, not
-  // only misses.
-  VscTable table = pipeline.table;
-  table.record(0b01, {{StateVector::cpu_only(0.25), StateVector::zero()}},
-               6.5);
-  const VhcUniverse universe({0, 1});
-  ShapleyVhcEstimator estimator(universe, pipeline.approx, table);
-
-  // Dyadic states on quantization multiples: the collapsed kernel's k·s
-  // group aggregation and the reference's member-by-member sum are both
-  // exact, so 1e-12 measures accumulation order, not input rounding.
-  std::vector<VmSample> vms = {{0, 0, StateVector::cpu_only(0.25)},
-                               {1, 0, StateVector::cpu_only(0.25)},
-                               {2, 0, StateVector::cpu_only(0.75)},
-                               {3, 1, StateVector::cpu_only(0.5)},
-                               {4, 1, StateVector::cpu_only(0.5)},
-                               {5, 1, StateVector::cpu_only(0.5)}};
-
-  const auto fresh = estimator.estimate(vms, 33.0);
-  EXPECT_EQ(estimator.last_kernel(), "collapsed");
-  const std::size_t queries_fresh = estimator.worth_queries();
-  const double rate_fresh = estimator.table_hit_rate();
-  EXPECT_GT(rate_fresh, 0.0);
-
-  // Identical states next tick: every composition probes the same table
-  // cells again, and the tick must be bit-identical to the first — values
-  // and counters alike.
-  const auto replay = estimator.estimate(vms, 33.0);
-  for (std::size_t i = 0; i < vms.size(); ++i)
-    EXPECT_EQ(fresh[i], replay[i]) << "repeated tick diverged, vm " << i;
-  EXPECT_EQ(estimator.worth_queries(), 2 * queries_fresh);
-  EXPECT_DOUBLE_EQ(estimator.table_hit_rate(), rate_fresh);
-
-  // Both ticks match the per-mask reference with the same table.
-  const auto reference =
-      reference_estimate(universe, pipeline.approx, &table, true, vms, 33.0);
-  for (std::size_t i = 0; i < vms.size(); ++i)
-    EXPECT_NEAR(replay[i], reference[i], 1e-12) << "vm " << i;
-
-  // A moved state probes different cells; the tick still matches.
-  vms[2].state = StateVector::cpu_only(1.25);
-  const auto moved = estimator.estimate(vms, 41.0);
-  const auto moved_reference =
-      reference_estimate(universe, pipeline.approx, &table, true, vms, 41.0);
-  for (std::size_t i = 0; i < vms.size(); ++i)
-    EXPECT_NEAR(moved[i], moved_reference[i], 1e-12)
-        << "after the state moved, vm " << i;
-}
-
-TEST(ShapleyVhcEstimatorFast, SweepTablePathMatchesReference) {
-  util::Rng rng(28);
-  const auto pipeline = full_pipeline(2, rng);
-  const VhcUniverse universe({0, 1});
-  // Six players with pairwise-distinct (type, state): no symmetry to
-  // collapse, so the sweep kernel probes the table for every non-empty
-  // coalition it does not anchor. Dyadic states on quantization multiples
-  // keep the kernel's and the reference's aggregates exact, so 1e-12
-  // measures accumulation order only.
-  const std::vector<VmSample> vms = {{0, 0, StateVector::cpu_only(0.25)},
-                                     {1, 0, StateVector::cpu_only(0.5)},
-                                     {2, 0, StateVector::cpu_only(0.75)},
-                                     {3, 1, StateVector::cpu_only(0.25)},
-                                     {4, 1, StateVector::cpu_only(0.5)},
-                                     {5, 1, StateVector::cpu_only(1.0)}};
-  // Planted cells that some coalitions reach: {2} and {0, 1} aggregate to
-  // type-0 cpu 0.75, {4, 5} to type-1 cpu 1.5, and {0, 3} to (0.25, 0.25).
-  VscTable table = pipeline.table;
-  table.record(0b01, {{StateVector::cpu_only(0.75), StateVector::zero()}},
-               7.25);
-  table.record(0b10, {{StateVector::zero(), StateVector::cpu_only(1.5)}},
-               12.5);
-  table.record(0b11,
-               {{StateVector::cpu_only(0.25), StateVector::cpu_only(0.25)}},
-               5.75);
-
-  for (const bool anchor : {true, false}) {
-    ShapleyVhcEstimator estimator(universe, pipeline.approx, table, anchor);
-    for (const double adjusted : {38.0, 38.0, 44.5}) {
-      const auto fast = estimator.estimate(vms, adjusted);
-      EXPECT_EQ(estimator.last_kernel(), "sweep");
-      const auto reference = reference_estimate(
-          universe, pipeline.approx, &table, anchor, vms, adjusted);
-      for (std::size_t i = 0; i < vms.size(); ++i)
-        EXPECT_NEAR(fast[i], reference[i], 1e-12)
-            << "anchor=" << anchor << " adjusted=" << adjusted << " vm " << i;
-    }
-    EXPECT_GT(estimator.table_hit_rate(), 0.0) << "anchor=" << anchor;
-  }
-}
-
 TEST(ShapleyVhcEstimatorFast, IdleVmsAndCacheReuseAcrossTicks) {
   util::Rng rng(24);
-  const auto pipeline = full_pipeline(2, rng);
+  const auto approx = linear_law_approx(2, rng);
   const VhcUniverse universe({0, 1});
-  ShapleyVhcEstimator estimator(universe, pipeline.approx);
+  ShapleyVhcEstimator estimator(universe, approx);
   // Idle VMs of *different* types are still symmetric dummies.
   const std::vector<VmSample> vms = {{0, 0, StateVector::cpu_only(0.8)},
                                      {1, 0, StateVector::zero()},
@@ -495,20 +378,19 @@ TEST(ShapleyVhcEstimatorFast, IdleVmsAndCacheReuseAcrossTicks) {
                                      {3, 1, StateVector::cpu_only(0.4)}};
   const auto first = estimator.estimate(vms, 25.0);
   const auto again = estimator.estimate(vms, 25.0);
-  const auto reference =
-      reference_estimate(universe, pipeline.approx, nullptr, true, vms, 25.0);
+  const auto reference = reference_estimate(universe, approx, true, vms, 25.0);
   for (std::size_t i = 0; i < vms.size(); ++i) {
     EXPECT_EQ(first[i], again[i]) << "cache reuse changed the result, vm " << i;
     EXPECT_NEAR(first[i], reference[i], 1e-9) << "vm " << i;
   }
   // Anchoring pins v(N) to the measurement, so idle VMs absorb an equal slice
-  // of the model/measurement gap — the two idle VMs collapse into one
-  // symmetry group despite their different types and must split it exactly.
+  // of the model/measurement gap — the two idle VMs are symmetric despite
+  // their different types and must split it exactly.
   EXPECT_EQ(first[1], first[2]);
   EXPECT_NEAR(std::accumulate(first.begin(), first.end(), 0.0), 25.0, 1e-9);
 
   // Without the anchor, worth never depends on idle players: Dummy axiom.
-  ShapleyVhcEstimator unanchored(universe, pipeline.approx, /*anchor=*/false);
+  ShapleyVhcEstimator unanchored(universe, approx, /*anchor=*/false);
   const auto free_phi = unanchored.estimate(vms, 25.0);
   EXPECT_NEAR(free_phi[1], 0.0, 1e-9);
   EXPECT_NEAR(free_phi[2], 0.0, 1e-9);
@@ -516,8 +398,7 @@ TEST(ShapleyVhcEstimatorFast, IdleVmsAndCacheReuseAcrossTicks) {
 
 TEST(ShapleyVhcEstimatorFast, SingleVmEdge) {
   util::Rng rng(25);
-  const auto pipeline = full_pipeline(1, rng);
-  ShapleyVhcEstimator estimator(VhcUniverse({0}), pipeline.approx);
+  ShapleyVhcEstimator estimator(VhcUniverse({0}), linear_law_approx(1, rng));
   const std::vector<VmSample> one = {{0, 0, StateVector::cpu_only(0.6)}};
   const auto phi = estimator.estimate(one, 12.5);
   ASSERT_EQ(phi.size(), 1u);
@@ -549,21 +430,13 @@ TEST(ShapleyVhcEstimatorFast, UniverseWiderThanTwelveVhcsMatchesReference) {
     }
   }
   const VhcLinearApprox approx = VhcLinearApprox::fit(table);
-  // Planted cells some coalitions reach: {vm0} alone, and vm1 with vm2.
-  std::vector<StateVector> cell(r);
-  cell[1] = StateVector::cpu_only(0.25);
-  table.record(VhcComboMask{1} << 1, cell, 1.75);
-  cell[1] = StateVector::zero();
-  cell[4] = StateVector::cpu_only(0.5);
-  cell[7] = StateVector::cpu_only(0.75);
-  table.record(pair, cell, 9.5);
 
   std::vector<common::VmTypeId> types(r);
   std::iota(types.begin(), types.end(), common::VmTypeId{0});
   const VhcUniverse universe(types);
 
-  // Six VMs over five types, one idle, on non-adjacent VHCs. Dyadic states
-  // keep both sides' aggregates exact.
+  // Six VMs over five types, one idle, on non-adjacent VHCs of the 14-VHC
+  // universe.
   std::vector<VmSample> vms = {{0, 1, StateVector::cpu_only(0.25)},
                                {1, 4, StateVector::cpu_only(0.5)},
                                {2, 7, StateVector::cpu_only(0.75)},
@@ -573,34 +446,44 @@ TEST(ShapleyVhcEstimatorFast, UniverseWiderThanTwelveVhcsMatchesReference) {
   for (const bool repeated : {false, true}) {
     // A repeated (type, state) pair makes vm5 symmetric to vm1.
     vms[5].state = StateVector::cpu_only(repeated ? 0.5 : 1.25);
-    for (const bool with_table : {false, true}) {
-      ShapleyVhcEstimator estimator =
-          with_table ? ShapleyVhcEstimator(universe, approx, table)
-                     : ShapleyVhcEstimator(universe, approx);
-      const auto fast = estimator.estimate(vms, 30.0);
-      EXPECT_EQ(estimator.last_kernel(), repeated ? "collapsed" : "sweep");
-      const auto reference = reference_estimate(
-          universe, approx, with_table ? &table : nullptr, true, vms, 30.0);
+    ShapleyVhcEstimator estimator(universe, approx);
+    const auto fast = estimator.estimate(vms, 30.0);
+    const auto reference = reference_estimate(universe, approx, true, vms, 30.0);
+    for (std::size_t i = 0; i < vms.size(); ++i)
+      EXPECT_NEAR(fast[i], reference[i], 1e-9)
+          << "repeated=" << repeated << " vm " << i;
+  }
+}
+
+TEST(ShapleyVhcEstimatorFast, ScratchReuseAcrossHostShapesIsBitIdentical) {
+  // One estimator's scratch grows and shrinks across hosts of n = 8 over
+  // K = 3 busy VHCs (4 + 2 + 2), n = 64 over K = 4, n = 2 over K = 2, and
+  // n = 8 again. Each answer must be the very doubles a fresh estimator
+  // gives on that host.
+  util::Rng rng(30);
+  const auto approx = linear_law_approx(4, rng);
+  const VhcUniverse universe({0, 1, 2, 3});
+  using Types = std::vector<common::VmTypeId>;
+  Types sixty_four(64);
+  for (std::size_t i = 0; i < sixty_four.size(); ++i)
+    sixty_four[i] = static_cast<common::VmTypeId>(i % 4);
+  const Types mixed8 = {0, 0, 0, 0, 1, 1, 2, 2};
+  for (const bool anchor : {true, false}) {
+    ShapleyVhcEstimator reused(universe, approx, anchor);
+    for (const Types& types : {mixed8, sixty_four, Types{0, 3}, mixed8}) {
+      std::vector<VmSample> vms;
+      for (std::size_t i = 0; i < types.size(); ++i)
+        vms.push_back({static_cast<std::uint32_t>(i), types[i],
+                       StateVector::cpu_only(rng.uniform(0.05, 1.0))});
+      const double adjusted = rng.uniform(10.0, 90.0);
+      ShapleyVhcEstimator fresh(universe, approx, anchor);
+      const auto expected = fresh.estimate(vms, adjusted);
+      const auto phi = reused.estimate(vms, adjusted);
       for (std::size_t i = 0; i < vms.size(); ++i)
-        EXPECT_NEAR(fast[i], reference[i], 1e-9)
-            << "repeated=" << repeated << " table=" << with_table << " vm "
-            << i;
-      if (with_table) {
-        EXPECT_GT(estimator.table_hit_rate(), 0.0) << "repeated=" << repeated;
-      }
+        EXPECT_EQ(phi[i], expected[i])
+            << types.size() << " VMs, anchor=" << anchor << ", vm " << i;
     }
   }
-
-  // The type-set kernel bypasses the table and sums over the five busy
-  // VHCs' sets, which sit on non-adjacent bits of the 14-VHC universe.
-  ShapleyVhcEstimator typeset(universe, approx, table);
-  typeset.set_kernel(ShapleyKernel::kTypeSet);
-  const auto phi = typeset.estimate(vms, 30.0);
-  EXPECT_EQ(typeset.last_kernel(), "typeset");
-  const auto reference =
-      reference_estimate(universe, approx, nullptr, true, vms, 30.0);
-  for (std::size_t i = 0; i < vms.size(); ++i)
-    EXPECT_NEAR(phi[i], reference[i], 1e-9) << "typeset, vm " << i;
 }
 
 }  // namespace

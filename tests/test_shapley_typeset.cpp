@@ -1,5 +1,5 @@
 // The type-set kernel (typeset_shapley) against brute-force Shapley, and the
-// estimator's kernel selection around it.
+// estimator that runs it on every tick.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -156,9 +156,8 @@ TEST(TypeSetShapley, InputValidation) {
 // --- Estimator tier ---------------------------------------------------------
 
 // The single-VHC linear law power = w * aggregated cpu, stated exactly (a
-// fit would carry its regression error into every share); distinct cpu
-// utilizations make distinct players under detect_symmetry's
-// bit-identical-state rule.
+// fit would carry its regression error into every share), so every VM's
+// exact share is w times its own cpu.
 VhcLinearApprox exact_linear_approx(double w_cpu) {
   const VhcLinearApprox::ComboModelData model{
       0b1, {w_cpu, 0.0, 0.0, 0.0}, 0.0, 200};
@@ -238,35 +237,34 @@ std::vector<common::VmTypeId> all_types(std::size_t r) {
   return types;
 }
 
-TEST(ShapleyVhcEstimator, KernelFallThroughPinsTheCompositionBoundary) {
-  static_assert(ShapleyVhcEstimator::kMaxCompositions == std::size_t{1} << 16);
-  ShapleyVhcEstimator estimator(VhcUniverse({0}), exact_linear_approx(10.0));
-
-  // 16 all-distinct VMs: exactly 2^16 compositions — *at* the bound, not
-  // above it — and with no symmetry to collapse, the batched mask sweep.
-  double total_cpu = 0.0;
-  const auto sixteen = mixed_fleet(16, 0, &total_cpu);
-  (void)estimator.estimate(sixteen, 10.0 * total_cpu);
-  EXPECT_EQ(estimator.last_kernel(), "sweep");
-
-  // One duplicated state shrinks 16 VMs to 15 groups: 3 * 2^14
-  // compositions, and symmetry collapse wins.
-  const auto paired = mixed_fleet(15, 1, &total_cpu);
-  (void)estimator.estimate(paired, 10.0 * total_cpu);
-  EXPECT_EQ(estimator.last_kernel(), "collapsed");
-
-  // 17 all-distinct VMs: 2^17 compositions, the first count past the bound,
-  // go to the type-set kernel, which answers the additive law exactly.
-  const auto seventeen = mixed_fleet(17, 0, &total_cpu);
-  const auto phi = estimator.estimate(seventeen, 10.0 * total_cpu);
-  EXPECT_EQ(estimator.last_kernel(), "typeset");
-  for (std::size_t i = 0; i < seventeen.size(); ++i)
-    EXPECT_NEAR(phi[i], 10.0 * seventeen[i].state.cpu(), 1e-9) << "vm " << i;
+/// The estimator's own worth game: the approximation's v(S, C) with idle
+/// members dropped, and v(N) the measurement when anchored.
+WorthFn estimator_game(const VhcUniverse& universe,
+                       const VhcLinearApprox& approx,
+                       const std::vector<VmSample>& vms, double measured,
+                       bool anchor) {
+  std::vector<common::VmTypeId> types;
+  std::vector<StateVector> states;
+  for (const VmSample& vm : vms) {
+    types.push_back(vm.type);
+    states.push_back(vm.state);
+  }
+  const std::size_t n = vms.size();
+  return [partition = VhcPartition(universe, types), states, &approx,
+          measured, anchor, n](Coalition s) {
+    if (anchor && s == Coalition::grand(n)) return measured;
+    Coalition busy = s;
+    for (const Player i : s.members())
+      if (states[i] == StateVector::zero()) busy = busy.without(i);
+    if (busy.is_empty()) return 0.0;
+    return approx.predict(partition.combo_of(busy),
+                          partition.aggregate(busy, states));
+  };
 }
 
-TEST(ShapleyVhcEstimator, SampledTierMatchesTheExactKernelWithinItsCi) {
-  // The tier past the composition bound is exact: forced type-set equals
-  // forced sweep on contended multi-VHC games with idle VMs.
+TEST(ShapleyVhcEstimator, MatchesBruteForceOnContendedHosts) {
+  // Contended multi-VHC games with idle VMs, anchored and not, against
+  // shapley_values over the same worth game.
   constexpr std::size_t r = 4;
   const VhcUniverse universe(all_types(r));
   const VhcLinearApprox approx = contended_approx(r, 8);
@@ -276,14 +274,10 @@ TEST(ShapleyVhcEstimator, SampledTierMatchesTheExactKernelWithinItsCi) {
     const auto vms = random_host(rng, n, r, 0.2);
     const double measured = rng.uniform(10.0, 80.0);
     for (const bool anchor : {true, false}) {
-      ShapleyVhcEstimator sweep(universe, approx, anchor);
-      sweep.set_kernel(ShapleyKernel::kSweep);
-      ShapleyVhcEstimator typeset(universe, approx, anchor);
-      typeset.set_kernel(ShapleyKernel::kTypeSet);
-      const auto reference = sweep.estimate(vms, measured);
-      const auto phi = typeset.estimate(vms, measured);
-      EXPECT_EQ(typeset.last_kernel(), "typeset");
-      EXPECT_EQ(typeset.worth_queries(), 0u);
+      ShapleyVhcEstimator estimator(universe, approx, anchor);
+      const auto phi = estimator.estimate(vms, measured);
+      const auto reference = shapley_values(
+          n, estimator_game(universe, approx, vms, measured, anchor));
       for (std::size_t i = 0; i < n; ++i)
         EXPECT_NEAR(phi[i], reference[i], 1e-9)
             << "round " << round << " anchor=" << anchor << " vm " << i;
@@ -291,9 +285,9 @@ TEST(ShapleyVhcEstimator, SampledTierMatchesTheExactKernelWithinItsCi) {
   }
 }
 
-TEST(ShapleyVhcEstimator, AutoPicksSampledForSixtyFourDistinctVms) {
-  // 64 pairwise-distinct VMs: 2^64 compositions saturates to SIZE_MAX, and
-  // the type-set kernel answers where every mask kernel would never return.
+TEST(ShapleyVhcEstimator, SixtyFourDistinctVmsGetTheAdditiveLaw) {
+  // 64 pairwise-distinct VMs, 2^64 coalitions: the type-set kernel answers
+  // where no mask sweep would ever return.
   double total_cpu = 0.0;
   auto vms = mixed_fleet(64, 0, &total_cpu);
   vms[63].state = StateVector::zero();  // one idle VM rides along.
@@ -302,8 +296,6 @@ TEST(ShapleyVhcEstimator, AutoPicksSampledForSixtyFourDistinctVms) {
 
   ShapleyVhcEstimator estimator(VhcUniverse({0}), exact_linear_approx(10.0));
   const auto phi = estimator.estimate(vms, measured);
-  EXPECT_EQ(estimator.last_kernel(), "typeset");
-  EXPECT_EQ(estimator.worth_queries(), 0u);
   EXPECT_NEAR(std::accumulate(phi.begin(), phi.end(), 0.0), measured, 1e-9);
   // The additive law makes 10 * cpu the exact share; the idle VM gets 0.
   for (std::size_t i = 0; i < 63; ++i)
@@ -313,9 +305,9 @@ TEST(ShapleyVhcEstimator, AutoPicksSampledForSixtyFourDistinctVms) {
 }
 
 TEST(ShapleyVhcEstimator, TypeSetMatchesCollapsedOnSixtyFourVmsOfFourTypes) {
-  // 4 VHCs × 16 VMs holding one state each: 17^4 compositions, past the
-  // bound, so auto mode runs the type-set kernel; forced collapsed still
-  // enumerates them all.
+  // 4 VHCs × 16 VMs holding one state each: 2^64 coalitions, but only 17^4
+  // compositions, so collapsed_shapley_sum over the approximation's worth of
+  // each composition is the reference.
   constexpr std::size_t r = 4;
   const VhcUniverse universe(all_types(r));
   const VhcLinearApprox approx = contended_approx(r, 64);
@@ -323,25 +315,52 @@ TEST(ShapleyVhcEstimator, TypeSetMatchesCollapsedOnSixtyFourVmsOfFourTypes) {
   std::vector<StateVector> per_type(r);
   for (StateVector& state : per_type) state = random_state(rng);
   std::vector<VmSample> vms;
-  for (std::size_t i = 0; i < 64; ++i)
+  std::vector<std::size_t> keys;
+  std::vector<StateVector> states;
+  for (std::size_t i = 0; i < 64; ++i) {
     vms.push_back({static_cast<std::uint32_t>(i),
                    static_cast<common::VmTypeId>(i % r), per_type[i % r]});
+    keys.push_back(universe.index_of(vms.back().type));
+    states.push_back(vms.back().state);
+  }
+  const double measured = 150.0;
 
-  ShapleyVhcEstimator collapsed(universe, approx);
-  collapsed.set_kernel(ShapleyKernel::kCollapsed);
-  const auto reference = collapsed.estimate(vms, 150.0);
-  ShapleyVhcEstimator automatic(universe, approx);
-  const auto phi = automatic.estimate(vms, 150.0);
-  EXPECT_EQ(automatic.last_kernel(), "typeset");
+  // One group per type, in first-seen order, so group g is VHC g. The worth
+  // of composition k (group 0 fastest) aggregates k_g copies of each state;
+  // the full composition is the anchored grand coalition.
+  const SymmetryGroups groups = detect_symmetry(keys, states);
+  ASSERT_EQ(groups.group_count(), r);
+  std::vector<double> worth(groups.composition_count(), 0.0);
+  std::vector<std::size_t> k(r, 0);
+  for (std::size_t idx = 0; idx < worth.size(); ++idx) {
+    VhcComboMask combo = 0;
+    std::vector<StateVector> aggregate(r);
+    for (std::size_t g = 0; g < r; ++g) {
+      if (k[g] == 0) continue;
+      combo |= VhcComboMask{1} << g;
+      aggregate[g] = per_type[g] * static_cast<double>(k[g]);
+    }
+    if (idx + 1 == worth.size()) worth[idx] = measured;
+    else if (combo != 0) worth[idx] = approx.predict(combo, aggregate);
+    for (std::size_t g = 0; g < r; ++g) {
+      if (++k[g] <= groups.members[g].size()) break;
+      k[g] = 0;
+    }
+  }
+  std::vector<double> weights;
+  fill_shapley_weights(vms.size(), weights);
+  const auto reference = collapsed_shapley_sum(groups, worth, weights);
+
+  ShapleyVhcEstimator estimator(universe, approx);
+  const auto phi = estimator.estimate(vms, measured);
   for (std::size_t i = 0; i < vms.size(); ++i)
     EXPECT_NEAR(phi[i], reference[i], 1e-9) << "vm " << i;
 }
 
 TEST(ShapleyVhcEstimator, AxiomsHoldAtEveryForcedTier) {
-  // Efficiency, Symmetry and Dummy on the estimator's own worth game: the
-  // approximation's v(S, C) with idle members dropped, and v(N) the
-  // measurement when anchored. Repeated states make symmetric pairs and
-  // idle VMs make dummies of the unanchored game.
+  // Efficiency, Symmetry and Dummy on the estimator's own worth game.
+  // Repeated states make symmetric pairs and idle VMs make dummies of the
+  // unanchored game.
   constexpr std::size_t r = 3;
   const VhcUniverse universe(all_types(r));
   const VhcLinearApprox approx = contended_approx(r, 3);
@@ -350,37 +369,15 @@ TEST(ShapleyVhcEstimator, AxiomsHoldAtEveryForcedTier) {
     const auto n = static_cast<std::size_t>(rng.uniform_int(2, 8));
     const auto vms = random_host(rng, n, r, 0.25, /*repeats=*/true);
     const double measured = rng.uniform(10.0, 60.0);
-    std::vector<common::VmTypeId> types;
-    std::vector<StateVector> states;
-    for (const VmSample& vm : vms) {
-      types.push_back(vm.type);
-      states.push_back(vm.state);
-    }
-    const VhcPartition partition(universe, types);
     for (const bool anchor : {true, false}) {
-      const WorthFn v = [&](Coalition s) {
-        if (anchor && s == Coalition::grand(n)) return measured;
-        Coalition busy = s;
-        for (const Player i : s.members())
-          if (states[i] == StateVector::zero()) busy = busy.without(i);
-        if (busy.is_empty()) return 0.0;
-        return approx.predict(partition.combo_of(busy),
-                              partition.aggregate(busy, states));
-      };
-      for (const ShapleyKernel kernel :
-           {ShapleyKernel::kCollapsed, ShapleyKernel::kSweep,
-            ShapleyKernel::kTypeSet}) {
-        ShapleyVhcEstimator estimator(universe, approx, anchor);
-        estimator.set_kernel(kernel);
-        const auto phi = estimator.estimate(vms, measured);
-        const std::string label = "round " + std::to_string(round) +
-                                  " anchor=" + std::to_string(anchor) +
-                                  " kernel=" +
-                                  std::string(estimator.last_kernel());
-        EXPECT_TRUE(check_efficiency(phi, v(Coalition::grand(n)))) << label;
-        EXPECT_TRUE(check_symmetry(n, v, phi)) << label;
-        EXPECT_TRUE(check_dummy(n, v, phi)) << label;
-      }
+      const WorthFn v = estimator_game(universe, approx, vms, measured, anchor);
+      ShapleyVhcEstimator estimator(universe, approx, anchor);
+      const auto phi = estimator.estimate(vms, measured);
+      const std::string label = "round " + std::to_string(round) +
+                                " anchor=" + std::to_string(anchor);
+      EXPECT_TRUE(check_efficiency(phi, v(Coalition::grand(n)))) << label;
+      EXPECT_TRUE(check_symmetry(n, v, phi)) << label;
+      EXPECT_TRUE(check_dummy(n, v, phi)) << label;
     }
   }
 }
@@ -390,8 +387,8 @@ TEST(ShapleyVhcEstimator, AdditivityHoldsAtEveryKernel) {
   // same combos (every singleton, so every combo is covered, and a random
   // half of the rest), and A+B sums their weights; then v_{A+B}(S, C) =
   // v_A(S, C) + v_B(S, C) for every coalition, covered ones included. So
-  // φ_A + φ_B = φ_{A+B} at every kernel, unanchored and without a table,
-  // where the approximation alone is the worth.
+  // φ_A + φ_B = φ_{A+B}, unanchored, where the approximation alone is the
+  // worth.
   util::Rng rng(55);
   for (int game = 0; game < 200; ++game) {
     const std::size_t r = 1 + rng.uniform_u64(4);
@@ -416,52 +413,27 @@ TEST(ShapleyVhcEstimator, AdditivityHoldsAtEveryKernel) {
     const auto approx_sum = VhcLinearApprox::from_models(r, sum);
     const auto n = static_cast<std::size_t>(rng.uniform_int(1, 10));
     const auto vms = random_host(rng, n, r, 0.2, /*repeats=*/game % 2 == 1);
-    for (const ShapleyKernel kernel :
-         {ShapleyKernel::kAuto, ShapleyKernel::kCollapsed,
-          ShapleyKernel::kSweep, ShapleyKernel::kTypeSet}) {
-      const auto phi_of = [&](const VhcLinearApprox& approx) {
-        ShapleyVhcEstimator estimator(universe, approx, /*anchor=*/false);
-        estimator.set_kernel(kernel);
-        return estimator.estimate(vms, 50.0);
-      };
-      const auto phi_a = phi_of(approx_a);
-      const auto phi_b = phi_of(approx_b);
-      const auto phi_sum = phi_of(approx_sum);
-      for (std::size_t i = 0; i < n; ++i)
-        EXPECT_NEAR(phi_a[i] + phi_b[i], phi_sum[i], 1e-9)
-            << "game " << game << " kernel " << static_cast<int>(kernel)
-            << " vm " << i;
-    }
+    const auto phi_of = [&](const VhcLinearApprox& approx) {
+      ShapleyVhcEstimator estimator(universe, approx, /*anchor=*/false);
+      return estimator.estimate(vms, 50.0);
+    };
+    const auto phi_a = phi_of(approx_a);
+    const auto phi_b = phi_of(approx_b);
+    const auto phi_sum = phi_of(approx_sum);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_NEAR(phi_a[i] + phi_b[i], phi_sum[i], 1e-9)
+          << "game " << game << " vm " << i;
   }
 }
 
-TEST(ShapleyVhcEstimator, ForcedKernelsRespectTheirOwnLimits) {
+TEST(ShapleyVhcEstimator, HostsPastKMaxHostVmsAreRejected) {
   ShapleyVhcEstimator estimator(VhcUniverse({0}), exact_linear_approx(10.0));
   double total_cpu = 0.0;
-
-  // Forcing the 2^n sweep past kMaxPlayers is refused, not attempted.
-  estimator.set_kernel(ShapleyKernel::kSweep);
-  const auto big = mixed_fleet(kMaxPlayers + 1, 0, &total_cpu);
-  EXPECT_THROW(estimator.estimate(big, 10.0 * total_cpu),
-               std::invalid_argument);
-
-  // So is forcing collapsed past 2^kMaxPlayers compositions: it would hold
-  // one worth per composition.
-  estimator.set_kernel(ShapleyKernel::kCollapsed);
-  EXPECT_THROW(estimator.estimate(big, 10.0 * total_cpu),
-               std::invalid_argument);
+  // kMaxHostVms VMs are metered, exactly.
   const auto widest = mixed_fleet(kMaxHostVms, 0, &total_cpu);
-  EXPECT_THROW(estimator.estimate(widest, 10.0 * total_cpu),
-               std::invalid_argument);
-
-  // Forcing the type-set kernel works at any size, even where auto would
-  // pick another kernel.
-  estimator.set_kernel(ShapleyKernel::kTypeSet);
-  const auto vms = mixed_fleet(4, 0, &total_cpu);
-  const auto phi = estimator.estimate(vms, 10.0 * total_cpu);
-  EXPECT_EQ(estimator.last_kernel(), "typeset");
-  for (std::size_t i = 0; i < vms.size(); ++i)
-    EXPECT_NEAR(phi[i], 10.0 * vms[i].state.cpu(), 1e-9) << "vm " << i;
+  const auto phi = estimator.estimate(widest, 10.0 * total_cpu);
+  for (std::size_t i = 0; i < widest.size(); ++i)
+    EXPECT_NEAR(phi[i], 10.0 * widest[i].state.cpu(), 1e-9) << "vm " << i;
 
   // Past kMaxHostVms nothing can meter the host.
   const auto too_big = mixed_fleet(kMaxHostVms + 1, 0, &total_cpu);

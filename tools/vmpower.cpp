@@ -109,24 +109,19 @@ commands:
   collect --fleet VM1,VM2,...  --out FILE [--duration S] [--seed N] [--machine xeon|pentium]
   train   --table FILE --out FILE [--ridge L]
   meter   --fleet VM1,... --approx FILE [--duration S] [--seed N] [--csv FILE]
-          [--machine M] [--kernel K]
+          [--machine M]
   bill    --fleet VM1,... --approx FILE [--duration S] [--seed N] [--csv FILE]
           [--tariff $/kWh] [--idle-policy none|equal|proportional]
-          [--machine M] [--kernel K]
+          [--machine M]
   info    --approx FILE
   fleet   --fleet VM1,... [--hosts N] [--threads T] [--duration S] [--tenants K]
           [--seed N] [--tariff $/kWh] [--collect-duration S] [--machine M]
           [--inject-faults meter:P,dropout:P,stale:P] [--max-retries N]
-          [--kernel K] [--checkpoint FILE] [--metrics FILE] [--trace]
-          [--trace-out FILE]
-          --kernel K       exact Shapley kernel: auto (default; collapsed or
-                           sweep up to 2^16 compositions, typeset past it),
-                           or force collapsed|sweep|typeset
+          [--checkpoint FILE] [--metrics FILE] [--trace] [--trace-out FILE]
   serve   --fleet VM1,... [--hosts N] [--threads T] [--duration S] [--tenants K]
           [--port P] [--workers W] [--linger S] [--retention N]
           [--request-queue N] [--tokens-per-s R] [--burst B]
           [--cache N] [--cache-shards K] [--coalesce 0|1] [--ordered]
-          [--kernel K]
           [--offpeak-rate $/kWh] [--peak-rate $/kWh] [--peak-hours H0-H1]
           [--seconds-per-hour S] [--seed N] [--collect-duration S] [--machine M]
           [--ledger DIR] [--segment-records N] [--checkpoint FILE]
@@ -160,7 +155,7 @@ commands:
           [--trace] [--trace-out FILE]
           [--slow-ms D] [--slo-ms D] [--slo-target Q]
           [--fleet VM1,... --hosts N --threads T --tenants K --duration TICKS
-           --seed N --collect-duration S --machine M --kernel K]
+           --seed N --collect-duration S --machine M]
           (shard shape, read only under --spin)
           --shards         fleet-id=endpoint map of running `vmpower serve`
                            shards; extra comma-separated ports per fleet are
@@ -226,21 +221,8 @@ std::string path_for(const util::CliArgs& args, const std::string& key) {
   return args.has(key) ? args.require(key) : std::string{};
 }
 
-/// Parses --kernel auto|collapsed|sweep|typeset, shared by meter/bill/fleet/
-/// serve and federate --spin.
-core::ShapleyKernel kernel_for(const util::CliArgs& args) {
-  const std::string kernel = args.get("kernel", "auto");
-  if (kernel == "auto") return core::ShapleyKernel::kAuto;
-  if (kernel == "collapsed") return core::ShapleyKernel::kCollapsed;
-  if (kernel == "sweep") return core::ShapleyKernel::kSweep;
-  if (kernel == "typeset") return core::ShapleyKernel::kTypeSet;
-  throw std::invalid_argument(
-      "unknown --kernel '" + kernel +
-      "' (expected auto, collapsed, sweep, or typeset)");
-}
-
 /// The fleet shape that fleet, serve and federate --spin read: --fleet,
-/// --hosts, --threads, --tenants, --machine, --seed and --kernel.
+/// --hosts, --threads, --tenants, --machine and --seed.
 /// `hosts` and `tenants` are the defaults; see fleet_for for `default_fleet`.
 fleet::FleetOptions fleet_options_for(const util::CliArgs& args,
                                       std::size_t hosts, std::size_t tenants,
@@ -252,7 +234,6 @@ fleet::FleetOptions fleet_options_for(const util::CliArgs& args,
   options.tenants = args.get_unsigned<std::size_t>("tenants", tenants);
   options.spec = machine_for(args);
   options.seed = args.get_unsigned<std::uint64_t>("seed", 1);
-  options.kernel = kernel_for(args);
   return options;
 }
 
@@ -333,7 +314,6 @@ int cmd_train(const util::CliArgs& args) {
 int cmd_meter(const util::CliArgs& args, bool billing) {
   const auto fleet = fleet_for(args);
   const std::string approx_path = args.require("approx");
-  const core::ShapleyKernel kernel = kernel_for(args);
   const sim::MachineSpec spec = machine_for(args);
   const auto seed = args.get_unsigned<std::uint64_t>("seed", 1);
   const std::string csv_path = path_for(args, "csv");
@@ -356,7 +336,6 @@ int cmd_meter(const util::CliArgs& args, bool billing) {
   const auto approx = core::load_approximation(approx_path);
   const core::VhcUniverse universe = core::VhcUniverse::from_fleet(fleet);
   core::ShapleyVhcEstimator estimator(universe, approx);
-  estimator.set_kernel(kernel);
 
   sim::PhysicalMachine machine(spec, seed);
   const auto ids = boot_fleet(machine, fleet, seed);
