@@ -10,18 +10,20 @@
 // result cache, one with the cache disabled. The acceptance bar is a >= 5x
 // speedup on the repeated window+cost mix.
 //
-// Section 2 — pipelined latency: one client pipelines an id-stamped mixed
-// workload (expensive unique tenant-cost windows, duplicated in adjacent
-// bursts, interleaved with cheap point queries) over real TCP and measures
-// per-class send->receive latency. Three server modes answer the identical
-// byte stream:
-//   ordered     out_of_order=false, coalesce=false — every response held to
-//               arrival order (head-of-line blocking on the slow windows);
-//   ooo         out-of-order completion, no coalescing;
-//   ooo+coal    out-of-order plus in-flight coalescing of the duplicates.
+// Section 2 — pipelined latency: one client pipelines a mixed workload
+// (expensive unique tenant-cost windows, duplicated in adjacent bursts,
+// interleaved with cheap point queries) over real TCP and measures
+// per-class send->receive latency. Three arms send the same requests:
+//   ordered     without ids, coalesce=false — the server holds every
+//               response to arrival order (head-of-line blocking on the slow
+//               windows), and responses match requests by position;
+//   ooo         id-stamped, so responses complete out of order; no
+//               coalescing;
+//   ooo+coal    id-stamped plus in-flight coalescing of the duplicates.
 // Acceptance: cheap-query p99 under ooo is >= 2x lower than ordered, every
-// response is byte-identical across modes per request id, and coalescing
-// reduces duplicate evaluations (cache_misses counter).
+// response body (the frame minus its prefix and id) is byte-identical
+// across arms, and coalescing reduces duplicate evaluations (cache_misses
+// counter).
 //
 // --quick trims sizes for the CI smoke job; --pipelined runs section 2 only;
 // --json PATH writes the pipelined results as a BENCH_serve.json blob
@@ -173,41 +175,39 @@ core::TouRateSchedule expensive_tou() {
 
 struct PipelineItem {
   bool expensive = false;
-  std::string frame;  ///< id-stamped request frame.
+  std::string id_less;     ///< request frame without an id.
+  std::string id_stamped;  ///< the same request, id = item index.
 };
 
 /// Mixed pipelined workload: per group, one unique expensive tenant-cost
 /// window duplicated `dup` times back to back (adjacent duplicates are what
-/// coalescing merges), then a run of cheap point queries. Ids are the item
-/// indices.
+/// coalescing merges), then a run of cheap point queries.
 std::vector<PipelineItem> pipeline_workload(std::size_t groups,
                                             std::size_t dup,
                                             std::size_t cheap_per_group) {
   std::vector<PipelineItem> items;
-  std::uint64_t id = 0;
+  const auto add = [&items](bool expensive, const std::string& line) {
+    const std::string body =
+        serve::encode_request(*serve::parse_request_text(line));
+    items.push_back({expensive, serve::encode_frame(body),
+                     serve::encode_frame_with_id(body, items.size())});
+  };
   const char* cheap[] = {"fleet-power", "vm-power 3 5", "tenant-power 2",
                          "stats"};
   for (std::size_t g = 0; g < groups; ++g) {
     const std::string window = "tenant-cost " + std::to_string(1 + g % 4) +
                                " " + std::to_string(20 + g) + " " +
                                std::to_string(468 + g);
-    for (std::size_t d = 0; d < dup; ++d) {
-      const auto request = serve::parse_request_text(window);
-      items.push_back({true, serve::encode_frame_with_id(
-                                 serve::encode_request(*request), id++)});
-    }
-    for (std::size_t c = 0; c < cheap_per_group; ++c) {
-      const auto request = serve::parse_request_text(cheap[c % 4]);
-      items.push_back({false, serve::encode_frame_with_id(
-                                  serve::encode_request(*request), id++)});
-    }
+    for (std::size_t d = 0; d < dup; ++d) add(true, window);
+    for (std::size_t c = 0; c < cheap_per_group; ++c) add(false, cheap[c % 4]);
   }
   return items;
 }
 
 struct PipelineResult {
   std::vector<double> cheap_ms, expensive_ms;
-  std::map<std::uint64_t, std::string> frames;  ///< id -> response frame.
+  /// Item index -> response body (the frame minus its prefix and id).
+  std::map<std::uint64_t, std::string> bodies;
   std::uint64_t evaluations = 0;  ///< engine cache misses == evals run.
   std::uint64_t coalesced = 0;
   std::uint64_t reordered = 0;
@@ -216,9 +216,10 @@ struct PipelineResult {
 
 /// Streams the workload over one TCP connection with a bounded in-flight
 /// window (a pipelining client, not a fire-and-forget flood) and clocks each
-/// request send -> response receive.
+/// request send -> response receive. Id-stamped requests complete out of
+/// order and name their item; id-less ones come back in arrival order.
 PipelineResult drive_pipelined(const serve::SnapshotStore& store,
-                               bool out_of_order, bool coalesce,
+                               bool with_ids, bool coalesce,
                                const std::vector<PipelineItem>& items,
                                std::size_t in_flight_window) {
   using Clock = std::chrono::steady_clock;
@@ -232,7 +233,6 @@ PipelineResult drive_pipelined(const serve::SnapshotStore& store,
   server_options.queue_capacity = 2 * in_flight_window;
   server_options.tokens_per_s = 1e9;  // admission is not under test here.
   server_options.token_burst = 1e6;
-  server_options.out_of_order = out_of_order;
   server_options.cost_query_delay = kCostStall;
   serve::Server server(engine, metrics, server_options);
   serve::Client client(server.port());
@@ -244,20 +244,24 @@ PipelineResult drive_pipelined(const serve::SnapshotStore& store,
   while (received < items.size()) {
     while (next < items.size() && next - received < in_flight_window) {
       sent[next] = Clock::now();
-      client.send_raw(items[next].frame);
+      client.send_raw(with_ids ? items[next].id_stamped : items[next].id_less);
       ++next;
     }
     const std::string frame = client.recv_frame();
     const auto now = Clock::now();
-    std::uint64_t id = 0;
-    for (std::size_t b = 0; b < serve::kFrameIdBytes; ++b)
-      id = (id << 8) |
-           static_cast<std::uint8_t>(frame[serve::kFramePrefixBytes + b]);
+    std::uint64_t id = received;
+    std::size_t body_at = serve::kFramePrefixBytes;
+    if (with_ids) {
+      id = 0;
+      for (std::size_t b = 0; b < serve::kFrameIdBytes; ++b)
+        id = (id << 8) | static_cast<std::uint8_t>(frame[body_at + b]);
+      body_at += serve::kFrameIdBytes;
+    }
     const double ms =
         std::chrono::duration<double, std::milli>(now - sent[id]).count();
     (items[id].expensive ? result.expensive_ms : result.cheap_ms)
         .push_back(ms);
-    result.frames.emplace(id, frame);
+    result.bodies.emplace(id, frame.substr(body_at));
     ++received;
   }
   result.wall_s =
@@ -293,7 +297,7 @@ int run_pipelined(bool quick, const char* json_path) {
 
   const struct {
     const char* name;
-    bool out_of_order, coalesce;
+    bool with_ids, coalesce;
   } modes[] = {{"ordered", false, false},
                {"ooo", true, false},
                {"ooo+coal", true, true}};
@@ -301,17 +305,17 @@ int run_pipelined(bool quick, const char* json_path) {
 
   PipelineResult results[kModes];
   for (int m = 0; m < kModes; ++m)
-    results[m] = drive_pipelined(store, modes[m].out_of_order,
-                                 modes[m].coalesce, items, in_flight);
+    results[m] = drive_pipelined(store, modes[m].with_ids, modes[m].coalesce,
+                                 items, in_flight);
 
-  // Byte identity per request id across every mode.
+  // Byte identity of every request's response body across the arms.
   bool identical = true;
   for (int m = 1; m < kModes; ++m)
-    for (const auto& [id, frame] : results[0].frames) {
-      const auto it = results[m].frames.find(id);
-      if (it == results[m].frames.end() || it->second != frame) {
+    for (const auto& [id, body] : results[0].bodies) {
+      const auto it = results[m].bodies.find(id);
+      if (it == results[m].bodies.end() || it->second != body) {
         identical = false;
-        std::fprintf(stderr, "BYTE MISMATCH: id %llu mode %s\n",
+        std::fprintf(stderr, "BYTE MISMATCH: request %llu mode %s\n",
                      static_cast<unsigned long long>(id), modes[m].name);
       }
     }
@@ -346,7 +350,7 @@ int run_pipelined(bool quick, const char* json_path) {
   std::printf(
       "\ncheap p99: ordered %.3f ms vs out-of-order %.3f ms -> %.1fx "
       "(acceptance >= 2x)\ncoalescing: %llu -> %llu evaluations (%llu "
-      "attached in flight)\nbyte-identical responses per id across modes: "
+      "attached in flight)\nbyte-identical response bodies across modes: "
       "%s\nACCEPTANCE: %s\n",
       ordered_p99, ooo_p99, speedup,
       static_cast<unsigned long long>(results[1].evaluations),
@@ -407,8 +411,8 @@ int run_pipelined(bool quick, const char* json_path) {
                  "  ],\n"
                  "  \"acceptance\": {\n"
                  "    \"criterion\": \"cheap p99 out-of-order >= 2x lower "
-                 "than ordered; coalescing reduces evaluations; responses "
-                 "byte-identical per id across modes\",\n"
+                 "than ordered; coalescing reduces evaluations; response "
+                 "bodies byte-identical across modes\",\n"
                  "    \"cheap_p99_speedup\": %.1f,\n"
                  "    \"byte_identical\": %s,\n"
                  "    \"pass\": %s\n"

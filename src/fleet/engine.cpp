@@ -30,8 +30,6 @@ void FleetOptions::validate() const {
     throw std::invalid_argument("FleetOptions: need at least one tenant");
   if (fleet_per_host.empty())
     throw std::invalid_argument("FleetOptions: fleet_per_host is empty");
-  if (!(period_s > 0.0))
-    throw std::invalid_argument("FleetOptions: period must be > 0");
   // Retry k sleeps retry_backoff_base * (1u << k) for k < max_retries; the
   // shift is undefined from 32 on.
   if (max_retries > 32)
@@ -43,21 +41,19 @@ FleetEngine::FleetEngine(FleetOptions options,
                          const core::OfflineDataset& dataset)
     : options_((options.validate(), std::move(options))),
       injector_(options_.faults, options_.seed), results_(options_.hosts),
-      pool_(options_.threads), monitor_(metrics_, options_.invariants) {
-  HostAgentOptions agent_options;
-  agent_options.period_s = options_.period_s;
-  agent_options.max_retries = options_.max_retries;
-  agent_options.retry_backoff_base = options_.retry_backoff_base;
-  agent_options.dropout_ticks = options_.dropout_ticks;
-
+      pool_(options_.threads), monitor_(metrics_) {
+  const HostAgentOptions agent_options{options_.max_retries,
+                                       options_.retry_backoff_base};
   agents_.reserve(options_.hosts);
   host_ledgers_.reserve(options_.hosts);
   for (std::size_t h = 0; h < options_.hosts; ++h) {
     agents_.push_back(std::make_unique<HostAgent>(
         static_cast<std::uint32_t>(h), options_.spec, options_.fleet_per_host,
-        dataset, options_.seed + h, agent_options));
+        dataset.universe, dataset.approximation, options_.seed + h,
+        agent_options));
+    // Host ledgers bill φ alone: no share of the idle floor goes to a VM.
     host_ledgers_.push_back(
-        std::make_unique<core::EnergyAccountant>(options_.idle_policy));
+        std::make_unique<core::EnergyAccountant>(core::IdleAttribution::kNone));
     // VM v of every host belongs to tenant v % tenants + 1 — the fleet-wide
     // tenancy layout the CLI and tests share.
     const auto& ids = agents_.back()->vm_ids();
@@ -75,10 +71,9 @@ void FleetEngine::aggregate(const HostTickResult& result) {
 
   if (!result.phi.empty()) {
     host_ledgers_[result.host]->add_sample(result.vms, result.phi,
-                                           result.idle_power_w,
-                                           options_.period_s);
+                                           result.idle_power_w, kPeriodS);
     tenants_.add_host_sample(static_cast<core::HostId>(result.host),
-                             result.vms, result.phi, options_.period_s);
+                             result.vms, result.phi, kPeriodS);
   } else if (result.degraded) {
     VMP_LOG_DEBUG("fleet: host %u tick %llu degraded with no prior estimate",
                   result.host,

@@ -45,20 +45,15 @@ struct FleetOptions {
   std::vector<common::VmConfig> fleet_per_host;
   std::size_t tenants = 3;
   sim::MachineSpec spec = sim::xeon_prototype();
-  double period_s = 1.0;
   std::uint64_t seed = 1;
-  core::IdleAttribution idle_policy = core::IdleAttribution::kNone;
 
   FaultSpec faults;
-  std::uint32_t max_retries = 3;
+  std::uint32_t max_retries = 3;  ///< `vmpower fleet --max-retries`.
+  /// First retry's sleep, doubling per attempt; tests set 0 to run fast.
   std::chrono::microseconds retry_backoff_base{100};
-  std::uint64_t dropout_ticks = 3;
-
-  /// Warn thresholds for the runtime invariant monitors.
-  obs::InvariantOptions invariants;
 
   /// Throws std::invalid_argument on zero hosts/threads/tenants, an empty
-  /// fleet, a non-positive period, or max_retries above 32.
+  /// fleet, or max_retries above 32.
   void validate() const;
 };
 

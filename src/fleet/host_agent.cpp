@@ -13,12 +13,13 @@ namespace vmp::fleet {
 
 HostAgent::HostAgent(std::uint32_t host_id, const sim::MachineSpec& spec,
                      const std::vector<common::VmConfig>& fleet,
-                     const core::OfflineDataset& dataset, std::uint64_t seed,
-                     HostAgentOptions options)
+                     const core::VhcUniverse& universe,
+                     const core::VhcLinearApprox& approximation,
+                     std::uint64_t seed, HostAgentOptions options)
     : host_id_(host_id), options_(options), machine_(spec, seed),
       // Every core solver runs on the calling thread, so the engine's pool,
       // one task per host, is the fleet's only parallelism.
-      estimator_(dataset.universe, dataset.approximation) {
+      estimator_(universe, approximation) {
   const auto benchmarks = wl::spec_subset();
   vm_ids_.reserve(fleet.size());
   for (std::size_t i = 0; i < fleet.size(); ++i) {
@@ -31,7 +32,7 @@ HostAgent::HostAgent(std::uint32_t host_id, const sim::MachineSpec& spec,
   }
 }
 
-void HostAgent::fast_forward_tick() { machine_.step(options_.period_s); }
+void HostAgent::fast_forward_tick() { machine_.step(kPeriodS); }
 
 HostTickResult HostAgent::sample(std::uint64_t tick,
                                  const FaultInjector& injector) {
@@ -44,7 +45,7 @@ HostTickResult HostAgent::sample(std::uint64_t tick,
 
   // The physical host keeps running whether or not the monitoring plane can
   // see it: the simulation always advances exactly one period per tick.
-  const sim::MeterFrame frame = machine_.step(options_.period_s);
+  const sim::MeterFrame frame = machine_.step(kPeriodS);
   // The true draw is always knowable in the simulator; record it even when
   // the *metering* path below degrades, so the fleet's efficiency-residual
   // invariant can compare billed φ against what the machine actually drew.
@@ -61,7 +62,7 @@ HostTickResult HostAgent::sample(std::uint64_t tick,
 
   if (dropout_remaining_ == 0 &&
       injector.fires(FaultInjector::Kind::kDropout, host_id_, tick))
-    dropout_remaining_ = options_.dropout_ticks;
+    dropout_remaining_ = kDropoutTicks;
   if (dropout_remaining_ > 0) {
     --dropout_remaining_;
     degrade();

@@ -1,4 +1,6 @@
-// One fleet host's metering worker: simulator + estimator + fault handling.
+// One host's metering step, the online path of Fig. 8: simulator +
+// estimator + fault handling. The fleet engine runs one agent per host, and
+// `vmpower meter`/`bill` run one under an injector that never fires.
 //
 // A HostAgent owns everything host-local — the simulated PhysicalMachine,
 // its ShapleyVhcEstimator, and the carry-forward state used for graceful
@@ -17,7 +19,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/collector.hpp"
 #include "core/estimator.hpp"
 #include "fleet/faults.hpp"
 #include "sim/physical_machine.hpp"
@@ -56,24 +57,28 @@ struct HostTickResult {
   std::string_view kernel;
 };
 
+/// Simulated seconds per sample(): Fig. 8's 1 Hz meter period.
+inline constexpr double kPeriodS = 1.0;
+/// Ticks a fired dropout fault keeps the host's monitoring plane dark.
+inline constexpr std::uint64_t kDropoutTicks = 3;
+
 struct HostAgentOptions {
-  double period_s = 1.0;
   std::uint32_t max_retries = 3;
   /// First retry sleeps this long, doubling per attempt (0 disables
   /// sleeping; the retry accounting is unaffected).
   std::chrono::microseconds retry_backoff_base{100};
-  std::uint64_t dropout_ticks = 3;  ///< monitoring blackout length.
 };
 
 class HostAgent {
  public:
   /// Boots `fleet` on a fresh machine; VM v runs a SPEC-like workload chosen
-  /// deterministically from (seed, v). The trained approximation is copied
-  /// so agents share no state.
+  /// deterministically from (seed, v). The universe and the trained
+  /// approximation are copied so agents share no state.
   HostAgent(std::uint32_t host_id, const sim::MachineSpec& spec,
             const std::vector<common::VmConfig>& fleet,
-            const core::OfflineDataset& dataset, std::uint64_t seed,
-            HostAgentOptions options);
+            const core::VhcUniverse& universe,
+            const core::VhcLinearApprox& approximation, std::uint64_t seed,
+            HostAgentOptions options = {});
 
   /// Advances the host one sampling period and returns the tick's result,
   /// applying the injector's fault schedule. Not thread-safe; the engine

@@ -215,7 +215,7 @@ class FrameReader {
 void LedgerOptions::validate() const {
   if (dir.empty())
     throw std::invalid_argument("LedgerOptions: dir must be set");
-  if (segment_max_records == 0 || segment_max_bytes == 0)
+  if (segment_max_records == 0)
     throw std::invalid_argument(
         "LedgerOptions: segment thresholds must be >= 1");
   if (index_stride == 0)
@@ -336,7 +336,7 @@ void Ledger::recover() {
   if (!segments_.empty() && segments_.back().kind == Kind::kSealed &&
       segments_.back().path.filename().string().starts_with("wal-") &&
       segments_.back().records < options_.segment_max_records &&
-      segments_.back().bytes < options_.segment_max_bytes) {
+      segments_.back().bytes < kSegmentMaxBytes) {
     Segment& tail = segments_.back();
     active_.open(tail.path, std::ios::binary | std::ios::app);
     if (!active_)
@@ -527,7 +527,7 @@ void Ledger::append(const TickRecord& record) {
     if (appended_bytes_counter_) appended_bytes_counter_->inc(frame.size());
 
     if (tail.records >= options_.segment_max_records ||
-        tail.bytes >= options_.segment_max_bytes) {
+        tail.bytes >= kSegmentMaxBytes) {
       seal_active_locked();
       rotated = true;
     }

@@ -17,7 +17,7 @@
 //                            one full read of the frame it returns.
 //
 // Rotation seals the active segment once it reaches segment_max_records or
-// segment_max_bytes; sealed segments are compacted on a background thread
+// kSegmentMaxBytes; sealed segments are compacted on a background thread
 // (or inline, or never — see LedgerOptions). Compaction writes the cold file
 // beside the WAL under a ".tmp" name and renames it into place before
 // deleting the WAL, so a crash mid-compaction leaves either the old WAL or
@@ -63,11 +63,15 @@
 
 namespace vmp::ledger {
 
+/// Byte threshold at which the active segment rotates, unless
+/// LedgerOptions::segment_max_records trips first.
+inline constexpr std::uint64_t kSegmentMaxBytes = 8ull << 20;
+
 struct LedgerOptions {
   std::filesystem::path dir;
-  /// Rotation thresholds for the active segment (whichever trips first).
+  /// Record threshold at which the active segment rotates, unless
+  /// kSegmentMaxBytes trips first.
   std::uint64_t segment_max_records = 4096;
-  std::uint64_t segment_max_bytes = 8ull << 20;
   /// Cold segments index every Nth record; a seek costs one binary search,
   /// at most N header-and-prefix reads, and the full read of one frame.
   std::uint64_t index_stride = 64;
@@ -78,7 +82,7 @@ struct LedgerOptions {
   /// When set, exports the vmpower_ledger_* metric families.
   obs::MetricsRegistry* metrics = nullptr;
 
-  /// Throws std::invalid_argument on an empty dir or zero thresholds.
+  /// Throws std::invalid_argument on an empty dir or a zero threshold.
   void validate() const;
 };
 

@@ -17,6 +17,8 @@
 
 namespace vmp::obs {
 
+/// The fleet engine's monitor runs on these defaults; tests build monitors
+/// with other thresholds.
 struct InvariantOptions {
   /// Warn when the per-tick fleet efficiency residual Σ_h |Σφ − measured|
   /// exceeds this many watts. Fault-free ticks sit at floating-point noise

@@ -1,6 +1,8 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -87,17 +89,27 @@ std::string labeled(
 }
 
 HistogramMetric::HistogramMetric(double lo, double hi, std::size_t bins)
-    : histogram_(lo, hi, bins) {}
+    : counts_(bins + 1, 0) {
+  if (!(lo < hi) || bins == 0)
+    throw std::invalid_argument("HistogramMetric: need lo < hi and bins >= 1");
+  const double width = (hi - lo) / static_cast<double>(bins);
+  for (std::size_t i = 1; i <= bins; ++i)
+    upper_edges_.push_back(lo + width * static_cast<double>(i));
+}
 
 void HistogramMetric::observe(double value) {
+  // The first edge >= value; one past the last edge is the +Inf-only slot.
+  const auto bucket =
+      std::lower_bound(upper_edges_.begin(), upper_edges_.end(), value) -
+      upper_edges_.begin();
   std::lock_guard lock(mutex_);
-  histogram_.add(value);
+  ++counts_[static_cast<std::size_t>(bucket)];
   sum_ += value;
 }
 
 std::uint64_t HistogramMetric::count() const {
   std::lock_guard lock(mutex_);
-  return histogram_.count();
+  return std::accumulate(counts_.begin(), counts_.end(), std::uint64_t{0});
 }
 
 double HistogramMetric::sum() const {
@@ -105,9 +117,9 @@ double HistogramMetric::sum() const {
   return sum_;
 }
 
-util::Histogram HistogramMetric::snapshot() const {
+std::vector<std::uint64_t> HistogramMetric::bucket_counts() const {
   std::lock_guard lock(mutex_);
-  return histogram_;
+  return counts_;
 }
 
 MetricsRegistry::Entry& MetricsRegistry::entry_for(const std::string& name,
@@ -194,20 +206,23 @@ std::string MetricsRegistry::to_prometheus() const {
         // label.
         const std::string labels = labels_of(name);
         const std::string le_prefix = labels.empty() ? "" : labels + ",";
-        const util::Histogram histogram = entry.histogram->snapshot();
-        std::size_t cumulative = 0;
-        for (std::size_t i = 0; i < histogram.bin_count(); ++i) {
-          cumulative += histogram.bin(i);
+        const std::vector<double>& edges = entry.histogram->upper_edges();
+        const std::vector<std::uint64_t> counts =
+            entry.histogram->bucket_counts();
+        std::uint64_t cumulative = 0;
+        for (std::size_t i = 0; i < edges.size(); ++i) {
+          cumulative += counts[i];
           out << family << "_bucket{" << le_prefix << "le=\"";
-          write_double(out, histogram.bin_hi(i));
+          write_double(out, edges[i]);
           out << "\"} " << cumulative << '\n';
         }
+        cumulative += counts.back();
         out << family << "_bucket{" << le_prefix << "le=\"+Inf\"} "
-            << histogram.count() << '\n';
+            << cumulative << '\n';
         out << suffixed(family, labels, "_sum") << ' ';
         write_double(out, entry.histogram->sum());
         out << '\n';
-        out << suffixed(family, labels, "_count") << ' ' << histogram.count()
+        out << suffixed(family, labels, "_count") << ' ' << cumulative
             << '\n';
       }
     }

@@ -33,8 +33,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
-
-#include "util/histogram.hpp"
+#include <vector>
 
 namespace vmp::obs {
 
@@ -66,23 +65,32 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Distribution metric over fixed-width bins (a util::Histogram plus the
-/// sum/count Prometheus expects).
+/// Distribution metric with Prometheus `le` semantics: `bins` buckets whose
+/// upper edges split [lo, hi] evenly, plus the sum/count the exposition
+/// expects. A value counts in the first bucket whose edge is >= it, and a
+/// value above hi in +Inf alone: unlike util::Histogram, nothing is clamped
+/// into an edge bin.
 class HistogramMetric {
  public:
-  /// Bin layout as in util::Histogram: [lo, hi) split into `bins`.
+  /// Throws std::invalid_argument unless lo < hi and bins >= 1.
   HistogramMetric(double lo, double hi, std::size_t bins);
 
   void observe(double value);
 
   [[nodiscard]] std::uint64_t count() const;
   [[nodiscard]] double sum() const;
-  /// Snapshot of the underlying bins (copy; safe to render).
-  [[nodiscard]] util::Histogram snapshot() const;
+  /// The `le` edges lo + (i + 1)(hi − lo)/bins, ascending.
+  [[nodiscard]] const std::vector<double>& upper_edges() const noexcept {
+    return upper_edges_;
+  }
+  /// Per-bucket counts (not cumulative) parallel to upper_edges(), then the
+  /// count above the last edge.
+  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
 
  private:
+  std::vector<double> upper_edges_;
   mutable std::mutex mutex_;
-  util::Histogram histogram_;
+  std::vector<std::uint64_t> counts_;
   double sum_ = 0.0;
 };
 

@@ -77,7 +77,10 @@ struct QueryEngineOptions {
   /// ceil(capacity / shards) entries behind its own lock.
   std::size_t cache_shards = 8;
   /// Attach identical in-flight queries to the running computation instead
-  /// of re-evaluating (effective even at capacity 0).
+  /// of re-evaluating (effective even at capacity 0). `vmpower serve`
+  /// always coalesces. The switch stays only because the pipeline
+  /// benchmark's uncached replay turns it off, so a replayed query costs a
+  /// full evaluation at every level; it goes with the next benchmark change.
   bool coalesce = true;
   /// Tariff for kTenantCost; the default is flat at the Table I US rate.
   core::TouRateSchedule tou{};

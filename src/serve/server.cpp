@@ -292,10 +292,10 @@ void Server::admit(const std::shared_ptr<Conn>& conn, std::string payload,
                    static_cast<double>(profile_now_ns() - admit_start_ns) *
                        1e-9);
   };
-  // Delivery routing is fixed at arrival: id-less requests (and everything
-  // in ordered mode) hold an ordered slot, so even their shed errors cannot
-  // overtake an earlier slow response.
-  const bool ordered = !options_.out_of_order || !has_id;
+  // Delivery routing is fixed at arrival: id-less requests hold an ordered
+  // slot, so even their shed errors cannot overtake an earlier slow
+  // response.
+  const bool ordered = !has_id;
   const std::uint64_t arrival = conn->arrivals++;
   const std::uint64_t seq = ordered ? conn->ordered_seqs++ : 0;
   admitted_.fetch_add(1, std::memory_order_relaxed);

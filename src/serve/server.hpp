@@ -9,16 +9,15 @@
 // a worker — and every shed is counted in fleet::Metrics.
 //
 // Completion order: requests that carry an echoed id (kFrameIdFlag /
-// "#<id>") complete out of order by default — the worker pool writes each
-// response, sheds included, the moment it is ready, and the id is the
-// client's correlation handle. Requests without an id fall back to
-// strictly-ordered delivery: a per-connection reorder buffer holds each
-// completed response until every earlier id-less response has been written,
-// so a pre-id client observes exactly the arrival-ordered protocol it was
-// built against. ServerOptions::out_of_order=false forces the ordered path
-// for id-carrying requests too. Every request is answered exactly once
-// either way; the balance is exported through admitted()/answered() for
-// obs::InvariantMonitor::observe_serve_accounting.
+// "#<id>") complete out of order — the worker pool writes each response,
+// sheds included, the moment it is ready, and the id is the client's
+// correlation handle. Requests without an id get strictly-ordered delivery:
+// a per-connection reorder buffer holds each completed response until every
+// earlier id-less response has been written, so a pre-id client observes
+// exactly the arrival-ordered protocol it was built against. The request,
+// not a server option, picks the order. Every request is answered exactly
+// once either way; the balance is exported through admitted()/answered()
+// for obs::InvariantMonitor::observe_serve_accounting.
 //
 // The server binds 127.0.0.1 only: attribution data is tenant-billing data,
 // and transport hardening (TLS, auth) is out of scope for the loopback MVP.
@@ -47,11 +46,6 @@ struct ServerOptions {
   std::size_t queue_capacity = 64;
   double tokens_per_s = 10000.0;  ///< per-connection refill rate.
   double token_burst = 1000.0;    ///< per-connection bucket depth.
-  /// When true (the default), responses to id-stamped requests are written
-  /// as soon as their worker finishes — out of order across a pipelined
-  /// connection — while id-less requests always keep arrival order. False
-  /// forces arrival order for every response (the explicit ordered mode).
-  bool out_of_order = true;
   /// Test hook: stalls each worker per request so overload tests can fill
   /// the queue deterministically. Zero in production.
   std::chrono::milliseconds worker_delay{0};

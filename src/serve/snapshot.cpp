@@ -153,11 +153,10 @@ void SnapshotStore::publish_tick(
     const fleet::FleetEngine& engine, std::uint64_t tick,
     const std::vector<fleet::HostTickResult>& results) {
   VMP_TRACE_SPAN("serve.snapshot_publish", "serve");
-  const double period_s = engine.options().period_s;
   Snapshot snapshot;
   snapshot.tick = tick + 1;  // ledgers now include this tick's interval.
-  snapshot.time_s = static_cast<double>(tick + 1) * period_s;
-  snapshot.period_s = period_s;
+  snapshot.time_s = static_cast<double>(tick + 1) * fleet::kPeriodS;
+  snapshot.period_s = fleet::kPeriodS;
 
   // Start from the previous snapshot's VM universe so a VM with no φ this
   // tick keeps its last instant power instead of vanishing.

@@ -201,16 +201,17 @@ TEST(Metrics, HistogramBucketsAreCumulativeAndOrdered) {
   Metrics metrics;
   HistogramMetric& histogram =
       metrics.histogram("lat_seconds", "latency", 0.0, 4.0, 4);
-  // Boundary landing: a sample exactly on an inner edge goes to the upper
-  // bin ([lo, hi) bins), and out-of-range samples clamp into the edge bins.
+  // Boundary landing: a sample exactly on an edge counts in that edge's
+  // bucket (le means <=), one below lo in the first, and one above hi in
+  // +Inf alone.
   histogram.observe(1.0);
   histogram.observe(-5.0);
   histogram.observe(99.0);
   const std::string text = metrics.to_prometheus();
-  EXPECT_NE(text.find("lat_seconds_bucket{le=\"1\"} 1\n"), std::string::npos);
+  EXPECT_NE(text.find("lat_seconds_bucket{le=\"1\"} 2\n"), std::string::npos);
   EXPECT_NE(text.find("lat_seconds_bucket{le=\"2\"} 2\n"), std::string::npos);
   EXPECT_NE(text.find("lat_seconds_bucket{le=\"3\"} 2\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_seconds_bucket{le=\"4\"} 3\n"), std::string::npos);
+  EXPECT_NE(text.find("lat_seconds_bucket{le=\"4\"} 2\n"), std::string::npos);
   EXPECT_NE(text.find("lat_seconds_bucket{le=\"+Inf\"} 3\n"),
             std::string::npos);
   // Cumulative counts never decrease across ascending le.
@@ -233,6 +234,26 @@ TEST(Metrics, DumpIsDeterministicallySorted) {
   const std::string text = metrics.to_prometheus();
   EXPECT_LT(text.find("a_total"), text.find("b_total"));
   EXPECT_EQ(text, metrics.to_prometheus());
+}
+
+TEST(Metrics, HistogramLeBucketsCountOnlyValuesAtOrBelowTheEdge) {
+  // Prometheus buckets count x <= le: a value past hi belongs in +Inf
+  // alone, and a value on an edge in that edge's bucket.
+  Metrics metrics;
+  HistogramMetric& histogram =
+      metrics.histogram("lat_seconds", "latency", 0.0, 1.0, 4);
+  histogram.observe(5.0);
+  histogram.observe(0.25);
+  const std::string text = metrics.to_prometheus();
+  EXPECT_NE(text.find("lat_seconds_bucket{le=\"0.25\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("lat_seconds_bucket{le=\"1\"} 1\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("lat_seconds_bucket{le=\"+Inf\"} 2\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("lat_seconds_count 2\n"), std::string::npos) << text;
 }
 
 TEST(Metrics, ConcurrentIncrementsAreExact) {

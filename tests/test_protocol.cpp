@@ -700,39 +700,12 @@ TEST_F(ServerTest, IdLessPipelinedClientsKeepArrivalOrder) {
   server.stop();
 }
 
-TEST_F(ServerTest, OrderedModeForcesArrivalOrderForIdRequests) {
-  ServerOptions options = quick_options();
-  options.out_of_order = false;
-  options.cost_query_delay = std::chrono::milliseconds(80);
-  Server server(engine_, metrics_, options);
-  Client client(server.port());
-
-  Request slow;
-  slow.kind = QueryKind::kTenantCost;
-  slow.tenant = 1;
-  slow.t0 = 6.0;
-  slow.t1 = 18.0;
-  Request cheap;
-  cheap.kind = QueryKind::kFleetPower;
-  client.send_query_with_id(slow, 1);
-  client.send_query_with_id(cheap, 2);
-  const auto first = client.recv_response_with_id();
-  const auto second = client.recv_response_with_id();
-  EXPECT_EQ(first.first, 1u);
-  EXPECT_EQ(second.first, 2u);
-  EXPECT_NE(metrics_.to_prometheus().find(
-                "vmpower_serve_responses_reordered_total 0"),
-            std::string::npos);
-  server.stop();
-}
-
 TEST_F(ServerTest, ReleasedReorderRunIsCorkedIntoOneFlush) {
-  // Ordered mode with a stalled head: the cheap tail parks in the reorder
-  // buffer, and when the head completes the whole run must leave in one
-  // corked send — counted once — with every response byte still correct
+  // Id-less pipelining with a stalled head: the cheap tail parks in the
+  // reorder buffer, and when the head completes the whole run must leave in
+  // one corked send — counted once — with every response byte still correct
   // and in arrival order.
   ServerOptions options = quick_options();
-  options.out_of_order = false;
   options.cost_query_delay = std::chrono::milliseconds(100);
   Server server(engine_, metrics_, options);
   Client client(server.port());
@@ -744,15 +717,17 @@ TEST_F(ServerTest, ReleasedReorderRunIsCorkedIntoOneFlush) {
   slow.t1 = 18.0;
   Request cheap;
   cheap.kind = QueryKind::kFleetPower;
-  client.send_query_with_id(slow, 1);
-  for (std::uint64_t id = 2; id <= 4; ++id)
-    client.send_query_with_id(cheap, id);
+  client.send_query(slow);
+  for (int i = 0; i < 3; ++i) client.send_query(cheap);
 
-  for (std::uint64_t id = 1; id <= 4; ++id) {
-    const auto [echoed, response] = client.recv_response_with_id();
-    EXPECT_EQ(echoed, id);
+  const Response head = client.recv_response();
+  ASSERT_TRUE(head.ok) << head.message;
+  ASSERT_EQ(head.values.size(), 2u);  // the cost response: came first.
+  EXPECT_DOUBLE_EQ(head.values.at(1), 1200.0);
+  for (int i = 0; i < 3; ++i) {
+    const Response response = client.recv_response();
     ASSERT_TRUE(response.ok) << response.message;
-    if (id > 1) EXPECT_DOUBLE_EQ(response.values.at(0), 72.0);
+    EXPECT_DOUBLE_EQ(response.values.at(0), 72.0);
   }
 
   const std::string dump = metrics_.to_prometheus();
@@ -765,51 +740,58 @@ TEST_F(ServerTest, ReleasedReorderRunIsCorkedIntoOneFlush) {
 }
 
 TEST_F(ServerTest, ResponsesByteIdenticalBetweenOrderedAndOutOfOrder) {
-  // Same engine behind both servers: for every request id the wire bytes
-  // must match regardless of completion order — including error responses.
-  ServerOptions ordered_options = quick_options();
-  ordered_options.out_of_order = false;
-  Server ordered(engine_, metrics_, ordered_options);
-  ServerOptions ooo_options = quick_options();
-  ooo_options.cost_query_delay = std::chrono::milliseconds(30);
-  Server reordering(engine_, metrics_, ooo_options);
+  // One server answers the same requests twice: id-less (arrival order)
+  // and id-stamped (out of order behind a stalled head). Each response body
+  // must match byte for byte whatever order it completed in — error
+  // responses included.
+  ServerOptions options = quick_options();
+  options.cost_query_delay = std::chrono::milliseconds(30);
+  Server server(engine_, metrics_, options);
 
   const std::vector<std::string> lines = {
       "tenant-cost 1 6 18", "fleet-power",    "vm-power 0 1",
       "tenant-power 777",   "vm-energy 0 1 2 10",
   };
-  std::string pipelined;
+  std::string id_less, id_stamped;
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const auto request = parse_request_text(lines[i]);
     ASSERT_TRUE(request.has_value()) << lines[i];
-    pipelined += encode_frame_with_id(encode_request(*request), 100 + i);
+    id_less += encode_frame(encode_request(*request));
+    id_stamped += encode_frame_with_id(encode_request(*request), i);
   }
 
-  const auto collect = [&](Server& server) {
-    std::map<std::uint64_t, std::string> frames;
+  std::vector<std::string> ordered_bodies;
+  {
     Client client(server.port());
-    client.send_raw(pipelined);
+    client.send_raw(id_less);
+    for (std::size_t i = 0; i < lines.size(); ++i)
+      ordered_bodies.push_back(client.recv_frame().substr(kFramePrefixBytes));
+  }
+  std::map<std::uint64_t, std::string> reordered_bodies;
+  {
+    Client client(server.port());
+    client.send_raw(id_stamped);
     for (std::size_t i = 0; i < lines.size(); ++i) {
       const std::string frame = client.recv_frame();
       std::uint64_t id = 0;
       for (std::size_t b = 0; b < kFrameIdBytes; ++b)
         id = (id << 8) |
              static_cast<std::uint8_t>(frame[kFramePrefixBytes + b]);
-      frames[id] = frame;
+      reordered_bodies[id] = frame.substr(kFramePrefixBytes + kFrameIdBytes);
     }
-    return frames;
-  };
-
-  const auto ordered_frames = collect(ordered);
-  const auto reordered_frames = collect(reordering);
-  ASSERT_EQ(ordered_frames.size(), lines.size());
-  for (const auto& [id, frame] : ordered_frames) {
-    const auto it = reordered_frames.find(id);
-    ASSERT_NE(it, reordered_frames.end()) << "id " << id << " unanswered";
-    EXPECT_EQ(it->second, frame) << "id " << id << " bytes diverged";
   }
-  ordered.stop();
-  reordering.stop();
+
+  ASSERT_EQ(reordered_bodies.size(), lines.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const auto it = reordered_bodies.find(i);
+    ASSERT_NE(it, reordered_bodies.end()) << "id " << i << " unanswered";
+    EXPECT_EQ(it->second, ordered_bodies[i]) << lines[i] << " diverged";
+  }
+  // The stalled head really was overtaken on the id-stamped connection.
+  EXPECT_EQ(metrics_.to_prometheus().find(
+                "vmpower_serve_responses_reordered_total 0"),
+            std::string::npos);
+  server.stop();
 }
 
 TEST_F(ServerTest, ExactlyOnceAccountingBalancesAfterDrain) {

@@ -78,11 +78,10 @@
 #include "federate/spin.hpp"
 #include "core/accountant.hpp"
 #include "core/collector.hpp"
-#include "core/estimator.hpp"
-#include "core/online.hpp"
 #include "core/serialization.hpp"
 #include "core/pricing.hpp"
 #include "fleet/engine.hpp"
+#include "fleet/host_agent.hpp"
 #include "ledger/ledger.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
@@ -92,11 +91,10 @@
 #include "serve/server.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/transport.hpp"
-#include "sim/physical_machine.hpp"
+#include "sim/machine_spec.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
-#include "workload/spec_suite.hpp"
 
 using namespace vmp;
 
@@ -121,7 +119,7 @@ commands:
   serve   --fleet VM1,... [--hosts N] [--threads T] [--duration S] [--tenants K]
           [--port P] [--workers W] [--linger S] [--retention N]
           [--request-queue N] [--tokens-per-s R] [--burst B]
-          [--cache N] [--cache-shards K] [--coalesce 0|1] [--ordered]
+          [--cache N] [--cache-shards K]
           [--offpeak-rate $/kWh] [--peak-rate $/kWh] [--peak-hours H0-H1]
           [--seconds-per-hour S] [--seed N] [--collect-duration S] [--machine M]
           [--ledger DIR] [--segment-records N] [--checkpoint FILE]
@@ -139,11 +137,6 @@ commands:
                            ledger tail into the ring on start, save on exit
           --cache N        result-cache capacity across shards (0 disables)
           --cache-shards K independent LRU shards (lock striping)
-          --coalesce 0|1   attach duplicate in-flight queries to one
-                           evaluation (default 1)
-          --ordered        force arrival-order responses even for id-stamped
-                           requests (default: out-of-order completion; id-less
-                           clients always get arrival order)
   query   --port P [--proto binary|text] [--id N] [--timeout-ms D] <verb> [args...]
           verbs: vm-power H V | tenant-power T | fleet-power | stats
                  vm-energy H V T0 T1 | tenant-energy T T0 T1 | tenant-cost T T0 T1
@@ -262,23 +255,6 @@ void dump_trace(const TraceRequest& trace) {
               trace.out.c_str());
 }
 
-/// Boots the fleet under a SPEC-like mix and returns (machine, vm ids).
-std::vector<sim::VmId> boot_fleet(sim::PhysicalMachine& machine,
-                                  const std::vector<common::VmConfig>& fleet,
-                                  std::uint64_t seed) {
-  const auto benchmarks = wl::spec_subset();
-  std::vector<sim::VmId> ids;
-  for (std::size_t i = 0; i < fleet.size(); ++i) {
-    const auto id = machine.hypervisor().create_vm(
-        fleet[i],
-        wl::make_spec_workload(benchmarks[(seed + i) % benchmarks.size()],
-                               seed * 31 + i));
-    machine.hypervisor().start_vm(id);
-    ids.push_back(id);
-  }
-  return ids;
-}
-
 int cmd_collect(const util::CliArgs& args) {
   const auto fleet = fleet_for(args);
   core::CollectionOptions options;
@@ -333,12 +309,11 @@ int cmd_meter(const util::CliArgs& args, bool billing) {
   }
   args.reject_unread();
 
-  const auto approx = core::load_approximation(approx_path);
-  const core::VhcUniverse universe = core::VhcUniverse::from_fleet(fleet);
-  core::ShapleyVhcEstimator estimator(universe, approx);
-
-  sim::PhysicalMachine machine(spec, seed);
-  const auto ids = boot_fleet(machine, fleet, seed);
+  // One host agent under faults that never fire: the fleet's metering step.
+  fleet::HostAgent agent(0, spec, fleet, core::VhcUniverse::from_fleet(fleet),
+                         core::load_approximation(approx_path), seed);
+  const fleet::FaultInjector no_faults(fleet::FaultSpec{}, seed);
+  const auto& ids = agent.vm_ids();
 
   std::unique_ptr<util::CsvWriter> csv;
   if (!csv_path.empty()) {
@@ -348,20 +323,19 @@ int cmd_meter(const util::CliArgs& args, bool billing) {
   }
 
   core::EnergyAccountant accountant(policy);
-  core::MeteringLoop loop(machine, estimator, 1.0, &accountant);
-
   for (std::uint64_t tick = 1; tick <= ticks; ++tick) {
     const auto t = static_cast<double>(tick);
-    const core::MeteringSample sample = loop.step();
+    const fleet::HostTickResult r = agent.sample(tick - 1, no_faults);
+    accountant.add_sample(r.vms, r.phi, r.idle_power_w, fleet::kPeriodS);
     if (!billing) {
-      std::printf("t=%6.0f adj=%7.2fW ", t, sample.adjusted_power_w);
-      for (std::size_t i = 0; i < sample.phi.size(); ++i)
-        std::printf(" vm%u=%6.2fW", sample.vms[i].vm_id, sample.phi[i]);
+      std::printf("t=%6.0f adj=%7.2fW ", t, r.adjusted_power_w);
+      for (std::size_t i = 0; i < r.phi.size(); ++i)
+        std::printf(" vm%u=%6.2fW", r.vms[i].vm_id, r.phi[i]);
       std::printf("\n");
     }
     if (csv) {
-      std::vector<double> row = {t, sample.adjusted_power_w};
-      row.insert(row.end(), sample.phi.begin(), sample.phi.end());
+      std::vector<double> row = {t, r.adjusted_power_w};
+      row.insert(row.end(), r.phi.begin(), r.phi.end());
       csv->write_row(row);
     }
   }
@@ -491,7 +465,6 @@ int cmd_serve(const util::CliArgs& args) {
   query_options.cache_capacity = args.get_unsigned<std::size_t>("cache", 1024);
   query_options.cache_shards =
       args.get_unsigned<std::size_t>("cache-shards", 8);
-  query_options.coalesce = args.get_unsigned<bool>("coalesce", true);  // 0|1
 
   serve::ServerOptions server_options;
   server_options.port = args.get_unsigned<std::uint16_t>("port", 7077);
@@ -500,7 +473,6 @@ int cmd_serve(const util::CliArgs& args) {
       args.get_unsigned<std::size_t>("request-queue", 64);
   server_options.tokens_per_s = args.get_double("tokens-per-s", 10000.0);
   server_options.token_burst = args.get_double("burst", 1000.0);
-  server_options.out_of_order = !args.get_flag("ordered");
   server_options.validate();
   const double slow_ms = args.get_double("slow-ms", 50.0);
   const double slo_ms = args.get_double("slo-ms", slow_ms);
