@@ -9,9 +9,11 @@
 // Thread counts beyond the hardware's cores measure oversubscription, not
 // speedup; the table prints the detected core count for context.
 //
-// The second grid packs 8 VMs of three types onto each host — the shape the
-// symmetry-collapsed estimator kernel is built for (duplicated VM types keep
-// the per-tick game at compositions, not 2^8 masks).
+// The second grid packs 8 VMs of three types onto each host, so the Shapley
+// estimate is a larger share of each host step.
+//
+// Every cell's tenant ledger must equal its hosts row's 1-thread cell; the
+// bench exits 1 when one differs.
 //
 // Pass --quick for the CI smoke configuration: a trimmed grid and tick count
 // that finishes in seconds while still exercising every code path.
@@ -44,9 +46,16 @@ using namespace vmp;
 
 namespace {
 
-double run_once(const core::OfflineDataset& dataset,
-                const std::vector<common::VmConfig>& fleet, std::size_t hosts,
-                std::size_t threads, std::uint64_t ticks) {
+struct Cell {
+  double wall_s = 0.0;
+  /// The tenant ledger as doubles: per tenant its total and its energy on
+  /// each host, then the unattributed energy.
+  std::vector<double> ledger;
+};
+
+Cell run_once(const core::OfflineDataset& dataset,
+              const std::vector<common::VmConfig>& fleet, std::size_t hosts,
+              std::size_t threads, std::uint64_t ticks) {
   fleet::FleetOptions options;
   options.hosts = hosts;
   options.threads = threads;
@@ -55,33 +64,50 @@ double run_once(const core::OfflineDataset& dataset,
   const auto start = std::chrono::steady_clock::now();
   fleet::FleetEngine engine(options, dataset);
   engine.run(ticks);
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
+  Cell cell;
+  cell.wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  const core::MultiHostAccountant& tenants = engine.tenant_ledger();
+  for (const core::TenantId tenant : tenants.tenants()) {
+    cell.ledger.push_back(tenants.tenant_energy_j(tenant));
+    for (std::size_t h = 0; h < hosts; ++h)
+      cell.ledger.push_back(tenants.tenant_energy_on_host_j(
+          tenant, static_cast<core::HostId>(h)));
+  }
+  cell.ledger.push_back(tenants.unattributed_energy_j());
+  return cell;
 }
 
-void run_grid(const char* banner, const core::OfflineDataset& dataset,
+/// Prints one hosts x threads table. Returns false when a cell's tenant
+/// ledger differs from its hosts row's first (1-thread) cell.
+bool run_grid(const char* banner, const core::OfflineDataset& dataset,
               const std::vector<common::VmConfig>& fleet,
               std::span<const std::size_t> host_counts,
               std::span<const std::size_t> thread_counts,
               std::uint64_t ticks) {
   util::print_banner(banner);
   std::printf("hardware threads: %u\n", std::thread::hardware_concurrency());
-  util::TablePrinter table(
-      {"hosts", "threads", "wall (ms)", "host-ticks/s", "speedup vs 1T"});
+  util::TablePrinter table({"hosts", "threads", "wall (ms)", "host-ticks/s",
+                            "speedup vs 1T", "ledger vs 1T"});
+  bool identical = true;
   for (const std::size_t hosts : host_counts) {
-    double serial_wall = 0.0;
+    Cell serial;
     for (const std::size_t threads : thread_counts) {
-      const double wall = run_once(dataset, fleet, hosts, threads, ticks);
-      if (threads == thread_counts.front()) serial_wall = wall;
+      const Cell cell = run_once(dataset, fleet, hosts, threads, ticks);
+      if (threads == thread_counts.front()) serial = cell;
+      const bool same = cell.ledger == serial.ledger;
+      identical = identical && same;
       table.add_row({std::to_string(hosts), std::to_string(threads),
-                     util::TablePrinter::num(wall * 1e3, 1),
+                     util::TablePrinter::num(cell.wall_s * 1e3, 1),
                      util::TablePrinter::num(
-                         static_cast<double>(hosts * ticks) / wall, 0),
-                     util::TablePrinter::num(serial_wall / wall, 2)});
+                         static_cast<double>(hosts * ticks) / cell.wall_s, 0),
+                     util::TablePrinter::num(serial.wall_s / cell.wall_s, 2),
+                     same ? "identical" : "DIFFERS"});
     }
   }
   table.print();
+  return identical;
 }
 
 // Wire-propagation cost on the serve path: every query carries a full trace
@@ -123,12 +149,12 @@ int run_tracing_overhead(bool quick) {
   double armed_wall = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     tracer.set_enabled(false);
-    disarmed_wall =
-        std::min(disarmed_wall, run_once(dataset, fleet, hosts, threads, ticks));
+    disarmed_wall = std::min(
+        disarmed_wall, run_once(dataset, fleet, hosts, threads, ticks).wall_s);
     tracer.set_enabled(true);
     tracer.clear();  // bound ring memory across reps.
-    armed_wall =
-        std::min(armed_wall, run_once(dataset, fleet, hosts, threads, ticks));
+    armed_wall = std::min(
+        armed_wall, run_once(dataset, fleet, hosts, threads, ticks).wall_s);
   }
   tracer.set_enabled(false);
 
@@ -205,8 +231,7 @@ int main(int argc, char** argv) {
 
   const std::vector<common::VmConfig> small_fleet = {common::paper_vm_type(1),
                                                      common::paper_vm_type(2)};
-  // 4xVM1 + 2xVM2 + 2xVM3: the duplicated types land on the estimator's
-  // symmetry-collapsed path whenever the duplicates report equal states.
+  // 4xVM1 + 2xVM2 + 2xVM3.
   std::vector<common::VmConfig> mixed_fleet;
   for (int k = 0; k < 4; ++k) mixed_fleet.push_back(common::paper_vm_type(1));
   for (int k = 0; k < 2; ++k) mixed_fleet.push_back(common::paper_vm_type(2));
@@ -224,18 +249,24 @@ int main(int argc, char** argv) {
   const std::uint64_t ticks = quick ? 20 : 200;
   const std::vector<std::size_t> host_counts =
       quick ? std::vector<std::size_t>{2, 4} : std::vector<std::size_t>{2, 4, 8, 16};
-  const std::vector<std::size_t> thread_counts =
-      quick ? std::vector<std::size_t>{1, 2} : std::vector<std::size_t>{1, 2, 4};
+  // 1 thread runs without a pool; 4 threads outnumber the 2-host rows.
+  const std::vector<std::size_t> thread_counts = {1, 2, 4};
 
   const std::string ticks_label = std::to_string(ticks);
-  run_grid(("fleet engine scaling (" + ticks_label + " ticks, 2 VMs/host)")
-               .c_str(),
-           small_dataset, small_fleet, host_counts, thread_counts, ticks);
-  run_grid(("fleet engine scaling (" + ticks_label +
-            " ticks, 8 mixed VMs/host: 4xVM1+2xVM2+2xVM3)")
-               .c_str(),
-           mixed_dataset, mixed_fleet, host_counts, thread_counts, ticks);
+  const bool small_identical = run_grid(
+      ("fleet engine scaling (" + ticks_label + " ticks, 2 VMs/host)").c_str(),
+      small_dataset, small_fleet, host_counts, thread_counts, ticks);
+  const bool mixed_identical =
+      run_grid(("fleet engine scaling (" + ticks_label +
+                " ticks, 8 mixed VMs/host: 4xVM1+2xVM2+2xVM3)")
+                   .c_str(),
+               mixed_dataset, mixed_fleet, host_counts, thread_counts, ticks);
+  if (!small_identical || !mixed_identical) {
+    std::printf("determinism contract BROKEN: a cell's tenant ledger differs "
+                "from its hosts row's 1-thread cell.\n");
+    return 1;
+  }
   std::printf("determinism contract: the tenant ledgers of every cell in one "
-              "hosts row are byte-identical (see test_fleet).\n");
+              "hosts row are byte-identical.\n");
   return 0;
 }

@@ -1,5 +1,7 @@
 #include "fleet/engine.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <fstream>
 #include <stdexcept>
@@ -37,11 +39,45 @@ void FleetOptions::validate() const {
   faults.validate();
 }
 
+FleetEngine::Instruments::Instruments(Metrics& metrics, std::size_t hosts)
+    : step_latency(metrics.histogram("vmpower_fleet_tick_latency_seconds",
+                                     "Wall time of one host metering step",
+                                     0.0, 0.05, 25)),
+      estimator_latency(metrics.histogram(
+          "vmpower_fleet_estimator_latency_seconds",
+          "Wall time of the Shapley estimator call alone", 0.0, 0.002, 25)),
+      ticks(metrics.counter("vmpower_fleet_ticks_total",
+                            "Fleet-wide sampling periods completed")),
+      samples(metrics.counter("vmpower_fleet_samples_processed_total",
+                              "Host tick results aggregated into the ledgers")),
+      retries(metrics.counter("vmpower_fleet_meter_retries_total",
+                              "Meter read retry attempts")),
+      degraded_ticks(metrics.counter("vmpower_fleet_degraded_ticks_total",
+                                     "Host ticks served from a carried estimate")),
+      stale_ticks(
+          metrics.counter("vmpower_fleet_stale_ticks_total",
+                          "Host ticks estimated from previous-tick telemetry")) {
+  estimate_error_w.reserve(hosts);
+  degraded.reserve(hosts);
+  for (std::size_t h = 0; h < hosts; ++h) {
+    const std::string host = std::to_string(h);
+    estimate_error_w.push_back(&metrics.gauge(
+        obs::labeled("vmpower_fleet_host_estimate_error_w", {{"host", host}}),
+        "Absolute gap between the host's allocated and measured power"));
+    degraded.push_back(&metrics.gauge(
+        obs::labeled("vmpower_fleet_host_degraded", {{"host", host}}),
+        "1 when the host's last tick was served from a carried estimate"));
+  }
+}
+
 FleetEngine::FleetEngine(FleetOptions options,
                          const core::OfflineDataset& dataset)
     : options_((options.validate(), std::move(options))),
       injector_(options_.faults, options_.seed), results_(options_.hosts),
-      pool_(options_.threads), monitor_(metrics_) {
+      pool_(options_.threads > 1
+                ? std::make_unique<util::ThreadPool>(options_.threads - 1)
+                : nullptr),
+      monitor_(metrics_), instruments_(metrics_, options_.hosts) {
   const HostAgentOptions agent_options{options_.max_retries,
                                        options_.retry_backoff_base};
   agents_.reserve(options_.hosts);
@@ -85,43 +121,50 @@ void FleetEngine::aggregate(const HostTickResult& result) {
   // carried estimate's drift on degraded ones.
   double phi_sum = 0.0;
   for (const double p : result.phi) phi_sum += p;
-  const std::string host_label = std::to_string(result.host);
-  metrics_
-      .gauge("vmpower_fleet_host_estimate_error_w{host=\"" + host_label +
-                 "\"}",
-             "Absolute gap between the host's allocated and measured power")
-      .set(std::abs(phi_sum - result.adjusted_power_w));
-  metrics_
-      .gauge("vmpower_fleet_host_degraded{host=\"" + host_label + "\"}",
-             "1 when the host's last tick was served from a carried estimate")
-      .set(result.degraded ? 1.0 : 0.0);
-  metrics_
-      .histogram("vmpower_fleet_tick_latency_seconds",
-                 "Wall time of one host metering step", 0.0, 0.05, 25)
-      .observe(result.step_seconds);
+  instruments_.estimate_error_w[result.host]->set(
+      std::abs(phi_sum - result.adjusted_power_w));
+  instruments_.degraded[result.host]->set(result.degraded ? 1.0 : 0.0);
+  instruments_.step_latency.observe(result.step_seconds);
   if (!result.phi.empty() && !result.degraded)
-    metrics_
-        .histogram("vmpower_fleet_estimator_latency_seconds",
-                   "Wall time of the Shapley estimator call alone", 0.0, 0.002,
-                   25)
-        .observe(result.estimate_seconds);
+    instruments_.estimator_latency.observe(result.estimate_seconds);
+}
+
+void FleetEngine::step_hosts(std::uint64_t now) {
+  // Dynamic claiming, not fixed slices: a host asleep in retry backoff holds
+  // only its claimer while the other threads keep claiming.
+  std::atomic<std::size_t> cursor{0};
+  const auto claim = [this, &cursor, now] {
+    for (std::size_t h = cursor.fetch_add(1, std::memory_order_relaxed);
+         h < agents_.size(); h = cursor.fetch_add(1, std::memory_order_relaxed))
+      results_[h] = agents_[h]->sample(now, injector_);
+  };
+  if (!pool_) {
+    claim();
+    return;
+  }
+
+  // The engine thread claims too, so a worker is woken only when there is a
+  // host left for it.
+  const std::size_t helpers =
+      std::min(pool_->thread_count(), agents_.size() - 1);
+  for (std::size_t i = 0; i < helpers; ++i)
+    pool_->submit([&claim, now] {
+      // Adopt the tick's trace id on the worker thread so the collect /
+      // estimate spans group under the same trace as the engine's.
+      VMP_TRACE_CONTEXT(now + 1);
+      claim();
+    });
+  try {
+    claim();
+  } catch (...) {
+    pool_->wait_idle();  // the workers still read cursor and claim.
+    throw;
+  }
+  // The tick barrier: once the pool is idle every host wrote its slot.
+  pool_->wait_idle();
 }
 
 void FleetEngine::run(std::uint64_t ticks) {
-  Counter& ticks_total = metrics_.counter(
-      "vmpower_fleet_ticks_total", "Fleet-wide sampling periods completed");
-  Counter& samples_total =
-      metrics_.counter("vmpower_fleet_samples_processed_total",
-                       "Host tick results aggregated into the ledgers");
-  Counter& retries_total = metrics_.counter(
-      "vmpower_fleet_meter_retries_total", "Meter read retry attempts");
-  Counter& degraded_total =
-      metrics_.counter("vmpower_fleet_degraded_ticks_total",
-                       "Host ticks served from a carried estimate");
-  Counter& stale_total =
-      metrics_.counter("vmpower_fleet_stale_ticks_total",
-                       "Host ticks estimated from previous-tick telemetry");
-
   for (std::uint64_t k = 0; k < ticks; ++k) {
     const std::uint64_t now = tick_++;
     // Trace id of everything this tick does, on the engine thread and in the
@@ -132,16 +175,7 @@ void FleetEngine::run(std::uint64_t ticks) {
     const std::uint64_t degraded_before = degraded_;
     const std::uint64_t stale_before = stale_;
 
-    for (std::size_t h = 0; h < agents_.size(); ++h) {
-      pool_.submit([this, h, now] {
-        // Adopt the tick's trace id on the worker thread so the collect /
-        // estimate spans group under the same trace as the engine's.
-        VMP_TRACE_CONTEXT(now + 1);
-        results_[h] = agents_[h]->sample(now, injector_);
-      });
-    }
-    // The tick barrier: once the pool is idle every host wrote its slot.
-    pool_.wait_idle();
+    step_hosts(now);
 
     // Deterministic roll-up: aggregation order is host order, regardless of
     // completion order — this is what makes thread count invisible in the
@@ -167,11 +201,11 @@ void FleetEngine::run(std::uint64_t ticks) {
 
     if (observer_) observer_(*this, now, results_);
 
-    ticks_total.inc();
-    samples_total.inc(results_.size());
-    retries_total.inc(retries_ - retries_before);
-    degraded_total.inc(degraded_ - degraded_before);
-    stale_total.inc(stale_ - stale_before);
+    instruments_.ticks.inc();
+    instruments_.samples.inc(results_.size());
+    instruments_.retries.inc(retries_ - retries_before);
+    instruments_.degraded_ticks.inc(degraded_ - degraded_before);
+    instruments_.stale_ticks.inc(stale_ - stale_before);
   }
 }
 

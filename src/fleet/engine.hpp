@@ -3,12 +3,16 @@
 //
 // The Shapley value's Additivity axiom (paper Sec. IV-C) makes the per-host
 // disaggregation games independent, so a fleet of N hosts is embarrassingly
-// parallel: each tick the engine fans one HostAgent task per host onto its
-// ThreadPool, each task writes its HostTickResult into that host's result
-// slot, and the tick is one barrier — the engine waits for the pool to go
-// idle, then aggregates the slots on its own thread *in host-id order*. That
-// is why the tenant ledgers are byte-identical to a serial run at any thread
-// count, and why no host-tick is ever dropped.
+// parallel. Each tick, the engine thread and the `threads - 1` workers of
+// its ThreadPool claim hosts from one shared cursor until every host is
+// stepped; a claimer writes each HostTickResult into that host's result
+// slot. A host sleeping in retry backoff holds only the thread that claimed
+// it. The tick is one barrier: once the engine thread finds the cursor
+// exhausted it waits for the pool to go idle, then aggregates the slots on
+// its own thread *in host-id order*. That is why the tenant ledgers are
+// byte-identical to a serial run at any thread count, and why no host-tick
+// is ever dropped. Every instrument the tick updates is resolved when the
+// engine is built, so the tick path makes no metric-registry lookup.
 //
 // Fault tolerance (see fleet/faults.hpp and fleet/host_agent.hpp): degraded
 // host-ticks are billed at the host's last good estimate and flagged in the
@@ -39,6 +43,8 @@ namespace vmp::fleet {
 
 struct FleetOptions {
   std::size_t hosts = 4;
+  /// Metering threads, the engine's own included. At 1 every host runs on
+  /// the thread that calls run(), and the engine starts no pool.
   std::size_t threads = 2;
   /// Every host boots this fleet (VM v on host h belongs to tenant
   /// v % tenants + 1).
@@ -61,7 +67,10 @@ class FleetEngine {
  public:
   /// Boots `options.hosts` agents sharing the trained `dataset` artifacts
   /// (host h is seeded with seed + h, so hosts are distinct but the whole
-  /// fleet is reproducible from one seed).
+  /// fleet is reproducible from one seed), and registers the fleet's metric
+  /// series, so a scrape before the first tick already shows them at 0.
+  /// Throws std::invalid_argument on invalid options or a fleet VM type the
+  /// dataset was not trained on.
   FleetEngine(FleetOptions options, const core::OfflineDataset& dataset);
 
   FleetEngine(const FleetEngine&) = delete;
@@ -145,6 +154,24 @@ class FleetEngine {
   void restore_checkpoint(const std::filesystem::path& path);
 
  private:
+  /// The fleet's instruments, resolved once when the engine is built.
+  struct Instruments {
+    Instruments(Metrics& metrics, std::size_t hosts);
+
+    std::vector<Gauge*> estimate_error_w;  ///< one per host.
+    std::vector<Gauge*> degraded;          ///< one per host.
+    HistogramMetric& step_latency;
+    HistogramMetric& estimator_latency;
+    Counter& ticks;
+    Counter& samples;
+    Counter& retries;
+    Counter& degraded_ticks;
+    Counter& stale_ticks;
+  };
+
+  /// Steps every host for tick `now` into results_, on the engine thread
+  /// and the pool's workers alike, and returns once every slot is written.
+  void step_hosts(std::uint64_t now);
   void aggregate(const HostTickResult& result);
 
   FleetOptions options_;
@@ -152,13 +179,15 @@ class FleetEngine {
   std::vector<std::unique_ptr<HostAgent>> agents_;
   std::vector<std::unique_ptr<core::EnergyAccountant>> host_ledgers_;
   core::MultiHostAccountant tenants_;
-  /// One result slot per host, written by that host's task and read by the
-  /// engine after the tick barrier. Declared before pool_, so the pool
-  /// drains before the slots are destroyed.
+  /// One result slot per host, written by the thread that claimed the host
+  /// and read by the engine after the tick barrier. Declared before pool_,
+  /// so the pool drains before the slots are destroyed.
   std::vector<HostTickResult> results_;
-  util::ThreadPool pool_;
+  /// The `threads - 1` helper workers; null when threads is 1.
+  std::unique_ptr<util::ThreadPool> pool_;
   Metrics metrics_;
   obs::InvariantMonitor monitor_;  ///< must follow metrics_ (init order).
+  Instruments instruments_;        ///< must follow metrics_ (init order).
   TickObserver observer_;
 
   double last_residual_w_ = 0.0;

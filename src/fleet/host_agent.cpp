@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "obs/trace.hpp"
@@ -17,9 +18,16 @@ HostAgent::HostAgent(std::uint32_t host_id, const sim::MachineSpec& spec,
                      const core::VhcLinearApprox& approximation,
                      std::uint64_t seed, HostAgentOptions options)
     : host_id_(host_id), options_(options), machine_(spec, seed),
-      // Every core solver runs on the calling thread, so the engine's pool,
-      // one task per host, is the fleet's only parallelism.
+      // Every core solver runs on the calling thread, so the engine's
+      // metering threads, each stepping whole hosts, are the fleet's only
+      // parallelism.
       estimator_(universe, approximation) {
+  // A type the universe lacks would only throw inside the first estimate(),
+  // on whichever metering thread stepped this host.
+  for (const common::VmConfig& config : fleet)
+    if (!universe.knows(config.type_id))
+      throw std::invalid_argument("HostAgent: VM type " + config.type_name +
+                                  " is not in the trained universe");
   const auto benchmarks = wl::spec_subset();
   vm_ids_.reserve(fleet.size());
   for (std::size_t i = 0; i < fleet.size(); ++i) {

@@ -4,8 +4,8 @@
 //
 // A HostAgent owns everything host-local — the simulated PhysicalMachine,
 // its ShapleyVhcEstimator, and the carry-forward state used for graceful
-// degradation — so the engine can run one agent per pool task with no shared
-// mutable state between hosts. Faults follow the engine contract: a meter
+// degradation — so any of the engine's metering threads can step any agent
+// with no shared mutable state between hosts. Faults follow the engine contract: a meter
 // failure is retried with exponential backoff within the tick; an
 // unrecoverable tick (retries exhausted, or the host in dropout) is served
 // from the last good estimate and *flagged*, never silently zeroed; stale
@@ -73,7 +73,8 @@ class HostAgent {
  public:
   /// Boots `fleet` on a fresh machine; VM v runs a SPEC-like workload chosen
   /// deterministically from (seed, v). The universe and the trained
-  /// approximation are copied so agents share no state.
+  /// approximation are copied so agents share no state. Throws
+  /// std::invalid_argument naming the first VM type `universe` lacks.
   HostAgent(std::uint32_t host_id, const sim::MachineSpec& spec,
             const std::vector<common::VmConfig>& fleet,
             const core::VhcUniverse& universe,

@@ -36,11 +36,14 @@ std::uint64_t InvariantMonitor::breaches() const noexcept {
 void InvariantMonitor::breach(Which which, const char* invariant,
                               std::uint64_t epoch,
                               const std::string& detail) {
-  registry_
-      .counter(labeled("vmpower_invariant_breaches_total",
-                       {{"invariant", invariant}}),
-               "Invariant threshold breaches")
-      .inc();
+  Counter* counter = breach_counters_[which].load(std::memory_order_acquire);
+  if (counter == nullptr) {
+    counter = &registry_.counter(labeled("vmpower_invariant_breaches_total",
+                                         {{"invariant", invariant}}),
+                                 "Invariant threshold breaches");
+    breach_counters_[which].store(counter, std::memory_order_release);
+  }
+  counter->inc();
   Throttle& throttle = throttle_[which];
   if (throttle.warned &&
       epoch < throttle.last_epoch + options_.warn_log_interval)
@@ -53,15 +56,16 @@ void InvariantMonitor::breach(Which which, const char* invariant,
 
 void InvariantMonitor::observe_efficiency(std::uint64_t epoch,
                                           double residual_w) {
-  registry_
-      .gauge("vmpower_invariant_efficiency_residual_w",
-             "Per-tick fleet efficiency residual: sum over hosts of "
-             "|sum(phi) - measured adjusted power|")
-      .set(residual_w);
-  registry_
-      .gauge("vmpower_invariant_epoch",
-             "Tick epoch of the latest invariant samples")
-      .set(static_cast<double>(epoch));
+  if (efficiency_residual_w_ == nullptr) {
+    efficiency_residual_w_ = &registry_.gauge(
+        "vmpower_invariant_efficiency_residual_w",
+        "Per-tick fleet efficiency residual: sum over hosts of "
+        "|sum(phi) - measured adjusted power|");
+    invariant_epoch_ = &registry_.gauge(
+        "vmpower_invariant_epoch", "Tick epoch of the latest invariant samples");
+  }
+  efficiency_residual_w_->set(residual_w);
+  invariant_epoch_->set(static_cast<double>(epoch));
   if (residual_w > options_.efficiency_residual_warn_w)
     breach(kEfficiency, "efficiency", epoch,
            "residual_w=" + format_watts(residual_w) +
@@ -93,11 +97,12 @@ void InvariantMonitor::observe_ledger(std::uint64_t snapshot_epoch,
   const std::uint64_t lag = snapshot_epoch >= ledger_tail_epoch
                                 ? snapshot_epoch - ledger_tail_epoch
                                 : ledger_tail_epoch - snapshot_epoch;
-  registry_
-      .gauge("vmpower_ledger_tail_lag",
-             "Absolute gap between the newest snapshot epoch and the "
-             "durable ledger's tail epoch (0 when every publish landed)")
-      .set(static_cast<double>(lag));
+  if (ledger_tail_lag_ == nullptr)
+    ledger_tail_lag_ = &registry_.gauge(
+        "vmpower_ledger_tail_lag",
+        "Absolute gap between the newest snapshot epoch and the "
+        "durable ledger's tail epoch (0 when every publish landed)");
+  ledger_tail_lag_->set(static_cast<double>(lag));
   if (lag != 0)
     breach(kLedgerTail, "ledger_tail", snapshot_epoch,
            "tail_epoch=" + std::to_string(ledger_tail_epoch) +
@@ -145,24 +150,26 @@ void InvariantMonitor::observe_ring(std::uint64_t epoch,
                                     std::uint64_t occupancy,
                                     std::uint64_t retention,
                                     std::uint64_t evictions_total) {
-  registry_
-      .gauge("vmpower_serve_snapshot_ring_occupancy",
-             "Snapshots currently retained for window queries")
-      .set(static_cast<double>(occupancy));
-  registry_
-      .gauge("vmpower_serve_snapshot_ring_retention",
-             "Configured snapshot retention ring capacity")
-      .set(static_cast<double>(retention));
+  if (ring_occupancy_ == nullptr) {
+    ring_occupancy_ =
+        &registry_.gauge("vmpower_serve_snapshot_ring_occupancy",
+                         "Snapshots currently retained for window queries");
+    ring_retention_ =
+        &registry_.gauge("vmpower_serve_snapshot_ring_retention",
+                         "Configured snapshot retention ring capacity");
+    ring_evictions_ =
+        &registry_.counter("vmpower_serve_snapshot_evictions_total",
+                           "Snapshots evicted from the retention ring");
+    snapshot_epoch_ =
+        &registry_.gauge("vmpower_serve_snapshot_epoch",
+                         "Epoch of the most recently published snapshot");
+  }
+  ring_occupancy_->set(static_cast<double>(occupancy));
+  ring_retention_->set(static_cast<double>(retention));
   // Evictions are by design once the ring fills; export the count, no warn.
-  Counter& evictions = registry_.counter(
-      "vmpower_serve_snapshot_evictions_total",
-      "Snapshots evicted from the retention ring");
-  if (evictions_total > evictions.value())
-    evictions.inc(evictions_total - evictions.value());
-  registry_
-      .gauge("vmpower_serve_snapshot_epoch",
-             "Epoch of the most recently published snapshot")
-      .set(static_cast<double>(epoch));
+  if (evictions_total > ring_evictions_->value())
+    ring_evictions_->inc(evictions_total - ring_evictions_->value());
+  snapshot_epoch_->set(static_cast<double>(epoch));
 }
 
 }  // namespace vmp::obs

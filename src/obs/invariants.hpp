@@ -10,6 +10,7 @@
 // vmpower_invariant_breaches_total{invariant="..."}.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -34,6 +35,12 @@ struct InvariantOptions {
 /// events on threshold breaches. Observations for one invariant must come
 /// from one thread (the engine tick / publish path does); the exported
 /// instruments are as thread-safe as the registry.
+///
+/// observe_efficiency, observe_ring and observe_ledger run on every tick, so
+/// each resolves its instruments on its first call and keeps the handles; a
+/// breach counter is resolved on its invariant's first breach. Nothing is
+/// registered at construction, so a process that never observes the ring
+/// or the ledger exports none of their series.
 class InvariantMonitor {
  public:
   explicit InvariantMonitor(MetricsRegistry& registry,
@@ -102,6 +109,18 @@ class InvariantMonitor {
 
   MetricsRegistry& registry_;
   InvariantOptions options_;
+
+  // Resolved on the first call of the observe_* that sets them.
+  Gauge* efficiency_residual_w_ = nullptr;
+  Gauge* invariant_epoch_ = nullptr;
+  Gauge* ring_occupancy_ = nullptr;
+  Gauge* ring_retention_ = nullptr;
+  Counter* ring_evictions_ = nullptr;
+  Gauge* snapshot_epoch_ = nullptr;
+  Gauge* ledger_tail_lag_ = nullptr;
+  /// Each invariant's breach counter, resolved on its first breach. Atomic
+  /// so that resolving one is safe from whichever thread breaches.
+  std::atomic<Counter*> breach_counters_[kWhichCount] = {};
 
   struct Throttle {
     bool warned = false;

@@ -1,17 +1,15 @@
 // Fixed-size worker pool.
 //
-// Originally fleet-only (one task per host per metering tick), the pool now
-// also drives the thread-parallel Shapley mask sweep in core (see
-// core/shapley_fast.hpp), so it lives in util where both layers can reach
-// it. The pool is deliberately minimal: FIFO submission, no futures (callers
-// coordinate through their own queues or counters), and a wait_idle barrier
-// the fleet engine uses to close each tick deterministically.
+// Its users are the fleet engine, whose `threads - 1` workers claim hosts
+// alongside the engine thread every tick, and the federation dispatcher,
+// which runs the shard legs of a fan-out. The pool is deliberately minimal:
+// FIFO submission, no futures (callers coordinate through their own queues
+// or counters), and a wait_idle barrier the fleet engine uses to close each
+// tick deterministically.
 //
 // Nesting caveat: a task running on the pool must not block on work it
 // submitted to the *same* pool (wait_idle from a worker deadlocks, and a
-// blocked worker can starve a single-thread pool). Parallel kernels that
-// share a pool therefore wait on their own completion counters and are only
-// invoked from threads outside the pool.
+// blocked worker can starve a single-thread pool).
 #pragma once
 
 #include <condition_variable>

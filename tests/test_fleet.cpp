@@ -111,19 +111,20 @@ class FleetEngineTest : public ::testing::Test {
     values.push_back(tenants.unattributed_energy_j());
     return values;
   }
-};
 
-TEST_F(FleetEngineTest, LedgersAreByteIdenticalAcrossThreadCounts) {
-  // The tick observer contract: one result per host, in host-id order, all
-  // stamped with the tick being closed.
-  const auto check_tick = [](const FleetEngine&, std::uint64_t tick,
-                             const std::vector<HostTickResult>& results) {
+  /// The tick observer contract: one result per host, in host-id order, all
+  /// stamped with the tick being closed.
+  static void check_tick(const FleetEngine&, std::uint64_t tick,
+                         const std::vector<HostTickResult>& results) {
     ASSERT_EQ(results.size(), kHosts);
     for (std::size_t h = 0; h < kHosts; ++h) {
       EXPECT_EQ(results[h].host, h) << "tick " << tick;
       EXPECT_EQ(results[h].tick, tick) << "host " << h;
     }
-  };
+  }
+};
+
+TEST_F(FleetEngineTest, LedgersAreByteIdenticalAcrossThreadCounts) {
   FleetEngine serial(options_for(1), dataset_);
   serial.set_tick_observer(check_tick);
   serial.run(15);
@@ -158,6 +159,72 @@ TEST_F(FleetEngineTest, DeterminismHoldsWithFaultInjectionEnabled) {
   EXPECT_EQ(serial.retries(), threaded.retries());
   EXPECT_EQ(serial.stale_ticks(), threaded.stale_ticks());
   EXPECT_GT(serial.degraded_ticks(), 0u);
+}
+
+TEST_F(FleetEngineTest, EveryThreadCountClaimsEachHostOncePerTick) {
+  // 1 thread runs without a pool, 2 and 3 split the 4 hosts unevenly, and 8
+  // outnumber them. A 1 µs backoff makes a claimer sleep mid-tick while the
+  // other threads keep claiming.
+  FleetOptions options = options_for(1);
+  options.faults = parse_fault_spec("meter:0.4,dropout:0.1,stale:0.3");
+  options.retry_backoff_base = std::chrono::microseconds{1};
+  FleetEngine serial(options, dataset_);
+  serial.set_tick_observer(check_tick);
+  serial.run(20);
+  EXPECT_GT(serial.retries(), 0u);
+  EXPECT_GT(serial.degraded_ticks(), 0u);
+  EXPECT_GT(serial.stale_ticks(), 0u);
+
+  for (const std::size_t threads : {2u, 3u, 4u, 8u}) {
+    options.threads = threads;
+    FleetEngine engine(options, dataset_);
+    std::uint64_t observed = 0;
+    engine.set_tick_observer(
+        [&observed](const FleetEngine& e, std::uint64_t tick,
+                    const std::vector<HostTickResult>& results) {
+          EXPECT_EQ(tick, observed++);
+          check_tick(e, tick, results);
+        });
+    engine.run(20);
+    EXPECT_EQ(observed, 20u) << threads << " threads";
+    EXPECT_EQ(ledger_fingerprint(engine), ledger_fingerprint(serial))
+        << threads << " threads";
+    EXPECT_EQ(engine.degraded_ticks(), serial.degraded_ticks()) << threads;
+    EXPECT_EQ(engine.retries(), serial.retries()) << threads;
+    EXPECT_EQ(engine.stale_ticks(), serial.stale_ticks()) << threads;
+    EXPECT_EQ(engine.samples_processed(), kHosts * 20) << threads;
+  }
+}
+
+TEST_F(FleetEngineTest, ScrapeCarriesEveryFleetSeriesAndNoServeSeries) {
+  FleetEngine engine(options_for(3), dataset_);
+  const auto has = [&engine](const std::string& text) {
+    return engine.metrics().to_prometheus().find(text) != std::string::npos;
+  };
+  // Registered when the engine is built: a scrape before the first tick
+  // already shows the series at 0.
+  EXPECT_TRUE(has("vmpower_fleet_ticks_total 0\n"));
+  EXPECT_TRUE(has("vmpower_fleet_host_degraded{host=\"0\"} 0\n"));
+
+  engine.run(5);
+  for (std::size_t h = 0; h < kHosts; ++h) {
+    const std::string host = "{host=\"" + std::to_string(h) + "\"} ";
+    EXPECT_TRUE(has("vmpower_fleet_host_estimate_error_w" + host)) << h;
+    EXPECT_TRUE(has("vmpower_fleet_host_degraded" + host + "0\n")) << h;
+  }
+  EXPECT_FALSE(has("{host=\"" + std::to_string(kHosts) + "\"}"));
+  // Fault-free, every host-tick ran the estimator.
+  const std::string host_ticks = std::to_string(5 * kHosts);
+  EXPECT_TRUE(
+      has("vmpower_fleet_tick_latency_seconds_count " + host_ticks + "\n"));
+  EXPECT_TRUE(has("vmpower_fleet_estimator_latency_seconds_count " +
+                  host_ticks + "\n"));
+  EXPECT_TRUE(has("vmpower_fleet_ticks_total 5\n"));
+  EXPECT_TRUE(
+      has("vmpower_fleet_samples_processed_total " + host_ticks + "\n"));
+  // No snapshot store and no ledger: the monitor never observed either.
+  EXPECT_FALSE(has("vmpower_serve_snapshot_"));
+  EXPECT_FALSE(has("vmpower_ledger_tail_lag"));
 }
 
 TEST_F(FleetEngineTest, DegradedHostsCarryLastGoodEstimateNeverZero) {
@@ -271,6 +338,19 @@ TEST_F(FleetEngineTest, OptionsValidation) {
   options = options_for(1);
   options.faults.meter_failure = 2.0;
   EXPECT_THROW(FleetEngine(options, dataset_), std::invalid_argument);
+
+  // A VM type the dataset was not trained on fails here, not inside the
+  // first tick's estimate on a metering thread.
+  options = options_for(2);
+  options.fleet_per_host = {common::demo_c_vm(), common::paper_vm_type(3)};
+  try {
+    FleetEngine engine(options, dataset_);
+    ADD_FAILURE() << "an untrained VM type was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("VM type VM3"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST_F(FleetEngineTest, RetriesAreBoundedWhereTheBackoffShiftIsDefined) {

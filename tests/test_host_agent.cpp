@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/vm_config.hpp"
@@ -90,6 +92,22 @@ TEST_F(HostAgentTest, FastForwardThenSampleMatchesTheSampledTrajectory) {
     HostAgent resumed = agent(9);
     for (std::uint64_t tick = 0; tick < k; ++tick) resumed.fast_forward_tick();
     EXPECT_EQ(resumed.sample(k, no_faults_).phi, last) << "k = " << k;
+  }
+}
+
+TEST_F(HostAgentTest, AnUntrainedVmTypeFailsAtConstruction) {
+  // The universe knows VM1 and VM2 only. VM3 must fail here, naming the
+  // type, not inside the first estimate() on a metering thread.
+  const std::vector<common::VmConfig> fleet = {common::paper_vm_type(1),
+                                               common::paper_vm_type(3)};
+  try {
+    HostAgent host(0, spec_, fleet, dataset().universe,
+                   dataset().approximation, 1);
+    ADD_FAILURE() << "an untrained VM type was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("VM type VM3"),
+              std::string::npos)
+        << error.what();
   }
 }
 

@@ -219,6 +219,51 @@ TEST(InvariantMonitor, RingObservationsExportWithoutWarning) {
             std::string::npos);
 }
 
+/// The series names of an exposition dump: every sample line minus its value.
+std::set<std::string> series_names(const std::string& dump) {
+  std::set<std::string> names;
+  std::size_t begin = 0;
+  for (std::size_t end; (end = dump.find('\n', begin)) != std::string::npos;
+       begin = end + 1) {
+    const std::string line = dump.substr(begin, end - begin);
+    if (!line.empty() && line.front() != '#')
+      names.insert(line.substr(0, line.rfind(' ')));
+  }
+  return names;
+}
+
+TEST(InvariantMonitor, ExportsNothingBeforeItsFirstObservation) {
+  MetricsRegistry registry;
+  InvariantMonitor monitor(registry, {});
+  EXPECT_TRUE(series_names(registry.to_prometheus()).empty());
+
+  // One invariant's first observation registers that invariant's series
+  // alone; breach counters wait for a breach.
+  monitor.observe_efficiency(1, 0.0);
+  EXPECT_EQ(series_names(registry.to_prometheus()),
+            (std::set<std::string>{"vmpower_invariant_efficiency_residual_w",
+                                   "vmpower_invariant_epoch"}));
+  monitor.observe_ledger(1, 1);
+  EXPECT_EQ(series_names(registry.to_prometheus()).size(), 3u);
+}
+
+TEST(InvariantMonitor, RepeatedRingObservationsKeepOneSeriesSet) {
+  MetricsRegistry registry;
+  InvariantMonitor monitor(registry, {});
+  monitor.observe_ring(3, 3, 4, 0);
+  const std::set<std::string> first = series_names(registry.to_prometheus());
+  EXPECT_EQ(first.size(), 4u);
+
+  monitor.observe_ring(9, 4, 4, 5);
+  const std::string dump = registry.to_prometheus();
+  EXPECT_EQ(series_names(dump), first);
+  EXPECT_NE(dump.find("vmpower_serve_snapshot_evictions_total 5\n"),
+            std::string::npos);
+  EXPECT_NE(dump.find("vmpower_serve_snapshot_ring_occupancy 4\n"),
+            std::string::npos);
+  EXPECT_NE(dump.find("vmpower_serve_snapshot_epoch 9\n"), std::string::npos);
+}
+
 // --- End-to-end efficiency residual ----------------------------------------
 
 class ResidualTest : public ::testing::Test {
