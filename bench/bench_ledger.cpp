@@ -89,7 +89,7 @@ serve::Snapshot snapshot_at(double t) {
 ledger::TickRecord record_at(std::uint64_t epoch) {
   serve::Snapshot snapshot = snapshot_at(static_cast<double>(epoch));
   snapshot.epoch = epoch;
-  return serve::to_record(snapshot);
+  return snapshot;
 }
 
 /// Unique scratch directory under the system temp root; removed by the

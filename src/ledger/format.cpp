@@ -1,7 +1,9 @@
 #include "ledger/format.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <utility>
 
 namespace vmp::ledger {
 
@@ -127,6 +129,29 @@ std::optional<TickRecord> decode_record(std::string_view body) {
       return std::nullopt;
   if (!reader.exhausted()) return std::nullopt;  // trailing garbage.
   return record;
+}
+
+const VmEntry* TickRecord::find_vm(std::uint32_t host,
+                                   std::uint32_t vm) const noexcept {
+  const auto it = std::lower_bound(
+      vms.begin(), vms.end(), std::make_pair(host, vm),
+      [](const VmEntry& entry,
+         std::pair<std::uint32_t, std::uint32_t> key) noexcept {
+        return std::make_pair(entry.host, entry.vm) < key;
+      });
+  if (it == vms.end() || it->host != host || it->vm != vm) return nullptr;
+  return &*it;
+}
+
+const TenantEntry* TickRecord::find_tenant(
+    std::uint32_t tenant) const noexcept {
+  const auto it = std::lower_bound(
+      tenants.begin(), tenants.end(), tenant,
+      [](const TenantEntry& entry, std::uint32_t id) noexcept {
+        return entry.tenant < id;
+      });
+  if (it == tenants.end() || it->tenant != tenant) return nullptr;
+  return &*it;
 }
 
 std::optional<RecordPrefix> decode_prefix(std::string_view body) {

@@ -27,34 +27,45 @@
 
 namespace vmp::ledger {
 
-/// One VM's attribution state at a tick (mirrors serve::VmRecord).
+/// One VM's attribution state at a tick.
 struct VmEntry {
   std::uint32_t host = 0;
   std::uint32_t vm = 0;
   std::uint32_t tenant = 0;  ///< 0 = unbound (unattributed bucket).
-  double power_w = 0.0;
-  double energy_j = 0.0;
+  double power_w = 0.0;      ///< instant Shapley share at this tick.
+  double energy_j = 0.0;     ///< cumulative attributed energy.
 };
 
-/// One tenant's cross-host roll-up at a tick (mirrors serve::TenantRecord).
+/// One tenant's cross-host roll-up at a tick.
 struct TenantEntry {
   std::uint32_t tenant = 0;
-  double power_w = 0.0;
-  double energy_j = 0.0;
+  double power_w = 0.0;   ///< sum of the tenant's VM instant shares.
+  double energy_j = 0.0;  ///< cumulative cross-host energy (Additivity).
 };
 
-/// One per-tick attribution delta: the fleet's full attribution state at one
-/// publish epoch, with cumulative energies so the record is self-contained.
+/// The fleet's full attribution state at one publish epoch, with cumulative
+/// energies so the record is self-contained. This is the one declaration of
+/// a tick's attribution: the serve tier publishes it as serve::Snapshot, the
+/// ledger persists it, and cold queries read it back. Immutable once
+/// published — never mutated — so it is safe to share across threads
+/// without locks.
 struct TickRecord {
-  std::uint64_t epoch = 0;  ///< snapshot publish epoch; strictly ascending.
+  /// Publish sequence number, assigned by the store; strictly ascending.
+  std::uint64_t epoch = 0;
   std::uint64_t tick = 0;
-  double time_s = 0.0;
+  double time_s = 0.0;  ///< tick boundary in accounting time (tick*period).
   double period_s = 1.0;
   std::vector<VmEntry> vms;          ///< sorted by (host, vm).
   std::vector<TenantEntry> tenants;  ///< sorted by tenant.
   double total_power_w = 0.0;
   double total_energy_j = 0.0;  ///< measured host energy (fleet roll-up).
   double unattributed_j = 0.0;
+
+  /// Binary search; nullptr when the (host, vm) pair is unknown.
+  [[nodiscard]] const VmEntry* find_vm(std::uint32_t host,
+                                       std::uint32_t vm) const noexcept;
+  [[nodiscard]] const TenantEntry* find_tenant(
+      std::uint32_t tenant) const noexcept;
 };
 
 /// Frame header: u32 body length + u32 CRC32.

@@ -1037,6 +1037,8 @@ VerifyReport verify_dir(const std::filesystem::path& dir) {
         ++report.epoch_gaps;
       last_epoch = record.epoch;
       ++report.records;
+      if (report.first_epoch == 0) report.first_epoch = record.epoch;
+      report.last_epoch = std::max(report.last_epoch, record.epoch);
     }
     if (last_epoch != 0) previous_last = last_epoch;
   }

@@ -128,6 +128,8 @@ struct VerifyReport {
   std::uint64_t records = 0;
   std::uint64_t torn_records = 0;
   std::uint64_t epoch_gaps = 0;
+  std::uint64_t first_epoch = 0;  ///< oldest intact record; 0 when none.
+  std::uint64_t last_epoch = 0;   ///< newest intact record; 0 when none.
   bool clean() const noexcept { return torn_records == 0 && epoch_gaps == 0; }
 };
 [[nodiscard]] VerifyReport verify_dir(const std::filesystem::path& dir);

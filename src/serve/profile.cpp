@@ -54,10 +54,10 @@ StageTimer::~StageTimer() {
 }
 
 ServeProfiler::ServeProfiler(ServeProfilerOptions options)
-    : options_(options), total_sketch_(options.sketch_alpha) {
+    : options_(options), total_sketch_(kStageSketchAlpha) {
   stage_sketches_.reserve(kStageCount);
   for (std::size_t i = 0; i < kStageCount; ++i)
-    stage_sketches_.emplace_back(options_.sketch_alpha);
+    stage_sketches_.emplace_back(kStageSketchAlpha);
   if (options_.metrics != nullptr) {
     profiled_counter_ = &options_.metrics->counter(
         "vmpower_serve_profiled_total",
@@ -86,13 +86,11 @@ void ServeProfiler::observe(const StageProfile& profile) {
     total_sketch_.record(profile.total_s);
     ++observed_;
     if (trigger != nullptr) {
-      if (slow_log_.size() >= options_.slow_log_capacity &&
-          options_.slow_log_capacity > 0) {
+      if (slow_log_.size() >= kSlowLogCapacity) {
         slow_log_.pop_front();
         ++slow_dropped_;
       }
-      if (options_.slow_log_capacity > 0)
-        slow_log_.push_back(SlowQueryRecord{profile, slow_seq_++, trigger});
+      slow_log_.push_back(SlowQueryRecord{profile, slow_seq_++, trigger});
     }
   }
   if (profiled_counter_ != nullptr) profiled_counter_->inc();
@@ -163,7 +161,7 @@ void ServeProfiler::publish() {
 std::string ServeProfiler::health_text() {
   publish();
   std::vector<util::QuantileSketch> stages;
-  util::QuantileSketch total(options_.sketch_alpha);
+  util::QuantileSketch total(kStageSketchAlpha);
   std::vector<SlowQueryRecord> slow;
   std::uint64_t observed = 0, dropped = 0;
   {

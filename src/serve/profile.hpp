@@ -125,13 +125,14 @@ struct SlowQueryRecord {
   const char* trigger = "";     ///< "threshold" or "budget".
 };
 
+/// Relative accuracy of the per-stage sketches (1%).
+inline constexpr double kStageSketchAlpha = 0.01;
+/// Slow-query log depth; the oldest entry is dropped (and counted) when full.
+inline constexpr std::size_t kSlowLogCapacity = 64;
+
 struct ServeProfilerOptions {
-  /// Relative accuracy of the per-stage sketches (1% default).
-  double sketch_alpha = 0.01;
   /// Queries at or over this total latency enter the slow-query log.
   double slow_threshold_s = 0.050;
-  /// Bounded log depth; the oldest entry is dropped (and counted) when full.
-  std::size_t slow_log_capacity = 64;
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional: every finished profile feeds record(total_s, error).
   obs::SloTracker* slo = nullptr;

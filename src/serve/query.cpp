@@ -82,8 +82,8 @@ Response QueryEngine::execute(const Request& request) {
         const ledger::Stats stats = log->stats();
         if (stats.records > 0) {
           try {
-            if (const auto tail = log->at_epoch(stats.tail_epoch))
-              latest = std::make_shared<const Snapshot>(to_snapshot(*tail));
+            if (auto tail = log->at_epoch(stats.tail_epoch))
+              latest = std::make_shared<const Snapshot>(std::move(*tail));
           } catch (const ledger::DamagedRecord& damage) {
             return Response::error(ErrorCode::kUnavailable, damage.what());
           }
@@ -228,8 +228,8 @@ std::shared_ptr<const Snapshot> QueryEngine::resolve_at_or_before(
   if (first && first->epoch == 1) return genesis_baseline();
   if (const ledger::Ledger* log = store_.ledger()) {
     try {
-      if (const auto record = log->at_or_before(t_s))
-        return std::make_shared<const Snapshot>(to_snapshot(*record));
+      if (auto record = log->at_or_before(t_s))
+        return std::make_shared<const Snapshot>(std::move(*record));
     } catch (const ledger::DamagedRecord& damage) {
       error = Response::error(ErrorCode::kUnavailable, damage.what());
       return nullptr;

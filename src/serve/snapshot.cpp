@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/multi_host.hpp"
 #include "obs/trace.hpp"
 
 namespace vmp::serve {
@@ -19,64 +20,6 @@ struct VmKeyLess {
 };
 
 }  // namespace
-
-ledger::TickRecord to_record(const Snapshot& snapshot) {
-  ledger::TickRecord record;
-  record.epoch = snapshot.epoch;
-  record.tick = snapshot.tick;
-  record.time_s = snapshot.time_s;
-  record.period_s = snapshot.period_s;
-  record.vms.reserve(snapshot.vms.size());
-  for (const VmRecord& vm : snapshot.vms)
-    record.vms.push_back({vm.host, vm.vm, vm.tenant, vm.power_w, vm.energy_j});
-  record.tenants.reserve(snapshot.tenants.size());
-  for (const TenantRecord& tenant : snapshot.tenants)
-    record.tenants.push_back(
-        {tenant.tenant, tenant.power_w, tenant.energy_j});
-  record.total_power_w = snapshot.total_power_w;
-  record.total_energy_j = snapshot.total_energy_j;
-  record.unattributed_j = snapshot.unattributed_j;
-  return record;
-}
-
-Snapshot to_snapshot(const ledger::TickRecord& record) {
-  Snapshot snapshot;
-  snapshot.epoch = record.epoch;
-  snapshot.tick = record.tick;
-  snapshot.time_s = record.time_s;
-  snapshot.period_s = record.period_s;
-  snapshot.vms.reserve(record.vms.size());
-  for (const ledger::VmEntry& vm : record.vms)
-    snapshot.vms.push_back({vm.host, vm.vm, vm.tenant, vm.power_w,
-                            vm.energy_j});
-  snapshot.tenants.reserve(record.tenants.size());
-  for (const ledger::TenantEntry& tenant : record.tenants)
-    snapshot.tenants.push_back(
-        {tenant.tenant, tenant.power_w, tenant.energy_j});
-  snapshot.total_power_w = record.total_power_w;
-  snapshot.total_energy_j = record.total_energy_j;
-  snapshot.unattributed_j = record.unattributed_j;
-  return snapshot;
-}
-
-const VmRecord* Snapshot::find_vm(std::uint32_t host,
-                                  std::uint32_t vm) const noexcept {
-  const auto it = std::lower_bound(vms.begin(), vms.end(),
-                                   std::make_pair(host, vm), VmKeyLess{});
-  if (it == vms.end() || it->host != host || it->vm != vm) return nullptr;
-  return &*it;
-}
-
-const TenantRecord* Snapshot::find_tenant(
-    core::TenantId tenant) const noexcept {
-  const auto it = std::lower_bound(
-      tenants.begin(), tenants.end(), tenant,
-      [](const TenantRecord& record, core::TenantId id) noexcept {
-        return record.tenant < id;
-      });
-  if (it == tenants.end() || it->tenant != tenant) return nullptr;
-  return &*it;
-}
 
 SnapshotStore::SnapshotStore(std::size_t retention) : retention_(retention) {
   if (retention == 0)
@@ -100,7 +43,7 @@ void SnapshotStore::publish(Snapshot snapshot) {
     evictions = evictions_;
     latest_ = published;
   }
-  if (ledger_ != nullptr) ledger_->append(to_record(*published));
+  if (ledger_ != nullptr) ledger_->append(*published);
   if (monitor_ != nullptr) {
     monitor_->observe_ring(epoch, occupancy, retention_, evictions);
     if (ledger_ != nullptr)
@@ -114,12 +57,11 @@ std::size_t SnapshotStore::restore_from_ledger(const ledger::Ledger& log) {
   std::uint64_t from = stats.oldest_epoch;
   if (stats.tail_epoch - stats.oldest_epoch + 1 > retention_)
     from = stats.tail_epoch - retention_ + 1;
-  const std::vector<ledger::TickRecord> records =
-      log.range(from, stats.tail_epoch);
+  std::vector<Snapshot> records = log.range(from, stats.tail_epoch);
   std::lock_guard lock(ring_mutex_);
   ring_.clear();
-  for (const ledger::TickRecord& record : records) {
-    auto snapshot = std::make_shared<const Snapshot>(to_snapshot(record));
+  for (Snapshot& record : records) {
+    auto snapshot = std::make_shared<const Snapshot>(std::move(record));
     latest_ = snapshot;
     ring_.push_back(std::move(snapshot));
   }

@@ -21,55 +21,25 @@
 #include <mutex>
 #include <vector>
 
-#include "core/multi_host.hpp"
 #include "fleet/engine.hpp"
 #include "ledger/ledger.hpp"
 #include "obs/invariants.hpp"
 
 namespace vmp::serve {
 
-/// One VM's attribution state at a tick.
-struct VmRecord {
-  std::uint32_t host = 0;
-  std::uint32_t vm = 0;
-  core::TenantId tenant = 0;  ///< 0 = unbound (unattributed bucket).
-  double power_w = 0.0;       ///< instant Shapley share at this tick.
-  double energy_j = 0.0;      ///< cumulative attributed energy.
-};
+/// A published snapshot is the ledger's record itself (ledger/format.hpp
+/// owns the layout), so the ring and the ledger hold the same bytes by
+/// construction and no layer converts between them.
+using Snapshot = ledger::TickRecord;
+using VmRecord = ledger::VmEntry;
+using TenantRecord = ledger::TenantEntry;
 
-/// One tenant's cross-host roll-up at a tick.
-struct TenantRecord {
-  core::TenantId tenant = 0;
-  double power_w = 0.0;   ///< sum of the tenant's VM instant shares.
-  double energy_j = 0.0;  ///< cumulative cross-host energy (Additivity).
-};
-
-/// Immutable view of the fleet's attribution state at one tick. Published
-/// once, then only read — never mutated — so it is safe to share across
-/// threads without locks.
-struct Snapshot {
-  std::uint64_t epoch = 0;  ///< publish sequence number, assigned by the store.
-  std::uint64_t tick = 0;
-  double time_s = 0.0;  ///< tick boundary in accounting time (tick*period).
-  double period_s = 1.0;
-  std::vector<VmRecord> vms;          ///< sorted by (host, vm).
-  std::vector<TenantRecord> tenants;  ///< sorted by tenant.
-  double total_power_w = 0.0;
-  double total_energy_j = 0.0;
-  double unattributed_j = 0.0;
-
-  /// Binary search; nullptr when the (host, vm) pair is unknown.
-  [[nodiscard]] const VmRecord* find_vm(std::uint32_t host,
-                                        std::uint32_t vm) const noexcept;
-  [[nodiscard]] const TenantRecord* find_tenant(
-      core::TenantId tenant) const noexcept;
-};
-
-/// Snapshot <-> ledger record conversions. Field-for-field copies (the two
-/// structs mirror each other), so a snapshot round-tripped through the
-/// ledger is bit-identical — cold window answers match ring answers exactly.
-[[nodiscard]] ledger::TickRecord to_record(const Snapshot& snapshot);
-[[nodiscard]] Snapshot to_snapshot(const ledger::TickRecord& record);
+/// Identity, kept only for pipebench/bench_pipeline.cpp, its one caller; it
+/// goes with the next change to that benchmark.
+[[nodiscard]] inline const ledger::TickRecord& to_record(
+    const Snapshot& snapshot) noexcept {
+  return snapshot;
+}
 
 class SnapshotStore {
  public:
@@ -123,8 +93,8 @@ class SnapshotStore {
   /// outlive the engine's run() calls.
   void attach(fleet::FleetEngine& engine);
 
-  /// Mirrors every publish into `log` (the durable tier under the ring);
-  /// nullptr detaches. The append happens on the publish thread, so the
+  /// Appends every published snapshot to `log` (the durable tier under the
+  /// ring); nullptr detaches. The append happens on the publish thread, so the
   /// single-writer contracts of both sides line up. The ledger must outlive
   /// subsequent publishes.
   void set_ledger(ledger::Ledger* log) noexcept { ledger_ = log; }

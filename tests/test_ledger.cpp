@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +23,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/vm_config.hpp"
+#include "core/collector.hpp"
+#include "fleet/engine.hpp"
+#include "fleet/faults.hpp"
 #include "serve/protocol.hpp"
 #include "serve/query.hpp"
 #include "serve/snapshot.hpp"
@@ -703,19 +708,6 @@ Request window_request(QueryKind kind, double t0, double t1) {
   return request;
 }
 
-TEST(LedgerServe, SnapshotRecordConversionIsBitExact) {
-  const Snapshot snapshot = synthetic_at(9.0);
-  Snapshot back = to_snapshot(to_record(snapshot));
-  back.epoch = snapshot.epoch;
-  EXPECT_EQ(back.vms.size(), snapshot.vms.size());
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(back.vms[0].energy_j),
-            std::bit_cast<std::uint64_t>(snapshot.vms[0].energy_j));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(back.tenants[1].energy_j),
-            std::bit_cast<std::uint64_t>(snapshot.tenants[1].energy_j));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(back.total_energy_j),
-            std::bit_cast<std::uint64_t>(snapshot.total_energy_j));
-}
-
 struct Scratch {
   fs::path path;
   Scratch() {
@@ -786,6 +778,51 @@ TEST(LedgerServe, RestartServesByteIdenticalWindowAnswers) {
   store.publish(synthetic_at(41));
   EXPECT_EQ(store.latest()->epoch, 41u);
   EXPECT_EQ(log->stats().tail_epoch, 41u);
+}
+
+// The ring and the ledger hold one record type: every epoch an engine
+// publishes reads back from the ledger, and from a ring restored out of it,
+// as the same bytes. Faults with zero backoff degrade some host-ticks, whose
+// VMs carry their last instant power forward into the record.
+TEST(LedgerServe, EngineSnapshotsAreTheRecordsTheLedgerHolds) {
+  const std::vector<common::VmConfig> fleet = {common::paper_vm_type(1),
+                                               common::paper_vm_type(2)};
+  core::CollectionOptions collection;
+  collection.duration_s = 30.0;
+  const auto dataset =
+      core::collect_offline_dataset(sim::xeon_prototype(), fleet, collection);
+  fleet::FleetOptions options;
+  options.hosts = 2;
+  options.threads = 2;
+  options.fleet_per_host = fleet;
+  options.faults = fleet::parse_fault_spec("meter:0.3,dropout:0.1,stale:0.2");
+  options.retry_backoff_base = std::chrono::microseconds{0};
+  fleet::FleetEngine engine(options, dataset);
+
+  Scratch scratch;
+  Ledger log(inline_options(scratch.path));
+  SnapshotStore store(64);
+  store.attach(engine);
+  store.set_ledger(&log);
+  engine.run(30);
+  ASSERT_GT(engine.degraded_ticks(), 0u);
+  ASSERT_EQ(log.stats().tail_epoch, 30u);
+  EXPECT_GT(log.stats().cold_segments, 0u);
+
+  SnapshotStore restored(64);
+  ASSERT_EQ(restored.restore_from_ledger(log), 30u);
+  for (std::uint64_t epoch = 1; epoch <= 30; ++epoch) {
+    const auto record = log.at_epoch(epoch);
+    ASSERT_TRUE(record.has_value()) << epoch;
+    const auto ring = store.at_or_before(record->time_s);
+    const auto replayed = restored.at_or_before(record->time_s);
+    ASSERT_NE(ring, nullptr) << epoch;
+    ASSERT_NE(replayed, nullptr) << epoch;
+    EXPECT_EQ(ring->epoch, epoch);
+    const std::string bytes = ledger::encode_record(*record);
+    EXPECT_EQ(ledger::encode_record(*ring), bytes) << epoch;
+    EXPECT_EQ(ledger::encode_record(*replayed), bytes) << epoch;
+  }
 }
 
 TEST(LedgerServe, WindowErrorsCarryTheOldestReachableEpoch) {

@@ -12,6 +12,7 @@
 #include "fleet/metrics.hpp"
 #include "obs/invariants.hpp"
 #include "serve/client.hpp"
+#include "serve/profile.hpp"
 #include "serve/query.hpp"
 #include "serve/server.hpp"
 #include "serve/snapshot.hpp"
@@ -1131,6 +1132,23 @@ TEST_F(ServerTest, BudgetOverrunAndSlowThresholdFeedTheSlowQueryLog) {
   EXPECT_NE(health.find("trace=505"), std::string::npos);
   EXPECT_NE(health.find("trigger=threshold"), std::string::npos);
   server.stop();
+}
+
+TEST(ServeProfilerLog, KeepsTheNewest64SlowQueriesAndCountsTheDropped) {
+  ServeProfiler profiler({.slow_threshold_s = 0.010});
+  StageProfile profile;
+  profile.total_s = 0.020;  // every one is slow.
+  for (std::uint64_t i = 0; i < 70; ++i) {
+    profile.request_id = i;
+    profiler.observe(profile);
+  }
+  const auto slow = profiler.slow_queries();
+  ASSERT_EQ(slow.size(), 64u);
+  EXPECT_EQ(slow.front().seq, 6u);
+  EXPECT_EQ(slow.front().profile.request_id, 6u);
+  EXPECT_EQ(slow.back().seq, 69u);
+  EXPECT_EQ(profiler.slow_dropped(), 6u);
+  EXPECT_EQ(profiler.observed(), 70u);
 }
 
 TEST_F(ServerTest, ShedsUnderFaultInjectionKeepAccountingAndBurnTheSlo) {

@@ -495,6 +495,22 @@ int cmd_serve(const util::CliArgs& args) {
   const TraceRequest trace = trace_request_for(args);
   args.reject_unread();
 
+  // The engine starts at tick 0 unless a checkpoint resumes it, so history
+  // in the ledger must come with the checkpoint that wrote it; otherwise the
+  // first append would fail, after training and binding the port.
+  const bool resumes =
+      !checkpoint.empty() && std::filesystem::exists(checkpoint);
+  if (durable && !resumes && std::filesystem::exists(ledger_options.dir)) {
+    const ledger::VerifyReport held = ledger::verify_dir(ledger_options.dir);
+    if (held.records > 0)
+      throw std::runtime_error(
+          "serve: --ledger " + ledger_options.dir.string() + " holds epochs " +
+          std::to_string(held.first_epoch) + "-" +
+          std::to_string(held.last_epoch) +
+          " but no checkpoint resumes them; pass the --checkpoint that wrote "
+          "them or use an empty directory");
+  }
+
   std::printf("offline: training the shared host profile (%.0f s)...\n",
               collect.duration_s);
   const auto dataset = core::collect_offline_dataset(
@@ -519,7 +535,7 @@ int cmd_serve(const util::CliArgs& args) {
     store.set_ledger(log.get());
   }
 
-  if (!checkpoint.empty() && std::filesystem::exists(checkpoint)) {
+  if (resumes) {
     engine.restore_checkpoint(checkpoint);
     std::printf("resumed from checkpoint %s at tick %llu\n",
                 checkpoint.c_str(),
