@@ -3,12 +3,11 @@
 // Exact Shapley needs 2^n worth evaluations; the paper argues n <= 16 on
 // real hosts, so the overhead is "very low" (2^16 = 65536 operations). These
 // benchmarks quantify that claim on this implementation and measure the
-// escape hatches for larger games: symmetry collapse, and the type-set
-// kernel every estimator tick runs, whose cost grows with the 2^K sets of
-// busy VHCs rather than with the 2^n coalitions. The JSON context records
-// vmpower's own build type as "build_type"; google-benchmark's
-// "library_build_type" describes the installed benchmark library, not this
-// code.
+// escape hatch for larger games: the type-set kernel every estimator tick
+// runs, whose cost grows with the 2^K sets of busy VHCs rather than with the
+// 2^n coalitions. The JSON context records vmpower's own build type as
+// "build_type"; google-benchmark's "library_build_type" describes the
+// installed benchmark library, not this code.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -19,7 +18,6 @@
 #include "core/estimator.hpp"
 #include "core/linear_approx.hpp"
 #include "core/shapley.hpp"
-#include "core/shapley_fast.hpp"
 #include "core/vhc.hpp"
 #include "core/vsc_table.hpp"
 #include "util/rng.hpp"
@@ -60,50 +58,6 @@ void BM_ExactShapley(benchmark::State& state) {
   state.SetComplexityN(static_cast<std::int64_t>(1) << n);
 }
 BENCHMARK(BM_ExactShapley)->DenseRange(2, 16, 2)->Complexity(benchmark::oN);
-
-// --- fast kernels ------------------------------------------------------------
-//
-// The accelerations from the metering hot path: symmetry-collapsed
-// enumeration (compositions instead of masks when VMs duplicate), and the
-// estimator-level tick that stacks it on the batched worth evaluator.
-
-vmp::core::SymmetryGroups make_groups(std::size_t n, std::size_t n_groups) {
-  vmp::core::SymmetryGroups groups;
-  groups.group_of.resize(n);
-  groups.members.resize(n_groups);
-  for (std::size_t i = 0; i < n; ++i) {
-    groups.group_of[i] = i % n_groups;
-    groups.members[i % n_groups].push_back(static_cast<vmp::core::Player>(i));
-  }
-  return groups;
-}
-
-void BM_CollapsedShapley(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto types = static_cast<std::size_t>(state.range(1));
-  const auto groups = make_groups(n, types);
-  // Same game law as BM_ExactShapley, restated over groups so it is
-  // symmetric within each: standalone sum with 3 % pairwise contention.
-  vmp::util::Rng rng(42);
-  std::vector<double> standalone(types);
-  for (double& w : standalone) w = rng.uniform(5.0, 15.0);
-  const WorthFn v = [&](Coalition s) {
-    double sum = 0.0;
-    int members = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      if (s.contains(static_cast<vmp::core::Player>(i))) {
-        sum += standalone[groups.group_of[i]];
-        ++members;
-      }
-    return members == 0 ? 0.0 : sum * (1.0 - 0.03 * (members - 1));
-  };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(vmp::core::shapley_values_grouped(groups, v));
-  }
-}
-BENCHMARK(BM_CollapsedShapley)
-    ->ArgsProduct({{8, 12, 16}, {2, 4}})
-    ->ArgNames({"n", "types"});
 
 /// BM_EstimatorTick's host: a fitted 4-type approximation of the additive
 /// law 9/7/5/3 W per unit cpu, and n VMs in pipebench tick-mixed8's

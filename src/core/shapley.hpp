@@ -32,7 +32,7 @@ namespace vmp::core {
 [[nodiscard]] double shapley_weight(std::size_t n, std::size_t s);
 
 /// Fills `weights` (resized to n) with shapley_weight(n, s) for s = 0..n-1,
-/// the per-size table the exact and collapsed solvers weight marginals by.
+/// the per-size table the exact solver weights marginals by.
 void fill_shapley_weights(std::size_t n, std::vector<double>& weights);
 
 /// State-dependent worth function v(S, C): the coalition's power when its

@@ -1,5 +1,4 @@
-// Exact-Shapley kernels for VHC games, and the reference solver for
-// symmetric games.
+// The exact-Shapley kernel for VHC games, and its batched worth source.
 //
 // 1. A type-set kernel for VHC games (paper Def. 2, Eq. 9-10): when a
 //    coalition's worth is Σ_{j∈S} P[j][B(S)], B(S) being the set of busy
@@ -18,21 +17,11 @@
 //    for unfitted combos into an *effective* weight vector once, so the
 //    fallback costs nothing per tick afterwards.
 //
-// 3. Symmetry collapse (paper Sec. V-B/V-C): same-type VMs holding identical
-//    component states are *symmetric players*, so a coalition's worth
-//    depends only on how many members of each group it holds. The collapsed
-//    solver enumerates type-count *compositions* (Π_j (g_j + 1) worth
-//    evaluations, e.g. 625 for 4 groups of 4) instead of raw masks (2^n,
-//    e.g. 65536), with zero approximation error:
-//
-//      Φ_{i ∈ group j} = Σ_k  C(g_j−1, k_j) · Π_{t≠j} C(g_t, k_t)
-//                             · w(|k|) · [V(k + e_j) − V(k)]
-//
-//    where V(k) is the worth of any coalition with composition k and w is
-//    the per-size Shapley weight. Nothing on the metering path calls it: it
-//    stays as the reference solver for symmetric games that brute force
-//    cannot reach (tests check typeset_shapley against it on 64 VMs), and
-//    BM_CollapsedShapley times it.
+// The paper's symmetry collapse (Sec. V-B/V-C), which enumerates type-count
+// compositions instead of coalitions when VMs repeat a (type, state) pair,
+// has no solver here: the type-set kernel is exact at any n, repeated states
+// or not, so a collapsed solver would only be a second way to the same
+// answer. test_shapley_typeset keeps a composition sum as its 64-VM oracle.
 #pragma once
 
 #include <cstdint>
@@ -41,63 +30,9 @@
 #include <vector>
 
 #include "common/state_vector.hpp"
-#include "core/coalition.hpp"
 #include "core/linear_approx.hpp"
-#include "core/shapley.hpp"
 
 namespace vmp::core {
-
-/// A partition of the players into groups of pairwise-symmetric
-/// (interchangeable) players, in first-seen order.
-struct SymmetryGroups {
-  std::vector<std::size_t> group_of;        ///< player -> dense group index.
-  std::vector<std::vector<Player>> members; ///< group -> players, ascending.
-
-  [[nodiscard]] std::size_t player_count() const noexcept {
-    return group_of.size();
-  }
-  [[nodiscard]] std::size_t group_count() const noexcept {
-    return members.size();
-  }
-  [[nodiscard]] bool all_distinct() const noexcept {
-    return group_count() == player_count();
-  }
-  /// Π_j (g_j + 1): worth evaluations the collapsed solver performs. Always
-  /// <= 2^n, with equality exactly when every player is its own group.
-  /// Saturates at SIZE_MAX instead of wrapping (64 distinct players), so the
-  /// value stays safe to compare against a size bound.
-  [[nodiscard]] std::size_t composition_count() const noexcept;
-};
-
-/// Groups players by (key, state) equality: two players are symmetric under
-/// any VHC worth function iff they share a key (their VHC index) and hold
-/// bit-identical state vectors. keys and states must have equal size.
-/// Throws std::invalid_argument on a size mismatch.
-[[nodiscard]] SymmetryGroups detect_symmetry(
-    std::span<const std::size_t> keys,
-    std::span<const common::StateVector> states);
-
-/// Exact Shapley values via symmetry-collapsed composition enumeration.
-/// Players in the same group must be interchangeable under v (the solver
-/// evaluates v on one representative coalition per composition and
-/// broadcasts the per-group value to every member). Falls back gracefully —
-/// with all-singleton groups this is the plain mask sweep, just slower than
-/// shapley_values, so callers should collapse only when group_count <
-/// player_count. Throws std::invalid_argument on 0 players or more than
-/// kMaxPlayers.
-[[nodiscard]] std::vector<double> shapley_values_grouped(
-    const SymmetryGroups& groups, const WorthFn& v);
-
-/// The collapsed sum behind shapley_values_grouped, over worths already
-/// evaluated: worth[idx] is V(k) for the composition k whose mixed-radix
-/// index (group 0 fastest, radix g_j + 1) is idx, so worth holds
-/// groups.composition_count() entries; weights holds shapley_weight(n, s)
-/// for s < n. Returns Φ for every player, each group's value broadcast to
-/// its members. No kMaxPlayers bound — the cost is compositions × groups.
-/// Throws std::invalid_argument when either span has the wrong size.
-[[nodiscard]] std::vector<double> collapsed_shapley_sum(
-    const SymmetryGroups& groups, std::span<const double> worth,
-    std::span<const double> weights);
 
 /// typeset_shapley's working storage. The caller keeps it across calls, so
 /// its vectors grow to the largest game seen and are then reused: a

@@ -47,7 +47,7 @@ void FrontendOptions::validate() const {
 FederationFrontend::FederationFrontend(ShardMap map, FrontendOptions options)
     : map_(std::move(map)),
       options_(options),
-      health_(options_.health, options_.metrics) {
+      health_(options_.metrics) {
   options_.validate();
   if (map_.empty())
     throw std::invalid_argument("federation: empty shard map");

@@ -90,7 +90,6 @@ struct FrontendOptions {
   std::size_t workers = 0;
   /// Idle connections kept per shard endpoint.
   std::size_t max_idle_per_endpoint = 2;
-  HealthOptions health{};
   /// vmpower_fed_* instrumentation; optional.
   fleet::Metrics* metrics = nullptr;
   /// Additivity cross-check on complete fan-outs; optional.

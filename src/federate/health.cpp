@@ -2,17 +2,14 @@
 
 namespace vmp::federate {
 
-ShardHealthTracker::ShardHealthTracker(HealthOptions options,
-                                       fleet::Metrics* metrics)
-    : options_(options), metrics_(metrics) {
-  if (options_.probe_interval == 0) options_.probe_interval = 1;
-}
+ShardHealthTracker::ShardHealthTracker(fleet::Metrics* metrics)
+    : metrics_(metrics) {}
 
 bool ShardHealthTracker::should_try(std::uint32_t fleet) {
   std::lock_guard lock(mutex_);
   State& state = states_[fleet];
   if (!state.ejected) return true;
-  if (++state.skipped >= options_.probe_interval) {
+  if (++state.skipped >= kProbeInterval) {
     state.skipped = 0;
     if (metrics_)
       metrics_
@@ -47,8 +44,7 @@ void ShardHealthTracker::record_failure(std::uint32_t fleet) {
   std::lock_guard lock(mutex_);
   State& state = states_[fleet];
   ++state.consecutive_failures;
-  if (!state.ejected && options_.eject_after > 0 &&
-      state.consecutive_failures >= options_.eject_after) {
+  if (!state.ejected && state.consecutive_failures >= kEjectAfter) {
     state.ejected = true;
     state.skipped = 0;
     ++ejections_;

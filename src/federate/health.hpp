@@ -1,13 +1,13 @@
 // Per-shard health tracking for the federation frontend.
 //
-// A shard that fails `eject_after` consecutive fan-outs is *ejected*: the
+// A shard that fails kEjectAfter consecutive fan-outs is *ejected*: the
 // frontend stops burning its per-shard deadline on it every query and counts
 // the shard straight into the response's missing list. While ejected, every
-// `probe_interval`-th fan-out still sends one probe request; a probe that
+// kProbeInterval-th fan-out still sends one probe request; a probe that
 // succeeds re-admits the shard immediately (and a probe that fails keeps it
 // out). One success resets the consecutive-failure count wherever it stands,
-// so a flapping shard must fail `eject_after` times in a row again before
-// the next ejection.
+// so a flapping shard must fail kEjectAfter times in a row again before the
+// next ejection.
 //
 // Thread-safe: server workers drive concurrent fan-outs through one tracker.
 // Ejections/re-admissions/probes are exported as vmpower_fed_* counters and
@@ -22,18 +22,14 @@
 
 namespace vmp::federate {
 
-struct HealthOptions {
-  /// Consecutive failures before a shard is ejected; 0 disables ejection
-  /// (every shard is always tried).
-  std::uint32_t eject_after = 3;
-  /// While ejected, every Nth fan-out sends a probe (clamped to >= 1).
-  std::uint32_t probe_interval = 4;
-};
+/// Consecutive failed fan-outs before a shard is ejected.
+inline constexpr std::uint32_t kEjectAfter = 3;
+/// While a shard is ejected, every kProbeInterval-th fan-out probes it.
+inline constexpr std::uint32_t kProbeInterval = 4;
 
 class ShardHealthTracker {
  public:
-  explicit ShardHealthTracker(HealthOptions options = {},
-                              fleet::Metrics* metrics = nullptr);
+  explicit ShardHealthTracker(fleet::Metrics* metrics = nullptr);
 
   /// Admission decision for this fan-out: true when the shard is healthy or
   /// this is its probe turn. False — the caller skips the shard and reports
@@ -58,7 +54,6 @@ class ShardHealthTracker {
 
   void export_health(std::uint32_t fleet, const State& state);
 
-  HealthOptions options_;
   fleet::Metrics* metrics_;
   mutable std::mutex mutex_;
   std::map<std::uint32_t, State> states_;

@@ -16,9 +16,8 @@ std::string format_watts(double value) {
 
 }  // namespace
 
-InvariantMonitor::InvariantMonitor(MetricsRegistry& registry,
-                                   InvariantOptions options)
-    : registry_(registry), options_(options) {}
+InvariantMonitor::InvariantMonitor(MetricsRegistry& registry)
+    : registry_(registry) {}
 
 std::uint64_t InvariantMonitor::breaches() const noexcept {
   std::uint64_t total = 0;
@@ -46,7 +45,7 @@ void InvariantMonitor::breach(Which which, const char* invariant,
   counter->inc();
   Throttle& throttle = throttle_[which];
   if (throttle.warned &&
-      epoch < throttle.last_epoch + options_.warn_log_interval)
+      epoch < throttle.last_epoch + kWarnLogInterval)
     return;
   throttle.warned = true;
   throttle.last_epoch = epoch;
@@ -66,11 +65,10 @@ void InvariantMonitor::observe_efficiency(std::uint64_t epoch,
   }
   efficiency_residual_w_->set(residual_w);
   invariant_epoch_->set(static_cast<double>(epoch));
-  if (residual_w > options_.efficiency_residual_warn_w)
+  if (residual_w > kEfficiencyResidualWarnW)
     breach(kEfficiency, "efficiency", epoch,
            "residual_w=" + format_watts(residual_w) +
-               " threshold_w=" +
-               format_watts(options_.efficiency_residual_warn_w));
+               " threshold_w=" + format_watts(kEfficiencyResidualWarnW));
 }
 
 void InvariantMonitor::observe_serve_accounting(std::uint64_t epoch,
@@ -110,16 +108,17 @@ void InvariantMonitor::observe_ledger(std::uint64_t snapshot_epoch,
                " (a publish missed the durable ledger)");
 }
 
-void InvariantMonitor::observe_ledger_replay(std::uint64_t epoch,
+bool InvariantMonitor::observe_ledger_replay(std::uint64_t epoch,
                                              double replayed_total_j,
                                              double accountant_total_j) {
   // Bit-for-bit: the record stores the accountant's totals verbatim, so any
   // difference at all is divergence, not rounding.
-  if (replayed_total_j != accountant_total_j)
-    breach(kLedgerReplay, "ledger_replay", epoch,
-           "replayed_total_j=" + format_watts(replayed_total_j) +
-               " accountant_total_j=" + format_watts(accountant_total_j) +
-               " (ledger history and checkpoint diverged)");
+  if (replayed_total_j == accountant_total_j) return true;
+  breach(kLedgerReplay, "ledger_replay", epoch,
+         "replayed_total_j=" + format_watts(replayed_total_j) +
+             " accountant_total_j=" + format_watts(accountant_total_j) +
+             " (ledger history and checkpoint diverged)");
+  return false;
 }
 
 void InvariantMonitor::observe_federation(std::uint64_t epoch,

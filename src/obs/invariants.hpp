@@ -18,18 +18,14 @@
 
 namespace vmp::obs {
 
-/// The fleet engine's monitor runs on these defaults; tests build monitors
-/// with other thresholds.
-struct InvariantOptions {
-  /// Warn when the per-tick fleet efficiency residual Σ_h |Σφ − measured|
-  /// exceeds this many watts. Fault-free ticks sit at floating-point noise
-  /// (~1e-13 W); any real breach means power was billed that no meter saw.
-  double efficiency_residual_warn_w = 1e-3;
-  /// Minimum epochs between two warn logs of the same invariant, so a
-  /// persistent breach cannot flood the sink (the breach counter still
-  /// counts every occurrence).
-  std::uint64_t warn_log_interval = 16;
-};
+/// Warn when the per-tick fleet efficiency residual Σ_h |Σφ − measured|
+/// exceeds this many watts. Fault-free ticks sit at floating-point noise
+/// (~1e-13 W); any real breach means power was billed that no meter saw.
+inline constexpr double kEfficiencyResidualWarnW = 1e-3;
+/// Minimum epochs between two warn logs of the same invariant, so a
+/// persistent breach cannot flood the sink (the breach counter still counts
+/// every occurrence).
+inline constexpr std::uint64_t kWarnLogInterval = 16;
 
 /// Feeds invariant samples into a MetricsRegistry and emits structured warn
 /// events on threshold breaches. Observations for one invariant must come
@@ -43,8 +39,7 @@ struct InvariantOptions {
 /// or the ledger exports none of their series.
 class InvariantMonitor {
  public:
-  explicit InvariantMonitor(MetricsRegistry& registry,
-                            InvariantOptions options = {});
+  explicit InvariantMonitor(MetricsRegistry& registry);
 
   /// Per-tick fleet efficiency residual (W), stamped with the tick epoch.
   void observe_efficiency(std::uint64_t epoch, double residual_w);
@@ -72,10 +67,11 @@ class InvariantMonitor {
                       std::uint64_t ledger_tail_epoch);
 
   /// Checkpoint-restore cross-check: the energies replayed from the ledger
-  /// record at the checkpointed epoch must equal the restored accountant's
+  /// record at the checkpointed tick must equal the restored accountant's
   /// totals bit-for-bit (both came from the same deterministic history). A
-  /// mismatch means the ledger and the checkpoint diverged.
-  void observe_ledger_replay(std::uint64_t epoch, double replayed_total_j,
+  /// mismatch means the ledger and the checkpoint diverged. Returns whether
+  /// the totals agree.
+  bool observe_ledger_replay(std::uint64_t epoch, double replayed_total_j,
                              double accountant_total_j);
 
   /// Federation Additivity cross-check: on a fault-free fan-out (every shard
@@ -108,7 +104,6 @@ class InvariantMonitor {
               const std::string& detail);
 
   MetricsRegistry& registry_;
-  InvariantOptions options_;
 
   // Resolved on the first call of the observe_* that sets them.
   Gauge* efficiency_residual_w_ = nullptr;

@@ -42,20 +42,11 @@ void SloTracker::Ring::sum(std::uint64_t now_s, std::uint64_t& total,
 }
 
 SloTracker::SloTracker(SloOptions options) : options_(std::move(options)) {
-  if (options_.fast_window_s == 0 || options_.slow_window_s == 0)
-    throw std::invalid_argument("SloTracker: windows must be positive");
-  if (options_.latency_objective < 0.0 || options_.latency_objective >= 1.0 ||
-      options_.availability_objective < 0.0 ||
-      options_.availability_objective >= 1.0)
+  if (options_.latency_objective < 0.0 || options_.latency_objective >= 1.0)
     throw std::invalid_argument(
-        "SloTracker: objectives must lie in [0, 1) — an objective of 1.0 "
-        "leaves no error budget to burn against");
+        "SloTracker: the latency objective must lie in [0, 1) — an "
+        "objective of 1.0 leaves no error budget to burn against");
   if (!options_.clock) options_.clock = steady_seconds;
-  // Slot width rounds the window up to a multiple of kSlots; the effective
-  // window is width * kSlots, which equals the requested window whenever it
-  // is a multiple of kSlots (both defaults are).
-  fast_.width_s = (options_.fast_window_s + kSlots - 1) / kSlots;
-  slow_.width_s = (options_.slow_window_s + kSlots - 1) / kSlots;
 
   if (options_.metrics != nullptr) {
     MetricsRegistry& m = *options_.metrics;
@@ -121,12 +112,10 @@ SloTracker::Health SloTracker::health_locked() const {
   std::uint64_t total = 0, slow_count = 0, errors = 0;
   fast_.sum(now_s, total, slow_count, errors);
   health.latency_fast = cell(total, slow_count, options_.latency_objective);
-  health.availability_fast =
-      cell(total, errors, options_.availability_objective);
+  health.availability_fast = cell(total, errors, kAvailabilityObjective);
   slow_.sum(now_s, total, slow_count, errors);
   health.latency_slow = cell(total, slow_count, options_.latency_objective);
-  health.availability_slow =
-      cell(total, errors, options_.availability_objective);
+  health.availability_slow = cell(total, errors, kAvailabilityObjective);
   return health;
 }
 
@@ -161,9 +150,9 @@ std::string SloTracker::to_text() const {
   } rows[4] = {
       {"latency", "fast", options_.latency_objective, &health.latency_fast},
       {"latency", "slow", options_.latency_objective, &health.latency_slow},
-      {"availability", "fast", options_.availability_objective,
+      {"availability", "fast", kAvailabilityObjective,
        &health.availability_fast},
-      {"availability", "slow", options_.availability_objective,
+      {"availability", "slow", kAvailabilityObjective,
        &health.availability_slow},
   };
   std::string out;

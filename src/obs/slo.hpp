@@ -30,17 +30,18 @@
 
 namespace vmp::obs {
 
+/// Target fraction of queries that do not fail (error budget 0.1%).
+inline constexpr double kAvailabilityObjective = 0.999;
+/// Rolling windows, seconds. Fast reacts to incidents, slow reflects
+/// sustained health.
+inline constexpr std::uint64_t kFastWindowS = 300;
+inline constexpr std::uint64_t kSlowWindowS = 3600;
+
 struct SloOptions {
   /// A query at or above this latency breaches the latency objective.
   double latency_threshold_s = 0.050;
   /// Target fraction of queries under the threshold (error budget 1%).
   double latency_objective = 0.99;
-  /// Target fraction of queries that do not fail (error budget 0.1%).
-  double availability_objective = 0.999;
-  /// Rolling windows, seconds. Fast reacts to incidents, slow reflects
-  /// sustained health; both must be positive.
-  std::uint64_t fast_window_s = 300;
-  std::uint64_t slow_window_s = 3600;
   /// Seconds-granularity clock; defaults to the steady clock. Injectable
   /// for deterministic tests.
   std::function<std::uint64_t()> clock;
@@ -85,12 +86,16 @@ class SloTracker {
 
  private:
   static constexpr std::size_t kSlots = 60;
+  static_assert(kFastWindowS % kSlots == 0 && kSlowWindowS % kSlots == 0,
+                "a window is a whole number of slots");
 
   /// Slotted ring: slot i covers seconds [stamp*width, (stamp+1)*width).
   /// A slot whose stamp is stale is zeroed on first touch, so memory stays
   /// constant no matter how long the tracker lives.
   struct Ring {
-    std::uint64_t width_s = 1;
+    explicit Ring(std::uint64_t window_s) : width_s(window_s / kSlots) {}
+
+    const std::uint64_t width_s;
     struct Slot {
       std::uint64_t stamp = 0;  ///< now_s / width_s when last written.
       std::uint64_t total = 0;
@@ -111,8 +116,8 @@ class SloTracker {
 
   SloOptions options_;
   mutable std::mutex mutex_;
-  Ring fast_;
-  Ring slow_;
+  Ring fast_{kFastWindowS};
+  Ring slow_{kSlowWindowS};
   std::uint64_t recorded_ = 0;
 
   Counter* requests_ = nullptr;

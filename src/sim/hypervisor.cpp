@@ -11,8 +11,7 @@ Hypervisor::Hypervisor(MachineSpec spec, std::uint64_t seed)
     : spec_(std::move(spec)), rng_(seed) {
   spec_.validate();
   pack_fraction_ = spec_.pack_affinity;
-  placement_.assign(spec_.topology.logical_cpus(), ThreadAssignment{});
-  power_ = compute_power(spec_, placement_, {});
+  power_ = compute_power(spec_, Placement(spec_.topology.logical_cpus()), {});
 }
 
 VmId Hypervisor::create_vm(common::VmConfig config, wl::WorkloadPtr workload) {
@@ -103,9 +102,6 @@ void Hypervisor::recompute_epoch() {
   // scheduling variability, clamped to [0, 1].
   pack_fraction_ = std::clamp(
       spec_.pack_affinity + rng_.normal(0.0, spec_.affinity_jitter), 0.0, 1.0);
-  placement_ = place(spec_.topology, demands,
-                     pack_fraction_ >= 0.5 ? PlacementMode::kPack
-                                           : PlacementMode::kSpread);
   power_ = blended_power(spec_, demands, loads, pack_fraction_);
 }
 

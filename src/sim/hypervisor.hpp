@@ -68,13 +68,6 @@ class Hypervisor {
     return power_;
   }
 
-  /// Representative placement of the current epoch: the pack placement when
-  /// the realized pack fraction exceeds 1/2, else the spread one (the power
-  /// itself is the fraction-weighted blend; see MachineSpec::pack_affinity).
-  [[nodiscard]] const Placement& current_placement() const noexcept {
-    return placement_;
-  }
-
   /// Pack fraction realized in the current epoch.
   [[nodiscard]] double current_pack_fraction() const noexcept {
     return pack_fraction_;
@@ -90,7 +83,6 @@ class Hypervisor {
   std::vector<Vm> vms_;
   double now_s_ = 0.0;
   double pack_fraction_ = 0.0;
-  Placement placement_;
   PowerBreakdown power_;
 };
 

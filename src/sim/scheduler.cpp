@@ -47,18 +47,4 @@ Placement place(const CpuTopology& topology, std::span<const VcpuDemand> demands
   return placement;
 }
 
-StochasticScheduler::StochasticScheduler(double pack_affinity, std::uint64_t seed)
-    : pack_affinity_(pack_affinity), rng_(seed) {
-  if (pack_affinity < 0.0 || pack_affinity > 1.0)
-    throw std::invalid_argument(
-        "StochasticScheduler: pack_affinity must be in [0, 1]");
-}
-
-Placement StochasticScheduler::schedule(const CpuTopology& topology,
-                                        std::span<const VcpuDemand> demands) {
-  last_mode_ = rng_.bernoulli(pack_affinity_) ? PlacementMode::kPack
-                                              : PlacementMode::kSpread;
-  return place(topology, demands, last_mode_);
-}
-
 }  // namespace vmp::sim

@@ -8,11 +8,13 @@
 //     does on an uncrowded host);
 //   * kPack   — prefer filling a half-busy core's free sibling first (what a
 //     consolidating scheduler, or a crowded host, produces; this is the
-//     placement behind the paper's Fig. 4 measurement);
-//   * StochasticScheduler — picks pack vs spread per scheduling epoch with
-//     probability `pack_affinity`, reproducing the time-averaged partial
-//     contention that makes the paper's Table IV per-type coefficients land
-//     between the pure-pack and pure-spread extremes.
+//     placement behind the paper's Fig. 4 measurement).
+//
+// Neither alone is what the paper measured: its Table IV per-type
+// coefficients land between the pure-pack and pure-spread extremes. The
+// hypervisor reproduces that time-averaged partial contention by blending
+// the power of both placements by a per-epoch pack fraction
+// (MachineSpec::pack_affinity, see blended_power).
 #pragma once
 
 #include <cstddef>
@@ -20,7 +22,6 @@
 #include <vector>
 
 #include "sim/cpu_topology.hpp"
-#include "util/rng.hpp"
 
 namespace vmp::sim {
 
@@ -61,24 +62,5 @@ enum class PlacementMode { kSpread, kPack };
 [[nodiscard]] Placement place(const CpuTopology& topology,
                               std::span<const VcpuDemand> demands,
                               PlacementMode mode);
-
-/// Epoch-stochastic scheduler: each call to schedule() chooses kPack with
-/// probability pack_affinity, else kSpread, then places deterministically.
-class StochasticScheduler {
- public:
-  /// Throws std::invalid_argument if pack_affinity is outside [0, 1].
-  StochasticScheduler(double pack_affinity, std::uint64_t seed);
-
-  [[nodiscard]] Placement schedule(const CpuTopology& topology,
-                                   std::span<const VcpuDemand> demands);
-
-  /// Mode chosen by the most recent schedule() call.
-  [[nodiscard]] PlacementMode last_mode() const noexcept { return last_mode_; }
-
- private:
-  double pack_affinity_;
-  util::Rng rng_;
-  PlacementMode last_mode_ = PlacementMode::kSpread;
-};
 
 }  // namespace vmp::sim

@@ -68,10 +68,8 @@ TEST(ShardMap, RejectsMalformedSpecs) {
 // --- health tracker ---------------------------------------------------------
 
 TEST(ShardHealth, EjectsAfterConsecutiveFailuresAndProbesBack) {
-  HealthOptions options;
-  options.eject_after = 3;
-  options.probe_interval = 2;
-  ShardHealthTracker health(options);
+  static_assert(kEjectAfter == 3 && kProbeInterval == 4);
+  ShardHealthTracker health;
 
   EXPECT_TRUE(health.should_try(1));
   health.record_failure(1);
@@ -86,11 +84,13 @@ TEST(ShardHealth, EjectsAfterConsecutiveFailuresAndProbesBack) {
   EXPECT_TRUE(health.ejected(1));
   EXPECT_EQ(health.ejections(), 1u);
 
-  // While ejected, every probe_interval-th fan-out is a probe.
-  EXPECT_FALSE(health.should_try(1));
-  EXPECT_TRUE(health.should_try(1));  // probe turn.
-  EXPECT_FALSE(health.should_try(1));
-  EXPECT_TRUE(health.should_try(1));
+  // While ejected, every kProbeInterval-th fan-out is a probe.
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_FALSE(health.should_try(1));
+    EXPECT_FALSE(health.should_try(1));
+    EXPECT_FALSE(health.should_try(1));
+    EXPECT_TRUE(health.should_try(1)) << "probe turn " << round;
+  }
 
   // A probe success re-admits immediately.
   health.record_success(1);
@@ -341,17 +341,19 @@ TEST(Federation, ConsecutiveFailuresEjectTheShard) {
   FrontendOptions options;
   options.deadline = std::chrono::milliseconds(200);
   options.retries = 0;
-  options.health.eject_after = 2;
-  options.health.probe_interval = 100;  // no probe inside this test.
   Federation fed(/*ticks=*/2, options);
   fed.shards[2]->stop();  // fleet 3 dies.
 
   const Request request = make_request(QueryKind::kFleetPower, 0, 0, 0);
-  (void)fed.frontend->execute(request);
+  for (std::uint32_t failure = 1; failure < kEjectAfter; ++failure)
+    (void)fed.frontend->execute(request);
+  EXPECT_FALSE(fed.frontend->health().ejected(3));
   (void)fed.frontend->execute(request);
   EXPECT_TRUE(fed.frontend->health().ejected(3));
 
-  // Ejected shards are not even attempted, but still reported missing.
+  // Ejected shards are not even attempted, but still reported missing. The
+  // probe comes only on the kProbeInterval-th fan-out after the ejection.
+  static_assert(kProbeInterval > 1);
   const Response partial = fed.frontend->execute(request);
   ASSERT_TRUE(partial.ok);
   EXPECT_FALSE(partial.complete);
@@ -769,32 +771,33 @@ TEST(Federation, PooledFanoutReusesConnectionsAndCountsExactlyOnce) {
 TEST(Federation, PooledFrontendSurvivesAShardRestartWithoutEjection) {
   FrontendOptions options;
   options.retries = 0;
-  options.health.eject_after = 1;  // any counted failure would eject.
   Federation fed(/*ticks=*/4, options);
   const Request request = make_request(QueryKind::kFleetPower, 0, 0, 0);
   ASSERT_TRUE(fed.frontend->execute(request).ok);  // pool all 3 connections.
 
-  // Bounce fleet 2's shard on the same port.
+  // Bounce fleet 2's shard on the same port kEjectAfter times in a row. Each
+  // time the pooled leg trips over its stale socket, reconnects once, and
+  // the fan-out stays complete: a restart costs one reconnect, not a health
+  // failure. Had any bounce counted as one, the kEjectAfter-th in a row
+  // would eject the shard.
   const std::uint16_t port = fed.shards[1]->port();
-  fed.shards[1]->stop();
-  InProcessShardOptions shard_options;
-  shard_options.fleet = 2;
-  shard_options.engine = exact_tou_options();
-  shard_options.server = quick_server();
-  shard_options.server.port = port;
-  fed.shards[1] = std::make_unique<InProcessShard>(shard_options);
-  for (int t = 1; t <= 4; ++t)
-    fed.shards[1]->store().publish(shard_at(2, t));
+  for (std::uint32_t bounce = 1; bounce <= kEjectAfter; ++bounce) {
+    fed.shards[1]->stop();
+    InProcessShardOptions shard_options;
+    shard_options.fleet = 2;
+    shard_options.engine = exact_tou_options();
+    shard_options.server = quick_server();
+    shard_options.server.port = port;
+    fed.shards[1] = std::make_unique<InProcessShard>(shard_options);
+    for (int t = 1; t <= 4; ++t)
+      fed.shards[1]->store().publish(shard_at(2, t));
 
-  // The pooled leg trips over its stale socket, reconnects once, and the
-  // fan-out stays complete: a restart costs one reconnect, not a health
-  // failure — with eject_after = 1 an uncounted failure is observable as
-  // the shard staying admitted.
-  const Response response = fed.frontend->execute(request);
-  ASSERT_TRUE(response.ok) << response.message;
-  EXPECT_TRUE(response.complete);
-  EXPECT_FALSE(fed.frontend->health().ejected(2));
-  EXPECT_EQ(fed.frontend->pool()->reconnects(), 1u);
+    const Response response = fed.frontend->execute(request);
+    ASSERT_TRUE(response.ok) << "bounce " << bounce << ": " << response.message;
+    EXPECT_TRUE(response.complete) << "bounce " << bounce;
+    EXPECT_FALSE(fed.frontend->health().ejected(2)) << "bounce " << bounce;
+    EXPECT_EQ(fed.frontend->pool()->reconnects(), bounce);
+  }
 }
 
 TEST(Federation, TimedOutPooledConnectionIsDiscardedNotReused) {

@@ -135,9 +135,8 @@ TEST(Tracer, ConcurrentRecordingIsLosslessUnderCapacity) {
 
 TEST(InvariantMonitor, EfficiencyBreachCountsAndStampsEpoch) {
   MetricsRegistry registry;
-  InvariantOptions options;
-  options.efficiency_residual_warn_w = 1e-3;
-  InvariantMonitor monitor(registry, options);
+  InvariantMonitor monitor(registry);
+  static_assert(kEfficiencyResidualWarnW == 1e-3);
 
   monitor.observe_efficiency(5, 1e-9);  // noise: no breach.
   EXPECT_EQ(monitor.breaches(), 0u);
@@ -156,31 +155,29 @@ TEST(InvariantMonitor, EfficiencyBreachCountsAndStampsEpoch) {
 
 TEST(InvariantMonitor, WarnLogsAreRateLimitedButBreachesAllCount) {
   MetricsRegistry registry;
-  InvariantOptions options;
-  options.efficiency_residual_warn_w = 1e-3;
-  options.warn_log_interval = 8;
-  InvariantMonitor monitor(registry, options);
+  InvariantMonitor monitor(registry);
+  static_assert(kWarnLogInterval == 16);
 
   std::vector<std::string> lines;
   util::set_log_sink([&lines](util::LogLevel, std::string_view line) {
     lines.emplace_back(line);
   });
-  for (std::uint64_t epoch = 1; epoch <= 20; ++epoch)
+  for (std::uint64_t epoch = 1; epoch <= 40; ++epoch)
     monitor.observe_efficiency(epoch, 1.0);
   util::set_log_sink({});
 
-  EXPECT_EQ(monitor.breaches(), 20u);
-  // Epochs 1, 9, 17 log; the rest are throttled.
+  EXPECT_EQ(monitor.breaches(), 40u);
+  // Epochs 1, 17, 33 log; the rest are throttled.
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_NE(lines[0].find("invariant=efficiency"), std::string::npos);
   EXPECT_NE(lines[0].find("epoch=1 "), std::string::npos);
-  EXPECT_NE(lines[1].find("epoch=9 "), std::string::npos);
-  EXPECT_NE(lines[2].find("epoch=17 "), std::string::npos);
+  EXPECT_NE(lines[1].find("epoch=17 "), std::string::npos);
+  EXPECT_NE(lines[2].find("epoch=33 "), std::string::npos);
 }
 
 TEST(InvariantMonitor, ServeAccountingBreachesOnSurplusAndIdleDeficit) {
   MetricsRegistry registry;
-  InvariantMonitor monitor(registry, {});
+  InvariantMonitor monitor(registry);
   // Balanced books: every admitted request answered, nothing in flight.
   monitor.observe_serve_accounting(1, 10, 10, 0);
   EXPECT_EQ(monitor.breaches(), 0u);
@@ -205,7 +202,7 @@ TEST(InvariantMonitor, ServeAccountingBreachesOnSurplusAndIdleDeficit) {
 
 TEST(InvariantMonitor, RingObservationsExportWithoutWarning) {
   MetricsRegistry registry;
-  InvariantMonitor monitor(registry, {});
+  InvariantMonitor monitor(registry);
   monitor.observe_ring(12, 4, 4, 8);  // full ring + evictions: by design.
   EXPECT_EQ(monitor.breaches(), 0u);
   const std::string dump = registry.to_prometheus();
@@ -234,7 +231,7 @@ std::set<std::string> series_names(const std::string& dump) {
 
 TEST(InvariantMonitor, ExportsNothingBeforeItsFirstObservation) {
   MetricsRegistry registry;
-  InvariantMonitor monitor(registry, {});
+  InvariantMonitor monitor(registry);
   EXPECT_TRUE(series_names(registry.to_prometheus()).empty());
 
   // One invariant's first observation registers that invariant's series
@@ -249,7 +246,7 @@ TEST(InvariantMonitor, ExportsNothingBeforeItsFirstObservation) {
 
 TEST(InvariantMonitor, RepeatedRingObservationsKeepOneSeriesSet) {
   MetricsRegistry registry;
-  InvariantMonitor monitor(registry, {});
+  InvariantMonitor monitor(registry);
   monitor.observe_ring(3, 3, 4, 0);
   const std::set<std::string> first = series_names(registry.to_prometheus());
   EXPECT_EQ(first.size(), 4u);

@@ -115,34 +115,6 @@ TEST(Place, DeterministicForGivenMode) {
   }
 }
 
-TEST(StochasticScheduler, AffinityControlsModeMix) {
-  const std::vector<VcpuDemand> demands = {{0, 1.0, 1.0}, {1, 1.0, 1.0}};
-  StochasticScheduler sched(0.3, /*seed=*/5);
-  int packs = 0;
-  for (int i = 0; i < 2000; ++i) {
-    (void)sched.schedule(kTopo, demands);
-    if (sched.last_mode() == PlacementMode::kPack) ++packs;
-  }
-  EXPECT_NEAR(packs / 2000.0, 0.3, 0.04);
-}
-
-TEST(StochasticScheduler, ExtremesArePure) {
-  const std::vector<VcpuDemand> demands = {{0, 1.0, 1.0}};
-  StochasticScheduler always_pack(1.0, 1);
-  StochasticScheduler never_pack(0.0, 1);
-  for (int i = 0; i < 50; ++i) {
-    (void)always_pack.schedule(kTopo, demands);
-    EXPECT_EQ(always_pack.last_mode(), PlacementMode::kPack);
-    (void)never_pack.schedule(kTopo, demands);
-    EXPECT_EQ(never_pack.last_mode(), PlacementMode::kSpread);
-  }
-}
-
-TEST(StochasticScheduler, Validation) {
-  EXPECT_THROW(StochasticScheduler(-0.1, 1), std::invalid_argument);
-  EXPECT_THROW(StochasticScheduler(1.1, 1), std::invalid_argument);
-}
-
 TEST(PlacementMode, Names) {
   EXPECT_STREQ(to_string(PlacementMode::kPack), "pack");
   EXPECT_STREQ(to_string(PlacementMode::kSpread), "spread");

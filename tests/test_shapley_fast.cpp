@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -16,161 +15,6 @@ namespace {
 
 using common::Component;
 using common::StateVector;
-
-// --- symmetry detection ------------------------------------------------------
-
-TEST(DetectSymmetry, GroupsByKeyAndExactState) {
-  const std::vector<std::size_t> keys = {0, 0, 1, 0, 1};
-  const std::vector<StateVector> states = {
-      StateVector::cpu_only(0.5), StateVector::cpu_only(0.5),
-      StateVector::cpu_only(0.5), StateVector::cpu_only(0.25),
-      StateVector::cpu_only(0.5)};
-  const SymmetryGroups groups = detect_symmetry(keys, states);
-  // {0,1} share key 0 + state; {2,4} share key 1 + state; {3} differs by
-  // state despite key 0.
-  ASSERT_EQ(groups.group_count(), 3u);
-  EXPECT_EQ(groups.group_of[0], groups.group_of[1]);
-  EXPECT_EQ(groups.group_of[2], groups.group_of[4]);
-  EXPECT_NE(groups.group_of[0], groups.group_of[3]);
-  EXPECT_NE(groups.group_of[0], groups.group_of[2]);
-  EXPECT_EQ(groups.composition_count(), 3u * 3u * 2u);
-  EXPECT_FALSE(groups.all_distinct());
-  EXPECT_THROW(
-      detect_symmetry(std::vector<std::size_t>{0},
-                      std::vector<StateVector>{}),
-      std::invalid_argument);
-}
-
-// --- grouped (symmetry-collapsed) solver ------------------------------------
-
-/// A game that is symmetric within each group by construction: the worth
-/// depends only on the per-group member counts, via random additive and
-/// multiplicative composition tables.
-struct SymmetricGame {
-  SymmetryGroups groups;
-  std::vector<std::vector<double>> add;  // group -> per-count term.
-  std::vector<std::vector<double>> mul;  // group -> per-count factor.
-
-  [[nodiscard]] WorthFn worth() const {
-    return [this](Coalition s) {
-      std::vector<std::size_t> count(groups.group_count(), 0);
-      for (Player i = 0; i < groups.player_count(); ++i)
-        if (s.contains(i)) ++count[groups.group_of[i]];
-      double sum = 0.0, prod = 1.0;
-      for (std::size_t g = 0; g < groups.group_count(); ++g) {
-        sum += add[g][count[g]];
-        prod *= mul[g][count[g]];
-      }
-      return sum + prod;
-    };
-  }
-};
-
-SymmetricGame random_symmetric_game(std::size_t n_groups,
-                                    std::size_t max_group_size,
-                                    util::Rng& rng) {
-  SymmetricGame game;
-  std::size_t player = 0;
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    const auto size = static_cast<std::size_t>(
-        rng.uniform_int(1, static_cast<std::int64_t>(max_group_size)));
-    game.groups.members.emplace_back();
-    for (std::size_t k = 0; k < size; ++k) {
-      game.groups.members[g].push_back(player++);
-      game.groups.group_of.push_back(g);
-    }
-    game.add.emplace_back();
-    game.mul.emplace_back();
-    for (std::size_t k = 0; k <= size; ++k) {
-      game.add[g].push_back(rng.uniform(-5.0, 20.0));
-      game.mul[g].push_back(rng.uniform(0.5, 1.5));
-    }
-  }
-  return game;
-}
-
-TEST(GroupedShapley, MatchesMaskSweepOnRandomizedSymmetricGames) {
-  util::Rng rng(42);
-  for (int trial = 0; trial < 60; ++trial) {
-    const auto n_groups =
-        static_cast<std::size_t>(rng.uniform_int(1, 5));  // 1..5 "types".
-    const SymmetricGame game = random_symmetric_game(n_groups, 4, rng);
-    const std::size_t n = game.groups.player_count();
-    if (n > 14) continue;  // keep the reference sweep fast.
-
-    const WorthFn v = game.worth();
-    const auto collapsed = shapley_values_grouped(game.groups, v);
-    const auto sweep = shapley_values(n, v);
-    ASSERT_EQ(collapsed.size(), sweep.size());
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_NEAR(collapsed[i], sweep[i], 1e-12)
-          << "trial " << trial << " player " << i << " (n=" << n
-          << ", groups=" << n_groups << ")";
-  }
-}
-
-TEST(GroupedShapley, AllDistinctFallbackEqualsSweep) {
-  // Singleton groups degenerate to the plain mask sweep (every composition
-  // is a mask); results must agree exactly to rounding.
-  util::Rng rng(7);
-  const std::size_t n = 6;
-  std::vector<double> worth_table(std::size_t{1} << n);
-  for (auto& w : worth_table) w = rng.uniform(0.0, 50.0);
-  worth_table[0] = 0.0;
-  const WorthFn v = [&](Coalition s) { return worth_table[s.mask()]; };
-
-  SymmetryGroups singletons;
-  for (Player i = 0; i < n; ++i) {
-    singletons.group_of.push_back(i);
-    singletons.members.push_back({i});
-  }
-  EXPECT_TRUE(singletons.all_distinct());
-  EXPECT_EQ(singletons.composition_count(), std::size_t{1} << n);
-
-  const auto grouped = shapley_values_grouped(singletons, v);
-  const auto sweep = shapley_values(n, v);
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(grouped[i], sweep[i], 1e-12);
-}
-
-TEST(GroupedShapley, SinglePlayerEdge) {
-  SymmetryGroups one;
-  one.group_of = {0};
-  one.members = {{0}};
-  const auto phi = shapley_values_grouped(
-      one, [](Coalition s) { return s.is_empty() ? 0.0 : 17.5; });
-  ASSERT_EQ(phi.size(), 1u);
-  EXPECT_DOUBLE_EQ(phi[0], 17.5);
-}
-
-TEST(GroupedShapley, RejectsMalformedGroups) {
-  SymmetryGroups empty;
-  EXPECT_THROW(shapley_values_grouped(empty, [](Coalition) { return 0.0; }),
-               std::invalid_argument);
-  SymmetryGroups holes;  // group_of says 2 players, members cover 1.
-  holes.group_of = {0, 0};
-  holes.members = {{0}};
-  EXPECT_THROW(shapley_values_grouped(holes, [](Coalition) { return 0.0; }),
-               std::invalid_argument);
-}
-
-TEST(GroupedShapley, EfficiencyOnFullySymmetricGame) {
-  // n identical players: everyone gets v(N)/n.
-  SymmetryGroups groups;
-  const std::size_t n = 8;
-  groups.members.emplace_back();
-  for (Player i = 0; i < n; ++i) {
-    groups.group_of.push_back(0);
-    groups.members[0].push_back(i);
-  }
-  const WorthFn v = [](Coalition s) {
-    const auto k = static_cast<double>(s.size());
-    return 10.0 * k + 0.5 * k * k;  // superadditive, symmetric.
-  };
-  const auto phi = shapley_values_grouped(groups, v);
-  const double expected = v(Coalition::grand(n)) / static_cast<double>(n);
-  for (const double p : phi) EXPECT_NEAR(p, expected, 1e-12);
-}
 
 // --- ComboWeightCache --------------------------------------------------------
 

@@ -2,10 +2,10 @@
 // estimator that runs it on every tick.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -304,33 +304,77 @@ TEST(ShapleyVhcEstimator, SixtyFourDistinctVmsGetTheAdditiveLaw) {
   EXPECT_NEAR(phi[63], 0.0, 1e-9);
 }
 
+/// Exact Shapley values of a game whose worth depends only on how many
+/// members of each group a coalition holds (the paper's symmetry collapse,
+/// Sec. V-B/V-C). worth[idx] is V(k) for the composition k whose
+/// mixed-radix index is idx, group 0 fastest with radix size[g] + 1. A
+/// member of group j joins C(size_j − 1, k_j) · Π_{t≠j} C(size_t, k_t)
+/// coalitions of composition k, each with the Shapley weight of |k|, and
+/// gains V(k + e_j) − V(k) in each. Returns one value per group.
+std::vector<double> composition_shapley(const std::vector<std::size_t>& size,
+                                        const std::vector<double>& worth) {
+  const std::size_t groups = size.size();
+  const std::size_t n =
+      std::accumulate(size.begin(), size.end(), std::size_t{0});
+  std::vector<double> weight;
+  fill_shapley_weights(n, weight);
+  // choose[a][b] = C(a, b), from Pascal's triangle.
+  const std::size_t largest = *std::max_element(size.begin(), size.end());
+  std::vector<std::vector<double>> choose(largest + 1);
+  for (std::size_t a = 0; a <= largest; ++a) {
+    choose[a].assign(a + 1, 1.0);
+    for (std::size_t b = 1; b < a; ++b)
+      choose[a][b] = choose[a - 1][b - 1] + choose[a - 1][b];
+  }
+  std::vector<std::size_t> stride(groups, 1);
+  for (std::size_t g = 1; g < groups; ++g)
+    stride[g] = stride[g - 1] * (size[g - 1] + 1);
+
+  std::vector<double> phi(groups, 0.0);
+  std::vector<std::size_t> k(groups, 0);
+  for (std::size_t idx = 0; idx < worth.size(); ++idx) {
+    const std::size_t members =
+        std::accumulate(k.begin(), k.end(), std::size_t{0});
+    for (std::size_t j = 0; j < groups; ++j) {
+      if (k[j] == size[j]) continue;  // no member of j is left to join.
+      double ways = choose[size[j] - 1][k[j]];
+      for (std::size_t t = 0; t < groups; ++t)
+        if (t != j) ways *= choose[size[t]][k[t]];
+      phi[j] += ways * weight[members] * (worth[idx + stride[j]] - worth[idx]);
+    }
+    for (std::size_t g = 0; g < groups; ++g) {
+      if (++k[g] <= size[g]) break;
+      k[g] = 0;
+    }
+  }
+  return phi;
+}
+
 TEST(ShapleyVhcEstimator, TypeSetMatchesCollapsedOnSixtyFourVmsOfFourTypes) {
   // 4 VHCs × 16 VMs holding one state each: 2^64 coalitions, but only 17^4
-  // compositions, so collapsed_shapley_sum over the approximation's worth of
+  // compositions, so composition_shapley over the approximation's worth of
   // each composition is the reference.
   constexpr std::size_t r = 4;
+  const std::vector<std::size_t> size(r, 16);
   const VhcUniverse universe(all_types(r));
   const VhcLinearApprox approx = contended_approx(r, 64);
   util::Rng rng(4);
   std::vector<StateVector> per_type(r);
   for (StateVector& state : per_type) state = random_state(rng);
   std::vector<VmSample> vms;
-  std::vector<std::size_t> keys;
-  std::vector<StateVector> states;
-  for (std::size_t i = 0; i < 64; ++i) {
+  for (std::size_t i = 0; i < 64; ++i)
     vms.push_back({static_cast<std::uint32_t>(i),
                    static_cast<common::VmTypeId>(i % r), per_type[i % r]});
-    keys.push_back(universe.index_of(vms.back().type));
-    states.push_back(vms.back().state);
-  }
   const double measured = 150.0;
 
-  // One group per type, in first-seen order, so group g is VHC g. The worth
-  // of composition k (group 0 fastest) aggregates k_g copies of each state;
-  // the full composition is the anchored grand coalition.
-  const SymmetryGroups groups = detect_symmetry(keys, states);
-  ASSERT_EQ(groups.group_count(), r);
-  std::vector<double> worth(groups.composition_count(), 0.0);
+  // Group g is type g, which is VHC g. The worth of composition k (group 0
+  // fastest) aggregates k_g copies of each state; the full composition is
+  // the anchored grand coalition.
+  for (std::size_t g = 0; g < r; ++g)
+    ASSERT_EQ(universe.index_of(static_cast<common::VmTypeId>(g)), g);
+  std::size_t compositions = 1;
+  for (const std::size_t members : size) compositions *= members + 1;
+  std::vector<double> worth(compositions, 0.0);
   std::vector<std::size_t> k(r, 0);
   for (std::size_t idx = 0; idx < worth.size(); ++idx) {
     VhcComboMask combo = 0;
@@ -343,18 +387,16 @@ TEST(ShapleyVhcEstimator, TypeSetMatchesCollapsedOnSixtyFourVmsOfFourTypes) {
     if (idx + 1 == worth.size()) worth[idx] = measured;
     else if (combo != 0) worth[idx] = approx.predict(combo, aggregate);
     for (std::size_t g = 0; g < r; ++g) {
-      if (++k[g] <= groups.members[g].size()) break;
+      if (++k[g] <= size[g]) break;
       k[g] = 0;
     }
   }
-  std::vector<double> weights;
-  fill_shapley_weights(vms.size(), weights);
-  const auto reference = collapsed_shapley_sum(groups, worth, weights);
+  const auto reference = composition_shapley(size, worth);
 
   ShapleyVhcEstimator estimator(universe, approx);
   const auto phi = estimator.estimate(vms, measured);
   for (std::size_t i = 0; i < vms.size(); ++i)
-    EXPECT_NEAR(phi[i], reference[i], 1e-9) << "vm " << i;
+    EXPECT_NEAR(phi[i], reference[i % r], 1e-9) << "vm " << i;
 }
 
 TEST(ShapleyVhcEstimator, AxiomsHoldAtEveryForcedTier) {
@@ -439,19 +481,6 @@ TEST(ShapleyVhcEstimator, HostsPastKMaxHostVmsAreRejected) {
   const auto too_big = mixed_fleet(kMaxHostVms + 1, 0, &total_cpu);
   EXPECT_THROW(estimator.estimate(too_big, 10.0 * total_cpu),
                std::invalid_argument);
-}
-
-TEST(SymmetryGroups, CompositionCountSaturatesInsteadOfWrapping) {
-  // 64 singleton groups would be 2^64 compositions — one past what size_t
-  // holds — and must clamp to SIZE_MAX so threshold comparisons stay sane.
-  std::vector<std::size_t> keys(64, 0);
-  std::vector<StateVector> states;
-  for (std::size_t i = 0; i < 64; ++i)
-    states.push_back(StateVector::cpu_only(0.01 * static_cast<double>(i + 1)));
-  const SymmetryGroups groups = detect_symmetry(keys, states);
-  ASSERT_TRUE(groups.all_distinct());
-  EXPECT_EQ(groups.composition_count(),
-            std::numeric_limits<std::size_t>::max());
 }
 
 }  // namespace

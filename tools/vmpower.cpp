@@ -541,17 +541,29 @@ int cmd_serve(const util::CliArgs& args) {
                 checkpoint.c_str(),
                 static_cast<unsigned long long>(engine.tick()));
     if (log) {
-      // The ledger may hold epochs past the checkpointed tick (a crash after
-      // the checkpoint was written); rewind it, then replay its tail into
-      // the ring so historical window queries answer byte-identically.
-      log->truncate_after(engine.tick());
+      // The ledger may hold records past the checkpointed tick (a crash
+      // after the checkpoint was written, or an older checkpoint restored).
+      // Epochs count publishes, not ticks: a ledger first attached to a
+      // resumed run starts at epoch 1 on a later tick. So rewind to the
+      // newest record at or before the tick (a record's time is its tick
+      // times the period), once its totals prove it is the checkpoint's
+      // history, then replay the tail into the ring so historical window
+      // queries answer byte-identically.
+      const auto resume_at = log->at_or_before(
+          static_cast<double>(engine.tick()) * fleet::kPeriodS);
+      if (resume_at && !engine.invariants().observe_ledger_replay(
+                           resume_at->epoch, resume_at->total_energy_j,
+                           engine.tenant_ledger().total_energy_j()))
+        throw std::runtime_error(
+            "serve: --ledger " + ledger_options.dir.string() + " epoch " +
+            std::to_string(resume_at->epoch) + " (tick " +
+            std::to_string(resume_at->tick) + ") does not match checkpoint " +
+            checkpoint + " at tick " + std::to_string(engine.tick()) +
+            "; the ledger and the checkpoint diverged");
+      log->truncate_after(resume_at ? resume_at->epoch : 0);
       const std::size_t replayed = store.restore_from_ledger(*log);
       std::printf("ledger: replayed %zu snapshots into the retention ring\n",
                   replayed);
-      if (const auto head = store.latest())
-        engine.invariants().observe_ledger_replay(
-            head->epoch, head->total_energy_j,
-            engine.tenant_ledger().total_energy_j());
     }
   }
 
