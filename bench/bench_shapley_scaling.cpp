@@ -5,9 +5,10 @@
 // benchmarks quantify that claim on this implementation and measure the
 // escape hatch for larger games: the type-set kernel every estimator tick
 // runs, whose cost grows with the 2^K sets of busy VHCs rather than with the
-// 2^n coalitions. The JSON context records vmpower's own build type as
-// "build_type"; google-benchmark's "library_build_type" describes the
-// installed benchmark library, not this code.
+// 2^n coalitions. BM_SimulatorStep measures the simulated host each tick
+// steps before it estimates. The JSON context records vmpower's own build
+// type as "build_type"; google-benchmark's "library_build_type" describes
+// the installed benchmark library, not this code.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -15,12 +16,15 @@
 
 #include "bench_json.hpp"
 #include "common/state_vector.hpp"
+#include "common/vm_config.hpp"
 #include "core/estimator.hpp"
 #include "core/linear_approx.hpp"
 #include "core/shapley.hpp"
 #include "core/vhc.hpp"
 #include "core/vsc_table.hpp"
+#include "sim/physical_machine.hpp"
 #include "util/rng.hpp"
+#include "workload/spec_suite.hpp"
 
 namespace {
 
@@ -114,6 +118,31 @@ void BM_EstimatorTick(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EstimatorTick)->Arg(2)->Arg(8)->Arg(16)->Arg(64)->ArgNames({"n"});
+
+void BM_SimulatorStep(benchmark::State& state) {
+  // One PhysicalMachine::step — the simulated host's share of every host
+  // tick — on pipebench's hosts, booted the way fleet::HostAgent boots host
+  // seed h: tick-small2's VM1 + VM2 at n = 2, tick-mixed8's 4 x VM1,
+  // 2 x VM2, 2 x VM3 at n = 8. VM i runs spec_subset()[(h + i) % 7] seeded
+  // h * 31 + i.
+  const std::vector<unsigned> types =
+      state.range(0) == 2 ? std::vector<unsigned>{1, 2}
+                          : std::vector<unsigned>{1, 1, 1, 1, 2, 2, 3, 3};
+  const std::uint64_t h = 3;
+  vmp::sim::PhysicalMachine machine(vmp::sim::xeon_prototype(), h);
+  const auto benchmarks = vmp::wl::spec_subset();
+  for (std::size_t i = 0; i < types.size(); ++i) {
+    const auto id = machine.hypervisor().create_vm(
+        vmp::common::paper_vm_type(types[i]),
+        vmp::wl::make_spec_workload(benchmarks[(h + i) % benchmarks.size()],
+                                    h * 31 + i));
+    machine.hypervisor().start_vm(id);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(machine.step(1.0));
+  }
+}
+BENCHMARK(BM_SimulatorStep)->Arg(2)->Arg(8)->ArgNames({"n"});
 
 void BM_ShapleyWeights(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

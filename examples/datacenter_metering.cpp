@@ -52,13 +52,18 @@ int main() {
 
   core::ShapleyVhcEstimator estimator(dataset.universe, dataset.approximation);
   core::EnergyAccountant accountant(core::IdleAttribution::kProportional);
-  sim::RaplReader rapl(machine.msr());
+  // The simulated RAPL counters: integrated from the machine's true power
+  // after every step, read back the way a host power agent reads MSRs.
+  sim::MsrFile msr;
+  sim::RaplSimulator rapl_counters(msr);
+  sim::RaplReader rapl(msr);
   util::RunningStats meter_w, rapl_pkg_w;
   std::vector<util::RunningStats> phi_stats(fleet.size());
 
   const double horizon_s = 600.0;
   for (double t = 0.0; t < horizon_s; t += 1.0) {
     const sim::MeterFrame frame = machine.step(1.0);
+    rapl_counters.accumulate(machine.true_power(), 1.0);
     const double adjusted =
         std::max(0.0, frame.active_power_w - machine.idle_power_w());
     meter_w.add(frame.active_power_w);

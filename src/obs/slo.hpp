@@ -82,8 +82,6 @@ class SloTracker {
   ///       compliance=0.996305 burn=0.369458
   [[nodiscard]] std::string to_text() const;
 
-  [[nodiscard]] const SloOptions& options() const noexcept { return options_; }
-
  private:
   static constexpr std::size_t kSlots = 60;
   static_assert(kFastWindowS % kSlots == 0 && kSlowWindowS % kSlots == 0,

@@ -163,9 +163,6 @@ class ServeProfiler {
   [[nodiscard]] std::string health_text();
 
   [[nodiscard]] obs::SloTracker* slo() const noexcept { return options_.slo; }
-  [[nodiscard]] const ServeProfilerOptions& options() const noexcept {
-    return options_;
-  }
 
  private:
   ServeProfilerOptions options_;

@@ -40,26 +40,14 @@ PowerBreakdown CoalitionProbe::breakdown(
   if (configs_.size() < 32 && (mask >> configs_.size()) != 0)
     throw std::invalid_argument("CoalitionProbe: mask addresses unknown VMs");
 
-  std::vector<VcpuDemand> demands;
-  std::vector<VmLoad> loads(configs_.size());
+  std::vector<RunningVm> running;
+  running.reserve(configs_.size());
   for (std::size_t i = 0; i < configs_.size(); ++i) {
     if ((mask & (CoalitionMask{1} << i)) == 0) continue;
-    const common::StateVector state = states[i].clamped();
-    const double mu = intensities_[i];
-    // Idle vCPUs are not scheduled onto cores: they must not occupy logical
-    // CPU slots or they would perturb other VMs' sibling pairings (and break
-    // the Dummy axiom for zero-state VMs).
-    if (state.cpu() > 0.0) {
-      for (unsigned v = 0; v < configs_[i].vcpus; ++v)
-        demands.push_back({i, state.cpu(), mu});
-    }
-    loads[i].cpu_thread_demand =
-        state.cpu() * mu * static_cast<double>(configs_[i].vcpus);
-    loads[i].memory_mb_used =
-        state.memory() * static_cast<double>(configs_[i].memory_mb);
-    loads[i].disk_util = state.disk_io();
+    running.push_back({configs_[i].vcpus, configs_[i].memory_mb,
+                       states[i].clamped(), intensities_[i]});
   }
-  return expected_power(spec_, demands, loads);
+  return machine_power(spec_, running, spec_.pack_affinity);
 }
 
 double CoalitionProbe::worth(CoalitionMask mask,

@@ -5,9 +5,11 @@
 // testbed obtaining every v(S, C) means physically running 2^n coalition
 // configurations — the very cost the VHC approximation avoids. In the
 // simulator we *can* evaluate any coalition directly: CoalitionProbe computes
-// the deterministic expected power (over the scheduler's pack/spread epoch
-// distribution, without meter noise) of an arbitrary subset of a fixed VM
-// fleet at arbitrary states. It provides:
+// the deterministic expected power (machine_power at the nominal pack
+// fraction, without scheduling jitter or meter noise) of an arbitrary subset
+// of a fixed VM fleet at arbitrary states. It runs the hypervisor's own
+// power path, so with affinity_jitter = 0 the coalition of a host's running
+// VMs is the hypervisor's power bit for bit. It provides:
 //
 //   * exact-Shapley ground truth (what the paper compares its
 //     non-deterministic Shapley against);

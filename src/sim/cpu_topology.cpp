@@ -14,21 +14,4 @@ CpuTopology::CpuTopology(std::size_t sockets, std::size_t cores_per_socket,
     throw std::invalid_argument("CpuTopology: at most 2-way SMT is modelled");
 }
 
-std::size_t CpuTopology::core_of(LogicalCpu cpu) const {
-  if (cpu >= logical_cpus()) throw std::out_of_range("CpuTopology::core_of");
-  return cpu / threads_per_core_;
-}
-
-LogicalCpu CpuTopology::sibling_of(LogicalCpu cpu) const {
-  if (cpu >= logical_cpus()) throw std::out_of_range("CpuTopology::sibling_of");
-  if (threads_per_core_ == 1) return cpu;
-  return cpu ^ 1U;
-}
-
-LogicalCpu CpuTopology::first_thread_of(std::size_t core) const {
-  if (core >= physical_cores())
-    throw std::out_of_range("CpuTopology::first_thread_of");
-  return core * threads_per_core_;
-}
-
 }  // namespace vmp::sim

@@ -2,16 +2,13 @@
 //
 // The hyper-threading structure is the root cause of the paper's Sec. III
 // observation — two logical cores share one physical core's execution
-// resources — so the simulator models logical CPUs explicitly and exposes the
-// sibling relation the scheduler and power model need.
+// resources — so the simulator counts physical cores and SMT threads, and the
+// power model (sim/power_model.hpp) lays logical CPUs out core-major on them.
 #pragma once
 
 #include <cstddef>
 
 namespace vmp::sim {
-
-/// Index of a logical CPU (hardware thread), 0-based and dense.
-using LogicalCpu = std::size_t;
 
 /// Immutable machine CPU layout.
 class CpuTopology {
@@ -34,18 +31,6 @@ class CpuTopology {
   [[nodiscard]] std::size_t logical_cpus() const noexcept {
     return physical_cores() * threads_per_core_;
   }
-
-  /// Physical core that hosts the given logical CPU. Logical CPUs are laid
-  /// out core-major: logical CPUs {2c, 2c+1} are the siblings of core c (for
-  /// 2-way SMT). Throws std::out_of_range for an invalid index.
-  [[nodiscard]] std::size_t core_of(LogicalCpu cpu) const;
-
-  /// Sibling logical CPU sharing the physical core, or the CPU itself when
-  /// SMT is off (threads_per_core == 1).
-  [[nodiscard]] LogicalCpu sibling_of(LogicalCpu cpu) const;
-
-  /// First logical CPU of physical core `core`.
-  [[nodiscard]] LogicalCpu first_thread_of(std::size_t core) const;
 
   [[nodiscard]] bool operator==(const CpuTopology&) const noexcept = default;
 

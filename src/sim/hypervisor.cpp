@@ -11,7 +11,7 @@ Hypervisor::Hypervisor(MachineSpec spec, std::uint64_t seed)
     : spec_(std::move(spec)), rng_(seed) {
   spec_.validate();
   pack_fraction_ = spec_.pack_affinity;
-  power_ = compute_power(spec_, Placement(spec_.topology.logical_cpus()), {});
+  power_ = machine_power(spec_, {}, pack_fraction_);
 }
 
 VmId Hypervisor::create_vm(common::VmConfig config, wl::WorkloadPtr workload) {
@@ -79,30 +79,18 @@ std::vector<VmObservation> Hypervisor::observations() const {
 }
 
 void Hypervisor::recompute_epoch() {
-  std::vector<VcpuDemand> demands;
-  std::vector<VmLoad> loads(vms_.size());
-  for (std::size_t i = 0; i < vms_.size(); ++i) {
-    const Vm& vm = vms_[i];
+  std::vector<RunningVm> running;
+  running.reserve(vms_.size());
+  for (const Vm& vm : vms_) {
     if (!vm.running()) continue;
-    const common::StateVector& s = vm.observed_state();
-    const double intensity = vm.power_intensity();
-    // Idle vCPUs stay off the cores (see CoalitionProbe): they draw nothing
-    // and must not displace busy threads' placement.
-    if (s.cpu() > 0.0) {
-      for (unsigned v = 0; v < vm.config().vcpus; ++v)
-        demands.push_back({i, s.cpu(), intensity});
-    }
-    loads[i].cpu_thread_demand =
-        s.cpu() * intensity * static_cast<double>(vm.config().vcpus);
-    loads[i].memory_mb_used =
-        s.memory() * static_cast<double>(vm.config().memory_mb);
-    loads[i].disk_util = s.disk_io();
+    running.push_back({vm.config().vcpus, vm.config().memory_mb,
+                       vm.observed_state(), vm.power_intensity()});
   }
   // Realized pack fraction for this epoch: nominal affinity plus sub-second
   // scheduling variability, clamped to [0, 1].
   pack_fraction_ = std::clamp(
       spec_.pack_affinity + rng_.normal(0.0, spec_.affinity_jitter), 0.0, 1.0);
-  power_ = blended_power(spec_, demands, loads, pack_fraction_);
+  power_ = machine_power(spec_, running, pack_fraction_);
 }
 
 }  // namespace vmp::sim

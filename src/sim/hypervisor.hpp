@@ -1,9 +1,9 @@
 // The hypervisor: VM lifecycle, vCPU scheduling, and machine power synthesis.
 //
 // Plays the role of XenServer in the paper's prototype (Fig. 8/9): it tracks
-// each VM's component state, decides vCPU placement every tick, and — because
-// this is a simulator — also evaluates the machine's true physical power for
-// the meter to observe.
+// each VM's component state, draws each tick's pack/spread scheduling mix,
+// and — because this is a simulator — also evaluates the machine's true
+// physical power for the meter to observe.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +12,6 @@
 
 #include "sim/machine_spec.hpp"
 #include "sim/power_model.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/vm.hpp"
 #include "util/rng.hpp"
 

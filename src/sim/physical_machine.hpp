@@ -1,18 +1,18 @@
-// The assembled testbed: hypervisor + wall meter + RAPL counters.
+// The assembled testbed: hypervisor + wall meter.
 //
 // PhysicalMachine is the facade the examples and benches drive. Advancing it
 // one sampling period (a) ticks the hypervisor (VM states, scheduling, true
-// power), (b) produces a wall-meter frame, and (c) accumulates RAPL energy —
-// exactly the three data paths of the paper's prototype (Fig. 8/9).
+// power) and (b) produces a wall-meter frame — the two data paths of the
+// paper's prototype (Fig. 8/9) that every metering step reads. Its third,
+// the RAPL counters, is the caller's to attach: a RaplSimulator
+// (sim/rapl.hpp) fed true_power() after each step.
 #pragma once
 
 #include <cstdint>
 
 #include "sim/dstat.hpp"
 #include "sim/hypervisor.hpp"
-#include "sim/msr.hpp"
 #include "sim/power_meter.hpp"
-#include "sim/rapl.hpp"
 
 namespace vmp::sim {
 
@@ -43,14 +43,11 @@ class PhysicalMachine {
     return hypervisor_.spec().idle_power_w;
   }
 
-  [[nodiscard]] const MsrFile& msr() const noexcept { return msr_; }
   [[nodiscard]] double now() const noexcept { return hypervisor_.now(); }
 
  private:
   Hypervisor hypervisor_;
   SerialMeterPort meter_port_;
-  MsrFile msr_;
-  RaplSimulator rapl_;
 };
 
 }  // namespace vmp::sim

@@ -1,90 +1,91 @@
 #include "sim/power_model.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace vmp::sim {
 
-PowerBreakdown compute_power(const MachineSpec& spec, const Placement& placement,
-                             std::span<const VmLoad> vm_loads) {
+PowerBreakdown machine_power(const MachineSpec& spec,
+                             std::span<const RunningVm> vms,
+                             double pack_fraction) {
+  if (pack_fraction < 0.0 || pack_fraction > 1.0)
+    throw std::invalid_argument("machine_power: pack_fraction must be in [0,1]");
   const CpuTopology& topo = spec.topology;
-  if (placement.size() != topo.logical_cpus())
-    throw std::invalid_argument("compute_power: placement size != logical CPUs");
 
-  PowerBreakdown p;
-  p.idle = spec.idle_power_w;
+  // Effective load of busy vCPU k; slots past the last busy vCPU stay idle.
+  std::vector<double> load(topo.logical_cpus(), 0.0);
+  std::size_t busy = 0;
+  for (const RunningVm& vm : vms) {
+    if (!(vm.state.cpu() > 0.0)) continue;
+    if (vm.vcpus > load.size() - busy)
+      throw std::invalid_argument(
+          "machine_power: busy vCPUs exceed logical CPUs (host overcommit is "
+          "not modelled)");
+    std::fill_n(load.begin() + static_cast<std::ptrdiff_t>(busy), vm.vcpus,
+                vm.state.cpu() * vm.intensity);
+    busy += vm.vcpus;
+  }
 
-  // Per-core SMT-contended dynamic power.
+  // Per-core SMT-contended dynamic power under each placement, summed core
+  // by core: pack gives core c vCPUs 2c and 2c+1, spread vCPUs c and C + c.
   const double pt = spec.thread_full_power_w;
+  const auto core_power = [&](double e1, double e2) {
+    return pt * (e1 + e2) - spec.smt_contention * pt * std::min(e1, e2);
+  };
+  const std::size_t cores = topo.physical_cores();
   const std::size_t tpc = topo.threads_per_core();
-  for (std::size_t core = 0; core < topo.physical_cores(); ++core) {
-    const LogicalCpu t0 = topo.first_thread_of(core);
-    const double e1 = placement[t0].effective_load();
-    const double e2 = tpc == 2 ? placement[t0 + 1].effective_load() : 0.0;
-    p.cpu_dynamic += pt * (e1 + e2) - spec.smt_contention * pt * std::min(e1, e2);
+  double packed = 0.0;
+  double spread = 0.0;
+  for (std::size_t c = 0; c < cores; ++c) {
+    packed += core_power(load[c * tpc], tpc == 2 ? load[c * tpc + 1] : 0.0);
+    spread += core_power(load[c], tpc == 2 ? load[cores + c] : 0.0);
   }
   // Power-limited turbo: beyond the knee the package controller scales
   // frequency, so nominal load converts to power at a reduced slope.
-  if (p.cpu_dynamic > spec.cpu_power_knee_w) {
-    p.cpu_dynamic = spec.cpu_power_knee_w +
-                    spec.cpu_saturation_slope *
-                        (p.cpu_dynamic - spec.cpu_power_knee_w);
-  }
+  const auto turbo = [&](double cpu) {
+    return cpu > spec.cpu_power_knee_w
+               ? spec.cpu_power_knee_w +
+                     spec.cpu_saturation_slope * (cpu - spec.cpu_power_knee_w)
+               : cpu;
+  };
+  packed = turbo(packed);
+  spread = turbo(spread);
 
   // Cross-VM LLC / memory-bandwidth coupling: every pair of distinct VMs
   // saves a little power proportional to their overlapping CPU demand
   // (both stall more, so neither's pipelines run as hot). Capped so the
   // machine's dynamic power can never go negative.
+  const auto thread_demand = [](const RunningVm& vm) {
+    return vm.state.cpu() * vm.intensity * static_cast<double>(vm.vcpus);
+  };
   double llc = 0.0;
-  for (std::size_t i = 0; i < vm_loads.size(); ++i) {
-    if (vm_loads[i].cpu_thread_demand <= 0.0) continue;
-    for (std::size_t j = i + 1; j < vm_loads.size(); ++j) {
-      llc += spec.llc_contention_w *
-             std::min(vm_loads[i].cpu_thread_demand, vm_loads[j].cpu_thread_demand);
-    }
+  for (std::size_t i = 0; i < vms.size(); ++i) {
+    const double demand = thread_demand(vms[i]);
+    if (demand <= 0.0) continue;
+    for (std::size_t j = i + 1; j < vms.size(); ++j)
+      llc += spec.llc_contention_w * std::min(demand, thread_demand(vms[j]));
   }
-  p.llc_penalty = std::min(llc, 0.25 * p.cpu_dynamic);
 
-  // Memory and disk: linear in the host-level component utilization.
+  // Memory and disk: linear in the host-level component utilization, and
+  // the same under either placement.
   double mem_mb = 0.0;
   double disk = 0.0;
-  for (const VmLoad& load : vm_loads) {
-    mem_mb += load.memory_mb_used;
-    disk += load.disk_util;
+  for (const RunningVm& vm : vms) {
+    mem_mb += vm.state.memory() * static_cast<double>(vm.memory_mb);
+    disk += vm.state.disk_io();
   }
+
+  const double a = pack_fraction;
+  PowerBreakdown p;
+  p.idle = spec.idle_power_w;
+  p.cpu_dynamic = a * packed + (1.0 - a) * spread;
+  p.llc_penalty = a * std::min(llc, 0.25 * packed) +
+                  (1.0 - a) * std::min(llc, 0.25 * spread);
   p.memory = spec.memory_power_w *
              std::min(1.0, mem_mb / static_cast<double>(spec.memory_mb));
   p.disk = spec.disk_power_w * std::min(1.0, disk);
   return p;
-}
-
-PowerBreakdown blended_power(const MachineSpec& spec,
-                             std::span<const VcpuDemand> demands,
-                             std::span<const VmLoad> vm_loads,
-                             double pack_fraction) {
-  if (pack_fraction < 0.0 || pack_fraction > 1.0)
-    throw std::invalid_argument("blended_power: pack_fraction must be in [0,1]");
-  const PowerBreakdown packed =
-      compute_power(spec, place(spec.topology, demands, PlacementMode::kPack),
-                    vm_loads);
-  const PowerBreakdown spread =
-      compute_power(spec, place(spec.topology, demands, PlacementMode::kSpread),
-                    vm_loads);
-  const double a = pack_fraction;
-  PowerBreakdown p;
-  p.idle = packed.idle;
-  p.cpu_dynamic = a * packed.cpu_dynamic + (1.0 - a) * spread.cpu_dynamic;
-  p.llc_penalty = a * packed.llc_penalty + (1.0 - a) * spread.llc_penalty;
-  p.memory = packed.memory;  // placement-independent
-  p.disk = packed.disk;
-  return p;
-}
-
-PowerBreakdown expected_power(const MachineSpec& spec,
-                              std::span<const VcpuDemand> demands,
-                              std::span<const VmLoad> vm_loads) {
-  return blended_power(spec, demands, vm_loads, spec.pack_affinity);
 }
 
 }  // namespace vmp::sim

@@ -14,20 +14,36 @@
 // memory-bandwidth contention between *distinct VMs*. Memory and disk draw a
 // few watts each (Sec. VI-C measures ~12 W and ~10 W) and the idle floor is a
 // stable constant (Remark 1).
+//
+// Which vCPUs share a core is plain arithmetic on a busy vCPU's rank k (VM
+// order, counting only VMs with cpu > 0). Logical CPUs are core-major: core c
+// owns logical CPUs {2c, 2c+1} under 2-way SMT. Two placements bound what a
+// scheduler does:
+//
+//   * pack   — vCPU k on logical CPU k, so core c hosts vCPUs 2c and 2c+1
+//     (a consolidating scheduler, or a crowded host; the placement behind
+//     the paper's Fig. 4 measurement);
+//   * spread — with C physical cores, vCPU c < C alone on core c and vCPU
+//     C + c on that core's sibling (an idle-balancing scheduler).
+//
+// Neither alone is what the paper measured: its Table IV per-type
+// coefficients land between the two, so the power is their blend by a pack
+// fraction (MachineSpec::pack_affinity).
 #pragma once
 
 #include <span>
 
+#include "common/state_vector.hpp"
 #include "sim/machine_spec.hpp"
-#include "sim/scheduler.hpp"
 
 namespace vmp::sim {
 
-/// Per-VM aggregate load for machine-level power terms.
-struct VmLoad {
-  double cpu_thread_demand = 0.0;  ///< sum over vCPUs of util x intensity.
-  double memory_mb_used = 0.0;     ///< resident DRAM of this VM, MB.
-  double disk_util = 0.0;          ///< fraction of device throughput, [0,1].
+/// One running VM as the power model sees it.
+struct RunningVm {
+  unsigned vcpus = 1;
+  unsigned memory_mb = 0;      ///< configured DRAM of the VM, MB.
+  common::StateVector state;   ///< component utilizations, each in [0, 1].
+  double intensity = 1.0;      ///< workload power intensity (> 0).
 };
 
 /// Decomposed instantaneous machine power, all in watts.
@@ -47,28 +63,21 @@ struct PowerBreakdown {
   [[nodiscard]] double adjusted() const noexcept { return total() - idle; }
 };
 
-/// Computes the machine's true instantaneous power for a given placement and
-/// per-VM loads. `placement.size()` must equal the topology's logical CPU
-/// count (throws std::invalid_argument otherwise).
-[[nodiscard]] PowerBreakdown compute_power(const MachineSpec& spec,
-                                           const Placement& placement,
-                                           std::span<const VmLoad> vm_loads);
-
-/// Power blend between the two placements at a given pack fraction:
-/// pack_fraction * power(pack placement) + (1 - pack_fraction) *
-/// power(spread placement). This is what a 1 Hz sample observes: within one
-/// sampling interval the OS migrates threads many times, so the sample
-/// averages the two extremes. pack_fraction must be in [0, 1].
-[[nodiscard]] PowerBreakdown blended_power(const MachineSpec& spec,
-                                           std::span<const VcpuDemand> demands,
-                                           std::span<const VmLoad> vm_loads,
+/// The machine's true power with `vms` running, in VM order:
+/// pack_fraction * power(pack) + (1 - pack_fraction) * power(spread). This
+/// is what a 1 Hz sample observes: within one sampling interval the OS
+/// migrates threads many times, so the sample averages the two extremes.
+/// The hypervisor calls it at each epoch's realized pack fraction and
+/// CoalitionProbe at the spec's nominal pack_affinity. Idle vCPUs stay off
+/// the cores: they draw nothing and must not displace busy threads (or a
+/// zero-state VM would break the Dummy axiom).
+///
+/// Throws std::invalid_argument if pack_fraction is outside [0, 1] or the
+/// busy vCPUs outnumber the logical CPUs (host overcommit is not modelled,
+/// matching the paper's Sec. V-B observation of at most one vCPU per
+/// logical core).
+[[nodiscard]] PowerBreakdown machine_power(const MachineSpec& spec,
+                                           std::span<const RunningVm> vms,
                                            double pack_fraction);
-
-/// blended_power at the spec's nominal pack_affinity. This is the
-/// deterministic oracle used for coalition worths (exact Shapley ground
-/// truth) — the value sampled power fluctuates around for fixed states.
-[[nodiscard]] PowerBreakdown expected_power(const MachineSpec& spec,
-                                            std::span<const VcpuDemand> demands,
-                                            std::span<const VmLoad> vm_loads);
 
 }  // namespace vmp::sim

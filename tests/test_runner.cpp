@@ -8,6 +8,7 @@
 
 #include "common/vm_config.hpp"
 #include "sim/dstat.hpp"
+#include "sim/rapl.hpp"
 #include "workload/primitives.hpp"
 
 namespace vmp::sim {
@@ -119,10 +120,13 @@ TEST(PhysicalMachine, RaplTracksMeterWithoutNoise) {
       common::demo_c_vm(), std::make_unique<wl::ConstantWorkload>(
                                common::StateVector::cpu_only(1.0)));
   machine.hypervisor().start_vm(id);
-  RaplReader reader(machine.msr());
+  MsrFile msr;
+  RaplSimulator rapl(msr);
+  RaplReader reader(msr);
   double meter_j = 0.0;
   for (int i = 0; i < 30; ++i) {
     const MeterFrame frame = machine.step(1.0);
+    rapl.accumulate(machine.true_power(), 1.0);
     meter_j += frame.active_power_w;
   }
   const double pkg_j = reader.energy_since_last_j(RaplDomain::kPackage);

@@ -23,38 +23,6 @@ TEST(CpuTopology, Validation) {
   EXPECT_THROW(CpuTopology(1, 1, 3), std::invalid_argument);
 }
 
-TEST(CpuTopology, CoreMajorLayout) {
-  const CpuTopology t(1, 4, 2);
-  EXPECT_EQ(t.core_of(0), 0u);
-  EXPECT_EQ(t.core_of(1), 0u);
-  EXPECT_EQ(t.core_of(2), 1u);
-  EXPECT_EQ(t.core_of(7), 3u);
-  EXPECT_THROW(t.core_of(8), std::out_of_range);
-}
-
-TEST(CpuTopology, SiblingPairsAreInvolutions) {
-  const CpuTopology t(1, 8, 2);
-  for (LogicalCpu cpu = 0; cpu < t.logical_cpus(); ++cpu) {
-    const LogicalCpu sib = t.sibling_of(cpu);
-    EXPECT_NE(sib, cpu);
-    EXPECT_EQ(t.sibling_of(sib), cpu);
-    EXPECT_EQ(t.core_of(sib), t.core_of(cpu));
-  }
-  EXPECT_THROW(t.sibling_of(16), std::out_of_range);
-}
-
-TEST(CpuTopology, SmtOffSiblingIsSelf) {
-  const CpuTopology t(1, 4, 1);
-  for (LogicalCpu cpu = 0; cpu < 4; ++cpu) EXPECT_EQ(t.sibling_of(cpu), cpu);
-}
-
-TEST(CpuTopology, FirstThreadOfCore) {
-  const CpuTopology t(1, 4, 2);
-  EXPECT_EQ(t.first_thread_of(0), 0u);
-  EXPECT_EQ(t.first_thread_of(3), 6u);
-  EXPECT_THROW(t.first_thread_of(4), std::out_of_range);
-}
-
 TEST(CpuTopology, Equality) {
   EXPECT_EQ(CpuTopology(1, 8, 2), CpuTopology(1, 8, 2));
   EXPECT_NE(CpuTopology(1, 8, 2), CpuTopology(1, 8, 1));
