@@ -59,11 +59,11 @@ util::Summary validation_error(const core::OfflineDataset& dataset,
   std::vector<double> errors;
   for (std::size_t k = 0; k < trace.size(); ++k) {
     std::vector<common::StateVector> agg(dataset.universe.size());
-    for (const auto& obs : trace.states.records()[k].observations)
-      agg[dataset.universe.index_of(obs.type_id)] += obs.state;
+    for (const auto& vm : trace.vms[k])
+      agg[dataset.universe.index_of(vm.type)] += vm.state;
     const double predicted = dataset.approximation.predict(grand_combo, agg);
     const double measured =
-        std::max(0.0, trace.measured_power[k] - spec.idle_power_w);
+        sim::adjusted_power_w(trace.measured_power[k], spec.idle_power_w);
     errors.push_back(util::relative_error(predicted, measured));
   }
   return util::summarize(errors);
@@ -134,10 +134,8 @@ void ablation_anchor() {
   for (int t = 0; t < 200; ++t) {
     const auto frame = machine.step(1.0);
     const double adjusted =
-        std::max(0.0, frame.active_power_w - machine.idle_power_w());
-    std::vector<core::VmSample> samples;
-    for (const auto& obs : machine.hypervisor().observations())
-      samples.push_back({obs.id, obs.type_id, obs.state});
+        sim::adjusted_power_w(frame.active_power_w, machine.idle_power_w());
+    const auto samples = machine.hypervisor().observations();
     const auto a = anchored.estimate(samples, adjusted);
     const auto u = unanchored.estimate(samples, adjusted);
     anchored_gap.add(util::relative_error(
@@ -187,11 +185,11 @@ void ablation_typeset() {
   };
   // The estimator's worth game: the regression's v(S, C), v(N) anchored to
   // the measurement (every VM is busy, so none drops out).
-  const auto brute_force = [&](const std::vector<core::VmSample>& vms,
+  const auto brute_force = [&](const std::vector<common::VmSample>& vms,
                                double measured) {
     std::vector<common::VmTypeId> vm_types;
     std::vector<common::StateVector> states;
-    for (const core::VmSample& vm : vms) {
+    for (const common::VmSample& vm : vms) {
       vm_types.push_back(vm.type);
       states.push_back(vm.state);
     }
@@ -212,7 +210,7 @@ void ablation_typeset() {
     const bool with_reference = n <= 16;
     core::ShapleyVhcEstimator typeset(dataset.universe,
                                       dataset.approximation);
-    std::vector<std::vector<core::VmSample>> ticks(kTicks);
+    std::vector<std::vector<common::VmSample>> ticks(kTicks);
     std::vector<double> measured(kTicks);
     for (int tick = 0; tick < kTicks; ++tick) {
       for (std::size_t i = 0; i < n; ++i)
@@ -276,10 +274,10 @@ void ablation_shared_weights() {
   util::RunningStats per_combo_err, shared_err;
   for (std::size_t k = 0; k < trace.size(); ++k) {
     std::vector<common::StateVector> agg(dataset.universe.size());
-    for (const auto& obs : trace.states.records()[k].observations)
-      agg[dataset.universe.index_of(obs.type_id)] += obs.state;
+    for (const auto& vm : trace.vms[k])
+      agg[dataset.universe.index_of(vm.type)] += vm.state;
     const double measured =
-        std::max(0.0, trace.measured_power[k] - spec.idle_power_w);
+        sim::adjusted_power_w(trace.measured_power[k], spec.idle_power_w);
     per_combo_err.add(util::relative_error(
         dataset.approximation.predict(grand_combo, agg), measured));
     shared_err.add(util::relative_error(shared.predict(agg), measured));

@@ -52,12 +52,12 @@ std::vector<double> validate_benchmark(const sim::MachineSpec& spec,
   errors.reserve(trace.size());
   for (std::size_t k = 0; k < trace.size(); ++k) {
     std::vector<common::StateVector> aggregated(dataset.universe.size());
-    for (const auto& obs : trace.states.records()[k].observations)
-      aggregated[dataset.universe.index_of(obs.type_id)] += obs.state;
+    for (const auto& vm : trace.vms[k])
+      aggregated[dataset.universe.index_of(vm.type)] += vm.state;
     const double predicted =
         dataset.approximation.predict(grand_combo, aggregated);
     const double measured =
-        std::max(0.0, trace.measured_power[k] - spec.idle_power_w);
+        sim::adjusted_power_w(trace.measured_power[k], spec.idle_power_w);
     errors.push_back(util::relative_error(predicted, measured));
   }
   return errors;

@@ -60,12 +60,10 @@ int main() {
   for (int t = 1; t <= horizon_s; ++t) {
     const auto frame = machine.step(1.0);
     const double adjusted =
-        std::max(0.0, frame.active_power_w - machine.idle_power_w());
+        sim::adjusted_power_w(frame.active_power_w, machine.idle_power_w());
     measured_power.add(adjusted);
 
-    std::vector<core::VmSample> samples;
-    for (const auto& obs : machine.hypervisor().observations())
-      samples.push_back({obs.id, obs.type_id, obs.state});
+    const auto samples = machine.hypervisor().observations();
 
     const auto phi_shapley = shapley.estimate(samples, adjusted);
     const auto phi_model = power_model.estimate(samples, adjusted);

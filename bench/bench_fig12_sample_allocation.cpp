@@ -55,13 +55,12 @@ int main() {
     ids.push_back(id);
   }
   double adjusted = 0.0;
-  std::vector<core::VmSample> samples;
+  std::vector<common::VmSample> samples;
   for (int t = 0; t < 100; ++t) {  // settle into mid-run, then sample
     const auto frame = machine.step(1.0);
-    adjusted = std::max(0.0, frame.active_power_w - machine.idle_power_w());
-    samples.clear();
-    for (const auto& obs : machine.hypervisor().observations())
-      samples.push_back({obs.id, obs.type_id, obs.state});
+    adjusted =
+        sim::adjusted_power_w(frame.active_power_w, machine.idle_power_w());
+    samples = machine.hypervisor().observations();
   }
 
   const auto phi_shapley = shapley.estimate(samples, adjusted);

@@ -43,10 +43,8 @@ int main() {
   for (double t = 0.0; t < horizon_s; t += 1.0) {
     const auto frame = machine.step(1.0);
     const double adjusted =
-        std::max(0.0, frame.active_power_w - machine.idle_power_w());
-    std::vector<core::VmSample> samples;
-    for (const auto& obs : machine.hypervisor().observations())
-      samples.push_back({obs.id, obs.type_id, obs.state});
+        sim::adjusted_power_w(frame.active_power_w, machine.idle_power_w());
+    const auto samples = machine.hypervisor().observations();
     const auto phi = estimator.estimate(samples, adjusted);
     accountant.add_sample(samples, phi, machine.idle_power_w(), 1.0);
     const auto k =

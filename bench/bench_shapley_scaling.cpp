@@ -104,7 +104,7 @@ struct TickHost {
   vmp::util::Rng rng{7};  // draws the table first, then the states.
   vmp::core::VhcUniverse universe{{0, 1, 2, 3}};
   vmp::core::VhcLinearApprox approx = fit(rng);
-  std::vector<vmp::core::VmSample> vms;
+  std::vector<vmp::common::VmSample> vms;
 };
 
 void BM_EstimatorTick(benchmark::State& state) {

@@ -43,7 +43,7 @@ int main() {
   models[0].weights = {probe.worth(0b01, states), 0.0, 0.0, 0.0};
   base::PowerModelEstimator power_model(models);
 
-  const std::vector<core::VmSample> samples = {
+  const std::vector<common::VmSample> samples = {
       {0, fleet[0].type_id, states[0]}, {1, fleet[1].type_id, states[1]}};
   const auto phi_marginal = marginal.estimate(samples, measured);
   const auto phi_model = power_model.estimate(samples, measured);

@@ -74,13 +74,10 @@ int main() {
   for (int t = 0; t < 600; ++t) {
     const auto frames = cluster.step(1.0);
     for (std::size_t h = 0; h < cluster.host_count(); ++h) {
-      const auto& hypervisor = cluster.host(h).hypervisor();
-      if (hypervisor.observations().empty()) continue;
-      const double adjusted = std::max(
-          0.0, frames[h].active_power_w - cluster.host(h).idle_power_w());
-      std::vector<core::VmSample> samples;
-      for (const auto& obs : hypervisor.observations())
-        samples.push_back({obs.id, obs.type_id, obs.state});
+      const auto samples = cluster.host(h).hypervisor().observations();
+      if (samples.empty()) continue;
+      const double adjusted = sim::adjusted_power_w(
+          frames[h].active_power_w, cluster.host(h).idle_power_w());
       const auto phi = estimators[h].estimate(samples, adjusted);
       accountant.add_host_sample(static_cast<core::HostId>(h), samples, phi,
                                  1.0);

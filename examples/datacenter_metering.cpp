@@ -65,13 +65,11 @@ int main() {
     const sim::MeterFrame frame = machine.step(1.0);
     rapl_counters.accumulate(machine.true_power(), 1.0);
     const double adjusted =
-        std::max(0.0, frame.active_power_w - machine.idle_power_w());
+        sim::adjusted_power_w(frame.active_power_w, machine.idle_power_w());
     meter_w.add(frame.active_power_w);
     rapl_pkg_w.add(rapl.average_power_w(sim::RaplDomain::kPackage, 1.0));
 
-    std::vector<core::VmSample> samples;
-    for (const sim::VmObservation& obs : machine.hypervisor().observations())
-      samples.push_back({obs.id, obs.type_id, obs.state});
+    const auto samples = machine.hypervisor().observations();
     const auto phi = estimator.estimate(samples, adjusted);
     for (std::size_t i = 0; i < phi.size(); ++i) phi_stats[i].add(phi[i]);
     accountant.add_sample(samples, phi, machine.idle_power_w(), 1.0);

@@ -103,10 +103,8 @@ int main() {
                              core::MultiHostAccountant& acc) {
     const auto frame = machine.step(1.0);
     const double adjusted =
-        std::max(0.0, frame.active_power_w - machine.idle_power_w());
-    std::vector<core::VmSample> samples;
-    for (const auto& obs : machine.hypervisor().observations())
-      samples.push_back({obs.id, obs.type_id, obs.state});
+        sim::adjusted_power_w(frame.active_power_w, machine.idle_power_w());
+    const auto samples = machine.hypervisor().observations();
     const auto phi = estimator.estimate(samples, adjusted);
     acc.add_host_sample(host, samples, phi, 1.0);
   };

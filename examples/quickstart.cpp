@@ -60,12 +60,10 @@ int main() {
   for (int second = 0; second < 60; ++second) {
     const sim::MeterFrame frame = machine.step(1.0);
     const double adjusted =
-        std::max(0.0, frame.active_power_w - machine.idle_power_w());
+        sim::adjusted_power_w(frame.active_power_w, machine.idle_power_w());
     measured.add(adjusted);
 
-    std::vector<core::VmSample> samples;
-    for (const sim::VmObservation& obs : machine.hypervisor().observations())
-      samples.push_back({obs.id, obs.type_id, obs.state});
+    const auto samples = machine.hypervisor().observations();
 
     const auto phi = shapley.estimate(samples, adjusted);
     phi_a.add(phi[0]);
@@ -81,8 +79,8 @@ int main() {
   // The order-dependent marginal rule, for contrast (Table III row 1).
   const std::vector<common::StateVector> full_load(
       2, common::StateVector::cpu_only(1.0));
-  std::vector<core::VmSample> at_full = {{0, c_vm.type_id, full_load[0]},
-                                         {1, c_vm.type_id, full_load[1]}};
+  std::vector<common::VmSample> at_full = {{0, c_vm.type_id, full_load[0]},
+                                           {1, c_vm.type_id, full_load[1]}};
   const auto marginal_phi =
       marginal.estimate(at_full, probe.worth(0b11, full_load));
 

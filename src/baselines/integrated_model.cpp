@@ -11,10 +11,9 @@ namespace vmp::base {
 
 namespace {
 
-double summed_cpu(const sim::DstatRecord& record) {
+double summed_cpu(const std::vector<common::VmSample>& vms) {
   double sum = 0.0;
-  for (const sim::VmObservation& obs : record.observations)
-    sum += obs.state.cpu();
+  for (const common::VmSample& vm : vms) sum += vm.state.cpu();
   return sum;
 }
 
@@ -42,7 +41,7 @@ IntegratedModel train_integrated_model(const sim::MachineSpec& spec,
   util::Matrix design(trace.size(), 2);
   std::vector<double> target(trace.size());
   for (std::size_t k = 0; k < trace.size(); ++k) {
-    design(k, 0) = summed_cpu(trace.states.records()[k]);
+    design(k, 0) = summed_cpu(trace.vms[k]);
     design(k, 1) = 1.0;
     target[k] = trace.measured_power[k];
   }
@@ -61,8 +60,7 @@ double integrated_model_error(const IntegratedModel& model,
   std::vector<double> errors;
   errors.reserve(trace.size());
   for (std::size_t k = 0; k < trace.size(); ++k) {
-    const double predicted =
-        model.predict_total(summed_cpu(trace.states.records()[k]));
+    const double predicted = model.predict_total(summed_cpu(trace.vms[k]));
     errors.push_back(util::relative_error(predicted, trace.measured_power[k]));
   }
   return util::mean(errors);

@@ -25,7 +25,7 @@ MarginalContributionEstimator::MarginalContributionEstimator(
 }
 
 std::vector<double> MarginalContributionEstimator::estimate(
-    std::span<const core::VmSample> vms, double adjusted_power_w) {
+    std::span<const common::VmSample> vms, double adjusted_power_w) {
   (void)adjusted_power_w;  // efficiency holds by telescoping on the oracle.
   if (vms.size() != probe_.fleet_size())
     throw std::invalid_argument(
@@ -33,7 +33,7 @@ std::vector<double> MarginalContributionEstimator::estimate(
 
   std::vector<common::StateVector> states;
   states.reserve(vms.size());
-  for (const core::VmSample& vm : vms) states.push_back(vm.state);
+  for (const common::VmSample& vm : vms) states.push_back(vm.state);
 
   std::vector<double> phi(vms.size(), 0.0);
   sim::CoalitionMask prefix = 0;

@@ -25,7 +25,7 @@ class MarginalContributionEstimator final : public core::PowerEstimator {
                                          std::vector<std::size_t> order = {});
 
   [[nodiscard]] std::vector<double> estimate(
-      std::span<const core::VmSample> vms, double adjusted_power_w) override;
+      std::span<const common::VmSample> vms, double adjusted_power_w) override;
   [[nodiscard]] std::string_view name() const noexcept override {
     return "marginal-contribution";
   }

@@ -11,13 +11,13 @@ PowerModelEstimator::PowerModelEstimator(std::vector<VmPowerModel> models)
 }
 
 std::vector<double> PowerModelEstimator::estimate(
-    std::span<const core::VmSample> vms, double adjusted_power_w) {
+    std::span<const common::VmSample> vms, double adjusted_power_w) {
   if (vms.empty())
     throw std::invalid_argument("PowerModelEstimator: need at least one VM");
   (void)adjusted_power_w;  // deliberately unused: the baseline has no feedback.
   std::vector<double> phi;
   phi.reserve(vms.size());
-  for (const core::VmSample& vm : vms)
+  for (const common::VmSample& vm : vms)
     phi.push_back(model_for(models_, vm.type).predict(vm.state));
   return phi;
 }

@@ -22,7 +22,7 @@ class PowerModelEstimator final : public core::PowerEstimator {
 
   /// Ignores adjusted_power_w by design (pure model readout).
   [[nodiscard]] std::vector<double> estimate(
-      std::span<const core::VmSample> vms, double adjusted_power_w) override;
+      std::span<const common::VmSample> vms, double adjusted_power_w) override;
   [[nodiscard]] std::string_view name() const noexcept override {
     return "power-model";
   }

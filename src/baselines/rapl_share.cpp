@@ -16,7 +16,7 @@ RaplShareEstimator::RaplShareEstimator(
 }
 
 std::vector<double> RaplShareEstimator::estimate(
-    std::span<const core::VmSample> vms, double adjusted_power_w) {
+    std::span<const common::VmSample> vms, double adjusted_power_w) {
   if (vms.empty())
     throw std::invalid_argument("RaplShareEstimator: need at least one VM");
   if (!std::isfinite(adjusted_power_w) || adjusted_power_w < 0.0)
@@ -26,7 +26,7 @@ std::vector<double> RaplShareEstimator::estimate(
   std::vector<double> cpu_seconds;
   cpu_seconds.reserve(vms.size());
   double total = 0.0;
-  for (const core::VmSample& vm : vms) {
+  for (const common::VmSample& vm : vms) {
     const auto it = vcpus_by_type_.find(vm.type);
     if (it == vcpus_by_type_.end())
       throw std::out_of_range("RaplShareEstimator: unknown VM type");

@@ -23,7 +23,7 @@ class RaplShareEstimator final : public core::PowerEstimator {
   explicit RaplShareEstimator(const std::vector<common::VmConfig>& catalogue);
 
   [[nodiscard]] std::vector<double> estimate(
-      std::span<const core::VmSample> vms, double adjusted_power_w) override;
+      std::span<const common::VmSample> vms, double adjusted_power_w) override;
   [[nodiscard]] std::string_view name() const noexcept override {
     return "rapl-proportional";
   }

@@ -12,7 +12,7 @@ ResourceUsageEstimator::ResourceUsageEstimator(std::vector<VmPowerModel> models)
 }
 
 std::vector<double> ResourceUsageEstimator::estimate(
-    std::span<const core::VmSample> vms, double adjusted_power_w) {
+    std::span<const common::VmSample> vms, double adjusted_power_w) {
   if (vms.empty())
     throw std::invalid_argument("ResourceUsageEstimator: need at least one VM");
   if (!std::isfinite(adjusted_power_w) || adjusted_power_w < 0.0)
@@ -22,7 +22,7 @@ std::vector<double> ResourceUsageEstimator::estimate(
   std::vector<double> usage;
   usage.reserve(vms.size());
   double total = 0.0;
-  for (const core::VmSample& vm : vms) {
+  for (const common::VmSample& vm : vms) {
     const double u = model_for(models_, vm.type).predict(vm.state);
     usage.push_back(u);
     total += u;

@@ -22,7 +22,7 @@ class ResourceUsageEstimator final : public core::PowerEstimator {
   explicit ResourceUsageEstimator(std::vector<VmPowerModel> models);
 
   [[nodiscard]] std::vector<double> estimate(
-      std::span<const core::VmSample> vms, double adjusted_power_w) override;
+      std::span<const common::VmSample> vms, double adjusted_power_w) override;
   [[nodiscard]] std::string_view name() const noexcept override {
     return "resource-usage";
   }

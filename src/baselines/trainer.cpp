@@ -41,13 +41,13 @@ VmPowerModel train_isolation_model(const sim::MachineSpec& spec,
   util::Matrix design(trace.size(), common::kNumComponents);
   std::vector<double> target(trace.size());
   for (std::size_t k = 0; k < trace.size(); ++k) {
-    const auto& observations = trace.states.records()[k].observations;
     common::StateVector state{};
-    if (!observations.empty()) state = observations.front().state;
+    if (!trace.vms[k].empty()) state = trace.vms[k].front().state;
     const auto values = state.values();
     for (std::size_t c = 0; c < common::kNumComponents; ++c)
       design(k, c) = values[c];
-    target[k] = std::max(0.0, trace.measured_power[k] - spec.idle_power_w);
+    target[k] =
+        sim::adjusted_power_w(trace.measured_power[k], spec.idle_power_w);
   }
 
   const util::LeastSquaresResult fit = util::solve_ridge(design, target, 1e-9);

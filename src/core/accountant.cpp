@@ -18,7 +18,7 @@ const char* to_string(IdleAttribution policy) noexcept {
 
 EnergyAccountant::EnergyAccountant(IdleAttribution policy) : policy_(policy) {}
 
-void EnergyAccountant::add_sample(std::span<const VmSample> vms,
+void EnergyAccountant::add_sample(std::span<const common::VmSample> vms,
                                   std::span<const double> phi,
                                   double idle_power_w, double dt_s) {
   if (vms.size() != phi.size())

@@ -32,8 +32,9 @@ class EnergyAccountant {
   /// Accounts one sampling interval: vms[i] consumed phi[i] watts for dt_s
   /// seconds, plus its share of idle_power_w per the policy. Throws
   /// std::invalid_argument on size mismatch or non-positive dt.
-  void add_sample(std::span<const VmSample> vms, std::span<const double> phi,
-                  double idle_power_w, double dt_s);
+  void add_sample(std::span<const common::VmSample> vms,
+                  std::span<const double> phi, double idle_power_w,
+                  double dt_s);
 
   /// Cumulative attributed energy of a VM in joules (0 for unseen ids).
   [[nodiscard]] double energy_j(std::uint32_t vm_id) const noexcept;

@@ -34,7 +34,7 @@ double PowerCapController::throttle(std::uint32_t vm_id) const noexcept {
   return it != states_.end() ? it->second.throttle : 1.0;
 }
 
-void PowerCapController::observe(std::span<const VmSample> vms,
+void PowerCapController::observe(std::span<const common::VmSample> vms,
                                  std::span<const double> phi) {
   if (vms.size() != phi.size())
     throw std::invalid_argument("PowerCapController: vms/phi size mismatch");

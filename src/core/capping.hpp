@@ -40,7 +40,8 @@ class PowerCapController {
 
   /// Feeds one estimation sample; updates each capped VM's throttle. vms and
   /// phi must be parallel (throws std::invalid_argument otherwise).
-  void observe(std::span<const VmSample> vms, std::span<const double> phi);
+  void observe(std::span<const common::VmSample> vms,
+               std::span<const double> phi);
 
   /// Count of cap violations observed so far for a VM.
   [[nodiscard]] std::size_t violations(std::uint32_t vm_id) const noexcept;

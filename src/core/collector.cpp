@@ -105,14 +105,13 @@ OfflineDataset collect_offline_dataset(const sim::MachineSpec& spec,
         sim::run_scenario(machine, options.duration_s, options.period_s);
 
     for (std::size_t k = 0; k < trace.size(); ++k) {
-      const sim::DstatRecord& record = trace.states.records()[k];
       std::fill(aggregated.begin(), aggregated.end(),
                 common::StateVector::zero());
-      for (const sim::VmObservation& obs : record.observations)
-        aggregated[universe.index_of(obs.type_id)] += obs.state;
-      const double adjusted =
-          std::max(0.0, trace.measured_power[k] - spec.idle_power_w);
-      table.record(combo, aggregated, adjusted);
+      for (const common::VmSample& vm : trace.vms[k])
+        aggregated[universe.index_of(vm.type)] += vm.state;
+      table.record(combo, aggregated,
+                   sim::adjusted_power_w(trace.measured_power[k],
+                                         spec.idle_power_w));
     }
     VMP_LOG_INFO("offline collection: combo %u -> %zu samples", combo,
                  trace.size());

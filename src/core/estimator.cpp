@@ -10,14 +10,16 @@ namespace vmp::core {
 
 namespace {
 
-std::vector<common::StateVector> states_of(std::span<const VmSample> vms) {
+std::vector<common::StateVector> states_of(
+    std::span<const common::VmSample> vms) {
   std::vector<common::StateVector> states;
   states.reserve(vms.size());
-  for (const VmSample& vm : vms) states.push_back(vm.state);
+  for (const common::VmSample& vm : vms) states.push_back(vm.state);
   return states;
 }
 
-void require_input(std::span<const VmSample> vms, double adjusted_power_w) {
+void require_input(std::span<const common::VmSample> vms,
+                   double adjusted_power_w) {
   if (vms.empty())
     throw std::invalid_argument("PowerEstimator: need at least one VM");
   if (vms.size() > kMaxHostVms)
@@ -38,13 +40,14 @@ ShapleyVhcEstimator::ShapleyVhcEstimator(VhcUniverse universe,
         "ShapleyVhcEstimator: approximation VHC count != universe size");
 }
 
-VhcComboMask ShapleyVhcEstimator::prepare_tick(std::span<const VmSample> vms) {
+VhcComboMask ShapleyVhcEstimator::prepare_tick(
+    std::span<const common::VmSample> vms) {
   const std::size_t n = vms.size();
 
   // The partition survives across ticks: a host's VM type list is stable, so
   // rebuilding it (and its allocations) every sampling period is pure waste.
   types_scratch_.clear();
-  for (const VmSample& vm : vms) types_scratch_.push_back(vm.type);
+  for (const common::VmSample& vm : vms) types_scratch_.push_back(vm.type);
   if (!partition_.has_value() || types_scratch_ != cached_types_) {
     partition_.emplace(universe_, types_scratch_);
     cached_types_ = types_scratch_;
@@ -66,8 +69,8 @@ VhcComboMask ShapleyVhcEstimator::prepare_tick(std::span<const VmSample> vms) {
   return full_combo;
 }
 
-std::vector<double> ShapleyVhcEstimator::estimate(std::span<const VmSample> vms,
-                                                  double adjusted_power_w) {
+std::vector<double> ShapleyVhcEstimator::estimate(
+    std::span<const common::VmSample> vms, double adjusted_power_w) {
   VMP_TRACE_SPAN("core.estimate", "core");
   require_input(vms, adjusted_power_w);
 
@@ -89,7 +92,7 @@ std::vector<double> ShapleyVhcEstimator::estimate(std::span<const VmSample> vms,
 }
 
 void ShapleyVhcEstimator::build_contribution_table(
-    std::span<const VmSample> vms, VhcComboMask full_combo) {
+    std::span<const common::VmSample> vms, VhcComboMask full_combo) {
   const std::size_t n = vms.size();
   // Columns cover only the sub-combos of this tick's busy VHCs, renumbered
   // densely: a busy VHC's column bit is its rank among full_combo's bits.
@@ -120,7 +123,7 @@ OracleShapleyEstimator::OracleShapleyEstimator(const sim::CoalitionProbe& probe,
     : probe_(probe), anchor_(anchor) {}
 
 std::vector<double> OracleShapleyEstimator::estimate(
-    std::span<const VmSample> vms, double adjusted_power_w) {
+    std::span<const common::VmSample> vms, double adjusted_power_w) {
   require_input(vms, adjusted_power_w);
   if (vms.size() != probe_.fleet_size())
     throw std::invalid_argument(

@@ -29,6 +29,7 @@
 
 #include "common/state_vector.hpp"
 #include "common/vm_config.hpp"
+#include "common/vm_sample.hpp"
 #include "core/linear_approx.hpp"
 #include "core/shapley.hpp"
 #include "core/shapley_fast.hpp"
@@ -36,13 +37,6 @@
 #include "sim/coalition_probe.hpp"
 
 namespace vmp::core {
-
-/// One running VM's telemetry at the estimation instant.
-struct VmSample {
-  std::uint32_t vm_id = 0;
-  common::VmTypeId type = 0;
-  common::StateVector state;
-};
 
 /// Interface every power-disaggregation policy implements.
 class PowerEstimator {
@@ -53,7 +47,7 @@ class PowerEstimator {
   /// adjusted_power_w. adjusted_power_w must be >= 0; implementations throw
   /// std::invalid_argument on malformed input.
   [[nodiscard]] virtual std::vector<double> estimate(
-      std::span<const VmSample> vms, double adjusted_power_w) = 0;
+      std::span<const common::VmSample> vms, double adjusted_power_w) = 0;
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };
@@ -72,8 +66,8 @@ class ShapleyVhcEstimator final : public PowerEstimator {
 
   /// Up to kMaxHostVms VMs. After a first tick, a call with the same types,
   /// no more VMs and no newly busy VHC allocates only the vector it returns.
-  [[nodiscard]] std::vector<double> estimate(std::span<const VmSample> vms,
-                                             double adjusted_power_w) override;
+  [[nodiscard]] std::vector<double> estimate(
+      std::span<const common::VmSample> vms, double adjusted_power_w) override;
   [[nodiscard]] std::string_view name() const noexcept override {
     return "shapley-vhc";
   }
@@ -88,11 +82,11 @@ class ShapleyVhcEstimator final : public PowerEstimator {
  private:
   /// Refreshes the cached partition / per-player metadata for this tick.
   /// Returns the combo of all non-idle players.
-  VhcComboMask prepare_tick(std::span<const VmSample> vms);
+  VhcComboMask prepare_tick(std::span<const common::VmSample> vms);
   /// Fills p_ with P[i][col] = state_i · w_combo[vhc_i] for every
   /// sub-combo of full_combo (columns numbered over full_combo's bits, see
   /// player_col_): typeset_shapley's contribution table.
-  void build_contribution_table(std::span<const VmSample> vms,
+  void build_contribution_table(std::span<const common::VmSample> vms,
                                 VhcComboMask full_combo);
 
   VhcUniverse universe_;
@@ -122,8 +116,8 @@ class OracleShapleyEstimator final : public PowerEstimator {
   explicit OracleShapleyEstimator(const sim::CoalitionProbe& probe,
                                   bool anchor_grand_to_measurement = false);
 
-  [[nodiscard]] std::vector<double> estimate(std::span<const VmSample> vms,
-                                             double adjusted_power_w) override;
+  [[nodiscard]] std::vector<double> estimate(
+      std::span<const common::VmSample> vms, double adjusted_power_w) override;
   [[nodiscard]] std::string_view name() const noexcept override {
     return "shapley-oracle";
   }

@@ -25,7 +25,7 @@ TenantId MultiHostAccountant::owner_of(HostId host, std::uint32_t vm) const {
 }
 
 void MultiHostAccountant::add_host_sample(HostId host,
-                                          std::span<const VmSample> vms,
+                                          std::span<const common::VmSample> vms,
                                           std::span<const double> phi,
                                           double dt_s) {
   if (vms.size() != phi.size())

@@ -42,7 +42,7 @@ class MultiHostAccountant {
   /// phi[i] watts for dt_s seconds. Unbound VMs accumulate under the
   /// `unattributed` bucket (queryable via unattributed_energy_j). Throws
   /// std::invalid_argument on size mismatch or non-positive dt.
-  void add_host_sample(HostId host, std::span<const VmSample> vms,
+  void add_host_sample(HostId host, std::span<const common::VmSample> vms,
                        std::span<const double> phi, double dt_s);
 
   /// Tenant's cumulative energy across every host, joules.

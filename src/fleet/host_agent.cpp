@@ -58,7 +58,7 @@ HostTickResult HostAgent::sample(std::uint64_t tick,
   // the *metering* path below degrades, so the fleet's efficiency-residual
   // invariant can compare billed φ against what the machine actually drew.
   result.measured_adjusted_w =
-      std::max(0.0, frame.active_power_w - machine_.idle_power_w());
+      sim::adjusted_power_w(frame.active_power_w, machine_.idle_power_w());
 
   const auto degrade = [&] {
     result.degraded = true;
@@ -95,15 +95,11 @@ HostTickResult HostAgent::sample(std::uint64_t tick,
       degrade();
     } else {
       const double adjusted = result.measured_adjusted_w;
-      std::vector<core::VmSample> fresh;
-      for (const sim::VmObservation& obs :
-           machine_.hypervisor().observations())
-        fresh.push_back({obs.id, obs.type_id, obs.state});
-
       result.stale = injector.fires(FaultInjector::Kind::kStale, host_id_,
                                     tick) &&
                      !last_vms_.empty();
-      result.vms = result.stale ? last_vms_ : fresh;
+      result.vms = result.stale ? last_vms_
+                                : machine_.hypervisor().observations();
       result.adjusted_power_w = adjusted;
       if (!result.vms.empty()) {
         const auto est_start = std::chrono::steady_clock::now();
@@ -148,27 +144,46 @@ void HostAgent::save_state(std::ostream& out) const {
 void HostAgent::load_state(std::istream& in) {
   std::string tag;
   std::uint32_t host = 0;
-  std::size_t count = 0;
+  long long count = 0;  // signed, so a damaged "-1" is named as written.
   if (!(in >> tag >> host >> dropout_remaining_ >> degraded_ticks_ >>
         last_adjusted_w_ >> count) ||
       tag != "host")
     throw std::runtime_error("HostAgent: malformed carry-state block");
   if (host != host_id_)
     throw std::runtime_error("HostAgent: carry-state host id mismatch");
-  last_vms_.assign(count, {});
-  last_phi_.assign(count, 0.0);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint32_t type = 0;
-    if (!(in >> last_vms_[i].vm_id >> type))
+  const std::string where = "HostAgent: host " + std::to_string(host_id_);
+  // A carried row is billed on every stale or degraded tick that follows,
+  // so each must name one of this host's VMs, with its type, in the
+  // ascending id order observations() reports them.
+  if (count < 0 || static_cast<std::size_t>(count) > vm_ids_.size())
+    throw std::runtime_error(where + " carry-state count " +
+                             std::to_string(count) + " is outside [0, " +
+                             std::to_string(vm_ids_.size()) + "]");
+  last_vms_.clear();
+  last_phi_.clear();
+  auto next = vm_ids_.begin();
+  for (long long i = 0; i < count; ++i) {
+    common::VmSample& vm = last_vms_.emplace_back();
+    double& phi = last_phi_.emplace_back();
+    if (!(in >> vm.vm_id >> vm.type))
       throw std::runtime_error("HostAgent: truncated carry-state row");
-    last_vms_[i].type = static_cast<common::VmTypeId>(type);
-    for (std::size_t c = 0; c < common::kNumComponents; ++c) {
-      double v = 0.0;
-      if (!(in >> v))
+    next = std::find(next, vm_ids_.end(), vm.vm_id);
+    if (next == vm_ids_.end())
+      throw std::runtime_error(where + " carry-state row names VM " +
+                               std::to_string(vm.vm_id) +
+                               ", not one of its VMs in ascending order");
+    const common::VmTypeId type =
+        machine_.hypervisor().vm(*next).config().type_id;
+    ++next;
+    if (vm.type != type)
+      throw std::runtime_error(where + " carry-state row gives VM " +
+                               std::to_string(vm.vm_id) + " type " +
+                               std::to_string(vm.type) + ", not its type " +
+                               std::to_string(type));
+    for (std::size_t c = 0; c < common::kNumComponents; ++c)
+      if (!(in >> vm.state[static_cast<common::Component>(c)]))
         throw std::runtime_error("HostAgent: truncated carry-state row");
-      last_vms_[i].state[static_cast<common::Component>(c)] = v;
-    }
-    if (!(in >> last_phi_[i]))
+    if (!(in >> phi))
       throw std::runtime_error("HostAgent: truncated carry-state row");
   }
 }

@@ -30,9 +30,9 @@ namespace vmp::fleet {
 struct HostTickResult {
   std::uint32_t host = 0;
   std::uint64_t tick = 0;
-  std::vector<core::VmSample> vms;  ///< telemetry the estimate used.
-  std::vector<double> phi;          ///< per-VM watts, parallel to vms.
-  double adjusted_power_w = 0.0;    ///< what billing used (carried if degraded).
+  std::vector<common::VmSample> vms;  ///< telemetry the estimate used.
+  std::vector<double> phi;            ///< per-VM watts, parallel to vms.
+  double adjusted_power_w = 0.0;      ///< what billing used (carried if degraded).
   /// The simulator's true adjusted draw this tick, knowable even when the
   /// metering path degraded. The fleet's efficiency-residual invariant is
   /// |Σφ − measured|: ~0 on fresh ticks (the estimator anchors to the
@@ -103,7 +103,8 @@ class HostAgent {
   /// engine resumes the exact degradation trajectory, faults included.
   void save_state(std::ostream& out) const;
   /// Reads a block written by save_state; throws std::runtime_error on
-  /// malformed input or a host id mismatch.
+  /// malformed input, a host id mismatch, or a carried row that is not one
+  /// of this host's VMs with its type, in ascending id order.
   void load_state(std::istream& in);
 
  private:
@@ -114,7 +115,7 @@ class HostAgent {
   std::vector<sim::VmId> vm_ids_;
 
   // Carry-forward state for degradation and staleness.
-  std::vector<core::VmSample> last_vms_;
+  std::vector<common::VmSample> last_vms_;
   std::vector<double> last_phi_;
   double last_adjusted_w_ = 0.0;
   std::uint64_t dropout_remaining_ = 0;

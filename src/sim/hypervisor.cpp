@@ -68,8 +68,8 @@ void Hypervisor::tick(double dt) {
   recompute_epoch();
 }
 
-std::vector<VmObservation> Hypervisor::observations() const {
-  std::vector<VmObservation> out;
+std::vector<common::VmSample> Hypervisor::observations() const {
+  std::vector<common::VmSample> out;
   out.reserve(vms_.size());
   for (const Vm& vm : vms_) {
     if (!vm.running()) continue;

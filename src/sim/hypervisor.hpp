@@ -10,19 +10,13 @@
 #include <span>
 #include <vector>
 
+#include "common/vm_sample.hpp"
 #include "sim/machine_spec.hpp"
 #include "sim/power_model.hpp"
 #include "sim/vm.hpp"
 #include "util/rng.hpp"
 
 namespace vmp::sim {
-
-/// One VM's telemetry snapshot as the monitoring plane sees it.
-struct VmObservation {
-  VmId id = 0;
-  common::VmTypeId type_id = 0;
-  common::StateVector state;
-};
 
 class Hypervisor {
  public:
@@ -59,7 +53,7 @@ class Hypervisor {
   // --- observation plane ---
 
   /// Telemetry for all *running* VMs, in VmId order.
-  [[nodiscard]] std::vector<VmObservation> observations() const;
+  [[nodiscard]] std::vector<common::VmSample> observations() const;
 
   /// The machine's true power for the current epoch (set by the last tick;
   /// idle-only before the first tick).

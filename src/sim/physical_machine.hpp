@@ -10,7 +10,6 @@
 
 #include <cstdint>
 
-#include "sim/dstat.hpp"
 #include "sim/hypervisor.hpp"
 #include "sim/power_meter.hpp"
 

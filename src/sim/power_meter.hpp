@@ -7,6 +7,7 @@
 // accumulating energy register.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "util/rng.hpp"
@@ -36,6 +37,14 @@ struct MeterFrame {
   double active_power_w = 0.0;
   double energy_wh = 0.0;  ///< cumulative active energy since power-on.
 };
+
+/// A meter reading with the machine's idle floor deducted (paper Remark 1):
+/// the adjusted power the estimators disaggregate. Clamped at zero because
+/// meter noise can dip an idle sample below the floor.
+[[nodiscard]] inline double adjusted_power_w(double metered_w,
+                                             double idle_floor_w) noexcept {
+  return std::max(0.0, metered_w - idle_floor_w);
+}
 
 /// Frame-level serial interface on top of PowerMeter.
 class SerialMeterPort {

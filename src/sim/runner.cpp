@@ -1,18 +1,9 @@
 #include "sim/runner.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace vmp::sim {
-
-util::TimeSeries ScenarioTrace::adjusted_measured(double idle_power_w) const {
-  util::TimeSeries out(measured_power.start(), measured_power.period());
-  out.reserve(measured_power.size());
-  for (std::size_t i = 0; i < measured_power.size(); ++i)
-    out.push(std::max(0.0, measured_power[i] - idle_power_w));
-  return out;
-}
 
 ScenarioTrace run_scenario(PhysicalMachine& machine, double duration_s,
                            double period_s) {
@@ -34,7 +25,7 @@ ScenarioTrace run_scenario(PhysicalMachine& machine, double duration_s,
     const MeterFrame frame = machine.step(period_s);
     trace.measured_power.push(frame.active_power_w);
     trace.true_power.push(machine.true_power().total());
-    trace.states.sample(machine.hypervisor());
+    trace.vms.push_back(machine.hypervisor().observations());
   }
   return trace;
 }

@@ -3,7 +3,9 @@
 // evaluation consumes.
 #pragma once
 
-#include "sim/dstat.hpp"
+#include <vector>
+
+#include "common/vm_sample.hpp"
 #include "sim/physical_machine.hpp"
 #include "util/time_series.hpp"
 
@@ -13,15 +15,12 @@ namespace vmp::sim {
 struct ScenarioTrace {
   util::TimeSeries measured_power{0.0, 1.0};  ///< wall meter, includes idle.
   util::TimeSeries true_power{0.0, 1.0};      ///< noiseless, includes idle.
-  DstatCollector states;                      ///< per-sample VM observations.
+  /// Per sample, the running VMs' telemetry (Hypervisor::observations()).
+  std::vector<std::vector<common::VmSample>> vms;
 
   [[nodiscard]] std::size_t size() const noexcept {
     return measured_power.size();
   }
-
-  /// Measured power with the idle floor deducted (paper Remark 1), clamped
-  /// at zero (meter noise can dip an idle sample below the floor).
-  [[nodiscard]] util::TimeSeries adjusted_measured(double idle_power_w) const;
 };
 
 /// Steps `machine` for duration_s in increments of period_s (default 1 Hz,

@@ -8,6 +8,7 @@ namespace vmp::core {
 namespace {
 
 using common::StateVector;
+using common::VmSample;
 
 std::vector<VmSample> two_vms() {
   return {{10, 0, StateVector::cpu_only(1.0)},

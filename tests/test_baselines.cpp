@@ -18,7 +18,7 @@ namespace vmp::base {
 namespace {
 
 using common::StateVector;
-using core::VmSample;
+using common::VmSample;
 
 sim::MachineSpec quiet_spec() {
   sim::MachineSpec spec = sim::xeon_prototype();

@@ -8,6 +8,7 @@ namespace vmp::core {
 namespace {
 
 using common::StateVector;
+using common::VmSample;
 
 std::vector<VmSample> one_vm(std::uint32_t id = 1) {
   return {{id, 0, StateVector::cpu_only(1.0)}};

@@ -16,6 +16,7 @@ namespace vmp::core {
 namespace {
 
 using common::StateVector;
+using common::VmSample;
 
 sim::MachineSpec quiet_spec() {
   sim::MachineSpec spec = sim::xeon_prototype();

@@ -35,6 +35,7 @@ namespace vmp::core {
 namespace {
 
 using common::StateVector;
+using common::VmSample;
 
 constexpr std::size_t kTypes = 4;
 

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -322,6 +324,67 @@ TEST_F(FleetEngineTest, RestoreValidation) {
           << error.what();
     }
     EXPECT_EQ(target.tick(), 0u) << key;
+  }
+
+  // A host's carried rows must be its own VMs, with their types, in
+  // ascending id order, since stale and degraded ticks bill them. A count of
+  // -1 once died allocating, and a row naming a VM the host never booted
+  // was billed on the stale ticks that followed. Each error names the host
+  // and the value.
+  std::vector<std::string> lines;
+  {
+    std::istringstream in(saved);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  const auto h = static_cast<std::size_t>(
+      std::find_if(lines.begin(), lines.end(),
+                   [](const std::string& line) {
+                     return line.rfind("host 0 ", 0) == 0;
+                   }) -
+      lines.begin());
+  ASSERT_LT(h + 2, lines.size());
+  const auto with_token = [](std::string line, std::size_t index,
+                             const std::string& value) {
+    std::size_t begin = 0;
+    for (std::size_t i = 0; i < index; ++i) begin = line.find(' ', begin) + 1;
+    return line.replace(begin, line.find(' ', begin) - begin, value);
+  };
+  std::uint32_t id = 0, type = 0;
+  std::istringstream(lines[h + 1]) >> id >> type;
+  const std::string other_type = std::to_string(type + 1);
+  std::vector<std::pair<std::vector<std::string>, std::string>> damaged_rows;
+  auto edit = lines;
+  edit[h] = with_token(edit[h], 5, "-1");
+  damaged_rows.emplace_back(edit, "count -1 ");
+  edit = lines;
+  edit[h] = with_token(edit[h], 5, "3");
+  edit.insert(edit.begin() + static_cast<std::ptrdiff_t>(h + 3),
+              with_token(edit[h + 2], 0, "99"));
+  damaged_rows.emplace_back(edit, "count 3 ");
+  edit = lines;
+  edit[h + 2] = with_token(edit[h + 2], 0, "99");
+  damaged_rows.emplace_back(edit, "VM 99,");
+  edit = lines;
+  std::swap(edit[h + 1], edit[h + 2]);
+  damaged_rows.emplace_back(edit, "VM 0,");
+  edit = lines;
+  edit[h + 1] = with_token(edit[h + 1], 1, other_type);
+  damaged_rows.emplace_back(edit, "type " + other_type + ",");
+  for (const auto& [rows, named] : damaged_rows) {
+    {
+      std::ofstream out(path, std::ios::trunc);
+      for (const std::string& line : rows) out << line << '\n';
+    }
+    FleetEngine target(options_for(1), dataset_);
+    try {
+      target.restore_checkpoint(path);
+      ADD_FAILURE() << named << " was accepted";
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("host 0 "), std::string::npos) << what;
+      EXPECT_NE(what.find(named), std::string::npos) << what;
+    }
+    EXPECT_EQ(target.tick(), 0u) << named;
   }
   std::filesystem::remove(path);
 }

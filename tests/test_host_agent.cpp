@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -41,6 +42,20 @@ class HostAgentTest : public ::testing::Test {
   HostAgent agent(std::uint64_t seed) const {
     return HostAgent(0, spec_, fleet_, dataset().universe,
                      dataset().approximation, seed);
+  }
+
+  /// True when both carry the same VMs, types and state bits.
+  static bool same_telemetry(const std::vector<common::VmSample>& a,
+                             const std::vector<common::VmSample>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i].vm_id != b[i].vm_id || a[i].type != b[i].type) return false;
+      for (std::size_t c = 0; c < common::kNumComponents; ++c)
+        if (std::bit_cast<std::uint64_t>(a[i].state.values()[c]) !=
+            std::bit_cast<std::uint64_t>(b[i].state.values()[c]))
+          return false;
+    }
+    return true;
   }
 };
 
@@ -93,6 +108,50 @@ TEST_F(HostAgentTest, FastForwardThenSampleMatchesTheSampledTrajectory) {
     for (std::uint64_t tick = 0; tick < k; ++tick) resumed.fast_forward_tick();
     EXPECT_EQ(resumed.sample(k, no_faults_).phi, last) << "k = " << k;
   }
+}
+
+TEST_F(HostAgentTest, AStaleTickReEstimatesTheLastFreshStatesOnItsOwnReading) {
+  FaultSpec stale;
+  stale.stale_telemetry = 1.0;
+  const FaultInjector always_stale(stale, 1);
+  HostAgent host = agent(3);
+  HostAgent twin = agent(3);
+  const HostTickResult fresh = host.sample(0, no_faults_);
+  twin.sample(0, no_faults_);
+
+  const HostTickResult r = host.sample(1, always_stale);
+  const HostTickResult twin_r = twin.sample(1, no_faults_);
+  EXPECT_TRUE(r.stale);
+  EXPECT_FALSE(r.degraded);
+  EXPECT_TRUE(same_telemetry(r.vms, fresh.vms));
+  EXPECT_FALSE(same_telemetry(r.vms, twin_r.vms));
+  EXPECT_EQ(r.measured_adjusted_w, twin_r.measured_adjusted_w);
+  EXPECT_EQ(r.adjusted_power_w, r.measured_adjusted_w);
+  ASSERT_EQ(r.phi.size(), r.vms.size());
+  double phi_sum = 0.0;
+  for (const double p : r.phi) phi_sum += p;
+  EXPECT_LE(std::abs(phi_sum - r.measured_adjusted_w), 1e-9);
+}
+
+TEST_F(HostAgentTest, ADroppedOutTickCarriesTheLastFreshBill) {
+  FaultSpec dropout;
+  dropout.dropout = 1.0;
+  const FaultInjector dark(dropout, 1);
+  HostAgent host = agent(3);
+  HostAgent twin = agent(3);
+  const HostTickResult fresh = host.sample(0, no_faults_);
+  twin.sample(0, no_faults_);
+
+  const HostTickResult r = host.sample(1, dark);
+  const HostTickResult twin_r = twin.sample(1, no_faults_);
+  EXPECT_TRUE(r.degraded);
+  EXPECT_FALSE(r.stale);
+  EXPECT_TRUE(same_telemetry(r.vms, fresh.vms));
+  EXPECT_EQ(r.phi, fresh.phi);
+  EXPECT_EQ(r.adjusted_power_w, fresh.adjusted_power_w);
+  EXPECT_EQ(r.measured_adjusted_w, twin_r.measured_adjusted_w);
+  EXPECT_NE(r.measured_adjusted_w, fresh.measured_adjusted_w);
+  EXPECT_EQ(host.degraded_ticks(), 1u);
 }
 
 TEST_F(HostAgentTest, AnUntrainedVmTypeFailsAtConstruction) {

@@ -115,10 +115,10 @@ TEST(Hypervisor, ObservationsCoverRunningVmsInIdOrder) {
   hv.tick(1.0);
   const auto obs = hv.observations();
   ASSERT_EQ(obs.size(), 2u);
-  EXPECT_EQ(obs[0].id, a);
+  EXPECT_EQ(obs[0].vm_id, a);
   EXPECT_DOUBLE_EQ(obs[0].state.cpu(), 0.25);
-  EXPECT_EQ(obs[1].id, b);
-  EXPECT_EQ(obs[1].type_id, common::paper_vm_type(2).type_id);
+  EXPECT_EQ(obs[1].vm_id, b);
+  EXPECT_EQ(obs[1].type, common::paper_vm_type(2).type_id);
 }
 
 TEST(Hypervisor, BindWorkloadTakesEffect) {

@@ -105,10 +105,8 @@ TEST(PaperShape, FullPipelineEfficiencyIsExact) {
   for (int t = 0; t < 60; ++t) {
     const auto frame = machine.step(1.0);
     const double adjusted =
-        std::max(0.0, frame.active_power_w - machine.idle_power_w());
-    std::vector<core::VmSample> samples;
-    for (const auto& obs : machine.hypervisor().observations())
-      samples.push_back({obs.id, obs.type_id, obs.state});
+        sim::adjusted_power_w(frame.active_power_w, machine.idle_power_w());
+    const auto samples = machine.hypervisor().observations();
     const auto phi = estimator.estimate(samples, adjusted);
     const double total = std::accumulate(phi.begin(), phi.end(), 0.0);
     ASSERT_NEAR(total, adjusted, 1e-6) << "t=" << t;
@@ -148,10 +146,8 @@ TEST(PaperShape, VhcShapleyTracksExactShapley) {
   for (int t = 0; t < 120; ++t) {
     const auto frame = machine.step(1.0);
     const double adjusted =
-        std::max(0.0, frame.active_power_w - machine.idle_power_w());
-    std::vector<core::VmSample> samples;
-    for (const auto& obs : machine.hypervisor().observations())
-      samples.push_back({obs.id, obs.type_id, obs.state});
+        sim::adjusted_power_w(frame.active_power_w, machine.idle_power_w());
+    const auto samples = machine.hypervisor().observations();
     const auto approx = vhc.estimate(samples, adjusted);
     const auto exact = oracle.estimate(samples, adjusted);
     for (std::size_t i = 0; i < approx.size(); ++i)
@@ -187,10 +183,8 @@ TEST(PaperShape, PowerModelAggregateErrorIsLarge) {
   for (int t = 0; t < 60; ++t) {
     const auto frame = machine.step(1.0);
     const double adjusted =
-        std::max(0.0, frame.active_power_w - machine.idle_power_w());
-    std::vector<core::VmSample> samples;
-    for (const auto& obs : machine.hypervisor().observations())
-      samples.push_back({obs.id, obs.type_id, obs.state});
+        sim::adjusted_power_w(frame.active_power_w, machine.idle_power_w());
+    const auto samples = machine.hypervisor().observations();
     const auto phi = pm.estimate(samples, adjusted);
     const double total = std::accumulate(phi.begin(), phi.end(), 0.0);
     errors.add((total - adjusted) / adjusted);

@@ -8,6 +8,7 @@ namespace vmp::core {
 namespace {
 
 using common::StateVector;
+using common::VmSample;
 
 std::vector<VmSample> host_vms(std::initializer_list<std::uint32_t> ids) {
   std::vector<VmSample> out;

@@ -17,7 +17,7 @@ namespace vmp {
 namespace {
 
 using common::StateVector;
-using core::VmSample;
+using common::VmSample;
 
 class PipelineProperties : public ::testing::TestWithParam<int> {
  protected:
@@ -60,10 +60,8 @@ TEST_P(PipelineProperties, EfficiencyHoldsEverySample) {
   for (int t = 0; t < 30; ++t) {
     const auto frame = machine.step(1.0);
     const double adjusted =
-        std::max(0.0, frame.active_power_w - machine.idle_power_w());
-    std::vector<VmSample> samples;
-    for (const auto& obs : machine.hypervisor().observations())
-      samples.push_back({obs.id, obs.type_id, obs.state});
+        sim::adjusted_power_w(frame.active_power_w, machine.idle_power_w());
+    const auto samples = machine.hypervisor().observations();
     const auto phi = estimator.estimate(samples, adjusted);
     const double total = std::accumulate(phi.begin(), phi.end(), 0.0);
     ASSERT_NEAR(total, adjusted, 1e-6) << "seed=" << GetParam() << " t=" << t;
@@ -150,10 +148,8 @@ TEST_P(PipelineProperties, SharesAreNonNegativeUnderMonotoneWorths) {
   for (int t = 0; t < 20; ++t) {
     const auto frame = machine.step(1.0);
     const double adjusted =
-        std::max(0.0, frame.active_power_w - machine.idle_power_w());
-    std::vector<VmSample> samples;
-    for (const auto& obs : machine.hypervisor().observations())
-      samples.push_back({obs.id, obs.type_id, obs.state});
+        sim::adjusted_power_w(frame.active_power_w, machine.idle_power_w());
+    const auto samples = machine.hypervisor().observations();
     const auto phi = estimator.estimate(samples, adjusted);
     for (std::size_t i = 0; i < phi.size(); ++i)
       ASSERT_GT(phi[i], -0.5) << "vm " << i << " t=" << t;

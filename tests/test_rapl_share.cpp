@@ -12,7 +12,7 @@ namespace vmp::base {
 namespace {
 
 using common::StateVector;
-using core::VmSample;
+using common::VmSample;
 
 RaplShareEstimator estimator() {
   return RaplShareEstimator(common::paper_vm_catalogue());

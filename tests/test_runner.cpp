@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "common/vm_config.hpp"
-#include "sim/dstat.hpp"
 #include "sim/rapl.hpp"
 #include "workload/primitives.hpp"
 
@@ -31,11 +30,15 @@ TEST(Runner, ProducesAlignedSeries) {
   const ScenarioTrace trace = run_scenario(machine, 10.0, 1.0);
   EXPECT_EQ(trace.size(), 10u);
   EXPECT_EQ(trace.true_power.size(), 10u);
-  EXPECT_EQ(trace.states.size(), 10u);
+  ASSERT_EQ(trace.vms.size(), 10u);
   EXPECT_DOUBLE_EQ(trace.measured_power.period(), 1.0);
   // Noiseless meter: measured == true.
-  for (std::size_t k = 0; k < trace.size(); ++k)
+  for (std::size_t k = 0; k < trace.size(); ++k) {
     EXPECT_DOUBLE_EQ(trace.measured_power[k], trace.true_power[k]);
+    ASSERT_EQ(trace.vms[k].size(), 1u);
+    EXPECT_EQ(trace.vms[k][0].vm_id, id);
+    EXPECT_DOUBLE_EQ(trace.vms[k][0].state.cpu(), 0.5);
+  }
 }
 
 TEST(Runner, TimestampsContinueAcrossRuns) {
@@ -48,17 +51,17 @@ TEST(Runner, TimestampsContinueAcrossRuns) {
 }
 
 TEST(Runner, AdjustedMeasuredDeductsIdleAndClamps) {
+  // Remark 1: the idle floor comes off the reading, bit for bit...
+  EXPECT_EQ(adjusted_power_w(180.7, 138.0), 180.7 - 138.0);
+  // ...and a reading below the floor is clamped to zero, not negative.
+  EXPECT_EQ(adjusted_power_w(137.5, 138.0), 0.0);
+  EXPECT_EQ(adjusted_power_w(0.0, 1e6), 0.0);
+
   PhysicalMachine machine(quiet_xeon(), 1);
   const ScenarioTrace trace = run_scenario(machine, 5.0, 1.0);
-  const auto adjusted = trace.adjusted_measured(machine.idle_power_w());
-  for (std::size_t k = 0; k < adjusted.size(); ++k) {
-    EXPECT_GE(adjusted[k], 0.0);
-    EXPECT_DOUBLE_EQ(adjusted[k], 0.0);  // idle machine
-  }
-  // Clamping: a huge idle floor cannot produce negative samples.
-  const auto clamped = trace.adjusted_measured(1e6);
-  for (std::size_t k = 0; k < clamped.size(); ++k)
-    EXPECT_DOUBLE_EQ(clamped[k], 0.0);
+  for (std::size_t k = 0; k < trace.size(); ++k)  // idle machine
+    EXPECT_EQ(
+        adjusted_power_w(trace.measured_power[k], machine.idle_power_w()), 0.0);
 }
 
 TEST(Runner, Validation) {
@@ -77,41 +80,6 @@ TEST(Runner, SubSecondSampling) {
   const ScenarioTrace trace = run_scenario(machine, 2.0, 0.5);
   EXPECT_EQ(trace.size(), 4u);
   EXPECT_DOUBLE_EQ(trace.measured_power.period(), 0.5);
-}
-
-TEST(Dstat, SeriesForTracksOneVm) {
-  PhysicalMachine machine(quiet_xeon(), 1);
-  const VmId a = machine.hypervisor().create_vm(
-      common::demo_c_vm(), std::make_unique<wl::ConstantWorkload>(
-                               common::StateVector::cpu_only(0.3)));
-  const VmId b = machine.hypervisor().create_vm(
-      common::demo_c_vm(), std::make_unique<wl::ConstantWorkload>(
-                               common::StateVector::cpu_only(0.8)));
-  machine.hypervisor().start_vm(a);
-  DstatCollector collector;
-  machine.step(1.0);
-  collector.sample(machine.hypervisor());
-  machine.hypervisor().start_vm(b);
-  machine.step(1.0);
-  collector.sample(machine.hypervisor());
-
-  const auto series_a = collector.series_for(a);
-  const auto series_b = collector.series_for(b);
-  ASSERT_EQ(series_a.size(), 2u);
-  EXPECT_DOUBLE_EQ(series_a[0].cpu(), 0.3);
-  EXPECT_DOUBLE_EQ(series_a[1].cpu(), 0.3);
-  // VM b was not running at the first sample -> zero state there.
-  EXPECT_DOUBLE_EQ(series_b[0].cpu(), 0.0);
-  EXPECT_DOUBLE_EQ(series_b[1].cpu(), 0.8);
-}
-
-TEST(Dstat, ClearEmptiesRecords) {
-  PhysicalMachine machine(quiet_xeon(), 1);
-  DstatCollector collector;
-  collector.sample(machine.hypervisor());
-  EXPECT_EQ(collector.size(), 1u);
-  collector.clear();
-  EXPECT_EQ(collector.size(), 0u);
 }
 
 TEST(PhysicalMachine, RaplTracksMeterWithoutNoise) {

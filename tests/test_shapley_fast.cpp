@@ -15,6 +15,7 @@ namespace {
 
 using common::Component;
 using common::StateVector;
+using common::VmSample;
 
 // --- ComboWeightCache --------------------------------------------------------
 

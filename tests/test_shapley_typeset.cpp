@@ -22,6 +22,7 @@ namespace vmp::core {
 namespace {
 
 using common::StateVector;
+using common::VmSample;
 
 // --- Kernel tier ------------------------------------------------------------
 
