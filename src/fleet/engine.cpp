@@ -246,17 +246,34 @@ void FleetEngine::restore_checkpoint(const std::filesystem::path& path) {
         "fleet checkpoint: host count mismatch (checkpointed engine had " +
         hosts_token.substr(6) + " hosts)");
   const std::uint64_t target_tick = header_u64(tick_token, "tick");
-  processed_ = header_u64(processed_token, "processed");
-  degraded_ = header_u64(degraded_token, "degraded");
-  retries_ = header_u64(retries_token, "retries");
-  stale_ = header_u64(stale_token, "stale");
-  dropped_base_ = header_u64(drops_token, "drops");
+  const std::uint64_t processed = header_u64(processed_token, "processed");
+  const std::uint64_t degraded = header_u64(degraded_token, "degraded");
+  const std::uint64_t retries = header_u64(retries_token, "retries");
+  const std::uint64_t stale = header_u64(stale_token, "stale");
+  const std::uint64_t dropped = header_u64(drops_token, "drops");
 
-  for (auto& ledger : host_ledgers_)
-    ledger = std::make_unique<core::EnergyAccountant>(
-        core::read_accountant(in));
-  core::read_multi_host(in, tenants_);
-  for (const auto& agent : agents_) agent->load_state(in);
+  // Every block parses before any is applied, so a refused checkpoint leaves
+  // the engine as fresh as it was.
+  std::vector<std::unique_ptr<core::EnergyAccountant>> host_ledgers;
+  host_ledgers.reserve(host_ledgers_.size());
+  for (std::size_t h = 0; h < host_ledgers_.size(); ++h)
+    host_ledgers.push_back(std::make_unique<core::EnergyAccountant>(
+        core::read_accountant(in)));
+  core::MultiHostAccountant tenants = tenants_;  // keeps the bindings.
+  core::read_multi_host(in, tenants);
+  std::vector<HostAgent::CarryState> carries;
+  carries.reserve(agents_.size());
+  for (const auto& agent : agents_) carries.push_back(agent->parse_state(in));
+
+  processed_ = processed;
+  degraded_ = degraded;
+  retries_ = retries;
+  stale_ = stale;
+  dropped_base_ = dropped;
+  host_ledgers_ = std::move(host_ledgers);
+  tenants_ = std::move(tenants);
+  for (std::size_t h = 0; h < agents_.size(); ++h)
+    agents_[h]->apply_state(std::move(carries[h]));
 
   // The simulators are deterministic in (seed, tick); replaying the billed
   // interval without accounting re-synchronizes machine state so the next

@@ -141,12 +141,13 @@ void HostAgent::save_state(std::ostream& out) const {
   out.precision(precision);
 }
 
-void HostAgent::load_state(std::istream& in) {
+HostAgent::CarryState HostAgent::parse_state(std::istream& in) const {
+  CarryState state;
   std::string tag;
   std::uint32_t host = 0;
   long long count = 0;  // signed, so a damaged "-1" is named as written.
-  if (!(in >> tag >> host >> dropout_remaining_ >> degraded_ticks_ >>
-        last_adjusted_w_ >> count) ||
+  if (!(in >> tag >> host >> state.dropout_remaining >> state.degraded_ticks >>
+        state.last_adjusted_w >> count) ||
       tag != "host")
     throw std::runtime_error("HostAgent: malformed carry-state block");
   if (host != host_id_)
@@ -159,12 +160,10 @@ void HostAgent::load_state(std::istream& in) {
     throw std::runtime_error(where + " carry-state count " +
                              std::to_string(count) + " is outside [0, " +
                              std::to_string(vm_ids_.size()) + "]");
-  last_vms_.clear();
-  last_phi_.clear();
   auto next = vm_ids_.begin();
   for (long long i = 0; i < count; ++i) {
-    common::VmSample& vm = last_vms_.emplace_back();
-    double& phi = last_phi_.emplace_back();
+    common::VmSample& vm = state.last_vms.emplace_back();
+    double& phi = state.last_phi.emplace_back();
     if (!(in >> vm.vm_id >> vm.type))
       throw std::runtime_error("HostAgent: truncated carry-state row");
     next = std::find(next, vm_ids_.end(), vm.vm_id);
@@ -186,6 +185,15 @@ void HostAgent::load_state(std::istream& in) {
     if (!(in >> phi))
       throw std::runtime_error("HostAgent: truncated carry-state row");
   }
+  return state;
+}
+
+void HostAgent::apply_state(CarryState state) {
+  dropout_remaining_ = state.dropout_remaining;
+  degraded_ticks_ = state.degraded_ticks;
+  last_adjusted_w_ = state.last_adjusted_w;
+  last_vms_ = std::move(state.last_vms);
+  last_phi_ = std::move(state.last_phi);
 }
 
 }  // namespace vmp::fleet

@@ -99,13 +99,25 @@ class HostAgent {
     return degraded_ticks_;
   }
 
+  /// The carry-forward/fault state a checkpoint holds for one host.
+  struct CarryState {
+    std::uint64_t dropout_remaining = 0;
+    std::uint64_t degraded_ticks = 0;
+    double last_adjusted_w = 0.0;
+    std::vector<common::VmSample> last_vms;
+    std::vector<double> last_phi;
+  };
+
   /// Writes the carry-forward/fault state (one text block) so a restored
   /// engine resumes the exact degradation trajectory, faults included.
   void save_state(std::ostream& out) const;
-  /// Reads a block written by save_state; throws std::runtime_error on
-  /// malformed input, a host id mismatch, or a carried row that is not one
-  /// of this host's VMs with its type, in ascending id order.
-  void load_state(std::istream& in);
+  /// Reads a block written by save_state without applying it; throws
+  /// std::runtime_error on malformed input, a host id mismatch, or a carried
+  /// row that is not one of this host's VMs with its type, in ascending id
+  /// order.
+  [[nodiscard]] CarryState parse_state(std::istream& in) const;
+  /// Replaces the carry-forward/fault state with one parse_state returned.
+  void apply_state(CarryState state);
 
  private:
   std::uint32_t host_id_;

@@ -10,20 +10,6 @@ namespace vmp::ledger {
 // Same big-endian byte order as the wire protocol, so dumps are readable
 // with the same tooling and doubles round-trip bit-exactly.
 
-void put_u32(std::string& out, std::uint32_t value) {
-  for (int shift = 24; shift >= 0; shift -= 8)
-    out.push_back(static_cast<char>((value >> shift) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t value) {
-  for (int shift = 56; shift >= 0; shift -= 8)
-    out.push_back(static_cast<char>((value >> shift) & 0xff));
-}
-
-void put_f64(std::string& out, double value) {
-  put_u64(out, std::bit_cast<std::uint64_t>(value));
-}
-
 bool ByteReader::get_u32(std::uint32_t& value) {
   if (pos + 4 > data.size()) return false;
   value = 0;
@@ -49,53 +35,117 @@ bool ByteReader::get_f64(double& value) {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+// tables[0] is the bytewise table; tables[k][n] is the CRC register after
+// byte n is followed by k zero bytes, so eight lookups advance eight bytes.
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t n = 0; n < 256; ++n) {
     std::uint32_t c = n;
     for (int k = 0; k < 8; ++k)
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[n] = c;
+    tables[0][n] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::uint32_t n = 0; n < 256; ++n)
+      tables[k][n] = (tables[k - 1][n] >> 8) ^
+                     tables[0][tables[k - 1][n] & 0xffu];
+  return tables;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Four bytes as a little-endian word, the order the reflected CRC consumes.
+std::uint32_t load_le32(const unsigned char* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+// Big-endian stores into a frame already sized for them; each returns the
+// byte after the value.
+char* store_u32(char* at, std::uint32_t value) noexcept {
+  for (int shift = 24; shift >= 0; shift -= 8)
+    *at++ = static_cast<char>((value >> shift) & 0xff);
+  return at;
+}
+
+char* store_u64(char* at, std::uint64_t value) noexcept {
+  for (int shift = 56; shift >= 0; shift -= 8)
+    *at++ = static_cast<char>((value >> shift) & 0xff);
+  return at;
+}
+
+char* store_f64(char* at, double value) noexcept {
+  return store_u64(at, std::bit_cast<std::uint64_t>(value));
+}
+
+std::size_t body_bytes(const TickRecord& record) noexcept {
+  return 64 + record.vms.size() * 28 + record.tenants.size() * 20;
+}
+
+/// Writes the record's body into the body_bytes(record) bytes at `at`.
+void encode_body(const TickRecord& record, char* at) noexcept {
+  at = store_u64(at, record.epoch);
+  at = store_u64(at, record.tick);
+  at = store_f64(at, record.time_s);
+  at = store_f64(at, record.period_s);
+  at = store_f64(at, record.total_power_w);
+  at = store_f64(at, record.total_energy_j);
+  at = store_f64(at, record.unattributed_j);
+  at = store_u32(at, static_cast<std::uint32_t>(record.vms.size()));
+  at = store_u32(at, static_cast<std::uint32_t>(record.tenants.size()));
+  for (const VmEntry& vm : record.vms) {
+    at = store_u32(at, vm.host);
+    at = store_u32(at, vm.vm);
+    at = store_u32(at, vm.tenant);
+    at = store_f64(at, vm.power_w);
+    at = store_f64(at, vm.energy_j);
+  }
+  for (const TenantEntry& tenant : record.tenants) {
+    at = store_u32(at, tenant.tenant);
+    at = store_f64(at, tenant.power_w);
+    at = store_f64(at, tenant.energy_j);
+  }
+}
 
 }  // namespace
 
+void put_u32(std::string& out, std::uint32_t value) {
+  out.resize(out.size() + 4);
+  store_u32(out.data() + out.size() - 4, value);
+}
+
+void put_u64(std::string& out, std::uint64_t value) {
+  out.resize(out.size() + 8);
+  store_u64(out.data() + out.size() - 8, value);
+}
+
+void put_f64(std::string& out, double value) {
+  put_u64(out, std::bit_cast<std::uint64_t>(value));
+}
+
 std::uint32_t crc32(std::string_view data) noexcept {
+  const auto& t = kCrcTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t n = data.size();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char byte : data)
-    crc = kCrcTable[(crc ^ static_cast<std::uint8_t>(byte)) & 0xffu] ^
-          (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ crc;
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 
 std::string encode_record(const TickRecord& record) {
-  std::string body;
-  body.reserve(64 + record.vms.size() * 28 + record.tenants.size() * 20);
-  put_u64(body, record.epoch);
-  put_u64(body, record.tick);
-  put_f64(body, record.time_s);
-  put_f64(body, record.period_s);
-  put_f64(body, record.total_power_w);
-  put_f64(body, record.total_energy_j);
-  put_f64(body, record.unattributed_j);
-  put_u32(body, static_cast<std::uint32_t>(record.vms.size()));
-  put_u32(body, static_cast<std::uint32_t>(record.tenants.size()));
-  for (const VmEntry& vm : record.vms) {
-    put_u32(body, vm.host);
-    put_u32(body, vm.vm);
-    put_u32(body, vm.tenant);
-    put_f64(body, vm.power_w);
-    put_f64(body, vm.energy_j);
-  }
-  for (const TenantEntry& tenant : record.tenants) {
-    put_u32(body, tenant.tenant);
-    put_f64(body, tenant.power_w);
-    put_f64(body, tenant.energy_j);
-  }
+  std::string body(body_bytes(record), '\0');
+  encode_body(record, body.data());
   return body;
 }
 
@@ -154,40 +204,34 @@ const TenantEntry* TickRecord::find_tenant(
   return &*it;
 }
 
-std::optional<RecordPrefix> decode_prefix(std::string_view body) {
-  ByteReader reader{body};
-  RecordPrefix prefix;
-  if (!reader.get_u64(prefix.epoch) || !reader.get_u64(prefix.tick) ||
-      !reader.get_f64(prefix.time_s))
-    return std::nullopt;
-  return prefix;
-}
-
 void append_frame(std::string& out, const TickRecord& record) {
-  const std::string body = encode_record(record);
-  put_u32(out, static_cast<std::uint32_t>(body.size()));
-  put_u32(out, crc32(body));
-  out.append(body);
+  const std::size_t length = body_bytes(record);
+  const std::size_t start = out.size();
+  out.resize(start + kHeaderBytes + length);
+  char* frame = out.data() + start;
+  encode_body(record, frame + kHeaderBytes);
+  store_u32(frame, static_cast<std::uint32_t>(length));
+  store_u32(frame + 4, crc32(std::string_view(frame + kHeaderBytes, length)));
 }
 
 FrameStatus read_frame(std::string_view data, std::size_t& offset,
                        TickRecord& record) {
   if (offset == data.size()) return FrameStatus::kEndOfLog;
-  if (offset + kFrameHeaderBytes > data.size()) return FrameStatus::kTorn;
-  ByteReader header{data.substr(offset, kFrameHeaderBytes)};
+  if (offset + kHeaderBytes > data.size()) return FrameStatus::kTorn;
+  ByteReader header{data.substr(offset, kHeaderBytes)};
   std::uint32_t length = 0, crc = 0;
   (void)header.get_u32(length);
   (void)header.get_u32(crc);
   if (length > kMaxRecordBytes ||
-      offset + kFrameHeaderBytes + length > data.size())
+      offset + kHeaderBytes + length > data.size())
     return FrameStatus::kTorn;
   const std::string_view body =
-      data.substr(offset + kFrameHeaderBytes, length);
+      data.substr(offset + kHeaderBytes, length);
   if (crc32(body) != crc) return FrameStatus::kTorn;
   auto decoded = decode_record(body);
   if (!decoded) return FrameStatus::kTorn;
   record = std::move(*decoded);
-  offset += kFrameHeaderBytes + length;
+  offset += kHeaderBytes + length;
   return FrameStatus::kOk;
 }
 

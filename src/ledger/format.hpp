@@ -16,7 +16,9 @@
 //
 // Records carry cumulative energies (not per-tick increments), so each one
 // is self-contained: answering a window query needs only the two records
-// bracketing the window, never a replay from the start of history.
+// bracketing the window, never a replay from the start of history. Nothing
+// in a frame points at its neighbours: the ledger's index records where
+// each frame starts, so a point read fetches one frame and checks one CRC.
 #pragma once
 
 #include <cstdint>
@@ -69,12 +71,13 @@ struct TickRecord {
 };
 
 /// Frame header: u32 body length + u32 CRC32.
-inline constexpr std::size_t kFrameHeaderBytes = 8;
+inline constexpr std::size_t kHeaderBytes = 8;
 /// Upper bound on one record body; a declared length beyond this is treated
 /// as a torn/corrupt frame, never an allocation.
 inline constexpr std::size_t kMaxRecordBytes = 16 * 1024 * 1024;
 
-/// CRC32 (reflected 0xEDB88320, zlib polynomial) of `data`.
+/// CRC32 (reflected 0xEDB88320, zlib polynomial) of `data`, computed eight
+/// bytes per step (slicing-by-8); the value is the bytewise algorithm's.
 [[nodiscard]] std::uint32_t crc32(std::string_view data) noexcept;
 
 /// --- byte codec (big-endian, shared with the segment index/footer) ---------
@@ -100,23 +103,10 @@ struct ByteReader {
 /// nullopt on truncated or malformed bodies (counts mismatching the length).
 [[nodiscard]] std::optional<TickRecord> decode_record(std::string_view body);
 
-/// The fields encode_record writes first, which place a record in the log
-/// without decoding the rest of its body.
-struct RecordPrefix {
-  std::uint64_t epoch = 0;
-  std::uint64_t tick = 0;
-  double time_s = 0.0;
-};
-inline constexpr std::size_t kRecordPrefixBytes = 24;
-
-/// Decodes the first kRecordPrefixBytes of a record body; nullopt when
-/// `body` is shorter. Checks no CRC: the bytes are only as good as the
-/// caller's reason to trust them.
-[[nodiscard]] std::optional<RecordPrefix> decode_prefix(std::string_view body);
-
 /// --- framing ---------------------------------------------------------------
 
-/// Appends one CRC-framed record to `out`.
+/// Appends one CRC-framed record to `out`: the frame is sized once, the body
+/// encoded in place, and the length and CRC written in front of it.
 void append_frame(std::string& out, const TickRecord& record);
 
 /// Outcome of reading one frame at an offset of a segment's byte buffer.

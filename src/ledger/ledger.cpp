@@ -1,9 +1,11 @@
 #include "ledger/ledger.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
@@ -14,6 +16,42 @@
 #include "util/logging.hpp"
 
 namespace vmp::ledger {
+
+/// One segment file opened for positioned reads. Every read is a pread at an
+/// explicit offset, so no two reads share a file position. A file that fails
+/// to open has size 0 and fails every read.
+class SegmentFile {
+ public:
+  explicit SegmentFile(const std::filesystem::path& path)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {}
+  ~SegmentFile() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  SegmentFile(const SegmentFile&) = delete;
+  SegmentFile& operator=(const SegmentFile&) = delete;
+
+  [[nodiscard]] std::uint64_t size() const {
+    struct stat status {};
+    if (fd_ < 0 || ::fstat(fd_, &status) != 0) return 0;
+    return static_cast<std::uint64_t>(status.st_size);
+  }
+
+  /// Fills [out, out + size) from `offset`; false when the file ends first.
+  bool read(std::uint64_t offset, char* out, std::size_t size) const {
+    while (size > 0) {
+      const ssize_t got = ::pread(fd_, out, size, static_cast<off_t>(offset));
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) return false;
+      out += got;
+      offset += static_cast<std::uint64_t>(got);
+      size -= static_cast<std::size_t>(got);
+    }
+    return true;
+  }
+
+ private:
+  int fd_ = -1;
+};
 
 namespace {
 
@@ -60,9 +98,14 @@ struct ColdFooter {
   std::uint64_t record_count = 0;
   std::uint64_t first_epoch = 0;
   std::uint64_t last_epoch = 0;
+  std::uint32_t index_crc = 0;
+
+  [[nodiscard]] std::uint64_t index_bytes() const {
+    return static_cast<std::uint64_t>(entry_count) * kIndexEntryBytes;
+  }
 };
 
-std::string encode_footer(const ColdFooter& footer, std::uint32_t index_crc) {
+std::string encode_footer(const ColdFooter& footer) {
   std::string out;
   out.reserve(kFooterBytes);
   put_u64(out, footer.index_offset);
@@ -70,135 +113,59 @@ std::string encode_footer(const ColdFooter& footer, std::uint32_t index_crc) {
   put_u64(out, footer.record_count);
   put_u64(out, footer.first_epoch);
   put_u64(out, footer.last_epoch);
-  put_u32(out, index_crc);
+  put_u32(out, footer.index_crc);
   put_u64(out, kFooterMagic);
   return out;
 }
 
-/// Validates the footer and index CRC of a cold file's contents; nullopt on
-/// any damage (the caller falls back to a frame-by-frame scan).
-std::optional<ColdFooter> decode_footer(std::string_view data) {
-  if (data.size() < kColdMagic.size() + kFooterBytes) return std::nullopt;
-  if (data.substr(0, kColdMagic.size()) != kColdMagic) return std::nullopt;
-  ByteReader reader{data.substr(data.size() - kFooterBytes)};
+/// A cold file's footer and the index block it points at.
+struct ColdIndex {
   ColdFooter footer;
-  std::uint32_t index_crc = 0;
-  std::uint64_t magic = 0;
+  std::string block;  ///< footer.entry_count entries of kIndexEntryBytes.
+};
+
+/// Reads a cold file's magic, footer and index block, and nothing else;
+/// nullopt unless the magic matches, the footer indexes at least one record
+/// and at most every record, its index block ends where the footer starts
+/// and passes the footer's CRC, and the first and last entries carry the
+/// footer's epochs, which lie outside that CRC.
+std::optional<ColdIndex> read_cold_index(const SegmentFile& file) {
+  const std::uint64_t size = file.size();
+  char magic[kColdMagic.size()];
+  char tail[kFooterBytes];
+  if (size < sizeof magic + sizeof tail || !file.read(0, magic, sizeof magic) ||
+      std::string_view(magic, sizeof magic) != kColdMagic ||
+      !file.read(size - sizeof tail, tail, sizeof tail))
+    return std::nullopt;
+  ByteReader reader{std::string_view(tail, sizeof tail)};
+  ColdIndex cold;
+  ColdFooter& footer = cold.footer;
+  std::uint64_t footer_magic = 0;
   if (!reader.get_u64(footer.index_offset) ||
       !reader.get_u32(footer.entry_count) ||
       !reader.get_u64(footer.record_count) ||
       !reader.get_u64(footer.first_epoch) ||
-      !reader.get_u64(footer.last_epoch) || !reader.get_u32(index_crc) ||
-      !reader.get_u64(magic))
+      !reader.get_u64(footer.last_epoch) || !reader.get_u32(footer.index_crc) ||
+      !reader.get_u64(footer_magic) || footer_magic != kFooterMagic)
     return std::nullopt;
-  if (magic != kFooterMagic) return std::nullopt;
-  const std::uint64_t index_bytes =
-      static_cast<std::uint64_t>(footer.entry_count) * kIndexEntryBytes;
-  if (footer.index_offset < kColdMagic.size() ||
-      footer.index_offset + index_bytes + kFooterBytes != data.size())
+  if (footer.entry_count == 0 || footer.record_count < footer.entry_count ||
+      footer.index_offset < kColdMagic.size() || footer.index_offset > size ||
+      size - footer.index_offset != footer.index_bytes() + kFooterBytes)
     return std::nullopt;
-  if (crc32(data.substr(footer.index_offset, index_bytes)) != index_crc)
+  cold.block.resize(footer.index_bytes());
+  if (!file.read(footer.index_offset, cold.block.data(), cold.block.size()) ||
+      crc32(cold.block) != footer.index_crc)
     return std::nullopt;
-  // The epochs and record count lie outside the index CRC. Compaction always
-  // indexes the first and last record, so they must match those entries, and
-  // the records must cover every entry.
-  if (footer.entry_count == 0 || footer.record_count < footer.entry_count)
-    return std::nullopt;
-  ByteReader first{data.substr(footer.index_offset, 8)};
-  ByteReader last{
-      data.substr(footer.index_offset + index_bytes - kIndexEntryBytes, 8)};
+  ByteReader first{std::string_view(cold.block).substr(0, 8)};
+  ByteReader last{std::string_view(cold.block)
+                      .substr(cold.block.size() - kIndexEntryBytes, 8)};
   std::uint64_t first_epoch = 0;
   std::uint64_t last_epoch = 0;
   if (!first.get_u64(first_epoch) || !last.get_u64(last_epoch) ||
       first_epoch != footer.first_epoch || last_epoch != footer.last_epoch)
     return std::nullopt;
-  return footer;
+  return cold;
 }
-
-/// A frame's header and record prefix, read without the rest of its body.
-struct FrameHead {
-  std::uint32_t length = 0;  ///< body bytes.
-  std::uint32_t crc = 0;
-  RecordPrefix prefix;
-};
-
-/// One segment file opened for positioned reads of its frames region, which
-/// ends at `frames_end`. Every read is a pread at an explicit offset, so no
-/// two reads share a file position. A file that fails to open reads as
-/// damaged from its first frame.
-class FrameReader {
- public:
-  FrameReader(const std::filesystem::path& path, std::uint64_t frames_end)
-      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)),
-        frames_end_(frames_end) {}
-  ~FrameReader() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  FrameReader(const FrameReader&) = delete;
-  FrameReader& operator=(const FrameReader&) = delete;
-
-  /// Header and prefix of the frame at `offset`; nullopt when the read
-  /// falls short or the header cannot be right: a length above
-  /// kMaxRecordBytes, a body shorter than the prefix, or a frame running
-  /// past frames_end.
-  [[nodiscard]] std::optional<FrameHead> head(std::uint64_t offset) const {
-    char bytes[kFrameHeaderBytes + kRecordPrefixBytes];
-    if (offset > frames_end_ || frames_end_ - offset < sizeof bytes ||
-        !read(offset, bytes, sizeof bytes))
-      return std::nullopt;
-    ByteReader header{std::string_view(bytes, kFrameHeaderBytes)};
-    FrameHead head;
-    (void)header.get_u32(head.length);
-    (void)header.get_u32(head.crc);
-    if (head.length > kMaxRecordBytes || head.length < kRecordPrefixBytes ||
-        head.length > frames_end_ - offset - kFrameHeaderBytes)
-      return std::nullopt;
-    head.prefix = *decode_prefix(
-        std::string_view(bytes + kFrameHeaderBytes, kRecordPrefixBytes));
-    return head;
-  }
-
-  /// Body of the frame at `offset`; nullopt when the read falls short or
-  /// the body fails the CRC in `head`.
-  [[nodiscard]] std::optional<std::string> body(std::uint64_t offset,
-                                                const FrameHead& head) const {
-    std::string body(head.length, '\0');
-    if (!read(offset + kFrameHeaderBytes, body.data(), body.size()) ||
-        crc32(body) != head.crc)
-      return std::nullopt;
-    return body;
-  }
-
-  /// Reads, CRC-checks and decodes the frame at `offset`, with read_frame's
-  /// statuses: on kOk `offset` moves past the frame.
-  FrameStatus next(std::uint64_t& offset, TickRecord& record) const {
-    if (offset == frames_end_) return FrameStatus::kEndOfLog;
-    const auto head = this->head(offset);
-    if (!head) return FrameStatus::kTorn;
-    const auto body = this->body(offset, *head);
-    auto decoded = body ? decode_record(*body) : std::nullopt;
-    if (!decoded) return FrameStatus::kTorn;
-    record = std::move(*decoded);
-    offset += kFrameHeaderBytes + head->length;
-    return FrameStatus::kOk;
-  }
-
- private:
-  bool read(std::uint64_t offset, char* out, std::size_t size) const {
-    while (size > 0) {
-      const ssize_t got = ::pread(fd_, out, size, static_cast<off_t>(offset));
-      if (got < 0 && errno == EINTR) continue;
-      if (got <= 0) return false;
-      out += got;
-      offset += static_cast<std::uint64_t>(got);
-      size -= static_cast<std::size_t>(got);
-    }
-    return true;
-  }
-
-  int fd_ = -1;
-  std::uint64_t frames_end_ = 0;
-};
 
 /// WARN-logs and throws the DamagedRecord for the frame at `offset`.
 [[noreturn]] void throw_damaged(const std::filesystem::path& path,
@@ -218,8 +185,6 @@ void LedgerOptions::validate() const {
   if (segment_max_records == 0)
     throw std::invalid_argument(
         "LedgerOptions: segment thresholds must be >= 1");
-  if (index_stride == 0)
-    throw std::invalid_argument("LedgerOptions: index_stride must be >= 1");
 }
 
 Ledger::Ledger(LedgerOptions options) : options_(std::move(options)) {
@@ -404,16 +369,18 @@ std::optional<Ledger::Segment> Ledger::recover_wal(
 
 std::optional<Ledger::Segment> Ledger::recover_cold(
     const std::filesystem::path& path) {
-  const std::string data = read_file(path);
   Segment segment;
   segment.kind = Kind::kCold;
   segment.path = path;
-  segment.bytes = data.size();
 
-  if (const auto footer = decode_footer(data)) {
-    ByteReader reader{std::string_view(data).substr(
-        footer->index_offset,
-        static_cast<std::size_t>(footer->entry_count) * kIndexEntryBytes)};
+  // Only the magic, the footer and the index are read, so reopening a ledger
+  // costs its indexes, not its records.
+  const SegmentFile file(path);
+  segment.bytes = file.size();
+  const std::optional<ColdIndex> cold = read_cold_index(file);
+  const ColdFooter* footer = cold ? &cold->footer : nullptr;
+  if (footer && footer->entry_count == footer->record_count) {
+    ByteReader reader{cold->block};
     segment.index.resize(footer->entry_count);
     for (IndexEntry& entry : segment.index) {
       (void)reader.get_u64(entry.epoch);
@@ -424,18 +391,16 @@ std::optional<Ledger::Segment> Ledger::recover_cold(
     segment.first_epoch = footer->first_epoch;
     segment.last_epoch = footer->last_epoch;
     segment.frames_end = footer->index_offset;
-    if (!segment.index.empty()) {
-      segment.first_time_s = segment.index.front().time_s;
-      segment.last_time_s = segment.index.back().time_s;
-    }
+    segment.first_time_s = segment.index.front().time_s;
+    segment.last_time_s = segment.index.back().time_s;
     return segment;
   }
 
-  // Footer damaged: the frames themselves are still CRC-protected, so scan
-  // them like a WAL, keep the segment sealed, and let compaction rebuild it.
-  ++recovery_.rescanned_cold;
-  VMP_LOG_WARN("ledger: %s has a damaged footer; rescanning frames",
-               path.filename().string().c_str());
+  // A sparse index (an intact footer indexing only some records, as cold
+  // segments once did) or a damaged footer: the frames themselves are still
+  // CRC-protected, so scan them like a WAL, keep the segment sealed, and let
+  // compaction write it a dense index.
+  const std::string data = read_file(path);
   segment.kind = Kind::kSealed;
   std::size_t offset = kColdMagic.size();
   TickRecord record;
@@ -443,8 +408,12 @@ std::optional<Ledger::Segment> Ledger::recover_cold(
     const std::size_t frame_offset = offset;
     const FrameStatus status = read_frame(data, offset, record);
     if (status != FrameStatus::kOk ||
-        (segment.records > 0 && record.epoch <= segment.last_epoch))
-      break;  // the index/footer region reads as torn; stop quietly.
+        (segment.records > 0 && record.epoch <= segment.last_epoch)) {
+      // The index/footer region reads as torn; stop quietly. The frames end
+      // where the last indexed one does, which bounds that frame's reads.
+      offset = frame_offset;
+      break;
+    }
     if (segment.records == 0) {
       segment.first_epoch = record.epoch;
       segment.first_time_s = record.time_s;
@@ -453,6 +422,16 @@ std::optional<Ledger::Segment> Ledger::recover_cold(
     segment.last_epoch = record.epoch;
     segment.last_time_s = record.time_s;
     ++segment.records;
+  }
+  // A sparse index is no damage when the frames it indexes are all there.
+  if (footer && segment.records == footer->record_count &&
+      offset == footer->index_offset) {
+    VMP_LOG_INFO("ledger: %s has a sparse index; rebuilding it dense",
+                 path.filename().string().c_str());
+  } else {
+    ++recovery_.rescanned_cold;
+    VMP_LOG_WARN("ledger: %s has a damaged footer; rescanned its frames",
+                 path.filename().string().c_str());
   }
   if (segment.records == 0) {
     ++recovery_.torn_records;
@@ -502,10 +481,10 @@ void Ledger::append(const TickRecord& record) {
     if (segments_.empty() || segments_.back().kind != Kind::kActive)
       open_active_locked(record.epoch);
 
-    std::string frame;
-    append_frame(frame, record);
+    frame_.clear();
+    append_frame(frame_, record);
     Segment& tail = segments_.back();
-    active_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+    active_.write(frame_.data(), static_cast<std::streamsize>(frame_.size()));
     active_.flush();
     if (!active_)
       throw std::runtime_error("ledger: append failed on " +
@@ -518,13 +497,13 @@ void Ledger::append(const TickRecord& record) {
     tail.index.push_back({record.epoch, record.time_s, tail.bytes});
     tail.last_epoch = record.epoch;
     tail.last_time_s = record.time_s;
-    tail.bytes += frame.size();
+    tail.bytes += frame_.size();
     tail.frames_end = tail.bytes;
     ++tail.records;
     ++appended_records_;
-    appended_bytes_ += frame.size();
+    appended_bytes_ += frame_.size();
     if (appended_counter_) appended_counter_->inc();
-    if (appended_bytes_counter_) appended_bytes_counter_->inc(frame.size());
+    if (appended_bytes_counter_) appended_bytes_counter_->inc(frame_.size());
 
     if (tail.records >= options_.segment_max_records ||
         tail.bytes >= kSegmentMaxBytes) {
@@ -546,7 +525,8 @@ void Ledger::append(const TickRecord& record) {
 bool Ledger::compact_one() {
   std::lock_guard compaction_lock(compaction_mutex_);
   std::filesystem::path source;
-  std::uint64_t stride = options_.index_stride;
+  std::uint64_t frames_end = 0;
+  std::uint64_t records = 0;
   {
     std::lock_guard lock(mutex_);
     const auto it =
@@ -554,87 +534,99 @@ bool Ledger::compact_one() {
                      [](const Segment& s) { return s.kind == Kind::kSealed; });
     if (it == segments_.end()) return false;
     source = it->path;
+    frames_end = it->frames_end;
+    records = it->records;
   }
 
-  // The sealed file is immutable, so the expensive rewrite happens without
-  // the state lock: copy the frames verbatim (no re-encode — the records
-  // stay bit-identical), sampling every `stride`-th record plus the last
-  // into the sparse index.
+  // The sealed file is immutable, so the rewrite happens without the state
+  // lock. Every frame is CRC-checked and indexed; the cold file is then the
+  // cold magic, the frames region copied verbatim (no re-encode, so the
+  // records stay bit-identical, and both magics are 8 bytes, so every frame
+  // keeps its offset), the index and the footer, written from these bytes.
   const std::string data = read_file(source);
-  const bool was_cold =
-      source.filename().string().starts_with("cold-");  // footer rebuild.
-  std::size_t offset = was_cold ? kColdMagic.size() : kWalMagic.size();
-  std::string out(kColdMagic);
+  const std::string_view frames =
+      std::string_view(data).substr(0, std::min<std::uint64_t>(frames_end,
+                                                               data.size()));
   std::string index_block;
+  index_block.reserve(records * kIndexEntryBytes);
   ColdFooter footer;
-  std::uint64_t indexed = 0;
-  IndexEntry last_entry;
-  std::vector<IndexEntry> index;
+  std::size_t offset = kWalMagic.size();
   TickRecord record;
   for (;;) {
     const std::size_t frame_offset = offset;
-    if (read_frame(data, offset, record) != FrameStatus::kOk) break;
-    const std::uint64_t out_offset = out.size();
-    out.append(data, frame_offset, offset - frame_offset);
+    if (read_frame(frames, offset, record) != FrameStatus::kOk) break;
     if (footer.record_count == 0) footer.first_epoch = record.epoch;
     footer.last_epoch = record.epoch;
-    last_entry = {record.epoch, record.time_s, out_offset};
-    if (footer.record_count % stride == 0) {
-      index.push_back(last_entry);
-      ++indexed;
-    }
+    put_u64(index_block, record.epoch);
+    put_f64(index_block, record.time_s);
+    put_u64(index_block, frame_offset);
     ++footer.record_count;
   }
-  if (footer.record_count == 0) {
-    // Nothing intact: drop the segment entry and the file.
-    std::lock_guard lock(mutex_);
-    const auto it = std::find_if(
-        segments_.begin(), segments_.end(),
-        [&source](const Segment& s) { return s.path == source; });
-    if (it != segments_.end()) segments_.erase(it);
-    std::filesystem::remove(source);
-    update_gauges_locked();
-    idle_cv_.notify_all();
-    return true;
-  }
-  if (index.back().offset != last_entry.offset) {
-    index.push_back(last_entry);  // the tail record is always indexed.
-    ++indexed;
-  }
-  footer.index_offset = out.size();
-  footer.entry_count = static_cast<std::uint32_t>(indexed);
-  for (const IndexEntry& entry : index) {
-    put_u64(index_block, entry.epoch);
-    put_f64(index_block, entry.time_s);
-    put_u64(index_block, entry.offset);
-  }
-  out += index_block;
-  out += encode_footer(footer, crc32(index_block));
 
-  const std::filesystem::path cold_path =
-      options_.dir /
-      segment_file_name("cold", footer.first_epoch, footer.last_epoch);
-  const std::filesystem::path tmp_path =
-      cold_path.string() + ".tmp";
-  {
+  std::filesystem::path cold_path;
+  if (footer.record_count > 0) {
+    footer.index_offset = offset;
+    footer.entry_count = static_cast<std::uint32_t>(footer.record_count);
+    footer.index_crc = crc32(index_block);
+    cold_path = options_.dir / segment_file_name("cold", footer.first_epoch,
+                                                 footer.last_epoch);
+    const std::filesystem::path tmp_path = cold_path.string() + ".tmp";
+    const std::string footer_bytes = encode_footer(footer);
     std::ofstream file(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!file ||
-        !file.write(out.data(), static_cast<std::streamsize>(out.size())))
+    file.write(kColdMagic.data(),
+               static_cast<std::streamsize>(kColdMagic.size()));
+    file.write(frames.data() + kWalMagic.size(),
+               static_cast<std::streamsize>(offset - kWalMagic.size()));
+    file.write(index_block.data(),
+               static_cast<std::streamsize>(index_block.size()));
+    file.write(footer_bytes.data(),
+               static_cast<std::streamsize>(footer_bytes.size()));
+    file.close();
+    if (!file)
       throw std::runtime_error("ledger: cannot write " + tmp_path.string());
+    std::filesystem::rename(tmp_path, cold_path);
   }
-  std::filesystem::rename(tmp_path, cold_path);
 
   {
     std::lock_guard lock(mutex_);
     const auto it = std::find_if(
         segments_.begin(), segments_.end(),
         [&source](const Segment& s) { return s.path == source; });
-    if (it != segments_.end()) {
+    if (it != segments_.end() && footer.record_count < it->records) {
+      // A frame was damaged after it was written: the records from it on
+      // are lost, and reads of them say so instead of answering around them.
+      const std::size_t kept = static_cast<std::size_t>(footer.record_count);
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      LostRange lost{it->index[kept].epoch, it->last_epoch, -kInf, kInf,
+                     source.filename().string()};
+      if (kept > 0)
+        lost.after_time_s = it->index[kept - 1].time_s;
+      else if (it != segments_.begin())
+        lost.after_time_s = std::prev(it)->last_time_s;
+      if (std::next(it) != segments_.end())
+        lost.before_time_s = std::next(it)->first_time_s;
+      VMP_LOG_WARN("ledger: %s is damaged at offset %zu; epochs %llu..%llu "
+                   "were lost",
+                   lost.where.c_str(), offset,
+                   static_cast<unsigned long long>(lost.first_epoch),
+                   static_cast<unsigned long long>(lost.last_epoch));
+      lost_.push_back(std::move(lost));
+      it->index.resize(kept);
+      it->records = kept;
+      if (kept > 0) {
+        it->last_epoch = it->index.back().epoch;
+        it->last_time_s = it->index.back().time_s;
+      }
+    }
+    if (it != segments_.end() && footer.record_count == 0) {
+      segments_.erase(it);  // nothing intact: drop the entry and the file.
+    } else if (it != segments_.end()) {
+      // The segment keeps its dense in-memory index: the one just written
+      // indexes the same frames at the same offsets.
       it->kind = Kind::kCold;
       it->path = cold_path;
-      it->index = std::move(index);
-      it->bytes = out.size();
-      it->frames_end = footer.index_offset;
+      it->frames_end = offset;
+      it->bytes = offset + index_block.size() + kFooterBytes;
     }
     compacted_records_ += footer.record_count;
     if (compacted_counter_) compacted_counter_->inc(footer.record_count);
@@ -698,36 +690,38 @@ const Ledger::Segment* Ledger::segment_for_epoch_locked(
   return nullptr;
 }
 
-std::optional<TickRecord> Ledger::scan_from(const Segment& segment,
-                                            const IndexEntry& start,
-                                            bool by_epoch, double t_s,
-                                            std::uint64_t epoch) const {
-  const FrameReader file(segment.path, segment.frames_end);
-  // Walk headers and prefixes only. `found` is the newest frame at or before
-  // the target; `stop` is the frame whose prefix ended the walk.
-  std::optional<std::pair<std::uint64_t, FrameHead>> found, stop;
-  for (std::uint64_t cursor = start.offset; cursor != segment.frames_end;) {
-    const auto head = file.head(cursor);
-    if (!head)
-      throw_damaged(segment.path, cursor, "unreadable or impossible header");
-    if (by_epoch ? head->prefix.epoch > epoch : head->prefix.time_s > t_s) {
-      stop.emplace(cursor, *head);
-      break;
-    }
-    found.emplace(cursor, *head);
-    if (by_epoch && head->prefix.epoch == epoch) break;
-    cursor += kFrameHeaderBytes + head->length;
-  }
-  // Those two prefixes decided the answer, so both frames must pass their
-  // CRC; the frames walked over in between cannot change it.
-  if (stop && !file.body(stop->first, stop->second))
-    throw_damaged(segment.path, stop->first, "CRC mismatch");
-  if (!found) return std::nullopt;
-  const auto body = file.body(found->first, found->second);
-  if (!body) throw_damaged(segment.path, found->first, "CRC mismatch");
-  auto record = decode_record(*body);
-  if (!record) throw_damaged(segment.path, found->first, "undecodable body");
-  return record;
+TickRecord Ledger::read_indexed(const SegmentFile& file,
+                                const Segment& segment, std::size_t i) {
+  const IndexEntry& entry = segment.index[i];
+  const std::uint64_t end = i + 1 < segment.index.size()
+                                ? segment.index[i + 1].offset
+                                : segment.frames_end;
+  // The index was CRC-checked when it loaded or built from CRC-checked
+  // frames, so it gives the frame's extent before a byte of it is read, and
+  // the frame is the only one whose CRC the read needs.
+  if (end < entry.offset || end - entry.offset < kHeaderBytes ||
+      end - entry.offset - kHeaderBytes > kMaxRecordBytes)
+    throw_damaged(segment.path, entry.offset, "impossible index extent");
+  std::string frame(end - entry.offset, '\0');
+  if (!file.read(entry.offset, frame.data(), frame.size()))
+    throw_damaged(segment.path, entry.offset, "unreadable frame");
+  ByteReader header{frame};
+  std::uint32_t length = 0, crc = 0;
+  (void)header.get_u32(length);
+  (void)header.get_u32(crc);
+  if (length != frame.size() - kHeaderBytes)
+    throw_damaged(segment.path, entry.offset, "impossible header");
+  const std::string_view body = std::string_view(frame).substr(kHeaderBytes);
+  if (crc32(body) != crc)
+    throw_damaged(segment.path, entry.offset, "CRC mismatch");
+  auto record = decode_record(body);
+  if (!record)
+    throw_damaged(segment.path, entry.offset, "undecodable body");
+  if (record->epoch != entry.epoch ||
+      std::bit_cast<std::uint64_t>(record->time_s) !=
+          std::bit_cast<std::uint64_t>(entry.time_s))
+    throw_damaged(segment.path, entry.offset, "record differs from its index");
+  return std::move(*record);
 }
 
 void Ledger::forget_lost_from_locked(std::uint64_t epoch, double time_s) {
@@ -750,7 +744,7 @@ void Ledger::check_lost_locked(bool by_epoch, double t_s,
                  : lost.after_time_s <= t_s && t_s < lost.before_time_s)
       throw DamagedRecord("ledger: epochs " + std::to_string(lost.first_epoch) +
                           ".." + std::to_string(lost.last_epoch) +
-                          " were lost in recovery (" + lost.where + ")");
+                          " were lost (" + lost.where + ")");
   }
 }
 
@@ -759,12 +753,14 @@ std::optional<TickRecord> Ledger::at_or_before(double t_s) const {
   check_lost_locked(/*by_epoch=*/false, t_s, 0);
   const Segment* segment = segment_for_time_locked(t_s);
   if (!segment) return std::nullopt;
-  // Last index entry with time_s <= t_s (the first entry qualifies by the
-  // segment choice above).
+  // Last entry with time_s <= t_s (the first entry qualifies by the segment
+  // choice above).
   const auto it = std::upper_bound(
       segment->index.begin(), segment->index.end(), t_s,
       [](double t, const IndexEntry& entry) { return t < entry.time_s; });
-  return scan_from(*segment, *std::prev(it), /*by_epoch=*/false, t_s, 0);
+  return read_indexed(SegmentFile(segment->path), *segment,
+                      static_cast<std::size_t>(
+                          std::prev(it) - segment->index.begin()));
 }
 
 std::optional<TickRecord> Ledger::at_epoch(std::uint64_t epoch) const {
@@ -772,13 +768,12 @@ std::optional<TickRecord> Ledger::at_epoch(std::uint64_t epoch) const {
   check_lost_locked(/*by_epoch=*/true, 0.0, epoch);
   const Segment* segment = segment_for_epoch_locked(epoch);
   if (!segment) return std::nullopt;
-  const auto it = std::upper_bound(
+  const auto it = std::lower_bound(
       segment->index.begin(), segment->index.end(), epoch,
-      [](std::uint64_t e, const IndexEntry& entry) { return e < entry.epoch; });
-  auto record =
-      scan_from(*segment, *std::prev(it), /*by_epoch=*/true, 0.0, epoch);
-  if (record && record->epoch != epoch) return std::nullopt;
-  return record;
+      [](const IndexEntry& entry, std::uint64_t e) { return entry.epoch < e; });
+  if (it == segment->index.end() || it->epoch != epoch) return std::nullopt;
+  return read_indexed(SegmentFile(segment->path), *segment,
+                      static_cast<std::size_t>(it - segment->index.begin()));
 }
 
 std::vector<TickRecord> Ledger::range(std::uint64_t first,
@@ -788,19 +783,13 @@ std::vector<TickRecord> Ledger::range(std::uint64_t first,
   for (const Segment& segment : segments_) {
     if (segment.records == 0 || segment.last_epoch < first) continue;
     if (segment.first_epoch > last) break;
-    const std::uint64_t from = std::max(first, segment.first_epoch);
-    const auto it = std::upper_bound(
-        segment.index.begin(), segment.index.end(), from,
-        [](std::uint64_t e, const IndexEntry& entry) {
-          return e < entry.epoch;
-        });
-    const FrameReader file(segment.path, segment.frames_end);
-    std::uint64_t cursor = std::prev(it)->offset;
-    TickRecord record;
-    while (file.next(cursor, record) == FrameStatus::kOk) {
-      if (record.epoch > last) break;
-      if (record.epoch >= first) records.push_back(std::move(record));
-    }
+    const SegmentFile file(segment.path);
+    auto it = std::lower_bound(
+        segment.index.begin(), segment.index.end(), first,
+        [](const IndexEntry& entry, std::uint64_t e) { return entry.epoch < e; });
+    for (; it != segment.index.end() && it->epoch <= last; ++it)
+      records.push_back(read_indexed(
+          file, segment, static_cast<std::size_t>(it - segment.index.begin())));
   }
   return records;
 }
@@ -823,72 +812,47 @@ void Ledger::truncate_after(std::uint64_t epoch) {
     return;
   }
 
+  // The first dropped record's offset ends the kept frames.
   Segment& tail = segments_.back();
-  if (tail.kind == Kind::kCold) {
+  const auto it = std::upper_bound(
+      tail.index.begin(), tail.index.end(), epoch,
+      [](std::uint64_t e, const IndexEntry& entry) { return e < entry.epoch; });
+  const std::uint64_t cut = it->offset;
+  if (tail.path.filename().string().starts_with("cold-")) {
     // Rewrite the straddling cold segment as a WAL holding only the kept
-    // prefix; compaction will rebuild its index later.
-    const FrameReader cold(tail.path, tail.frames_end);
-    std::string out(kWalMagic);
-    Segment replacement;
-    replacement.kind = Kind::kSealed;
-    std::uint64_t cursor = kColdMagic.size();
-    TickRecord record;
-    while (cold.next(cursor, record) == FrameStatus::kOk) {
-      if (record.epoch > epoch) break;
-      const std::uint64_t out_offset = out.size();
-      // Re-frame from the decoded record: offsets shift, bytes do not.
-      append_frame(out, record);
-      if (replacement.records == 0) {
-        replacement.first_epoch = record.epoch;
-        replacement.first_time_s = record.time_s;
-      }
-      replacement.index.push_back({record.epoch, record.time_s, out_offset});
-      replacement.last_epoch = record.epoch;
-      replacement.last_time_s = record.time_s;
-      ++replacement.records;
-    }
-    const std::filesystem::path old_path = tail.path;
-    replacement.path =
-        options_.dir / segment_file_name("wal", replacement.first_epoch);
-    replacement.bytes = out.size();
-    replacement.frames_end = out.size();
+    // frames, at the same offsets; compaction will rebuild its index later.
+    std::string frames(cut - kColdMagic.size(), '\0');
+    if (!SegmentFile(tail.path).read(kColdMagic.size(), frames.data(),
+                                     frames.size()))
+      throw std::runtime_error("ledger: cannot read " + tail.path.string());
+    const std::filesystem::path wal_path =
+        options_.dir / segment_file_name("wal", tail.first_epoch);
     {
-      std::ofstream file(replacement.path,
-                         std::ios::binary | std::ios::trunc);
-      if (!file ||
-          !file.write(out.data(), static_cast<std::streamsize>(out.size())))
-        throw std::runtime_error("ledger: cannot rewrite " +
-                                 replacement.path.string());
+      std::ofstream file(wal_path, std::ios::binary | std::ios::trunc);
+      file.write(kWalMagic.data(),
+                 static_cast<std::streamsize>(kWalMagic.size()));
+      file.write(frames.data(), static_cast<std::streamsize>(frames.size()));
+      file.close();
+      if (!file)
+        throw std::runtime_error("ledger: cannot rewrite " + wal_path.string());
     }
-    std::filesystem::remove(old_path);
-    if (replacement.records == 0) {
-      std::filesystem::remove(replacement.path);
-      segments_.pop_back();
-    } else {
-      tail = std::move(replacement);
-    }
+    std::filesystem::remove(tail.path);
+    tail.path = wal_path;
+    tail.kind = Kind::kSealed;
   } else {
-    // Dense index: the first dropped record's offset is the new file size.
-    const auto it = std::upper_bound(
-        tail.index.begin(), tail.index.end(), epoch,
-        [](std::uint64_t e, const IndexEntry& entry) {
-          return e < entry.epoch;
-        });
-    const std::uint64_t cut = it->offset;
     if (tail.kind == Kind::kActive) active_.close();
     std::filesystem::resize_file(tail.path, cut);
-    tail.index.erase(it, tail.index.end());
-    tail.records = tail.index.size();
-    tail.bytes = cut;
-    tail.frames_end = cut;
-    tail.last_epoch = tail.index.back().epoch;
-    tail.last_time_s = tail.index.back().time_s;
-    if (tail.kind == Kind::kActive) {
-      active_.open(tail.path, std::ios::binary | std::ios::app);
-      if (!active_)
-        throw std::runtime_error("ledger: cannot reopen " +
-                                 tail.path.string());
-    }
+  }
+  tail.index.erase(it, tail.index.end());
+  tail.records = tail.index.size();
+  tail.bytes = cut;
+  tail.frames_end = cut;
+  tail.last_epoch = tail.index.back().epoch;
+  tail.last_time_s = tail.index.back().time_s;
+  if (tail.kind == Kind::kActive) {
+    active_.open(tail.path, std::ios::binary | std::ios::app);
+    if (!active_)
+      throw std::runtime_error("ledger: cannot reopen " + tail.path.string());
   }
   update_gauges_locked();
 }
@@ -1009,8 +973,8 @@ VerifyReport verify_dir(const std::filesystem::path& dir) {
     const bool cold = path.filename().string().starts_with("cold-");
     std::size_t frames_end = data.size();
     if (cold) {
-      if (const auto footer = decode_footer(data)) {
-        frames_end = footer->index_offset;
+      if (const auto index = read_cold_index(SegmentFile(path))) {
+        frames_end = index->footer.index_offset;
       } else {
         ++report.torn_records;  // the footer itself is damaged.
       }

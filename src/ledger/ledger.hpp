@@ -8,13 +8,10 @@
 //   wal-<first_epoch>.log    append-only segment of CRC-framed TickRecords
 //                            (see ledger/format.hpp); exactly one is active,
 //                            older ones are sealed and awaiting compaction.
-//   cold-<first>-<last>.seg  a compacted sealed segment: the same frames,
-//                            followed by a sparse (epoch, time, offset)
-//                            index and a CRC'd footer, so a window seek is
-//                            one binary search, a walk over at most
-//                            `index_stride` frame headers (the 8-byte
-//                            header and 24-byte record prefix of each), and
-//                            one full read of the frame it returns.
+//   cold-<first>-<last>.seg  a compacted sealed segment: the same frames at
+//                            the same offsets, followed by an (epoch, time,
+//                            offset) index entry for every frame and a
+//                            CRC'd footer.
 //
 // Rotation seals the active segment once it reaches segment_max_records or
 // kSegmentMaxBytes; sealed segments are compacted on a background thread
@@ -23,18 +20,26 @@
 // deleting the WAL, so a crash mid-compaction leaves either the old WAL or
 // a complete cold segment, never a half state the reader trusts.
 //
+// Every segment, WAL or cold, keeps that dense index in memory: 24 bytes
+// per record.
+//
 // Recovery (constructor): every WAL segment is scanned frame by frame and
 // truncated at the first torn/corrupt record — a crash mid-append loses at
 // most that one record, and the loss is WARN-logged and counted, never
-// silent. Cold segments load by footer; a cold file with a bad footer falls
-// back to a full scan and is re-queued for compaction.
+// silent. Cold segments load by footer: the magic, the footer and the index
+// are read, not the frames. A cold file with a bad footer falls back to a
+// full scan and is re-queued for compaction; so is one whose intact footer
+// indexes only some of its records (cold segments once indexed every 64th),
+// which is logged at INFO and not counted as damage.
 //
-// Point reads (at_or_before, at_epoch) CRC-check only the two frames whose
-// prefixes decide the answer: the one returned and the one that ended the
-// walk. Either failing its CRC, or a header that cannot be right, throws
-// DamagedRecord instead of answering with a neighbouring record. Damage a
-// walk does not catch cannot change its answer; verify_dir (`vmpower ledger
-// verify`) is the full scan that finds it.
+// Point reads (at_or_before, at_epoch) are one binary search of the index,
+// one pread of exactly the frame it names, and one CRC. The index was
+// CRC-checked when it loaded or built from CRC-checked frames, so the frame
+// returned is the only one a read must check: a CRC mismatch, a header
+// length other than the index's, or a record whose epoch or time differs
+// from its entry throws DamagedRecord instead of answering. Damage to a
+// frame no read returns cannot change an answer; verify_dir (`vmpower
+// ledger verify`) is the full scan that finds it.
 //
 // Epochs are strictly ascending across the whole ledger and 1:1 with
 // snapshot publish epochs, which is what lets checkpoint restore replay the
@@ -63,6 +68,8 @@
 
 namespace vmp::ledger {
 
+class SegmentFile;  // a segment file opened for positioned reads.
+
 /// Byte threshold at which the active segment rotates, unless
 /// LedgerOptions::segment_max_records trips first.
 inline constexpr std::uint64_t kSegmentMaxBytes = 8ull << 20;
@@ -72,9 +79,6 @@ struct LedgerOptions {
   /// Record threshold at which the active segment rotates, unless
   /// kSegmentMaxBytes trips first.
   std::uint64_t segment_max_records = 4096;
-  /// Cold segments index every Nth record; a seek costs one binary search,
-  /// at most N header-and-prefix reads, and the full read of one frame.
-  std::uint64_t index_stride = 64;
   /// Compact sealed segments into indexed cold segments at all.
   bool auto_compact = true;
   /// Run compaction on a background thread instead of inline at rotation.
@@ -134,9 +138,9 @@ struct VerifyReport {
 };
 [[nodiscard]] VerifyReport verify_dir(const std::filesystem::path& dir);
 
-/// A point read met a frame that decides its answer but fails its CRC, or a
-/// frame header that cannot be right. what() names the segment file and the
-/// frame's offset.
+/// A read met the frame it would return, but the frame fails its CRC, has a
+/// header that cannot be right, or holds a record other than the one the
+/// index names. what() names the segment file and the frame's offset.
 class DamagedRecord : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -160,15 +164,16 @@ class Ledger {
 
   /// Newest record with time_s <= t_s; nullopt when t_s predates the oldest
   /// record (or the ledger is empty) — same step semantics as the ring.
-  /// Throws DamagedRecord when a frame deciding the answer is damaged.
+  /// Throws DamagedRecord when that record's frame is damaged.
   [[nodiscard]] std::optional<TickRecord> at_or_before(double t_s) const;
 
   /// The record published at exactly `epoch`, if the ledger holds it.
-  /// Throws DamagedRecord when a frame deciding the answer is damaged.
+  /// Throws DamagedRecord when that record's frame is damaged.
   [[nodiscard]] std::optional<TickRecord> at_epoch(std::uint64_t epoch) const;
 
   /// All records with epoch in [first, last], ascending. Clamped to the
-  /// ledger's extent; empty when the ranges don't intersect.
+  /// ledger's extent; empty when the ranges don't intersect. Throws
+  /// DamagedRecord when one of their frames is damaged.
   [[nodiscard]] std::vector<TickRecord> range(std::uint64_t first,
                                               std::uint64_t last) const;
 
@@ -210,7 +215,7 @@ class Ledger {
     std::uint64_t bytes = 0;       ///< file size.
     std::uint64_t frames_end = 0;  ///< end of the frames region (< bytes for
                                    ///< cold segments, which carry an index).
-    std::vector<IndexEntry> index;  ///< dense (WAL) or sparse (cold).
+    std::vector<IndexEntry> index;  ///< one entry per frame, ascending.
   };
 
   void recover();
@@ -227,17 +232,19 @@ class Ledger {
   bool compact_one();
   void compactor_loop();
 
-  /// Walks frame headers forward from the index entry to the newest record
-  /// with time_s <= t_s (or epoch <= epoch when `by_epoch`) and decodes it.
-  [[nodiscard]] std::optional<TickRecord> scan_from(
-      const Segment& segment, const IndexEntry& start, bool by_epoch,
-      double t_s, std::uint64_t epoch) const;
+  /// Reads, CRC-checks and decodes the frame segment.index[i] names, from
+  /// its offset to the next entry's (or frames_end); throws DamagedRecord
+  /// on damage to that frame.
+  [[nodiscard]] static TickRecord read_indexed(const SegmentFile& file,
+                                               const Segment& segment,
+                                               std::size_t i);
   [[nodiscard]] const Segment* segment_for_time_locked(double t_s) const;
   [[nodiscard]] const Segment* segment_for_epoch_locked(
       std::uint64_t epoch) const;
 
-  /// Epochs recovery could not keep: between two recovered segments, or
-  /// named by a cold segment's file but missing from its rescan.
+  /// Epochs the ledger could not keep: between two recovered segments,
+  /// named by a cold segment's file but missing from its rescan, or past a
+  /// frame that compaction found damaged.
   struct LostRange {
     std::uint64_t first_epoch = 0;
     std::uint64_t last_epoch = 0;
@@ -260,7 +267,8 @@ class Ledger {
 
   mutable std::mutex mutex_;
   std::vector<Segment> segments_;  ///< ascending by first_epoch.
-  std::vector<LostRange> lost_;    ///< ascending, usually empty.
+  std::string frame_;              ///< append's frame buffer, reused.
+  std::vector<LostRange> lost_;    ///< usually empty.
   std::ofstream active_;           ///< open iff some segment is kActive.
   std::uint64_t appended_records_ = 0;
   std::uint64_t appended_bytes_ = 0;

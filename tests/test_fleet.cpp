@@ -1,6 +1,7 @@
 #include "fleet/engine.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -271,13 +272,33 @@ TEST_F(FleetEngineTest, CheckpointRestoreResumesExactTrajectory) {
 }
 
 TEST_F(FleetEngineTest, RestoreValidation) {
-  const std::filesystem::path path = ::testing::TempDir() + "fleet_bad.txt";
+  // Per process, and cleared first: a file left by a run that died must not
+  // stand in for the missing one.
+  const std::filesystem::path path =
+      ::testing::TempDir() + "fleet_bad-" + std::to_string(::getpid()) + ".txt";
+  std::filesystem::remove(path);
   FleetEngine engine(options_for(1), dataset_);
   engine.run(1);
   EXPECT_THROW(engine.restore_checkpoint(path), std::logic_error);
 
+  // A refused checkpoint leaves nothing of itself behind: no counters and no
+  // joules, so the next tick bills what a fresh engine's first tick bills,
+  // bit for bit.
+  FleetEngine first_tick(options_for(1), dataset_);
+  first_tick.run(1);
+  const std::vector<double> fresh_bill = ledger_fingerprint(first_tick);
+  const auto expect_untouched = [&](FleetEngine& target,
+                                    const std::string& what) {
+    EXPECT_EQ(target.tick(), 0u) << what;
+    EXPECT_EQ(target.samples_processed(), 0u) << what;
+    EXPECT_EQ(target.tenant_ledger().total_energy_j(), 0.0) << what;
+    target.run(1);
+    EXPECT_EQ(ledger_fingerprint(target), fresh_bill) << what;
+  };
+
   FleetEngine fresh(options_for(1), dataset_);
   EXPECT_THROW(fresh.restore_checkpoint(path), std::runtime_error);
+  expect_untouched(fresh, "missing file");
 
   // Host-count mismatch is rejected before any state is replayed.
   engine.save_checkpoint(path);
@@ -323,7 +344,7 @@ TEST_F(FleetEngineTest, RestoreValidation) {
                 std::string::npos)
           << error.what();
     }
-    EXPECT_EQ(target.tick(), 0u) << key;
+    expect_untouched(target, key + "=" + value);
   }
 
   // A host's carried rows must be its own VMs, with their types, in
@@ -384,7 +405,7 @@ TEST_F(FleetEngineTest, RestoreValidation) {
       EXPECT_NE(what.find("host 0 "), std::string::npos) << what;
       EXPECT_NE(what.find(named), std::string::npos) << what;
     }
-    EXPECT_EQ(target.tick(), 0u) << named;
+    expect_untouched(target, named);
   }
   std::filesystem::remove(path);
 }

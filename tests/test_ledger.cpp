@@ -96,7 +96,6 @@ LedgerOptions small_segments(const fs::path& dir,
   LedgerOptions options;
   options.dir = dir;
   options.segment_max_records = max_records;
-  options.index_stride = 4;
   options.background_compaction = false;  // deterministic tests.
   return options;
 }
@@ -163,7 +162,7 @@ TEST(LedgerFormat, FrameReaderDetectsDamage) {
 
   // A flipped body byte fails the CRC; the offset stays put (torn tail).
   std::string flipped = log;
-  flipped[second + kFrameHeaderBytes + 3] ^= 0x40;
+  flipped[second + kHeaderBytes + 3] ^= 0x40;
   offset = second;
   EXPECT_EQ(read_frame(flipped, offset, record), FrameStatus::kTorn);
   EXPECT_EQ(offset, second);
@@ -179,6 +178,36 @@ TEST(LedgerFormat, FrameReaderDetectsDamage) {
   insane += std::string(8, '\0');
   offset = second;
   EXPECT_EQ(read_frame(insane, offset, record), FrameStatus::kTorn);
+}
+
+TEST(LedgerFormat, Crc32MatchesTheBitwiseDefinition) {
+  EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
+  // Every length 0-4995 at start offsets 0-7: each alignment, and each count
+  // of bytes left after the eight-byte steps. The reference shifts one bit
+  // at a time, once per start, and is read at every length on the way.
+  std::string data(5003, '\0');
+  std::uint32_t state = 12345;
+  for (char& byte : data) {
+    state = state * 1103515245u + 12345u;
+    byte = static_cast<char>(state >> 24);
+  }
+  for (std::size_t start = 0; start < 8; ++start) {
+    std::uint32_t reference = 0xFFFFFFFFu;
+    for (std::size_t length = 0; length <= 4995; ++length) {
+      if (length > 0) {
+        reference ^= static_cast<std::uint8_t>(data[start + length - 1]);
+        for (int bit = 0; bit < 8; ++bit)
+          reference = (reference & 1u) ? 0xEDB88320u ^ (reference >> 1)
+                                       : reference >> 1;
+      }
+      const std::uint32_t got =
+          crc32(std::string_view(data).substr(start, length));
+      if (got != (reference ^ 0xFFFFFFFFu)) {
+        ADD_FAILURE() << "start " << start << ", length " << length;
+        return;
+      }
+    }
+  }
 }
 
 // --- append / rotation / compaction / queries -------------------------------
@@ -233,8 +262,8 @@ TEST(Ledger, AppendRotatesCompactsAndAnswersQueries) {
 
 TEST(Ledger, PointReadsEqualAFullDecode) {
   ScratchDir scratch;
-  // 10-record segments indexed every 4th record plus the last: walks of 0-3
-  // frames, the segment's last frame, and a WAL tail with a dense index.
+  // 10-record segments: the first, inner and last frames of cold segments,
+  // and of a WAL tail.
   Ledger log(small_segments(scratch.path, 10));
   for (std::uint64_t epoch = 1; epoch <= 43; ++epoch)
     log.append(record_at(epoch));
@@ -388,6 +417,169 @@ TEST(Ledger, DamagedColdFooterFallsBackToRescanAndRecompacts) {
   EXPECT_TRUE(verify_dir(scratch.path).clean());
 }
 
+/// Rewrites a dense cold segment as cold segments were once written: its
+/// index keeps entries 0, 4, 8, ... and the last, and its footer says so.
+void make_index_sparse(const fs::path& cold) {
+  constexpr std::size_t kFooter = 48, kEntry = 24;
+  const std::string bytes = read_bytes(cold);
+  ByteReader footer{std::string_view(bytes).substr(bytes.size() - kFooter)};
+  std::uint64_t index_offset = 0, records = 0, first = 0, last = 0, magic = 0;
+  std::uint32_t entries = 0, crc = 0;
+  ASSERT_TRUE(footer.get_u64(index_offset) && footer.get_u32(entries) &&
+              footer.get_u64(records) && footer.get_u64(first) &&
+              footer.get_u64(last) && footer.get_u32(crc) &&
+              footer.get_u64(magic));
+  ASSERT_EQ(entries, records) << cold;
+  std::string index;
+  for (std::uint32_t i = 0; i < entries; ++i)
+    if (i % 4 == 0 || i + 1 == entries)
+      index += bytes.substr(index_offset + i * kEntry, kEntry);
+  std::string sparse = bytes.substr(0, index_offset) + index;
+  put_u64(sparse, index_offset);
+  put_u32(sparse, static_cast<std::uint32_t>(index.size() / kEntry));
+  put_u64(sparse, records);
+  put_u64(sparse, first);
+  put_u64(sparse, last);
+  put_u32(sparse, crc32(index));
+  put_u64(sparse, magic);
+  write_bytes(cold, sparse);
+}
+
+TEST(Ledger, SparseIndexedColdSegmentsReadRightAndCompactDense) {
+  ScratchDir scratch, intact;
+  Ledger truth(small_segments(intact.path, 10));
+  {
+    Ledger log(small_segments(scratch.path, 10));
+    for (std::uint64_t epoch = 1; epoch <= 43; ++epoch) {
+      log.append(record_at(epoch));
+      truth.append(record_at(epoch));
+    }
+    ASSERT_EQ(log.stats().cold_segments, 4u);
+  }
+  std::vector<fs::path> colds;
+  for (const auto& entry : fs::directory_iterator(scratch.path))
+    if (entry.path().filename().string().starts_with("cold-")) {
+      colds.push_back(entry.path());
+      make_index_sparse(entry.path());
+    }
+  ASSERT_EQ(colds.size(), 4u);
+
+  // Opened as they are, they are read right, and an index that is only
+  // sparse is no damage: logged at INFO, never WARN, and not counted.
+  std::size_t warned = 0, rebuilt = 0;
+  const util::LogLevel level = util::log_level();
+  util::set_log_level(util::LogLevel::kInfo);
+  util::set_log_sink([&](util::LogLevel line_level, std::string_view line) {
+    if (line_level >= util::LogLevel::kWarn) ++warned;
+    if (line.find("sparse index") != std::string_view::npos) ++rebuilt;
+  });
+  {
+    LedgerOptions options = small_segments(scratch.path, 10);
+    options.auto_compact = false;
+    const Ledger log(options);
+    EXPECT_EQ(log.recovery().rescanned_cold, 0u);
+    EXPECT_EQ(log.stats().records, 43u);
+    for (std::uint64_t epoch = 0; epoch <= 44; ++epoch)
+      EXPECT_EQ(encoded(log.at_epoch(epoch)), encoded(truth.at_epoch(epoch)))
+          << "at_epoch(" << epoch << ")";
+    for (double t = 0.0; t <= 44.0; t += 0.5)
+      EXPECT_EQ(encoded(log.at_or_before(t)), encoded(truth.at_or_before(t)))
+          << "at_or_before(" << t << ")";
+  }
+  util::set_log_sink({});
+  util::set_log_level(level);
+  EXPECT_EQ(warned, 0u);
+  EXPECT_EQ(rebuilt, 4u);
+
+  // Opened with compaction on, each is rewritten with a dense index.
+  {
+    const Ledger log(small_segments(scratch.path, 10));
+    EXPECT_EQ(log.stats().cold_segments, 4u);
+  }
+  for (const fs::path& cold : colds) {
+    const std::string bytes = read_bytes(cold);
+    ByteReader footer{std::string_view(bytes).substr(bytes.size() - 48)};
+    std::uint64_t index_offset = 0, records = 0;
+    std::uint32_t entries = 0;
+    ASSERT_TRUE(footer.get_u64(index_offset) && footer.get_u32(entries) &&
+                footer.get_u64(records));
+    EXPECT_EQ(entries, records) << cold;
+  }
+  EXPECT_TRUE(verify_dir(scratch.path).clean());
+}
+
+TEST(Ledger, APointReadChecksOnlyTheFrameItReturns) {
+  ScratchDir scratch;
+  {
+    Ledger log(small_segments(scratch.path));
+    for (std::uint64_t epoch = 1; epoch <= 20; ++epoch)
+      log.append(record_at(epoch));
+    ASSERT_EQ(log.stats().cold_segments, 2u);  // 1-8, 9-16; WAL 17-20.
+  }
+  // Bit rot in the body of frame k + 1, inside cold segment 1-8.
+  constexpr std::uint64_t k = 4;
+  const fs::path cold = only_file(scratch.path, "cold-00000000000000000001-");
+  std::string bytes = read_bytes(cold);
+  std::size_t offset = 8;
+  TickRecord record;
+  for (std::uint64_t epoch = 1; epoch <= k; ++epoch)
+    ASSERT_EQ(read_frame(bytes, offset, record), FrameStatus::kOk);
+  const std::size_t damaged = offset;
+  bytes[damaged + kHeaderBytes + 40] ^= 0x7f;
+  write_bytes(cold, bytes);
+
+  LedgerOptions options = small_segments(scratch.path);
+  options.auto_compact = false;
+  const Ledger log(options);
+  // The answer's own frame is intact, so the damage next to it is no reason
+  // to refuse it.
+  EXPECT_EQ(encoded(log.at_or_before(static_cast<double>(k) + 0.5)),
+            encode_record(record_at(k)));
+  EXPECT_EQ(encoded(log.at_epoch(k + 2)), encode_record(record_at(k + 2)));
+  // Reading the damaged frame itself is an error naming the file and offset.
+  const std::string where =
+      cold.filename().string() + " at offset " + std::to_string(damaged);
+  for (const bool by_epoch : {true, false}) {
+    try {
+      (void)(by_epoch ? log.at_epoch(k + 1)
+                      : log.at_or_before(static_cast<double>(k) + 1.5));
+      ADD_FAILURE() << "a damaged frame was answered";
+    } catch (const DamagedRecord& damage) {
+      EXPECT_NE(std::string(damage.what()).find(where), std::string::npos)
+          << damage.what();
+    }
+  }
+}
+
+TEST(Ledger, CompactionStoppedByDamageReportsTheLostEpochs) {
+  ScratchDir scratch;
+  LedgerOptions options = small_segments(scratch.path);
+  options.auto_compact = false;
+  Ledger log(options);
+  for (std::uint64_t epoch = 1; epoch <= 12; ++epoch)
+    log.append(record_at(epoch));  // sealed WAL 1-8, active WAL 9-12.
+  const fs::path sealed = only_file(scratch.path, "wal-00000000000000000001");
+  std::string bytes = read_bytes(sealed);
+  std::size_t offset = 8;
+  TickRecord record;
+  for (std::uint64_t epoch = 1; epoch <= 5; ++epoch)
+    ASSERT_EQ(read_frame(bytes, offset, record), FrameStatus::kOk);
+  bytes[offset + kHeaderBytes + 40] ^= 0x7f;  // epoch 6, after it was sealed.
+  write_bytes(sealed, bytes);
+
+  EXPECT_EQ(log.compact_all(), 1u);
+  const Stats stats = log.stats();
+  EXPECT_EQ(stats.cold_segments, 1u);
+  EXPECT_EQ(stats.records, 9u);  // 1-5 cold, 9-12 in the WAL.
+  expect_bit_identical(record_at(5), *log.at_epoch(5));
+  expect_bit_identical(record_at(9), *log.at_or_before(9.5));
+  // Epochs 6-8 are gone, and reads of them say so instead of answering
+  // "never written" or with epoch 5.
+  for (std::uint64_t epoch = 6; epoch <= 8; ++epoch)
+    EXPECT_THROW((void)log.at_epoch(epoch), DamagedRecord) << epoch;
+  EXPECT_THROW((void)log.at_or_before(7.5), DamagedRecord);
+}
+
 TEST(Ledger, EverySingleByteFlipIsAnsweredRightOrReported) {
   ScratchDir scratch;
   // Opened without compaction, so a reopen never rewrites a damaged cold
@@ -403,7 +595,7 @@ TEST(Ledger, EverySingleByteFlipIsAnsweredRightOrReported) {
   }
   const fs::path cold = only_file(scratch.path, "cold-00000000000000000009-");
   const fs::path wal = only_file(scratch.path, "wal-");
-  // Every byte of each file: magic, frames, sparse index and footer.
+  // Every byte of each file: magic, frames, index and footer.
   const std::string cold_bytes = read_bytes(cold);
   const std::string wal_bytes = read_bytes(wal);
 
@@ -727,7 +919,6 @@ LedgerOptions inline_options(const fs::path& dir) {
   LedgerOptions options;
   options.dir = dir;
   options.segment_max_records = 8;
-  options.index_stride = 4;
   options.background_compaction = false;
   return options;
 }
@@ -941,14 +1132,14 @@ TEST(LedgerServe, DamagedBoundFrameIsAnErrorNotAnotherRecord) {
   for (int t = 1; t <= 36; ++t) store.publish(synthetic_at(t));
   QueryEngine engine(store);
 
-  // Bit rot inside epoch 1's body, past its prefix: the walk still lands
-  // on the frame, and its CRC must refuse it. Reading it as missing would
-  // answer from the genesis baseline (the ledger starts at epoch 1).
+  // Bit rot inside epoch 1's body: the index still names the frame, and its
+  // CRC must refuse it. Reading it as missing would answer from the genesis
+  // baseline (the ledger starts at epoch 1).
   const fs::path cold =
       ledger::only_file(scratch.path, "cold-00000000000000000001-");
   {
     std::fstream file(cold, std::ios::binary | std::ios::in | std::ios::out);
-    file.seekp(8 + ledger::kFrameHeaderBytes + 40);  // magic, header, body.
+    file.seekp(8 + ledger::kHeaderBytes + 40);  // magic, header, body.
     file.write("\x7f", 1);
   }
   const Response window =

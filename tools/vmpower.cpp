@@ -174,7 +174,8 @@ commands:
           verify  --dir DIR   full-scan integrity check (read-only; exit 1
                               on torn records or epoch gaps)
           compact --dir DIR   compact every sealed WAL segment into an
-                              indexed cold segment [--index-stride N]
+                              indexed cold segment, and rewrite a cold
+                              segment whose index is sparse with a dense one
 )";
 
 sim::MachineSpec machine_for(const util::CliArgs& args) {
@@ -936,10 +937,6 @@ int cmd_ledger(const util::CliArgs& args) {
   const std::filesystem::path dir = args.require("dir");
   ledger::LedgerOptions options;
   options.dir = dir;
-  // Only compact builds a sparse index, so only it reads --index-stride.
-  if (verb == "compact")
-    options.index_stride =
-        args.get_unsigned<std::uint64_t>("index-stride", 64);
   options.auto_compact = false;  // inspect/compact decide explicitly below.
   options.background_compaction = false;
   args.reject_unread();
