@@ -14,8 +14,9 @@
 // (expensive unique tenant-cost windows, duplicated in adjacent bursts,
 // interleaved with cheap point queries) over real TCP and measures
 // per-class send->receive latency. Three arms send the same requests:
-//   ordered     without ids, coalesce=false — the server holds every
-//               response to arrival order (head-of-line blocking on the slow
+//   ordered     without ids, coalesce=false — the connection's reader
+//               answers each request before it reads the next, so responses
+//               come in arrival order (head-of-line blocking on the slow
 //               windows), and responses match requests by position;
 //   ooo         id-stamped, so responses complete out of order; no
 //               coalescing;
@@ -155,9 +156,9 @@ std::string format_double(double value, const char* format) {
 // --- pipelined completion-order latency -------------------------------------
 
 /// Expensive-class stall applied by the server to tenant-cost queries (the
-/// worker sleeps, so the machine's cores stay free for the cheap class). A
-/// CPU-bound slow query would also exercise the reorder buffer, but on the
-/// small CI boxes this bench runs on it starves the cheap workers of
+/// answering thread sleeps, so the machine's cores stay free for the cheap
+/// class). A CPU-bound slow query would also block the ordered arm, but on
+/// the small CI boxes this bench runs on it starves the cheap workers of
 /// timeslices and the measurement degenerates into scheduler noise.
 constexpr std::chrono::milliseconds kCostStall{100};
 

@@ -29,11 +29,6 @@ constexpr std::size_t kStatsVms = 2;
 constexpr std::size_t kStatsTenants = 3;
 constexpr std::size_t kStatsValueCount = 7;
 
-std::string fleet_label(std::uint32_t fleet) {
-  return obs::labeled("vmpower_fed_shard_attempts_total",
-                      {{"fleet", std::to_string(fleet)}});
-}
-
 }  // namespace
 
 void FrontendOptions::validate() const {
@@ -47,7 +42,8 @@ void FrontendOptions::validate() const {
 FederationFrontend::FederationFrontend(ShardMap map, FrontendOptions options)
     : map_(std::move(map)),
       options_(options),
-      health_(options_.metrics) {
+      health_(options_.metrics),
+      shard_instruments_(map_.size()) {
   options_.validate();
   if (map_.empty())
     throw std::invalid_argument("federation: empty shard map");
@@ -155,12 +151,16 @@ FederationFrontend::ShardResult FederationFrontend::query_shard(
   shard_span.note("fleet", shard.fleet);
   ShardResult result;
   result.fleet = shard.fleet;
+  ShardInstruments& instruments =
+      shard_instruments_[static_cast<std::size_t>(&shard - map_.shards().data())];
   if (options_.metrics)
-    options_.metrics
-        ->counter(fleet_label(shard.fleet),
-                  "Connection attempts against this shard (first tries, "
-                  "retries, and hedges)")
-        .inc();
+    obs::resolve_once(instruments.attempts, [&]() -> fleet::Counter& {
+      return options_.metrics->counter(
+          obs::labeled("vmpower_fed_shard_attempts_total",
+                       {{"fleet", std::to_string(shard.fleet)}}),
+          "Connection attempts against this shard (first tries, retries, "
+          "and hedges)");
+    }).inc();
 
   const bool hedged = options_.hedge && shard.has_replica();
   const std::uint32_t attempts = options_.retries + 1;
@@ -258,11 +258,12 @@ FederationFrontend::ShardResult FederationFrontend::query_shard(
   }
 
   if (!result.answered && options_.metrics)
-    options_.metrics
-        ->counter(obs::labeled("vmpower_fed_shard_failures_total",
-                               {{"fleet", std::to_string(shard.fleet)}}),
-                  "Shard legs that exhausted every attempt without an answer")
-        .inc();
+    obs::resolve_once(instruments.failures, [&]() -> fleet::Counter& {
+      return options_.metrics->counter(
+          obs::labeled("vmpower_fed_shard_failures_total",
+                       {{"fleet", std::to_string(shard.fleet)}}),
+          "Shard legs that exhausted every attempt without an answer");
+    }).inc();
   return result;
 }
 

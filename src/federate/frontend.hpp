@@ -181,6 +181,15 @@ class FederationFrontend : public serve::QueryHandler {
   /// per frontend, not globally).
   std::atomic<std::uint64_t> next_request_id_{0};
 
+  /// One shard's labeled counters, resolved on the shard's first leg (and
+  /// first failure), so a scrape shows a shard's series only once it was
+  /// queried (or failed). Indexed like map_.shards().
+  struct ShardInstruments {
+    std::atomic<fleet::Counter*> attempts{nullptr};
+    std::atomic<fleet::Counter*> failures{nullptr};
+  };
+  std::vector<ShardInstruments> shard_instruments_;
+
   // Hot-path instruments, resolved once (null without metrics).
   fleet::Counter* fanouts_ = nullptr;
   fleet::Counter* partials_ = nullptr;

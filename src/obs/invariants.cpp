@@ -35,14 +35,11 @@ std::uint64_t InvariantMonitor::breaches() const noexcept {
 void InvariantMonitor::breach(Which which, const char* invariant,
                               std::uint64_t epoch,
                               const std::string& detail) {
-  Counter* counter = breach_counters_[which].load(std::memory_order_acquire);
-  if (counter == nullptr) {
-    counter = &registry_.counter(labeled("vmpower_invariant_breaches_total",
-                                         {{"invariant", invariant}}),
-                                 "Invariant threshold breaches");
-    breach_counters_[which].store(counter, std::memory_order_release);
-  }
-  counter->inc();
+  resolve_once(breach_counters_[which], [&]() -> Counter& {
+    return registry_.counter(
+        labeled("vmpower_invariant_breaches_total", {{"invariant", invariant}}),
+        "Invariant threshold breaches");
+  }).inc();
   Throttle& throttle = throttle_[which];
   if (throttle.warned &&
       epoch < throttle.last_epoch + kWarnLogInterval)

@@ -105,6 +105,21 @@ class HistogramMetric {
     std::initializer_list<std::pair<std::string_view, std::string_view>>
         labels);
 
+/// A registry handle resolved on first use and kept in `slot`: the first call
+/// runs `resolve` (a registry lookup, so the series appears in a scrape only
+/// once something uses it, as with a per-call lookup) and every later call
+/// is one atomic load. Safe from any thread: racing first uses resolve the
+/// same instrument.
+template <typename T, typename Resolve>
+T& resolve_once(std::atomic<T*>& slot, Resolve&& resolve) {
+  T* handle = slot.load(std::memory_order_acquire);
+  if (handle == nullptr) {
+    handle = &resolve();
+    slot.store(handle, std::memory_order_release);
+  }
+  return *handle;
+}
+
 /// Thread-safe metric registry. Registration returns a stable reference;
 /// re-registering the same name returns the existing instrument (the help
 /// text of the first registration wins). A name or family already

@@ -1,13 +1,13 @@
 // Per-query latency profiling for the serve tier.
 //
 // Every admitted request can carry a StageProfile through its whole life:
-// the server stamps admission and queue-wait, the dispatcher stamps execute
-// and serialize, the query engine stamps cache-probe and coalesce-hold from
-// inside the engine (via a thread-local ambient pointer, so the engine
-// needs no plumbing through its API), and the final write — including any
-// time parked in the per-connection reorder buffer — is stamped when the
-// response bytes actually go out. The finished profile lands in the
-// ServeProfiler:
+// the server stamps admission and queue-wait (zero for an in-order request,
+// which is answered on the reader that read it), the dispatcher stamps
+// execute and serialize, the query engine stamps cache-probe and
+// coalesce-hold from inside the engine (via a thread-local ambient pointer,
+// so the engine needs no plumbing through its API), and the final write is
+// stamped when the response bytes actually go out. The finished profile
+// lands in the ServeProfiler:
 //
 //  * per-stage streaming quantile sketches (util::QuantileSketch — relative
 //    error, no pre-declared buckets, so a 300 ns cache probe and a 2 s
@@ -40,20 +40,20 @@ namespace vmp::serve {
 
 /// Pipeline stages of one serve-tier query, in wall order.
 enum class Stage : std::uint8_t {
-  kAdmission = 0,   ///< token bucket + queue push at the read edge.
-  kQueueWait,       ///< enqueue -> worker pickup.
+  kAdmission = 0,   ///< token bucket (+ queue push for an id'd request).
+  kQueueWait,       ///< enqueue -> worker pickup; 0 for in-order requests.
   kExecute,         ///< QueryHandler::execute (includes the two below).
   kCacheProbe,      ///< result-cache shard lookups inside execute.
   kCoalesceHold,    ///< follower wait on an in-flight leader's response.
   kSerialize,       ///< response encode (binary body or text line).
-  kWrite,           ///< response ready -> bytes written (reorder hold incl.).
+  kWrite,           ///< response ready -> bytes written.
 };
 inline constexpr std::size_t kStageCount = 7;
 
 [[nodiscard]] const char* to_string(Stage stage) noexcept;
 
-/// One query's breakdown; plain data, owned by the server task that carries
-/// it from read edge to write edge.
+/// One query's breakdown; plain data, on the reader's stack for an in-order
+/// request and owned by the task that carries an id'd one to its worker.
 struct StageProfile {
   std::uint64_t request_id = 0;
   std::uint64_t trace_id = 0;  ///< request id unless the wire carried one.
@@ -63,11 +63,10 @@ struct StageProfile {
   double stage_s[kStageCount] = {};
   double total_s = 0.0;  ///< read edge -> write completed.
 
-  // Server-side bookkeeping for the cross-thread stages (queue wait and
-  // write span threads, so RAII timers cannot measure them).
+  // Server-side bookkeeping for the stages RAII timers cannot measure (the
+  // queue wait spans two threads; the total spans the whole request).
   std::uint64_t start_ns = 0;    ///< read edge (steady ns).
-  std::uint64_t enqueue_ns = 0;  ///< admission accepted the task.
-  std::uint64_t ready_ns = 0;    ///< response bytes ready for delivery.
+  std::uint64_t enqueue_ns = 0;  ///< admission queued the task.
 
   void add(Stage stage, double seconds) noexcept {
     stage_s[static_cast<std::size_t>(stage)] += seconds;
@@ -82,7 +81,7 @@ struct StageProfile {
 };
 
 /// The profile ambient on this thread (null when profiling is off or the
-/// caller is not a profiled server worker).
+/// caller is not answering a profiled request).
 [[nodiscard]] StageProfile* current_stage_profile() noexcept;
 
 /// Steady nanoseconds for the StageProfile timestamps above.

@@ -1,7 +1,7 @@
 // Bounded request queue between the query server's connection readers and
 // its worker pool.
 //
-// Readers (many producers) try_push admitted requests; workers (many
+// Readers (many producers) try_push admitted id'd requests; workers (many
 // consumers) pop them. The queue is bounded so overload is shed at the edge:
 // a full queue refuses the push and the reader answers with an explicit
 // overload error instead of letting memory grow with the offered load.
@@ -28,10 +28,10 @@ class BoundedQueue {
       throw std::invalid_argument("BoundedQueue: capacity must be >= 1");
   }
 
-  /// Non-blocking push: enqueues and returns true, or returns false when the
-  /// queue is full or closed (nothing is evicted — the caller owns the shed
-  /// accounting).
-  bool try_push(T value) {
+  /// Non-blocking push: moves `value` in and returns true, or returns false
+  /// when the queue is full or closed and leaves `value` untouched (nothing
+  /// is evicted — the caller owns the shed and still holds its request).
+  bool try_push(T&& value) {
     {
       std::lock_guard lock(mutex_);
       if (closed_ || items_.size() >= capacity_) return false;

@@ -59,6 +59,11 @@ bool is_cost_query(const std::string& payload, bool binary) {
   return line.substr(0, 11) == "tenant-cost";
 }
 
+/// How long the acceptor waits after a failed accept() before it tries
+/// again: long enough not to spin while the process is out of descriptors,
+/// short enough that a freed one is used at once.
+constexpr std::chrono::milliseconds kAcceptRetryPause{50};
+
 }  // namespace
 
 void ServerOptions::validate() const {
@@ -99,8 +104,8 @@ Server::Server(QueryHandler& engine, fleet::Metrics& metrics,
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&address), &length);
   port_ = ntohs(address.sin_port);
 
-  metrics_.gauge("vmpower_serve_active_connections",
-                 "Currently open client connections");
+  active_gauge_ = &metrics_.gauge("vmpower_serve_active_connections",
+                                  "Currently open client connections");
   admitted_counter_ = &metrics_.counter(
       "vmpower_serve_admitted_total",
       "Requests read off client connections (sheds included)");
@@ -110,9 +115,9 @@ Server::Server(QueryHandler& engine, fleet::Metrics& metrics,
   reordered_counter_ = &metrics_.counter(
       "vmpower_serve_responses_reordered_total",
       "Responses written out of their arrival position");
-  corked_counter_ = &metrics_.counter(
-      "vmpower_serve_corked_flushes_total",
-      "Reorder-buffer drains that batched multiple responses into one send");
+  queue_high_watermark_ =
+      &metrics_.gauge("vmpower_serve_queue_high_watermark",
+                      "Deepest the request queue has ever run");
   workers_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -122,29 +127,34 @@ Server::Server(QueryHandler& engine, fleet::Metrics& metrics,
 
 Server::~Server() { stop(); }
 
+Server::Conn::~Conn() { ::close(fd); }
+
 void Server::stop() {
   if (stopping_.exchange(true)) return;
   ::shutdown(listen_fd_, SHUT_RDWR);
   if (acceptor_.joinable()) acceptor_.join();
   ::close(listen_fd_);
 
+  // Readers first, so that no request is queued after the queue closes; a
+  // reader still answering an in-order request finishes it (its write fails
+  // on the shut-down socket and is still counted).
+  std::list<Reader> readers;
+  {
+    std::lock_guard lock(readers_mutex_);
+    readers.swap(readers_);
+  }
+  for (Reader& reader : readers) {
+    if (const std::shared_ptr<Conn> conn = reader.conn.lock()) {
+      conn->open.store(false, std::memory_order_relaxed);
+      ::shutdown(conn->fd, SHUT_RDWR);
+    }
+  }
+  for (Reader& reader : readers)
+    if (reader.thread.joinable()) reader.thread.join();
+
   queue_.close();
   for (std::thread& worker : workers_)
     if (worker.joinable()) worker.join();
-
-  std::vector<std::pair<std::shared_ptr<Conn>, std::thread>> conns;
-  {
-    std::lock_guard lock(conns_mutex_);
-    conns.swap(conns_);
-  }
-  for (auto& [conn, thread] : conns) {
-    conn->open.store(false, std::memory_order_relaxed);
-    ::shutdown(conn->fd, SHUT_RDWR);
-  }
-  for (auto& [conn, thread] : conns) {
-    if (thread.joinable()) thread.join();
-    ::close(conn->fd);
-  }
 }
 
 void Server::accept_loop() {
@@ -154,8 +164,16 @@ void Server::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (stopping_.load(std::memory_order_relaxed)) break;
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;  // listening socket gone; nothing sensible left to accept.
+      // Out of descriptors (EMFILE/ENFILE), out of memory, a connection
+      // reset before it was accepted: none of these ends the listener, so
+      // say which it was and try again once the process may have recovered.
+      const int error = errno;
+      VMP_LOG_WARN("serve: accept on 127.0.0.1:%u failed: %s (errno %d); "
+                   "retrying in %lld ms",
+                   port_, std::strerror(error), error,
+                   static_cast<long long>(kAcceptRetryPause.count()));
+      std::this_thread::sleep_for(kAcceptRetryPause);
+      continue;
     }
     accepted.inc();
     // Small latency-bound responses gain nothing from Nagle's coalescing.
@@ -163,16 +181,34 @@ void Server::accept_loop() {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     auto conn = std::make_shared<Conn>(fd, options_);
-    std::lock_guard lock(conns_mutex_);
-    conns_.emplace_back(conn,
-                        std::thread([this, conn] { serve_connection(conn); }));
+    std::lock_guard lock(readers_mutex_);
+    reap_readers();
+    Reader& reader = readers_.emplace_back();
+    reader.conn = conn;
+    reader.thread =
+        std::thread([this, &reader, conn = std::move(conn)]() mutable {
+          serve_connection(conn);
+          // Drop the reader's hold: the descriptor closes now, or when the
+          // last id'd response on a worker has been written.
+          conn.reset();
+          reader.done.store(true, std::memory_order_release);
+        });
+  }
+}
+
+void Server::reap_readers() {
+  for (auto it = readers_.begin(); it != readers_.end();) {
+    if (!it->done.load(std::memory_order_acquire)) {
+      ++it;
+      continue;
+    }
+    it->thread.join();
+    it = readers_.erase(it);
   }
 }
 
 void Server::serve_connection(const std::shared_ptr<Conn>& conn) {
-  fleet::Gauge& active = metrics_.gauge("vmpower_serve_active_connections",
-                                        "Currently open client connections");
-  active.set(static_cast<double>(
+  active_gauge_->set(static_cast<double>(
       active_conns_.fetch_add(1, std::memory_order_relaxed) + 1));
   // Protocol sniff: binary frames open with a 4-byte big-endian length whose
   // first byte is 0x00 for any frame under 16 MiB — or 0x80 when the prefix
@@ -188,11 +224,14 @@ void Server::serve_connection(const std::shared_ptr<Conn>& conn) {
   }
   conn->open.store(false, std::memory_order_relaxed);
   ::shutdown(conn->fd, SHUT_RDWR);  // unblocks any late worker write cleanly.
-  active.set(static_cast<double>(
+  active_gauge_->set(static_cast<double>(
       active_conns_.fetch_sub(1, std::memory_order_relaxed) - 1));
 }
 
 void Server::serve_binary(const std::shared_ptr<Conn>& conn) {
+  // The reader's response buffer: in-order responses are encoded into it and
+  // written from it, so it keeps its capacity across requests.
+  std::string bytes;
   while (conn->open.load(std::memory_order_relaxed)) {
     char prefix[kFramePrefixBytes];
     if (!read_fully(conn->fd, prefix, sizeof prefix)) return;
@@ -237,13 +276,14 @@ void Server::serve_binary(const std::shared_ptr<Conn>& conn) {
                   "malformed trace context", has_id, request_id);
       continue;
     }
-    admit(conn, std::move(body), /*binary=*/true, has_id, request_id,
-          has_trace, trace);
+    admit(conn, body, /*binary=*/true, has_id, request_id, has_trace, trace,
+          bytes);
   }
 }
 
 void Server::serve_text(const std::shared_ptr<Conn>& conn) {
   std::string buffer;
+  std::string bytes;  // the reader's response buffer, as in serve_binary.
   char chunk[1024];
   while (conn->open.load(std::memory_order_relaxed)) {
     const std::size_t newline = buffer.find('\n');
@@ -267,85 +307,124 @@ void Server::serve_text(const std::shared_ptr<Conn>& conn) {
     std::string_view peek{line};
     std::uint64_t request_id = 0;
     const bool has_id = strip_text_request_id(peek, request_id);
-    admit(conn, std::move(line), /*binary=*/false, has_id, request_id);
+    admit(conn, line, /*binary=*/false, has_id, request_id,
+          /*has_trace=*/false, TraceContextWire{}, bytes);
   }
 }
 
-void Server::admit(const std::shared_ptr<Conn>& conn, std::string payload,
+void Server::admit(const std::shared_ptr<Conn>& conn, std::string& payload,
                    bool binary, bool has_id, std::uint64_t request_id,
-                   bool has_trace, TraceContextWire trace) {
-  VMP_TRACE_CONTEXT_PARENTED(has_trace ? trace.trace_id : request_id,
-                             has_trace ? trace.parent_span : 0);
-  VMP_TRACE_SPAN("serve.admission", "serve");
-  std::shared_ptr<StageProfile> profile;
+                   bool has_trace, const TraceContextWire& trace,
+                   std::string& bytes) {
+  // An in-order request's profile lives on this frame; an id'd request's
+  // rides to the worker with its task.
+  StageProfile in_order;
+  std::unique_ptr<StageProfile> queued;
+  StageProfile* profile = nullptr;
   std::uint64_t admit_start_ns = 0;
   if (options_.profiler != nullptr) {
-    profile = std::make_shared<StageProfile>();
+    if (has_id) {
+      queued = std::make_unique<StageProfile>();
+      profile = queued.get();
+    } else {
+      profile = &in_order;
+    }
     profile->request_id = request_id;
     profile->trace_id = has_trace ? trace.trace_id : request_id;
     profile->budget_us = has_trace ? trace.budget_us : 0;
     profile->start_ns = admit_start_ns = profile_now_ns();
   }
   const auto finish_admission = [&] {
-    if (profile)
+    if (profile != nullptr)
       profile->add(Stage::kAdmission,
                    static_cast<double>(profile_now_ns() - admit_start_ns) *
                        1e-9);
   };
-  // Delivery routing is fixed at arrival: id-less requests hold an ordered
-  // slot, so even their shed errors cannot overtake an earlier slow
-  // response.
-  const bool ordered = !has_id;
   const std::uint64_t arrival = conn->arrivals++;
-  const std::uint64_t seq = ordered ? conn->ordered_seqs++ : 0;
   admitted_.fetch_add(1, std::memory_order_relaxed);
   admitted_counter_->inc();
-  if (!conn->bucket.try_acquire(steady_seconds())) {
-    metrics_
-        .counter("vmpower_serve_shed_total{reason=\"throttle\"}",
-                 "Requests shed by per-client token buckets")
-        .inc();
+  {
+    VMP_TRACE_CONTEXT_PARENTED(has_trace ? trace.trace_id : request_id,
+                               has_trace ? trace.parent_span : 0);
+    VMP_TRACE_SPAN("serve.admission", "serve");
+    if (!conn->bucket.try_acquire(steady_seconds())) {
+      obs::resolve_once(shed_throttle_, [&]() -> fleet::Counter& {
+        return metrics_.counter(
+            "vmpower_serve_shed_total{reason=\"throttle\"}",
+            "Requests shed by per-client token buckets");
+      }).inc();
+      finish_admission();
+      if (profile != nullptr) profile->error = true;
+      write_response(*conn, arrival,
+                     error_bytes(binary, ErrorCode::kThrottled,
+                                 "client exceeded its request rate", has_id,
+                                 request_id),
+                     profile);
+      return;
+    }
+    outstanding_.fetch_add(1, std::memory_order_relaxed);
+    if (has_id) {
+      // Stamp the enqueue time before the push: once the task is in the
+      // queue a worker may read the profile immediately.
+      finish_admission();
+      if (profile != nullptr) profile->enqueue_ns = profile_now_ns();
+      Task task{conn,       std::move(payload), binary, request_id, arrival,
+                has_trace, trace,              std::move(queued)};
+      if (queue_.try_push(std::move(task))) {
+        queue_high_watermark_->set(
+            static_cast<double>(queue_.high_watermark()));
+        return;
+      }
+      outstanding_.fetch_sub(1, std::memory_order_relaxed);
+      obs::resolve_once(shed_queue_, [&]() -> fleet::Counter& {
+        return metrics_.counter("vmpower_serve_shed_total{reason=\"queue\"}",
+                                "Requests shed by the bounded request queue");
+      }).inc();
+      if (profile != nullptr) profile->error = true;
+      write_response(*conn, arrival,
+                     error_bytes(binary, ErrorCode::kOverloaded,
+                                 "request queue is full", has_id, request_id),
+                     profile);
+      return;
+    }
     finish_admission();
-    if (profile) profile->error = true;
-    std::string shed = error_bytes(binary, ErrorCode::kThrottled,
-                                   "client exceeded its request rate", has_id,
-                                   request_id);
-    deliver(*conn, ordered, seq, arrival, shed, std::move(profile));
-    return;
   }
-  outstanding_.fetch_add(1, std::memory_order_relaxed);
-  // Stamp the enqueue time before the push: once the task is in the queue a
-  // worker may read the profile immediately.
-  finish_admission();
-  if (profile) profile->enqueue_ns = profile_now_ns();
-  if (!queue_.try_push(Task{conn, std::move(payload), binary, has_id,
-                            request_id, ordered, seq, arrival, has_trace,
-                            trace, profile})) {
-    outstanding_.fetch_sub(1, std::memory_order_relaxed);
-    metrics_
-        .counter("vmpower_serve_shed_total{reason=\"queue\"}",
-                 "Requests shed by the bounded request queue")
-        .inc();
-    if (profile) profile->error = true;
-    std::string shed = error_bytes(binary, ErrorCode::kOverloaded,
-                                   "request queue is full", has_id,
-                                   request_id);
-    deliver(*conn, ordered, seq, arrival, shed, std::move(profile));
-    return;
+  // In order: answered here, before this reader reads the next request.
+  {
+    StageProfileScope scope(profile);
+    answer(payload, binary, /*has_id=*/false, 0, nullptr, bytes);
   }
-  metrics_
-      .gauge("vmpower_serve_queue_high_watermark",
-             "Deepest the request queue has ever run")
-      .set(static_cast<double>(queue_.high_watermark()));
+  write_response(*conn, arrival, bytes, profile);
+  outstanding_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void Server::answer(const std::string& payload, bool binary, bool has_id,
+                    std::uint64_t request_id, const TraceContextWire* trace,
+                    std::string& bytes) {
+  if (options_.worker_delay.count() > 0)
+    std::this_thread::sleep_for(options_.worker_delay);
+  if (options_.cost_query_delay.count() > 0 && is_cost_query(payload, binary))
+    std::this_thread::sleep_for(options_.cost_query_delay);
+  bytes.clear();
+  if (binary) {
+    // Single-copy path: the response body is encoded straight into the
+    // frame opened here — no intermediate body string.
+    const std::size_t start = begin_frame(bytes, has_id, request_id);
+    dispatcher_.handle_binary_into(payload, bytes, request_id, trace);
+    finish_frame(bytes, start);
+  } else {
+    // Text ids live in the line itself; the dispatcher echoes them.
+    dispatcher_.handle_text_into(payload, bytes);
+    bytes.push_back('\n');
+  }
 }
 
 void Server::worker_loop() {
   // One reusable encode buffer per worker, not per connection: out-of-order
   // completion means two workers can encode responses for the same
   // connection concurrently, so a per-connection buffer would race. The
-  // per-worker buffer keeps its capacity across requests (deliver only
-  // moves from it when a response parks in the reorder buffer), so the
-  // steady state is zero encode allocations.
+  // buffer keeps its capacity across requests, so the steady state is zero
+  // encode allocations.
   std::string bytes;
   while (auto task = queue_.pop()) {
     StageProfile* profile = task->profile.get();
@@ -353,75 +432,21 @@ void Server::worker_loop() {
       profile->add(Stage::kQueueWait,
                    static_cast<double>(profile_now_ns() - profile->enqueue_ns) *
                        1e-9);
-    // Make the profile ambient for the dispatcher and everything below it
-    // (engine cache probes, coalesce holds) on this thread.
-    StageProfileScope scope(profile);
-    if (options_.worker_delay.count() > 0)
-      std::this_thread::sleep_for(options_.worker_delay);
-    if (options_.cost_query_delay.count() > 0 &&
-        is_cost_query(task->payload, task->binary))
-      std::this_thread::sleep_for(options_.cost_query_delay);
-    bytes.clear();
-    if (task->binary) {
-      // Single-copy path: the response body is encoded straight into the
-      // frame opened here — no intermediate body string.
-      const std::size_t start =
-          begin_frame(bytes, task->has_id, task->request_id);
-      dispatcher_.handle_binary_into(task->payload, bytes, task->request_id,
-                                     task->has_trace ? &task->trace : nullptr);
-      finish_frame(bytes, start);
-    } else {
-      // Text ids live in the line itself; the dispatcher echoes them.
-      dispatcher_.handle_text_into(task->payload, bytes);
-      bytes.push_back('\n');
+    {
+      // Make the profile ambient for the dispatcher and everything below it
+      // (engine cache probes, coalesce holds) on this thread.
+      StageProfileScope scope(profile);
+      answer(task->payload, task->binary, /*has_id=*/true, task->request_id,
+             task->has_trace ? &task->trace : nullptr, bytes);
     }
-    deliver(*task->conn, task->ordered, task->seq, task->arrival, bytes,
-            std::move(task->profile));
+    write_response(*task->conn, task->arrival, bytes, profile);
     outstanding_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
-void Server::deliver(Conn& conn, bool ordered, std::uint64_t seq,
-                     std::uint64_t arrival, std::string& bytes,
-                     std::shared_ptr<StageProfile> profile) {
-  if (profile) profile->ready_ns = profile_now_ns();
-  if (!ordered) {
-    write_response(conn, arrival, bytes, profile.get());
-    return;
-  }
-  // Reorder buffer: park until this slot's turn, then drain every ready
-  // successor too (they were parked waiting on this one). Writes stay under
-  // order_mutex so two drains cannot interleave ordered responses. A parked
-  // response's profile rides in the buffer, so its write stage honestly
-  // includes the reorder hold.
-  std::lock_guard lock(conn.order_mutex);
-  if (seq != conn.next_ordered) {
-    conn.held.emplace(seq, Conn::Held{arrival, std::move(bytes),
-                                      std::move(profile)});
-    return;
-  }
-  ++conn.next_ordered;
-  auto it = conn.held.begin();
-  if (it == conn.held.end() || it->first != conn.next_ordered) {
-    // Head of line with no parked successor — the common case writes
-    // straight from the caller's buffer.
-    write_response(conn, arrival, bytes, profile.get());
-    return;
-  }
-  // This response releases a run of parked successors: flush the whole run
-  // as one corked send instead of one syscall per small response.
-  std::vector<Conn::Held> batch;
-  batch.push_back(Conn::Held{arrival, std::move(bytes), std::move(profile)});
-  while (it != conn.held.end() && it->first == conn.next_ordered) {
-    batch.push_back(std::move(it->second));
-    it = conn.held.erase(it);
-    ++conn.next_ordered;
-  }
-  write_corked(conn, batch);
-}
-
 void Server::write_response(Conn& conn, std::uint64_t arrival,
                             std::string_view bytes, StageProfile* profile) {
+  const std::uint64_t ready_ns = profile != nullptr ? profile_now_ns() : 0;
   answered_.fetch_add(1, std::memory_order_relaxed);
   answered_counter_->inc();
   {
@@ -436,48 +461,10 @@ void Server::write_response(Conn& conn, std::uint64_t arrival,
   }
   if (profile != nullptr && options_.profiler != nullptr) {
     const std::uint64_t now_ns = profile_now_ns();
-    profile->add(Stage::kWrite,
-                 static_cast<double>(now_ns - profile->ready_ns) * 1e-9);
+    profile->add(Stage::kWrite, static_cast<double>(now_ns - ready_ns) * 1e-9);
     profile->total_s =
         static_cast<double>(now_ns - profile->start_ns) * 1e-9;
     options_.profiler->observe(*profile);
-  }
-}
-
-void Server::write_corked(Conn& conn, std::vector<Conn::Held>& batch) {
-  std::size_t total = 0;
-  for (const Conn::Held& held : batch) total += held.bytes.size();
-  std::string wire;
-  wire.reserve(total);
-  for (const Conn::Held& held : batch) wire += held.bytes;
-  {
-    std::lock_guard lock(conn.write_mutex);
-    // Per-response accounting is identical to write_response — the batch is
-    // still batch-size answers, delivered in one send. All counters (the
-    // corked flush included) are bumped before the send so a client that
-    // scrapes metrics the moment it reads the responses sees them.
-    for (const Conn::Held& held : batch) {
-      answered_.fetch_add(1, std::memory_order_relaxed);
-      answered_counter_->inc();
-      if (held.arrival > conn.written) reordered_counter_->inc();
-      ++conn.written;
-    }
-    corked_counter_->inc();
-    if (conn.open.load(std::memory_order_relaxed) &&
-        !send_fully(conn.fd, wire))
-      conn.open.store(false, std::memory_order_relaxed);
-  }
-  if (options_.profiler != nullptr) {
-    const std::uint64_t now_ns = profile_now_ns();
-    for (Conn::Held& held : batch) {
-      if (held.profile == nullptr) continue;
-      held.profile->add(
-          Stage::kWrite,
-          static_cast<double>(now_ns - held.profile->ready_ns) * 1e-9);
-      held.profile->total_s =
-          static_cast<double>(now_ns - held.profile->start_ns) * 1e-9;
-      options_.profiler->observe(*held.profile);
-    }
   }
 }
 

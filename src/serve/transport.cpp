@@ -33,14 +33,17 @@ Dispatcher::Dispatcher(QueryHandler& engine, fleet::Metrics* metrics,
                        ServeProfiler* profiler)
     : engine_(engine), metrics_(metrics), profiler_(profiler) {}
 
-Response Dispatcher::run(const std::optional<Request>& request,
-                         const char* proto) {
+void Dispatcher::count_protocol_error() {
+  if (metrics_ == nullptr) return;
+  obs::resolve_once(protocol_errors_, [&]() -> fleet::Counter& {
+    return metrics_->counter("vmpower_serve_protocol_errors_total",
+                             "Requests rejected as unparseable");
+  }).inc();
+}
+
+Response Dispatcher::run(const std::optional<Request>& request, Proto proto) {
   if (!request) {
-    if (metrics_)
-      metrics_
-          ->counter("vmpower_serve_protocol_errors_total",
-                    "Requests rejected as unparseable")
-          .inc();
+    count_protocol_error();
     if (StageProfile* profile = current_stage_profile())
       profile->error = true;
     return Response::error(ErrorCode::kMalformed, "unparseable request");
@@ -56,29 +59,33 @@ Response Dispatcher::run(const std::optional<Request>& request,
   }
   if (StageProfile* profile = current_stage_profile())
     profile->error = !response.ok;
-  if (metrics_) {
+  const auto kind = static_cast<std::size_t>(request->kind);
+  if (metrics_ != nullptr && kind < kKindSlots) {
     const double elapsed_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
-    const std::string proto_label(proto);
-    const std::string kind_label(to_string(request->kind));
-    metrics_
-        ->counter("vmpower_serve_requests_total{proto=\"" + proto_label +
-                      "\",kind=\"" + kind_label + "\"}",
-                  "Requests dispatched, by protocol and query kind")
-        .inc();
-    metrics_
-        ->histogram("vmpower_serve_request_latency_seconds{proto=\"" +
-                        proto_label + "\"}",
-                    "Query execution latency by protocol", kLatencyLoS,
-                    kLatencyHiS, kLatencyBins)
-        .observe(elapsed_s);
-    metrics_
-        ->histogram(
-            "vmpower_serve_query_latency_seconds{kind=\"" + kind_label + "\"}",
-            "Query execution latency by query kind", kLatencyLoS, kLatencyHiS,
-            kLatencyBins)
-        .observe(elapsed_s);
+    const std::string_view proto_label = proto == kBinary ? "binary" : "text";
+    const std::string_view kind_label = to_string(request->kind);
+    obs::resolve_once(requests_[proto][kind], [&]() -> fleet::Counter& {
+      return metrics_->counter(
+          obs::labeled("vmpower_serve_requests_total",
+                       {{"proto", proto_label}, {"kind", kind_label}}),
+          "Requests dispatched, by protocol and query kind");
+    }).inc();
+    obs::resolve_once(proto_latency_[proto], [&]() -> fleet::HistogramMetric& {
+      return metrics_->histogram(
+          obs::labeled("vmpower_serve_request_latency_seconds",
+                       {{"proto", proto_label}}),
+          "Query execution latency by protocol", kLatencyLoS, kLatencyHiS,
+          kLatencyBins);
+    }).observe(elapsed_s);
+    obs::resolve_once(kind_latency_[kind], [&]() -> fleet::HistogramMetric& {
+      return metrics_->histogram(
+          obs::labeled("vmpower_serve_query_latency_seconds",
+                       {{"kind", kind_label}}),
+          "Query execution latency by query kind", kLatencyLoS, kLatencyHiS,
+          kLatencyBins);
+    }).observe(elapsed_s);
   }
   return response;
 }
@@ -110,7 +117,7 @@ void Dispatcher::handle_binary_into(std::string_view body, std::string& out,
     VMP_TRACE_SPAN("serve.parse", "serve");
     request = decode_request(body);
   }
-  const Response response = run(request, "binary");
+  const Response response = run(request, kBinary);
   StageTimer serialize(Stage::kSerialize);
   VMP_TRACE_SPAN("serve.encode", "serve");
   encode_response_into(response, out);
@@ -156,11 +163,7 @@ void Dispatcher::handle_text_into(std::string_view line, std::string& out) {
   TraceContextWire wire;
   const TextEnvelope envelope = strip_text_envelope(line, request_id, wire);
   if (envelope == TextEnvelope::kMalformed) {
-    if (metrics_)
-      metrics_
-          ->counter("vmpower_serve_protocol_errors_total",
-                    "Requests rejected as unparseable")
-          .inc();
+    count_protocol_error();
     if (StageProfile* profile = current_stage_profile())
       profile->error = true;
     out += '#';
@@ -195,7 +198,7 @@ void Dispatcher::handle_text_into(std::string_view line, std::string& out) {
     VMP_TRACE_SPAN("serve.parse", "serve");
     request = parse_request_text(line);
   }
-  const Response response = run(request, "text");
+  const Response response = run(request, kText);
   StageTimer serialize(Stage::kSerialize);
   VMP_TRACE_SPAN("serve.encode", "serve");
   format_response_text_into(response, out);

@@ -4,11 +4,14 @@
 // text line) -> QueryEngine::execute -> encode, with per-protocol and
 // per-query-kind latency histograms, a protocol-error counter, and trace
 // spans over the parse/evaluate/encode phases (the client's request id, when
-// the framing carried one, becomes the spans' trace id). The TCP server's
-// workers and the in-process transport both call it, which is what makes
-// "the same query returns byte-identical responses on every transport" true
-// by construction rather than by test luck — and lets tests and benches
-// drive the exact production path deterministically, no sockets involved.
+// the framing carried one, becomes the spans' trace id). Each instrument is
+// resolved from the registry on its first use and kept, so a request makes
+// no registry lookup. The TCP server (its readers for in-order requests,
+// its workers for id'd ones) and the in-process transport all call it,
+// which is what makes "the same query returns byte-identical responses on
+// every transport" true by construction rather than by test luck — and
+// lets tests and benches drive the exact production path deterministically,
+// no sockets involved.
 //
 // Three text-protocol *commands* ride the same path next to the query
 // verbs: "METRICS" answers with the full Prometheus exposition of the wired
@@ -18,6 +21,8 @@
 // a line-oriented client knows where the scrape ends.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -67,15 +72,27 @@ class Dispatcher {
   void set_profiler(ServeProfiler* profiler) noexcept { profiler_ = profiler; }
 
  private:
+  /// The `proto` label of the request metrics; indexes the tables below.
+  enum Proto : std::size_t { kBinary = 0, kText = 1, kProtoCount = 2 };
+  /// QueryKind values are 1..7; slot 0 stays empty.
+  static constexpr std::size_t kKindSlots = 8;
+
   [[nodiscard]] Response run(const std::optional<Request>& request,
-                             const char* proto);
+                             Proto proto);
   /// nullopt when `line` is not a command; otherwise the full multi-line
   /// payload, "# EOF"-terminated.
   [[nodiscard]] std::optional<std::string> run_command(std::string_view line);
+  void count_protocol_error();
 
   QueryHandler& engine_;
   fleet::Metrics* metrics_;
   ServeProfiler* profiler_ = nullptr;
+  // Request instruments, each resolved on first use (obs::resolve_once), so
+  // a scrape shows exactly the series that per-request lookups would.
+  std::atomic<fleet::Counter*> protocol_errors_{nullptr};
+  std::atomic<fleet::Counter*> requests_[kProtoCount][kKindSlots] = {};
+  std::atomic<fleet::HistogramMetric*> proto_latency_[kProtoCount] = {};
+  std::atomic<fleet::HistogramMetric*> kind_latency_[kKindSlots] = {};
 };
 
 /// Drives the dispatcher with the server's framing rules, in process.

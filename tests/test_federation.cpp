@@ -327,6 +327,14 @@ TEST(Federation, KilledShardDegradesToAFlaggedPartial) {
   EXPECT_EQ(partial.values[0], 4.0 * 3.0 * kJPerKwh);
   EXPECT_GE(
       fed.metrics.counter("vmpower_fed_partial_total", "").value(), 1u);
+  // Only the dead shard's leg counts a failure, under its own fleet label.
+  const std::string scrape = fed.metrics.to_prometheus();
+  EXPECT_NE(scrape.find("vmpower_fed_shard_failures_total{fleet=\"2\"} 1"),
+            std::string::npos);
+  EXPECT_EQ(scrape.find("vmpower_fed_shard_failures_total{fleet=\"1\"}"),
+            std::string::npos);
+  EXPECT_EQ(scrape.find("vmpower_fed_shard_failures_total{fleet=\"3\"}"),
+            std::string::npos);
 
   // With every shard dead the query degrades to kUnavailable, not a hang.
   fed.shards[0]->stop();
@@ -739,6 +747,9 @@ TEST(Federation, PooledFanoutReusesConnectionsAndCountsExactlyOnce) {
   ASSERT_NE(fed.frontend->pool(), nullptr);
   EXPECT_GT(fed.frontend->dispatch_workers(), 0u);
 
+  // A shard's labeled counters appear with its first leg, not before.
+  EXPECT_EQ(fed.metrics.to_prometheus().find("vmpower_fed_shard_attempts_total"),
+            std::string::npos);
   const Request request =
       make_request(QueryKind::kTenantEnergy, 0, 0, 1, 1.0, 3.0);
   const Response first = fed.frontend->execute(request);
@@ -747,6 +758,16 @@ TEST(Federation, PooledFanoutReusesConnectionsAndCountsExactlyOnce) {
     const Response again = fed.frontend->execute(request);
     EXPECT_EQ(serve::encode_response(again), serve::encode_response(first));
   }
+  for (const char* fleet : {"1", "2", "3"})
+    EXPECT_EQ(fed.metrics
+                  .counter(obs::labeled("vmpower_fed_shard_attempts_total",
+                                        {{"fleet", fleet}}),
+                           "")
+                  .value(),
+              5u)
+        << "fleet " << fleet;
+  EXPECT_EQ(fed.metrics.to_prometheus().find("vmpower_fed_shard_failures_total"),
+            std::string::npos);
 
   // Exactly one dial per shard ever; every later leg reuses. The counter
   // families and the pool's own accounting must agree exactly — a leg is a

@@ -1,8 +1,16 @@
 #include "serve/protocol.hpp"
 
+#include <arpa/inet.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <string>
@@ -195,8 +203,8 @@ TEST(ProtocolCodec, SingleCopyFramingMatchesTheLegacyEncodersByte) {
     finish_frame(single, start);
     EXPECT_EQ(single, encode_frame_with_trace(body, 42, trace));
   }
-  // Appending into a non-empty buffer (the corked path) leaves the prefix
-  // untouched and frames only the new bytes.
+  // Appending into a non-empty buffer leaves what it held untouched and
+  // frames only the new bytes.
   {
     std::string wire = "already-sent";
     const std::size_t start = begin_frame(wire, true, 7);
@@ -433,6 +441,19 @@ TEST_F(ServerTest, TokenBucketShedsAndCountsThrottledRequests) {
   server.stop();
 }
 
+/// Eight pipelined frames alternating stats and fleet-power (told apart by
+/// their value counts), each stamped with its index as id when `with_ids`.
+std::string overload_burst(bool with_ids) {
+  std::string pipelined;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    Request request;
+    request.kind = i % 2 == 0 ? QueryKind::kStats : QueryKind::kFleetPower;
+    const std::string body = encode_request(request);
+    pipelined += with_ids ? encode_frame_with_id(body, i) : encode_frame(body);
+  }
+  return pipelined;
+}
+
 TEST_F(ServerTest, FullQueueShedsWithOverloadedError) {
   ServerOptions options = quick_options();
   options.workers = 1;
@@ -440,28 +461,20 @@ TEST_F(ServerTest, FullQueueShedsWithOverloadedError) {
   options.worker_delay = std::chrono::milliseconds(40);
   Server server(engine_, metrics_, options);
 
-  // Burst unframed pipelined requests on one connection: worker is stalled,
-  // so at most (1 in flight + 1 queued) are admitted per round.
+  // Burst id'd pipelined requests on one connection: only id'd requests are
+  // queued, and the worker is stalled, so at most (1 in flight + 1 queued)
+  // are admitted per round.
   Client client(server.port());
   constexpr int kBurst = 8;
-  const std::string frame =
-      encode_frame(encode_request([] {
-        Request request;
-        request.kind = QueryKind::kStats;
-        return request;
-      }()));
-  std::string pipelined;
-  for (int i = 0; i < kBurst; ++i) pipelined += frame;
-  client.send_raw(pipelined);
+  client.send_raw(overload_burst(/*with_ids=*/true));
 
   int ok = 0, overloaded = 0;
   for (int i = 0; i < kBurst; ++i) {
-    const auto response = decode_response(
-        std::string_view(client.recv_frame()).substr(kFramePrefixBytes));
-    ASSERT_TRUE(response.has_value());
-    if (response->ok)
+    const auto [id, response] = client.recv_response_with_id();
+    EXPECT_LT(id, static_cast<std::uint64_t>(kBurst));
+    if (response.ok)
       ++ok;
-    else if (response->code == ErrorCode::kOverloaded)
+    else if (response.code == ErrorCode::kOverloaded)
       ++overloaded;
   }
   EXPECT_GT(overloaded, 0);
@@ -469,6 +482,31 @@ TEST_F(ServerTest, FullQueueShedsWithOverloadedError) {
   EXPECT_EQ(ok + overloaded, kBurst);
   EXPECT_NE(metrics_.to_prometheus().find(
                 "vmpower_serve_shed_total{reason=\"queue\"}"),
+            std::string::npos);
+  server.stop();
+}
+
+TEST_F(ServerTest, IdLessBurstIsAnsweredInFullAndInOrderWithoutShedding) {
+  // The same burst and stall without ids: each request is answered on the
+  // connection's reader before it reads the next, so none is ever queued,
+  // and a one-slot queue sheds nothing.
+  ServerOptions options = quick_options();
+  options.workers = 1;
+  options.queue_capacity = 1;
+  options.worker_delay = std::chrono::milliseconds(40);
+  Server server(engine_, metrics_, options);
+
+  Client client(server.port());
+  client.send_raw(overload_burst(/*with_ids=*/false));
+  for (std::size_t i = 0; i < 8; ++i) {
+    const Response response = client.recv_response();
+    ASSERT_TRUE(response.ok) << "response " << i << ": " << response.message;
+    EXPECT_EQ(response.values.size(), i % 2 == 0 ? 7u : 1u) << i;
+  }
+  const std::string dump = metrics_.to_prometheus();
+  EXPECT_EQ(dump.find("vmpower_serve_shed_total"), std::string::npos);
+  EXPECT_NE(dump.find("vmpower_serve_answered_total 8"), std::string::npos);
+  EXPECT_NE(dump.find("vmpower_serve_queue_high_watermark 0"),
             std::string::npos);
   server.stop();
 }
@@ -673,15 +711,43 @@ TEST_F(ServerTest, IdLessPipelinedClientsKeepArrivalOrder) {
   options.cost_query_delay = std::chrono::milliseconds(80);
   Server server(engine_, metrics_, options);
 
+  Request slow;
+  slow.kind = QueryKind::kTenantCost;
+  slow.tenant = 1;
+  slow.t0 = 6.0;
+  slow.t1 = 18.0;
+  Request cheap;
+  cheap.kind = QueryKind::kFleetPower;
+
+  {  // A slow head and three cheap requests, pipelined without ids: the
+    // tail is never written ahead of the head, every response is
+    // byte-identical to the in-process answer, and nothing is reordered.
+    Client client(server.port());
+    client.send_query(slow);
+    for (int i = 0; i < 3; ++i) client.send_query(cheap);
+    std::vector<std::string> frames;
+    for (int i = 0; i < 4; ++i) frames.push_back(client.recv_frame());
+
+    const auto head = decode_response(
+        std::string_view(frames[0]).substr(kFramePrefixBytes));
+    ASSERT_TRUE(head.has_value());
+    ASSERT_TRUE(head->ok) << head->message;
+    ASSERT_EQ(head->values.size(), 2u);  // the cost response: came first.
+    EXPECT_DOUBLE_EQ(head->values.at(1), 1200.0);
+    const std::string dump = metrics_.to_prometheus();
+    EXPECT_NE(dump.find("vmpower_serve_answered_total 4"), std::string::npos);
+    EXPECT_NE(dump.find("vmpower_serve_responses_reordered_total 0"),
+              std::string::npos);
+
+    InProcessTransport in_process(engine_);
+    EXPECT_EQ(frames[0],
+              in_process.roundtrip_binary(encode_frame(encode_request(slow))));
+    const std::string cheap_frame =
+        in_process.roundtrip_binary(encode_frame(encode_request(cheap)));
+    for (int i = 1; i < 4; ++i) EXPECT_EQ(frames[i], cheap_frame) << i;
+  }
   {  // Binary without ids: the slow head must not be overtaken.
     Client client(server.port());
-    Request slow;
-    slow.kind = QueryKind::kTenantCost;
-    slow.tenant = 1;
-    slow.t0 = 6.0;
-    slow.t1 = 18.0;
-    Request cheap;
-    cheap.kind = QueryKind::kFleetPower;
     client.send_query(slow);
     client.send_query(cheap);
     const Response first = client.recv_response();
@@ -701,13 +767,12 @@ TEST_F(ServerTest, IdLessPipelinedClientsKeepArrivalOrder) {
   server.stop();
 }
 
-TEST_F(ServerTest, ReleasedReorderRunIsCorkedIntoOneFlush) {
-  // Id-less pipelining with a stalled head: the cheap tail parks in the
-  // reorder buffer, and when the head completes the whole run must leave in
-  // one corked send — counted once — with every response byte still correct
-  // and in arrival order.
+TEST_F(ServerTest, AnIdLessRequestDoesNotWaitForTheWorkers) {
+  // The only worker is stalled on an id'd request; the id-less request
+  // behind it on the same connection is answered by the reader at once.
   ServerOptions options = quick_options();
-  options.cost_query_delay = std::chrono::milliseconds(100);
+  options.workers = 1;
+  options.cost_query_delay = std::chrono::milliseconds(80);
   Server server(engine_, metrics_, options);
   Client client(server.port());
 
@@ -718,25 +783,36 @@ TEST_F(ServerTest, ReleasedReorderRunIsCorkedIntoOneFlush) {
   slow.t1 = 18.0;
   Request cheap;
   cheap.kind = QueryKind::kFleetPower;
-  client.send_query(slow);
-  for (int i = 0; i < 3; ++i) client.send_query(cheap);
+  client.send_query_with_id(slow, 1);
+  client.send_query(cheap);
 
-  const Response head = client.recv_response();
-  ASSERT_TRUE(head.ok) << head.message;
-  ASSERT_EQ(head.values.size(), 2u);  // the cost response: came first.
-  EXPECT_DOUBLE_EQ(head.values.at(1), 1200.0);
-  for (int i = 0; i < 3; ++i) {
-    const Response response = client.recv_response();
-    ASSERT_TRUE(response.ok) << response.message;
-    EXPECT_DOUBLE_EQ(response.values.at(0), 72.0);
-  }
+  const auto carries_id = [](const std::string& frame) {
+    return (static_cast<std::uint8_t>(frame[0]) & 0x80u) != 0;
+  };
+  const std::string first = client.recv_frame();
+  const std::string second = client.recv_frame();
+  ASSERT_FALSE(carries_id(first))
+      << "the id-less answer waited behind the stalled worker";
+  const auto cheap_response =
+      decode_response(std::string_view(first).substr(kFramePrefixBytes));
+  ASSERT_TRUE(cheap_response.has_value());
+  ASSERT_TRUE(cheap_response->ok);
+  EXPECT_DOUBLE_EQ(cheap_response->values.at(0), 72.0);
+  ASSERT_TRUE(carries_id(second));
+  const auto cost_response = decode_response(
+      std::string_view(second).substr(kFramePrefixBytes + kFrameIdBytes));
+  ASSERT_TRUE(cost_response.has_value());
+  ASSERT_TRUE(cost_response->ok);
+  EXPECT_DOUBLE_EQ(cost_response->values.at(1), 1200.0);
 
-  const std::string dump = metrics_.to_prometheus();
-  EXPECT_NE(dump.find("vmpower_serve_corked_flushes_total 1"),
-            std::string::npos);
-  EXPECT_NE(dump.find("vmpower_serve_answered_total 4"), std::string::npos);
-  EXPECT_NE(dump.find("vmpower_serve_responses_reordered_total 0"),
-            std::string::npos);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.outstanding() != 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(server.outstanding(), 0u);
+  EXPECT_EQ(server.admitted(), 2u);
+  EXPECT_EQ(server.answered(), 2u);
   server.stop();
 }
 
@@ -821,6 +897,128 @@ TEST_F(ServerTest, ExactlyOnceAccountingBalancesAfterDrain) {
   monitor.observe_serve_accounting(24, server.admitted(), server.answered(),
                                    server.outstanding());
   EXPECT_EQ(monitor.breaches(), 0u);
+  server.stop();
+}
+
+// --- connection lifecycle ---------------------------------------------------
+
+std::size_t open_descriptors() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd"))
+    ++count;
+  return count;
+}
+
+TEST_F(ServerTest, ClosedConnectionsGiveBackTheirDescriptors) {
+  Server server(engine_, metrics_, quick_options());
+  const std::size_t before = open_descriptors();
+  for (int i = 0; i < 200; ++i) {
+    Client client(server.port());
+    ASSERT_EQ(client.query_text("fleet-power"), "OK 24 72") << i;
+  }
+  // Each reader sees its client's close a moment after the client returns.
+  std::size_t after = open_descriptors();
+  for (int spin = 0; spin < 500 && after > before + 4; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    after = open_descriptors();
+  }
+  EXPECT_LE(after, before + 4) << "before " << before;
+  server.stop();
+}
+
+TEST_F(ServerTest, AResponseInFlightNeverReachesALaterConnection) {
+  ServerOptions options = quick_options();
+  options.cost_query_delay = std::chrono::milliseconds(80);
+  Server server(engine_, metrics_, options);
+  {
+    Client gone(server.port());
+    gone.send_raw("#1 tenant-cost 1 6 18\n");
+  }  // closed at once, while its answer is still stalled on a worker.
+  Client fresh(server.port());
+  EXPECT_EQ(fresh.query_text("fleet-power"), "OK 24 72");
+  // Outlive the stalled answer: nothing else may arrive here.
+  fresh.set_timeout(std::chrono::milliseconds(200));
+  EXPECT_THROW((void)fresh.recv_line(), TimeoutError);
+  server.stop();
+}
+
+/// Lowers this process's soft RLIMIT_NOFILE for the scope.
+class SoftDescriptorLimit {
+ public:
+  explicit SoftDescriptorLimit(rlim_t soft) {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    ok_ = ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+  ~SoftDescriptorLimit() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+  SoftDescriptorLimit(const SoftDescriptorLimit&) = delete;
+  SoftDescriptorLimit& operator=(const SoftDescriptorLimit&) = delete;
+  [[nodiscard]] bool ok() const noexcept { return ok_; }
+
+ private:
+  rlimit saved_{};
+  bool ok_ = false;
+};
+
+/// Connects an already open TCP socket to 127.0.0.1:port.
+bool connect_to(int fd, std::uint16_t port) {
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  address.sin_port = htons(port);
+  return ::connect(fd, reinterpret_cast<sockaddr*>(&address),
+                   sizeof address) == 0;
+}
+
+TEST_F(ServerTest, AcceptOutlivesRunningOutOfDescriptors) {
+  Server server(engine_, metrics_, quick_options());
+  fleet::Counter& accepted = metrics_.counter(
+      "vmpower_serve_connections_total", "Client connections accepted");
+  {  // Start every server thread, and let the acceptor block in accept().
+    Client warm(server.port());
+    ASSERT_EQ(warm.query_text("fleet-power"), "OK 24 72");
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_EQ(accepted.value(), 1u);
+
+  // Both client sockets and a spare descriptor open before the limit
+  // drops; the sockets connect after it.
+  const int first = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int second = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int spare = ::open("/dev/null", O_RDONLY);
+  const int lowest_free = ::open("/dev/null", O_RDONLY);
+  ASSERT_TRUE(first >= 0 && second >= 0 && spare >= 0 && lowest_free >= 0);
+  ::close(lowest_free);
+  const timeval timeout{2, 0};
+  ::setsockopt(second, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  std::string answer;
+  {
+    // No descriptor can open now. A blocked accept() already holds the
+    // number it will return, so `first` is accepted; every accept after it
+    // fails with EMFILE until the spare is freed.
+    SoftDescriptorLimit limit(static_cast<rlim_t>(lowest_free));
+    ASSERT_TRUE(limit.ok());
+    ASSERT_TRUE(connect_to(first, server.port()));
+    for (int spin = 0; spin < 200 && accepted.value() < 2; ++spin)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_EQ(accepted.value(), 2u);
+    ASSERT_TRUE(connect_to(second, server.port()));
+    const std::string_view request = "fleet-power\n";
+    ASSERT_EQ(::send(second, request.data(), request.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(request.size()));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_EQ(accepted.value(), 2u) << "the second accept was meant to fail";
+    ::close(spare);
+    char buffer[64];
+    const ssize_t n = ::recv(second, buffer, sizeof buffer, 0);
+    if (n > 0) answer.assign(buffer, static_cast<std::size_t>(n));
+  }
+  EXPECT_EQ(answer, "OK 24 72\n");
+  EXPECT_EQ(accepted.value(), 3u);
+  ::close(first);
+  ::close(second);
   server.stop();
 }
 
