@@ -1,14 +1,14 @@
 #include "federate/frontend.hpp"
 
+#include <poll.h>
+
 #include <algorithm>
-#include <atomic>
+#include <cerrno>
 #include <chrono>
-#include <condition_variable>
-#include <memory>
-#include <mutex>
+#include <climits>
+#include <cstring>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -28,6 +28,18 @@ constexpr std::size_t kStatsTime = 1;
 constexpr std::size_t kStatsVms = 2;
 constexpr std::size_t kStatsTenants = 3;
 constexpr std::size_t kStatsValueCount = 7;
+
+using Clock = std::chrono::steady_clock;
+constexpr Clock::time_point kNever = Clock::time_point::max();
+
+/// `from + delay`, saturating at kNever.
+Clock::time_point after(Clock::time_point from,
+                        std::chrono::milliseconds delay) {
+  return delay >= std::chrono::duration_cast<std::chrono::milliseconds>(
+                      kNever - from)
+             ? kNever
+             : from + delay;
+}
 
 }  // namespace
 
@@ -51,11 +63,6 @@ FederationFrontend::FederationFrontend(ShardMap map, FrontendOptions options)
   pool_options.max_idle_per_endpoint = options_.max_idle_per_endpoint;
   pool_options.metrics = options_.metrics;
   pool_ = std::make_unique<ConnectionPool>(pool_options);
-  // Sized for a couple of concurrent fan-outs by default; hedge legs run on
-  // their own threads, so a worker is one shard leg.
-  std::size_t workers = options_.workers;
-  if (workers == 0) workers = std::clamp<std::size_t>(map_.size() * 2, 1, 64);
-  dispatch_ = std::make_unique<util::ThreadPool>(workers);
   if (fleet::Metrics* m = options_.metrics) {
     fanouts_ = &m->counter("vmpower_fed_fanouts_total",
                            "Federated queries fanned out to the shards");
@@ -84,234 +91,320 @@ FederationFrontend::FederationFrontend(ShardMap map, FrontendOptions options)
   }
 }
 
-serve::Response FederationFrontend::send_on(serve::Client& client,
-                                            const serve::Request& request) {
-  // Propagate the trace across the process boundary: the shard's server
-  // adopts this attempt's span as its remote parent, so the stitched tree
-  // shows the shard's execute nested under exactly the attempt (first try,
-  // retry, or hedge) that carried it. Only when a trace is actually armed
-  // and ambient — untraced fan-outs stay on the plain id-less frame.
-  const std::uint64_t trace_id = obs::Tracer::global().enabled()
-                                     ? obs::TraceContext::current_trace()
-                                     : 0;
-  if (trace_id != 0) {
-    serve::TraceContextWire wire;
-    wire.trace_id = trace_id;
-    wire.parent_span = obs::current_span();
-    wire.budget_us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            options_.deadline)
-            .count());
-    const std::uint64_t request_id =
-        next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-    return client.query_with_trace(request, request_id, wire);
-  }
-  return client.query(request);
-}
-
-std::optional<serve::Response> FederationFrontend::attempt(
-    std::uint16_t port, const serve::Request& request) {
-  ConnectionPool::Lease lease;
-  try {
-    lease = pool_->checkout(port, options_.deadline);
-  } catch (const std::runtime_error&) {
-    return std::nullopt;  // endpoint unreachable; counts toward ejection.
-  }
-  while (true) {
-    try {
-      serve::Response response = send_on(*lease.client, request);
-      pool_->checkin(std::move(lease));
-      return response;
-    } catch (const serve::TimeoutError&) {
-      // Slow is not stale: the peer is alive but over deadline, and the
-      // socket may be mid-message — discard it, never reconnect-retry.
-      pool_->discard(std::move(lease));
-      return std::nullopt;
-    } catch (const std::runtime_error&) {
-      if (!lease.reused) {
-        // A fresh connection failing outright is a real shard failure.
-        pool_->discard(std::move(lease));
-        return std::nullopt;
-      }
-      // A reused connection dying on first use (EOF/ECONNRESET) usually
-      // means the shard restarted while it idled. Reconnect once — the
-      // replacement lease is fresh, so a second failure exits above.
-      try {
-        lease = pool_->reconnect(std::move(lease), options_.deadline);
-      } catch (const std::runtime_error&) {
-        return std::nullopt;
-      }
+/// One query's shard legs, run on the thread that called execute(). Every
+/// admitted shard gets a Slot holding at most two legs in flight (an
+/// attempt's primary request and its hedge) and the timers of what the shard
+/// does next. run() sends every shard's first attempt, then polls the open
+/// legs' sockets until every slot is settled, waking at the nearest leg
+/// deadline, due hedge or due retry. Spans are ManualSpans: the legs of one
+/// fan-out overlap on this thread, so they cannot nest as scopes.
+class FederationFrontend::Fanout {
+ public:
+  Fanout(FederationFrontend& frontend, const serve::Request& request,
+         const std::vector<const FleetShard*>& targets, std::uint64_t trace_id,
+         std::uint64_t parent_span)
+      : frontend_(frontend),
+        options_(frontend.options_),
+        request_(request),
+        trace_id_(trace_id),
+        slots_(targets.size()) {
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      Slot& slot = slots_[i];
+      slot.shard = targets[i];
+      slot.instruments = &frontend.shard_instruments_[static_cast<std::size_t>(
+          targets[i] - frontend.map_.shards().data())];
+      slot.span = obs::ManualSpan("fed.shard", "federate", trace_id,
+                                  parent_span, "fleet", targets[i]->fleet);
+      slot.result.fleet = targets[i]->fleet;
     }
   }
-}
 
-FederationFrontend::ShardResult FederationFrontend::query_shard(
-    const FleetShard& shard, const serve::Request& request) {
-  VMP_TRACE_NAMED_SPAN(shard_span, "fed.shard", "federate");
-  shard_span.note("fleet", shard.fleet);
-  ShardResult result;
-  result.fleet = shard.fleet;
-  ShardInstruments& instruments =
-      shard_instruments_[static_cast<std::size_t>(&shard - map_.shards().data())];
-  if (options_.metrics)
-    obs::resolve_once(instruments.attempts, [&]() -> fleet::Counter& {
-      return options_.metrics->counter(
-          obs::labeled("vmpower_fed_shard_attempts_total",
-                       {{"fleet", std::to_string(shard.fleet)}}),
-          "Connection attempts against this shard (first tries, retries, "
-          "and hedges)");
-    }).inc();
-
-  const bool hedged = options_.hedge && shard.has_replica();
-  const std::uint32_t attempts = options_.retries + 1;
-  for (std::uint32_t k = 0; k < attempts; ++k) {
-    if (k > 0) {
-      if (retries_counter_) retries_counter_->inc();
-      std::this_thread::sleep_for(options_.backoff * (1u << (k - 1)));
-    }
-    std::optional<serve::Response> response;
-    if (hedged) {
-      // Race the primary against the replica: launch the primary leg on its
-      // own thread, give it hedge_delay, then fire the replica. First
-      // success wins; a loser still mid-request is parked on the stray list
-      // and reaped later, so a hedge win is not re-serialized behind the
-      // slow primary's deadline.
-      struct Race {
-        std::mutex mutex;
-        std::condition_variable cv;
-        int winner = 0;  ///< 0 undecided, 1 primary, 2 replica.
-        int finished = 0;
-        std::optional<serve::Response> response;
-      };
-      auto race = std::make_shared<Race>();
-      // Each racing leg runs on its own thread, so the ambient trace must be
-      // re-seeded there; the leg's span (fed.attempt / fed.hedge) parents
-      // whatever the shard server opens on the far side.
-      const std::uint64_t leg_trace = obs::TraceContext::current_trace();
-      const std::uint64_t leg_parent = obs::current_span();
-      auto leg = [this, race, request, leg_trace, leg_parent,
-                  k](int who, std::uint16_t port,
-                     std::shared_ptr<std::atomic<bool>> done) {
-        VMP_TRACE_CONTEXT_PARENTED(leg_trace, leg_parent);
-        std::optional<serve::Response> r;
-        {
-          VMP_TRACE_NAMED_SPAN(leg_span,
-                               who == 1 ? "fed.attempt" : "fed.hedge",
-                               "federate");
-          leg_span.note("attempt", k);
-          r = attempt(port, request);
-        }
-        {
-          std::lock_guard lock(race->mutex);
-          ++race->finished;
-          if (r && race->winner == 0) {
-            race->winner = who;
-            race->response = std::move(r);
+  /// The shards' results, in the order of `targets`.
+  [[nodiscard]] std::vector<ShardResult> run() {
+    for (Slot& slot : slots_) start_attempt(slot, Clock::now());
+    std::vector<pollfd> fds;
+    std::vector<std::pair<Slot*, Which>> owners;
+    fds.reserve(2 * slots_.size());
+    owners.reserve(2 * slots_.size());
+    while (true) {
+      const Clock::time_point now = Clock::now();
+      Clock::time_point wake = kNever;
+      std::size_t pending = 0;
+      fds.clear();
+      owners.clear();
+      for (Slot& slot : slots_) {
+        wake = std::min(wake, advance(slot, now));
+        if (slot.settled) continue;
+        ++pending;
+        for (const Which which : {kPrimary, kHedge})
+          if (slot.legs[which].open()) {
+            fds.push_back({slot.legs[which].lease.client->fd(), POLLIN, 0});
+            owners.emplace_back(&slot, which);
           }
-        }
-        done->store(true, std::memory_order_release);
-        race->cv.notify_all();
-      };
-      auto primary_done = std::make_shared<std::atomic<bool>>(false);
-      std::thread primary(leg, 1, shard.primary(), primary_done);
-      int launched = 1;
-      std::thread replica;
-      std::shared_ptr<std::atomic<bool>> replica_done;
-      {
-        std::unique_lock lock(race->mutex);
-        if (!race->cv.wait_for(lock, options_.hedge_delay, [&] {
-              return race->finished >= 1;
-            })) {
-          lock.unlock();
-          if (hedges_) hedges_->inc();
-          replica_done = std::make_shared<std::atomic<bool>>(false);
-          replica = std::thread(leg, 2, shard.endpoints[1], replica_done);
-          launched = 2;
-          lock.lock();
-        }
-        race->cv.wait(lock, [&] {
-          return race->winner != 0 || race->finished >= launched;
-        });
-        response = race->response;
-        if (race->winner == 2 && hedge_wins_) hedge_wins_->inc();
       }
-      auto settle = [this](std::thread& thread,
-                           const std::shared_ptr<std::atomic<bool>>& done) {
-        if (!thread.joinable()) return;
-        if (done->load(std::memory_order_acquire))
-          thread.join();
-        else
-          park_stray(std::move(thread), done);
-      };
-      settle(primary, primary_done);
-      settle(replica, replica_done);
-    } else {
-      VMP_TRACE_NAMED_SPAN(attempt_span, "fed.attempt", "federate");
-      attempt_span.note("attempt", k);
-      response = attempt(shard.primary(), request);
+      if (pending == 0) break;
+      int timeout_ms = -1;
+      if (wake != kNever)
+        timeout_ms = static_cast<int>(std::min<std::chrono::milliseconds::rep>(
+            std::chrono::ceil<std::chrono::milliseconds>(wake - now).count(),
+            INT_MAX));
+      if (::poll(fds.data(), fds.size(), timeout_ms) < 0) {
+        if (errno == EINTR) continue;
+        throw std::runtime_error(std::string("federation: poll failed: ") +
+                                 std::strerror(errno));
+      }
+      const Clock::time_point woke = Clock::now();
+      for (std::size_t i = 0; i < fds.size(); ++i) {
+        auto [slot, which] = owners[i];
+        // An earlier answer this round may have settled the slot and closed
+        // this leg as the loser.
+        if (fds[i].revents != 0 && slot->legs[which].open())
+          read(*slot, which, woke);
+      }
     }
-    if (response) {
-      result.answered = true;
-      result.response = std::move(*response);
-      break;
+    std::vector<ShardResult> results;
+    results.reserve(slots_.size());
+    for (Slot& slot : slots_) results.push_back(std::move(slot.result));
+    return results;
+  }
+
+ private:
+  enum Which : std::size_t { kPrimary = 0, kHedge = 1 };
+
+  struct Leg {
+    ConnectionPool::Lease lease;  ///< no client: this leg is not in flight.
+    Clock::time_point deadline = kNever;
+    std::uint64_t request_id = 0;  ///< echoed by a traced answer; 0 untraced.
+    obs::ManualSpan span;          ///< fed.attempt or fed.hedge.
+    [[nodiscard]] bool open() const noexcept {
+      return lease.client != nullptr;
+    }
+  };
+
+  struct Slot {
+    const FleetShard* shard = nullptr;
+    ShardInstruments* instruments = nullptr;
+    obs::ManualSpan span;       ///< fed.shard
+    std::uint32_t attempt = 0;  ///< the attempt in flight or due next.
+    Leg legs[2];
+    Clock::time_point hedge_at = kNever;  ///< hedge due, primary unanswered.
+    Clock::time_point retry_at = kNever;  ///< next attempt due.
+    bool settled = false;
+    ShardResult result;
+  };
+
+  /// Processes every timer of `slot` due by `now`; returns its next wake-up
+  /// (kNever once settled or when it only waits on a socket forever).
+  Clock::time_point advance(Slot& slot, Clock::time_point now) {
+    while (!slot.settled) {
+      if (slot.retry_at <= now) {
+        slot.retry_at = kNever;
+        start_attempt(slot, now);
+        continue;
+      }
+      if (slot.hedge_at <= now) {
+        slot.hedge_at = kNever;
+        if (frontend_.hedges_) frontend_.hedges_->inc();
+        if (!launch(slot, kHedge, slot.shard->endpoints[1]))
+          leg_failed(slot, now);
+        continue;
+      }
+      bool expired = false;
+      for (Leg& leg : slot.legs)
+        if (leg.open() && leg.deadline <= now) {
+          // Slow is not stale: the peer is alive but over deadline, and the
+          // socket may be mid-message. Close it; never redial.
+          close(leg);
+          expired = true;
+        }
+      if (!expired) break;
+      leg_failed(slot, now);
+    }
+    if (slot.settled) return kNever;
+    Clock::time_point wake = std::min(slot.retry_at, slot.hedge_at);
+    for (const Leg& leg : slot.legs)
+      if (leg.open()) wake = std::min(wake, leg.deadline);
+    return wake;
+  }
+
+  /// Sends attempt `slot.attempt`'s primary request and arms its hedge. A
+  /// primary that fails outright is never hedged: the attempt is over.
+  void start_attempt(Slot& slot, Clock::time_point now) {
+    if (!launch(slot, kPrimary, slot.shard->primary()))
+      leg_failed(slot, now);
+    else if (options_.hedge && slot.shard->has_replica())
+      slot.hedge_at = after(Clock::now(), options_.hedge_delay);
+  }
+
+  /// Counts and sends one leg to `port`; false (leg closed) on failure.
+  bool launch(Slot& slot, Which which, std::uint16_t port) {
+    if (fleet::Metrics* metrics = options_.metrics)
+      obs::resolve_once(slot.instruments->attempts, [&]() -> fleet::Counter& {
+        return metrics->counter(
+            obs::labeled("vmpower_fed_shard_attempts_total",
+                         {{"fleet", std::to_string(slot.shard->fleet)}}),
+            "Connection attempts against this shard (first tries, retries, "
+            "and hedges)");
+      }).inc();
+    Leg& leg = slot.legs[which];
+    leg.span = obs::ManualSpan(which == kPrimary ? "fed.attempt" : "fed.hedge",
+                               "federate", trace_id_, slot.span.id(),
+                               "attempt", slot.attempt);
+    try {
+      leg.lease = frontend_.pool_->checkout(port, options_.deadline);
+    } catch (const std::runtime_error&) {
+      leg.span.end();  // endpoint unreachable; counts toward ejection.
+      return false;
+    }
+    return send(leg);
+  }
+
+  /// Sends the request on the leg's lease and arms its deadline. A reused
+  /// connection that fails at once is redialed and resent once; false (leg
+  /// closed) when the request cannot be sent.
+  bool send(Leg& leg) {
+    while (true) {
+      try {
+        serve::Client& client = *leg.lease.client;
+        if (trace_id_ == 0) {
+          leg.request_id = 0;
+          client.send_query(request_);
+        } else {
+          // Propagate the trace across the process boundary: the shard's
+          // server adopts this leg's span as its remote parent, so the
+          // stitched tree shows the shard's execute nested under exactly the
+          // attempt (first try, retry, or hedge) that carried it.
+          serve::TraceContextWire wire;
+          wire.trace_id = trace_id_;
+          wire.parent_span = leg.span.id();
+          wire.budget_us = static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::microseconds>(
+                  options_.deadline)
+                  .count());
+          leg.request_id = frontend_.next_request_id_.fetch_add(
+                               1, std::memory_order_relaxed) +
+                           1;
+          client.send_query_with_trace(request_, leg.request_id, wire);
+        }
+        leg.deadline = options_.deadline.count() == 0
+                           ? kNever
+                           : after(Clock::now(), options_.deadline);
+        return true;
+      } catch (const serve::TimeoutError&) {
+        close(leg);
+        return false;
+      } catch (const std::runtime_error&) {
+        if (!leg.lease.reused) {
+          // A fresh connection failing outright is a real shard failure.
+          close(leg);
+          return false;
+        }
+        if (!redial(leg)) return false;
+      }
     }
   }
 
-  if (!result.answered && options_.metrics)
-    obs::resolve_once(instruments.failures, [&]() -> fleet::Counter& {
+  /// Swaps a reused lease that failed at once for a fresh connection: the
+  /// shard most likely restarted while it idled. The new lease is fresh, so
+  /// a second failure closes the leg. False (leg closed) when the endpoint
+  /// stays unreachable.
+  bool redial(Leg& leg) {
+    try {
+      leg.lease =
+          frontend_.pool_->reconnect(std::move(leg.lease), options_.deadline);
+      return true;
+    } catch (const std::runtime_error&) {
+      leg.span.end();
+      return false;
+    }
+  }
+
+  /// Reads the answer of a leg whose socket became readable. The first
+  /// success wins; the loser is mid-request, so its connection is closed
+  /// (one eviction) rather than returned to the pool.
+  void read(Slot& slot, Which which, Clock::time_point now) {
+    Leg& leg = slot.legs[which];
+    try {
+      serve::Client& client = *leg.lease.client;
+      serve::Response response;
+      if (leg.request_id == 0) {
+        response = client.recv_response();
+      } else {
+        auto [echoed, answer] = client.recv_response_with_id();
+        if (echoed != leg.request_id)
+          throw std::runtime_error(
+              "serve client: response echoed wrong request id");
+        response = std::move(answer);
+      }
+      frontend_.pool_->checkin(std::move(leg.lease));
+      leg.span.end();
+      if (which == kHedge && frontend_.hedge_wins_)
+        frontend_.hedge_wins_->inc();
+      Leg& loser = slot.legs[which == kPrimary ? kHedge : kPrimary];
+      if (loser.open()) close(loser);
+      slot.hedge_at = kNever;
+      slot.result.answered = true;
+      slot.result.response = std::move(response);
+      settle(slot);
+      return;
+    } catch (const serve::TimeoutError&) {
+      close(leg);
+    } catch (const std::runtime_error&) {
+      if (!leg.lease.reused)
+        close(leg);
+      else if (redial(leg) && send(leg))
+        return;  // resent on a fresh connection; wait for it.
+    }
+    leg_failed(slot, now);
+  }
+
+  /// Closes a leg whose connection must not be reused.
+  void close(Leg& leg) {
+    frontend_.pool_->discard(std::move(leg.lease));
+    leg.span.end();
+  }
+
+  /// After a leg closed without an answer: waits on the other leg if it is
+  /// open, else schedules the next attempt or settles the shard unanswered.
+  void leg_failed(Slot& slot, Clock::time_point now) {
+    if (slot.legs[kPrimary].open() || slot.legs[kHedge].open()) return;
+    slot.hedge_at = kNever;
+    if (slot.attempt >= options_.retries) {
+      settle(slot);
+      return;
+    }
+    ++slot.attempt;
+    if (frontend_.retries_counter_) frontend_.retries_counter_->inc();
+    slot.retry_at = after(now, options_.backoff * (1u << (slot.attempt - 1)));
+  }
+
+  void settle(Slot& slot) {
+    slot.settled = true;
+    slot.span.end();
+    if (slot.result.answered || options_.metrics == nullptr) return;
+    obs::resolve_once(slot.instruments->failures, [&]() -> fleet::Counter& {
       return options_.metrics->counter(
           obs::labeled("vmpower_fed_shard_failures_total",
-                       {{"fleet", std::to_string(shard.fleet)}}),
+                       {{"fleet", std::to_string(slot.shard->fleet)}}),
           "Shard legs that exhausted every attempt without an answer");
     }).inc();
-  return result;
-}
-
-void FederationFrontend::park_stray(
-    std::thread thread, std::shared_ptr<std::atomic<bool>> done) {
-  std::lock_guard lock(strays_mutex_);
-  strays_.push_back(Stray{std::move(thread), std::move(done)});
-}
-
-void FederationFrontend::reap_strays(bool final) {
-  std::vector<Stray> to_join;
-  {
-    std::lock_guard lock(strays_mutex_);
-    auto keep = strays_.begin();
-    for (auto& stray : strays_) {
-      if (final || stray.done->load(std::memory_order_acquire)) {
-        to_join.push_back(std::move(stray));
-      } else {
-        // Self-move-assigning a joinable std::thread terminates; skip when
-        // nothing before this stray was reaped.
-        if (&*keep != &stray) *keep = std::move(stray);
-        ++keep;
-      }
-    }
-    strays_.erase(keep, strays_.end());
   }
-  for (Stray& stray : to_join)
-    if (stray.thread.joinable()) stray.thread.join();
-}
 
-FederationFrontend::~FederationFrontend() {
-  // Drain the dispatcher first — its tasks can park new strays — then join
-  // every stray hedge loser.
-  dispatch_.reset();
-  reap_strays(true);
-}
+  FederationFrontend& frontend_;
+  const FrontendOptions& options_;
+  const serve::Request& request_;
+  const std::uint64_t trace_id_;  ///< 0: legs send untraced frames.
+  std::vector<Slot> slots_;
+};
 
 serve::Response FederationFrontend::execute(const serve::Request& request) {
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = Clock::now();
   if (fanouts_) fanouts_->inc();
-  // Capture the ambient trace before the fan-out: thread-local context does
-  // not follow a task onto a dispatch worker, so every leg re-seeds it and
-  // its fed.shard span becomes a child of the caller's serve.execute span.
-  // Disarmed tracing costs exactly this one relaxed load.
+  // Every leg's spans hang under the caller's span and every traced frame
+  // carries this trace. Disarmed tracing costs exactly this one relaxed load.
   const std::uint64_t trace_id = obs::Tracer::global().enabled()
                                      ? obs::TraceContext::current_trace()
                                      : 0;
-  const std::uint64_t parent_span = obs::current_span();
 
   std::vector<std::uint32_t> skipped;
   std::vector<const FleetShard*> targets;
@@ -323,40 +416,8 @@ serve::Response FederationFrontend::execute(const serve::Request& request) {
       skipped.push_back(shard.fleet);
   }
 
-  std::vector<ShardResult> results(targets.size());
-  if (targets.size() == 1) {
-    // Single shard: no parallelism to win; skip the dispatch round trip.
-    results[0] = query_shard(*targets[0], request);
-  } else {
-    // Persistent dispatcher: shard legs run as pool tasks with a per-query
-    // countdown instead of wait_idle — execute() is thread-safe, so legs of
-    // concurrent queries interleave on the same workers, and no leg ever
-    // blocks on pool-submitted work (hedge legs keep their own threads), so
-    // the pool's no-nested-blocking rule holds.
-    struct Join {
-      std::mutex mutex;
-      std::condition_variable cv;
-      std::size_t remaining = 0;
-    };
-    auto join = std::make_shared<Join>();
-    join->remaining = targets.size();
-    for (std::size_t i = 0; i < targets.size(); ++i)
-      dispatch_->submit([this, &request, &results, i, shard = targets[i],
-                         trace_id, parent_span, join] {
-        VMP_TRACE_CONTEXT_PARENTED(trace_id, parent_span);
-        results[i] = query_shard(*shard, request);
-        bool last = false;
-        {
-          std::lock_guard lock(join->mutex);
-          last = --join->remaining == 0;
-        }
-        if (last) join->cv.notify_all();
-      });
-    std::unique_lock lock(join->mutex);
-    join->cv.wait(lock, [&] { return join->remaining == 0; });
-  }
-  reap_strays(false);
-
+  std::vector<ShardResult> results =
+      Fanout(*this, request, targets, trace_id, obs::current_span()).run();
   for (const ShardResult& result : results) {
     if (result.answered)
       health_.record_success(result.fleet);
@@ -368,8 +429,7 @@ serve::Response FederationFrontend::execute(const serve::Request& request) {
       gather(request, std::move(results), std::move(skipped));
   if (fanout_latency_)
     fanout_latency_->observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count());
+        std::chrono::duration<double>(Clock::now() - start).count());
   return response;
 }
 

@@ -6,14 +6,16 @@
 // keeps a bounded number of idle connections per endpoint (loopback-only,
 // so an endpoint is just a port) and hands them out as Leases:
 //
-//   * checkout() reuses an idle connection (hit) or dials a new one (miss);
-//     concurrent checkouts always receive distinct connections, which is
-//     what lets hedged legs race without sharing a socket;
+//   * checkout() reuses an idle connection (hit) or dials a new one (miss)
+//     and re-arms its deadline only when it changed; a connection out on a
+//     lease is off the idle list, so a shard's primary and hedge legs, open
+//     in one fan-out at once, never share a socket;
 //   * checkin() parks a healthy connection for the next query, evicting when
 //     the endpoint's idle list is full;
 //   * discard() drops a connection whose state is no longer trustworthy —
 //     after a timeout the socket may be mid-message (see
-//     serve::Client::set_timeout), so it must never be reused;
+//     serve::Client::set_timeout), and so is a hedge loser's when the other
+//     leg answered first, so neither is ever reused;
 //   * reconnect() handles the stale-socket case: a pooled connection whose
 //     peer restarted fails its first send/recv with EOF/ECONNRESET. The
 //     caller swaps the stale lease for a fresh connection and retries once
@@ -52,7 +54,7 @@ class ConnectionPool {
  public:
   /// A checked-out connection. Exactly one of checkin / discard / reconnect
   /// must consume it; letting it die closes the connection silently (safe,
-  /// but uncounted — destructors of abandoned legs).
+  /// but uncounted).
   struct Lease {
     std::unique_ptr<serve::Client> client;
     std::uint16_t port = 0;
@@ -68,7 +70,8 @@ class ConnectionPool {
   ConnectionPool& operator=(const ConnectionPool&) = delete;
 
   /// An idle connection to `port`, or a freshly dialed one. Applies
-  /// `timeout` (serve::Client::set_timeout) either way. Throws
+  /// `timeout` (serve::Client::set_timeout, which skips an unchanged
+  /// deadline) either way. Throws
   /// std::runtime_error when a fresh connection cannot be established.
   [[nodiscard]] Lease checkout(std::uint16_t port,
                                std::chrono::milliseconds timeout);

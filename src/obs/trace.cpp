@@ -188,4 +188,34 @@ Span::~Span() {
   tracer.record(event);
 }
 
+ManualSpan::ManualSpan(const char* name, const char* category,
+                       std::uint64_t trace_id, std::uint64_t parent_id,
+                       const char* detail_key, std::uint64_t detail) noexcept {
+#if VMPOWER_TRACING_COMPILED
+  Tracer& tracer = Tracer::global();
+  if (!tracer.enabled()) return;
+  event_.name = name;
+  event_.category = category;
+  event_.trace_id = trace_id;
+  event_.span_id = tracer.next_span_id();
+  event_.parent_id = parent_id;
+  event_.start_us = tracer.now_us();
+  event_.detail_key = detail_key;
+  event_.detail = detail;
+#else
+  (void)name, (void)category, (void)trace_id, (void)parent_id,
+      (void)detail_key, (void)detail;
+#endif
+}
+
+void ManualSpan::end() noexcept {
+  if (event_.span_id == 0) return;
+  Tracer& tracer = Tracer::global();
+  event_.thread = tracer.thread_ordinal();
+  const std::uint64_t end_us = tracer.now_us();
+  event_.duration_us = end_us > event_.start_us ? end_us - event_.start_us : 0;
+  tracer.record(event_);
+  event_.span_id = 0;
+}
+
 }  // namespace vmp::obs

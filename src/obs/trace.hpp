@@ -15,7 +15,9 @@
 // remote parent — a federation frontend's per-shard attempt span, carried
 // over the wire as serve::TraceContextWire — adopts the spans a shard server
 // opens on its behalf. current_span() exposes the innermost open span id so
-// a caller can hand it to a downstream process as that parent.
+// a caller can hand it to a downstream process as that parent. ManualSpan is
+// the unscoped form for phases that overlap on one thread (the shard legs of
+// a federated fan-out): it takes its parent explicitly and ends on request.
 //
 // Clock model: span timestamps are *steady-clock* offsets from the tracer's
 // construction, so a wall-clock adjustment (NTP step, manual set) can never
@@ -214,6 +216,27 @@ class Span {
   std::uint64_t start_us_ = 0;
   const char* detail_key_ = nullptr;
   std::uint64_t detail_ = 0;
+};
+
+/// A span begun and ended by explicit calls instead of a scope, for work that
+/// interleaves on one thread and so cannot nest: the overlapping shard legs
+/// of one federated fan-out. It neither reads nor moves the thread's ambient
+/// parent; a child names it through id(). Disarmed (id() 0, end() records
+/// nothing) when the tracer was off at construction or tracing is compiled
+/// out. Name, category and detail key must be string literals.
+class ManualSpan {
+ public:
+  ManualSpan() noexcept = default;
+  ManualSpan(const char* name, const char* category, std::uint64_t trace_id,
+             std::uint64_t parent_id, const char* detail_key,
+             std::uint64_t detail) noexcept;
+
+  [[nodiscard]] std::uint64_t id() const noexcept { return event_.span_id; }
+  /// Records the span as ending now; later calls record nothing.
+  void end() noexcept;
+
+ private:
+  SpanEvent event_;
 };
 
 /// No-op stand-in for Span, declared by the compiled-out expansion of

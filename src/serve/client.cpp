@@ -69,15 +69,18 @@ void Client::shutdown_write() {
 }
 
 void Client::set_timeout(std::chrono::milliseconds timeout) {
-  timeout_ = timeout.count() < 0 ? std::chrono::milliseconds{0} : timeout;
-  if (fd_ < 0) return;
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(timeout_.count() / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((timeout_.count() % 1000) * 1000);
-  if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv) != 0 ||
-      ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv) != 0)
-    throw std::runtime_error("serve client: setsockopt(SO_*TIMEO) failed: " +
-                             std::string(std::strerror(errno)));
+  if (timeout.count() < 0) timeout = std::chrono::milliseconds{0};
+  if (timeout == timeout_) return;  // the socket already carries it.
+  if (fd_ >= 0) {
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
+    tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
+    if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv) != 0 ||
+        ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv) != 0)
+      throw std::runtime_error("serve client: setsockopt(SO_*TIMEO) failed: " +
+                               std::string(std::strerror(errno)));
+  }
+  timeout_ = timeout;
 }
 
 void Client::send_raw(std::string_view bytes) {

@@ -90,11 +90,19 @@ class Client {
   void shutdown_write();
   void close();
 
+  /// The connected socket (-1 once closed), for a caller that waits on
+  /// several connections at once: the federation frontend polls every open
+  /// shard leg and calls recv_response* on the one that became readable.
+  /// Readable means the answer's first bytes arrived; the rest of the frame
+  /// is read under the socket's deadline, as for any blocking receive.
+  [[nodiscard]] int fd() const noexcept { return fd_; }
+
   /// Arms a per-operation deadline on the socket (SO_RCVTIMEO/SO_SNDTIMEO):
   /// any single send or receive that blocks longer than `timeout` throws
   /// TimeoutError. Zero disarms. The socket is left in an indeterminate
   /// mid-message state after a timeout — callers should close and reconnect
-  /// rather than reuse the connection.
+  /// rather than reuse the connection. Re-arming the deadline the socket
+  /// already carries makes no system call.
   void set_timeout(std::chrono::milliseconds timeout);
   [[nodiscard]] std::chrono::milliseconds timeout() const noexcept {
     return timeout_;

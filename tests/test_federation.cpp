@@ -588,15 +588,18 @@ TEST(Federation, FederatedQueryStitchesOneTraceTreeAcrossTiers) {
   EXPECT_EQ(response.values.at(0), 9.0);  // fleets 1 + 2 at t = 1.
   ASSERT_NE(root_id, 0u);
 
-  // The hedge winner returned long before the stalled primary leg finished;
-  // wait for that stray to land its spans so the tree is complete.
+  // The hedge winner returned long before the stalled primary's shard server
+  // finished executing the request the frontend gave up on; wait for that
+  // third serve.execute so the tree is complete. Every frontend span,
+  // the closed loser's fed.attempt included, was recorded inside execute().
   auto count_named = [&](const char* name) {
     std::size_t n = 0;
     for (const obs::SpanEvent& event : tracer.snapshot())
       if (std::string_view(event.name) == name) ++n;
     return n;
   };
-  for (int spin = 0; spin < 5000 && count_named("fed.attempt") < 2; ++spin)
+  EXPECT_EQ(count_named("fed.attempt"), 2u);
+  for (int spin = 0; spin < 5000 && count_named("serve.execute") < 3; ++spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
   const std::vector<obs::SpanEvent> events = tracer.snapshot();
@@ -742,10 +745,38 @@ TEST(ConnectionPool, StaleSocketIsDetectedAndReconnectedAfterRestart) {
   shard->stop();
 }
 
+TEST(ConnectionPool, AReusedConnectionTakesANewDeadline) {
+  // A connection parked under a 1 s deadline and leased again under 50 ms
+  // must time out at 50 ms: re-arming skips only an unchanged deadline.
+  InProcessShardOptions options;
+  options.fleet = 1;
+  options.engine = exact_tou_options();
+  options.server = quick_server();
+  options.server.worker_delay = std::chrono::milliseconds(300);
+  InProcessShard shard(options);
+  shard.store().publish(shard_at(1, 1.0));
+  ConnectionPool pool{PoolOptions{}};
+
+  pool.checkin(pool.checkout(shard.port(), kPoolTimeout));
+  ConnectionPool::Lease lease =
+      pool.checkout(shard.port(), std::chrono::milliseconds(50));
+  ASSERT_TRUE(lease.reused);
+  EXPECT_EQ(lease.client->timeout().count(), 50);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(
+      (void)lease.client->query(make_request(QueryKind::kFleetPower, 0, 0, 0)),
+      serve::TimeoutError);
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count(),
+            250);
+  pool.discard(std::move(lease));
+  shard.stop();
+}
+
 TEST(Federation, PooledFanoutReusesConnectionsAndCountsExactlyOnce) {
   Federation fed(/*ticks=*/4);
   ASSERT_NE(fed.frontend->pool(), nullptr);
-  EXPECT_GT(fed.frontend->dispatch_workers(), 0u);
 
   // A shard's labeled counters appear with its first leg, not before.
   EXPECT_EQ(fed.metrics.to_prometheus().find("vmpower_fed_shard_attempts_total"),
@@ -906,27 +937,163 @@ TEST(Federation, HedgedLegsUseThePoolWithoutSharingAConnection) {
   EXPECT_EQ(response.values.at(0), 3.0);
 
   // Primary and replica are distinct endpoints, and neither had an idle
-  // connection: both legs dialed. Wait out the stray primary leg (bounded
-  // by its 200 ms stall), then both connections must be parked — one per
-  // endpoint, none shared, none lost.
+  // connection: both legs dialed. The replica won and parked its connection;
+  // the primary's, still mid-request, was closed as the loser.
   ConnectionPool& pool = *frontend.pool();
   EXPECT_EQ(pool.misses(), 2u);
   EXPECT_EQ(pool.hits(), 0u);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while ((pool.idle(shard.port()) + pool.idle(shard.replica_port())) < 2 &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(pool.idle(shard.port()), 1u);
+  EXPECT_EQ(pool.idle(shard.port()), 0u);
   EXPECT_EQ(pool.idle(shard.replica_port()), 1u);
+  EXPECT_EQ(pool.evictions(), 1u);
 
-  // A second hedged query reuses both parked connections.
+  // A second hedged query dials the primary again and reuses the replica.
   const Response again =
       frontend.execute(make_request(QueryKind::kFleetPower, 0, 0, 0));
   ASSERT_TRUE(again.ok);
   EXPECT_EQ(serve::encode_response(again), serve::encode_response(response));
-  EXPECT_EQ(pool.misses(), 2u);
+  EXPECT_EQ(pool.misses(), 3u);
+  EXPECT_EQ(pool.hits(), 1u);
   shard.stop();
+}
+
+// --- the gather: overlap, deadlines, attempt counts -------------------------
+
+/// Shards for fleets 1..delays.size() with published epoch 1; fleet f's
+/// server stalls every request by delays[f - 1].
+std::vector<std::unique_ptr<InProcessShard>> stalled_shards(
+    const std::vector<std::chrono::milliseconds>& delays) {
+  std::vector<std::unique_ptr<InProcessShard>> shards;
+  for (std::uint32_t fleet = 1; fleet <= delays.size(); ++fleet) {
+    InProcessShardOptions options;
+    options.fleet = fleet;
+    options.engine = exact_tou_options();
+    options.server = quick_server();
+    options.server.worker_delay = delays[fleet - 1];
+    shards.push_back(std::make_unique<InProcessShard>(options));
+    shards.back()->store().publish(shard_at(fleet, 1.0));
+  }
+  return shards;
+}
+
+ShardMap map_of(const std::vector<std::unique_ptr<InProcessShard>>& shards) {
+  std::vector<FleetShard> mapped;
+  for (const auto& shard : shards)
+    mapped.push_back(FleetShard{shard->fleet(), {shard->port()}});
+  return ShardMap(std::move(mapped));
+}
+
+long long elapsed_ms(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+TEST(Federation, ShardLegsOverlapOnOneThread) {
+  // Four shards that each take 100 ms: answered one after another the
+  // fan-out would take at least 400 ms.
+  const std::chrono::milliseconds stall(100);
+  auto shards = stalled_shards({stall, stall, stall, stall});
+  FrontendOptions options;
+  options.deadline = std::chrono::milliseconds(2000);
+  FederationFrontend frontend(map_of(shards), options);
+
+  const auto start = std::chrono::steady_clock::now();
+  const Response response =
+      frontend.execute(make_request(QueryKind::kFleetPower, 0, 0, 0));
+  const long long wall_ms = elapsed_ms(start);
+  ASSERT_TRUE(response.ok) << response.message;
+  EXPECT_TRUE(response.complete);
+  EXPECT_EQ(response.values.at(0), 3.0 * (1 + 2 + 3 + 4));
+  EXPECT_LT(wall_ms, 250);
+  for (auto& shard : shards) shard->stop();
+}
+
+TEST(Federation, EachLegsDeadlineRunsFromItsSend) {
+  // Fleet 1 answers at once; fleets 2-4 stall 1 s against a 150 ms
+  // deadline. Waiting out each leg's deadline in turn would take at least
+  // 450 ms; the three deadlines run together from the three sends.
+  const std::chrono::milliseconds stall(1000);
+  auto shards = stalled_shards(
+      {std::chrono::milliseconds(0), stall, stall, stall});
+  FrontendOptions options;
+  options.deadline = std::chrono::milliseconds(150);
+  options.retries = 0;
+  FederationFrontend frontend(map_of(shards), options);
+
+  const auto start = std::chrono::steady_clock::now();
+  const Response response =
+      frontend.execute(make_request(QueryKind::kFleetPower, 0, 0, 0));
+  const long long wall_ms = elapsed_ms(start);
+  ASSERT_TRUE(response.ok) << response.message;
+  EXPECT_FALSE(response.complete);
+  EXPECT_EQ(response.missing_shards, (std::vector<std::uint32_t>{2, 3, 4}));
+  ASSERT_EQ(response.values.size(), 1u);
+  EXPECT_EQ(response.values[0], 3.0);  // fleet 1's power alone.
+  EXPECT_GE(wall_ms, 150);
+  EXPECT_LT(wall_ms, 300);
+  for (auto& shard : shards) shard->stop();
+}
+
+TEST(Federation, ShardAttemptsCountRetriesAndHedges) {
+  auto attempts = [](fleet::Metrics& metrics, const char* fleet) {
+    return metrics
+        .counter(obs::labeled("vmpower_fed_shard_attempts_total",
+                              {{"fleet", fleet}}),
+                 "")
+        .value();
+  };
+  {
+    // A dead shard under two retries: three attempts, two of them retries,
+    // and one failed leg.
+    FrontendOptions options;
+    options.retries = 2;
+    options.backoff = std::chrono::milliseconds(0);
+    Federation fed(/*ticks=*/4, options);
+    fed.shards[1]->stop();
+    const Response partial =
+        fed.frontend->execute(make_request(QueryKind::kFleetPower, 0, 0, 0));
+    ASSERT_TRUE(partial.ok) << partial.message;
+    EXPECT_FALSE(partial.complete);
+    EXPECT_EQ(attempts(fed.metrics, "2"), 3u);
+    EXPECT_EQ(attempts(fed.metrics, "1"), 1u);
+    EXPECT_EQ(fed.metrics.counter("vmpower_fed_retries_total", "").value(),
+              2u);
+    EXPECT_EQ(fed.metrics
+                  .counter(obs::labeled("vmpower_fed_shard_failures_total",
+                                        {{"fleet", "2"}}),
+                           "")
+                  .value(),
+              1u);
+  }
+  {
+    // A primary stalled past hedge_delay: the first try and the hedge.
+    InProcessShardOptions shard_options;
+    shard_options.fleet = 1;
+    shard_options.engine = exact_tou_options();
+    shard_options.server = quick_server();
+    shard_options.server.worker_delay = std::chrono::milliseconds(200);
+    shard_options.replica = quick_server();
+    InProcessShard shard(shard_options);
+    shard.store().publish(shard_at(1, 1.0));
+
+    fleet::Metrics metrics;
+    FrontendOptions options;
+    options.deadline = std::chrono::milliseconds(2000);
+    options.retries = 0;
+    options.hedge = true;
+    options.hedge_delay = std::chrono::milliseconds(20);
+    options.metrics = &metrics;
+    FederationFrontend frontend(
+        ShardMap({FleetShard{1, {shard.port(), shard.replica_port()}}}),
+        options);
+    const Response response =
+        frontend.execute(make_request(QueryKind::kFleetPower, 0, 0, 0));
+    ASSERT_TRUE(response.ok) << response.message;
+    EXPECT_EQ(attempts(metrics, "1"), 2u);
+    EXPECT_EQ(metrics.counter("vmpower_fed_hedges_total", "").value(), 1u);
+    EXPECT_EQ(metrics.counter("vmpower_fed_hedge_wins_total", "").value(), 1u);
+    shard.stop();
+  }
 }
 
 }  // namespace

@@ -105,6 +105,43 @@ TEST(Tracer, SpansInheritContextAndNestViaParentIds) {
   tracer.clear();
 }
 
+TEST(Tracer, ManualSpansOverlapWithExplicitParents) {
+  Tracer& tracer = Tracer::global();
+  ManualSpan disarmed("off", "test", 1, 0, nullptr, 0);
+  EXPECT_EQ(disarmed.id(), 0u);
+  tracer.set_enabled(true);
+  tracer.clear();
+  disarmed.end();  // begun while the tracer was off: records nothing.
+  std::uint64_t outer_id = 0;
+  {
+    TraceContext context(42);
+    VMP_TRACE_SPAN("outer", "test");
+    outer_id = current_span();
+    ManualSpan first("first", "test", 42, outer_id, "leg", 1);
+    ManualSpan second("second", "test", 42, first.id(), nullptr, 0);
+    ASSERT_NE(first.id(), 0u);
+    // Neither moved the thread's ambient parent.
+    EXPECT_EQ(current_span(), outer_id);
+    first.end();  // ends before the span under it: overlap, not nesting.
+    second.end();
+    second.end();  // a second end records nothing.
+  }
+  tracer.set_enabled(false);
+
+  const auto events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_STREQ(events[0].name, "first");
+  EXPECT_STREQ(events[1].name, "second");
+  EXPECT_STREQ(events[2].name, "outer");
+  EXPECT_EQ(events[0].parent_id, outer_id);
+  EXPECT_EQ(events[1].parent_id, events[0].span_id);
+  EXPECT_EQ(events[0].trace_id, 42u);
+  EXPECT_STREQ(events[0].detail_key, "leg");
+  EXPECT_EQ(events[0].detail, 1u);
+  EXPECT_EQ(events[1].detail_key, nullptr);
+  tracer.clear();
+}
+
 TEST(Tracer, ConcurrentRecordingIsLosslessUnderCapacity) {
   Tracer tracer(4096);
   tracer.set_enabled(true);

@@ -143,7 +143,7 @@ commands:
   federate (--shards "F=PORT[,PORT];..." | --spin N) [--port P] [--workers W]
           [--deadline-ms D] [--retries R] [--backoff-ms B]
           [--hedge] [--hedge-delay-ms H] [--skew accept|reject] [--max-skew N]
-          [--fed-workers N] [--fed-pool-idle N]
+          [--fed-pool-idle N]
           [--query "verb args"] [--linger S] [--metrics FILE]
           [--trace] [--trace-out FILE]
           [--slow-ms D] [--slo-ms D] [--slo-target Q]
@@ -159,7 +159,6 @@ commands:
           --hedge          race a replica when the primary is slow
           --skew reject    error (code 12) when shard epochs spread more
                            than --max-skew instead of rolling up at the min
-          --fed-workers N  dispatch pool size (default 0 = shards x 2)
           --fed-pool-idle N  idle connections kept per shard endpoint
                            (default 2)
           --query "..."    answer one query through the frontend and exit;
@@ -692,7 +691,6 @@ int cmd_federate(const util::CliArgs& args) {
     fed_options.skew_policy = federate::SkewPolicy::kReject;
   else if (skew != "accept")
     throw std::invalid_argument("federate: --skew must be accept or reject");
-  fed_options.workers = args.get_unsigned<std::size_t>("fed-workers", 0);
   fed_options.max_idle_per_endpoint =
       args.get_unsigned<std::size_t>("fed-pool-idle", 2);
   fed_options.validate();
