@@ -2,18 +2,18 @@
 // time as a function of log size, and hot (retention ring) vs cold (ledger
 // fall-through) window query latency.
 //
-// Section 1 — append: records mirror a 128-VM fleet snapshot (~1.9 KB
-// framed). Appends are measured once against a pure WAL (compaction off)
-// and once with the background compactor racing the writer, so the delta is
-// the compaction interference an engine tick would actually see.
+// Every section rotates every 1 024 records: 3.8 MB of this record shape,
+// under the 8 MiB byte cap, so the record threshold decides every rotation.
 //
-// Section 2 — recovery: a freshly opened Ledger scans every WAL frame, and
-// reads only the magic, footer and index (24 B per record) of every cold
-// segment, before the first append. Recovery time is reported per log size
-// with the same record shape, WAL-only vs compacted. A compacted log still
-// scans its tail WAL, the records since the last rotation (the 8 MiB cap
-// rotates every 2 246 records of this shape), so its time tracks that
-// remainder, not the history.
+// Section 1 — append: records mirror a 128-VM fleet snapshot (~3.7 KB
+// framed). The append that fills a segment also seals it in place (index
+// and footer appended, rename, cold magic), so the rate includes every seal
+// an engine tick would pay for.
+//
+// Section 2 — recovery: a freshly opened Ledger reads only the magic, footer
+// and index (24 B per record) of every sealed segment, before the first
+// append. The log sizes are whole numbers of segments, so no tail WAL is
+// scanned and the time is the sealed history's alone.
 //
 // Section 3 — hot vs cold: the same window query is answered by a store
 // whose ring still holds the window, then by a store whose ring lost it
@@ -52,6 +52,7 @@ namespace {
 
 constexpr std::size_t kHosts = 16;
 constexpr std::size_t kVmsPerHost = 8;
+constexpr std::uint64_t kSegmentRecords = 1024;
 
 using Clock = std::chrono::steady_clock;
 
@@ -114,17 +115,16 @@ std::string format_double(double value, const char* format) {
 struct AppendResult {
   double records_per_s = 0.0;
   double mb_per_s = 0.0;
+  std::uint64_t sealed_segments = 0;
 };
 
-AppendResult run_append(std::size_t records, bool compact) {
-  const std::filesystem::path dir = scratch_dir(compact ? "appc" : "app");
+AppendResult run_append(std::size_t records) {
+  const std::filesystem::path dir = scratch_dir("append");
   AppendResult result;
   {
     ledger::LedgerOptions options;
     options.dir = dir;
-    options.segment_max_records = 4096;
-    options.auto_compact = compact;
-    options.background_compaction = compact;
+    options.segment_max_records = kSegmentRecords;
     ledger::Ledger log(options);
     const auto start = Clock::now();
     for (std::uint64_t epoch = 1; epoch <= records; ++epoch)
@@ -134,49 +134,31 @@ AppendResult run_append(std::size_t records, bool compact) {
     result.records_per_s = static_cast<double>(records) / wall_s;
     result.mb_per_s =
         static_cast<double>(stats.appended_bytes) / (1 << 20) / wall_s;
+    result.sealed_segments = stats.cold_segments;
   }
   std::filesystem::remove_all(dir);
   return result;
 }
 
-struct RecoveryResult {
-  double p50_ms = 0.0;
-  /// Records in the WAL segments a reopen scans frame by frame: every
-  /// record of a WAL-only log, the unsealed tail of a compacted one.
-  std::uint64_t wal_records = 0;
-};
-
-RecoveryResult run_recovery(std::size_t records, bool compacted,
-                            std::size_t runs) {
-  const std::filesystem::path dir = scratch_dir(compacted ? "recc" : "rec");
+/// Median time to open a sealed log of `records` records.
+double run_recovery(std::size_t records, std::size_t runs) {
+  const std::filesystem::path dir = scratch_dir("recovery");
+  ledger::LedgerOptions options;
+  options.dir = dir;
+  options.segment_max_records = kSegmentRecords;
   {
-    ledger::LedgerOptions options;
-    options.dir = dir;
-    options.segment_max_records = 4096;
-    options.auto_compact = false;
-    options.background_compaction = false;
     ledger::Ledger log(options);
     for (std::uint64_t epoch = 1; epoch <= records; ++epoch)
       log.append(record_at(epoch));
-    if (compacted) log.compact_all();
   }
-  RecoveryResult result;
   std::vector<double> times_ms;
   for (std::size_t run = 0; run < runs; ++run) {
-    ledger::LedgerOptions options;
-    options.dir = dir;
-    options.auto_compact = false;
-    options.background_compaction = false;
     const auto start = Clock::now();
-    ledger::Ledger log(options);
+    const ledger::Ledger log(options);
     times_ms.push_back(ms_since(start));
-    result.wal_records = 0;
-    for (const ledger::SegmentInfo& segment : log.segments())
-      if (!segment.cold) result.wal_records += segment.records;
   }
   std::filesystem::remove_all(dir);
-  result.p50_ms = util::percentile(times_ms, 50.0);
-  return result;
+  return util::percentile(times_ms, 50.0);
 }
 
 struct QueryLatency {
@@ -219,53 +201,39 @@ int main(int argc, char** argv) {
   const std::size_t query_iters = quick ? 200 : 2000;
 
   // --- Section 1: append throughput ---------------------------------------
-  util::print_banner("ledger append throughput");
-  const AppendResult wal_only = run_append(append_records, false);
-  const AppendResult racing = run_append(append_records, true);
+  util::print_banner("ledger append throughput (sealing in place)");
+  const AppendResult append = run_append(append_records);
   util::TablePrinter append_table(
-      {"mode", "records", "records/s", "MB/s"});
-  append_table.add_row({"wal only", std::to_string(append_records),
-                        format_double(wal_only.records_per_s, "%.0f"),
-                        format_double(wal_only.mb_per_s, "%.1f")});
-  append_table.add_row({"compactor racing", std::to_string(append_records),
-                        format_double(racing.records_per_s, "%.0f"),
-                        format_double(racing.mb_per_s, "%.1f")});
+      {"records", "segments sealed", "records/s", "MB/s"});
+  append_table.add_row({std::to_string(append_records),
+                        std::to_string(append.sealed_segments),
+                        format_double(append.records_per_s, "%.0f"),
+                        format_double(append.mb_per_s, "%.1f")});
   append_table.print();
 
   // --- Section 2: recovery time vs log size -------------------------------
-  util::print_banner("recovery time vs log size");
+  util::print_banner("recovery time of a sealed log");
   const std::size_t sizes[] = {history / 4, history / 2, history};
   const std::size_t recovery_runs = quick ? 2 : 5;
-  util::TablePrinter recovery_table({"records", "wal-only (ms)",
-                                     "cold indexes + tail WAL (ms)",
-                                     "tail WAL records"});
-  RecoveryResult recovery[3][2];
+  util::TablePrinter recovery_table({"records", "segments", "open (ms)"});
+  double recovery_ms[3];
   for (int i = 0; i < 3; ++i) {
-    recovery[i][0] = run_recovery(sizes[i], false, recovery_runs);
-    recovery[i][1] = run_recovery(sizes[i], true, recovery_runs);
+    recovery_ms[i] = run_recovery(sizes[i], recovery_runs);
     recovery_table.add_row({std::to_string(sizes[i]),
-                            format_double(recovery[i][0].p50_ms, "%.1f"),
-                            format_double(recovery[i][1].p50_ms, "%.1f"),
-                            std::to_string(recovery[i][1].wal_records)});
+                            std::to_string(sizes[i] / kSegmentRecords),
+                            format_double(recovery_ms[i], "%.2f")});
   }
   recovery_table.print();
-  std::printf(
-      "wal-only recovery scans every frame. A compacted log reads its cold\n"
-      "segments' footers and indexes and scans only the tail WAL that\n"
-      "rotation never sealed, so the third column times both and mostly\n"
-      "tracks the fourth, not the history.\n");
 
   // --- Section 3: hot vs cold window query latency ------------------------
   util::print_banner("hot vs cold window queries");
   const std::filesystem::path dir = scratch_dir("query");
   int status = 0;
   {
-    // Cold setup: a small ring over a long compacted history.
+    // Cold setup: a small ring over a long sealed history.
     ledger::LedgerOptions options;
     options.dir = dir;
-    options.segment_max_records = 1024;
-    options.auto_compact = false;  // compact once, below, for determinism.
-    options.background_compaction = false;
+    options.segment_max_records = kSegmentRecords;
     ledger::Ledger log(options);
     serve::SnapshotStore cold_store(256);
     cold_store.set_ledger(&log);
@@ -276,7 +244,6 @@ int main(int argc, char** argv) {
       hot_store.publish(snapshot);
       cold_store.publish(snapshot);
     }
-    log.compact_all();
 
     serve::Request window;
     window.kind = serve::QueryKind::kTenantEnergy;
@@ -343,30 +310,28 @@ int main(int argc, char** argv) {
           "      \"append_records\": %zu,\n"
           "      \"history_epochs\": %zu,\n"
           "      \"ring_retention_cold\": 256,\n"
-          "      \"segment_max_records\": 1024,\n"
+          "      \"segment_max_records\": %llu,\n"
           "      \"query_iterations\": %zu\n"
           "    }\n"
           "  },\n"
           "  \"append\": {\n"
-          "    \"wal_only_records_per_s\": %.0f,\n"
-          "    \"wal_only_mb_per_s\": %.1f,\n"
-          "    \"compactor_racing_records_per_s\": %.0f,\n"
-          "    \"compactor_racing_mb_per_s\": %.1f\n"
+          "    \"records_per_s\": %.0f,\n"
+          "    \"mb_per_s\": %.1f,\n"
+          "    \"segments_sealed\": %llu\n"
           "  },\n"
-          "  \"recovery_ms\": [\n",
+          "  \"sealed_recovery_ms\": [\n",
           date, bench::kBuildType, kHosts * kVmsPerHost, append_records,
-          history, query_iters,
-          wal_only.records_per_s, wal_only.mb_per_s, racing.records_per_s,
-          racing.mb_per_s);
+          history, static_cast<unsigned long long>(kSegmentRecords),
+          query_iters, append.records_per_s, append.mb_per_s,
+          static_cast<unsigned long long>(append.sealed_segments));
       for (int i = 0; i < 3; ++i)
-        std::fprintf(
-            out,
-            "    {\"records\": %zu, \"wal_only_ms\": %.1f, "
-            "\"cold_indexes_and_tail_wal_ms\": %.1f, "
-            "\"tail_wal_records\": %llu}%s\n",
-            sizes[i], recovery[i][0].p50_ms, recovery[i][1].p50_ms,
-            static_cast<unsigned long long>(recovery[i][1].wal_records),
-            i < 2 ? "," : "");
+        std::fprintf(out,
+                     "    {\"records\": %zu, \"segments\": %llu, "
+                     "\"open_ms\": %.2f}%s\n",
+                     sizes[i],
+                     static_cast<unsigned long long>(sizes[i] /
+                                                     kSegmentRecords),
+                     recovery_ms[i], i < 2 ? "," : "");
       std::fprintf(
           out,
           "  ],\n"

@@ -53,10 +53,17 @@ class SegmentFile {
   int fd_ = -1;
 };
 
+/// The epochs a segment file's name allows: wal-<first>.log starts at
+/// <first>; cold-<first>-<last>.seg starts at <first> and ends by <last>.
+struct NamedRange {
+  std::uint64_t first = 0;
+  std::uint64_t last = UINT64_MAX;
+};
+
 namespace {
 
-// Both magics are 8 bytes so a cold segment's frame offsets line up with the
-// WAL segment it was compacted from.
+// Both magics are 8 bytes so a frame has the same offset in a WAL segment
+// and in the cold segment its seal makes of it.
 constexpr std::string_view kWalMagic = "vmpwal1\n";
 constexpr std::string_view kColdMagic = "vmpcold\n";
 constexpr std::uint64_t kFooterMagic = 0x564D504C434F4C44ull;  // "VMPLCOLD".
@@ -77,6 +84,20 @@ std::string segment_file_name(const char* prefix, std::uint64_t first,
   return buffer;
 }
 
+/// nullopt when `name` is not a segment file's.
+std::optional<NamedRange> parse_segment_name(const std::string& name) {
+  NamedRange range;
+  int end = 0;
+  if (std::sscanf(name.c_str(), "wal-%" SCNu64 ".log%n", &range.first,
+                  &end) != 1 &&
+      std::sscanf(name.c_str(), "cold-%" SCNu64 "-%" SCNu64 ".seg%n",
+                  &range.first, &range.last, &end) != 2)
+    return std::nullopt;
+  if (static_cast<std::size_t>(end) != name.size() || range.first > range.last)
+    return std::nullopt;
+  return range;
+}
+
 std::string read_file(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in)
@@ -89,6 +110,12 @@ std::string read_file(const std::filesystem::path& path) {
   if (!in)
     throw std::runtime_error("ledger: cannot read " + path.string());
   return data;
+}
+
+/// Whether a file starts with a magic a ledger writes: a seal replaces the
+/// WAL magic with the cold one as its last step.
+bool known_magic(std::string_view data) {
+  return data.starts_with(kWalMagic) || data.starts_with(kColdMagic);
 }
 
 /// Parsed cold-segment footer (offsets into the file).
@@ -105,40 +132,55 @@ struct ColdFooter {
   }
 };
 
-std::string encode_footer(const ColdFooter& footer) {
-  std::string out;
-  out.reserve(kFooterBytes);
-  put_u64(out, footer.index_offset);
-  put_u32(out, footer.entry_count);
-  put_u64(out, footer.record_count);
-  put_u64(out, footer.first_epoch);
-  put_u64(out, footer.last_epoch);
-  put_u32(out, footer.index_crc);
-  put_u64(out, kFooterMagic);
-  return out;
+/// What a seal appends after a segment's frames: an index entry for every
+/// frame, then the footer that checks them.
+std::string seal_tail(const std::vector<IndexEntry>& index,
+                      std::uint64_t frames_end) {
+  std::string tail;
+  tail.reserve(index.size() * kIndexEntryBytes + kFooterBytes);
+  for (const IndexEntry& entry : index) {
+    put_u64(tail, entry.epoch);
+    put_f64(tail, entry.time_s);
+    put_u64(tail, entry.offset);
+  }
+  const std::uint32_t index_crc = crc32(tail);
+  put_u64(tail, frames_end);
+  put_u32(tail, static_cast<std::uint32_t>(index.size()));
+  put_u64(tail, index.size());
+  put_u64(tail, index.front().epoch);
+  put_u64(tail, index.back().epoch);
+  put_u32(tail, index_crc);
+  put_u64(tail, kFooterMagic);
+  return tail;
 }
 
-/// A cold file's footer and the index block it points at.
+/// A sealed file's footer and the index block it points at.
 struct ColdIndex {
   ColdFooter footer;
   std::string block;  ///< footer.entry_count entries of kIndexEntryBytes.
+  bool cold_magic = false;  ///< else the WAL magic a seal has yet to replace.
 };
 
-/// Reads a cold file's magic, footer and index block, and nothing else;
-/// nullopt unless the magic matches, the footer indexes at least one record
-/// and at most every record, its index block ends where the footer starts
-/// and passes the footer's CRC, and the first and last entries carry the
-/// footer's epochs, which lie outside that CRC.
-std::optional<ColdIndex> read_cold_index(const SegmentFile& file) {
+/// Reads a file's magic, footer and index block, and nothing else. nullopt
+/// unless the magic is one a ledger writes, the footer indexes at least one
+/// record and at most every record, its index block ends where the footer
+/// starts and passes the footer's CRC, and the first and last entries carry
+/// the footer's epochs, which lie outside that CRC. Those epochs must lie in
+/// the range the file's name allows, starting at its first: the name and
+/// the footer come from the same seal, so a footer outside it was copied
+/// from another file.
+std::optional<ColdIndex> read_cold_index(const SegmentFile& file,
+                                         const NamedRange& named) {
   const std::uint64_t size = file.size();
   char magic[kColdMagic.size()];
   char tail[kFooterBytes];
   if (size < sizeof magic + sizeof tail || !file.read(0, magic, sizeof magic) ||
-      std::string_view(magic, sizeof magic) != kColdMagic ||
+      !known_magic(std::string_view(magic, sizeof magic)) ||
       !file.read(size - sizeof tail, tail, sizeof tail))
     return std::nullopt;
   ByteReader reader{std::string_view(tail, sizeof tail)};
   ColdIndex cold;
+  cold.cold_magic = std::string_view(magic, sizeof magic) == kColdMagic;
   ColdFooter& footer = cold.footer;
   std::uint64_t footer_magic = 0;
   if (!reader.get_u64(footer.index_offset) ||
@@ -149,6 +191,7 @@ std::optional<ColdIndex> read_cold_index(const SegmentFile& file) {
       !reader.get_u64(footer_magic) || footer_magic != kFooterMagic)
     return std::nullopt;
   if (footer.entry_count == 0 || footer.record_count < footer.entry_count ||
+      footer.first_epoch != named.first || footer.last_epoch > named.last ||
       footer.index_offset < kColdMagic.size() || footer.index_offset > size ||
       size - footer.index_offset != footer.index_bytes() + kFooterBytes)
     return std::nullopt;
@@ -165,6 +208,40 @@ std::optional<ColdIndex> read_cold_index(const SegmentFile& file) {
       first_epoch != footer.first_epoch || last_epoch != footer.last_epoch)
     return std::nullopt;
   return cold;
+}
+
+/// The frames of a segment file's bytes, from just after its magic up to the
+/// first that fails to read, breaks epoch order or leaves the range the
+/// file's name allows (the first frame carries its first epoch): a frame
+/// copied in from another segment ends the scan like any damage.
+struct FrameScan {
+  std::vector<IndexEntry> index;
+  std::size_t end = 0;  ///< where the intact frames stop.
+};
+
+FrameScan scan_frames(std::string_view data, const NamedRange& named) {
+  FrameScan scan;
+  scan.end = std::min(kWalMagic.size(), data.size());
+  TickRecord record;
+  for (std::size_t offset = scan.end;
+       read_frame(data, offset, record) == FrameStatus::kOk &&
+       (scan.index.empty() ? record.epoch == named.first
+                           : record.epoch > scan.index.back().epoch) &&
+       record.epoch <= named.last;
+       scan.end = offset)
+    scan.index.push_back({record.epoch, record.time_s, scan.end});
+  return scan;
+}
+
+/// Whether the bytes after a scanned file's intact frames are no damage:
+/// none, or the start of the seal those frames get, which a crash cut short.
+/// (A frame header cut after 1-3 bytes can read the same; it held no record
+/// an append returned.)
+bool ends_cleanly(std::string_view data, const FrameScan& scan) {
+  const std::string_view rest = data.substr(scan.end);
+  return rest.empty() ||
+         (known_magic(data) && !scan.index.empty() &&
+          seal_tail(scan.index, scan.end).starts_with(rest));
 }
 
 /// WARN-logs and throws the DamagedRecord for the frame at `offset`.
@@ -187,69 +264,39 @@ void LedgerOptions::validate() const {
         "LedgerOptions: segment thresholds must be >= 1");
 }
 
+void Ledger::Segment::take_extent_from_index() {
+  records = index.size();
+  first_epoch = index.front().epoch;
+  first_time_s = index.front().time_s;
+  last_epoch = index.back().epoch;
+  last_time_s = index.back().time_s;
+}
+
 Ledger::Ledger(LedgerOptions options) : options_(std::move(options)) {
   options_.validate();
   std::filesystem::create_directories(options_.dir);
   recover();
   register_metrics();
-  if (options_.auto_compact && options_.background_compaction)
-    compactor_ = std::thread([this] { compactor_loop(); });
-  if (options_.auto_compact) {
-    // Sealed segments left over from a previous process compact now.
-    if (options_.background_compaction)
-      work_cv_.notify_one();
-    else
-      compact_all();
-  }
-}
-
-Ledger::~Ledger() {
-  {
-    std::lock_guard lock(mutex_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  if (compactor_.joinable()) compactor_.join();
-  std::lock_guard lock(mutex_);
-  if (active_.is_open()) active_.close();
 }
 
 // --- recovery ---------------------------------------------------------------
 
 void Ledger::recover() {
-  std::vector<std::filesystem::path> wal_files, cold_files;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(options_.dir)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.ends_with(".tmp")) {
-      // A compaction that died mid-write; the source WAL still exists.
-      std::filesystem::remove(entry.path());
-      continue;
-    }
-    if (name.starts_with("wal-") && name.ends_with(".log"))
-      wal_files.push_back(entry.path());
-    else if (name.starts_with("cold-") && name.ends_with(".seg"))
-      cold_files.push_back(entry.path());
-  }
-
   // A cold segment's name promises its epoch range, even when the file is
   // too damaged to say so itself.
   std::vector<LostRange> promised;
-  for (const auto& path : cold_files) {
-    LostRange range;
-    range.where = path.filename().string();
-    if (std::sscanf(range.where.c_str(), "cold-%" SCNu64 "-%" SCNu64 ".seg",
-                    &range.first_epoch, &range.last_epoch) == 2 &&
-        range.first_epoch <= range.last_epoch)
-      promised.push_back(range);
-    if (auto segment = recover_cold(path)) {
-      recovery_.records += segment->records;
-      segments_.push_back(std::move(*segment));
-    }
+  std::vector<std::pair<std::filesystem::path, NamedRange>> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(options_.dir)) {
+    const std::string name = entry.path().filename().string();
+    const std::optional<NamedRange> named = parse_segment_name(name);
+    if (!entry.is_regular_file() || !named) continue;
+    files.emplace_back(entry.path(), *named);
+    if (name.starts_with("cold-"))
+      promised.push_back({named->first, named->last, 0.0, 0.0, name});
   }
-  for (const auto& path : wal_files)
-    if (auto segment = recover_wal(path)) {
+  for (const auto& [path, named] : files)
+    if (auto segment = recover_segment(path, named)) {
       recovery_.records += segment->records;
       segments_.push_back(std::move(*segment));
     }
@@ -296,160 +343,116 @@ void Ledger::recover() {
   }
   if (next <= last) lose(next, last, nullptr);
 
-  // The newest WAL segment resumes as the active one (unless it is already
-  // at a rotation threshold, in which case the next append starts fresh).
-  if (!segments_.empty() && segments_.back().kind == Kind::kSealed &&
-      segments_.back().path.filename().string().starts_with("wal-") &&
-      segments_.back().records < options_.segment_max_records &&
-      segments_.back().bytes < kSegmentMaxBytes) {
-    Segment& tail = segments_.back();
-    active_.open(tail.path, std::ios::binary | std::ios::app);
-    if (!active_)
-      throw std::runtime_error("ledger: cannot reopen " + tail.path.string());
-    tail.kind = Kind::kActive;
+  // Only the newest segment may stay unsealed, and only a WAL under both
+  // rotation thresholds: it resumes as the active one. Every other segment
+  // a crash, a damaged footer or an older build left unsealed is sealed.
+  for (Segment& segment : segments_) {
+    if (segment.kind == Kind::kCold) continue;
+    if (&segment == &segments_.back() &&
+        segment.path.filename().string().starts_with("wal-") &&
+        segment.records < options_.segment_max_records &&
+        segment.bytes < kSegmentMaxBytes) {
+      active_.open(segment.path, std::ios::binary | std::ios::app);
+      if (!active_)
+        throw std::runtime_error("ledger: cannot reopen " +
+                                 segment.path.string());
+    } else {
+      seal_locked(segment);
+    }
   }
 }
 
-std::optional<Ledger::Segment> Ledger::recover_wal(
-    const std::filesystem::path& path) {
-  const std::string data = read_file(path);
-  if (data.size() < kWalMagic.size() ||
-      std::string_view(data).substr(0, kWalMagic.size()) != kWalMagic) {
-    ++recovery_.torn_records;
-    recovery_.truncated_bytes += data.size();
-    VMP_LOG_WARN("ledger: %s has a damaged header; dropping the segment",
-                 path.filename().string().c_str());
-    std::filesystem::remove(path);
-    return std::nullopt;
-  }
-
+std::optional<Ledger::Segment> Ledger::recover_segment(
+    const std::filesystem::path& path, const NamedRange& named) {
+  const std::string name = path.filename().string();
   Segment segment;
-  segment.kind = Kind::kSealed;
   segment.path = path;
-  std::size_t offset = kWalMagic.size();
-  TickRecord record;
-  for (;;) {
-    const std::size_t frame_offset = offset;
-    const FrameStatus status = read_frame(data, offset, record);
-    if (status == FrameStatus::kEndOfLog) break;
-    if (status == FrameStatus::kTorn ||
-        (segment.records > 0 && record.epoch <= segment.last_epoch)) {
-      // Damage (or an impossible epoch regression, which is damage too):
-      // keep everything before it, truncate the rest, and say so.
-      const std::uint64_t lost = data.size() - frame_offset;
-      ++recovery_.torn_records;
-      recovery_.truncated_bytes += lost;
-      VMP_LOG_WARN(
-          "ledger: %s torn at offset %zu; kept %llu records, truncated %llu "
-          "bytes",
-          path.filename().string().c_str(), frame_offset,
-          static_cast<unsigned long long>(segment.records),
-          static_cast<unsigned long long>(lost));
-      std::filesystem::resize_file(path, frame_offset);
-      offset = frame_offset;
-      break;
-    }
-    if (segment.records == 0) {
-      segment.first_epoch = record.epoch;
-      segment.first_time_s = record.time_s;
-    }
-    segment.index.push_back({record.epoch, record.time_s, frame_offset});
-    segment.last_epoch = record.epoch;
-    segment.last_time_s = record.time_s;
-    ++segment.records;
+  std::optional<ColdIndex> cold;
+  {
+    const SegmentFile file(path);
+    segment.bytes = file.size();
+    cold = read_cold_index(file, named);
   }
-  if (segment.records == 0) {
-    std::filesystem::remove(path);  // nothing recoverable survives here.
-    return std::nullopt;
-  }
-  segment.bytes = offset;
-  segment.frames_end = offset;
-  return segment;
-}
-
-std::optional<Ledger::Segment> Ledger::recover_cold(
-    const std::filesystem::path& path) {
-  Segment segment;
-  segment.kind = Kind::kCold;
-  segment.path = path;
-
-  // Only the magic, the footer and the index are read, so reopening a ledger
-  // costs its indexes, not its records.
-  const SegmentFile file(path);
-  segment.bytes = file.size();
-  const std::optional<ColdIndex> cold = read_cold_index(file);
-  const ColdFooter* footer = cold ? &cold->footer : nullptr;
-  if (footer && footer->entry_count == footer->record_count) {
+  if (cold && cold->footer.entry_count == cold->footer.record_count) {
+    // Sealed, whatever the name and magic say. Only the magic, the footer
+    // and the index were read, so reopening costs indexes, not records.
     ByteReader reader{cold->block};
-    segment.index.resize(footer->entry_count);
+    segment.index.resize(cold->footer.entry_count);
     for (IndexEntry& entry : segment.index) {
       (void)reader.get_u64(entry.epoch);
       (void)reader.get_f64(entry.time_s);
       (void)reader.get_u64(entry.offset);
     }
-    segment.records = footer->record_count;
-    segment.first_epoch = footer->first_epoch;
-    segment.last_epoch = footer->last_epoch;
-    segment.frames_end = footer->index_offset;
-    segment.first_time_s = segment.index.front().time_s;
-    segment.last_time_s = segment.index.back().time_s;
+    segment.take_extent_from_index();
+    segment.frames_end = cold->footer.index_offset;
+    segment.kind = Kind::kCold;
+    if (!cold->cold_magic ||
+        name != segment_file_name("cold", segment.first_epoch,
+                                  segment.last_epoch))
+      finish_seal_locked(segment);  // a crash stopped it after the footer.
     return segment;
   }
 
-  // A sparse index (an intact footer indexing only some records, as cold
-  // segments once did) or a damaged footer: the frames themselves are still
-  // CRC-protected, so scan them like a WAL, keep the segment sealed, and let
-  // compaction write it a dense index.
+  // No footer indexes every frame, so the frames themselves are read.
   const std::string data = read_file(path);
-  segment.kind = Kind::kSealed;
-  std::size_t offset = kColdMagic.size();
-  TickRecord record;
-  for (;;) {
-    const std::size_t frame_offset = offset;
-    const FrameStatus status = read_frame(data, offset, record);
-    if (status != FrameStatus::kOk ||
-        (segment.records > 0 && record.epoch <= segment.last_epoch)) {
-      // The index/footer region reads as torn; stop quietly. The frames end
-      // where the last indexed one does, which bounds that frame's reads.
-      offset = frame_offset;
-      break;
-    }
-    if (segment.records == 0) {
-      segment.first_epoch = record.epoch;
-      segment.first_time_s = record.time_s;
-    }
-    segment.index.push_back({record.epoch, record.time_s, frame_offset});
-    segment.last_epoch = record.epoch;
-    segment.last_time_s = record.time_s;
-    ++segment.records;
-  }
-  // A sparse index is no damage when the frames it indexes are all there.
-  if (footer && segment.records == footer->record_count &&
-      offset == footer->index_offset) {
-    VMP_LOG_INFO("ledger: %s has a sparse index; rebuilding it dense",
-                 path.filename().string().c_str());
-  } else {
-    ++recovery_.rescanned_cold;
-    VMP_LOG_WARN("ledger: %s has a damaged footer; rescanned its frames",
-                 path.filename().string().c_str());
-  }
-  if (segment.records == 0) {
+  const bool wal = name.starts_with("wal-");
+  if (wal && !data.starts_with(kWalMagic)) {
     ++recovery_.torn_records;
     recovery_.truncated_bytes += data.size();
-    VMP_LOG_WARN("ledger: %s held no intact records; dropping it",
-                 path.filename().string().c_str());
+    VMP_LOG_WARN("ledger: %s has a damaged header; dropping the segment",
+                 name.c_str());
     std::filesystem::remove(path);
     return std::nullopt;
   }
-  segment.frames_end = offset;
+  const FrameScan scan = scan_frames(data, named);
+  if (ends_cleanly(data, scan)) {
+    if (scan.end < data.size())
+      VMP_LOG_INFO("ledger: %s was cut short while sealing; sealing it again",
+                   name.c_str());
+  } else if (wal) {
+    // Damage (or an impossible epoch regression, which is damage too):
+    // keep everything before it, truncate the rest, and say so.
+    const std::uint64_t lost = data.size() - scan.end;
+    ++recovery_.torn_records;
+    recovery_.truncated_bytes += lost;
+    VMP_LOG_WARN(
+        "ledger: %s torn at offset %zu; kept %zu records, truncated %llu "
+        "bytes",
+        name.c_str(), scan.end, scan.index.size(),
+        static_cast<unsigned long long>(lost));
+  } else if (cold && scan.index.size() == cold->footer.record_count &&
+             scan.end == cold->footer.index_offset) {
+    // A sparse index is no damage when the frames it indexes are all there.
+    VMP_LOG_INFO("ledger: %s has a sparse index; rebuilding it dense",
+                 name.c_str());
+  } else {
+    ++recovery_.rescanned_cold;
+    VMP_LOG_WARN("ledger: %s has a damaged footer; rescanned its frames",
+                 name.c_str());
+  }
+  if (scan.index.empty()) {
+    if (!wal) {
+      ++recovery_.torn_records;
+      recovery_.truncated_bytes += data.size();
+      VMP_LOG_WARN("ledger: %s held no intact records; dropping it",
+                   name.c_str());
+    }
+    std::filesystem::remove(path);  // nothing recoverable survives here.
+    return std::nullopt;
+  }
+  // The file ends at its last intact frame, as a seal or an append needs.
+  if (scan.end < data.size()) std::filesystem::resize_file(path, scan.end);
+  segment.index = scan.index;
+  segment.take_extent_from_index();
+  segment.bytes = scan.end;
+  segment.frames_end = scan.end;
   return segment;
 }
 
-// --- append and rotation ----------------------------------------------------
+// --- append, rotation and the seal -----------------------------------------
 
 void Ledger::open_active_locked(std::uint64_t first_epoch) {
   Segment segment;
-  segment.kind = Kind::kActive;
   segment.path = options_.dir / segment_file_name("wal", first_epoch);
   segment.first_epoch = first_epoch;
   segment.last_epoch = first_epoch - 1;  // no records yet.
@@ -464,209 +467,84 @@ void Ledger::open_active_locked(std::uint64_t first_epoch) {
   segments_.push_back(std::move(segment));
 }
 
-void Ledger::seal_active_locked() {
-  active_.close();
-  segments_.back().kind = Kind::kSealed;
+void Ledger::seal_locked(Segment& segment) {
+  // The index and footer are flushed before the rename. Until they are
+  // whole, recovery scans the frames and seals them again; once they are,
+  // it loads the file by its footer and finishes the seal.
+  const std::string tail = seal_tail(segment.index, segment.frames_end);
+  std::ofstream file(segment.path, std::ios::binary | std::ios::app);
+  file.write(tail.data(), static_cast<std::streamsize>(tail.size()));
+  file.close();
+  if (!file)
+    throw std::runtime_error("ledger: cannot seal " + segment.path.string());
+  segment.bytes = segment.frames_end + tail.size();
+  compacted_records_ += segment.records;
+  if (compacted_counter_) compacted_counter_->inc(segment.records);
+  finish_seal_locked(segment);
+}
+
+void Ledger::finish_seal_locked(Segment& segment) {
+  const std::filesystem::path cold_path =
+      options_.dir /
+      segment_file_name("cold", segment.first_epoch, segment.last_epoch);
+  if (segment.path != cold_path) {
+    std::filesystem::rename(segment.path, cold_path);
+    segment.path = cold_path;
+  }
+  std::fstream file(cold_path, std::ios::binary | std::ios::in | std::ios::out);
+  file.write(kColdMagic.data(),
+             static_cast<std::streamsize>(kColdMagic.size()));
+  file.close();
+  if (!file)
+    throw std::runtime_error("ledger: cannot seal " + cold_path.string());
+  segment.kind = Kind::kCold;
 }
 
 void Ledger::append(const TickRecord& record) {
-  bool rotated = false;
-  {
-    std::lock_guard lock(mutex_);
-    if (!segments_.empty() && record.epoch <= segments_.back().last_epoch)
-      throw std::logic_error(
-          "Ledger::append: epoch " + std::to_string(record.epoch) +
-          " does not follow tail " +
-          std::to_string(segments_.back().last_epoch));
-    if (segments_.empty() || segments_.back().kind != Kind::kActive)
-      open_active_locked(record.epoch);
+  std::lock_guard lock(mutex_);
+  if (!segments_.empty() && record.epoch <= segments_.back().last_epoch)
+    throw std::logic_error(
+        "Ledger::append: epoch " + std::to_string(record.epoch) +
+        " does not follow tail " +
+        std::to_string(segments_.back().last_epoch));
+  if (segments_.empty() || segments_.back().kind == Kind::kCold)
+    open_active_locked(record.epoch);
+  else if (!active_.is_open())
+    throw std::runtime_error(
+        "ledger: a failed seal or rewind left " +
+        segments_.back().path.filename().string() +
+        " unfinished; reopen the ledger to finish it");
 
-    frame_.clear();
-    append_frame(frame_, record);
-    Segment& tail = segments_.back();
-    active_.write(frame_.data(), static_cast<std::streamsize>(frame_.size()));
-    active_.flush();
-    if (!active_)
-      throw std::runtime_error("ledger: append failed on " +
-                               tail.path.string());
-    if (tail.records == 0) {
-      tail.first_epoch = record.epoch;
-      tail.first_time_s = record.time_s;
-    }
-    forget_lost_from_locked(record.epoch, record.time_s);
-    tail.index.push_back({record.epoch, record.time_s, tail.bytes});
-    tail.last_epoch = record.epoch;
-    tail.last_time_s = record.time_s;
-    tail.bytes += frame_.size();
-    tail.frames_end = tail.bytes;
-    ++tail.records;
-    ++appended_records_;
-    appended_bytes_ += frame_.size();
-    if (appended_counter_) appended_counter_->inc();
-    if (appended_bytes_counter_) appended_bytes_counter_->inc(frame_.size());
-
-    if (tail.records >= options_.segment_max_records ||
-        tail.bytes >= kSegmentMaxBytes) {
-      seal_active_locked();
-      rotated = true;
-    }
-    update_gauges_locked();
+  frame_.clear();
+  append_frame(frame_, record);
+  Segment& tail = segments_.back();
+  active_.write(frame_.data(), static_cast<std::streamsize>(frame_.size()));
+  active_.flush();
+  if (!active_)
+    throw std::runtime_error("ledger: append failed on " +
+                             tail.path.string());
+  if (tail.records == 0) {
+    tail.first_epoch = record.epoch;
+    tail.first_time_s = record.time_s;
   }
-  if (rotated && options_.auto_compact) {
-    if (options_.background_compaction)
-      work_cv_.notify_one();
-    else
-      (void)compact_one();
+  forget_lost_from_locked(record.epoch, record.time_s);
+  tail.index.push_back({record.epoch, record.time_s, tail.bytes});
+  tail.last_epoch = record.epoch;
+  tail.last_time_s = record.time_s;
+  tail.bytes += frame_.size();
+  tail.frames_end = tail.bytes;
+  ++tail.records;
+  ++appended_records_;
+  appended_bytes_ += frame_.size();
+  if (appended_counter_) appended_counter_->inc();
+  if (appended_bytes_counter_) appended_bytes_counter_->inc(frame_.size());
+
+  if (tail.records >= options_.segment_max_records ||
+      tail.bytes >= kSegmentMaxBytes) {
+    active_.close();
+    seal_locked(tail);
   }
-}
-
-// --- compaction -------------------------------------------------------------
-
-bool Ledger::compact_one() {
-  std::lock_guard compaction_lock(compaction_mutex_);
-  std::filesystem::path source;
-  std::uint64_t frames_end = 0;
-  std::uint64_t records = 0;
-  {
-    std::lock_guard lock(mutex_);
-    const auto it =
-        std::find_if(segments_.begin(), segments_.end(),
-                     [](const Segment& s) { return s.kind == Kind::kSealed; });
-    if (it == segments_.end()) return false;
-    source = it->path;
-    frames_end = it->frames_end;
-    records = it->records;
-  }
-
-  // The sealed file is immutable, so the rewrite happens without the state
-  // lock. Every frame is CRC-checked and indexed; the cold file is then the
-  // cold magic, the frames region copied verbatim (no re-encode, so the
-  // records stay bit-identical, and both magics are 8 bytes, so every frame
-  // keeps its offset), the index and the footer, written from these bytes.
-  const std::string data = read_file(source);
-  const std::string_view frames =
-      std::string_view(data).substr(0, std::min<std::uint64_t>(frames_end,
-                                                               data.size()));
-  std::string index_block;
-  index_block.reserve(records * kIndexEntryBytes);
-  ColdFooter footer;
-  std::size_t offset = kWalMagic.size();
-  TickRecord record;
-  for (;;) {
-    const std::size_t frame_offset = offset;
-    if (read_frame(frames, offset, record) != FrameStatus::kOk) break;
-    if (footer.record_count == 0) footer.first_epoch = record.epoch;
-    footer.last_epoch = record.epoch;
-    put_u64(index_block, record.epoch);
-    put_f64(index_block, record.time_s);
-    put_u64(index_block, frame_offset);
-    ++footer.record_count;
-  }
-
-  std::filesystem::path cold_path;
-  if (footer.record_count > 0) {
-    footer.index_offset = offset;
-    footer.entry_count = static_cast<std::uint32_t>(footer.record_count);
-    footer.index_crc = crc32(index_block);
-    cold_path = options_.dir / segment_file_name("cold", footer.first_epoch,
-                                                 footer.last_epoch);
-    const std::filesystem::path tmp_path = cold_path.string() + ".tmp";
-    const std::string footer_bytes = encode_footer(footer);
-    std::ofstream file(tmp_path, std::ios::binary | std::ios::trunc);
-    file.write(kColdMagic.data(),
-               static_cast<std::streamsize>(kColdMagic.size()));
-    file.write(frames.data() + kWalMagic.size(),
-               static_cast<std::streamsize>(offset - kWalMagic.size()));
-    file.write(index_block.data(),
-               static_cast<std::streamsize>(index_block.size()));
-    file.write(footer_bytes.data(),
-               static_cast<std::streamsize>(footer_bytes.size()));
-    file.close();
-    if (!file)
-      throw std::runtime_error("ledger: cannot write " + tmp_path.string());
-    std::filesystem::rename(tmp_path, cold_path);
-  }
-
-  {
-    std::lock_guard lock(mutex_);
-    const auto it = std::find_if(
-        segments_.begin(), segments_.end(),
-        [&source](const Segment& s) { return s.path == source; });
-    if (it != segments_.end() && footer.record_count < it->records) {
-      // A frame was damaged after it was written: the records from it on
-      // are lost, and reads of them say so instead of answering around them.
-      const std::size_t kept = static_cast<std::size_t>(footer.record_count);
-      constexpr double kInf = std::numeric_limits<double>::infinity();
-      LostRange lost{it->index[kept].epoch, it->last_epoch, -kInf, kInf,
-                     source.filename().string()};
-      if (kept > 0)
-        lost.after_time_s = it->index[kept - 1].time_s;
-      else if (it != segments_.begin())
-        lost.after_time_s = std::prev(it)->last_time_s;
-      if (std::next(it) != segments_.end())
-        lost.before_time_s = std::next(it)->first_time_s;
-      VMP_LOG_WARN("ledger: %s is damaged at offset %zu; epochs %llu..%llu "
-                   "were lost",
-                   lost.where.c_str(), offset,
-                   static_cast<unsigned long long>(lost.first_epoch),
-                   static_cast<unsigned long long>(lost.last_epoch));
-      lost_.push_back(std::move(lost));
-      it->index.resize(kept);
-      it->records = kept;
-      if (kept > 0) {
-        it->last_epoch = it->index.back().epoch;
-        it->last_time_s = it->index.back().time_s;
-      }
-    }
-    if (it != segments_.end() && footer.record_count == 0) {
-      segments_.erase(it);  // nothing intact: drop the entry and the file.
-    } else if (it != segments_.end()) {
-      // The segment keeps its dense in-memory index: the one just written
-      // indexes the same frames at the same offsets.
-      it->kind = Kind::kCold;
-      it->path = cold_path;
-      it->frames_end = offset;
-      it->bytes = offset + index_block.size() + kFooterBytes;
-    }
-    compacted_records_ += footer.record_count;
-    if (compacted_counter_) compacted_counter_->inc(footer.record_count);
-    if (source != cold_path) std::filesystem::remove(source);
-    update_gauges_locked();
-  }
-  idle_cv_.notify_all();
-  return true;
-}
-
-std::size_t Ledger::compact_all() {
-  std::size_t compacted = 0;
-  while (compact_one()) ++compacted;
-  return compacted;
-}
-
-void Ledger::compactor_loop() {
-  for (;;) {
-    {
-      std::unique_lock lock(mutex_);
-      work_cv_.wait(lock, [this] {
-        return stop_ ||
-               std::any_of(segments_.begin(), segments_.end(),
-                           [](const Segment& s) {
-                             return s.kind == Kind::kSealed;
-                           });
-      });
-      if (stop_) return;
-    }
-    (void)compact_one();
-  }
-}
-
-void Ledger::wait_for_compaction() const {
-  std::unique_lock lock(mutex_);
-  idle_cv_.wait(lock, [this] {
-    return std::none_of(
-        segments_.begin(), segments_.end(),
-        [](const Segment& s) { return s.kind == Kind::kSealed; });
-  });
+  update_gauges_locked();
 }
 
 // --- queries ----------------------------------------------------------------
@@ -797,7 +675,6 @@ std::vector<TickRecord> Ledger::range(std::uint64_t first,
 // --- truncation (checkpoint restore rewind) ---------------------------------
 
 void Ledger::truncate_after(std::uint64_t epoch) {
-  std::lock_guard compaction_lock(compaction_mutex_);
   std::lock_guard lock(mutex_);
 
   forget_lost_from_locked(epoch + 1, std::numeric_limits<double>::infinity());
@@ -812,44 +689,23 @@ void Ledger::truncate_after(std::uint64_t epoch) {
     return;
   }
 
-  // The first dropped record's offset ends the kept frames.
+  // The first dropped record's offset ends the kept frames: the file is cut
+  // there, then a cold one is resealed (under a shorter name) and the
+  // active WAL reopened.
   Segment& tail = segments_.back();
   const auto it = std::upper_bound(
       tail.index.begin(), tail.index.end(), epoch,
       [](std::uint64_t e, const IndexEntry& entry) { return e < entry.epoch; });
   const std::uint64_t cut = it->offset;
-  if (tail.path.filename().string().starts_with("cold-")) {
-    // Rewrite the straddling cold segment as a WAL holding only the kept
-    // frames, at the same offsets; compaction will rebuild its index later.
-    std::string frames(cut - kColdMagic.size(), '\0');
-    if (!SegmentFile(tail.path).read(kColdMagic.size(), frames.data(),
-                                     frames.size()))
-      throw std::runtime_error("ledger: cannot read " + tail.path.string());
-    const std::filesystem::path wal_path =
-        options_.dir / segment_file_name("wal", tail.first_epoch);
-    {
-      std::ofstream file(wal_path, std::ios::binary | std::ios::trunc);
-      file.write(kWalMagic.data(),
-                 static_cast<std::streamsize>(kWalMagic.size()));
-      file.write(frames.data(), static_cast<std::streamsize>(frames.size()));
-      file.close();
-      if (!file)
-        throw std::runtime_error("ledger: cannot rewrite " + wal_path.string());
-    }
-    std::filesystem::remove(tail.path);
-    tail.path = wal_path;
-    tail.kind = Kind::kSealed;
-  } else {
-    if (tail.kind == Kind::kActive) active_.close();
-    std::filesystem::resize_file(tail.path, cut);
-  }
+  if (tail.kind == Kind::kActive) active_.close();
+  std::filesystem::resize_file(tail.path, cut);
   tail.index.erase(it, tail.index.end());
-  tail.records = tail.index.size();
+  tail.take_extent_from_index();
   tail.bytes = cut;
   tail.frames_end = cut;
-  tail.last_epoch = tail.index.back().epoch;
-  tail.last_time_s = tail.index.back().time_s;
-  if (tail.kind == Kind::kActive) {
+  if (tail.kind == Kind::kCold) {
+    seal_locked(tail);
+  } else {
     active_.open(tail.path, std::ios::binary | std::ios::app);
     if (!active_)
       throw std::runtime_error("ledger: cannot reopen " + tail.path.string());
@@ -873,10 +729,8 @@ Stats Ledger::stats() const {
     stats.tail_time_s = segment.last_time_s;
   }
   stats.segments = segments_.size();
-  for (const Segment& segment : segments_) {
+  for (const Segment& segment : segments_)
     if (segment.kind == Kind::kCold) ++stats.cold_segments;
-    if (segment.kind == Kind::kSealed) ++stats.sealed_segments;
-  }
   stats.appended_records = appended_records_;
   stats.appended_bytes = appended_bytes_;
   stats.compacted_records = compacted_records_;
@@ -891,7 +745,6 @@ std::vector<SegmentInfo> Ledger::segments() const {
     SegmentInfo info;
     info.file = segment.path.filename().string();
     info.cold = segment.kind == Kind::kCold;
-    info.active = segment.kind == Kind::kActive;
     info.first_epoch = segment.first_epoch;
     info.last_epoch = segment.last_epoch;
     info.records = segment.records;
@@ -912,7 +765,7 @@ void Ledger::register_metrics() {
                         "Framed bytes appended to the ledger WAL");
   compacted_counter_ =
       &registry.counter("vmpower_ledger_compacted_records_total",
-                        "Records rewritten into indexed cold segments");
+                        "Records sealed into indexed cold segments");
   recovered_counter_ =
       &registry.counter("vmpower_ledger_recovered_records_total",
                         "Intact records found by ledger crash recovery");
@@ -923,13 +776,14 @@ void Ledger::register_metrics() {
                                     "Ledger segments on disk (all tiers)");
   cold_segments_gauge_ =
       &registry.gauge("vmpower_ledger_cold_segments",
-                      "Compacted, index-bearing cold segments");
+                      "Sealed, index-bearing cold segments");
   tail_epoch_gauge_ = &registry.gauge(
       "vmpower_ledger_tail_epoch", "Epoch of the newest ledger record");
   oldest_epoch_gauge_ = &registry.gauge(
       "vmpower_ledger_oldest_epoch", "Epoch of the oldest ledger record");
   recovered_counter_->inc(recovery_.records);
   torn_counter_->inc(recovery_.torn_records);
+  compacted_counter_->inc(compacted_records_);  // sealed by recovery.
   std::lock_guard lock(mutex_);
   update_gauges_locked();
 }
@@ -953,58 +807,42 @@ void Ledger::update_gauges_locked() {
 
 VerifyReport verify_dir(const std::filesystem::path& dir) {
   VerifyReport report;
-  std::vector<std::pair<std::uint64_t, std::filesystem::path>> files;
+  std::vector<std::pair<NamedRange, std::filesystem::path>> files;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if ((name.starts_with("wal-") && name.ends_with(".log")) ||
-        (name.starts_with("cold-") && name.ends_with(".seg"))) {
-      // Epoch prefix follows the "wal-"/"cold-" tag; names sort by it.
-      const std::size_t dash = name.find('-');
-      files.emplace_back(std::stoull(name.substr(dash + 1)), entry.path());
-    }
+    const auto named = parse_segment_name(entry.path().filename().string());
+    if (entry.is_regular_file() && named)
+      files.emplace_back(*named, entry.path());
   }
-  std::sort(files.begin(), files.end());
+  std::sort(files.begin(), files.end(), [](const auto& a, const auto& b) {
+    return a.first.first < b.first.first;
+  });
 
   std::uint64_t previous_last = 0;
-  for (const auto& [first, path] : files) {
+  for (const auto& [named, path] : files) {
     ++report.segments;
     const std::string data = read_file(path);
-    const bool cold = path.filename().string().starts_with("cold-");
-    std::size_t frames_end = data.size();
-    if (cold) {
-      if (const auto index = read_cold_index(SegmentFile(path))) {
-        frames_end = index->footer.index_offset;
-      } else {
-        ++report.torn_records;  // the footer itself is damaged.
-      }
-    } else if (data.size() < kWalMagic.size() ||
-               std::string_view(data).substr(0, kWalMagic.size()) !=
-                   kWalMagic) {
+    if (!known_magic(data)) {
+      ++report.torn_records;  // recovery drops such a WAL, rescans such a cold.
+      if (path.filename().string().starts_with("wal-")) continue;
+    }
+    // As in recovery, a file whose footer checks is sealed, whatever its name
+    // or magic say, and its frames end where its index starts; any other
+    // file's frames must end cleanly.
+    const auto cold = read_cold_index(SegmentFile(path), named);
+    const std::string_view frames = std::string_view(data).substr(
+        0, cold ? cold->footer.index_offset : data.size());
+    const FrameScan scan = scan_frames(frames, named);
+    if (cold ? scan.end < frames.size() : !ends_cleanly(frames, scan))
       ++report.torn_records;
-      continue;
-    }
-    std::size_t offset = cold ? kColdMagic.size() : kWalMagic.size();
-    std::uint64_t last_epoch = 0;
-    TickRecord record;
-    for (;;) {
-      const FrameStatus status = read_frame(
-          std::string_view(data).substr(0, frames_end), offset, record);
-      if (status == FrameStatus::kEndOfLog) break;
-      if (status == FrameStatus::kTorn ||
-          (last_epoch != 0 && record.epoch <= last_epoch)) {
-        ++report.torn_records;
-        break;
-      }
-      if (last_epoch == 0 && previous_last != 0 &&
-          record.epoch != previous_last + 1)
+    for (const IndexEntry& entry : scan.index) {
+      if (&entry == &scan.index.front() && previous_last != 0 &&
+          entry.epoch != previous_last + 1)
         ++report.epoch_gaps;
-      last_epoch = record.epoch;
       ++report.records;
-      if (report.first_epoch == 0) report.first_epoch = record.epoch;
-      report.last_epoch = std::max(report.last_epoch, record.epoch);
+      if (report.first_epoch == 0) report.first_epoch = entry.epoch;
+      report.last_epoch = std::max(report.last_epoch, entry.epoch);
     }
-    if (last_epoch != 0) previous_last = last_epoch;
+    if (!scan.index.empty()) previous_last = scan.index.back().epoch;
   }
   return report;
 }

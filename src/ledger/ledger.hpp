@@ -1,36 +1,38 @@
 // Durable attribution ledger: a write-ahead log of per-tick attribution
-// records with segment rotation, background compaction, and crash recovery.
+// records with segment rotation, in-place sealing, and crash recovery.
 //
 // The retention ring (serve::SnapshotStore) answers hot window queries from
 // memory and forgets everything older by design; the ledger is the durable
 // tier underneath it. Layout of a ledger directory:
 //
-//   wal-<first_epoch>.log    append-only segment of CRC-framed TickRecords
-//                            (see ledger/format.hpp); exactly one is active,
-//                            older ones are sealed and awaiting compaction.
-//   cold-<first>-<last>.seg  a compacted sealed segment: the same frames at
-//                            the same offsets, followed by an (epoch, time,
-//                            offset) index entry for every frame and a
-//                            CRC'd footer.
+//   wal-<first_epoch>.log    the active segment: append-only CRC-framed
+//                            TickRecords (see ledger/format.hpp).
+//   cold-<first>-<last>.seg  a sealed segment: the same frames at the same
+//                            offsets, followed by an (epoch, time, offset)
+//                            index entry for every frame and a CRC'd footer.
 //
-// Rotation seals the active segment once it reaches segment_max_records or
-// kSegmentMaxBytes; sealed segments are compacted on a background thread
-// (or inline, or never — see LedgerOptions). Compaction writes the cold file
-// beside the WAL under a ".tmp" name and renames it into place before
-// deleting the WAL, so a crash mid-compaction leaves either the old WAL or
-// a complete cold segment, never a half state the reader trusts.
+// Rotation seals the active segment in place once it reaches
+// segment_max_records or kSegmentMaxBytes, on the appending thread: the
+// index append already built in memory and the footer are appended to the
+// WAL file, the file is renamed cold-<first>-<last>.seg, and the cold magic
+// is written over the WAL magic. No frame is re-read. Both magics are 8
+// bytes, so a frame keeps its offset. A seal that fails throws from append,
+// and the ledger refuses further appends until it is reopened.
 //
-// Every segment, WAL or cold, keeps that dense index in memory: 24 bytes
-// per record.
+// Every segment keeps that dense index in memory: 24 bytes per record.
 //
-// Recovery (constructor): every WAL segment is scanned frame by frame and
-// truncated at the first torn/corrupt record — a crash mid-append loses at
-// most that one record, and the loss is WARN-logged and counted, never
-// silent. Cold segments load by footer: the magic, the footer and the index
-// are read, not the frames. A cold file with a bad footer falls back to a
-// full scan and is re-queued for compaction; so is one whose intact footer
-// indexes only some of its records (cold segments once indexed every 64th),
-// which is logged at INFO and not counted as damage.
+// Recovery (constructor) decides whether a file is sealed from its footer,
+// not from its name or magic, so a crash at any step of a seal reopens with
+// every record. A file whose footer checks loads by footer (the magic, the
+// footer and the index are read, not the frames), and a seal a crash
+// stopped after its footer is finished. Any other file is scanned frame by
+// frame: bytes after the last intact frame are either the start of the
+// seal those frames get (a seal the crash cut short) or damage, which is
+// truncated away in a WAL (a crash mid-append loses at most that one
+// record), and WARN-logged and counted, never silent. Every scanned file
+// except a tail WAL under the rotation thresholds is then sealed, so a
+// cold file with a damaged footer or a sparse index (cold segments once
+// indexed every 64th record) is resealed dense in place.
 //
 // Point reads (at_or_before, at_epoch) are one binary search of the index,
 // one pread of exactly the frame it names, and one CRC. The index was
@@ -47,11 +49,11 @@
 // serve::SnapshotStore::restore_from_ledger).
 //
 // Thread safety: append() must come from one thread (the engine's publish
-// path); reads are safe from any thread. Compaction synchronizes through
-// the same state mutex when it swaps a WAL entry for its cold replacement.
+// path); reads are safe from any thread. The ledger starts no thread: a
+// seal runs inside the append that fills its segment, under the state
+// mutex every read takes.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -60,7 +62,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ledger/format.hpp"
@@ -69,6 +70,7 @@
 namespace vmp::ledger {
 
 class SegmentFile;  // a segment file opened for positioned reads.
+struct NamedRange;  // the epochs a segment file's name allows.
 
 /// Byte threshold at which the active segment rotates, unless
 /// LedgerOptions::segment_max_records trips first.
@@ -79,10 +81,6 @@ struct LedgerOptions {
   /// Record threshold at which the active segment rotates, unless
   /// kSegmentMaxBytes trips first.
   std::uint64_t segment_max_records = 4096;
-  /// Compact sealed segments into indexed cold segments at all.
-  bool auto_compact = true;
-  /// Run compaction on a background thread instead of inline at rotation.
-  bool background_compaction = true;
   /// When set, exports the vmpower_ledger_* metric families.
   obs::MetricsRegistry* metrics = nullptr;
 
@@ -108,17 +106,15 @@ struct Stats {
   std::uint64_t records = 0;
   std::uint64_t segments = 0;
   std::uint64_t cold_segments = 0;
-  std::uint64_t sealed_segments = 0;  ///< rotated, not yet compacted.
   std::uint64_t appended_records = 0;
   std::uint64_t appended_bytes = 0;
-  std::uint64_t compacted_records = 0;
+  std::uint64_t compacted_records = 0;  ///< records sealed into cold segments.
 };
 
 /// One segment's extent, for `vmpower ledger inspect`.
 struct SegmentInfo {
   std::string file;
-  bool cold = false;
-  bool active = false;
+  bool cold = false;  ///< sealed; else the active WAL.
   std::uint64_t first_epoch = 0;
   std::uint64_t last_epoch = 0;
   std::uint64_t records = 0;
@@ -146,20 +142,31 @@ class DamagedRecord : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Where one frame sits in its segment file; a segment's index holds one per
+/// frame, ascending, in memory and (once sealed) on disk.
+struct IndexEntry {
+  std::uint64_t epoch = 0;
+  double time_s = 0.0;
+  std::uint64_t offset = 0;  ///< frame offset in the segment file.
+};
+
 class Ledger {
  public:
-  /// Opens (creating if needed) the ledger directory and runs recovery.
+  /// Opens (creating if needed) the ledger directory, runs recovery and
+  /// seals every segment but a tail WAL under the rotation thresholds.
   /// Throws std::invalid_argument on bad options, std::runtime_error on I/O
-  /// failure.
+  /// failure (a seal that cannot finish included).
   explicit Ledger(LedgerOptions options);
-  ~Ledger();
 
   Ledger(const Ledger&) = delete;
   Ledger& operator=(const Ledger&) = delete;
 
   /// Appends one record. `record.epoch` must exceed the current tail epoch
   /// (throws std::logic_error otherwise); the frame is flushed to the OS
-  /// before return. Single writer.
+  /// before return. When the record fills its segment, the segment is
+  /// sealed before return; a seal that fails throws std::runtime_error
+  /// after the record is durable, and every later append throws until the
+  /// ledger is reopened, which finishes the seal. Single writer.
   void append(const TickRecord& record);
 
   /// Newest record with time_s <= t_s; nullopt when t_s predates the oldest
@@ -179,14 +186,12 @@ class Ledger {
 
   /// Drops every record with epoch > `epoch` (checkpoint restore rewinds the
   /// ledger to the checkpointed tick before the engine replays forward).
-  /// Cold segments straddling the cut are rewritten as WAL segments.
+  /// A cold segment straddling the cut is cut and resealed in place.
   void truncate_after(std::uint64_t epoch);
 
-  /// Synchronously compacts every sealed segment; returns how many.
-  std::size_t compact_all();
-
-  /// Blocks until the background compactor has drained its queue.
-  void wait_for_compaction() const;
+  /// Returns at once: a segment is sealed by the append that fills it.
+  /// Kept only because pipebench/bench_pipeline.cpp calls it.
+  void wait_for_compaction() const {}
 
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] RecoveryReport recovery() const { return recovery_; }
@@ -196,16 +201,12 @@ class Ledger {
   }
 
  private:
-  enum class Kind { kActive, kSealed, kCold };
-
-  struct IndexEntry {
-    std::uint64_t epoch = 0;
-    double time_s = 0.0;
-    std::uint64_t offset = 0;  ///< frame offset in the segment file.
-  };
+  /// kActive is the WAL appends go to; during recovery, also any WAL or
+  /// damaged cold file not sealed yet.
+  enum class Kind { kActive, kCold };
 
   struct Segment {
-    Kind kind = Kind::kSealed;
+    Kind kind = Kind::kActive;
     std::filesystem::path path;
     std::uint64_t first_epoch = 0;
     std::uint64_t last_epoch = 0;
@@ -216,21 +217,28 @@ class Ledger {
     std::uint64_t frames_end = 0;  ///< end of the frames region (< bytes for
                                    ///< cold segments, which carry an index).
     std::vector<IndexEntry> index;  ///< one entry per frame, ascending.
+
+    /// Sets records and the first and last epoch and time from a non-empty
+    /// index.
+    void take_extent_from_index();
   };
 
   void recover();
-  /// Scans a WAL file, truncating any torn tail; returns the segment or
-  /// nullopt for an empty file (which is deleted).
-  std::optional<Segment> recover_wal(const std::filesystem::path& path);
-  /// Loads a cold segment by footer; falls back to a full scan (and marks it
-  /// sealed for re-compaction) when the footer is damaged.
-  std::optional<Segment> recover_cold(const std::filesystem::path& path);
+  /// Loads one segment file: by footer when its footer checks (finishing a
+  /// seal a crash stopped after the footer), else by a frame scan that
+  /// truncates what follows the last intact frame and leaves the segment
+  /// kActive for recover() to resume or seal. nullopt when nothing
+  /// recoverable survives (the file is deleted).
+  std::optional<Segment> recover_segment(const std::filesystem::path& path,
+                                         const NamedRange& named);
 
   void open_active_locked(std::uint64_t first_epoch);
-  void seal_active_locked();
-  /// Compacts the oldest sealed segment (if any); returns whether one was.
-  bool compact_one();
-  void compactor_loop();
+  /// Seals a segment whose file ends at its last frame: appends the index
+  /// and footer, then finishes the seal.
+  void seal_locked(Segment& segment);
+  /// A seal's last two steps, once its footer is whole: the cold name, then
+  /// the cold magic.
+  void finish_seal_locked(Segment& segment);
 
   /// Reads, CRC-checks and decodes the frame segment.index[i] names, from
   /// its offset to the next entry's (or frames_end); throws DamagedRecord
@@ -242,9 +250,8 @@ class Ledger {
   [[nodiscard]] const Segment* segment_for_epoch_locked(
       std::uint64_t epoch) const;
 
-  /// Epochs the ledger could not keep: between two recovered segments,
-  /// named by a cold segment's file but missing from its rescan, or past a
-  /// frame that compaction found damaged.
+  /// Epochs the ledger could not keep: between two recovered segments, or
+  /// named by a cold segment's file but missing from its rescan.
   struct LostRange {
     std::uint64_t first_epoch = 0;
     std::uint64_t last_epoch = 0;
@@ -269,16 +276,12 @@ class Ledger {
   std::vector<Segment> segments_;  ///< ascending by first_epoch.
   std::string frame_;              ///< append's frame buffer, reused.
   std::vector<LostRange> lost_;    ///< usually empty.
-  std::ofstream active_;           ///< open iff some segment is kActive.
+  /// Open while the last segment takes appends; closed with the last
+  /// segment kActive only after a seal or rewind failed.
+  std::ofstream active_;
   std::uint64_t appended_records_ = 0;
   std::uint64_t appended_bytes_ = 0;
   std::uint64_t compacted_records_ = 0;
-
-  mutable std::mutex compaction_mutex_;  ///< serializes compaction passes.
-  mutable std::condition_variable work_cv_;
-  mutable std::condition_variable idle_cv_;
-  bool stop_ = false;
-  std::thread compactor_;
 
   // Registered once in the constructor; null without options_.metrics.
   obs::Counter* appended_counter_ = nullptr;

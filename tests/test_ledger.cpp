@@ -1,5 +1,7 @@
-// Durable attribution ledger: on-disk format, rotation/compaction, crash
-// recovery (torn tails, byte flips, damaged footers), checkpoint rewind, and
+// Durable attribution ledger: on-disk format, rotation and the in-place
+// seal, crash recovery (torn tails, byte flips, multi-byte damage and
+// splices, damaged footers, every crash window of a seal), checkpoint
+// rewind, and
 // the end-to-end promise — answers served from the ledger are byte-identical
 // to the retention-ring answers they replace, across a full restart.
 #include "ledger/ledger.hpp"
@@ -15,8 +17,10 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <optional>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -96,7 +100,6 @@ LedgerOptions small_segments(const fs::path& dir,
   LedgerOptions options;
   options.dir = dir;
   options.segment_max_records = max_records;
-  options.background_compaction = false;  // deterministic tests.
   return options;
 }
 
@@ -210,7 +213,7 @@ TEST(LedgerFormat, Crc32MatchesTheBitwiseDefinition) {
   }
 }
 
-// --- append / rotation / compaction / queries -------------------------------
+// --- append / rotation / seal / queries --------------------------------------
 
 TEST(Ledger, OptionsValidate) {
   EXPECT_THROW(Ledger{LedgerOptions{}}, std::invalid_argument);
@@ -230,8 +233,7 @@ TEST(Ledger, AppendRotatesCompactsAndAnswersQueries) {
   EXPECT_EQ(stats.records, 30u);
   EXPECT_EQ(stats.oldest_epoch, 1u);
   EXPECT_EQ(stats.tail_epoch, 30u);
-  EXPECT_GE(stats.cold_segments, 3u);  // 30 records over 8-record segments.
-  EXPECT_EQ(stats.sealed_segments, 0u);
+  EXPECT_EQ(stats.cold_segments, 3u);  // 30 records over 8-record segments.
 
   // Point lookups cross the cold index and the active WAL alike.
   const auto cold = log.at_epoch(17);
@@ -325,8 +327,7 @@ TEST(Ledger, ReopenRecoversEverythingAndResumesTheTailWal) {
 
 TEST(Ledger, RecoveryTruncatesATornTail) {
   ScratchDir scratch;
-  LedgerOptions options = small_segments(scratch.path, 1024);
-  options.auto_compact = false;  // one WAL file, easy to wound.
+  const LedgerOptions options = small_segments(scratch.path, 1024);
   auto log = std::make_unique<Ledger>(options);
   for (std::uint64_t epoch = 1; epoch <= 10; ++epoch)
     log->append(record_at(epoch));
@@ -354,8 +355,7 @@ TEST(Ledger, RecoveryTruncatesATornTail) {
 
 TEST(Ledger, RecoveryKeepsRecordsBeforeAByteFlip) {
   ScratchDir scratch;
-  LedgerOptions options = small_segments(scratch.path, 1024);
-  options.auto_compact = false;
+  const LedgerOptions options = small_segments(scratch.path, 1024);
   auto log = std::make_unique<Ledger>(options);
   for (std::uint64_t epoch = 1; epoch <= 5; ++epoch)
     log->append(record_at(epoch));
@@ -401,6 +401,7 @@ TEST(Ledger, DamagedColdFooterFallsBackToRescanAndRecompacts) {
       break;
     }
   ASSERT_FALSE(cold.empty());
+  const std::string intact = read_bytes(cold);
   {  // Wreck the footer magic; the frames stay CRC-protected.
     std::fstream file(cold, std::ios::binary | std::ios::in | std::ios::out);
     file.seekp(static_cast<std::streamoff>(fs::file_size(cold) - 1));
@@ -410,9 +411,9 @@ TEST(Ledger, DamagedColdFooterFallsBackToRescanAndRecompacts) {
   log = std::make_unique<Ledger>(small_segments(scratch.path));
   EXPECT_EQ(log->recovery().rescanned_cold, 1u);
   const Stats stats = log->stats();
-  EXPECT_EQ(stats.records, 16u);  // nothing lost — and recompacted already.
+  EXPECT_EQ(stats.records, 16u);  // nothing lost — and resealed in place.
   EXPECT_EQ(stats.cold_segments, 2u);
-  EXPECT_EQ(stats.sealed_segments, 0u);
+  EXPECT_EQ(read_bytes(cold), intact);
   expect_bit_identical(record_at(3), *log->at_epoch(3));
   EXPECT_TRUE(verify_dir(scratch.path).clean());
 }
@@ -464,8 +465,8 @@ TEST(Ledger, SparseIndexedColdSegmentsReadRightAndCompactDense) {
     }
   ASSERT_EQ(colds.size(), 4u);
 
-  // Opened as they are, they are read right, and an index that is only
-  // sparse is no damage: logged at INFO, never WARN, and not counted.
+  // Opened, they are read right and resealed dense, and an index that is
+  // only sparse is no damage: logged at INFO, never WARN, and not counted.
   std::size_t warned = 0, rebuilt = 0;
   const util::LogLevel level = util::log_level();
   util::set_log_level(util::LogLevel::kInfo);
@@ -474,9 +475,7 @@ TEST(Ledger, SparseIndexedColdSegmentsReadRightAndCompactDense) {
     if (line.find("sparse index") != std::string_view::npos) ++rebuilt;
   });
   {
-    LedgerOptions options = small_segments(scratch.path, 10);
-    options.auto_compact = false;
-    const Ledger log(options);
+    const Ledger log(small_segments(scratch.path, 10));
     EXPECT_EQ(log.recovery().rescanned_cold, 0u);
     EXPECT_EQ(log.stats().records, 43u);
     for (std::uint64_t epoch = 0; epoch <= 44; ++epoch)
@@ -491,7 +490,7 @@ TEST(Ledger, SparseIndexedColdSegmentsReadRightAndCompactDense) {
   EXPECT_EQ(warned, 0u);
   EXPECT_EQ(rebuilt, 4u);
 
-  // Opened with compaction on, each is rewritten with a dense index.
+  // Each is now sealed with a dense index, under the same name.
   {
     const Ledger log(small_segments(scratch.path, 10));
     EXPECT_EQ(log.stats().cold_segments, 4u);
@@ -528,9 +527,7 @@ TEST(Ledger, APointReadChecksOnlyTheFrameItReturns) {
   bytes[damaged + kHeaderBytes + 40] ^= 0x7f;
   write_bytes(cold, bytes);
 
-  LedgerOptions options = small_segments(scratch.path);
-  options.auto_compact = false;
-  const Ledger log(options);
+  const Ledger log(small_segments(scratch.path));
   // The answer's own frame is intact, so the damage next to it is no reason
   // to refuse it.
   EXPECT_EQ(encoded(log.at_or_before(static_cast<double>(k) + 0.5)),
@@ -551,142 +548,412 @@ TEST(Ledger, APointReadChecksOnlyTheFrameItReturns) {
   }
 }
 
-TEST(Ledger, CompactionStoppedByDamageReportsTheLostEpochs) {
+TEST(Ledger, AFrameDamagedBeforeItsSealIsReportedByTheReadThatMeetsIt) {
   ScratchDir scratch;
-  LedgerOptions options = small_segments(scratch.path);
-  options.auto_compact = false;
-  Ledger log(options);
-  for (std::uint64_t epoch = 1; epoch <= 12; ++epoch)
-    log.append(record_at(epoch));  // sealed WAL 1-8, active WAL 9-12.
-  const fs::path sealed = only_file(scratch.path, "wal-00000000000000000001");
-  std::string bytes = read_bytes(sealed);
+  auto log = std::make_unique<Ledger>(small_segments(scratch.path));
+  for (std::uint64_t epoch = 1; epoch <= 7; ++epoch)
+    log->append(record_at(epoch));  // the active WAL 1-7, one short of full.
+  const fs::path wal = only_file(scratch.path, "wal-00000000000000000001");
+  std::string bytes = read_bytes(wal);
   std::size_t offset = 8;
   TickRecord record;
   for (std::uint64_t epoch = 1; epoch <= 5; ++epoch)
     ASSERT_EQ(read_frame(bytes, offset, record), FrameStatus::kOk);
-  bytes[offset + kHeaderBytes + 40] ^= 0x7f;  // epoch 6, after it was sealed.
-  write_bytes(sealed, bytes);
+  const std::size_t damaged = offset;
+  bytes[damaged + kHeaderBytes + 40] ^= 0x7f;  // epoch 6, before its seal.
+  write_bytes(wal, bytes);
 
-  EXPECT_EQ(log.compact_all(), 1u);
-  const Stats stats = log.stats();
-  EXPECT_EQ(stats.cold_segments, 1u);
-  EXPECT_EQ(stats.records, 9u);  // 1-5 cold, 9-12 in the WAL.
-  expect_bit_identical(record_at(5), *log.at_epoch(5));
-  expect_bit_identical(record_at(9), *log.at_or_before(9.5));
-  // Epochs 6-8 are gone, and reads of them say so instead of answering
-  // "never written" or with epoch 5.
-  for (std::uint64_t epoch = 6; epoch <= 8; ++epoch)
-    EXPECT_THROW((void)log.at_epoch(epoch), DamagedRecord) << epoch;
-  EXPECT_THROW((void)log.at_or_before(7.5), DamagedRecord);
+  // The append of epoch 8 seals the segment without reading a frame back,
+  // so no record is dropped, the damaged one included.
+  log->append(record_at(8));
+  EXPECT_EQ(log->stats().cold_segments, 1u);
+  EXPECT_EQ(log->stats().records, 8u);
+  const fs::path cold =
+      only_file(scratch.path, "cold-00000000000000000001-00000000000000000008");
+  const std::string where =
+      cold.filename().string() + " at offset " + std::to_string(damaged);
+  EXPECT_FALSE(verify_dir(scratch.path).clean());
+
+  // Before and after a reopen, the reads that meet epoch 6 say so, naming
+  // the file and the offset, and its neighbours answer.
+  for (int life = 0; life < 2; ++life) {
+    if (life == 1) {
+      log.reset();
+      log = std::make_unique<Ledger>(small_segments(scratch.path));
+      EXPECT_EQ(log->recovery().torn_records, 0u);
+      EXPECT_EQ(log->recovery().rescanned_cold, 0u);
+    }
+    for (const std::uint64_t epoch : {1, 5, 7, 8})
+      EXPECT_EQ(encoded(log->at_epoch(epoch)), encode_record(record_at(epoch)))
+          << epoch;
+    EXPECT_EQ(encoded(log->at_or_before(5.5)), encode_record(record_at(5)));
+    EXPECT_EQ(encoded(log->at_or_before(7.5)), encode_record(record_at(7)));
+    for (const bool by_epoch : {true, false}) {
+      try {
+        (void)(by_epoch ? log->at_epoch(6) : log->at_or_before(6.5));
+        ADD_FAILURE() << "a damaged frame was answered";
+      } catch (const DamagedRecord& damage) {
+        EXPECT_NE(std::string(damage.what()).find(where), std::string::npos)
+            << damage.what();
+      }
+    }
+  }
 }
 
-TEST(Ledger, EverySingleByteFlipIsAnsweredRightOrReported) {
+/// The files of a directory, by name, with their bytes.
+std::map<std::string, std::string> snapshot(const fs::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir))
+    files[entry.path().filename().string()] = read_bytes(entry.path());
+  return files;
+}
+
+/// Empties `dir` and writes `files` into it.
+void restore(const fs::path& dir,
+             const std::map<std::string, std::string>& files) {
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  for (const auto& [name, bytes] : files) write_bytes(dir / name, bytes);
+}
+
+/// Where a sealed file's index starts: its frames end there.
+std::size_t index_offset_of(const std::string& sealed) {
+  ByteReader footer{std::string_view(sealed).substr(sealed.size() - 48)};
+  std::uint64_t index_offset = 0;
+  EXPECT_TRUE(footer.get_u64(index_offset));
+  return static_cast<std::size_t>(index_offset);
+}
+
+TEST(Ledger, ASealThatFailsThrowsFromAppendAndAReopenFinishesIt) {
   ScratchDir scratch;
-  // Opened without compaction, so a reopen never rewrites a damaged cold
-  // segment; recovery still truncates a torn WAL, so every damaged file is
-  // rewritten before each reopen.
-  LedgerOptions options = small_segments(scratch.path);
-  options.auto_compact = false;
+  // A non-empty directory where the cold file goes fails the seal's rename,
+  // whoever runs the test.
+  const fs::path obstacle =
+      scratch.path / "cold-00000000000000000001-00000000000000000008.seg";
+  fs::create_directories(obstacle / "keep");
   {
     Ledger log(small_segments(scratch.path));
-    for (std::uint64_t epoch = 1; epoch <= 20; ++epoch)
+    for (std::uint64_t epoch = 1; epoch <= 7; ++epoch)
       log.append(record_at(epoch));
-    ASSERT_EQ(log.stats().cold_segments, 2u);  // 1-8, 9-16; WAL 17-20.
+    // Epoch 8 is durable when its segment's seal fails.
+    EXPECT_THROW(log.append(record_at(8)), std::runtime_error);
+    EXPECT_EQ(log.stats().tail_epoch, 8u);
+    // No append goes past the half-written seal...
+    EXPECT_THROW(log.append(record_at(9)), std::runtime_error);
+    EXPECT_EQ(log.stats().tail_epoch, 8u);
+    // ...and every record appended still answers.
+    for (std::uint64_t epoch = 1; epoch <= 8; ++epoch)
+      EXPECT_EQ(encoded(log.at_epoch(epoch)), encode_record(record_at(epoch)))
+          << epoch;
   }
-  const fs::path cold = only_file(scratch.path, "cold-00000000000000000009-");
-  const fs::path wal = only_file(scratch.path, "wal-");
-  // Every byte of each file: magic, frames, index and footer.
-  const std::string cold_bytes = read_bytes(cold);
-  const std::string wal_bytes = read_bytes(wal);
+  // While the obstacle stands, a reopen cannot finish the seal, and says so.
+  EXPECT_THROW(Ledger{small_segments(scratch.path)}, std::runtime_error);
 
-  struct Query {
-    bool by_epoch;
-    double t_s;
-    std::uint64_t epoch;
+  fs::remove_all(obstacle);
+  Ledger log(small_segments(scratch.path));
+  EXPECT_EQ(log.recovery().records, 8u);
+  EXPECT_EQ(log.recovery().torn_records, 0u);
+  EXPECT_EQ(log.stats().cold_segments, 1u);
+  EXPECT_TRUE(fs::is_regular_file(obstacle));
+  for (std::uint64_t epoch = 1; epoch <= 8; ++epoch)
+    EXPECT_EQ(encoded(log.at_epoch(epoch)), encode_record(record_at(epoch)))
+        << epoch;
+  log.append(record_at(9));
+  EXPECT_TRUE(verify_dir(scratch.path).clean());
+}
+
+TEST(Ledger, EveryCrashWindowOfASealReopensWithEveryRecord) {
+  // The uninterrupted result: cold 1-8 and cold 9-16, the second sealed by
+  // the append of epoch 16.
+  ScratchDir sealed;
+  {
+    Ledger log(small_segments(sealed.path));
+    for (std::uint64_t epoch = 1; epoch <= 16; ++epoch)
+      log.append(record_at(epoch));
+  }
+  const std::map<std::string, std::string> done = snapshot(sealed.path);
+  const std::string cold_name =
+      "cold-00000000000000000009-00000000000000000016.seg";
+  const std::string wal_name = "wal-00000000000000000009.log";
+  ASSERT_EQ(done.size(), 2u);
+  ASSERT_EQ(done.count(cold_name), 1u);
+  const std::string& cold = done.at(cold_name);
+  const std::size_t frames_end = index_offset_of(cold);
+  const std::string wal = "vmpwal1\n" + cold.substr(8, frames_end - 8);
+  const std::string tail = cold.substr(frames_end);
+
+  // Every state a crash can leave, in the seal's order: the index and footer
+  // appended under the wal- name (each length of that write, from none to
+  // all), the file renamed with the WAL magic still in it, and the end.
+  struct State {
+    std::string name, bytes, what;
   };
-  std::vector<Query> queries;
-  for (double t = 0.0; t <= 21.0; t += 0.5) queries.push_back({false, t, 0});
-  for (std::uint64_t epoch = 1; epoch <= 20; ++epoch)
-    queries.push_back({true, 0.0, epoch});
-  const auto ask = [](const Ledger& log, const Query& query) {
+  std::vector<State> states;
+  for (std::size_t written = 0; written <= tail.size(); ++written)
+    states.push_back({wal_name, wal + tail.substr(0, written),
+                      std::to_string(written) + " bytes of index and footer"});
+  states.push_back({cold_name, wal + tail, "renamed, WAL magic"});
+  states.push_back({cold_name, cold, "sealed"});
+
+  ScratchDir scratch;
+  for (const State& state : states) {
+    std::map<std::string, std::string> files = done;
+    files.erase(cold_name);
+    files[state.name] = state.bytes;
+    restore(scratch.path, files);
+    EXPECT_TRUE(verify_dir(scratch.path).clean()) << state.what;
+    {
+      const Ledger log(small_segments(scratch.path));
+      EXPECT_EQ(log.recovery().torn_records, 0u) << state.what;
+      EXPECT_EQ(log.recovery().rescanned_cold, 0u) << state.what;
+      EXPECT_EQ(log.stats().records, 16u) << state.what;
+      for (std::uint64_t epoch = 1; epoch <= 16; ++epoch)
+        EXPECT_EQ(encoded(log.at_epoch(epoch)), encode_record(record_at(epoch)))
+            << state.what << ", epoch " << epoch;
+    }
+    EXPECT_TRUE(snapshot(scratch.path) == done) << state.what;
+  }
+}
+
+TEST(Ledger, EveryCrashWindowOfARewindKeepsTheRecordsItKept) {
+  // Rewinding epochs 1-30 (cold 1-8, 9-16, 17-24, the active WAL 25-30) to
+  // 20 deletes the WAL, cuts cold 17-24 after epoch 20's frame and reseals
+  // it as cold 17-20.
+  ScratchDir before, after;
+  for (const bool rewound : {false, true}) {
+    Ledger log(small_segments(rewound ? after.path : before.path));
+    for (std::uint64_t epoch = 1; epoch <= 30; ++epoch)
+      log.append(record_at(epoch));
+    if (rewound) log.truncate_after(20);
+  }
+  std::map<std::string, std::string> start = snapshot(before.path);
+  const std::map<std::string, std::string> done = snapshot(after.path);
+  const std::string old_name =
+      "cold-00000000000000000017-00000000000000000024.seg";
+  const std::string new_name =
+      "cold-00000000000000000017-00000000000000000020.seg";
+  ASSERT_EQ(start.erase("wal-00000000000000000025.log"), 1u);
+  ASSERT_EQ(done.count(new_name), 1u);
+  const std::string& resealed = done.at(new_name);
+  const std::size_t cut = index_offset_of(resealed);
+
+  // Every state a crash can leave after the WAL is gone: the cold file cut,
+  // then each length of its new index and footer under the old name, then
+  // the new name (the cold magic it rewrites is already there).
+  std::vector<std::pair<std::map<std::string, std::string>, std::string>>
+      states = {{start, "WAL deleted"}};
+  for (std::size_t written = 0; written <= resealed.size() - cut; ++written) {
+    std::map<std::string, std::string> files = start;
+    files[old_name] = resealed.substr(0, cut + written);
+    states.emplace_back(files, "cut, " + std::to_string(written) +
+                                   " bytes of index and footer");
+  }
+  states.emplace_back(done, "renamed");
+
+  ScratchDir scratch;
+  util::set_log_sink([](util::LogLevel, std::string_view) {});
+  for (const auto& [files, what] : states) {
+    restore(scratch.path, files);
+    EXPECT_TRUE(verify_dir(scratch.path).clean()) << what;
+    Ledger log(small_segments(scratch.path));
+    for (std::uint64_t epoch = 1; epoch <= 30; ++epoch) {
+      // Kept records answer; dropped ones are absent, reported, or (before
+      // the cut) still the record that was written.
+      try {
+        const std::string got = encoded(log.at_epoch(epoch));
+        if (epoch <= 20 || !got.empty()) {
+          EXPECT_EQ(got, encode_record(record_at(epoch)))
+              << what << ", epoch " << epoch;
+        }
+      } catch (const DamagedRecord&) {
+        EXPECT_GT(epoch, 20u) << what;
+      }
+    }
+    // The rewind a resume repeats leaves what an uninterrupted one did.
+    log.truncate_after(20);
+    EXPECT_TRUE(snapshot(scratch.path) == done) << what;
+  }
+  util::set_log_sink({});
+}
+
+struct Query {
+  bool by_epoch;
+  double t_s;
+  std::uint64_t epoch;
+};
+
+/// An intact ledger of epochs 1..20 (cold 1-8 and 9-16, the active WAL
+/// 17-20), and a check that reopens a fresh copy of it with one file
+/// damaged. A reopen may reseal, rename or truncate a file, so no case sees
+/// another's leftovers.
+class DamageHarness {
+ public:
+  DamageHarness() {
+    {
+      Ledger log(small_segments(intact_.path));
+      for (std::uint64_t epoch = 1; epoch <= 20; ++epoch)
+        log.append(record_at(epoch));
+      EXPECT_EQ(log.stats().cold_segments, 2u);
+    }
+    files_ = snapshot(intact_.path);
+    for (double t = 0.0; t <= 21.0; t += 0.5) queries_.push_back({false, t, 0});
+    for (std::uint64_t epoch = 1; epoch <= 20; ++epoch)
+      queries_.push_back({true, 0.0, epoch});
+    // truth_[tail - 16]: the answers of an intact ledger of epochs 1..tail.
+    // Damage to the WAL may cost records past the cold segments.
+    for (std::uint64_t tail = 16; tail <= 20; ++tail) {
+      ScratchDir prefix;
+      Ledger log(small_segments(prefix.path));
+      for (std::uint64_t epoch = 1; epoch <= tail; ++epoch)
+        log.append(record_at(epoch));
+      truth_.emplace_back();
+      for (const Query& query : queries_) truth_.back().push_back(ask(log, query));
+    }
+  }
+
+  /// The name of the one file starting with `prefix`, and its intact bytes.
+  const std::string& name(std::string_view prefix) const {
+    for (const auto& [file, bytes] : files_)
+      if (file.starts_with(prefix)) return file;
+    throw std::logic_error("no ledger file starts with " + std::string(prefix));
+  }
+  const std::string& bytes(const std::string& file) const {
+    return files_.at(file);
+  }
+
+  /// Reopens the ledger with `file` holding `damaged`. Every answer must be
+  /// the one an intact ledger of the recovered prefix gives, or a
+  /// DamagedRecord naming the file; cold damage must keep every record, and
+  /// WAL recovery a prefix of the valid ones.
+  void check(const std::string& file, const std::string& damaged,
+             const std::string& what) {
+    std::map<std::string, std::string> files = files_;
+    files[file] = damaged;
+    restore(work_.path, files);
+    const Ledger log(small_segments(work_.path));
+    const std::uint64_t tail = log.stats().tail_epoch;
+    if (tail > 20 || tail < (file.starts_with("wal-") ? 16u : 20u)) {
+      ADD_FAILURE() << what << ": recovered tail " << tail;
+      return;
+    }
+    const std::vector<std::string>& expected = truth_[tail - 16];
+    for (std::size_t q = 0; q < queries_.size(); ++q) {
+      ++answers;
+      try {
+        if (ask(log, queries_[q]) != expected[q] && ++wrong <= 5)
+          ADD_FAILURE() << what << ": wrong answer to "
+                        << (queries_[q].by_epoch ? "at_epoch(" : "at_or_before(")
+                        << (queries_[q].by_epoch
+                                ? static_cast<double>(queries_[q].epoch)
+                                : queries_[q].t_s)
+                        << ")";
+      } catch (const DamagedRecord& damage) {
+        ++reported;
+        EXPECT_NE(std::string(damage.what()).find(file), std::string::npos)
+            << what << ": " << damage.what();
+      }
+    }
+  }
+
+  std::size_t answers = 0, reported = 0, wrong = 0;
+
+ private:
+  static std::string ask(const Ledger& log, const Query& query) {
     return encoded(query.by_epoch ? log.at_epoch(query.epoch)
                                   : log.at_or_before(query.t_s));
-  };
-  // truth[tail - 16]: the answers of an intact ledger of epochs 1..tail.
-  // Damage to the WAL may cost records past the cold segments (tail >= 16).
-  std::vector<std::vector<std::string>> truth;
-  for (std::uint64_t tail = 16; tail <= 20; ++tail) {
-    ScratchDir prefix;
-    Ledger log(small_segments(prefix.path));
-    for (std::uint64_t epoch = 1; epoch <= tail; ++epoch)
-      log.append(record_at(epoch));
-    truth.emplace_back();
-    for (const Query& query : queries) truth.back().push_back(ask(log, query));
   }
+
+  ScratchDir intact_, work_;
+  std::map<std::string, std::string> files_;
+  std::vector<Query> queries_;
+  std::vector<std::vector<std::string>> truth_;
+};
+
+TEST(Ledger, EverySingleByteFlipIsAnsweredRightOrReported) {
+  DamageHarness harness;
+  // Every byte of each file: magic, frames, index and footer.
+  const std::string& cold = harness.name("cold-00000000000000000009-");
+  const std::string& wal = harness.name("wal-");
+  const std::string& cold_bytes = harness.bytes(cold);
+  const std::string& wal_bytes = harness.bytes(wal);
 
   // Count the WARN lines a damaged cold read logs instead of printing them.
   std::size_t warned = 0;
-  const std::string damage_line = cold.filename().string() + " at offset ";
+  const std::string damage_line = cold + " at offset ";
   util::set_log_sink([&](util::LogLevel level, std::string_view line) {
     if (level == util::LogLevel::kWarn &&
         line.find(damage_line) != std::string_view::npos)
       ++warned;
   });
-  // Writes `damaged` over `file` and reopens. Every answer must be the one
-  // an intact ledger of the recovered prefix gives, or a DamagedRecord
-  // naming the file; cold damage must keep every record.
-  std::size_t answers = 0, reported = 0, wrong = 0;
-  const auto check = [&](const fs::path& file, const std::string& damaged,
-                         const std::string& what) {
-    write_bytes(file, damaged);
-    const Ledger log(options);
-    const std::uint64_t tail = log.stats().tail_epoch;
-    if (tail > 20 || tail < (file == wal ? 16u : 20u)) {
-      ADD_FAILURE() << what << ": recovered tail " << tail;
-      return;
-    }
-    const std::vector<std::string>& expected = truth[tail - 16];
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      ++answers;
-      try {
-        if (ask(log, queries[q]) != expected[q] && ++wrong <= 5)
-          ADD_FAILURE() << what << ": wrong answer to "
-                        << (queries[q].by_epoch ? "at_epoch(" : "at_or_before(")
-                        << (queries[q].by_epoch
-                                ? static_cast<double>(queries[q].epoch)
-                                : queries[q].t_s)
-                        << ")";
-      } catch (const DamagedRecord& damage) {
-        ++reported;
-        EXPECT_NE(std::string(damage.what()).find(file.filename().string()),
-                  std::string::npos);
-      }
-    }
-  };
-
   for (std::size_t at = 0; at < cold_bytes.size(); ++at) {
     std::string damaged = cold_bytes;
     damaged[at] = static_cast<char>(damaged[at] ^ 0x5a);
-    check(cold, damaged, "cold byte " + std::to_string(at) + " flipped");
+    harness.check(cold, damaged, "cold byte " + std::to_string(at) + " flipped");
   }
-  EXPECT_GT(reported, 0u);
-  EXPECT_EQ(warned, reported);
+  EXPECT_GT(harness.reported, 0u);
+  EXPECT_EQ(warned, harness.reported);
   for (std::size_t size = 0; size < cold_bytes.size(); ++size)
-    check(cold, cold_bytes.substr(0, size),
-          "cold truncated to " + std::to_string(size));
-  write_bytes(cold, cold_bytes);
+    harness.check(cold, cold_bytes.substr(0, size),
+                  "cold truncated to " + std::to_string(size));
   for (std::size_t at = 0; at < wal_bytes.size(); ++at) {
     std::string damaged = wal_bytes;
     damaged[at] = static_cast<char>(damaged[at] ^ 0x5a);
-    check(wal, damaged, "WAL byte " + std::to_string(at) + " flipped");
+    harness.check(wal, damaged, "WAL byte " + std::to_string(at) + " flipped");
   }
   for (std::size_t size = 0; size < wal_bytes.size(); ++size)
-    check(wal, wal_bytes.substr(0, size),
-          "WAL truncated to " + std::to_string(size));
+    harness.check(wal, wal_bytes.substr(0, size),
+                  "WAL truncated to " + std::to_string(size));
   util::set_log_sink({});
-  write_bytes(wal, wal_bytes);
-  EXPECT_EQ(wrong, 0u) << "of " << answers << " answers";
-  EXPECT_TRUE(verify_dir(scratch.path).clean());
+  EXPECT_EQ(harness.wrong, 0u) << "of " << harness.answers << " answers";
+}
+
+TEST(Ledger, SeededMultiByteDamageAndSplicesAreAnsweredRightOrReported) {
+  DamageHarness harness;
+  const std::string& cold1 = harness.name("cold-00000000000000000001-");
+  const std::string& cold9 = harness.name("cold-00000000000000000009-");
+  const std::string& wal = harness.name("wal-");
+  util::set_log_sink([](util::LogLevel, std::string_view) {});
+  std::mt19937_64 rng(34);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  // Runs of 2-64 random bytes over the sealed cold 9-16 and the tail WAL.
+  for (int run = 0; run < 400; ++run) {
+    const std::string& file = run % 2 == 0 ? cold9 : wal;
+    std::string damaged = harness.bytes(file);
+    const std::size_t length = 2 + below(63);
+    const std::size_t at = below(damaged.size() - length + 1);
+    for (std::size_t i = 0; i < length; ++i)
+      damaged[at + i] = static_cast<char>(rng());
+    harness.check(file, damaged,
+                  file + ": " + std::to_string(length) + " random bytes at " +
+                      std::to_string(at));
+  }
+  // Splices: a range of one segment file copied over another's, at the same
+  // offset half the time (segments of one record shape put their frames
+  // there, so whole frames with intact CRCs land in the wrong segment).
+  const std::string* const files[] = {&cold1, &cold9, &wal};
+  for (int splice = 0; splice < 400; ++splice) {
+    const std::string& to = splice % 2 == 0 ? cold9 : wal;
+    const std::string* from = files[below(3)];
+    if (*from == to) from = &cold1;
+    const std::string& source = harness.bytes(*from);
+    std::string damaged = harness.bytes(to);
+    const std::size_t length =
+        2 + below(std::min(source.size(), damaged.size()) - 1);
+    const std::size_t at = below(source.size() - length + 1);
+    const std::size_t into = splice % 4 < 2 && at + length <= damaged.size()
+                                 ? at
+                                 : below(damaged.size() - length + 1);
+    damaged.replace(into, length, source, at, length);
+    harness.check(to, damaged,
+                  to + ": " + std::to_string(length) + " bytes of " + *from +
+                      " from " + std::to_string(at) + " at " +
+                      std::to_string(into));
+  }
+  util::set_log_sink({});
+  EXPECT_GT(harness.reported, 0u);
+  EXPECT_EQ(harness.wrong, 0u) << "of " << harness.answers << " answers";
 }
 
 TEST(Ledger, LostEpochsAreReportedUntilWrittenAgain) {
@@ -750,10 +1017,12 @@ TEST(Ledger, TruncateAfterRewindsAcrossAllTiers) {
   log.truncate_after(99);  // past the tail: no-op.
   EXPECT_EQ(log.stats().tail_epoch, 30u);
 
-  log.truncate_after(20);  // drops the WAL, splits cold 17-24.
+  log.truncate_after(20);  // drops the WAL, cuts cold 17-24 and reseals it.
   Stats stats = log.stats();
   EXPECT_EQ(stats.tail_epoch, 20u);
   EXPECT_EQ(stats.records, 20u);
+  EXPECT_EQ(stats.cold_segments, 3u);
+  (void)only_file(scratch.path, "cold-00000000000000000017-00000000000000000020");
   expect_bit_identical(record_at(20), *log.at_epoch(20));
   EXPECT_FALSE(log.at_epoch(21).has_value());
 
@@ -765,15 +1034,12 @@ TEST(Ledger, TruncateAfterRewindsAcrossAllTiers) {
   // The rewound ledger accepts the replayed-forward epochs again.
   log.append(record_at(9));
   EXPECT_EQ(log.stats().tail_epoch, 9u);
-  log.wait_for_compaction();
   EXPECT_TRUE(verify_dir(scratch.path).clean());
 }
 
 TEST(Ledger, TruncateAfterResizesTheActiveWalInPlace) {
   ScratchDir scratch;
-  LedgerOptions options = small_segments(scratch.path, 1024);
-  options.auto_compact = false;
-  Ledger log(options);
+  Ledger log(small_segments(scratch.path, 1024));
   for (std::uint64_t epoch = 1; epoch <= 10; ++epoch)
     log.append(record_at(epoch));
 
@@ -788,16 +1054,16 @@ TEST(Ledger, TruncateAfterResizesTheActiveWalInPlace) {
 
 // --- concurrency -------------------------------------------------------------
 
-TEST(Ledger, PointReadsDuringBackgroundCompactionAreByteIdentical) {
+TEST(Ledger, PointReadsRacingSealingAppendsAreByteIdentical) {
   ScratchDir scratch;
-  LedgerOptions options = small_segments(scratch.path);
-  options.background_compaction = true;  // reads race the segment swaps.
-  Ledger log(options);
+  // A seal every 8 appends, each under the lock the reads take.
+  Ledger log(small_segments(scratch.path));
   constexpr std::uint64_t kRecords = 400;
   std::atomic<std::uint64_t> appended{0};
   std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> reads[2] = {0, 0};
 
-  const auto reader = [&](std::uint64_t seed, std::uint64_t& reads) {
+  const auto reader = [&](std::uint64_t seed, std::atomic<std::uint64_t>& count) {
     for (std::uint64_t i = seed; !done.load(); i += 7) {
       const std::uint64_t tail = appended.load();
       if (tail == 0) continue;
@@ -807,24 +1073,25 @@ TEST(Ledger, PointReadsDuringBackgroundCompactionAreByteIdentical) {
       EXPECT_EQ(encoded(log.at_or_before(static_cast<double>(epoch) + 0.5)),
                 expected)
           << epoch;
-      ++reads;
+      ++count;
     }
   };
-  std::uint64_t reads[2] = {0, 0};
   std::thread first(reader, 0, std::ref(reads[0]));
   std::thread second(reader, 3, std::ref(reads[1]));
   for (std::uint64_t epoch = 1; epoch <= kRecords; ++epoch) {
     log.append(record_at(epoch));
     appended.store(epoch);
+    // Appends outrun reads by far; pacing them keeps both readers reading
+    // all the way through the 50 seals.
+    while (reads[0].load() < epoch || reads[1].load() < epoch)
+      std::this_thread::yield();
   }
-  log.wait_for_compaction();
   done.store(true);
   first.join();
   second.join();
 
-  EXPECT_GT(reads[0], 0u);
-  EXPECT_GT(reads[1], 0u);
   EXPECT_EQ(log.stats().compacted_records, kRecords);
+  EXPECT_EQ(log.stats().cold_segments, kRecords / 8);
   EXPECT_TRUE(verify_dir(scratch.path).clean());
 }
 
@@ -915,11 +1182,10 @@ struct Scratch {
   }
 };
 
-LedgerOptions inline_options(const fs::path& dir) {
+LedgerOptions ledger_options(const fs::path& dir) {
   LedgerOptions options;
   options.dir = dir;
   options.segment_max_records = 8;
-  options.background_compaction = false;
   return options;
 }
 
@@ -934,7 +1200,7 @@ TEST(LedgerServe, RestartServesByteIdenticalWindowAnswers) {
   // First life: big ring, every publish mirrored into the ledger.
   std::vector<std::string> hot_answers;
   {
-    auto log = std::make_unique<Ledger>(inline_options(scratch.path));
+    auto log = std::make_unique<Ledger>(ledger_options(scratch.path));
     SnapshotStore store(64);
     store.set_ledger(log.get());
     for (int t = 1; t <= 40; ++t) store.publish(synthetic_at(t));
@@ -949,7 +1215,7 @@ TEST(LedgerServe, RestartServesByteIdenticalWindowAnswers) {
 
   // Second life: tiny ring refilled from the ledger tail; the windows above
   // now resolve through the cold path — and must answer byte-identically.
-  auto log = std::make_unique<Ledger>(inline_options(scratch.path));
+  auto log = std::make_unique<Ledger>(ledger_options(scratch.path));
   EXPECT_EQ(log->recovery().torn_records, 0u);
   SnapshotStore store(8);
   EXPECT_EQ(store.restore_from_ledger(*log), 8u);
@@ -991,7 +1257,7 @@ TEST(LedgerServe, EngineSnapshotsAreTheRecordsTheLedgerHolds) {
   fleet::FleetEngine engine(options, dataset);
 
   Scratch scratch;
-  Ledger log(inline_options(scratch.path));
+  Ledger log(ledger_options(scratch.path));
   SnapshotStore store(64);
   store.attach(engine);
   store.set_ledger(&log);
@@ -1035,7 +1301,7 @@ TEST(LedgerServe, WindowErrorsCarryTheOldestReachableEpoch) {
   // ledger's oldest epoch.
   {
     Scratch scratch;
-    auto log = std::make_unique<Ledger>(inline_options(scratch.path));
+    auto log = std::make_unique<Ledger>(ledger_options(scratch.path));
     SnapshotStore store(4);
     for (int t = 1; t <= 5; ++t) store.publish(synthetic_at(t));
     store.set_ledger(log.get());
@@ -1059,7 +1325,7 @@ TEST(LedgerServe, WindowErrorsCarryTheOldestReachableEpoch) {
 
 TEST(LedgerServe, WindowBoundExactlyAtTheOldestRingEpochStaysInTheRing) {
   Scratch scratch;
-  auto log = std::make_unique<Ledger>(inline_options(scratch.path));
+  auto log = std::make_unique<Ledger>(ledger_options(scratch.path));
   SnapshotStore store(4);
   store.set_ledger(log.get());
   for (int t = 1; t <= 12; ++t) store.publish(synthetic_at(t));
@@ -1087,7 +1353,7 @@ TEST(LedgerServe, EmptyRingWithNonEmptyLedgerServesFromTheTail) {
   Scratch scratch;
   // First life writes durable history.
   {
-    auto log = std::make_unique<Ledger>(inline_options(scratch.path));
+    auto log = std::make_unique<Ledger>(ledger_options(scratch.path));
     SnapshotStore store(8);
     store.set_ledger(log.get());
     for (int t = 1; t <= 20; ++t) store.publish(synthetic_at(t));
@@ -1096,7 +1362,7 @@ TEST(LedgerServe, EmptyRingWithNonEmptyLedgerServesFromTheTail) {
   // Second life: the ledger is attached but the ring was never refilled
   // (restore_from_ledger not called, no publish yet). Point and window
   // queries must answer from the ledger tail instead of kNoSnapshot.
-  auto log = std::make_unique<Ledger>(inline_options(scratch.path));
+  auto log = std::make_unique<Ledger>(ledger_options(scratch.path));
   SnapshotStore store(8);
   store.set_ledger(log.get());
   ASSERT_EQ(store.latest(), nullptr);
@@ -1114,7 +1380,7 @@ TEST(LedgerServe, EmptyRingWithNonEmptyLedgerServesFromTheTail) {
 
   // An empty ring with an *empty* ledger is still kNoSnapshot.
   Scratch empty_scratch;
-  auto empty_log = std::make_unique<Ledger>(inline_options(empty_scratch.path));
+  auto empty_log = std::make_unique<Ledger>(ledger_options(empty_scratch.path));
   SnapshotStore empty_store(8);
   empty_store.set_ledger(empty_log.get());
   QueryEngine empty_engine(empty_store);
@@ -1126,7 +1392,7 @@ TEST(LedgerServe, EmptyRingWithNonEmptyLedgerServesFromTheTail) {
 
 TEST(LedgerServe, DamagedBoundFrameIsAnErrorNotAnotherRecord) {
   Scratch scratch;
-  auto log = std::make_unique<Ledger>(inline_options(scratch.path));
+  auto log = std::make_unique<Ledger>(ledger_options(scratch.path));
   SnapshotStore store(4);  // ring holds 33..36: epoch 1 is cold.
   store.set_ledger(log.get());
   for (int t = 1; t <= 36; ++t) store.publish(synthetic_at(t));
@@ -1171,7 +1437,7 @@ TEST(LedgerServe, DamagedBoundFrameIsAnErrorNotAnotherRecord) {
 
 TEST(LedgerServe, LedgerReachingEpochOneExtendsTheGenesisBaseline) {
   Scratch scratch;
-  auto log = std::make_unique<Ledger>(inline_options(scratch.path));
+  auto log = std::make_unique<Ledger>(ledger_options(scratch.path));
   SnapshotStore store(2);  // ring far too small to hold the window.
   store.set_ledger(log.get());
   for (int t = 1; t <= 10; ++t) store.publish(synthetic_at(t));

@@ -54,8 +54,8 @@
 //   vmpower slo --port 7077
 //       print the serving tier's SLO compliance and burn rates.
 //
-//   vmpower ledger inspect|verify|compact --dir DIR
-//       examine or maintain a durable attribution ledger directory (the
+//   vmpower ledger inspect|verify --dir DIR
+//       examine a durable attribution ledger directory (the
 //       write-ahead log `vmpower serve --ledger DIR` appends to); see the
 //       "Durable history" README section.
 //
@@ -169,12 +169,10 @@ commands:
   slo     --port P [--full]   SLO compliance and burn rates from a running
                               server's HEALTH scrape; --full adds the
                               per-stage latency quantiles and slow-query log
-  ledger  inspect --dir DIR   list segments, extent, and recovery findings
+  ledger  inspect --dir DIR   open the ledger (sealing what it can) and
+                              list segments, extent, and recovery findings
           verify  --dir DIR   full-scan integrity check (read-only; exit 1
                               on torn records or epoch gaps)
-          compact --dir DIR   compact every sealed WAL segment into an
-                              indexed cold segment, and rewrite a cold
-                              segment whose index is sparse with a dense one
 )";
 
 sim::MachineSpec machine_for(const util::CliArgs& args) {
@@ -927,16 +925,11 @@ int cmd_slo(const util::CliArgs& args) {
 int cmd_ledger(const util::CliArgs& args) {
   const std::string verb = args.positional(1);
   if (verb.empty())
-    throw std::invalid_argument(
-        "ledger: missing verb (inspect, verify, or compact)");
-  if (verb != "inspect" && verb != "verify" && verb != "compact")
+    throw std::invalid_argument("ledger: missing verb (inspect or verify)");
+  if (verb != "inspect" && verb != "verify")
     throw std::invalid_argument("ledger: unknown verb '" + verb +
-                                "' (expected inspect, verify, or compact)");
+                                "' (expected inspect or verify)");
   const std::filesystem::path dir = args.require("dir");
-  ledger::LedgerOptions options;
-  options.dir = dir;
-  options.auto_compact = false;  // inspect/compact decide explicitly below.
-  options.background_compaction = false;
   args.reject_unread();
 
   if (verb == "verify") {
@@ -952,21 +945,15 @@ int cmd_ledger(const util::CliArgs& args) {
     return report.clean() ? 0 : 1;
   }
 
-  ledger::Ledger log(options);
-
-  if (verb == "compact") {
-    const std::size_t compacted = log.compact_all();
-    std::printf("%s: compacted %zu sealed segments\n", dir.string().c_str(),
-                compacted);
-    return 0;
-  }
-
+  ledger::LedgerOptions options;
+  options.dir = dir;
+  const ledger::Ledger log(options);
   const ledger::Stats stats = log.stats();
   const ledger::RecoveryReport recovered = log.recovery();
   util::TablePrinter table({"segment", "kind", "epochs", "records", "bytes"});
   for (const ledger::SegmentInfo& segment : log.segments())
     table.add_row({segment.file,
-                   segment.cold ? "cold" : segment.active ? "active" : "sealed",
+                   segment.cold ? "cold" : "active",
                    std::to_string(segment.first_epoch) + "-" +
                        std::to_string(segment.last_epoch),
                    std::to_string(segment.records),
