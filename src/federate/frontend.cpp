@@ -18,10 +18,6 @@ namespace vmp::federate {
 
 namespace {
 
-constexpr double kFanoutLatencyLoS = 0.0;
-constexpr double kFanoutLatencyHiS = 0.5;
-constexpr std::size_t kFanoutLatencyBins = 50;
-
 // Snapshot stats layout (QueryKind::kStats): indexes into Response::values.
 constexpr std::size_t kStatsTick = 0;
 constexpr std::size_t kStatsTime = 1;
@@ -84,8 +80,7 @@ FederationFrontend::FederationFrontend(ShardMap map, FrontendOptions options)
         "max - min shard snapshot epoch on the last federated roll-up");
     fanout_latency_ = &m->histogram(
         "vmpower_fed_fanout_latency_seconds",
-        "End-to-end federated fan-out latency (scatter to roll-up)",
-        kFanoutLatencyLoS, kFanoutLatencyHiS, kFanoutLatencyBins);
+        "End-to-end federated fan-out latency (scatter to roll-up)");
     m->gauge("vmpower_fed_shards", "Fleet shards in the federation map")
         .set(static_cast<double>(map_.size()));
   }

@@ -41,11 +41,10 @@ void FleetOptions::validate() const {
 
 FleetEngine::Instruments::Instruments(Metrics& metrics, std::size_t hosts)
     : step_latency(metrics.histogram("vmpower_fleet_tick_latency_seconds",
-                                     "Wall time of one host metering step",
-                                     0.0, 0.05, 25)),
+                                     "Wall time of one host metering step")),
       estimator_latency(metrics.histogram(
           "vmpower_fleet_estimator_latency_seconds",
-          "Wall time of the Shapley estimator call alone", 0.0, 0.002, 25)),
+          "Wall time of the Shapley estimator call alone")),
       ticks(metrics.counter("vmpower_fleet_ticks_total",
                             "Fleet-wide sampling periods completed")),
       samples(metrics.counter("vmpower_fleet_samples_processed_total",

@@ -90,7 +90,6 @@ class HostAgent {
   /// restore fast-forwards through already-billed ticks with this.
   void fast_forward_tick();
 
-  [[nodiscard]] std::uint32_t host_id() const noexcept { return host_id_; }
   /// Ids of the VMs booted on this host, in creation order.
   [[nodiscard]] const std::vector<sim::VmId>& vm_ids() const noexcept {
     return vm_ids_;

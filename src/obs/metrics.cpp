@@ -1,8 +1,7 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
+#include <cmath>
 #include <fstream>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -35,11 +34,26 @@ std::string suffixed(const std::string& family, const std::string& labels,
   return out;
 }
 
-void write_double(std::ostream& out, double value) {
+void write_double(std::ostream& out, double value, int precision = 12) {
   std::ostringstream text;
-  text.precision(12);
+  text.precision(precision);
   text << value;
   out << text.str();
+}
+
+/// True when a label body ("a=\"x\",le=\"1\"") has the key `key`. Values
+/// are skipped quote to quote over their escapes, so neither a key that
+/// ends in `key` nor a value holding "key=" matches.
+bool has_label_key(std::string_view body, std::string_view key) {
+  for (std::size_t i = 0; i < body.size();) {
+    const std::size_t eq = body.find('=', i);
+    if (eq == std::string_view::npos) return false;
+    if (body.substr(i, eq - i) == key) return true;
+    for (i = eq + 2; i < body.size() && body[i] != '"'; ++i)
+      if (body[i] == '\\') ++i;
+    i += 2;  // the closing quote and the comma.
+  }
+  return false;
 }
 
 /// HELP text escaping per the exposition grammar: backslash and newline.
@@ -88,38 +102,14 @@ std::string labeled(
   return out;
 }
 
-HistogramMetric::HistogramMetric(double lo, double hi, std::size_t bins)
-    : counts_(bins + 1, 0) {
-  if (!(lo < hi) || bins == 0)
-    throw std::invalid_argument("HistogramMetric: need lo < hi and bins >= 1");
-  const double width = (hi - lo) / static_cast<double>(bins);
-  for (std::size_t i = 1; i <= bins; ++i)
-    upper_edges_.push_back(lo + width * static_cast<double>(i));
-}
-
 void HistogramMetric::observe(double value) {
-  // The first edge >= value; one past the last edge is the +Inf-only slot.
-  const auto bucket =
-      std::lower_bound(upper_edges_.begin(), upper_edges_.end(), value) -
-      upper_edges_.begin();
   std::lock_guard lock(mutex_);
-  ++counts_[static_cast<std::size_t>(bucket)];
-  sum_ += value;
+  sketch_.record(value);
 }
 
-std::uint64_t HistogramMetric::count() const {
+util::QuantileSketch HistogramMetric::snapshot() const {
   std::lock_guard lock(mutex_);
-  return std::accumulate(counts_.begin(), counts_.end(), std::uint64_t{0});
-}
-
-double HistogramMetric::sum() const {
-  std::lock_guard lock(mutex_);
-  return sum_;
-}
-
-std::vector<std::uint64_t> HistogramMetric::bucket_counts() const {
-  std::lock_guard lock(mutex_);
-  return counts_;
+  return sketch_;
 }
 
 MetricsRegistry::Entry& MetricsRegistry::entry_for(const std::string& name,
@@ -153,20 +143,18 @@ Gauge& MetricsRegistry::gauge(const std::string& name,
 }
 
 HistogramMetric& MetricsRegistry::histogram(const std::string& name,
-                                            const std::string& help, double lo,
-                                            double hi, std::size_t bins) {
+                                            const std::string& help) {
   // Labelled histogram names are allowed; the exporter merges the reserved
-  // 'le' label into the series' own label set. A literal le= in the name
-  // would collide with that merge, so only that label is rejected.
-  if (labels_of(name).find("le=") != std::string::npos)
+  // 'le' label into the series' own label set. A literal le label in the
+  // name would collide with that merge, so only that label is rejected.
+  if (has_label_key(labels_of(name), "le"))
     throw std::invalid_argument(
         "MetricsRegistry: histogram labels cannot include the reserved 'le' "
         "label: " +
         name);
   std::lock_guard lock(mutex_);
   Entry& entry = entry_for(name, help, Kind::kHistogram);
-  if (!entry.histogram)
-    entry.histogram = std::make_unique<HistogramMetric>(lo, hi, bins);
+  if (!entry.histogram) entry.histogram = std::make_unique<HistogramMetric>();
   return *entry.histogram;
 }
 
@@ -206,23 +194,20 @@ std::string MetricsRegistry::to_prometheus() const {
         // label.
         const std::string labels = labels_of(name);
         const std::string le_prefix = labels.empty() ? "" : labels + ",";
-        const std::vector<double>& edges = entry.histogram->upper_edges();
-        const std::vector<std::uint64_t> counts =
-            entry.histogram->bucket_counts();
-        std::uint64_t cumulative = 0;
-        for (std::size_t i = 0; i < edges.size(); ++i) {
-          cumulative += counts[i];
+        const util::QuantileSketch sketch = entry.histogram->snapshot();
+        for (int k = kLadderMinExponent; k <= kLadderMaxExponent; ++k) {
+          // 17 significant digits spell each 2^k (k >= −24) exactly, so a
+          // parser reads back the bucket edge itself.
           out << family << "_bucket{" << le_prefix << "le=\"";
-          write_double(out, edges[i]);
-          out << "\"} " << cumulative << '\n';
+          write_double(out, std::ldexp(1.0, k), 17);
+          out << "\"} " << sketch.count_at_or_below_pow2(k) << '\n';
         }
-        cumulative += counts.back();
         out << family << "_bucket{" << le_prefix << "le=\"+Inf\"} "
-            << cumulative << '\n';
+            << sketch.count() << '\n';
         out << suffixed(family, labels, "_sum") << ' ';
-        write_double(out, entry.histogram->sum());
+        write_double(out, sketch.sum());
         out << '\n';
-        out << suffixed(family, labels, "_count") << ' ' << cumulative
+        out << suffixed(family, labels, "_count") << ' ' << sketch.count()
             << '\n';
       }
     }

@@ -9,6 +9,12 @@
 // kind. Use labeled() to build such names: it escapes label values per the
 // exposition-format grammar, which hand-built names would get wrong.
 //
+// A histogram is one util::QuantileSketch, the same type as the serve
+// profiler's stage sketches, so a histogram takes no bucket layout: every
+// series is exported on one ladder, le = 2^k s for k = kLadderMinExponent …
+// kLadderMaxExponent (≈ 60 ns … 16 s), plus +Inf. Each power of two is a
+// sketch bucket edge, so every cumulative count is exact.
+//
 // Exposition guarantees (audited against the Prometheus text-format spec,
 // and machine-checked by tools/validate_prom.py in CI):
 //   * # HELP / # TYPE exactly once per family, emitted before the family's
@@ -16,9 +22,9 @@
 //     the same family ("fam_other" between "fam" and "fam{a=...}");
 //   * HELP text escapes backslash and newline; label values escape
 //     backslash, double-quote, and newline;
-//   * histogram buckets are cumulative with ascending le, always closed by
-//     +Inf whose count equals _count, with the series' own labels merged
-//     ahead of the reserved le label;
+//   * histogram buckets are cumulative on the one ladder above, always
+//     closed by +Inf whose count equals _count, with the series' own labels
+//     merged ahead of the reserved le label;
 //   * one kind per family — registering "f{a=\"1\"}" as a counter and
 //     "f{b=\"2\"}" as a gauge throws.
 #pragma once
@@ -33,9 +39,17 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
+
+#include "util/quantile_sketch.hpp"
 
 namespace vmp::obs {
+
+/// The `le` ladder of every histogram series: 2^k s for k in
+/// [kLadderMinExponent, kLadderMaxExponent], then +Inf.
+inline constexpr int kLadderMinExponent = -24;
+inline constexpr int kLadderMaxExponent = 4;
+static_assert(kLadderMinExponent >= util::QuantileSketch::kMinExponent &&
+              kLadderMaxExponent < util::QuantileSketch::kMaxExponent);
 
 /// Monotonically increasing integer metric.
 class Counter {
@@ -65,33 +79,19 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Distribution metric with Prometheus `le` semantics: `bins` buckets whose
-/// upper edges split [lo, hi] evenly, plus the sum/count the exposition
-/// expects. A value counts in the first bucket whose edge is >= it, and a
-/// value above hi in +Inf alone: unlike util::Histogram, nothing is clamped
-/// into an edge bin.
+/// Latency distribution: one util::QuantileSketch behind a mutex, exported
+/// as cumulative `le` counts on the ladder above plus the sum/count the
+/// exposition expects. A value counts at every edge >= it, and a value above
+/// the top edge in +Inf alone.
 class HistogramMetric {
  public:
-  /// Throws std::invalid_argument unless lo < hi and bins >= 1.
-  HistogramMetric(double lo, double hi, std::size_t bins);
-
   void observe(double value);
-
-  [[nodiscard]] std::uint64_t count() const;
-  [[nodiscard]] double sum() const;
-  /// The `le` edges lo + (i + 1)(hi − lo)/bins, ascending.
-  [[nodiscard]] const std::vector<double>& upper_edges() const noexcept {
-    return upper_edges_;
-  }
-  /// Per-bucket counts (not cumulative) parallel to upper_edges(), then the
-  /// count above the last edge.
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
+  /// A copy of the sketch, taken under the lock.
+  [[nodiscard]] util::QuantileSketch snapshot() const;
 
  private:
-  std::vector<double> upper_edges_;
   mutable std::mutex mutex_;
-  std::vector<std::uint64_t> counts_;
-  double sum_ = 0.0;
+  util::QuantileSketch sketch_;
 };
 
 /// Escapes a label value per the exposition grammar: backslash, double
@@ -128,8 +128,9 @@ class MetricsRegistry {
  public:
   Counter& counter(const std::string& name, const std::string& help);
   Gauge& gauge(const std::string& name, const std::string& help);
-  HistogramMetric& histogram(const std::string& name, const std::string& help,
-                             double lo, double hi, std::size_t bins);
+  /// Throws std::invalid_argument when the name's labels include the
+  /// reserved `le`.
+  HistogramMetric& histogram(const std::string& name, const std::string& help);
 
   /// Prometheus text exposition format, families sorted by name.
   [[nodiscard]] std::string to_prometheus() const;

@@ -54,10 +54,7 @@ StageTimer::~StageTimer() {
 }
 
 ServeProfiler::ServeProfiler(ServeProfilerOptions options)
-    : options_(options), total_sketch_(kStageSketchAlpha) {
-  stage_sketches_.reserve(kStageCount);
-  for (std::size_t i = 0; i < kStageCount; ++i)
-    stage_sketches_.emplace_back(kStageSketchAlpha);
+    : options_(options), stage_sketches_(kStageCount) {
   if (options_.metrics != nullptr) {
     profiled_counter_ = &options_.metrics->counter(
         "vmpower_serve_profiled_total",
@@ -161,7 +158,7 @@ void ServeProfiler::publish() {
 std::string ServeProfiler::health_text() {
   publish();
   std::vector<util::QuantileSketch> stages;
-  util::QuantileSketch total(kStageSketchAlpha);
+  util::QuantileSketch total;
   std::vector<SlowQueryRecord> slow;
   std::uint64_t observed = 0, dropped = 0;
   {

@@ -124,8 +124,6 @@ struct SlowQueryRecord {
   const char* trigger = "";     ///< "threshold" or "budget".
 };
 
-/// Relative accuracy of the per-stage sketches (1%).
-inline constexpr double kStageSketchAlpha = 0.01;
 /// Slow-query log depth; the oldest entry is dropped (and counted) when full.
 inline constexpr std::size_t kSlowLogCapacity = 64;
 

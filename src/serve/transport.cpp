@@ -1,16 +1,10 @@
 #include "serve/transport.hpp"
 
-#include <chrono>
-
 #include "obs/trace.hpp"
 
 namespace vmp::serve {
 
 namespace {
-
-constexpr double kLatencyLoS = 0.0;
-constexpr double kLatencyHiS = 0.002;
-constexpr std::size_t kLatencyBins = 40;
 
 std::uint32_t read_prefix(std::string_view frame) {
   std::uint32_t length = 0;
@@ -48,22 +42,25 @@ Response Dispatcher::run(const std::optional<Request>& request, Proto proto) {
       profile->error = true;
     return Response::error(ErrorCode::kMalformed, "unparseable request");
   }
-  if (StageProfile* profile = current_stage_profile())
-    profile->kind = request->kind;
-  const auto start = std::chrono::steady_clock::now();
+  // One pair of clock reads times execute for the profile's stage and both
+  // latency histograms alike.
+  StageProfile* profile = current_stage_profile();
+  if (profile != nullptr) profile->kind = request->kind;
+  const bool timed = profile != nullptr || metrics_ != nullptr;
+  const std::uint64_t start_ns = timed ? profile_now_ns() : 0;
   Response response;
   {
-    StageTimer timer(Stage::kExecute);
     VMP_TRACE_SPAN("serve.execute", "serve");
     response = engine_.execute(*request);
   }
-  if (StageProfile* profile = current_stage_profile())
+  const double elapsed_s =
+      timed ? static_cast<double>(profile_now_ns() - start_ns) * 1e-9 : 0.0;
+  if (profile != nullptr) {
     profile->error = !response.ok;
+    profile->add(Stage::kExecute, elapsed_s);
+  }
   const auto kind = static_cast<std::size_t>(request->kind);
   if (metrics_ != nullptr && kind < kKindSlots) {
-    const double elapsed_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
     const std::string_view proto_label = proto == kBinary ? "binary" : "text";
     const std::string_view kind_label = to_string(request->kind);
     obs::resolve_once(requests_[proto][kind], [&]() -> fleet::Counter& {
@@ -76,15 +73,13 @@ Response Dispatcher::run(const std::optional<Request>& request, Proto proto) {
       return metrics_->histogram(
           obs::labeled("vmpower_serve_request_latency_seconds",
                        {{"proto", proto_label}}),
-          "Query execution latency by protocol", kLatencyLoS, kLatencyHiS,
-          kLatencyBins);
+          "Query execution latency by protocol");
     }).observe(elapsed_s);
     obs::resolve_once(kind_latency_[kind], [&]() -> fleet::HistogramMetric& {
       return metrics_->histogram(
           obs::labeled("vmpower_serve_query_latency_seconds",
                        {{"kind", kind_label}}),
-          "Query execution latency by query kind", kLatencyLoS, kLatencyHiS,
-          kLatencyBins);
+          "Query execution latency by query kind");
     }).observe(elapsed_s);
   }
   return response;

@@ -68,9 +68,6 @@ class Dispatcher {
   /// response land directly in the caller's write buffer.
   void handle_text_into(std::string_view line, std::string& out);
 
-  /// The profiler behind the HEALTH command (and METRICS-time publishing).
-  void set_profiler(ServeProfiler* profiler) noexcept { profiler_ = profiler; }
-
  private:
   /// The `proto` label of the request metrics; indexes the tables below.
   enum Proto : std::size_t { kBinary = 0, kText = 1, kProtoCount = 2 };

@@ -41,9 +41,6 @@ class Vm {
   [[nodiscard]] double power_intensity() const noexcept {
     return workload_->power_intensity();
   }
-  [[nodiscard]] std::string_view workload_name() const noexcept {
-    return workload_->name();
-  }
 
   // Lifecycle and clocking — called by the Hypervisor only.
   void start(double now_s);

@@ -1,8 +1,7 @@
 // Fixed-size worker pool.
 //
-// Its users are the fleet engine, whose `threads - 1` workers claim hosts
-// alongside the engine thread every tick, and the federation dispatcher,
-// which runs the shard legs of a fan-out. The pool is deliberately minimal:
+// Its one user is the fleet engine, whose `threads - 1` workers claim hosts
+// alongside the engine thread every tick. The pool is deliberately minimal:
 // FIFO submission, no futures (callers coordinate through their own queues
 // or counters), and a wait_idle barrier the fleet engine uses to close each
 // tick deterministically.

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -28,6 +29,7 @@
 #include "serve/server.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/transport.hpp"
+#include "seeded_mutation.hpp"
 
 namespace vmp::federate {
 namespace {
@@ -63,6 +65,48 @@ TEST(ShardMap, RejectsMalformedSpecs) {
   EXPECT_THROW(ShardMap::parse("1=7001;1=7002"), std::invalid_argument);
   EXPECT_THROW(ShardMap::parse("1=10.0.0.1:7001"), std::invalid_argument);
   EXPECT_THROW(ShardMap::parse("x=7001"), std::invalid_argument);
+}
+
+TEST(ShardMap, SeededSpecMutationsThrowInvalidArgumentOrRoundTrip) {
+  // Mutated valid specs either throw std::invalid_argument and nothing
+  // else, or parse to a map whose canonical spec parses back to itself.
+  const std::vector<std::string> seeds = {
+      "1=7001", "2=7002,7012;1=127.0.0.1:7001;3=7003",
+      "4=localhost:9000;5=1,2,3;", "4294967295=65535"};
+  const std::string alphabet =
+      std::string("0123456789=,;:.-+ \tlocalhst") +
+      std::string("\0\x01\x1b\x7f", 4);
+  std::mt19937_64 rng(0x5eed5a4dull);
+  std::size_t failures = 0, parsed = 0, refused = 0;
+  std::string first;
+  for (int c = 0; c < test::kMutationCases; ++c) {
+    std::string spec = seeds[rng() % seeds.size()];
+    for (std::uint64_t e = 1 + rng() % 3; e > 0; --e)
+      test::mutate(spec, rng, alphabet);
+    std::string fault;
+    std::string canonical;
+    try {
+      canonical = ShardMap::parse(spec).spec();
+      ++parsed;
+    } catch (const std::invalid_argument&) {
+      ++refused;
+    } catch (...) {
+      fault = "threw something other than std::invalid_argument";
+    }
+    if (!canonical.empty()) {
+      try {
+        if (ShardMap::parse(canonical).spec() != canonical)
+          fault = "canonical spec does not parse back to itself";
+      } catch (...) {
+        fault = "canonical spec does not parse";
+      }
+    }
+    if (!fault.empty() && failures++ == 0)
+      first = "case " + std::to_string(c) + " '" + spec + "': " + fault;
+  }
+  EXPECT_EQ(failures, 0u) << first;
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 // --- health tracker ---------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -28,12 +29,12 @@ TEST(Metrics, CounterGaugeHistogramBasics) {
   EXPECT_DOUBLE_EQ(gauge.value(), 2.5);
 
   HistogramMetric& histogram =
-      metrics.histogram("h_seconds", "a histogram", 0.0, 1.0, 4);
+      metrics.histogram("h_seconds", "a histogram");
   histogram.observe(0.1);
   histogram.observe(0.3);
   histogram.observe(0.9);
-  EXPECT_EQ(histogram.count(), 3u);
-  EXPECT_DOUBLE_EQ(histogram.sum(), 1.3);
+  EXPECT_EQ(histogram.snapshot().count(), 3u);
+  EXPECT_DOUBLE_EQ(histogram.snapshot().sum(), 1.3);
 }
 
 TEST(Metrics, ReRegistrationReturnsSameInstrument) {
@@ -49,21 +50,26 @@ TEST(Metrics, KindConflictsAndReservedLabelsThrow) {
   Metrics metrics;
   metrics.counter("x", "h");
   EXPECT_THROW(metrics.gauge("x", "h"), std::invalid_argument);
-  EXPECT_THROW(metrics.histogram("x", "h", 0, 1, 2), std::invalid_argument);
+  EXPECT_THROW(metrics.histogram("x", "h"), std::invalid_argument);
   // Labeled histograms are allowed, but `le` is reserved for the bucket
-  // boundary the exporter appends itself.
-  metrics.histogram("y{host=\"1\"}", "h", 0, 1, 2);
-  EXPECT_THROW(metrics.histogram("z{le=\"0.5\"}", "h", 0, 1, 2),
+  // boundary the exporter appends itself. Only a key spelled exactly `le`
+  // is refused: not a key ending in "le", nor "le=" inside a value.
+  metrics.histogram("y{host=\"1\"}", "h");
+  metrics.histogram("a_seconds{role=\"x\"}", "h");
+  metrics.histogram("b_seconds{handle=\"x\"}", "h");
+  metrics.histogram("c_seconds{path=\"le=1\"}", "h");
+  metrics.histogram("d_seconds{path=\"a\\\",le=\\\"1\"}", "h");
+  EXPECT_THROW(metrics.histogram("z{le=\"0.5\"}", "h"), std::invalid_argument);
+  EXPECT_THROW(metrics.histogram("w{a=\"x\",le=\"1\"}", "h"),
                std::invalid_argument);
 }
 
 TEST(Metrics, LabeledHistogramMergesLeIntoExistingLabels) {
   Metrics metrics;
   HistogramMetric& fast =
-      metrics.histogram("rpc_seconds{proto=\"binary\"}", "latency", 0.0, 2.0,
-                        2);
+      metrics.histogram("rpc_seconds{proto=\"binary\"}", "latency");
   HistogramMetric& slow =
-      metrics.histogram("rpc_seconds{proto=\"text\"}", "latency", 0.0, 2.0, 2);
+      metrics.histogram("rpc_seconds{proto=\"text\"}", "latency");
   fast.observe(0.5);
   slow.observe(1.5);
   slow.observe(0.25);
@@ -72,9 +78,13 @@ TEST(Metrics, LabeledHistogramMergesLeIntoExistingLabels) {
   // One family header; per-series buckets carry the user labels with le
   // merged after them, and sum/count keep the labels without le.
   EXPECT_NE(text.find("# TYPE rpc_seconds histogram\n"), std::string::npos);
-  EXPECT_NE(text.find("rpc_seconds_bucket{proto=\"binary\",le=\"1\"} 1\n"),
+  EXPECT_NE(text.find("rpc_seconds_bucket{proto=\"binary\",le=\"0.5\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("rpc_seconds_bucket{proto=\"binary\",le=\"0.25\"} 0\n"),
             std::string::npos);
   EXPECT_NE(text.find("rpc_seconds_bucket{proto=\"binary\",le=\"+Inf\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("rpc_seconds_bucket{proto=\"text\",le=\"1\"} 1\n"),
             std::string::npos);
   EXPECT_NE(text.find("rpc_seconds_bucket{proto=\"text\",le=\"2\"} 2\n"),
             std::string::npos);
@@ -92,7 +102,7 @@ TEST(Metrics, PrometheusTextFormat) {
   metrics.counter("vmp_ticks_total", "ticks").inc(7);
   metrics.gauge("vmp_depth", "queue depth").set(3);
   HistogramMetric& histogram =
-      metrics.histogram("vmp_latency_seconds", "latency", 0.0, 2.0, 2);
+      metrics.histogram("vmp_latency_seconds", "latency");
   histogram.observe(0.5);
   histogram.observe(1.5);
   histogram.observe(1.6);
@@ -106,6 +116,8 @@ TEST(Metrics, PrometheusTextFormat) {
   EXPECT_NE(text.find("# TYPE vmp_latency_seconds histogram\n"),
             std::string::npos);
   // Buckets are cumulative and close with +Inf/sum/count.
+  EXPECT_NE(text.find("vmp_latency_seconds_bucket{le=\"0.5\"} 1\n"),
+            std::string::npos);
   EXPECT_NE(text.find("vmp_latency_seconds_bucket{le=\"1\"} 1\n"),
             std::string::npos);
   EXPECT_NE(text.find("vmp_latency_seconds_bucket{le=\"2\"} 3\n"),
@@ -182,49 +194,129 @@ TEST(Metrics, FamilyHeadersSurviveUnrelatedNamesSortingBetweenSeries) {
               (other_header > plain && other_header > labeled_series));
 }
 
+/// The cumulative counts of `family`'s bucket lines with label prefix
+/// `labels` ("" or "a=\"x\","), as (le text, count) in exposition order.
+std::vector<std::pair<std::string, std::uint64_t>> buckets_of(
+    const std::string& text, const std::string& family,
+    const std::string& labels = "") {
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  const std::string prefix = family + "_bucket{" + labels + "le=\"";
+  std::size_t pos = 0;
+  while ((pos = text.find(prefix, pos)) != std::string::npos) {
+    const std::size_t le = pos + prefix.size();
+    const std::size_t quote = text.find('"', le);
+    const std::size_t space = text.find(' ', quote);
+    out.emplace_back(text.substr(le, quote - le),
+                     std::stoull(text.substr(space + 1)));
+    pos = space;
+  }
+  return out;
+}
+
 TEST(Metrics, EmptyHistogramExposesZeroedCumulativeBuckets) {
   Metrics metrics;
-  metrics.histogram("cold_seconds", "never observed", 0.0, 1.0, 2);
+  metrics.histogram("cold_seconds", "never observed");
   const std::string text = metrics.to_prometheus();
   EXPECT_NE(text.find("# TYPE cold_seconds histogram\n"), std::string::npos);
-  EXPECT_NE(text.find("cold_seconds_bucket{le=\"0.5\"} 0\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("cold_seconds_bucket{le=\"1\"} 0\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("cold_seconds_bucket{le=\"+Inf\"} 0\n"),
-            std::string::npos);
+  const auto buckets = buckets_of(text, "cold_seconds");
+  ASSERT_EQ(buckets.size(), static_cast<std::size_t>(obs::kLadderMaxExponent -
+                                                     obs::kLadderMinExponent +
+                                                     2));
+  for (const auto& [le, count] : buckets) EXPECT_EQ(count, 0u) << le;
   EXPECT_NE(text.find("cold_seconds_sum 0\n"), std::string::npos);
   EXPECT_NE(text.find("cold_seconds_count 0\n"), std::string::npos);
 }
 
+TEST(Metrics, EveryHistogramSharesOnePowerOfTwoLadder) {
+  // le = 2^k s for k = −24 … 4, spelled so a parser reads back 2^k itself,
+  // then +Inf; the same ladder for every series, whatever it observed.
+  Metrics metrics;
+  metrics.histogram("a_seconds", "a").observe(3e-6);
+  metrics.histogram("b_seconds{host=\"1\"}", "b").observe(7.0);
+  const std::string text = metrics.to_prometheus();
+  const auto a = buckets_of(text, "a_seconds");
+  const auto b = buckets_of(text, "b_seconds", "host=\"1\",");
+  ASSERT_EQ(a.size(), 30u);
+  ASSERT_EQ(b.size(), a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].first, b[i].first);
+    if (i + 1 < a.size()) {
+      EXPECT_EQ(std::stod(a[i].first),
+                std::ldexp(1.0, obs::kLadderMinExponent + static_cast<int>(i)))
+          << a[i].first;
+    }
+  }
+  EXPECT_EQ(a.front().first, "5.9604644775390625e-08");
+  EXPECT_EQ(a[a.size() - 2].first, "16");
+  EXPECT_EQ(a.back().first, "+Inf");
+}
+
 TEST(Metrics, HistogramBucketsAreCumulativeAndOrdered) {
   Metrics metrics;
-  HistogramMetric& histogram =
-      metrics.histogram("lat_seconds", "latency", 0.0, 4.0, 4);
+  HistogramMetric& histogram = metrics.histogram("lat_seconds", "latency");
   // Boundary landing: a sample exactly on an edge counts in that edge's
-  // bucket (le means <=), one below lo in the first, and one above hi in
-  // +Inf alone.
+  // bucket (le means <=) and not the one below, a negative one at every
+  // edge, and one above the top edge in +Inf alone.
   histogram.observe(1.0);
   histogram.observe(-5.0);
   histogram.observe(99.0);
   const std::string text = metrics.to_prometheus();
+  EXPECT_NE(text.find("lat_seconds_bucket{le=\"5.9604644775390625e-08\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("lat_seconds_bucket{le=\"0.5\"} 1\n"), std::string::npos);
   EXPECT_NE(text.find("lat_seconds_bucket{le=\"1\"} 2\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_seconds_bucket{le=\"2\"} 2\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_seconds_bucket{le=\"3\"} 2\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_seconds_bucket{le=\"4\"} 2\n"), std::string::npos);
+  EXPECT_NE(text.find("lat_seconds_bucket{le=\"16\"} 2\n"), std::string::npos);
   EXPECT_NE(text.find("lat_seconds_bucket{le=\"+Inf\"} 3\n"),
             std::string::npos);
   // Cumulative counts never decrease across ascending le.
   std::vector<std::uint64_t> counts;
-  std::size_t pos = 0;
-  while ((pos = text.find("lat_seconds_bucket{le=", pos)) !=
-         std::string::npos) {
-    const std::size_t space = text.find(' ', pos);
-    counts.push_back(std::stoull(text.substr(space + 1)));
-    pos = space;
-  }
-  ASSERT_EQ(counts.size(), 5u);
+  for (const auto& bucket : buckets_of(text, "lat_seconds"))
+    counts.push_back(bucket.second);
+  ASSERT_EQ(counts.size(), 30u);
   EXPECT_TRUE(std::is_sorted(counts.begin(), counts.end()));
+}
+
+TEST(Metrics, HistogramEdgesAreExactAtEveryRung) {
+  // For every rung 2^k: a sample at 2^k counts at le=2^k and not at
+  // 2^(k−1); the doubles just below and just above it land on either side.
+  for (int k = obs::kLadderMinExponent + 1; k <= obs::kLadderMaxExponent;
+       ++k) {
+    const double edge = std::ldexp(1.0, k);
+    Metrics metrics;
+    metrics.histogram("at_seconds", "at").observe(edge);
+    metrics.histogram("below_seconds", "below")
+        .observe(std::nextafter(edge, 0.0));
+    metrics.histogram("above_seconds", "above")
+        .observe(std::nextafter(edge, 1e9));
+    const std::string text = metrics.to_prometheus();
+    const auto rung = static_cast<std::size_t>(k - obs::kLadderMinExponent);
+    const auto at = buckets_of(text, "at_seconds");
+    const auto below = buckets_of(text, "below_seconds");
+    const auto above = buckets_of(text, "above_seconds");
+    EXPECT_EQ(at[rung].second, 1u) << k;
+    EXPECT_EQ(at[rung - 1].second, 0u) << k;
+    EXPECT_EQ(below[rung].second, 1u) << k;
+    EXPECT_EQ(below[rung - 1].second, 0u) << k;
+    EXPECT_EQ(above[rung].second, 0u) << k;
+    EXPECT_EQ(above[rung + 1].second, 1u) << k;  // 2^(k+1), or +Inf at the top.
+  }
+}
+
+TEST(Metrics, HistogramSumIsTheSumOfTheSamples) {
+  Metrics metrics;
+  HistogramMetric& histogram = metrics.histogram("sum_seconds", "sum");
+  double expected = 0.0;
+  for (int i = 1; i <= 1000; ++i) {
+    const double value = 1e-6 * i * i;
+    histogram.observe(value);
+    expected += value;
+  }
+  EXPECT_EQ(histogram.snapshot().sum(), expected);
+  EXPECT_EQ(histogram.snapshot().count(), 1000u);
+  const std::string text = metrics.to_prometheus();
+  EXPECT_NE(text.find("sum_seconds_bucket{le=\"+Inf\"} 1000\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("sum_seconds_count 1000\n"), std::string::npos);
 }
 
 TEST(Metrics, DumpIsDeterministicallySorted) {
@@ -237,30 +329,31 @@ TEST(Metrics, DumpIsDeterministicallySorted) {
 }
 
 TEST(Metrics, HistogramLeBucketsCountOnlyValuesAtOrBelowTheEdge) {
-  // Prometheus buckets count x <= le: a value past hi belongs in +Inf
-  // alone, and a value on an edge in that edge's bucket.
+  // Prometheus buckets count x <= le: a value past the top edge (16 s)
+  // belongs in +Inf alone, whether or not the sketch's store reaches it,
+  // and a value on an edge in that edge's bucket.
   Metrics metrics;
-  HistogramMetric& histogram =
-      metrics.histogram("lat_seconds", "latency", 0.0, 1.0, 4);
-  histogram.observe(5.0);
+  HistogramMetric& histogram = metrics.histogram("lat_seconds", "latency");
+  histogram.observe(20.0);
+  histogram.observe(500.0);
   histogram.observe(0.25);
   const std::string text = metrics.to_prometheus();
   EXPECT_NE(text.find("lat_seconds_bucket{le=\"0.25\"} 1\n"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("lat_seconds_bucket{le=\"1\"} 1\n"), std::string::npos)
+  EXPECT_NE(text.find("lat_seconds_bucket{le=\"16\"} 1\n"), std::string::npos)
       << text;
-  EXPECT_NE(text.find("lat_seconds_bucket{le=\"+Inf\"} 2\n"),
+  EXPECT_NE(text.find("lat_seconds_bucket{le=\"+Inf\"} 3\n"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("lat_seconds_count 2\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("lat_seconds_count 3\n"), std::string::npos) << text;
 }
 
 TEST(Metrics, ConcurrentIncrementsAreExact) {
   Metrics metrics;
   Counter& counter = metrics.counter("hits_total", "hits");
   HistogramMetric& histogram =
-      metrics.histogram("obs_seconds", "obs", 0.0, 1.0, 10);
+      metrics.histogram("obs_seconds", "obs");
   constexpr int kThreads = 4;
   constexpr int kIncrements = 10000;
   std::vector<std::thread> threads;
@@ -273,7 +366,7 @@ TEST(Metrics, ConcurrentIncrementsAreExact) {
     });
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(counter.value(), kThreads * kIncrements);
-  EXPECT_EQ(histogram.count(),
+  EXPECT_EQ(histogram.snapshot().count(),
             static_cast<std::uint64_t>(kThreads) * kIncrements);
 }
 

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <limits>
 #include <map>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "serve/server.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/transport.hpp"
+#include "seeded_mutation.hpp"
 
 namespace vmp::serve {
 namespace {
@@ -234,9 +236,16 @@ class TransportTest : public ::testing::Test {
     for (int t = 1; t <= 24; ++t) store_.publish(synthetic_at(t));
   }
 
+  static QueryEngineOptions engine_options(fleet::Metrics* metrics) {
+    QueryEngineOptions options;
+    options.cache_capacity = 1024;
+    options.metrics = metrics;
+    return options;
+  }
+
   SnapshotStore store_{64};
   fleet::Metrics metrics_;
-  QueryEngine engine_{store_, {.cache_capacity = 1024, .metrics = &metrics_}};
+  QueryEngine engine_{store_, engine_options(&metrics_)};
 };
 
 TEST_F(TransportTest, InProcessRejectsBadFramesWithoutThrowing) {
@@ -292,6 +301,37 @@ TEST_F(TransportTest, DispatcherExportsLabeledLatencyHistograms) {
   EXPECT_NE(
       dump.find("vmpower_serve_request_latency_seconds_count{proto=\"text\"} 1"),
       std::string::npos);
+}
+
+TEST_F(TransportTest, ExecuteIsTimedOnceForProfileAndHistograms) {
+  // One pair of clock reads feeds the profile's execute stage and both
+  // latency histograms, so all three hold the same double.
+  Dispatcher dispatcher(engine_, &metrics_);
+  Request request;
+  request.kind = QueryKind::kStats;
+  StageProfile profile;
+  {
+    StageProfileScope scope(&profile);
+    ASSERT_TRUE(
+        decode_response(dispatcher.handle_binary(encode_request(request)))
+            ->ok);
+  }
+  const double execute_s = profile.stage(Stage::kExecute);
+  EXPECT_GT(execute_s, 0.0);
+  EXPECT_EQ(metrics_
+                .histogram(obs::labeled("vmpower_serve_request_latency_seconds",
+                                        {{"proto", "binary"}}),
+                           "")
+                .snapshot()
+                .sum(),
+            execute_s);
+  EXPECT_EQ(metrics_
+                .histogram(obs::labeled("vmpower_serve_query_latency_seconds",
+                                        {{"kind", to_string(request.kind)}}),
+                           "")
+                .snapshot()
+                .sum(),
+            execute_s);
 }
 
 // --- TCP end to end ---------------------------------------------------------
@@ -1192,6 +1232,149 @@ TEST_F(TransportTest, TracedTextLineExecutesAndMalformedContextErrs) {
             "#31 OK 24 72");
   EXPECT_EQ(transport.roundtrip_text("#31@7:19 fleet-power"),
             "#31 ERR 1 malformed trace context");
+}
+
+// --- seeded mutation --------------------------------------------------------
+
+/// Two requests of every kind: make_request's (unknown entities) and one the
+/// synthetic store answers.
+std::vector<Request> mutation_seed_requests() {
+  std::vector<Request> requests;
+  for (const QueryKind kind :
+       {QueryKind::kVmPower, QueryKind::kTenantPower, QueryKind::kFleetPower,
+        QueryKind::kVmEnergy, QueryKind::kTenantEnergy, QueryKind::kTenantCost,
+        QueryKind::kStats}) {
+    requests.push_back(make_request(kind));
+    Request answerable;
+    answerable.kind = kind;
+    answerable.vm = 1;
+    answerable.tenant = 2;
+    answerable.t0 = 3.0;
+    answerable.t1 = 20.0;
+    requests.push_back(answerable);
+  }
+  return requests;
+}
+
+/// Why `frame` is not one well-formed response frame, or "" when it is.
+std::string response_frame_fault(std::string_view frame) {
+  if (frame.size() < kFramePrefixBytes) return "shorter than a prefix";
+  std::uint32_t prefix = 0;
+  for (std::size_t i = 0; i < kFramePrefixBytes; ++i)
+    prefix = (prefix << 8) | static_cast<std::uint8_t>(frame[i]);
+  if (prefix & kFrameTraceFlag) return "trace flag on a response";
+  const std::size_t header =
+      kFramePrefixBytes + ((prefix & kFrameIdFlag) ? kFrameIdBytes : 0);
+  if (frame.size() != header + (prefix & kFrameLenMask))
+    return "length prefix does not match the frame";
+  if (!decode_response(frame.substr(header))) return "undecodable body";
+  return "";
+}
+
+/// The body of a request frame under its own prefix flags; empty when the
+/// frame is shorter than its header.
+std::string_view request_body_of(std::string_view frame) {
+  if (frame.size() < kFramePrefixBytes) return {};
+  const auto flags = static_cast<std::uint8_t>(frame[0]);
+  const std::size_t header = kFramePrefixBytes +
+                             ((flags & 0x80) ? kFrameIdBytes : 0) +
+                             ((flags & 0x40) ? kFrameTraceBytes : 0);
+  return frame.size() < header ? std::string_view{} : frame.substr(header);
+}
+
+TEST_F(TransportTest, SeededFrameMutationsGetOneWellFormedResponse) {
+  // Valid frames of every kind, plain, with an id and traced, under bit
+  // flips, overwrites, truncations, insertions and toggled id and trace
+  // flags: the transport never throws and answers exactly one well-formed
+  // frame, and a body the decoder accepts re-encodes to itself.
+  InProcessTransport transport(engine_, &metrics_);
+  TraceContextWire trace;
+  trace.trace_id = 7;
+  trace.parent_span = 19;
+  trace.budget_us = 250000;
+  std::vector<std::string> seeds;
+  for (const Request& request : mutation_seed_requests()) {
+    const std::string body = encode_request(request);
+    seeds.push_back(encode_frame(body));
+    seeds.push_back(encode_frame_with_id(body, 0x0102030405060708ull));
+    seeds.push_back(encode_frame_with_trace(body, 42, trace));
+  }
+  std::mt19937_64 rng(0x5eedf4a3e5ull);
+  std::size_t failures = 0, accepted = 0;
+  std::string first;
+  for (int c = 0; c < test::kMutationCases; ++c) {
+    std::string frame = seeds[rng() % seeds.size()];
+    for (std::uint64_t e = 1 + rng() % 3; e > 0; --e) {
+      if (rng() % 4 == 0 && !frame.empty())
+        frame[0] = static_cast<char>(frame[0] ^ ((rng() & 1) ? 0x80 : 0x40));
+      else
+        test::mutate(frame, rng, {});
+    }
+    std::string fault;
+    try {
+      fault = response_frame_fault(transport.roundtrip_binary(frame));
+    } catch (...) {
+      fault = "roundtrip_binary threw";
+    }
+    const std::string_view body = request_body_of(frame);
+    if (const auto request = decode_request(body)) {
+      ++accepted;
+      if (encode_request(*request) != body) fault = "re-encode differs";
+    }
+    if (!fault.empty() && failures++ == 0)
+      first = "case " + std::to_string(c) + ": " + fault;
+  }
+  EXPECT_EQ(failures, 0u) << first;
+  EXPECT_GT(accepted, 0u);  // the mutations reach the decoder's accept path.
+}
+
+TEST_F(TransportTest, SeededTextMutationsAnswerOneLineAndRoundTrip) {
+  // Lines plain, with "#<id>" and with "#<id>@<trace>:<parent>:<budget>",
+  // mutated over digits, envelope punctuation, tabs, control bytes and
+  // overflowing digit runs: the dispatcher never throws and answers one
+  // line, and a line that parses formats back to the same canonical form.
+  Dispatcher dispatcher(engine_, &metrics_);
+  std::vector<std::string> seeds;
+  for (const Request& request : mutation_seed_requests()) {
+    const std::string line = format_request_text(request);
+    seeds.push_back(line);
+    seeds.push_back("#17 " + line);
+    seeds.push_back("#17@9:3:250000 " + line);
+  }
+  const std::string alphabet =
+      std::string("0123456789#@: -.e\t") +
+      std::string("\0\x01\x08\x0b\x0c\x1b\x7f\r", 8);
+  std::mt19937_64 rng(0x5eed7e47ull);
+  std::size_t failures = 0, parsed = 0;
+  std::string first;
+  for (int c = 0; c < test::kMutationCases; ++c) {
+    std::string line = seeds[rng() % seeds.size()];
+    for (std::uint64_t e = 1 + rng() % 3; e > 0; --e)
+      test::mutate(line, rng, alphabet);
+    std::string fault;
+    try {
+      const std::string reply = dispatcher.handle_text(line);
+      if (reply.empty() || reply.find('\n') != std::string::npos)
+        fault = "reply is not one line";
+    } catch (...) {
+      fault = "handle_text threw";
+    }
+    std::string_view rest = line;
+    std::uint64_t id = 0;
+    TraceContextWire wire;
+    if (strip_text_envelope(rest, id, wire) != TextEnvelope::kMalformed) {
+      if (const auto request = parse_request_text(rest)) {
+        ++parsed;
+        const auto again = parse_request_text(format_request_text(*request));
+        if (!again || again->canonical() != request->canonical())
+          fault = "format_request_text does not parse back";
+      }
+    }
+    if (!fault.empty() && failures++ == 0)
+      first = "case " + std::to_string(c) + ": " + fault;
+  }
+  EXPECT_EQ(failures, 0u) << first;
+  EXPECT_GT(parsed, 0u);
 }
 
 TEST_F(ServerTest, TracedQueriesRoundTripOverTcpAndSurviveMalformedContext) {

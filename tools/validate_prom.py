@@ -12,7 +12,10 @@ Checks the grammar rules the MetricsRegistry exporter promises:
   * counter samples are non-negative;
   * histogram families expose _bucket series with strictly ascending,
     cumulative le boundaries (a repeated bound is rejected) ending in a
-    +Inf bucket that equals _count, plus _sum/_count.
+    +Inf bucket that equals _count, plus _sum/_count;
+  * every _bucket series in one exposition carries the same ordered le set:
+    the exporter writes one ladder (le = 2^k s, then +Inf) for every
+    histogram, so a series on other edges is a second bucket layout.
 
 Exits 0 when the input is valid, 1 with one message per violation otherwise.
 """
@@ -127,6 +130,7 @@ def check_histograms(samples, types, errors):
         else:
             group["count"] = value
 
+    ladder = None  # (bounds, where) of the first histogram series.
     for (family, rest), group in groups.items():
         where = family + (str(dict(rest)) if rest else "")
         buckets = group["buckets"]
@@ -136,6 +140,10 @@ def check_histograms(samples, types, errors):
         bounds = [b for b, _, _ in buckets]
         if any(b is None for b in bounds):
             continue  # already reported.
+        ladder = ladder or (bounds, where)
+        if bounds != ladder[0]:
+            errors.append(f"{where}: le ladder {bounds} differs from "
+                          f"{ladder[1]}'s {ladder[0]}")
         if any(bounds[i] >= bounds[i + 1] for i in range(len(bounds) - 1)):
             errors.append(
                 f"{where}: le bounds not strictly ascending: {bounds}")
